@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, coincidence, discrepancy, grid, hyperbolic, riesz
-from .grid import BudgetExceededError
+from .grid import BudgetExceededError, GridTooLargeError
 from .hyperbolic import CoefficientField
 
 
@@ -436,6 +436,10 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(json.dumps(
             {"error": "budget", "detail": str(exc)}) + "\n")
+        return 2
+    except GridTooLargeError as exc:
+        sys.stderr.write(json.dumps(
+            {"error": "limit", "detail": str(exc)}) + "\n")
         return 2
     except ValueError as exc:
         sys.stderr.write(json.dumps(

@@ -188,7 +188,7 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
             failures.append({"shapes": shapes, "position": pos, "kind": result.kind})
             continue
         spectrum[tuple((1 << m) + p for m, p in zip(join, pos))] = result.sign
-    predicted = hyperbolic._synthesize(spectrum, d)
+    predicted = grid.synthesize(spectrum)
     if not np.array_equal(predicted, gridprod):
         failures.append({"shapes": shapes, "position": None, "kind": "grid mismatch"})
     return checked, failures
@@ -347,18 +347,6 @@ def _b4_tuples(n: int):
 
 def class_b4(n: int) -> CoincidenceClass:
     return CoincidenceClass("B4", n, (), tuple(_b4_tuples(n)))
-
-
-def b4_exactly_twice_count(cls: CoincidenceClass) -> int:
-    """How many tuples achieve both coordinate maxima exactly twice
-    (recorded alongside the at-least-twice class)."""
-    count = 0
-    for four in cls.tuples:
-        ones = [v[0] for v in four]
-        threes = [v[2] for v in four]
-        if ones.count(max(ones)) == 2 and threes.count(max(threes)) == 2:
-            count += 1
-    return count
 
 
 def class_b4a(n: int, a: int) -> CoincidenceClass:

@@ -21,6 +21,15 @@ coefficient of the L-infinity-normalized Haar function of the interval
 ``parent -+ coefficient``), so it is exact over integers and costs
 O(cells) per axis; that property is what makes the large exact
 constructions in the other modules feasible.
+
+``synthesize`` is the one synthesis loop: one ``synthesize_axis0`` call
+per axis through ``apply_along_axis0``.  That driver views the C-contiguous
+array as ``(pre, size, post)`` and hands the kernel the ``(size, pre,
+post)`` transpose, so every axis is processed in the array's own memory
+order.  The kernel allocates its output and a half-size scratch buffer
+with the input's layout and alternates the butterfly levels between the
+two with ``out=`` ufuncs, so no level allocates; the transpose back is
+C-contiguous and the input is never written.
 """
 
 from __future__ import annotations
@@ -252,13 +261,6 @@ class GridFunction:
             if self.values.dtype == object else self.values.astype(np.float64)
         return GridFunction(self.resolution, arr, "float")
 
-    def to_exact(self) -> "GridFunction":
-        """Exact view; float values convert via Fraction(float), which is exact."""
-        if self.mode == "exact":
-            return self
-        arr = np.vectorize(Fraction, otypes=[object])(self.values)
-        return GridFunction(self.resolution, arr, "exact")
-
     def float_values(self) -> np.ndarray:
         return self.to_float().values
 
@@ -329,11 +331,6 @@ def grids_equal(f: GridFunction, g: GridFunction) -> bool:
     """Exact cellwise equality after refining both to the common grid."""
     a, b = common_refinement(f, g)
     return bool(np.all(a.values == b.values))
-
-
-def max_abs_diff(f: GridFunction, g: GridFunction) -> float:
-    a, b = common_refinement(f, g)
-    return float(np.max(np.abs(a.float_values() - b.float_values()))) if a.values.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +486,31 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
     exactly the map that turns squared coefficients into the squared square
     function.  Works for integer, float and object dtypes alike; exact
     whenever the dtype is.
+
+    The output and one half-size scratch buffer are the only allocations;
+    both copy ``coef``'s memory layout, and the levels alternate between
+    them so that the last one lands in the output.  ``coef`` is only read.
     """
     size = coef.shape[0]
     m = size.bit_length() - 1
     if size != (1 << m):
         raise ValueError("axis length must be a power of two")
-    cur = coef[0:1].copy()
+    out = np.empty_like(coef)
+    if m == 0:
+        out[...] = coef
+        return out
+    scratch = np.empty_like(coef[:size >> 1])
+    cur = coef[0:1]
     for k in range(m):
-        c = coef[1 << k: 1 << (k + 1)]
-        nxt = np.empty((2 << k,) + coef.shape[1:], dtype=coef.dtype)
-        nxt[0::2] = (cur - c) if signed else (cur + c)
-        nxt[1::2] = cur + c
+        nxt = (out if (m - k) % 2 else scratch)[:2 << k]
+        c = coef[1 << k:2 << k]
+        np.add(cur, c, out=nxt[1::2])
+        if signed:
+            np.subtract(cur, c, out=nxt[0::2])
+        else:
+            nxt[0::2] = nxt[1::2]
         cur = nxt
-    return cur
+    return out
 
 
 def _analyze_axis0(vals: np.ndarray, exact: bool) -> np.ndarray:
@@ -522,8 +531,28 @@ def _analyze_axis0(vals: np.ndarray, exact: bool) -> np.ndarray:
 
 
 def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, 0)
-    return np.moveaxis(fn(moved, *args, **kwargs), 0, axis)
+    """Run an axis-0 kernel along ``axis`` of ``arr`` in C order.
+
+    The C-contiguous array (``arr`` itself, or a copy if it is not) is
+    viewed as ``(pre, size, post)`` and ``fn`` gets the ``(size, pre, post)``
+    transpose of that view, so no data moves.  A kernel that allocates with
+    ``np.empty_like`` returns the same layout, and the transpose back is
+    C-contiguous, so the final reshape is free.
+    """
+    shape = arr.shape
+    post = int(np.prod(shape[axis + 1:], dtype=np.int64))
+    view = np.ascontiguousarray(arr).reshape(-1, shape[axis], post).transpose(1, 0, 2)
+    return fn(view, *args, **kwargs).transpose(1, 0, 2).reshape(shape)
+
+
+def synthesize(arr: np.ndarray, signed: bool = True) -> np.ndarray:
+    """Synthesize every axis of a Haar-layout array (see ``synthesize_axis0``).
+
+    Returns a new C-contiguous array of the same dtype; ``arr`` is only read.
+    """
+    for axis in range(arr.ndim):
+        arr = apply_along_axis0(synthesize_axis0, arr, axis, signed)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -556,9 +585,7 @@ def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
     arr = spectrum.coefficients
     if spectrum.mode == "exact" and arr.dtype.kind not in ("i", "u", "O"):
         raise ValueError("exact spectrum needs integer or object coefficients")
-    for axis in range(spectrum.resolution.d):
-        arr = apply_along_axis0(synthesize_axis0, arr, axis, True)
-    return GridFunction(spectrum.resolution, arr, spectrum.mode)
+    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.mode)
 
 
 def _support_weights(m: int) -> np.ndarray:
@@ -613,12 +640,8 @@ def square_function_squared(f: GridFunction) -> GridFunction:
     the entry's support.  In d=1 this is |Ef|**2 + sum over intervals of
     (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.  Exact in exact
     mode."""
-    spectrum = haar_analyze(f)
-    arr = spectrum.coefficients
-    sq = arr * arr
-    for axis in range(f.d):
-        sq = apply_along_axis0(synthesize_axis0, sq, axis, False)
-    return GridFunction(f.resolution, sq, f.mode)
+    coef = haar_analyze(f).coefficients
+    return GridFunction(f.resolution, synthesize(coef * coef, signed=False), f.mode)
 
 
 def square_function(f: GridFunction) -> GridFunction:

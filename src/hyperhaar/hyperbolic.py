@@ -234,24 +234,42 @@ def _place_shape(spectrum: np.ndarray, shape: Shape, values: np.ndarray) -> None
     spectrum[slices] = values
 
 
-def _synthesize(spectrum: np.ndarray, d: int, signed: bool = True) -> np.ndarray:
-    for axis in range(d):
-        spectrum = grid.apply_along_axis0(grid.synthesize_axis0, spectrum, axis, signed)
+def _spectrum(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
+              dtype) -> np.ndarray:
+    spectrum = np.zeros(resolution.grid_shape, dtype=dtype)
+    for shape, values in shape_values.items():
+        _place_shape(spectrum, shape, np.asarray(values).astype(dtype, copy=False))
     return spectrum
+
+
+def _max_abs(values) -> int:
+    arr = np.asarray(values)
+    return max(abs(int(arr.max())), abs(int(arr.min()))) if arr.size else 0
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
                    dtype=None, signed: bool = True) -> np.ndarray:
     """Sum over shapes of the Haar sums with the given per-rectangle
-    coefficients, evaluated on the grid by one spectrum synthesis."""
+    coefficients, evaluated on the grid by one spectrum synthesis.
+
+    A fixed-width integer ``dtype`` is checked before anything is allocated:
+    every butterfly intermediate is a sum of at most one coefficient per
+    shape, so the sum over shapes of ``max|values|`` must fit in it.
+    """
     _check_resolution(resolution, shape_values.keys())
     if dtype is None:
         kinds = {np.asarray(v).dtype.kind for v in shape_values.values()}
         dtype = object if "O" in kinds else (np.float64 if "f" in kinds else np.int64)
-    spectrum = np.zeros(resolution.grid_shape, dtype=dtype)
-    for shape, values in shape_values.items():
-        _place_shape(spectrum, shape, np.asarray(values).astype(dtype, copy=False))
-    return _synthesize(spectrum, resolution.d, signed)
+    if np.dtype(dtype).kind in "iu":
+        limit = np.iinfo(dtype).max
+        bound = sum(_max_abs(v) for v in shape_values.values())
+        if bound > limit:
+            raise grid.GridError(
+                f"{np.dtype(dtype)} overflows: coefficient sums reach {bound} > "
+                f"{limit}; pass a wider dtype")
+    # Built inline so that ``synthesize`` holds the spectrum's only reference
+    # and frees it once the first axis is done.
+    return grid.synthesize(_spectrum(shape_values, resolution, dtype), signed)
 
 
 def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:

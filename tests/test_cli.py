@@ -56,6 +56,16 @@ class TestVerify:
         code, _ = run(["verify", "--n", "3", "--budget", "1"], capsys)
         assert code == 2
 
+    def test_grid_limit_exit_code(self, capsys):
+        code = cli.main(["sharpness", "--n-range", "9..9", "--trials", "1",
+                         "--d", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "limit"
+        assert "total level 30" in err["detail"]
+
     def test_unknown_flag_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--frobnicate"])

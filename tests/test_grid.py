@@ -269,6 +269,79 @@ class TestHaarTransform:
         assert grid.parseval_l2_moment(grid.haar_analyze(f)) == grid.lp_moment(f, 2)
 
 
+def _spectrum_rectangle(index):
+    """The rectangle of a spectrum entry: side ``(k, j)`` where the axis index
+    is ``2**k + j``, and the whole axis ``(0, 0)`` where it is 0 (a constant
+    factor)."""
+    sides = []
+    for i in index:
+        k = max(i.bit_length() - 1, 0)
+        sides.append(DyadicInterval(k, i - (1 << k)) if i else DyadicInterval(0, 0))
+    return DyadicRectangle(tuple(sides))
+
+
+def _signed_basis(index, res):
+    """Tensor Haar function of a spectrum entry: ``haar_tensor`` over the Haar
+    axes, constant 1 along the axes whose index is 0."""
+    rect = _spectrum_rectangle(index)
+    haar_axes = [a for a, i in enumerate(index) if i]
+    if not haar_axes:
+        return np.ones(res.grid_shape, dtype=np.int8)
+    sub = grid.haar_tensor(
+        DyadicRectangle(tuple(rect.sides[a] for a in haar_axes)),
+        Resolution(tuple(res.levels[a] for a in haar_axes))).values
+    const_axes = tuple(a for a, i in enumerate(index) if not i)
+    return np.broadcast_to(np.expand_dims(sub, const_axes), res.grid_shape)
+
+
+class TestSynthesizeOracle:
+    """``grid.synthesize`` against a direct sum over spectrum entries."""
+
+    LEVELS = [(5,), (1, 4), (3, 0, 2), (2, 2, 2)]
+    DTYPES = [np.int8, np.int16, np.int64, np.float64, object]
+
+    @staticmethod
+    def _spectrum(levels, dtype, seed=0):
+        res = Resolution(levels)
+        rng = np.random.default_rng(seed)
+        # |c| <= 3 and at most 27 entries cover a cell, so int8 cannot wrap
+        return res, rng.integers(-3, 4, size=res.grid_shape).astype(dtype)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_matches_direct_sum(self, levels, dtype, signed):
+        res, spec = self._spectrum(levels, dtype)
+        expected = np.zeros(res.grid_shape, dtype=object)
+        for index in np.ndindex(*res.grid_shape):
+            c = int(spec[index])
+            if not c:
+                continue
+            basis = (_signed_basis(index, res) if signed else
+                     grid.indicator_grid(_spectrum_rectangle(index), res).values)
+            expected = expected + c * basis.astype(object)
+        out = grid.synthesize(spec, signed)
+        assert out.dtype == spec.dtype
+        assert out.shape == res.grid_shape
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_layout_independent_and_read_only(self, levels, dtype, signed):
+        _, spec = self._spectrum(levels, dtype, seed=1)
+        ref = grid.synthesize(spec, signed)
+        assert ref.flags.c_contiguous
+        transposed = np.ascontiguousarray(spec.T).T
+        for variant in (spec, np.asfortranarray(spec), transposed):
+            before = variant.copy()
+            out = grid.synthesize(variant, signed)
+            assert out.flags.c_contiguous
+            assert out.dtype == spec.dtype
+            assert np.array_equal(out, ref)
+            assert np.array_equal(variant, before)
+
+
 # ---------------------------------------------------------------------------
 # square function
 # ---------------------------------------------------------------------------

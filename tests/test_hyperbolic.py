@@ -160,6 +160,18 @@ class TestHyperbolicSum:
         h = hyperbolic.hyperbolic_sum(f)
         assert grid.lp_moment(h, 2) == Fraction(f.square_sum(), 1 << n)
 
+    def test_int8_overflow_refused_before_synthesis(self):
+        vals = {(1, 0): np.full((2, 1), 100), (0, 1): np.full((1, 2), 100)}
+        with pytest.raises(grid.GridError, match="int8"):
+            hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int8)
+        wide = hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int16)
+        assert int(np.max(np.abs(wide))) == 200
+
+    def test_int8_bound_admits_exact_fit(self):
+        vals = {(1, 0): np.full((2, 1), 100), (0, 1): np.full((1, 2), -27)}
+        arr = hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int8)
+        assert int(np.max(np.abs(arr))) == 127
+
     def test_coarse_shapes_enter_the_sum(self):
         base = CoefficientField.random_signs(2, 2, 30)
         ext = hyperbolic.add_coarse_random(base, 31)
