@@ -107,8 +107,15 @@ def _parse_num_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _apply_budget(args) -> None:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         coincidence.MAX_TUPLES = args.budget
         riesz.SD_TUPLE_BUDGET = args.budget
 
@@ -126,7 +133,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=_positive_int, default=None,
                      help="cap on enumerated tuples")
 
 
@@ -223,17 +230,18 @@ def run_verify(args) -> tuple[int, dict, list]:
 
     params = riesz.make_params(n, q=min(2, n + 1))
     field = CoefficientField.random_signs(n, 3, args.seed)
-    rep = riesz.decomposition_report(field, params)
+    short = riesz.ShortProduct(field, params)
+    rep = riesz.decomposition_report(short)
     record("short-product-decomposition",
            rep["identity_ok"] and rep["sd_mean_zero"], rep)
 
-    dual = riesz.duality_certificate(field, params)
+    dual = riesz.duality_certificate(short)
     dual_ok = (dual["identity_sd1"]["ok"] and dual["higher_layers"]["ok"]
                and dual["sd_equals_sd1"]
                and all(c["sound"] for c in dual["certificates"].values()))
     record("short-product-duality", dual_ok, _jsonify(dual))
 
-    rep = riesz.gamma_identity_report(field, params)
+    rep = riesz.gamma_identity_report(short)
     record("gamma-identity", rep["all_ok"], rep)
 
     ie_ok = True
@@ -307,13 +315,16 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
+    if not args.exact:
+        raise ValueError("riesz3d reports are exact-only; --float is not supported")
     _apply_budget(args)
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
     field = CoefficientField.random_signs(args.n, 3, args.seed)
-    decomposition = riesz.decomposition_report(field, params)
-    dual = riesz.duality_certificate(field, params)
-    gamma_rep = riesz.gamma_identity_report(field, params)
-    norms = riesz.norm_report(field, params, v_list=[(1,), tuple(range(1, params.q + 1))])
+    short = riesz.ShortProduct(field, params)
+    decomposition = riesz.decomposition_report(short)
+    dual = riesz.duality_certificate(short)
+    gamma_rep = riesz.gamma_identity_report(short)
+    norms = riesz.norm_report(short, v_list=[(1,), tuple(range(1, params.q + 1))])
     checks = [
         {"name": "decomposition", "ok": decomposition["identity_ok"]},
         {"name": "sd-mean-zero", "ok": decomposition["sd_mean_zero"]},

@@ -13,17 +13,28 @@ Two constructions:
 Exactness strategy: every identity is checked in scaled integers.  The
 d=2 product is computed as ``prod (2 + psi_s)`` (an integer grid equal to
 ``Psi * 2^{n+1}``); the short product writes the scalar ``rho~`` as the
-exact rational N/D of its float64 value and computes
-``Psi * D^q = prod (D + N F_t)`` as an array of Python integers.  All
-stated identities hold for *any* rational value of ``rho~``, so pinning it
-to the float's exact rational loses nothing.
+exact rational N/D of its float64 value and scales by D^q, so that
+``T = Psi * D^q = prod (D + N F_t)`` and the scaled sd/nsd layers
+``sum_u N^u D^(q-u) sd_u`` are integers.  All stated identities hold for
+*any* rational value of ``rho~``, so pinning it to the float's exact
+rational loses nothing.
+
+The scaled values never exist as per-cell Python integers.  Every cell is
+pooled by its small-integer vector (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q),
+which fixes T and both layers on that cell; the big-integer arithmetic is
+done once per distinct vector, and weighted by int64 cell counts or by
+int64 sums of H over the vector's cells.  Partial products depend on the
+F_t alone and pool on (F_1..F_q).  One ``ShortProduct`` holds the grids
+and pools of a field, builds each on first use, and serves every report.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -220,99 +231,6 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     )
 
 
-def block_sum(field: CoefficientField, params: RieszParams,
-              t: int) -> GridFunction:
-    """F_t: the sum of the alpha-sign r-functions of every shape in block t."""
-    if not 1 <= t <= params.q:
-        raise ValueError(f"t={t} out of range 1..{params.q}")
-    res = hyperbolic.field_resolution(field)
-    return hyperbolic.signed_r_sum(field, res, shapes=params.blocks[t - 1],
-                                   dtype=np.int16)
-
-
-def _block_grids(field: CoefficientField, params: RieszParams,
-                 res: Resolution) -> list[np.ndarray]:
-    return [
-        hyperbolic.signed_r_sum(field, res, shapes=block, dtype=np.int16).values
-        for block in params.blocks
-    ]
-
-
-def _pooled_product(field: CoefficientField, params: RieszParams,
-                    res: Resolution):
-    """Exact per-cell values of T = prod_t (D + N F_t), pooled.
-
-    The block sums F_t are small integers, so the q-tuple of factor
-    values per cell ranges over a tiny alphabet.  Pooling cells with an
-    equal tuple keeps the big-integer products to one per distinct tuple.
-    Returns (values, counts, inverse): the distinct exact products as an
-    object vector, their cell multiplicities, and the flat index map
-    that reconstructs the grid.
-    """
-    frac = params.rho_tilde_exact
-    n_, d_ = frac.numerator, frac.denominator
-    fs = [f.astype(np.int64).reshape(-1) for f in _block_grids(field, params, res)]
-    key = np.zeros(fs[0].shape, dtype=np.int64)
-    digits = []
-    stride = 1
-    for f in fs:
-        lo, hi = int(f.min()), int(f.max())
-        digits.append((lo, hi - lo + 1, stride))
-        key += (f - lo) * stride
-        stride *= hi - lo + 1
-    uniq, inverse, counts = np.unique(key, return_inverse=True,
-                                      return_counts=True)
-    values = np.empty(uniq.size, dtype=object)
-    for i, k in enumerate(uniq.tolist()):
-        prod = 1
-        for lo, span, step in digits:
-            prod *= d_ + n_ * (k // step % span + lo)
-        values[i] = prod
-    return values, counts, inverse
-
-
-def _short_product_scaled(field: CoefficientField, params: RieszParams,
-                          res: Resolution) -> tuple[np.ndarray, int, int, int]:
-    """(T, N, D, q) with T = Psi * D^q = prod_t (D + N F_t) as an object
-    array of Python integers, where rho~ = N/D exactly."""
-    frac = params.rho_tilde_exact
-    values, _, inverse = _pooled_product(field, params, res)
-    out = values[inverse].reshape(res.grid_shape)
-    return out, frac.numerator, frac.denominator, params.q
-
-
-def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
-    """Psi = prod over t of (1 + rho~ F_t); mean one exactly in exact mode."""
-    _check_short_inputs(field, params)
-    res = hyperbolic.field_resolution(field)
-    if field.mode == "float":
-        out = np.ones(res.grid_shape, dtype=np.float64)
-        for f in _block_grids(field, params, res):
-            out *= 1.0 + params.rho_tilde * f.astype(np.float64)
-        return GridFunction(res, out, "float")
-    t, _, d_, q = _short_product_scaled(field, params, res)
-    return GridFunction(res, t * Fraction(1, d_**q), "exact")
-
-
-def short_product_mean(field: CoefficientField, params: RieszParams):
-    """E Psi, computed from the pooled per-cell products.
-
-    Exact mode returns a Fraction (one exactly, for any coefficient
-    field); float mode returns the float grid mean.
-    """
-    _check_short_inputs(field, params)
-    res = hyperbolic.field_resolution(field)
-    if field.mode == "float":
-        out = np.ones(res.grid_shape, dtype=np.float64)
-        for f in _block_grids(field, params, res):
-            out *= 1.0 + params.rho_tilde * f.astype(np.float64)
-        return float(out.mean())
-    values, counts, _ = _pooled_product(field, params, res)
-    total = sum(int(c) * v for c, v in zip(counts, values))
-    scale = params.rho_tilde_exact.denominator ** params.q
-    return Fraction(total, scale * res.cells)
-
-
 def _check_short_inputs(field: CoefficientField, params: RieszParams) -> None:
     if field.d != 3:
         raise ValueError("short product is a d=3 construction")
@@ -322,51 +240,297 @@ def _check_short_inputs(field: CoefficientField, params: RieszParams) -> None:
         raise ValueError("short product expects exact-volume coefficients only")
 
 
+def _check_block_index(params: RieszParams, t: int) -> None:
+    if not 1 <= t <= params.q:
+        raise ValueError(f"t={t} out of range 1..{params.q}")
+
+
 # ---------------------------------------------------------------------------
-# sd / not-sd decomposition
+# pooling cells by small-integer keys
+# ---------------------------------------------------------------------------
+
+#: Bound on every intermediate pooling key; int64 holds twice this.
+KEY_LIMIT = 1 << 62
+
+
+def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct per-cell vectors of small-integer columns.
+
+    Returns (inverse, counts): for every cell the index of its vector among
+    the distinct vectors in lexicographic order, and each vector's cell
+    count.  The columns are folded one at a time into a mixed-radix int64
+    key.  Before a column would take the product of spans past ``limit``,
+    the key is renumbered densely, so no intermediate key reaches ``limit``
+    and the arithmetic cannot wrap.
+    """
+    key = np.zeros(np.asarray(columns[0]).size, dtype=np.int64)
+    span = 1
+    for col in columns:
+        col = np.asarray(col).reshape(-1)
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if span * width > limit:
+            span = _densify(key, span)
+            if span * width > limit:
+                raise grid.GridError(
+                    f"pooling key needs {span} x {width} values (limit {limit})")
+        key *= width
+        key += np.subtract(col, lo, dtype=np.int64)
+        span *= width
+    span = _densify(key, span)
+    return key, np.bincount(key, minlength=span)
+
+
+def _densify(key: np.ndarray, span: int) -> int:
+    """Renumber the keys in [0, span) in place as 0..k-1, keeping their
+    order, and return k.  A lookup table serves spans up to the cell
+    count; wider ones sort."""
+    if span <= key.size:
+        present = np.zeros(span, dtype=np.int64)
+        present[key] = 1
+        lut = np.cumsum(present) - 1
+        key[:] = lut[key]
+        return int(lut[-1]) + 1
+    order = np.argsort(key)
+    ranks = key[order]
+    new = ranks[1:] != ranks[:-1]
+    ranks[0] = 0
+    np.cumsum(new, out=ranks[1:])
+    key[order] = ranks
+    return int(ranks[-1]) + 1
+
+
+class _Pool:
+    """Cells pooled by equal key vectors: each cell's key index, the cell
+    count of every key, and one representative cell per key."""
+
+    def __init__(self, columns) -> None:
+        self.inverse, counts = _fold_key(columns)
+        self.counts = counts.tolist()
+        self.rep = np.empty(counts.size, dtype=np.int64)
+        self.rep[self.inverse] = np.arange(self.inverse.size)
+
+    def at_keys(self, values: np.ndarray) -> list[int]:
+        """A grid that is constant on every key, as one value per key."""
+        return values.reshape(-1)[self.rep].tolist()
+
+    def sums(self, values: np.ndarray) -> list[int]:
+        """Exact int64 segment sums of an integer grid, one per key."""
+        out = np.zeros(len(self.counts), dtype=np.int64)
+        np.add.at(out, self.inverse, values.reshape(-1))
+        return out.tolist()
+
+    def expand(self, per_key: list, resolution: Resolution) -> GridFunction:
+        """The exact grid taking the given value on each key's cells."""
+        values = np.empty(len(per_key), dtype=object)
+        values[:] = per_key
+        return GridFunction(resolution,
+                            values[self.inverse].reshape(resolution.grid_shape),
+                            "exact")
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+# ---------------------------------------------------------------------------
+# the short product
 # ---------------------------------------------------------------------------
 
 #: Refuse sd enumerations beyond this many tuples.
 SD_TUPLE_BUDGET = 200_000
 
 
-def _sd_tuple_count(params: RieszParams) -> int:
+def _sd_tuple_counts(params: RieszParams) -> dict[int, int]:
+    """The number of u-tuples with one shape from each of u distinct
+    blocks, for u = 1..q."""
     sizes = [len(b) for b in params.blocks]
-    total = 0
-    for u in range(1, params.q + 1):
-        for combo in itertools.combinations(sizes, u):
-            total += math.prod(combo)
-    return total
+    return {u: sum(math.prod(combo) for combo in itertools.combinations(sizes, u))
+            for u in range(1, params.q + 1)}
 
 
-def _sd_sums_by_u(field: CoefficientField, params: RieszParams,
-                  res: Resolution) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Enumerate, for every nonempty subset V of blocks and every choice of
-    one shape per block in V, the product of the chosen r-functions; split
-    by the strongly-distinct predicate.  Returns (sd, nsd), each mapping
-    u = |V| to the int64 grid sum of its products."""
-    estimate = _sd_tuple_count(params)
-    if estimate > SD_TUPLE_BUDGET:
-        raise grid.BudgetExceededError(
-            f"sd enumeration needs about {estimate} tuples "
-            f"(budget {SD_TUPLE_BUDGET})"
+@dataclass(frozen=True)
+class KeyedValues:
+    """The scaled short product and its split at every pool key:
+    ``t = prod_t (D + N F_t)``, ``sd``/``nsd`` the layers weighted by
+    N^u D^(q-u) and summed over u, ``sd_layers[u]`` the raw sd layer u."""
+
+    counts: list[int]
+    t: list[int]
+    sd: list[int]
+    nsd: list[int]
+    sd_layers: dict[int, list[int]]
+
+
+class ShortProduct:
+    """The d=3 short product Psi = prod_t (1 + rho~ F_t) of one coefficient
+    field, with its strongly-distinct split Psi = 1 + Psi_sd + Psi_nsd.
+
+    The constructor only validates.  Every grid is built once, on first
+    use, and shared by all the reports.  With rho~ = N/D exactly, exact
+    values are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
+    """
+
+    def __init__(self, field: CoefficientField, params: RieszParams) -> None:
+        _check_short_inputs(field, params)
+        self.field = field
+        self.params = params
+        self.resolution = hyperbolic.field_resolution(field)
+        frac = params.rho_tilde_exact
+        self.num, self.den = frac.numerator, frac.denominator
+        self.scale = self.den ** params.q
+
+    @cached_property
+    def r_grids(self) -> dict[Shape, np.ndarray]:
+        """The int8 r-function of every shape, one synthesis each."""
+        return {
+            s: hyperbolic.shape_sum_grid(
+                {s: hyperbolic.signs_of(self.field.values[s])},
+                self.resolution, dtype=np.int8)
+            for block in self.params.blocks for s in block
+        }
+
+    @cached_property
+    def block_sums(self) -> list[np.ndarray]:
+        """F_1..F_q: the int16 sums of the r-functions of each block."""
+        return [
+            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block,
+                                    dtype=np.int16).values
+            for block in self.params.blocks
+        ]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The hyperbolic sum H as an int64 grid."""
+        return hyperbolic.hyperbolic_sum(self.field, self.resolution) \
+            .values.astype(np.int64)
+
+    @cached_property
+    def layers(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """(sd, nsd): for every u, the grid sum of the products of the
+        r-functions over the u-tuples with one shape from each of u
+        distinct blocks, split by the strongly-distinct predicate.
+
+        A layer is a sum of that many +-1 products, so it is kept in the
+        narrowest of int16/int32/int64 that holds its tuple count."""
+        params = self.params
+        counts = _sd_tuple_counts(params)
+        estimate = sum(counts.values())
+        if estimate > SD_TUPLE_BUDGET:
+            raise grid.BudgetExceededError(
+                f"sd enumeration needs about {estimate} tuples "
+                f"(budget {SD_TUPLE_BUDGET})"
+            )
+        r = self.r_grids
+        shape = self.resolution.grid_shape
+        sd, nsd = {}, {}
+        for u, count in counts.items():
+            dtype = next(dt for dt in (np.int16, np.int32, np.int64)
+                         if count <= np.iinfo(dt).max)
+            sd[u] = np.zeros(shape, dtype=dtype)
+            nsd[u] = np.zeros(shape, dtype=dtype)
+            for subset in itertools.combinations(params.blocks, u):
+                for tup in itertools.product(*subset):
+                    prod = r[tup[0]]
+                    for s in tup[1:]:
+                        prod = prod * r[s]
+                    target = sd if coincidence.strongly_distinct(tup) else nsd
+                    target[u] += prod
+        return sd, nsd
+
+    @cached_property
+    def f_pool(self) -> _Pool:
+        """Cells pooled by (F_1..F_q)."""
+        return _Pool(self.block_sums)
+
+    @cached_property
+    def pool(self) -> _Pool:
+        """Cells pooled by (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q), with the
+        F part entered as its ``f_pool`` index."""
+        sd, nsd = self.layers
+        return _Pool([self.f_pool.inverse, *sd.values(), *nsd.values()])
+
+    @cached_property
+    def f_values(self) -> list[tuple[int, ...]]:
+        """(F_1..F_q) at every key of ``f_pool``."""
+        return list(zip(*(self.f_pool.at_keys(f) for f in self.block_sums)))
+
+    def partial_products(self, v) -> list[int]:
+        """prod over t in v of (D + N F_t) at every key of ``f_pool``."""
+        n_, d_ = self.num, self.den
+        return [math.prod(d_ + n_ * fs[t - 1] for t in v) for fs in self.f_values]
+
+    @cached_property
+    def keyed(self) -> KeyedValues:
+        """T and the scaled layers at every key of ``pool``, in Python ints."""
+        pool = self.pool
+        q = self.params.q
+        t_by_f = self.partial_products(range(1, q + 1))
+        t = [t_by_f[k] for k in pool.at_keys(self.f_pool.inverse)]
+        weights = [self.num**u * self.den ** (q - u) for u in range(1, q + 1)]
+        sd, nsd = ({u: pool.at_keys(layer) for u, layer in by_u.items()}
+                   for by_u in self.layers)
+        return KeyedValues(
+            counts=pool.counts, t=t,
+            sd=[_dot(weights, vals) for vals in zip(*sd.values())],
+            nsd=[_dot(weights, vals) for vals in zip(*nsd.values())],
+            sd_layers=sd,
         )
-    cache = {}
-    for block in params.blocks:
-        for s in block:
-            signs = hyperbolic.signs_of(field.values[s])
-            cache[s] = hyperbolic.shape_sum_grid({s: signs}, res, dtype=np.int8)
-    sd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, params.q + 1)}
-    nsd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, params.q + 1)}
-    for u in range(1, params.q + 1):
-        for subset in itertools.combinations(range(params.q), u):
-            for tup in itertools.product(*[params.blocks[t] for t in subset]):
-                prod = cache[tup[0]]
-                for s in tup[1:]:
-                    prod = prod * cache[s]
-                target = sd if coincidence.strongly_distinct(tup) else nsd
-                target[u] += prod
-    return sd, nsd
+
+    def float_product(self) -> np.ndarray:
+        """Psi in float64 arithmetic, for float-mode fields."""
+        out = np.ones(self.resolution.grid_shape, dtype=np.float64)
+        for f in self.block_sums:
+            out *= 1.0 + self.params.rho_tilde * f.astype(np.float64)
+        return out
+
+    def gamma(self, t: int) -> np.ndarray:
+        """Gamma_t as an int32 grid; see the module-level ``gamma``."""
+        _check_block_index(self.params, t)
+        r = self.r_grids
+        acc = np.zeros(self.resolution.grid_shape, dtype=np.int32)
+        for a, b in itertools.combinations(self.params.blocks[t - 1], 2):
+            if a[0] == b[0]:
+                acc += r[a] * r[b]
+        acc *= 2
+        return acc
+
+
+def block_sum(field: CoefficientField, params: RieszParams,
+              t: int) -> GridFunction:
+    """F_t: the sum of the alpha-sign r-functions of every shape in block t."""
+    _check_block_index(params, t)
+    sp = ShortProduct(field, params)
+    return GridFunction(sp.resolution, sp.block_sums[t - 1], "exact")
+
+
+def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
+    """Psi = prod over t of (1 + rho~ F_t); mean one exactly in exact mode."""
+    sp = ShortProduct(field, params)
+    if field.mode == "float":
+        return GridFunction(sp.resolution, sp.float_product(), "float")
+    unit = Fraction(1, sp.scale)
+    return sp.f_pool.expand(
+        [v * unit for v in sp.partial_products(range(1, params.q + 1))],
+        sp.resolution)
+
+
+def short_product_mean(field: CoefficientField, params: RieszParams):
+    """E Psi, computed from the pooled per-cell products.
+
+    Exact mode returns a Fraction (one exactly, for any coefficient
+    field); float mode returns the float grid mean.
+    """
+    sp = ShortProduct(field, params)
+    if field.mode == "float":
+        return float(sp.float_product().mean())
+    total = _dot(sp.f_pool.counts, sp.partial_products(range(1, params.q + 1)))
+    return Fraction(total, sp.scale * sp.resolution.cells)
+
+
+# ---------------------------------------------------------------------------
+# sd / not-sd decomposition
+# ---------------------------------------------------------------------------
 
 
 def sd_decomposition(field: CoefficientField,
@@ -377,33 +541,28 @@ def sd_decomposition(field: CoefficientField,
     products); Psi_nsd is Psi - 1 - Psi_sd, which the decomposition report
     checks against the independently enumerated complement.
     """
-    _check_short_inputs(field, params)
-    res = hyperbolic.field_resolution(field)
+    sp = ShortProduct(field, params)
+    res = sp.resolution
     if field.mode == "float":
-        psi = short_product(field, params).values
-        sd, _ = _sd_sums_by_u(field, params, res)
+        psi = sp.float_product()
+        sd, _ = sp.layers
         rho = params.rho_tilde
         sd_vals = sum(rho**u * sd[u].astype(np.float64) for u in sd)
         return (GridFunction(res, sd_vals, "float"),
                 GridFunction(res, psi - 1.0 - sd_vals, "float"))
-    t, n_, d_, q = _short_product_scaled(field, params, res)
-    sd, _ = _sd_sums_by_u(field, params, res)
-    sd_scaled = _combine_scaled(sd, n_, d_, q, res)
-    unit = Fraction(1, d_**q)
-    return (GridFunction(res, sd_scaled * unit, "exact"),
-            GridFunction(res, (t - d_**q - sd_scaled) * unit, "exact"))
+    kv = sp.keyed
+    unit = Fraction(1, sp.scale)
+    return (sp.pool.expand([v * unit for v in kv.sd], res),
+            sp.pool.expand([(t - sp.scale - v) * unit
+                            for t, v in zip(kv.t, kv.sd)], res))
 
 
-def _combine_scaled(by_u: dict[int, np.ndarray], n_: int, d_: int, q: int,
-                    res: Resolution) -> np.ndarray:
-    out = np.zeros(res.grid_shape, dtype=object)
-    out += 0  # materialize Python ints
-    for u, arr in by_u.items():
-        out = out + arr.astype(object) * (n_**u * d_ ** (q - u))
-    return out
+def _check_exact(sp: ShortProduct, what: str) -> None:
+    if sp.field.mode != "exact":
+        raise ValueError(f"{what} is exact-mode only")
 
 
-def decomposition_report(field: CoefficientField, params: RieszParams) -> dict:
+def decomposition_report(sp: ShortProduct) -> dict:
     """Exact decomposition checks on one grid:
 
     * ``identity_ok``   — Psi = 1 + Psi_sd + Psi_nsd cellwise, with *both*
@@ -411,21 +570,19 @@ def decomposition_report(field: CoefficientField, params: RieszParams) -> dict:
       enumerated complement equals Psi - 1 - Psi_sd);
     * ``sd_mean_zero``  — every sd layer has exact mean zero;
     * tuple counts per layer.
+
+    The key of a cell holds every value the identity reads, so checking it
+    once per key checks it on every cell.
     """
-    _check_short_inputs(field, params)
-    if field.mode != "exact":
-        raise ValueError("decomposition report is exact-mode only")
-    res = hyperbolic.field_resolution(field)
-    t, n_, d_, q = _short_product_scaled(field, params, res)
-    sd, nsd = _sd_sums_by_u(field, params, res)
-    rhs = _combine_scaled(sd, n_, d_, q, res) \
-        + _combine_scaled(nsd, n_, d_, q, res) + d_**q
-    identity_ok = bool(np.array_equal(t, rhs))
-    sd_means = {u: int(np.sum(sd[u])) for u in sd}
+    _check_exact(sp, "decomposition report")
+    kv = sp.keyed
+    identity_ok = all(t == sp.scale + s + ns
+                      for t, s, ns in zip(kv.t, kv.sd, kv.nsd))
+    sd_means = {u: _dot(kv.counts, vals) for u, vals in kv.sd_layers.items()}
     return {
-        "n": params.n,
-        "q": params.q,
-        "tuples": _sd_tuple_count(params),
+        "n": sp.params.n,
+        "q": sp.params.q,
+        "tuples": sum(_sd_tuple_counts(sp.params).values()),
         "identity_ok": identity_ok,
         "sd_mean_zero": all(v == 0 for v in sd_means.values()),
         "sd_layer_sums": sd_means,
@@ -437,7 +594,7 @@ def decomposition_report(field: CoefficientField, params: RieszParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def duality_certificate(field: CoefficientField, params: RieszParams) -> dict:
+def duality_certificate(sp: ShortProduct) -> dict:
     """Exact duality record:
 
     (i)   <H, Psi_sd_1> = rho~ * 2^(-n) * sum |alpha(R)|;
@@ -447,38 +604,37 @@ def duality_certificate(field: CoefficientField, params: RieszParams) -> dict:
 
     The certificate is sound unconditionally -- it is the duality
     inequality itself, so (iii) failing would mean an arithmetic bug.
+    Inner products pair the per-key values with the int64 sums of H over
+    each key's cells.
     """
-    _check_short_inputs(field, params)
-    if field.mode != "exact":
-        raise ValueError("duality certificate is exact-mode only")
-    res = hyperbolic.field_resolution(field)
-    h = hyperbolic.hyperbolic_sum(field, res)
-    hv = h.values.astype(np.int64)
-    sup_h = int(np.max(np.abs(hv)))
-    t, n_, d_, q = _short_product_scaled(field, params, res)
-    sd, _ = _sd_sums_by_u(field, params, res)
+    _check_exact(sp, "duality certificate")
+    cells = sp.resolution.cells
+    sup_h = int(np.max(np.abs(sp.h)))
+    if sup_h * cells > np.iinfo(np.int64).max:
+        raise grid.GridError("segment sums of H could overflow int64")
+    h_sums = sp.pool.sums(sp.h)
+    kv = sp.keyed
+    rho = Fraction(sp.num, sp.den)
 
-    abs_sum = int(field.abs_sum())
-    rhs1 = Fraction(n_, d_) * Fraction(abs_sum, 2**params.n)
-    inner_sd1 = Fraction(n_, d_) * Fraction(int(np.sum(hv * sd[1])), res.cells)
+    rhs1 = rho * Fraction(int(sp.field.abs_sum()), 2**sp.params.n)
+    layer_inner = {u: _dot(h_sums, vals) for u, vals in kv.sd_layers.items()}
+    inner_sd1 = rho * Fraction(layer_inner[1], cells)
     identity_1 = inner_sd1 == rhs1
 
-    higher = {u: int(np.sum(hv.astype(object) * sd[u])) for u in sd if u >= 2}
+    higher = {u: v for u, v in layer_inner.items() if u >= 2}
     higher_ok = all(v == 0 for v in higher.values())
 
-    certificates = {}
-    ht = hv.astype(object) * t
-    certificates["psi"] = _certificate(int(np.sum(ht)), int(np.sum(np.abs(t))), sup_h)
-    sd_scaled = _combine_scaled(sd, n_, d_, q, res)
-    hsd = hv.astype(object) * sd_scaled
-    certificates["psi_sd"] = _certificate(
-        int(np.sum(hsd)), int(np.sum(np.abs(sd_scaled))), sup_h
-    )
-
-    inner_sd_total = Fraction(int(np.sum(hsd)), res.cells * d_**q)
+    inner_sd = _dot(h_sums, kv.sd)
+    certificates = {
+        "psi": _certificate(_dot(h_sums, kv.t),
+                            _dot(kv.counts, map(abs, kv.t)), sup_h),
+        "psi_sd": _certificate(inner_sd,
+                               _dot(kv.counts, map(abs, kv.sd)), sup_h),
+    }
+    inner_sd_total = Fraction(inner_sd, cells * sp.scale)
     return {
-        "n": params.n,
-        "q": params.q,
+        "n": sp.params.n,
+        "q": sp.params.q,
         "identity_sd1": {"lhs": inner_sd1, "rhs": rhs1, "ok": identity_1},
         "higher_layers": {"sums": higher, "ok": higher_ok},
         "sd_equals_sd1": inner_sd_total == inner_sd1,
@@ -504,33 +660,21 @@ def gamma(field: CoefficientField, params: RieszParams, t: int) -> GridFunction:
     """Gamma_t: sum over ordered pairs of distinct shapes in block t sharing
     the first coordinate of the product of their r-functions.  (The
     unordered sum is half of this.)"""
-    if not 1 <= t <= params.q:
-        raise ValueError(f"t={t} out of range 1..{params.q}")
-    res = hyperbolic.field_resolution(field)
-    block = params.blocks[t - 1]
-    cache = {}
-    for s in block:
-        signs = hyperbolic.signs_of(field.values[s])
-        cache[s] = hyperbolic.shape_sum_grid({s: signs}, res, dtype=np.int8)
-    acc = np.zeros(res.grid_shape, dtype=np.int32)
-    for r, s in itertools.permutations(block, 2):
-        if r[0] == s[0]:
-            acc += cache[r].astype(np.int16) * cache[s]
-    return GridFunction(res, acc, "exact")
+    sp = ShortProduct(field, params)
+    return GridFunction(sp.resolution, sp.gamma(t), "exact")
 
 
-def gamma_identity_report(field: CoefficientField, params: RieszParams) -> dict:
+def gamma_identity_report(sp: ShortProduct) -> dict:
     """For every block t, check exactly that averaging over the first
     coordinate gives  E_x1(F_t^2) = #A_t + E_x1(Gamma_t)  cellwise in the
     remaining coordinates, and that E(Gamma_t) = 0 (each contributing pair
     has a unique maximal level in both remaining coordinates)."""
-    _check_short_inputs(field, params)
-    res = hyperbolic.field_resolution(field)
+    params = sp.params
     per_t = []
     all_ok = True
     for t in range(1, params.q + 1):
-        f = block_sum(field, params, t).values.astype(np.int32)
-        g = gamma(field, params, t).values
+        f = sp.block_sums[t - 1].astype(np.int32)
+        g = sp.gamma(t)
         count = len(params.blocks[t - 1])
         diff = f * f - count - g
         residual = np.sum(diff, axis=0, dtype=np.int64)
@@ -582,8 +726,7 @@ class RieszNormReport:
         }
 
 
-def norm_report(field: CoefficientField, params: RieszParams,
-                v_list=(), r_list=(1, 2)) -> RieszNormReport:
+def norm_report(sp: ShortProduct, v_list=(), r_list=(1, 2)) -> RieszNormReport:
     """Measured norms of the short product: exact mean, exact fraction of
     negative cells, exact L1, L2, the sd/nsd L1 norms, and the partial
     product norms N(V; r) = || prod over t in V of (1 + rho~ F_t) ||_r.
@@ -592,37 +735,33 @@ def norm_report(field: CoefficientField, params: RieszParams,
     (the measured constant in the L2 growth), and the two sides of the
     heuristic identification rho~^2 #A_q with a^2 q^(2b-1).
     """
-    _check_short_inputs(field, params)
-    res = hyperbolic.field_resolution(field)
-    t, n_, d_, q = _short_product_scaled(field, params, res)
-    scale = d_**q
-    cells = res.cells
-    mean = Fraction(int(np.sum(t)), cells * scale)
-    negative = Fraction(int(np.count_nonzero(t < 0)), cells)
-    l1 = Fraction(int(np.sum(np.abs(t))), cells * scale)
-    second = Fraction(int(np.sum(t * t)), cells * scale**2)
+    params = sp.params
+    kv = sp.keyed
+    scale = sp.scale
+    cells = sp.resolution.cells
+    mean = Fraction(_dot(kv.counts, kv.t), cells * scale)
+    negative = Fraction(sum(c for c, v in zip(kv.counts, kv.t) if v < 0), cells)
+    l1 = Fraction(_dot(kv.counts, map(abs, kv.t)), cells * scale)
+    second = Fraction(sum(c * v * v for c, v in zip(kv.counts, kv.t)),
+                      cells * scale**2)
     l2 = math.sqrt(float(second))
-    sd, nsd = _sd_sums_by_u(field, params, res)
-    sd_scaled = _combine_scaled(sd, n_, d_, q, res)
-    nsd_scaled = _combine_scaled(nsd, n_, d_, q, res)
-    sd_l1 = Fraction(int(np.sum(np.abs(sd_scaled))), cells * scale)
-    nsd_l1 = Fraction(int(np.sum(np.abs(nsd_scaled))), cells * scale)
-    fs = _block_grids(field, params, res)
+    sd_l1 = Fraction(_dot(kv.counts, map(abs, kv.sd)), cells * scale)
+    nsd_l1 = Fraction(_dot(kv.counts, map(abs, kv.nsd)), cells * scale)
+    counts = sp.f_pool.counts
     partial = []
     for v in v_list:
         v = tuple(sorted(v))
-        prod = np.ones(res.grid_shape, dtype=object)
-        for tt in v:
-            prod = prod * (fs[tt - 1].astype(object) * n_ + d_)
-        pscale = d_ ** len(v)
+        prods = [abs(p) for p in sp.partial_products(v)]
+        pscale = sp.den ** len(v)
         for r in r_list:
             if isinstance(r, int) and r >= 1:
-                moment = Fraction(int(np.sum(np.abs(prod) ** r)),
+                moment = Fraction(_dot(counts, (p**r for p in prods)),
                                   cells * pscale**r)
                 partial.append((v, r, float(moment) ** (1.0 / r)))
             else:
-                vals = np.abs(prod.astype(np.float64)) / pscale
-                partial.append((v, r, float(np.mean(vals**r)) ** (1.0 / r)))
+                moment = math.fsum(c * (p / pscale) ** r
+                                   for c, p in zip(counts, prods)) / cells
+                partial.append((v, r, moment ** (1.0 / r)))
     b2 = 2 * float(B_EXPONENT)
     a_prime = math.log(l2) / params.q**b2 if l2 > 0 else float("nan")
     rho2_last = params.rho_tilde**2 * len(params.blocks[-1])

@@ -67,7 +67,8 @@ class TestShortProduct:
         for n, q in SHORT_PRODUCT_GRID:
             for trial in range(2):
                 field = CoefficientField.random_signs(n, 3, (n, q, 100 + trial))
-                rep = riesz.decomposition_report(field, riesz.make_params(n, q=q))
+                rep = riesz.decomposition_report(
+                    riesz.ShortProduct(field, riesz.make_params(n, q=q)))
                 assert rep["identity_ok"], (n, q, trial)
                 assert rep["sd_mean_zero"], (n, q, trial)
 
@@ -76,7 +77,8 @@ class TestShortProduct:
             for maker in (CoefficientField.random_signs,
                           CoefficientField.random_integers):
                 field = maker(n, 3, (n, q, 7))
-                rep = riesz.duality_certificate(field, riesz.make_params(n, q=q))
+                rep = riesz.duality_certificate(
+                    riesz.ShortProduct(field, riesz.make_params(n, q=q)))
                 assert rep["identity_sd1"]["ok"], (n, q, rep["identity_sd1"])
                 assert rep["higher_layers"]["ok"], (n, q, rep["higher_layers"])
                 for name, cert in rep["certificates"].items():
@@ -86,7 +88,8 @@ class TestShortProduct:
         for q in (2, 3):
             for n in range(q, 7):
                 field = CoefficientField.random_signs(n, 3, (n, q))
-                rep = riesz.gamma_identity_report(field, riesz.make_params(n, q=q))
+                rep = riesz.gamma_identity_report(
+                    riesz.ShortProduct(field, riesz.make_params(n, q=q)))
                 assert rep["all_ok"], (n, q, rep["per_t"])
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: verify suites, experiments, formats, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,36 @@ class TestExperiments:
         assert payload["ok"]
         assert {"params", "checks", "norms", "certificate"} <= set(payload)
         assert all(c["ok"] for c in payload["checks"])
+
+    def test_riesz3d_output_frozen(self, capsys):
+        # stdout of the reference run, byte for byte, as recorded before
+        # the short-product reductions were pooled
+        code, out = run(["riesz3d", "--n", "4", "--q", "3", "--seed", "0"],
+                        capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bb716ca00b2bb206c7da58fd6a0d1ad3b915f82f10c6cd27e10a20621aa5e6ff")
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_riesz3d_nonpositive_budget_rejected(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["riesz3d", "--n", "3", "--q", "2", "--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_riesz3d_budget_refusal(self, capsys):
+        code = cli.main(["riesz3d", "--n", "3", "--q", "2", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "budget"
+
+    def test_riesz3d_float_rejected(self, capsys):
+        code = cli.main(["riesz3d", "--n", "3", "--q", "2", "--float"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation"
 
     def test_riesz3d_deterministic(self, tmp_path, capsys):
         path = tmp_path / "report.json"

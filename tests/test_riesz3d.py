@@ -1,12 +1,14 @@
 """Short Riesz products in d=3: parameters, decomposition, duality, Gamma."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hyperhaar import grid, hyperbolic, riesz
+from hyperhaar import coincidence, grid, hyperbolic, riesz
 from hyperhaar.hyperbolic import CoefficientField
 
 
@@ -150,7 +152,7 @@ class TestDecomposition:
     def test_identity_and_mean_zero(self):
         f = CoefficientField.random_signs(4, 3, 91)
         p = riesz.make_params(4, q=2)
-        rep = riesz.decomposition_report(f, p)
+        rep = riesz.decomposition_report(riesz.ShortProduct(f, p))
         assert rep["identity_ok"]
         assert rep["sd_mean_zero"]
 
@@ -187,7 +189,7 @@ class TestDuality:
     def test_certificate_report(self):
         f = CoefficientField.random_signs(4, 3, 94)
         p = riesz.make_params(4, q=2)
-        rep = riesz.duality_certificate(f, p)
+        rep = riesz.duality_certificate(riesz.ShortProduct(f, p))
         assert rep["identity_sd1"]["ok"]
         assert rep["higher_layers"]["ok"]
         assert rep["sd_equals_sd1"]
@@ -198,16 +200,23 @@ class TestDuality:
         n = 4
         f = CoefficientField.random_signs(n, 3, 95)
         p = riesz.make_params(n, q=2)
-        rep = riesz.duality_certificate(f, p)
+        rep = riesz.duality_certificate(riesz.ShortProduct(f, p))
         expected = p.rho_tilde_exact * Fraction(f.abs_sum(), 1 << n)
         assert rep["identity_sd1"]["lhs"] == expected
 
     def test_zero_rho_edge(self):
         f = CoefficientField.random_signs(3, 3, 96)
         p = riesz.make_params(3, q=2, rho_tilde=0.0)
-        rep = riesz.duality_certificate(f, p)
+        rep = riesz.duality_certificate(riesz.ShortProduct(f, p))
         assert rep["certificates"]["psi_sd"]["lower_bound"] == 0
         assert rep["certificates"]["psi_sd"]["sound"]
+
+    def test_wide_h_refused_before_segment_sums(self):
+        # |H| * cells would pass int64, so the per-key sums of H could wrap
+        f = CoefficientField.constant(2, 3, value=2**55)
+        sp = riesz.ShortProduct(f, riesz.make_params(2, q=2))
+        with pytest.raises(grid.GridError):
+            riesz.duality_certificate(sp)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,7 @@ class TestGamma:
     def test_identity_small(self):
         f = CoefficientField.random_signs(4, 3, 97)
         p = riesz.make_params(4, q=2)
-        rep = riesz.gamma_identity_report(f, p)
+        rep = riesz.gamma_identity_report(riesz.ShortProduct(f, p))
         assert rep["all_ok"], rep
 
     def test_single_shape_block_gamma_vanishes(self):
@@ -246,7 +255,7 @@ class TestNormReport:
     def test_mean_and_negativity(self):
         f = CoefficientField.random_signs(4, 3, 100)
         p = riesz.make_params(4, q=2)
-        rep = riesz.norm_report(f, p, v_list=[(), (1,), (1, 2)])
+        rep = riesz.norm_report(riesz.ShortProduct(f, p), v_list=[(), (1,), (1, 2)])
         assert rep.mean == 1
         max_sup = max(
             int(grid.sup_norm(riesz.block_sum(f, p, t))) for t in (1, 2))
@@ -256,13 +265,250 @@ class TestNormReport:
     def test_empty_partial_product_is_one(self):
         f = CoefficientField.random_signs(3, 3, 101)
         p = riesz.make_params(3, q=2)
-        rep = riesz.norm_report(f, p, v_list=[()])
+        rep = riesz.norm_report(riesz.ShortProduct(f, p), v_list=[()])
         empties = [norm for v, r, norm in rep.partial_norms if v == ()]
         assert empties and all(norm == 1 for norm in empties)
 
     def test_json_export(self):
         f = CoefficientField.random_signs(3, 3, 102)
         p = riesz.make_params(3, q=2)
-        obj = riesz.norm_report(f, p).to_json()
+        obj = riesz.norm_report(riesz.ShortProduct(f, p)).to_json()
         assert obj["mean"] == "1"
         assert "l2" in obj and "a_prime" in obj
+
+
+# ---------------------------------------------------------------------------
+# pooled route against a direct per-cell oracle
+# ---------------------------------------------------------------------------
+
+
+def _direct_route(field, params, v_list, r_list):
+    """Every report of the short product recomputed cell by cell: T, the
+    scaled sd/nsd layers and all reductions are object arrays of Python
+    integers over the full grid, with nothing pooled or cached."""
+    res = hyperbolic.field_resolution(field)
+    frac = params.rho_tilde_exact
+    n_, d_, q = frac.numerator, frac.denominator, params.q
+    scale, cells = d_**q, res.cells
+    fs = [hyperbolic.signed_r_sum(field, res, shapes=block, dtype=np.int64).values
+          for block in params.blocks]
+    t = np.ones(res.grid_shape, dtype=object)
+    for f in fs:
+        t = t * (f.astype(object) * n_ + d_)
+    r = {s: hyperbolic.shape_sum_grid(
+            {s: hyperbolic.signs_of(field.values[s])}, res, dtype=np.int64)
+         for block in params.blocks for s in block}
+    sd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, q + 1)}
+    nsd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, q + 1)}
+    tuples = 0
+    for u in range(1, q + 1):
+        for subset in itertools.combinations(range(q), u):
+            for tup in itertools.product(*[params.blocks[i] for i in subset]):
+                prod = np.ones(res.grid_shape, dtype=np.int64)
+                for s in tup:
+                    prod = prod * r[s]
+                (sd if coincidence.strongly_distinct(tup) else nsd)[u] += prod
+                tuples += 1
+
+    def combine(by_u):
+        out = np.zeros(res.grid_shape, dtype=object)
+        for u, arr in by_u.items():
+            out = out + arr.astype(object) * (n_**u * d_ ** (q - u))
+        return out
+
+    sd_scaled, nsd_scaled = combine(sd), combine(nsd)
+    sd_sums = {u: int(np.sum(sd[u])) for u in sd}
+    decomposition = {
+        "n": params.n, "q": q, "tuples": tuples,
+        "identity_ok": bool(np.array_equal(t, scale + sd_scaled + nsd_scaled)),
+        "sd_mean_zero": all(v == 0 for v in sd_sums.values()),
+        "sd_layer_sums": sd_sums,
+    }
+
+    h = hyperbolic.hyperbolic_sum(field, res).values.astype(object)
+    sup_h = int(np.max(np.abs(h)))
+    rho = Fraction(n_, d_)
+
+    def certificate(phi):
+        inner, l1 = int(np.sum(h * phi)), int(np.sum(np.abs(phi)))
+        bound = Fraction(inner, l1) if l1 else Fraction(0)
+        return {"lower_bound": bound, "sup_norm": sup_h, "sound": bound <= sup_h}
+
+    inner_sd1 = rho * Fraction(int(np.sum(h * sd[1])), cells)
+    rhs1 = rho * Fraction(int(field.abs_sum()), 2**params.n)
+    higher = {u: int(np.sum(h * sd[u])) for u in sd if u >= 2}
+    duality = {
+        "n": params.n, "q": q,
+        "identity_sd1": {"lhs": inner_sd1, "rhs": rhs1, "ok": inner_sd1 == rhs1},
+        "higher_layers": {"sums": higher,
+                          "ok": all(v == 0 for v in higher.values())},
+        "sd_equals_sd1":
+            Fraction(int(np.sum(h * sd_scaled)), cells * scale) == inner_sd1,
+        "certificates": {"psi": certificate(t), "psi_sd": certificate(sd_scaled)},
+        "sup_norm_H": sup_h,
+    }
+
+    per_t = []
+    for i, block in enumerate(params.blocks):
+        g = np.zeros(res.grid_shape, dtype=np.int64)
+        for a, b in itertools.permutations(block, 2):
+            if a[0] == b[0]:
+                g += r[a] * r[b]
+        residual = np.sum(fs[i] * fs[i] - len(block) - g, axis=0)
+        per_t.append({"t": i + 1, "block_size": len(block),
+                      "conditional_identity_ok": bool(np.all(residual == 0)),
+                      "gamma_mean_zero": int(np.sum(g)) == 0})
+    gamma_rep = {"n": params.n, "q": q, "per_t": per_t,
+                 "all_ok": all(p["conditional_identity_ok"] and p["gamma_mean_zero"]
+                               for p in per_t)}
+
+    l1 = Fraction(int(np.sum(np.abs(t))), cells * scale)
+    l2 = math.sqrt(float(Fraction(int(np.sum(t * t)), cells * scale**2)))
+    partial = []
+    for v in v_list:
+        v = tuple(sorted(v))
+        prod = np.ones(res.grid_shape, dtype=object)
+        for tt in v:
+            prod = prod * (fs[tt - 1].astype(object) * n_ + d_)
+        pscale = d_ ** len(v)
+        for rr in r_list:
+            if isinstance(rr, int):
+                moment = Fraction(int(np.sum(np.abs(prod) ** rr)), cells * pscale**rr)
+                partial.append((v, rr, float(moment) ** (1.0 / rr)))
+            else:
+                vals = np.abs(prod.astype(np.float64)) / pscale
+                partial.append((v, rr, float(np.mean(vals**rr)) ** (1.0 / rr)))
+    b2 = 2 * float(riesz.B_EXPONENT)
+    norms = riesz.RieszNormReport(
+        mean=Fraction(int(np.sum(t)), cells * scale),
+        negative_fraction=Fraction(int(np.count_nonzero(t < 0)), cells),
+        l1=l1, l2=l2,
+        sd_l1=Fraction(int(np.sum(np.abs(sd_scaled))), cells * scale),
+        nsd_l1=Fraction(int(np.sum(np.abs(nsd_scaled))), cells * scale),
+        partial_norms=tuple(partial),
+        a_prime=math.log(l2) / q**b2,
+        rho2_last_block=params.rho_tilde**2 * len(params.blocks[-1]),
+        a2_q_power=params.a**2 * q ** (b2 - 1),
+    )
+    unit = Fraction(1, scale)
+    grids = (t * unit, sd_scaled * unit, (t - scale - sd_scaled) * unit)
+    return decomposition, duality, gamma_rep, norms, grids
+
+
+ORACLE_CASES = [
+    pytest.param(n, q, maker, seed, rho_tilde,
+                 id=f"n{n}-q{q}-{maker}-s{seed}-rho{rho_tilde}")
+    for n in (2, 3, 4)
+    for q in (1, 2, 3)
+    for maker, seed, rho_tilde in (("random_signs", 0, None),
+                                   ("random_signs", 1, None),
+                                   ("random_signs", 2, 0.4),
+                                   ("random_integers", 3, None),
+                                   ("random_signs", 4, 0.0))
+]
+
+
+class TestShortProductOracle:
+    @pytest.mark.parametrize("n, q, maker, seed, rho_tilde", ORACLE_CASES)
+    def test_reports_and_grids_equal_direct_route(self, n, q, maker, seed,
+                                                  rho_tilde):
+        field = getattr(CoefficientField, maker)(n, 3, (n, q, seed))
+        params = riesz.make_params(n, q=q, rho_tilde=rho_tilde)
+        v_list = [(), (1,), tuple(range(1, q + 1))]
+        r_list = (1, 2, 3, 1.5)
+        decomposition, duality, gamma_rep, norms, grids = _direct_route(
+            field, params, v_list, r_list)
+
+        sp = riesz.ShortProduct(field, params)
+        assert riesz.decomposition_report(sp) == decomposition
+        assert riesz.duality_certificate(sp) == duality
+        assert riesz.gamma_identity_report(sp) == gamma_rep
+        got = riesz.norm_report(sp, v_list=v_list, r_list=r_list)
+        exact_r = [p for p in got.partial_norms if isinstance(p[1], int)]
+        assert exact_r == [p for p in norms.partial_norms if isinstance(p[1], int)]
+        float_r = [p[2] for p in got.partial_norms if not isinstance(p[1], int)]
+        assert float_r == pytest.approx(
+            [p[2] for p in norms.partial_norms if not isinstance(p[1], int)],
+            rel=1e-12)
+        assert dataclasses.replace(got, partial_norms=()) == \
+            dataclasses.replace(norms, partial_norms=())
+
+        psi, sd_grid, nsd_grid = grids
+        assert np.array_equal(riesz.short_product(field, params).values, psi)
+        sd, nsd = riesz.sd_decomposition(field, params)
+        assert np.array_equal(sd.values, sd_grid)
+        assert np.array_equal(nsd.values, nsd_grid)
+        assert riesz.short_product_mean(field, params) == norms.mean
+
+    def test_constructor_does_no_grid_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid built at construction")
+
+        monkeypatch.setattr(hyperbolic, "shape_sum_grid", refuse)
+        f = CoefficientField.random_signs(3, 3, 7)
+        riesz.ShortProduct(f, riesz.make_params(3, q=2))
+
+    def test_each_grid_is_built_once(self, monkeypatch):
+        calls = []
+        real = hyperbolic.shape_sum_grid
+
+        def counting(shape_values, resolution, dtype=None, **kwargs):
+            calls.append((tuple(sorted(shape_values)), dtype))
+            return real(shape_values, resolution, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
+        f = CoefficientField.random_signs(4, 3, 8)
+        p = riesz.make_params(4, q=3)
+        sp = riesz.ShortProduct(f, p)
+        riesz.decomposition_report(sp)
+        riesz.duality_certificate(sp)
+        riesz.gamma_identity_report(sp)
+        riesz.norm_report(sp, v_list=[(1,), (1, 2, 3)])
+        shapes = len(hyperbolic.enumerate_shapes(4, 3))
+        # one r-grid per shape, one F_t per block, and H
+        assert len(calls) == len(set(calls)) == shapes + p.q + 1
+
+
+class TestFoldKey:
+    @staticmethod
+    def _spy(monkeypatch):
+        seen = []
+        real = riesz._densify
+
+        def spy(key, span):
+            seen.append((int(key.max()), span))
+            return real(key, span)
+
+        monkeypatch.setattr(riesz, "_densify", spy)
+        return seen
+
+    @pytest.mark.parametrize("limit", [riesz.KEY_LIMIT, 1 << 20])
+    def test_partition_matches_unique_rows(self, monkeypatch, limit):
+        rng = np.random.default_rng(11)
+        # eight columns of span about 600, with repeats so that keys pool
+        base = rng.integers(-300, 300, size=(400, 8))
+        rows = base[rng.integers(0, 400, size=20_000)]
+        cols = [rows[:, i].copy() for i in range(8)]
+        spans = math.prod(int(c.max()) - int(c.min()) + 1 for c in cols)
+        assert spans > 2**63
+        seen = self._spy(monkeypatch)
+        inverse, counts = riesz._fold_key(cols, limit)
+        _, expected, expected_counts = np.unique(
+            np.stack(cols, 1), axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(inverse, expected.reshape(-1))
+        assert np.array_equal(counts, expected_counts)
+        assert seen and max(k for k, _ in seen) < min(limit, 2**62)
+        assert max(span for _, span in seen) <= min(limit, 2**62)
+
+    def test_sort_and_table_renumbering_agree(self):
+        rng = np.random.default_rng(12)
+        key = rng.integers(0, 50, size=1000) * 7
+        by_table, by_sort = key.copy(), key.copy()
+        assert riesz._densify(by_table, 350) == riesz._densify(by_sort, 10**6)
+        assert np.array_equal(by_table, by_sort)
+        assert np.array_equal(by_table, np.unique(key, return_inverse=True)[1])
+
+    def test_column_wider_than_limit_refused(self):
+        cols = [np.array([0, 1, 2]), np.array([0, 50, 100])]
+        with pytest.raises(grid.GridError):
+            riesz._fold_key(cols, limit=64)
