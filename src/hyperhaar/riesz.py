@@ -272,7 +272,7 @@ def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
         if span * width > limit:
             span = _densify(key, span)
             if span * width > limit:
-                raise grid.GridError(
+                raise grid.GridTooLargeError(
                     f"pooling key needs {span} x {width} values (limit {limit})")
         key *= width
         key += np.subtract(col, lo, dtype=np.int64)
@@ -283,14 +283,7 @@ def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
 
 def _densify(key: np.ndarray, span: int) -> int:
     """Renumber the keys in [0, span) in place as 0..k-1, keeping their
-    order, and return k.  A lookup table serves spans up to the cell
-    count; wider ones sort."""
-    if span <= key.size:
-        present = np.zeros(span, dtype=np.int64)
-        present[key] = 1
-        lut = np.cumsum(present) - 1
-        key[:] = lut[key]
-        return int(lut[-1]) + 1
+    order, and return k."""
     order = np.argsort(key)
     ranks = key[order]
     new = ranks[1:] != ranks[:-1]
@@ -383,12 +376,8 @@ class ShortProduct:
     @cached_property
     def r_grids(self) -> dict[Shape, np.ndarray]:
         """The int8 r-function of every shape, one synthesis each."""
-        return {
-            s: hyperbolic.shape_sum_grid(
-                {s: hyperbolic.signs_of(self.field.values[s])},
-                self.resolution, dtype=np.int8)
-            for block in self.params.blocks for s in block
-        }
+        return {s: _r_grid(self.field, self.resolution, s)
+                for block in self.params.blocks for s in block}
 
     @cached_property
     def block_sums(self) -> list[np.ndarray]:
@@ -487,21 +476,37 @@ class ShortProduct:
     def gamma(self, t: int) -> np.ndarray:
         """Gamma_t as an int32 grid; see the module-level ``gamma``."""
         _check_block_index(self.params, t)
-        r = self.r_grids
-        acc = np.zeros(self.resolution.grid_shape, dtype=np.int32)
-        for a, b in itertools.combinations(self.params.blocks[t - 1], 2):
-            if a[0] == b[0]:
-                acc += r[a] * r[b]
-        acc *= 2
-        return acc
+        return _gamma_grid(self.params.blocks[t - 1], self.r_grids,
+                           self.resolution.grid_shape)
+
+
+def _r_grid(field: CoefficientField, resolution: Resolution,
+            shape: Shape) -> np.ndarray:
+    """The int8 r-function of one shape's alpha signs."""
+    return hyperbolic.shape_sum_grid(
+        {shape: hyperbolic.signs_of(field.values[shape])}, resolution,
+        dtype=np.int8)
+
+
+def _gamma_grid(block, r, grid_shape) -> np.ndarray:
+    """Gamma_t of one block, as an int32 grid, from the r-grids of its
+    shapes: each unordered pair sharing the first coordinate is summed
+    once and the total doubled."""
+    acc = np.zeros(grid_shape, dtype=np.int32)
+    for a, b in itertools.combinations(block, 2):
+        if a[0] == b[0]:
+            acc += r[a] * r[b]
+    acc *= 2
+    return acc
 
 
 def block_sum(field: CoefficientField, params: RieszParams,
               t: int) -> GridFunction:
     """F_t: the sum of the alpha-sign r-functions of every shape in block t."""
+    _check_short_inputs(field, params)
     _check_block_index(params, t)
-    sp = ShortProduct(field, params)
-    return GridFunction(sp.resolution, sp.block_sums[t - 1], "exact")
+    return hyperbolic.signed_r_sum(field, hyperbolic.field_resolution(field),
+                                   shapes=params.blocks[t - 1], dtype=np.int16)
 
 
 def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
@@ -611,7 +616,7 @@ def duality_certificate(sp: ShortProduct) -> dict:
     cells = sp.resolution.cells
     sup_h = int(np.max(np.abs(sp.h)))
     if sup_h * cells > np.iinfo(np.int64).max:
-        raise grid.GridError("segment sums of H could overflow int64")
+        raise grid.GridTooLargeError("segment sums of H could overflow int64")
     h_sums = sp.pool.sums(sp.h)
     kv = sp.keyed
     rho = Fraction(sp.num, sp.den)
@@ -659,9 +664,13 @@ def _certificate(inner_scaled: int, l1_scaled: int, sup_h: int) -> dict:
 def gamma(field: CoefficientField, params: RieszParams, t: int) -> GridFunction:
     """Gamma_t: sum over ordered pairs of distinct shapes in block t sharing
     the first coordinate of the product of their r-functions.  (The
-    unordered sum is half of this.)"""
-    sp = ShortProduct(field, params)
-    return GridFunction(sp.resolution, sp.gamma(t), "exact")
+    unordered sum is half of this.)  Builds the r-grids of block t only."""
+    _check_short_inputs(field, params)
+    _check_block_index(params, t)
+    res = hyperbolic.field_resolution(field)
+    block = params.blocks[t - 1]
+    r = {s: _r_grid(field, res, s) for s in block}
+    return GridFunction(res, _gamma_grid(block, r, res.grid_shape), "exact")
 
 
 def gamma_identity_report(sp: ShortProduct) -> dict:

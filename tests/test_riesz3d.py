@@ -215,7 +215,7 @@ class TestDuality:
         # |H| * cells would pass int64, so the per-key sums of H could wrap
         f = CoefficientField.constant(2, 3, value=2**55)
         sp = riesz.ShortProduct(f, riesz.make_params(2, q=2))
-        with pytest.raises(grid.GridError):
+        with pytest.raises(grid.GridTooLargeError):
             riesz.duality_certificate(sp)
 
 
@@ -468,6 +468,24 @@ class TestShortProductOracle:
         # one r-grid per shape, one F_t per block, and H
         assert len(calls) == len(set(calls)) == shapes + p.q + 1
 
+    def test_single_block_readers_build_block_t_only(self, monkeypatch):
+        calls = []
+        real = hyperbolic.shape_sum_grid
+
+        def counting(shape_values, resolution, dtype=None, **kwargs):
+            calls.append(tuple(sorted(shape_values)))
+            return real(shape_values, resolution, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
+        f = CoefficientField.random_signs(4, 3, 9)
+        p = riesz.make_params(4, q=3)
+        block = p.blocks[1]
+        riesz.block_sum(f, p, 2)
+        assert calls == [tuple(sorted(block))]
+        calls.clear()
+        riesz.gamma(f, p, 2)
+        assert sorted(calls) == [(s,) for s in sorted(block)]
+
 
 class TestFoldKey:
     @staticmethod
@@ -500,15 +518,7 @@ class TestFoldKey:
         assert seen and max(k for k, _ in seen) < min(limit, 2**62)
         assert max(span for _, span in seen) <= min(limit, 2**62)
 
-    def test_sort_and_table_renumbering_agree(self):
-        rng = np.random.default_rng(12)
-        key = rng.integers(0, 50, size=1000) * 7
-        by_table, by_sort = key.copy(), key.copy()
-        assert riesz._densify(by_table, 350) == riesz._densify(by_sort, 10**6)
-        assert np.array_equal(by_table, by_sort)
-        assert np.array_equal(by_table, np.unique(key, return_inverse=True)[1])
-
     def test_column_wider_than_limit_refused(self):
         cols = [np.array([0, 1, 2]), np.array([0, 50, 100])]
-        with pytest.raises(grid.GridError):
+        with pytest.raises(grid.GridTooLargeError):
             riesz._fold_key(cols, limit=64)
