@@ -315,8 +315,6 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
-    if not args.exact:
-        raise ValueError("riesz3d reports are exact-only; --float is not supported")
     _apply_budget(args)
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
     field = CoefficientField.random_signs(args.n, 3, args.seed)
@@ -440,6 +438,11 @@ def main(argv=None) -> int:
     # so in-process callers (tests, notebooks) are not left with a tiny cap.
     saved_caps = coincidence.MAX_TUPLES, riesz.SD_TUPLE_BUDGET
     try:
+        # Only riesz2d computes in float64; the other subcommands are
+        # exact-only and refuse --float rather than record a mode unused.
+        if not args.exact and args.command != "riesz2d":
+            raise ValueError(
+                f"{args.command} is exact-only; --float is not supported")
         if args.command == "verify":
             code, payload, rows = run_verify(args)
         else:

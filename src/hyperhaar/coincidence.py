@@ -387,23 +387,75 @@ def _r_grid_cache(field: CoefficientField, shapes, resolution: Resolution):
     return cache
 
 
-def _refine_array(arr: np.ndarray, from_levels, to_levels) -> np.ndarray:
-    for axis, (src, dst) in enumerate(zip(from_levels, to_levels)):
-        if dst > src:
-            arr = np.repeat(arr, 1 << (dst - src), axis=axis)
-    return arr
+def _join(tup, d: int) -> tuple[int, ...]:
+    """Per-axis (max level + 1) over the tuple's shapes: the coarsest grid
+    on which the product of their r-functions is represented."""
+    return tuple(max(s[axis] for s in tup) + 1 for axis in range(d))
 
 
-#: Above this many cells, prod_over computes each tuple's product on the
-#: tuple's own minimal grid and refines it in, instead of caching full-
-#: resolution r-function grids.
-_DENSE_CELL_LIMIT = 1 << 22
+def _axis_order(keys, target) -> tuple[int, ...]:
+    """The order of refining the axes of grids at levels ``keys`` up to
+    ``target`` that writes the fewest cells in total."""
+
+    def written(order) -> int:
+        total = 0
+        current = set(keys)
+        for axis in order:
+            refined = set()
+            for key in current:
+                out = key[:axis] + (target[axis],) + key[axis + 1:]
+                if key[axis] != target[axis]:
+                    total += 1 << sum(out)
+                refined.add(out)
+            current = refined
+        return total
+
+    return min(itertools.permutations(range(len(target))), key=written)
+
+
+def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
+    """Refine every grid in ``bufs`` (keyed by its levels) to ``level`` on
+    ``axis``, summing the grids whose levels then coincide.
+
+    A grid already at ``level`` on ``axis`` is the output of its class and
+    the others are added into it in place; every consumed grid is dropped
+    before the next class is built.
+    """
+    classes: dict[tuple[int, ...], list] = {}
+    for key in bufs:
+        classes.setdefault(key[:axis] + (level,) + key[axis + 1:], []).append(key)
+    out_bufs = {}
+    for out_key, keys in classes.items():
+        out = bufs.pop(out_key, None)
+        for key in keys:
+            if key == out_key:
+                continue
+            src = bufs.pop(key)
+            # ``out`` viewed with ``axis`` split into (source cells, copies)
+            split = src.shape[:axis + 1] + (-1,) + src.shape[axis + 1:]
+            src = np.expand_dims(src, axis + 1)
+            if out is None:
+                out = np.empty(tuple(1 << m for m in out_key), dtype=src.dtype)
+                np.copyto(out.reshape(split), src)
+            else:
+                np.add(out.reshape(split), src, out=out.reshape(split))
+        out_bufs[out_key] = out
+    return out_bufs
 
 
 def prod_over(tuples, field: CoefficientField,
               resolution: Resolution | None = None) -> GridFunction:
     """Sum over the tuples of the products of the alpha-induced r-functions
-    of their shapes -- integer exact."""
+    of their shapes -- integer exact.
+
+    A tuple's product depends only on its join (per axis, the max level + 1
+    over its shapes), so the tuples are grouped by join.  Each group builds
+    the int8 r-grid of each of its shapes once, on the join grid, and sums
+    its products there.  The per-join sums are then refined to
+    ``resolution`` one axis at a time, in the axis order that writes the
+    fewest cells, adding together the sums whose levels coincide after each
+    axis.
+    """
     tuples = list(tuples)
     if len(tuples) > MAX_TUPLES:
         raise BudgetExceededError(f"{len(tuples)} tuples exceed the budget")
@@ -415,29 +467,29 @@ def prod_over(tuples, field: CoefficientField,
     if resolution is None:
         resolution = hyperbolic.minimal_resolution(shapes, field.d)
     hyperbolic._check_resolution(resolution, shapes)
+    # Every partial sum is over a subset of the tuples, so |value| <= count.
     acc_dtype = np.int16 if len(tuples) < 2**15 else np.int32
-    acc = np.zeros(resolution.grid_shape, dtype=acc_dtype)
-    if resolution.cells <= _DENSE_CELL_LIMIT:
-        cache = _r_grid_cache(field, shapes, resolution)
-        for tup in tuples:
-            prod = cache[tup[0]]
+    groups: dict[tuple[int, ...], list] = {}
+    for tup in tuples:
+        groups.setdefault(_join(tup, field.d), []).append(tup)
+    bufs = {}
+    for join, members in groups.items():
+        sub = Resolution(join)
+        r_grids = _r_grid_cache(field, {s for tup in members for s in tup}, sub)
+        acc = np.zeros(sub.grid_shape, dtype=acc_dtype)
+        for tup in members:
+            prod = r_grids[tup[0]]
             for s in tup[1:]:
-                prod = prod * cache[s]
+                prod = prod * r_grids[s]
             acc += prod
-    else:
-        signs = {s: hyperbolic.signs_of(field.values[s]) for s in shapes}
-        for tup in tuples:
-            join = tuple(
-                max(s[axis] for s in tup) + 1 for axis in range(field.d)
-            )
-            sub = Resolution(join)
-            prod = hyperbolic.shape_sum_grid({tup[0]: signs[tup[0]]}, sub,
-                                             dtype=np.int8)
-            for s in tup[1:]:
-                prod = prod * hyperbolic.shape_sum_grid({s: signs[s]}, sub,
-                                                        dtype=np.int8)
-            acc += _refine_array(prod, join, resolution.levels)
-    return GridFunction(resolution, acc, "exact")
+        bufs[join] = acc
+        # Keep r-grids for one group at a time: the joins of a class are
+        # often all distinct, so a cache across groups only raises the peak.
+        del r_grids
+    for axis in _axis_order(bufs, resolution.levels):
+        bufs = _refine_axis(bufs, axis, resolution.levels[axis])
+    (values,) = bufs.values()
+    return GridFunction(resolution, values, "exact")
 
 
 PREDICTED_EXPONENT = {
@@ -508,17 +560,6 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
             "gain": gain, "sup_bound_ok": bool(sup_bound_ok)}
 
 
-def _second_moment(values: np.ndarray, cells: int) -> Fraction:
-    """Exact E(v^2) of an integer grid, accumulated in slabs."""
-    total = 0
-    flat = values.reshape(-1)
-    chunk = 1 << 22
-    for start in range(0, flat.size, chunk):
-        part = flat[start:start + chunk].astype(np.int64)
-        total += int(np.sum(part * part))
-    return Fraction(total, cells)
-
-
 def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
                                 t: int = 2) -> dict:
     """Compute ||Prod(C2 across two blocks)||_2**2 twice, exactly.
@@ -537,7 +578,7 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
     cls = class_c2_restricted(n, params.blocks, s, t)
     field = CoefficientField.random_signs(n, 3, (seed, n))
     g = prod_over(cls.tuples, field)
-    lhs = _second_moment(g.values, g.resolution.cells)
+    lhs = grid.lp_moment(g, 2)
 
     total = Fraction(len(cls.tuples))
     surviving = 0

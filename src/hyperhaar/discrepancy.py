@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import BudgetExceededError
+from .grid import BudgetExceededError, Resolution
 
 #: Largest N for which the exact corner enumeration runs by default.
 EXACT_SUP_CAP = {2: 100, 3: 40}
@@ -223,6 +223,7 @@ def _scan_bounds(a: PointSet, grid_level: int) -> dict:
     """Evaluate D (and its limit from above) on the corner grid k/2^level,
     k = 1..2^level: a certified lower bound on the sup and upper bound on
     the inf, each within N * d * 2^-level of exact."""
+    Resolution.uniform(grid_level, a.d)  # GridTooLargeError before allocating
     g = 1 << grid_level
     axis_vals = [Fraction(k, g) for k in range(1, g + 1)]
     grid = [axis_vals] * a.d
@@ -259,6 +260,7 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
     cells cut by a point's coordinate slab may deviate further)."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    Resolution.uniform(grid_level, a.d)  # GridTooLargeError before allocating
     g = 1 << grid_level
     mids = [Fraction(2 * k + 1, 2 * g) for k in range(g)]
     grid = [mids] * a.d

@@ -67,6 +67,18 @@ class TestVerify:
         assert err["error"] == "limit"
         assert "total level 30" in err["detail"]
 
+    def test_oversized_discrepancy_scan_refused(self, capsys):
+        # halton d=3 with N > 40 takes the scan bound, whose default grid
+        # level 10 asks for 2^30 cells; it is refused before allocating
+        code = cli.main(["discrepancy", "--generator", "halton", "--d", "3",
+                         "--n-range", "64..64"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "limit"
+        assert "total level 30" in err["detail"]
+
     def test_unknown_flag_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--frobnicate"])
@@ -101,6 +113,16 @@ class TestExperiments:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bb716ca00b2bb206c7da58fd6a0d1ad3b915f82f10c6cd27e10a20621aa5e6ff")
+
+    def test_beck_gain_output_frozen(self, capsys):
+        # stdout of the benchmark's beck-gain run, byte for byte, as recorded
+        # before prod_over summed on join grids; n=9 is past the size at
+        # which the earlier code switched from full-grid to per-tuple sums
+        code, out = run(["beck-gain", "--kind", "C2_restricted", "--n-range",
+                         "4..9", "--p-list", "2,4", "--seed", "0"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "38392b9a5a343c238a15a92916c784989b3db121177691a2a37075fcd3ed7ff6")
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_riesz3d_nonpositive_budget_rejected(self, budget, capsys):
@@ -201,3 +223,18 @@ class TestOutput:
             ["riesz2d", "--n", "2", "--float", "--trials", "1"], capsys)
         assert code == 0
         assert payload["provenance"]["scalar_mode"] == "float"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "2"],
+        ["lp-profile", "--n", "2"],
+        ["beck-gain", "--n-range", "3..4"],
+        ["sharpness", "--n-range", "3..3", "--trials", "1"],
+        ["discrepancy", "--n-range", "2..4"],
+        ["graphs", "--vertices", "2"],
+    ])
+    def test_float_rejected_where_exact_only(self, argv, capsys):
+        code = cli.main([*argv, "--float"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation"

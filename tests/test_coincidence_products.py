@@ -204,22 +204,70 @@ class TestProdOver:
         out = coincidence.prod_over(cls.tuples, field, res)
         assert np.array_equal(out.values, manual)
 
-    def test_lean_accumulation_matches_dense(self):
-        # Force the per-tuple minimal-grid path and compare against the
-        # cached dense path on the same tuples.
-        n = 4
-        field = CoefficientField.random_signs(n, 3, 112)
-        cls = coincidence.class_c2(n)
+    @staticmethod
+    def _full_grid_oracle(tuples, field, res):
+        # Every shape's r-grid at the full resolution, multiplied cell by
+        # cell: no join grids and no refinement.
+        r_grids = {}
+        manual = np.zeros(res.grid_shape, dtype=np.int64)
+        for tup in tuples:
+            prod = np.ones(res.grid_shape, dtype=np.int64)
+            for s in tup:
+                if s not in r_grids:
+                    r_grids[s] = hyperbolic.r_function_grid(
+                        hyperbolic.r_function(field, s), res).values
+                prod *= r_grids[s]
+            manual += prod
+        return manual
+
+    @staticmethod
+    def _class(kind, n):
+        if kind == "C2_restricted":
+            return coincidence.enumerate_class(
+                kind, n, blocks=riesz.make_params(n, q=2).blocks)
+        return coincidence.enumerate_class(kind, n, b=1, a=2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(coincidence.PREDICTED_EXPONENT))
+    def test_matches_full_grid_oracle(self, kind, n):
+        cls = self._class(kind, n)
+        assert cls.tuples
+        joins = {coincidence._join(tup, 3) for tup in cls.tuples}
+        if kind == "B4":
+            # many tuples share a join, so the per-join sums carry weight
+            assert len(joins) * 3 <= len(cls.tuples)
+        if kind == "C2_restricted":
+            assert len(joins) == len(cls.tuples)
+        field = CoefficientField.random_signs(n, 3, (115, n))
+        out = coincidence.prod_over(cls.tuples, field)
         res = hyperbolic.minimal_resolution(
             {s for tup in cls.tuples for s in tup}, 3)
-        dense = coincidence.prod_over(cls.tuples, field, res)
-        old = coincidence._DENSE_CELL_LIMIT
-        coincidence._DENSE_CELL_LIMIT = 1
-        try:
-            lean = coincidence.prod_over(cls.tuples, field, res)
-        finally:
-            coincidence._DENSE_CELL_LIMIT = old
-        assert np.array_equal(dense.values, lean.values)
+        assert out.resolution == res
+        assert np.array_equal(out.values, self._full_grid_oracle(
+            cls.tuples, field, res))
+
+    @pytest.mark.parametrize("kind", ["B4", "C2_restricted"])
+    def test_finer_resolution_matches_oracle(self, kind):
+        n = 4
+        cls = self._class(kind, n)
+        field = CoefficientField.random_signs(n, 3, 116)
+        minimal = hyperbolic.minimal_resolution(
+            {s for tup in cls.tuples for s in tup}, 3)
+        res = Resolution(tuple(m + e for m, e in zip(minimal.levels, (1, 2, 0))))
+        out = coincidence.prod_over(cls.tuples, field, res)
+        assert out.resolution == res
+        assert np.array_equal(out.values, self._full_grid_oracle(
+            cls.tuples, field, res))
+        coarse = coincidence.prod_over(cls.tuples, field, minimal)
+        assert np.array_equal(grid.refine(coarse, res).values, out.values)
+
+    def test_axis_order_writes_fewest_cells(self):
+        # Two sums that differ on axis 0 only: refining axis 0 first merges
+        # them at once (2 * 2^8 + 2^9 cells written), refining axis 1 first
+        # carries both up to 2^9 cells (2^7 + 2^8 + 2 * 2^9).
+        target = (3, 3, 3)
+        assert coincidence._axis_order({(1, 2, 3), (2, 2, 3)}, target)[0] == 0
+        assert coincidence._axis_order({(2, 1, 3), (2, 2, 3)}, target)[0] == 1
 
     def test_sup_bounded_by_tuple_count(self):
         n = 4
