@@ -152,7 +152,8 @@ def same_volume_product(r1: DyadicRectangle, r2: DyadicRectangle) -> ProductResu
 
 def _all_ones_r_grid(shape: Shape, resolution: Resolution) -> np.ndarray:
     signs = np.ones(tuple(1 << r for r in shape), dtype=np.int8)
-    return hyperbolic.shape_sum_grid({shape: signs}, resolution, dtype=np.int8)
+    return hyperbolic.r_function_grid(hyperbolic.RFunction(shape, signs),
+                                      resolution).values
 
 
 def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
@@ -378,13 +379,13 @@ def enumerate_class(kind: str, n: int, **params) -> CoincidenceClass:
     raise ValueError(f"unknown class kind {kind!r}")
 
 
-def _r_grid_cache(field: CoefficientField, shapes, resolution: Resolution):
-    cache = {}
-    for s in shapes:
-        if s not in cache:
-            signs = hyperbolic.signs_of(field.values[s])
-            cache[s] = hyperbolic.shape_sum_grid({s: signs}, resolution, dtype=np.int8)
-    return cache
+def own_r_grids(field: CoefficientField, shapes) -> dict[Shape, GridFunction]:
+    """The alpha-induced r-function of every shape, each on its own grid
+    (per axis, its level + 1): 2^(n+3) cells for a d=3 shape of volume
+    2^-n, whatever grid its products are summed on."""
+    return {s: hyperbolic.r_function_grid(hyperbolic.r_function(field, s),
+                                          hyperbolic.minimal_resolution([s]))
+            for s in shapes}
 
 
 def _join(tup, d: int) -> tuple[int, ...]:
@@ -443,19 +444,57 @@ def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
     return out_bufs
 
 
-def prod_over(tuples, field: CoefficientField,
-              resolution: Resolution | None = None) -> GridFunction:
-    """Sum over the tuples of the products of the alpha-induced r-functions
-    of their shapes -- integer exact.
+def sum_products(tuples, r_own: dict[Shape, GridFunction],
+                 resolution: Resolution) -> np.ndarray:
+    """Sum over the tuples of the products of their shapes' r-functions, as
+    an integer grid on ``resolution`` -- the one kernel for such sums.
 
+    ``r_own`` maps every shape to its r-function on its own grid (see
+    ``own_r_grids``); ``resolution`` must be fine enough for every shape.
     A tuple's product depends only on its join (per axis, the max level + 1
-    over its shapes), so the tuples are grouped by join.  Each group builds
-    the int8 r-grid of each of its shapes once, on the join grid, and sums
+    over its shapes), so the tuples are grouped by join.  Each group
+    copies the r-functions of its shapes onto the join grid once and sums
     its products there.  The per-join sums are then refined to
     ``resolution`` one axis at a time, in the axis order that writes the
     fewest cells, adding together the sums whose levels coincide after each
-    axis.
+    axis.  Every partial sum is over a subset of the tuples, so the
+    accumulator is the narrowest of int16/int32/int64 that holds their
+    count.
     """
+    tuples = list(tuples)
+    acc_dtype = next(dt for dt in (np.int16, np.int32, np.int64)
+                     if len(tuples) <= np.iinfo(dt).max)
+    if not tuples:
+        return np.zeros(resolution.grid_shape, dtype=acc_dtype)
+    groups: dict[tuple[int, ...], list] = {}
+    for tup in tuples:
+        groups.setdefault(_join(tup, resolution.d), []).append(tup)
+    bufs = {}
+    for join, members in groups.items():
+        sub = Resolution(join)
+        # Copies for one group at a time: the joins of a class are often
+        # all distinct, so keeping them across groups only raises the peak.
+        r_grids = {s: grid.refine(r_own[s], sub).values
+                   for s in {s for tup in members for s in tup}}
+        acc = np.zeros(sub.grid_shape, dtype=acc_dtype)
+        for tup in members:
+            prod = r_grids[tup[0]]
+            for s in tup[1:]:
+                prod = prod * r_grids[s]
+            acc += prod
+        bufs[join] = acc
+        del r_grids
+    for axis in _axis_order(bufs, resolution.levels):
+        bufs = _refine_axis(bufs, axis, resolution.levels[axis])
+    (values,) = bufs.values()
+    return values
+
+
+def prod_over(tuples, field: CoefficientField,
+              resolution: Resolution | None = None) -> GridFunction:
+    """Sum over the tuples of the products of the alpha-induced r-functions
+    of their shapes -- integer exact, through ``sum_products``.  The
+    default resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
     if len(tuples) > MAX_TUPLES:
         raise BudgetExceededError(f"{len(tuples)} tuples exceed the budget")
@@ -467,28 +506,7 @@ def prod_over(tuples, field: CoefficientField,
     if resolution is None:
         resolution = hyperbolic.minimal_resolution(shapes, field.d)
     hyperbolic._check_resolution(resolution, shapes)
-    # Every partial sum is over a subset of the tuples, so |value| <= count.
-    acc_dtype = np.int16 if len(tuples) < 2**15 else np.int32
-    groups: dict[tuple[int, ...], list] = {}
-    for tup in tuples:
-        groups.setdefault(_join(tup, field.d), []).append(tup)
-    bufs = {}
-    for join, members in groups.items():
-        sub = Resolution(join)
-        r_grids = _r_grid_cache(field, {s for tup in members for s in tup}, sub)
-        acc = np.zeros(sub.grid_shape, dtype=acc_dtype)
-        for tup in members:
-            prod = r_grids[tup[0]]
-            for s in tup[1:]:
-                prod = prod * r_grids[s]
-            acc += prod
-        bufs[join] = acc
-        # Keep r-grids for one group at a time: the joins of a class are
-        # often all distinct, so a cache across groups only raises the peak.
-        del r_grids
-    for axis in _axis_order(bufs, resolution.levels):
-        bufs = _refine_axis(bufs, axis, resolution.levels[axis])
-    (values,) = bufs.values()
+    values = sum_products(tuples, own_r_grids(field, shapes), resolution)
     return GridFunction(resolution, values, "exact")
 
 
@@ -592,7 +610,9 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
            not _max_achieved([v[2] for v in four]):
             continue  # unique outer max: mean zero
         res = hyperbolic.minimal_resolution(four, 3)
-        cache = _r_grid_cache(field, set(four), res)
+        cache = {shp: hyperbolic.r_function_grid(
+                     hyperbolic.r_function(field, shp), res).values
+                 for shp in set(four)}
         prod = cache[four[0]].astype(np.int16)
         for shp in four[1:]:
             prod = prod * cache[shp]
@@ -668,22 +688,7 @@ def is_admissible(g: AdmissibleGraph) -> bool:
 
 
 def is_connected(g: AdmissibleGraph) -> bool:
-    if not g.vertices:
-        return True
-    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for color in (2, 3):
-        for q in g.cliques(color):
-            for v, w in itertools.combinations(q, 2):
-                adjacency[v].add(w)
-                adjacency[w].add(v)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == set(g.vertices)
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: AdmissibleGraph) -> list[AdmissibleGraph]:

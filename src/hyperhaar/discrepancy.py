@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import BudgetExceededError, Resolution
+from . import grid
+from .grid import BudgetExceededError, GridTooLargeError, Resolution
 
 #: Largest N for which the exact corner enumeration runs by default.
 EXACT_SUP_CAP = {2: 100, 3: 40}
@@ -135,26 +136,6 @@ def _candidates(a: PointSet) -> list[list[Fraction]]:
     return cands
 
 
-def _corner_counts(a: PointSet, cands, strict: bool) -> np.ndarray:
-    """#points inside the box at every candidate corner: strict uses
-    p_j < corner_j, non-strict p_j <= corner_j (the limit from above)."""
-    shape = tuple(len(c) for c in cands)
-    counts = np.zeros(shape, dtype=np.int64)
-    for p in a.points:
-        idx = []
-        for axis, c in enumerate(cands):
-            pj = Fraction(p[axis])
-            pos = bisect_right(c, pj) if strict else bisect_left(c, pj)
-            idx.append(pos)
-        if all(i < s for i, s in zip(idx, shape)):
-            counts[tuple(idx)] += 1
-        # an index == axis length cannot happen: coordinates are < 1 and 1
-        # is always a candidate
-    for axis in range(a.d):
-        counts = np.cumsum(counts, axis=axis)
-    return counts
-
-
 def _extreme(values: np.ndarray, maximize: bool):
     """Extreme value with the lexicographically smallest attaining index."""
     best = None
@@ -183,8 +164,8 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
     for c in cands:
         vol = np.multiply.outer(vol, np.array(c, dtype=object))
     vol = vol[0] * a.n
-    le = _corner_counts(a, cands, strict=False).astype(object)
-    lt = _corner_counts(a, cands, strict=True).astype(object)
+    le = _scan_grid_counts(a, cands, strict=False).astype(object)
+    lt = _scan_grid_counts(a, cands, strict=True).astype(object)
     sup, sup_idx = _extreme(le - vol, maximize=True)
     inf, inf_idx = _extreme(lt - vol, maximize=False)
     return {
@@ -199,13 +180,17 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
     }
 
 
-def _scan_grid_counts(a: PointSet, grid, strict: bool) -> np.ndarray:
-    shape = tuple(len(g) for g in grid)
+def _scan_grid_counts(a: PointSet, corners, strict: bool) -> np.ndarray:
+    """#points inside the box at every corner of the per-axis sorted
+    ``corners``: strict uses p_j < corner_j, non-strict p_j <= corner_j (the
+    limit from above).  A point past an axis's last corner is in no box.
+    The exact candidates always end in 1, which no coordinate reaches."""
+    shape = tuple(len(g) for g in corners)
     counts = np.zeros(shape, dtype=np.int64)
     for p in a.points:
         idx = []
         ok = True
-        for axis, g in enumerate(grid):
+        for axis, g in enumerate(corners):
             pj = Fraction(p[axis])
             pos = bisect_right(g, pj) if strict else bisect_left(g, pj)
             if pos >= len(g):
@@ -219,20 +204,34 @@ def _scan_grid_counts(a: PointSet, grid, strict: bool) -> np.ndarray:
     return counts
 
 
+def _check_grid_level(grid_level: int, d: int) -> None:
+    """Refuse a scan grid of 2^(grid_level*d) corners before allocating it,
+    naming the byte estimate and the level that would fit."""
+    try:
+        Resolution.uniform(grid_level, d)
+    except GridTooLargeError as exc:
+        cells = 1 << (grid_level * d)
+        raise GridTooLargeError(
+            f"{exc}: --grid-level {grid_level} in d={d} means {cells} corners, "
+            f"{8 * cells} bytes ({8 * cells / 2**30:g} GiB) per int64/float64 "
+            f"grid; --grid-level {grid.MAX_TOTAL_LEVEL // d} or lower fits"
+        ) from None
+
+
 def _scan_bounds(a: PointSet, grid_level: int) -> dict:
     """Evaluate D (and its limit from above) on the corner grid k/2^level,
     k = 1..2^level: a certified lower bound on the sup and upper bound on
     the inf, each within N * d * 2^-level of exact."""
-    Resolution.uniform(grid_level, a.d)  # GridTooLargeError before allocating
+    _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
     axis_vals = [Fraction(k, g) for k in range(1, g + 1)]
-    grid = [axis_vals] * a.d
+    corners = [axis_vals] * a.d
     vol = np.array(axis_vals, dtype=np.float64)
     for _ in range(a.d - 1):
         vol = np.multiply.outer(vol, np.array(axis_vals, dtype=np.float64))
     vol = vol * a.n
-    le = _scan_grid_counts(a, grid, strict=False)
-    lt = _scan_grid_counts(a, grid, strict=True)
+    le = _scan_grid_counts(a, corners, strict=False)
+    lt = _scan_grid_counts(a, corners, strict=True)
     sup = float(np.max(le - vol))
     inf = float(np.min(lt - vol))
     return {
@@ -260,11 +259,11 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
     cells cut by a point's coordinate slab may deviate further)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    Resolution.uniform(grid_level, a.d)  # GridTooLargeError before allocating
+    _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
     mids = [Fraction(2 * k + 1, 2 * g) for k in range(g)]
-    grid = [mids] * a.d
-    counts = _scan_grid_counts(a, grid, strict=True).astype(np.float64)
+    corners = [mids] * a.d
+    counts = _scan_grid_counts(a, corners, strict=True).astype(np.float64)
     vol = np.array(mids, dtype=np.float64)
     for _ in range(a.d - 1):
         vol = np.multiply.outer(vol, np.array(mids, dtype=np.float64))

@@ -26,6 +26,12 @@ done once per distinct vector, and weighted by int64 cell counts or by
 int64 sums of H over the vector's cells.  Partial products depend on the
 F_t alone and pool on (F_1..F_q).  One ``ShortProduct`` holds the grids
 and pools of a field, builds each on first use, and serves every report.
+
+Every r-function is synthesized once, by ``hyperbolic.r_function_grid``.
+The short product keeps each one on its own grid (per axis, its level
++ 1); the sd/nsd layers and Gamma_t are sums of r-function products over
+shape tuples and are computed by ``coincidence.sum_products``, the join-
+grid kernel that also serves ``coincidence.prod_over``.
 """
 
 from __future__ import annotations
@@ -64,10 +70,8 @@ def _psi_factors_scaled(field: CoefficientField, n: int) -> np.ndarray:
     res = Resolution((n + 1, n + 1))
     factors = np.empty((n + 1, *res.grid_shape), dtype=np.int64)
     for s in range(n + 1):
-        shape = (s, n - s)
-        signs = hyperbolic.signs_of(field.values[shape])
-        psi = hyperbolic.shape_sum_grid({shape: signs}, res, dtype=np.int64)
-        factors[s] = 2 + psi
+        rf = hyperbolic.r_function(field, (s, n - s))
+        factors[s] = 2 + hyperbolic.r_function_grid(rf, res).values
     return factors
 
 
@@ -88,10 +92,8 @@ def temlyakov_product(field: CoefficientField, n: int) -> GridFunction:
     if field.mode == "float":
         out = np.ones(res.grid_shape, dtype=np.float64)
         for s in range(n + 1):
-            shape = (s, n - s)
-            signs = hyperbolic.signs_of(field.values[shape]).astype(np.float64)
-            psi = hyperbolic.shape_sum_grid({shape: signs}, res, dtype=np.float64)
-            out *= 1.0 + 0.5 * psi
+            rf = hyperbolic.r_function(field, (s, n - s))
+            out *= 1.0 + 0.5 * hyperbolic.r_function_grid(rf, res).values
         return GridFunction(res, out, "float")
     scaled = _temlyakov_scaled(field, n)
     half = Fraction(1, 2 ** (n + 1))
@@ -110,7 +112,7 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     _check_d2_exact_volume(field, n)
     res = Resolution((n + 1, n + 1))
     h = hyperbolic.hyperbolic_sum(field, res)
-    exact_abs_sum = _exact_volume_abs_sum(field)
+    exact_abs_sum = field.abs_sum()
     failures = []
     if field.mode == "float":
         psi = temlyakov_product(field, n).values
@@ -153,14 +155,6 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
         "ok": nonneg and mean_ok and inner_ok,
         "failures": failures,
     }
-
-
-def _exact_volume_abs_sum(field: CoefficientField):
-    total = 0
-    for shape in field.exact_volume_shapes:
-        vals = field.values[shape]
-        total += abs(vals).sum() if field.mode == "float" else int(np.sum(np.abs(vals)))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +368,11 @@ class ShortProduct:
         self.scale = self.den ** params.q
 
     @cached_property
-    def r_grids(self) -> dict[Shape, np.ndarray]:
-        """The int8 r-function of every shape, one synthesis each."""
-        return {s: _r_grid(self.field, self.resolution, s)
-                for block in self.params.blocks for s in block}
+    def r_grids(self) -> dict[Shape, GridFunction]:
+        """The int8 r-function of every shape on its own grid, one
+        synthesis each."""
+        return coincidence.own_r_grids(
+            self.field, [s for block in self.params.blocks for s in block])
 
     @cached_property
     def block_sums(self) -> list[np.ndarray]:
@@ -398,33 +393,26 @@ class ShortProduct:
     def layers(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
         """(sd, nsd): for every u, the grid sum of the products of the
         r-functions over the u-tuples with one shape from each of u
-        distinct blocks, split by the strongly-distinct predicate.
-
-        A layer is a sum of that many +-1 products, so it is kept in the
-        narrowest of int16/int32/int64 that holds its tuple count."""
+        distinct blocks, split by the strongly-distinct predicate and
+        summed by ``coincidence.sum_products``."""
         params = self.params
-        counts = _sd_tuple_counts(params)
-        estimate = sum(counts.values())
+        estimate = sum(_sd_tuple_counts(params).values())
         if estimate > SD_TUPLE_BUDGET:
             raise grid.BudgetExceededError(
                 f"sd enumeration needs about {estimate} tuples "
                 f"(budget {SD_TUPLE_BUDGET})"
             )
-        r = self.r_grids
-        shape = self.resolution.grid_shape
         sd, nsd = {}, {}
-        for u, count in counts.items():
-            dtype = next(dt for dt in (np.int16, np.int32, np.int64)
-                         if count <= np.iinfo(dt).max)
-            sd[u] = np.zeros(shape, dtype=dtype)
-            nsd[u] = np.zeros(shape, dtype=dtype)
+        for u in range(1, params.q + 1):
+            sd_tuples, nsd_tuples = [], []
             for subset in itertools.combinations(params.blocks, u):
                 for tup in itertools.product(*subset):
-                    prod = r[tup[0]]
-                    for s in tup[1:]:
-                        prod = prod * r[s]
-                    target = sd if coincidence.strongly_distinct(tup) else nsd
-                    target[u] += prod
+                    (sd_tuples if coincidence.strongly_distinct(tup)
+                     else nsd_tuples).append(tup)
+            sd[u] = coincidence.sum_products(sd_tuples, self.r_grids,
+                                             self.resolution)
+            nsd[u] = coincidence.sum_products(nsd_tuples, self.r_grids,
+                                              self.resolution)
         return sd, nsd
 
     @cached_property
@@ -477,27 +465,17 @@ class ShortProduct:
         """Gamma_t as an int32 grid; see the module-level ``gamma``."""
         _check_block_index(self.params, t)
         return _gamma_grid(self.params.blocks[t - 1], self.r_grids,
-                           self.resolution.grid_shape)
+                           self.resolution)
 
 
-def _r_grid(field: CoefficientField, resolution: Resolution,
-            shape: Shape) -> np.ndarray:
-    """The int8 r-function of one shape's alpha signs."""
-    return hyperbolic.shape_sum_grid(
-        {shape: hyperbolic.signs_of(field.values[shape])}, resolution,
-        dtype=np.int8)
-
-
-def _gamma_grid(block, r, grid_shape) -> np.ndarray:
-    """Gamma_t of one block, as an int32 grid, from the r-grids of its
-    shapes: each unordered pair sharing the first coordinate is summed
-    once and the total doubled."""
-    acc = np.zeros(grid_shape, dtype=np.int32)
-    for a, b in itertools.combinations(block, 2):
-        if a[0] == b[0]:
-            acc += r[a] * r[b]
-    acc *= 2
-    return acc
+def _gamma_grid(block, r_own, resolution: Resolution) -> np.ndarray:
+    """Gamma_t of one block, as an int32 grid, from the own-grid
+    r-functions of its shapes: each unordered pair sharing the first
+    coordinate is summed once and the total doubled."""
+    pairs = [(a, b) for a, b in itertools.combinations(block, 2)
+             if a[0] == b[0]]
+    return 2 * coincidence.sum_products(pairs, r_own, resolution) \
+        .astype(np.int32)
 
 
 def block_sum(field: CoefficientField, params: RieszParams,
@@ -669,8 +647,8 @@ def gamma(field: CoefficientField, params: RieszParams, t: int) -> GridFunction:
     _check_block_index(params, t)
     res = hyperbolic.field_resolution(field)
     block = params.blocks[t - 1]
-    r = {s: _r_grid(field, res, s) for s in block}
-    return GridFunction(res, _gamma_grid(block, r, res.grid_shape), "exact")
+    return GridFunction(res, _gamma_grid(
+        block, coincidence.own_r_grids(field, block), res), "exact")
 
 
 def gamma_identity_report(sp: ShortProduct) -> dict:

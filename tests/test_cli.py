@@ -78,6 +78,7 @@ class TestVerify:
         err = json.loads(captured.err)
         assert err["error"] == "limit"
         assert "total level 30" in err["detail"]
+        assert "grid-level" in err["detail"]
 
     def test_unknown_flag_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +124,21 @@ class TestExperiments:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "38392b9a5a343c238a15a92916c784989b3db121177691a2a37075fcd3ed7ff6")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["riesz2d", "--n", "4", "--trials", "3", "--seed", "0"],
+         "6337dfcdc28b5a25de6fa731b790a932e62c22a11a95eb19982d74b3ed91818d"),
+        (["riesz2d", "--n", "4", "--trials", "3", "--seed", "0", "--float"],
+         "cb0b84d0c9dab13749ea7aa9a083209a42640a5f31c6c1486b409727a1ff9ed1"),
+        (["verify", "--n", "4"],
+         "9ddf02d0898b0a37b14bef60053506f6171bf62de712bf881e49b122087bcdb2"),
+    ])
+    def test_r_function_paths_output_frozen(self, argv, digest, capsys):
+        # stdout byte for byte, as recorded before every one-shape r-function
+        # was built by hyperbolic.r_function_grid
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_riesz3d_nonpositive_budget_rejected(self, budget, capsys):
