@@ -82,18 +82,27 @@ def _emit(text: str, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _range_bounds(text: str) -> tuple[int, int]:
+    lo, hi = (int(v) for v in text.split(".."))
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}: {hi} < {lo}")
+    return lo, hi
+
+
 def _parse_int_range(text: str) -> list[int]:
     """"4..8" -> [4,5,6,7,8]; "5" -> [5]."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = _range_bounds(text)
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
 def _parse_doubling(text: str) -> list[int]:
     """"2..1024" -> [2,4,...,1024] (doubling); plain comma list otherwise."""
     if ".." in text:
-        lo, hi = (int(v) for v in text.split(".."))
+        lo, hi = _range_bounds(text)
+        if lo < 1:
+            raise ValueError(f"doubling range {text!r} must start at 1 or more")
         out = []
         n = lo
         while n <= hi:
@@ -103,8 +112,12 @@ def _parse_doubling(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _parse_num_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+def _parse_p_list(text: str) -> list[int]:
+    """"2,4" -> [2, 4]; every entry must be a positive integer."""
+    ps = [int(v) for v in text.split(",")]
+    if min(ps) < 1:
+        raise ValueError(f"--p-list entries must be positive: {text!r}")
+    return ps
 
 
 def _positive_int(text: str) -> int:
@@ -127,7 +140,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--a", type=float, default=1.0)
     sub.add_argument("--eps", type=float, default=0.5)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--exact", action="store_true", default=True)
     sub.add_argument("--float", dest="exact", action="store_false",
                      help="use float64 scalars instead of exact rationals")
     sub.add_argument("--threads", type=int, default=1)
@@ -184,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("graphs", help="admissible coincidence graphs")
     _common_flags(p)
-    p.add_argument("--vertices", type=int, default=3)
+    p.add_argument("--vertices", type=_positive_int, default=3)
     p.add_argument("--primes", action="store_true",
                    help="also decide primality (small vertex counts only)")
     return parser
@@ -351,7 +363,7 @@ def _cmd_beck_gain(args) -> tuple[int, dict, list]:
     _apply_budget(args)
     rep = coincidence.beck_gain_measure(
         args.kind, _parse_int_range(args.n_range),
-        [int(p) for p in _parse_num_list(args.p_list)],
+        _parse_p_list(args.p_list),
         args.seed, q=args.q or 2, s=args.block_s, t=args.block_t,
         b=args.pin, a=args.pin,
     )
@@ -372,7 +384,7 @@ def _cmd_sharpness(args) -> tuple[int, dict, list]:
 def _cmd_lp_profile(args) -> tuple[int, dict, list]:
     field = CoefficientField.random_signs(args.n, args.d, args.seed)
     h = hyperbolic.hyperbolic_sum(field)
-    p_list = [int(p) for p in _parse_num_list(args.p_list)]
+    p_list = _parse_p_list(args.p_list)
     report = grid.lp_profile(h, p_list)
     rows = [
         {"p": e.p, "norm": e.norm,

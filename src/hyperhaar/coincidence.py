@@ -1071,19 +1071,3 @@ def exponent_recursion(g: AdmissibleGraph) -> ExponentReport:
         steps=tuple(steps),
     )
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def graph_to_json(g: AdmissibleGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "cliques2": [list(q) for q in g.cliques2],
-        "cliques3": [list(q) for q in g.cliques3],
-    }
-
-
-def graph_from_json(obj: dict) -> AdmissibleGraph:
-    return AdmissibleGraph.make(obj["vertices"], obj["cliques2"], obj["cliques3"])

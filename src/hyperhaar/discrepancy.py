@@ -16,7 +16,6 @@ estimated by midpoint sampling with the volume-term modulus recorded.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -138,12 +137,9 @@ def _candidates(a: PointSet) -> list[list[Fraction]]:
 
 def _extreme(values: np.ndarray, maximize: bool):
     """Extreme value with the lexicographically smallest attaining index."""
-    best = None
-    best_idx = None
-    for idx, v in np.ndenumerate(values):
-        if best is None or (v > best if maximize else v < best):
-            best, best_idx = v, idx
-    return best, best_idx
+    idx = np.unravel_index(np.argmax(values) if maximize else np.argmin(values),
+                           values.shape)
+    return values[idx], idx
 
 
 def discrepancy_sup(a: PointSet, approximate: bool = False,
@@ -330,36 +326,3 @@ def scaling_report(generator: str, n_list, grid_level: int = 10,
     return {"rows": rows, "fitted_sup_exponent": sup_exp,
             "fitted_l2_exponent": l2_exp, "sup_log_fit": linear}
 
-
-# ---------------------------------------------------------------------------
-# CSV round-trip
-# ---------------------------------------------------------------------------
-
-
-def _coord_to_str(c) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return repr(float(c))
-
-
-def _coord_from_str(s: str):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return float(s)
-
-
-def save_points(a: PointSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(a.d)])
-        for p in a.points:
-            writer.writerow([_coord_to_str(c) for c in p])
-
-
-def load_points(path, provenance: str = "user") -> PointSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        pts = tuple(tuple(_coord_from_str(c) for c in row) for row in reader)
-    return PointSet(len(header), pts, provenance)

@@ -1,14 +1,15 @@
 """Exact algebra of piecewise-constant functions on dyadic grids.
 
-Everything downstream (hyperbolic sums, Riesz products, coincidence sums,
-discrepancy work) is carried by one representation: a dense array of cell
-values on a dyadic grid in dimension 1-3.  Two scalar backends live behind
-the same interface:
+Hyperbolic sums, Riesz products and coincidence sums are carried by one
+representation, ``GridFunction``: a dense array of cell values on a dyadic
+grid in dimension 1-3.  The discrepancy scans use only ``Resolution`` and
+its cell cap.  A grid function has one of two scalar modes:
 
-* ``"float"`` -- float64 cells, fast, for measurements and fits;
-* ``"exact"`` -- integer or ``fractions.Fraction`` cells (numpy integer
-  dtypes or ``object`` arrays), for identity verification with zero
-  tolerance.
+* ``"float"`` -- float64 cells, for measurements and fits;
+* ``"exact"`` -- numpy integer cells, or ``fractions.Fraction`` cells in an
+  ``object`` array where values are not integers (Haar analysis,
+  conditional expectations, the Riesz products), for identity
+  verification with zero tolerance.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -34,18 +35,13 @@ C-contiguous and the input is never written.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 #: Cap on the total level (sum over axes); 2**MAX_TOTAL_LEVEL cells at most.
-#: Mutable on purpose: tests and the CLI budget flag may lower or raise it.
 MAX_TOTAL_LEVEL = 27
-
-_MAGIC = b"GRIDFN01"
 
 
 class GridError(Exception):
@@ -190,8 +186,6 @@ class Resolution:
 # grid functions
 # ---------------------------------------------------------------------------
 
-_EXACT_KINDS = ("i", "u", "O")
-
 
 def _mode_of_dtype(dtype: np.dtype) -> str:
     if dtype.kind in ("i", "u", "O"):
@@ -240,8 +234,6 @@ class GridFunction:
     def constant(cls, value, resolution: Resolution, mode: str = "exact") -> "GridFunction":
         if mode == "float":
             arr = np.full(resolution.grid_shape, float(value), dtype=np.float64)
-        elif isinstance(value, Fraction):
-            arr = np.full(resolution.grid_shape, value, dtype=object)
         else:
             arr = np.full(resolution.grid_shape, int(value), dtype=np.int64)
         return cls(resolution, arr, mode)
@@ -319,14 +311,6 @@ def scale(f: GridFunction, c) -> GridFunction:
     return mul(f, c) if not isinstance(c, GridFunction) else _binary(f, c, lambda a, b: a * b)
 
 
-def affine(f: GridFunction, a, b) -> GridFunction:
-    """Return ``a*f + b`` cellwise."""
-    return add(scale(f, a), GridFunction.constant(
-        b, f.resolution,
-        "exact" if f.mode == "exact" and isinstance(a, (int, Fraction))
-        and isinstance(b, (int, Fraction)) else "float"))
-
-
 def grids_equal(f: GridFunction, g: GridFunction) -> bool:
     """Exact cellwise equality after refining both to the common grid."""
     a, b = common_refinement(f, g)
@@ -402,14 +386,6 @@ def sup_norm(f: GridFunction):
         return max(abs(v) for v in f.values.flat) if f.values.dtype == object \
             else int(np.max(np.abs(f.values)))
     return float(np.max(np.abs(f.values)))
-
-
-def distribution(f: GridFunction, lam):
-    """P(|f| > lam) as a measure; Fraction in exact mode."""
-    if f.mode == "exact":
-        count = int(np.count_nonzero(abs(_exact_array(f.values)) > lam))
-        return Fraction(count, f.resolution.cells)
-    return float(np.count_nonzero(np.abs(f.values) > float(lam))) / f.resolution.cells
 
 
 # ---------------------------------------------------------------------------
@@ -729,53 +705,3 @@ def orlicz_norm_estimate(f: GridFunction, alpha: float, p_max: int) -> float:
         best = max(best, float(p) ** (-1.0 / alpha) * float(np.mean(vals ** p) ** (1.0 / p)))
     return best
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def grid_to_bytes(f: GridFunction) -> bytes:
-    """Self-describing container: float grids go binary, exact grids go JSON
-    with "p/q" rational strings."""
-    header = {"d": f.d, "levels": list(f.resolution.levels), "mode": f.mode}
-    if f.mode == "float":
-        head = json.dumps(header, sort_keys=True).encode()
-        payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-        return _MAGIC + struct.pack("<I", len(head)) + head + payload
-    header["values"] = [_scalar_to_str(v) for v in f.values.reshape(-1)]
-    return json.dumps(header, sort_keys=True).encode()
-
-
-def grid_from_bytes(data: bytes) -> GridFunction:
-    if data[:8] == _MAGIC:
-        (hlen,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + hlen])
-        res = Resolution(tuple(header["levels"]))
-        arr = np.frombuffer(data[12 + hlen:], dtype="<f8").reshape(res.grid_shape)
-        return GridFunction(res, arr.astype(np.float64), "float")
-    header = json.loads(data)
-    res = Resolution(tuple(header["levels"]))
-    vals = [_scalar_from_str(s) for s in header["values"]]
-    arr = np.empty(res.cells, dtype=object)
-    arr[:] = vals
-    return GridFunction(res, arr.reshape(res.grid_shape), "exact")
-
-
-def save_grid(f: GridFunction, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(grid_to_bytes(f))
-
-
-def load_grid(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        return grid_from_bytes(fh.read())
-
-
-def _scalar_to_str(v) -> str:
-    return str(Fraction(v))
-
-
-def _scalar_from_str(s: str):
-    frac = Fraction(s)
-    return int(frac) if frac.denominator == 1 else frac

@@ -73,8 +73,9 @@ class CoefficientField:
     """Map from rectangles of volume 2**-n (all shapes required) to scalars.
 
     ``values[shape]`` is an array of grid shape ``(2**r_1, ..., 2**r_d)``
-    indexed by rectangle positions.  Extended fields may carry additional
-    coarser shapes (level sum < n) for the d=2 inequality's right-hand side.
+    indexed by rectangle positions: integers in exact mode, float64 in
+    float mode.  Extended fields may carry additional coarser shapes (level
+    sum < n) for the d=2 inequality's right-hand side.
     """
 
     n: int
@@ -94,6 +95,12 @@ class CoefficientField:
                 raise ValueError(f"shape {shape} finer than volume 2**-{self.n}")
             if arr.shape != tuple(1 << r for r in shape):
                 raise ValueError(f"values for {shape} have wrong shape {arr.shape}")
+            if self.mode == "exact" and arr.dtype.kind not in "iu":
+                raise ValueError(f"exact field needs integer values; {shape} "
+                                 f"has dtype {arr.dtype}")
+            if self.mode == "float" and arr.dtype != np.float64:
+                raise ValueError(f"float field needs float64 values; {shape} "
+                                 f"has dtype {arr.dtype}")
 
     @property
     def exact_volume_shapes(self) -> list[Shape]:
@@ -108,9 +115,8 @@ class CoefficientField:
         total = 0
         for shape in self.exact_volume_shapes:
             arr = self.values[shape]
-            total += abs(arr.astype(object)).sum() if arr.dtype == object \
-                else (float(np.sum(np.abs(arr))) if self.mode == "float"
-                      else int(np.sum(np.abs(arr.astype(np.int64)))))
+            total += float(np.sum(np.abs(arr))) if self.mode == "float" \
+                else int(np.sum(np.abs(arr.astype(np.int64))))
         return total
 
     def square_sum(self):
@@ -118,12 +124,8 @@ class CoefficientField:
         total = 0
         for shape in self.exact_volume_shapes:
             arr = self.values[shape]
-            if arr.dtype == object:
-                total += (arr.astype(object) ** 2).sum()
-            elif self.mode == "float":
-                total += float(np.sum(arr.astype(np.float64) ** 2))
-            else:
-                total += int(np.sum(arr.astype(np.int64) ** 2))
+            total += float(np.sum(arr ** 2)) if self.mode == "float" \
+                else int(np.sum(arr.astype(np.int64) ** 2))
         return total
 
     @classmethod
@@ -191,9 +193,6 @@ class RFunction:
 
 def signs_of(values: np.ndarray) -> np.ndarray:
     """Sign pattern with the sgn(0) := +1 tie-break."""
-    if values.dtype == object:
-        return np.array([[1] if v >= 0 else [-1] for v in values.reshape(-1)],
-                        dtype=np.int8).reshape(values.shape)
     return np.where(values >= 0, 1, -1).astype(np.int8)
 
 
@@ -259,7 +258,7 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
     _check_resolution(resolution, shape_values.keys())
     if dtype is None:
         kinds = {np.asarray(v).dtype.kind for v in shape_values.values()}
-        dtype = object if "O" in kinds else (np.float64 if "f" in kinds else np.int64)
+        dtype = np.float64 if "f" in kinds else np.int64
     if np.dtype(dtype).kind in "iu":
         limit = np.iinfo(dtype).max
         bound = sum(_max_abs(v) for v in shape_values.values())
@@ -295,12 +294,9 @@ def coefficient_square_sum(field: CoefficientField,
     butterfly, so it is exact for integer fields."""
     if resolution is None:
         resolution = field_resolution(field)
-    squares = {}
-    for s in field.exact_volume_shapes:
-        arr = field.values[s]
-        squares[s] = (arr.astype(object) ** 2 if arr.dtype == object
-                      else (arr.astype(np.float64) ** 2 if field.mode == "float"
-                            else arr.astype(np.int64) ** 2))
+    wide = np.float64 if field.mode == "float" else np.int64
+    squares = {s: field.values[s].astype(wide) ** 2
+               for s in field.exact_volume_shapes}
     arr = shape_sum_grid(squares, resolution, signed=False)
     return GridFunction(resolution, arr,
                         "float" if arr.dtype.kind == "f" else "exact")
@@ -435,45 +431,3 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
         "sup_ratio": max(ratios) if ratios else float("nan"),
     }
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def field_to_json(field: CoefficientField) -> dict:
-    shapes = []
-    for s in sorted(field.values, reverse=True):
-        arr = field.values[s]
-        flat = arr.reshape(-1)
-        if arr.dtype == object:
-            vals = [str(Fraction(v)) for v in flat]
-        elif field.mode == "float":
-            vals = [float(v) for v in flat]
-        else:
-            vals = [int(v) for v in flat]
-        shapes.append({"shape": list(s), "values": vals})
-    return {"n": field.n, "d": field.d, "mode": field.mode, "shapes": shapes}
-
-
-def field_from_json(obj: dict) -> CoefficientField:
-    n, d, mode = obj["n"], obj["d"], obj["mode"]
-    values: dict[Shape, np.ndarray] = {}
-    for entry in obj["shapes"]:
-        shape = tuple(entry["shape"])
-        grid_shape = tuple(1 << r for r in shape)
-        raw = entry["values"]
-        if mode == "float":
-            arr = np.array(raw, dtype=np.float64).reshape(grid_shape)
-        elif any(isinstance(v, str) for v in raw):
-            parsed = [Fraction(v) if isinstance(v, str) else Fraction(v) for v in raw]
-            if all(f.denominator == 1 for f in parsed):
-                arr = np.array([int(f) for f in parsed], dtype=np.int64).reshape(grid_shape)
-            else:
-                arr = np.empty(len(parsed), dtype=object)
-                arr[:] = parsed
-                arr = arr.reshape(grid_shape)
-        else:
-            arr = np.array(raw, dtype=np.int64).reshape(grid_shape)
-        values[shape] = arr
-    return CoefficientField(n, d, values, mode)

@@ -179,10 +179,6 @@ class RieszParams:
     blocks: tuple[tuple[Shape, ...], ...]
 
     @property
-    def b(self) -> float:
-        return float(B_EXPONENT)
-
-    @property
     def rho_tilde_exact(self) -> Fraction:
         return Fraction(self.rho_tilde)
 
@@ -232,6 +228,8 @@ def _check_short_inputs(field: CoefficientField, params: RieszParams) -> None:
         raise ValueError("field and params disagree on n")
     if field.coarse_shapes:
         raise ValueError("short product expects exact-volume coefficients only")
+    if field.mode != "exact":
+        raise ValueError("short product is exact-mode only")
 
 
 def _check_block_index(params: RieszParams, t: int) -> None:
@@ -350,12 +348,13 @@ class KeyedValues:
 
 
 class ShortProduct:
-    """The d=3 short product Psi = prod_t (1 + rho~ F_t) of one coefficient
-    field, with its strongly-distinct split Psi = 1 + Psi_sd + Psi_nsd.
+    """The d=3 short product Psi = prod_t (1 + rho~ F_t) of one exact-mode
+    coefficient field, with its strongly-distinct split
+    Psi = 1 + Psi_sd + Psi_nsd.
 
     The constructor only validates.  Every grid is built once, on first
-    use, and shared by all the reports.  With rho~ = N/D exactly, exact
-    values are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
+    use, and shared by all the reports.  With rho~ = N/D exactly, values
+    are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
     """
 
     def __init__(self, field: CoefficientField, params: RieszParams) -> None:
@@ -454,13 +453,6 @@ class ShortProduct:
             sd_layers=sd,
         )
 
-    def float_product(self) -> np.ndarray:
-        """Psi in float64 arithmetic, for float-mode fields."""
-        out = np.ones(self.resolution.grid_shape, dtype=np.float64)
-        for f in self.block_sums:
-            out *= 1.0 + self.params.rho_tilde * f.astype(np.float64)
-        return out
-
     def gamma(self, t: int) -> np.ndarray:
         """Gamma_t as an int32 grid; see the module-level ``gamma``."""
         _check_block_index(self.params, t)
@@ -488,10 +480,8 @@ def block_sum(field: CoefficientField, params: RieszParams,
 
 
 def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
-    """Psi = prod over t of (1 + rho~ F_t); mean one exactly in exact mode."""
+    """Psi = prod over t of (1 + rho~ F_t), exactly; its mean is one."""
     sp = ShortProduct(field, params)
-    if field.mode == "float":
-        return GridFunction(sp.resolution, sp.float_product(), "float")
     unit = Fraction(1, sp.scale)
     return sp.f_pool.expand(
         [v * unit for v in sp.partial_products(range(1, params.q + 1))],
@@ -499,14 +489,9 @@ def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
 
 
 def short_product_mean(field: CoefficientField, params: RieszParams):
-    """E Psi, computed from the pooled per-cell products.
-
-    Exact mode returns a Fraction (one exactly, for any coefficient
-    field); float mode returns the float grid mean.
-    """
+    """E Psi as a Fraction, computed from the pooled per-cell products; it
+    is one exactly, for any coefficient field."""
     sp = ShortProduct(field, params)
-    if field.mode == "float":
-        return float(sp.float_product().mean())
     total = _dot(sp.f_pool.counts, sp.partial_products(range(1, params.q + 1)))
     return Fraction(total, sp.scale * sp.resolution.cells)
 
@@ -526,23 +511,11 @@ def sd_decomposition(field: CoefficientField,
     """
     sp = ShortProduct(field, params)
     res = sp.resolution
-    if field.mode == "float":
-        psi = sp.float_product()
-        sd, _ = sp.layers
-        rho = params.rho_tilde
-        sd_vals = sum(rho**u * sd[u].astype(np.float64) for u in sd)
-        return (GridFunction(res, sd_vals, "float"),
-                GridFunction(res, psi - 1.0 - sd_vals, "float"))
     kv = sp.keyed
     unit = Fraction(1, sp.scale)
     return (sp.pool.expand([v * unit for v in kv.sd], res),
             sp.pool.expand([(t - sp.scale - v) * unit
                             for t, v in zip(kv.t, kv.sd)], res))
-
-
-def _check_exact(sp: ShortProduct, what: str) -> None:
-    if sp.field.mode != "exact":
-        raise ValueError(f"{what} is exact-mode only")
 
 
 def decomposition_report(sp: ShortProduct) -> dict:
@@ -557,7 +530,6 @@ def decomposition_report(sp: ShortProduct) -> dict:
     The key of a cell holds every value the identity reads, so checking it
     once per key checks it on every cell.
     """
-    _check_exact(sp, "decomposition report")
     kv = sp.keyed
     identity_ok = all(t == sp.scale + s + ns
                       for t, s, ns in zip(kv.t, kv.sd, kv.nsd))
@@ -590,7 +562,6 @@ def duality_certificate(sp: ShortProduct) -> dict:
     Inner products pair the per-key values with the int64 sums of H over
     each key's cells.
     """
-    _check_exact(sp, "duality certificate")
     cells = sp.resolution.cells
     sup_h = int(np.max(np.abs(sp.h)))
     if sup_h * cells > np.iinfo(np.int64).max:

@@ -140,6 +140,51 @@ class TestExperiments:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["sharpness", "--n-range", "3..5", "--trials", "3", "--seed", "0"],
+         "da08fb8efc84ad899f47e480a900abe7eafab849296afc6d96fbbb6cac92d0cd"),
+        (["lp-profile", "--n", "3", "--p-list", "2,4", "--seed", "0"],
+         "7c416a31854c10c23fd224bcddc8bbac873a41bfe7ee7a0a2c59336c08efd063"),
+        (["discrepancy", "--generator", "vdc", "--n-range", "2..64",
+          "--seed", "0"],
+         "d8dd1eae91757b65f703744e6a560b845889e92c0cda617e8d6a30c6bd7fe264"),
+        (["graphs", "--vertices", "4", "--primes", "--seed", "0"],
+         "d939b36003dca905db7c370dda6039a488d29135fc084066813fa0d7ca4c3977"),
+    ])
+    def test_list_flag_paths_output_frozen(self, argv, digest, capsys):
+        # stdout byte for byte, as recorded before the range, --p-list and
+        # --vertices flags were validated
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--n-range", "0..16"],
+        ["discrepancy", "--n-range=-4..16"],
+        ["discrepancy", "--n-range", "16..2"],
+        ["sharpness", "--n-range", "7..3", "--trials", "1"],
+        ["beck-gain", "--n-range", "7..3"],
+        ["beck-gain", "--n-range", "4..5", "--p-list", "2.5"],
+        ["beck-gain", "--n-range", "4..5", "--p-list", "0,2"],
+        ["lp-profile", "--n", "3", "--p-list", "2.7,4"],
+        ["lp-profile", "--n", "3", "--p-list=-2"],
+    ])
+    def test_bad_range_or_p_list_rejected(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("vertices", ["0", "-1"])
+    def test_graphs_nonpositive_vertices_rejected(self, vertices, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["graphs", "--vertices", vertices])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--vertices" in captured.err
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_riesz3d_nonpositive_budget_rejected(self, budget, capsys):
         with pytest.raises(SystemExit) as exc:

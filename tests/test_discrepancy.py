@@ -122,6 +122,34 @@ class TestSupEnumeration:
         assert rec["sup"] >= 1  # the box under the largest point
 
 
+class TestExtreme:
+    def test_first_extreme_in_c_order(self):
+        values = np.array([[Fraction(1, 2), Fraction(3, 4), Fraction(-1)],
+                           [Fraction(3, 4), Fraction(-1), Fraction(0)]],
+                          dtype=object)
+        assert dis._extreme(values, maximize=True) == (Fraction(3, 4), (0, 1))
+        assert dis._extreme(values, maximize=False) == (Fraction(-1), (0, 2))
+
+    def test_matches_reference_loop(self):
+        def reference(values, maximize):
+            best = best_idx = None
+            for idx, v in np.ndenumerate(values):
+                if best is None or (v > best if maximize else v < best):
+                    best, best_idx = v, idx
+            return best, best_idx
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+            values = np.empty(shape, dtype=object)
+            for idx in np.ndindex(shape):
+                values[idx] = Fraction(int(rng.integers(-3, 4)),
+                                       int(rng.integers(1, 4)))
+            for maximize in (True, False):
+                assert dis._extreme(values, maximize) == \
+                    reference(values, maximize)
+
+
 # ---------------------------------------------------------------------------
 # L^p estimation and scaling
 # ---------------------------------------------------------------------------
@@ -157,24 +185,3 @@ class TestLpAndScaling:
         with pytest.raises(ValueError):
             dis.scaling_report("nope", [4])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-class TestPointIO:
-    def test_round_trip_exact(self, tmp_path):
-        a = dis.van_der_corput(4)
-        path = tmp_path / "points.csv"
-        dis.save_points(a, path)
-        back = dis.load_points(path)
-        assert back.d == a.d
-        assert back.points == a.points
-
-    def test_round_trip_float(self, tmp_path):
-        a = dis.random_points(5, 3, 12)
-        path = tmp_path / "points.csv"
-        dis.save_points(a, path)
-        back = dis.load_points(path)
-        assert back.points == a.points

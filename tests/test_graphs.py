@@ -205,8 +205,3 @@ class TestExponentRecursion:
             got = max(coincidence.exponent_recursion(g).exponent
                       for g in graphs)
             assert got == worst, size
-
-    def test_json_round_trip(self):
-        g = AdmissibleGraph.make((1, 2, 3), [(1, 2)], [(2, 3)])
-        back = coincidence.graph_from_json(coincidence.graph_to_json(g))
-        assert back == g

@@ -145,11 +145,6 @@ class TestAlgebra:
         h = grid.haar_1d(DyadicInterval(0, 0), Resolution((2,)))
         assert grid.grids_equal(grid.scale(h, 0), GridFunction.zero(h.resolution))
 
-    def test_affine(self):
-        h = grid.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
-        g = grid.affine(h, 2, 3)
-        assert list(g.values) == [1, 5]
-
     def test_mixed_resolution_arithmetic_refines(self):
         a = GridFunction.constant(1, Resolution((1, 1)))
         b = GridFunction.constant(2, Resolution((2, 1)))
@@ -200,10 +195,6 @@ class TestMoments:
         f = GridFunction.from_values(Resolution((1,)), np.array([3, -5]))
         assert grid.lp_moment(f, 4) == Fraction(3**4 + 5**4, 2)
         assert grid.lp_moment(f, 16) == Fraction(3**16 + 5**16, 2)
-
-    def test_distribution_counts(self):
-        f = GridFunction.from_values(Resolution((2,)), np.array([0, 1, 2, 3]))
-        assert grid.distribution(f, 1) == Fraction(2, 4)
 
     def test_float_mode_moments(self):
         f = GridFunction.constant(2.0, Resolution((1, 1)), mode="float")
@@ -459,29 +450,3 @@ class TestLPDiagnostics:
         with pytest.raises(ValueError):
             grid.lp_profile(h, [4, 2])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-class TestSerialization:
-    def test_bytes_round_trip_exact(self):
-        res = Resolution((2, 1))
-        f = GridFunction.from_values(
-            res, np.array([[Fraction(1, 3), 2], [0, -1], [5, Fraction(-7, 2)],
-                           [1, 1]], dtype=object)
-        )
-        back = grid.grid_from_bytes(grid.grid_to_bytes(f))
-        assert back.mode == "exact"
-        assert np.array_equal(back.values, f.values)
-
-    def test_file_round_trip(self, tmp_path):
-        res = Resolution((2,))
-        f = GridFunction.from_values(res, np.array([1.5, -2.0, 0.0, 3.25]),
-                                     mode="float")
-        path = tmp_path / "grid.json"
-        grid.save_grid(f, path)
-        back = grid.load_grid(path)
-        assert back.mode == "float"
-        assert np.array_equal(back.values, f.values)

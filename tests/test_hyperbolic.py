@@ -77,12 +77,15 @@ class TestCoefficientField:
     def test_sgn_of_zero_is_plus_one(self):
         assert hyperbolic.signs_of(np.array([0, -2, 5])).tolist() == [1, -1, 1]
 
-    def test_json_round_trip(self):
-        f = CoefficientField.random_integers(2, 3, 11)
-        back = hyperbolic.field_from_json(hyperbolic.field_to_json(f))
-        assert back.n == f.n and back.d == f.d and back.mode == f.mode
-        for s in f.values:
-            assert np.array_equal(back.values[s], f.values[s])
+    @pytest.mark.parametrize("mode, dtype", [
+        ("exact", object), ("exact", np.float64), ("exact", np.bool_),
+        ("float", np.int64), ("float", np.float32), ("float", object),
+    ])
+    def test_dtype_must_match_mode(self, mode, dtype):
+        vals = {s: np.ones(tuple(1 << r for r in s), dtype=dtype)
+                for s in hyperbolic.enumerate_shapes(2, 2)}
+        with pytest.raises(ValueError, match="dtype"):
+            CoefficientField(2, 2, vals, mode)
 
     def test_coarse_extension(self):
         f = hyperbolic.add_coarse_random(CoefficientField.random_signs(2, 2, 3), 4)

@@ -115,22 +115,22 @@ class TestShortProduct:
         bound = 1 - p.q * p.rho_tilde_exact * max_sup
         assert min(psi.values.reshape(-1)) >= bound
 
-    def test_float_mode_close_to_exact(self):
-        n, q = 4, 2
-        exact_field = CoefficientField.random_signs(n, 3, 86)
-        p = riesz.make_params(n, q=q)
-        exact = riesz.short_product(exact_field, p).float_values()
-        float_field = CoefficientField(
-            exact_field.n, exact_field.d,
-            {s: v.astype(np.float64) for s, v in exact_field.values.items()},
-            "float")
-        approx = riesz.short_product(float_field, p).values
-        assert np.allclose(exact, approx, rtol=1e-12)
-
     def test_d2_rejected(self):
         f = CoefficientField.random_signs(3, 2, 87)
         with pytest.raises(ValueError):
             riesz.short_product(f, riesz.make_params(3, q=2))
+
+    @pytest.mark.parametrize("build", [
+        riesz.ShortProduct, riesz.short_product, riesz.short_product_mean,
+        riesz.sd_decomposition,
+    ])
+    def test_float_field_rejected(self, build):
+        exact = CoefficientField.random_signs(3, 3, 86)
+        f = CoefficientField(
+            3, 3, {s: v.astype(np.float64) for s, v in exact.values.items()},
+            "float")
+        with pytest.raises(ValueError, match="exact-mode only"):
+            build(f, riesz.make_params(3, q=2))
 
 
 # ---------------------------------------------------------------------------
