@@ -90,11 +90,11 @@ def _range_bounds(text: str) -> tuple[int, int]:
 
 
 def _parse_int_range(text: str) -> list[int]:
-    """"4..8" -> [4,5,6,7,8]; "5" -> [5]."""
-    if ".." in text:
-        lo, hi = _range_bounds(text)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """"4..8" -> [4,5,6,7,8]; "5" -> [5].  Every n must be at least 1."""
+    lo, hi = _range_bounds(text) if ".." in text else (int(text),) * 2
+    if lo < 1:
+        raise ValueError(f"--n-range values must be at least 1: {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_doubling(text: str) -> list[int]:

@@ -1,14 +1,17 @@
 """Point sets in the unit cube and their discrepancy function.
 
 ``D_N(x) = #(A ∩ [0, x)) - N * vol[0, x)`` for half-open anchored boxes.
-The supremum norm is computed *exactly* by the critical-corner
-enumeration: per axis the candidates are the point coordinates together
-with 0 and 1; the supremum of D is the maximum over corners of the
-closed-count value (the limit of D from above), and the infimum is the
-minimum over corners of the strict-count value (attained).  Counts for
-all corners at once come from a scatter-and-cumulative-sum pass, volumes
-are exact rationals (float coordinates are promoted to their exact
-binary rationals), so the results are exact for every input.
+Coordinates are integers, ``nums[i, j] / dens[j]`` (over b^m for radical
+inverses, 2^53 for random floats, the lcm of exact denominators for user
+input).  One kernel counts points in the boxes at all corners of a grid:
+per axis it scales points and corners to the lcm of their denominators,
+places them with ``searchsorted``, scatters with ``bincount`` and takes
+prefix sums.  Integers are int64 where their bound (that lcm, or
+N * prod(dens) for the sup) is under 2^63, Python ints otherwise.  The
+sup is exact by critical-corner enumeration: per axis the candidates are
+the coordinates with 0 and 1; sup D is the maximum over corners of the
+closed-count value (the limit from above), inf D the minimum of the
+strict-count value (attained), both as integers times prod(dens).
 
 Large sets fall back to a labeled grid-scan lower bound; L^p norms are
 estimated by midpoint sampling with the volume-term modulus recorded.
@@ -17,8 +20,6 @@ estimated by midpoint sampling with the volume-term modulus recorded.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,26 +31,50 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
 
-@dataclass(frozen=True)
-class PointSet:
-    d: int
-    points: tuple
-    provenance: str = "user"
+def _int_dtype(bound: int):
+    """int64 if integers of magnitude at most ``bound`` fit, else Python ints."""
+    return np.int64 if bound < 1 << 63 else object
 
-    def __post_init__(self):
-        if self.d not in (2, 3):
+
+class PointSet:
+    """N points in [0,1)^d; coordinate j of point i is ``nums[i, j] / dens[j]``.
+    ``points`` keeps user coordinates as given; for a set built from ``nums``
+    it is derived on first use (floats if ``floats``, else Fractions)."""
+
+    def __init__(self, d: int, points, provenance: str = "user", *,
+                 nums=None, dens=(), floats: bool = False):
+        if d not in (2, 3):
             raise ValueError("d must be 2 or 3")
-        if not self.points:
-            raise ValueError("need at least one point")
-        for p in self.points:
-            if len(p) != self.d:
-                raise ValueError(f"point {p} has wrong dimension")
-            if not all(0 <= c < 1 for c in p):
-                raise ValueError(f"point {p} outside [0,1)^d")
+        if nums is None:
+            if not points or any(len(p) != d for p in points):
+                raise ValueError(f"need one or more points of dimension {d}")
+            try:
+                cols = [[Fraction(c) for c in col] for col in zip(*points)]
+            except OverflowError:
+                raise ValueError("point coordinates must be finite") from None
+            dens = [math.lcm(*(c.denominator for c in col)) for col in cols]
+            nums = np.array([[c.numerator * (q // c.denominator) for c in col]
+                             for col, q in zip(cols, dens)], dtype=object).T
+        self.d, self.dens, self.provenance = d, tuple(dens), provenance
+        self._points, self._floats = points, floats
+        dens_arr = np.array(self.dens, dtype=_int_dtype(max(self.dens)))
+        bad = ((nums < 0) | (nums >= dens_arr)).any(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"point {self.points[int(np.argmax(bad))]} outside [0,1)^d")
+        self.nums = nums.astype(dens_arr.dtype, copy=False)
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            coord = (lambda k, q: k / q) if self._floats else Fraction
+            self._points = tuple(tuple(map(coord, row, self.dens))
+                                 for row in self.nums.tolist())
+        return self._points
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.nums)
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +82,26 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _radical_inverse(i: int, base: int) -> Fraction:
-    num, den = 0, 1
-    while i:
-        i, digit = divmod(i, base)
+def _radical_inverses(n: int, base: int) -> tuple[np.ndarray, int]:
+    """Base-b radical inverses of 0..n-1 as numerators over b^m, the
+    fewest digits that write n - 1: a digit loop over all points at once."""
+    den, digits = 1, 0
+    while den < n:
+        den, digits = den * base, digits + 1
+    q, num = np.arange(n), np.zeros(n, dtype=_int_dtype(den))
+    for _ in range(digits):
+        q, digit = np.divmod(q, base)
         num = num * base + digit
-        den *= base
-    return Fraction(num, den)
+    return num, den
 
 
 def van_der_corput(n: int) -> PointSet:
     """d=2: point i is (i/N, base-2 radical inverse of i) -- exact rationals."""
     if n < 1:
         raise ValueError("N must be at least 1")
-    pts = tuple((Fraction(i, n), _radical_inverse(i, 2)) for i in range(n))
-    return PointSet(2, pts, "vdC")
+    rev, den = _radical_inverses(n, 2)
+    return PointSet(2, None, "vdC", nums=np.column_stack([np.arange(n), rev]),
+                    dens=(n, den))
 
 
 def halton(n: int, bases=(2, 3, 5)) -> PointSet:
@@ -79,22 +109,21 @@ def halton(n: int, bases=(2, 3, 5)) -> PointSet:
     if n < 1:
         raise ValueError("N must be at least 1")
     bases = tuple(bases)
-    for i, b1 in enumerate(bases):
-        if b1 < 2:
-            raise ValueError(f"base {b1} invalid")
-        for b2 in bases[i + 1:]:
-            if math.gcd(b1, b2) != 1:
-                raise ValueError(f"bases {b1}, {b2} are not coprime")
-    pts = tuple(tuple(_radical_inverse(i, b) for b in bases) for i in range(n))
-    return PointSet(len(bases), pts, "Halton")
+    if min(bases) < 2 or math.lcm(*bases) != math.prod(bases):
+        raise ValueError(f"bases {bases} must be pairwise coprime and >= 2")
+    nums, dens = zip(*(_radical_inverses(n, b) for b in bases))
+    return PointSet(len(bases), None, "Halton", nums=np.column_stack(nums),
+                    dens=dens)
 
 
 def random_points(n: int, d: int, seed: int) -> PointSet:
+    """Uniform floats; each is k * 2^-53 for an integer k, stored over 2^53."""
     if n < 1:
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(seed)
-    pts = tuple(tuple(float(c) for c in row) for row in rng.random((n, d)))
-    return PointSet(d, pts, f"random({seed})")
+    nums = (rng.random((n, d)) * 2.0 ** 53).astype(np.int64)
+    return PointSet(d, None, f"random({seed})", nums=nums,
+                    dens=(1 << 53,) * d, floats=True)
 
 
 GENERATORS = {"vdc": van_der_corput, "halton": halton, "random": random_points}
@@ -115,24 +144,12 @@ def discrepancy_eval(a: PointSet, x):
         raise ValueError("corner outside [0,1]^d")
     count = sum(1 for p in a.points if all(pj < xj for pj, xj in zip(p, x)))
     exact = all(isinstance(c, (Fraction, int)) for c in x)
-    vol = Fraction(1) if exact else 1.0
-    for c in x:
-        vol = vol * c
-    return count - a.n * vol
+    return count - a.n * math.prod(x, start=Fraction(1) if exact else 1.0)
 
 
 # ---------------------------------------------------------------------------
 # exact supremum
 # ---------------------------------------------------------------------------
-
-
-def _candidates(a: PointSet) -> list[list[Fraction]]:
-    cands = []
-    for axis in range(a.d):
-        vals = {Fraction(p[axis]) for p in a.points}
-        vals.update((Fraction(0), Fraction(1)))
-        cands.append(sorted(vals))
-    return cands
 
 
 def _extreme(values: np.ndarray, maximize: bool):
@@ -155,49 +172,52 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
                 "pass approximate=True for a sampled lower bound"
             )
         return _scan_bounds(a, grid_level)
-    cands = _candidates(a)
-    vol = np.array([Fraction(1)], dtype=object)
+    cands = [np.unique(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
+             for j, q in enumerate(a.dens)]
+    den = math.prod(a.dens)
+    dtype = _int_dtype(a.n * den)
+    vol = a.n
     for c in cands:
-        vol = np.multiply.outer(vol, np.array(c, dtype=object))
-    vol = vol[0] * a.n
-    le = _scan_grid_counts(a, cands, strict=False).astype(object)
-    lt = _scan_grid_counts(a, cands, strict=True).astype(object)
-    sup, sup_idx = _extreme(le - vol, maximize=True)
-    inf, inf_idx = _extreme(lt - vol, maximize=False)
-    return {
-        "n": a.n,
-        "d": a.d,
-        "mode": "exact",
-        "sup": sup,
-        "inf": inf,
-        "sup_abs": max(sup, -inf),
-        "corner_sup": tuple(cands[j][i] for j, i in enumerate(sup_idx)),
-        "corner_inf": tuple(cands[j][i] for j, i in enumerate(inf_idx)),
-    }
+        vol = np.multiply.outer(vol, c.astype(dtype))
+    le = _scan_grid_counts(a, cands, a.dens, strict=False).astype(dtype)
+    lt = _scan_grid_counts(a, cands, a.dens, strict=True).astype(dtype)
+    sup, sup_idx = _extreme(le * den - vol, maximize=True)
+    inf, inf_idx = _extreme(lt * den - vol, maximize=False)
+    sup, inf = Fraction(int(sup), den), Fraction(int(inf), den)
+
+    def corner(idx):
+        return tuple(Fraction(int(c[i]), q)
+                     for c, i, q in zip(cands, idx, a.dens))
+    return {"n": a.n, "d": a.d, "mode": "exact", "sup": sup, "inf": inf,
+            "sup_abs": max(sup, -inf), "corner_sup": corner(sup_idx),
+            "corner_inf": corner(inf_idx)}
 
 
-def _scan_grid_counts(a: PointSet, corners, strict: bool) -> np.ndarray:
-    """#points inside the box at every corner of the per-axis sorted
-    ``corners``: strict uses p_j < corner_j, non-strict p_j <= corner_j (the
-    limit from above).  A point past an axis's last corner is in no box.
-    The exact candidates always end in 1, which no coordinate reaches."""
-    shape = tuple(len(g) for g in corners)
-    counts = np.zeros(shape, dtype=np.int64)
-    for p in a.points:
-        idx = []
-        ok = True
-        for axis, g in enumerate(corners):
-            pj = Fraction(p[axis])
-            pos = bisect_right(g, pj) if strict else bisect_left(g, pj)
-            if pos >= len(g):
-                ok = False
-                break
-            idx.append(pos)
-        if ok:
-            counts[tuple(idx)] += 1
-    for axis in range(a.d):
-        counts = np.cumsum(counts, axis=axis)
-    return counts
+def _scan_grid_counts(a: PointSet, corner_nums, corner_dens,
+                      strict: bool) -> np.ndarray:
+    """#points inside the box at every corner of the grid whose axis j holds
+    the sorted corners ``corner_nums[j] / corner_dens[j]``: strict uses
+    p_j < corner_j, non-strict p_j <= corner_j (the limit from above).  A
+    point past an axis's last corner is in no box.  Scaled to their lcm,
+    points and corners are at most that lcm, which picks the dtype."""
+    shape = tuple(len(c) for c in corner_nums)
+    pos = []
+    for j, (cnums, cden) in enumerate(zip(corner_nums, corner_dens)):
+        lcm = math.lcm(a.dens[j], cden)
+        dtype = _int_dtype(lcm)
+        pts = a.nums[:, j].astype(dtype) * (lcm // a.dens[j])
+        corners = cnums.astype(dtype) * (lcm // cden)
+        pos.append(np.searchsorted(corners, pts,
+                                   side="right" if strict else "left"))
+    inside = np.all([p < size for p, size in zip(pos, shape)], axis=0)
+    flat = np.ravel_multi_index(tuple(p[inside] for p in pos), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    # in place, and by hyperplanes off the last axis (numpy's is slow there)
+    for axis in range(a.d - 1):
+        planes = np.moveaxis(counts, axis, 0)
+        for k in range(1, shape[axis]):
+            planes[k] += planes[k - 1]
+    return np.cumsum(counts, axis=-1, out=counts)
 
 
 def _check_grid_level(grid_level: int, d: int) -> None:
@@ -214,32 +234,28 @@ def _check_grid_level(grid_level: int, d: int) -> None:
         ) from None
 
 
+def _grid_values(a: PointSet, nums, den: int, strict: bool) -> np.ndarray:
+    """D (strict) or its limit from above, in float64, at every corner of
+    the grid with corners ``nums / den`` on each axis."""
+    vol = nums / den
+    for _ in range(a.d - 1):
+        vol = np.multiply.outer(vol, nums / den)
+    vol *= a.n
+    counts = _scan_grid_counts(a, [nums] * a.d, [den] * a.d, strict)
+    return np.subtract(counts, vol, out=vol)
+
+
 def _scan_bounds(a: PointSet, grid_level: int) -> dict:
     """Evaluate D (and its limit from above) on the corner grid k/2^level,
     k = 1..2^level: a certified lower bound on the sup and upper bound on
     the inf, each within N * d * 2^-level of exact."""
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
-    axis_vals = [Fraction(k, g) for k in range(1, g + 1)]
-    corners = [axis_vals] * a.d
-    vol = np.array(axis_vals, dtype=np.float64)
-    for _ in range(a.d - 1):
-        vol = np.multiply.outer(vol, np.array(axis_vals, dtype=np.float64))
-    vol = vol * a.n
-    le = _scan_grid_counts(a, corners, strict=False)
-    lt = _scan_grid_counts(a, corners, strict=True)
-    sup = float(np.max(le - vol))
-    inf = float(np.min(lt - vol))
-    return {
-        "n": a.n,
-        "d": a.d,
-        "mode": "scan-lower-bound",
-        "grid_level": grid_level,
-        "sup": sup,
-        "inf": inf,
-        "sup_abs": max(sup, -inf),
-        "gap_bound": a.n * a.d / g,
-    }
+    sup = float(np.max(_grid_values(a, np.arange(1, g + 1), g, strict=False)))
+    inf = float(np.min(_grid_values(a, np.arange(1, g + 1), g, strict=True)))
+    return {"n": a.n, "d": a.d, "mode": "scan-lower-bound",
+            "grid_level": grid_level, "sup": sup, "inf": inf,
+            "sup_abs": max(sup, -inf), "gap_bound": a.n * a.d / g}
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +273,10 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
         raise ValueError("p must be at least 1")
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
-    mids = [Fraction(2 * k + 1, 2 * g) for k in range(g)]
-    corners = [mids] * a.d
-    counts = _scan_grid_counts(a, corners, strict=True).astype(np.float64)
-    vol = np.array(mids, dtype=np.float64)
-    for _ in range(a.d - 1):
-        vol = np.multiply.outer(vol, np.array(mids, dtype=np.float64))
-    values = counts - a.n * vol
+    values = _grid_values(a, 2 * np.arange(g) + 1, 2 * g, strict=True)
     norm = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-    return {
-        "n": a.n,
-        "d": a.d,
-        "p": p,
-        "grid_level": grid_level,
-        "value": norm,
-        "modulus_bound": a.n * a.d / g,
-    }
+    return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
+            "value": norm, "modulus_bound": a.n * a.d / g}
 
 
 def scaling_report(generator: str, n_list, grid_level: int = 10,
@@ -299,20 +303,16 @@ def scaling_report(generator: str, n_list, grid_level: int = 10,
             raise ValueError(f"unknown generator {generator!r}")
         rec = discrepancy_sup(a, approximate=True, grid_level=grid_level)
         lp = discrepancy_lp(a, 2, grid_level=min(grid_level, 8) if a.d == 2 else 5)
-        rows.append({
-            "generator": generator,
-            "n": n,
-            "sup_abs": float(rec["sup_abs"]),
-            "sup_mode": rec["mode"],
-            "l2": lp["value"],
-        })
+        rows.append({"generator": generator, "n": n,
+                     "sup_abs": float(rec["sup_abs"]),
+                     "sup_mode": rec["mode"], "l2": lp["value"]})
     fit_rows = [r for r in rows if r["n"] >= 4 and r["sup_abs"] > 0]
     if len(fit_rows) >= 2:
-        xs = np.log([math.log(r["n"]) for r in fit_rows])
+        logn = np.array([math.log(r["n"]) for r in fit_rows])
+        xs = np.log(logn)
         sups = np.array([r["sup_abs"] for r in fit_rows])
         sup_exp = float(np.polyfit(xs, np.log(sups), 1)[0])
         l2_exp = float(np.polyfit(xs, np.log([max(r["l2"], 1e-300) for r in fit_rows]), 1)[0])
-        logn = np.array([math.log(r["n"]) for r in fit_rows])
         slope, intercept = np.polyfit(logn, sups, 1)
         resid = sups - (slope * logn + intercept)
         total = sups - sups.mean()
@@ -321,8 +321,7 @@ def scaling_report(generator: str, n_list, grid_level: int = 10,
         linear = {"slope": float(slope), "intercept": float(intercept), "r2": r2}
     else:
         sup_exp = l2_exp = float("nan")
-        linear = {"slope": float("nan"), "intercept": float("nan"),
-                  "r2": float("nan")}
+        linear = dict.fromkeys(("slope", "intercept", "r2"), float("nan"))
     return {"rows": rows, "fitted_sup_exponent": sup_exp,
             "fitted_l2_exponent": l2_exp, "sup_log_fit": linear}
 

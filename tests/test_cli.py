@@ -158,6 +158,27 @@ class TestExperiments:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["discrepancy", "--n-range", "2..1024", "--seed", "0"],
+         "39df5b3580ab85004ca63282b05bc696bff5e98af23817313ea5585e0a7744e8"),
+        (["discrepancy", "--generator", "halton", "--d", "3", "--n-range",
+          "2..256", "--grid-level", "6", "--seed", "0"],
+         "8ce05183a87105632baebc07f915083725c6a78c85b1b2ef292ae40622b21cb5"),
+        (["discrepancy", "--generator", "random", "--n-range", "64..256",
+          "--grid-level", "7", "--seed", "0"],
+         "6cb7b232cebccbe6bc1e6ef84b80e96d5b4078cb33ac65a4d5d3fa74e03e6acd"),
+        (["discrepancy", "--generator", "random", "--d", "3", "--n-range",
+          "16..64", "--grid-level", "5", "--seed", "0"],
+         "93e7091a7392344c1d359aef339e4549001d681090ee4b2792f3aa076b406a61"),
+    ])
+    def test_discrepancy_scan_output_frozen(self, argv, digest, capsys):
+        # stdout byte for byte, as recorded while the corner counts still
+        # ran bisect over Fraction coordinates; every row past the exact
+        # cap is a grid-scan bound with a float L2 estimate
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", [
         ["discrepancy", "--n-range", "0..16"],
         ["discrepancy", "--n-range=-4..16"],
@@ -175,6 +196,30 @@ class TestExperiments:
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("argv", [
+        ["beck-gain", "--n-range", "0..2"],
+        ["beck-gain", "--n-range", "0"],
+        ["sharpness", "--n-range", "0..3", "--trials", "2"],
+        ["sharpness", "--n-range=-1..3", "--trials", "2"],
+    ])
+    def test_nonpositive_n_rejected_before_work(self, argv, capfd):
+        # n = 0 used to reach rho = sqrt(q) / n (a ZeroDivisionError
+        # traceback) and log(0) in the sharpness fit (LAPACK DLASCL lines
+        # and "SVD did not converge"); capfd also sees C-level output
+        code = cli.main(argv)
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert "--n-range" in err["detail"]
+        assert "DLASCL" not in captured.err and "SVD" not in captured.err
+
+    def test_beck_gain_from_one_still_runs(self, capsys):
+        code, payload = run_json(["beck-gain", "--n-range", "1..2"], capsys)
+        assert code == 0
+        assert sorted({row["n"] for row in payload["rows"]}) == [1, 2]
 
     @pytest.mark.parametrize("vertices", ["0", "-1"])
     def test_graphs_nonpositive_vertices_rejected(self, vertices, capsys):

@@ -1,6 +1,8 @@
 """Point sets, the counting-vs-volume deviation, and its norms."""
 
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,42 @@ class TestGenerators:
             dis.PointSet(4, ((0, 0, 0, 0),))
         with pytest.raises(ValueError):
             dis.PointSet(2, ())
+        for bad in (-0.25, 1.0, 1e300, float("inf"), float("nan"),
+                    Fraction(-1, 3 ** 41)):
+            with pytest.raises(ValueError):
+                dis.PointSet(2, ((0.5, 0.5), (0.25, bad)))
+        with pytest.raises(ValueError):
+            dis.PointSet(2, ((0.5, 0.5), (0.25,)))
+
+    def test_generators_match_per_point_construction(self):
+        # the per-point Fraction and float constructions the integer
+        # generators replaced
+        def radical_inverse(i, base):
+            num, den = 0, 1
+            while i:
+                i, digit = divmod(i, base)
+                num, den = num * base + digit, den * base
+            return Fraction(num, den)
+
+        for n in (1, 2, 3, 17, 64, 100):
+            assert dis.van_der_corput(n).points == tuple(
+                (Fraction(i, n), radical_inverse(i, 2)) for i in range(n))
+            for bases in ((2, 3), (2, 3, 5), (3, 7)):
+                assert dis.halton(n, bases).points == tuple(
+                    tuple(radical_inverse(i, b) for b in bases)
+                    for i in range(n))
+            for d in (2, 3):
+                rows = np.random.default_rng(n).random((n, d))
+                got = dis.random_points(n, d, n).points
+                assert got == tuple(tuple(float(c) for c in r) for r in rows)
+                assert all(type(c) is float for p in got for c in p)
+
+    def test_user_points_kept_as_given(self):
+        pts = ((0.5, Fraction(1, 3)), (0, 0.125))
+        a = dis.PointSet(2, pts)
+        assert a.points is pts
+        assert a.dens == (2, 24)
+        assert a.nums.tolist() == [[1, 8], [0, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +186,90 @@ class TestExtreme:
             for maximize in (True, False):
                 assert dis._extreme(values, maximize) == \
                     reference(values, maximize)
+
+
+# ---------------------------------------------------------------------------
+# the count kernel against the bisect-over-Fraction loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_counts(a, corners, strict):
+    """#points in the box at every corner of the Fraction ``corners``: one
+    bisect per point and axis, as the counts were taken before the kernel."""
+    counts = np.zeros(tuple(len(g) for g in corners), dtype=np.int64)
+    for p in a.points:
+        idx = [bisect_right(g, Fraction(c)) if strict
+               else bisect_left(g, Fraction(c)) for g, c in zip(corners, p)]
+        if all(i < len(g) for i, g in zip(idx, corners)):
+            counts[tuple(idx)] += 1
+    for axis in range(a.d):
+        counts = np.cumsum(counts, axis=axis)
+    return counts
+
+
+def candidates(a):
+    """Per axis the sorted distinct coordinates together with 0 and 1."""
+    return [sorted({Fraction(p[j]) for p in a.points} | {Fraction(0),
+                                                          Fraction(1)})
+            for j in range(a.d)]
+
+
+# Denominators past int64 on both axes: 2^63 < 3^40 < 2^64 (just past it),
+# and 5e-324 = 2^-1074.
+OVERFLOW = dis.PointSet(2, ((Fraction(1, 3 ** 40), 5e-324), (Fraction(5, 9), 0.75),
+                            (Fraction(2, 3), Fraction(1, 3)), (0, 0.5),
+                            (Fraction(1, 3), 5e-324)))
+
+SETS = [dis.van_der_corput(37), dis.van_der_corput(64),
+        dis.halton(50, (2, 3)), dis.halton(30), dis.halton(1),
+        dis.random_points(40, 2, 3), dis.random_points(25, 3, 4), OVERFLOW]
+
+
+class TestCountKernel:
+    def test_overflow_set_takes_python_int_route(self):
+        assert OVERFLOW.nums.dtype == object
+        assert OVERFLOW.dens == (3 ** 40, 3 * 2 ** 1074)
+        assert all(a.nums.dtype == np.int64 for a in SETS[:-1])
+
+    @pytest.mark.parametrize("a", SETS, ids=lambda a: f"{a.provenance}-{a.n}")
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_scan_and_midpoint_corners(self, a, strict):
+        g = 16
+        for nums, den in ((np.arange(1, g + 1), g),
+                          (2 * np.arange(g) + 1, 2 * g)):
+            corners = [[Fraction(int(k), den) for k in nums]] * a.d
+            got = dis._scan_grid_counts(a, [nums] * a.d, [den] * a.d, strict)
+            assert np.array_equal(got, oracle_counts(a, corners, strict))
+
+    @pytest.mark.parametrize("a", SETS, ids=lambda a: f"{a.provenance}-{a.n}")
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_exact_candidate_corners(self, a, strict):
+        cands = candidates(a)
+        nums = [np.array([int(c * q) for c in cand], dtype=object)
+                for cand, q in zip(cands, a.dens)]
+        got = dis._scan_grid_counts(a, nums, a.dens, strict)
+        assert np.array_equal(got, oracle_counts(a, cands, strict))
+
+    @pytest.mark.parametrize("a", [dis.van_der_corput(8), dis.halton(6),
+                                   dis.halton(7, (2, 3)),
+                                   dis.random_points(6, 2, 1),
+                                   dis.random_points(5, 3, 2), OVERFLOW],
+                             ids=lambda a: f"{a.provenance}-{a.n}")
+    def test_exact_sup_against_brute_force(self, a):
+        # inf: D itself (strict count) at every candidate corner; sup: its
+        # limit from above (closed count); the first extreme in C order
+        corners = list(itertools.product(*candidates(a)))
+        inf_vals = [dis.discrepancy_eval(a, x) for x in corners]
+        sup_vals = [sum(all(pj <= xj for pj, xj in zip(p, x))
+                        for p in a.points) - a.n * math.prod(x)
+                    for x in corners]
+        rec = dis.discrepancy_sup(a)
+        assert rec["sup"] == max(sup_vals)
+        assert rec["inf"] == min(inf_vals)
+        assert rec["corner_sup"] == corners[sup_vals.index(max(sup_vals))]
+        assert rec["corner_inf"] == corners[inf_vals.index(min(inf_vals))]
+        assert all(type(v) is Fraction for v in
+                   (rec["sup"], rec["inf"], *rec["corner_sup"]))
 
 
 # ---------------------------------------------------------------------------
