@@ -292,6 +292,8 @@ def class_c2(n: int) -> CoincidenceClass:
 def class_c2_restricted(n: int, blocks, s: int, t: int) -> CoincidenceClass:
     """Cross-block pairs (first component from block s, second from block t)
     agreeing in the middle coordinate."""
+    if not (1 <= s <= len(blocks) and 1 <= t <= len(blocks)):
+        raise ValueError(f"blocks s={s}, t={t} must lie in 1..{len(blocks)}")
     pairs = [
         (r, u)
         for r in blocks[s - 1]

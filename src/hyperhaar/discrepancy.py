@@ -31,11 +31,6 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
 
-def _int_dtype(bound: int):
-    """int64 if integers of magnitude at most ``bound`` fit, else Python ints."""
-    return np.int64 if bound < 1 << 63 else object
-
-
 class PointSet:
     """N points in [0,1)^d; coordinate j of point i is ``nums[i, j] / dens[j]``.
     ``points`` keeps user coordinates as given; for a set built from ``nums``
@@ -57,7 +52,7 @@ class PointSet:
                              for col, q in zip(cols, dens)], dtype=object).T
         self.d, self.dens, self.provenance = d, tuple(dens), provenance
         self._points, self._floats = points, floats
-        dens_arr = np.array(self.dens, dtype=_int_dtype(max(self.dens)))
+        dens_arr = np.array(self.dens, dtype=grid.int_dtype(max(self.dens)))
         bad = ((nums < 0) | (nums >= dens_arr)).any(axis=1)
         if bad.any():
             raise ValueError(
@@ -88,7 +83,7 @@ def _radical_inverses(n: int, base: int) -> tuple[np.ndarray, int]:
     den, digits = 1, 0
     while den < n:
         den, digits = den * base, digits + 1
-    q, num = np.arange(n), np.zeros(n, dtype=_int_dtype(den))
+    q, num = np.arange(n), np.zeros(n, dtype=grid.int_dtype(den))
     for _ in range(digits):
         q, digit = np.divmod(q, base)
         num = num * base + digit
@@ -175,7 +170,7 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
     cands = [np.unique(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
              for j, q in enumerate(a.dens)]
     den = math.prod(a.dens)
-    dtype = _int_dtype(a.n * den)
+    dtype = grid.int_dtype(a.n * den)
     vol = a.n
     for c in cands:
         vol = np.multiply.outer(vol, c.astype(dtype))
@@ -204,7 +199,7 @@ def _scan_grid_counts(a: PointSet, corner_nums, corner_dens,
     pos = []
     for j, (cnums, cden) in enumerate(zip(corner_nums, corner_dens)):
         lcm = math.lcm(a.dens[j], cden)
-        dtype = _int_dtype(lcm)
+        dtype = grid.int_dtype(lcm)
         pts = a.nums[:, j].astype(dtype) * (lcm // a.dens[j])
         corners = cnums.astype(dtype) * (lcm // cden)
         pos.append(np.searchsorted(corners, pts,

@@ -6,10 +6,12 @@ grid in dimension 1-3.  The discrepancy scans use only ``Resolution`` and
 its cell cap.  A grid function has one of two scalar modes:
 
 * ``"float"`` -- float64 cells, for measurements and fits;
-* ``"exact"`` -- numpy integer cells, or ``fractions.Fraction`` cells in an
-  ``object`` array where values are not integers (Haar analysis,
-  conditional expectations, the Riesz products), for identity
-  verification with zero tolerance.
+* ``"exact"`` -- integer numerators over one positive int ``den``, for
+  identity verification with zero tolerance.  A grid built with ``den > 1``
+  is reduced to lowest terms, so integer-valued grids have ``den == 1``.
+  Operations work on the numerators and compute the new ``den`` directly;
+  numerators are numpy integers, or Python ints in an ``object`` array
+  only where ``int_dtype`` finds that a bound on the result passes int64.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -35,6 +37,7 @@ C-contiguous and the input is never written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,18 +198,41 @@ def _mode_of_dtype(dtype: np.dtype) -> str:
     raise TypeError(f"unsupported dtype {dtype}")
 
 
+def int_dtype(bound: int):
+    """int64 if integers of magnitude at most ``bound`` fit, else Python ints
+    (``object``): the one overflow rule of every exact integer path."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def max_abs(values) -> int:
+    """max |v| of an integer array or scalar (0 if empty), without abs()
+    wrapping the most negative value of its dtype."""
+    arr = np.asarray(values)
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _lowest_terms(values: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """``values / den`` with the common factor of ``den`` and all values out."""
+    g = int(np.gcd.reduce(values, axis=None))
+    if g == 0:
+        return values, 1
+    g = math.gcd(den, g)
+    return (values // g, den // g) if g > 1 else (values, den)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Piecewise-constant function on ``[0,1)**d``, one value per grid cell.
 
     ``values`` has shape ``resolution.grid_shape`` (row-major over the cells).
-    ``mode`` is ``"exact"`` (integer dtype or object array of ints/Fractions)
-    or ``"float"`` (float64).  Instances are treated as immutable.
+    ``mode`` is ``"exact"`` (cell = ``values / den``, in lowest terms) or
+    ``"float"`` (float64, ``den`` 1).  Instances are treated as immutable.
     """
 
     resolution: Resolution
     values: np.ndarray
     mode: str
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "float"):
@@ -218,6 +244,12 @@ class GridFunction:
             )
         if _mode_of_dtype(self.values.dtype) != self.mode:
             raise ValueError(f"dtype {self.values.dtype} inconsistent with mode {self.mode!r}")
+        if self.den != 1:
+            if self.mode != "exact" or not isinstance(self.den, int) or self.den < 1:
+                raise ValueError(f"exact grids need a positive int den, got {self.den!r}")
+            values, den = _lowest_terms(self.values, self.den)
+            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "den", den)
 
     @classmethod
     def from_values(cls, resolution: Resolution, values, mode: str | None = None) -> "GridFunction":
@@ -226,8 +258,6 @@ class GridFunction:
             mode = _mode_of_dtype(arr.dtype)
         elif mode == "float" and arr.dtype != np.float64:
             arr = arr.astype(np.float64)
-        elif mode == "exact" and arr.dtype.kind not in ("i", "u", "O"):
-            raise ValueError("exact mode needs integer or object values")
         return cls(resolution, arr.reshape(resolution.grid_shape), mode)
 
     @classmethod
@@ -247,10 +277,13 @@ class GridFunction:
         return self.resolution.d
 
     def to_float(self) -> "GridFunction":
+        """Cellwise float64; correctly rounded when ``den`` is a power of two,
+        as every ``den`` built from dyadic data is."""
         if self.mode == "float":
             return self
-        arr = np.vectorize(float, otypes=[np.float64])(self.values) \
-            if self.values.dtype == object else self.values.astype(np.float64)
+        arr = self.values.astype(np.float64)
+        if self.den != 1:
+            arr /= self.den
         return GridFunction(self.resolution, arr, "float")
 
     def float_values(self) -> np.ndarray:
@@ -268,7 +301,7 @@ def refine(f: GridFunction, resolution: Resolution) -> GridFunction:
     for axis, (m_new, m_old) in enumerate(zip(resolution.levels, f.resolution.levels)):
         if m_new > m_old:
             arr = np.repeat(arr, 1 << (m_new - m_old), axis=axis)
-    return GridFunction(resolution, arr, f.mode)
+    return GridFunction(resolution, arr, f.mode, f.den)
 
 
 def common_refinement(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -276,45 +309,57 @@ def common_refinement(f: GridFunction, g: GridFunction) -> tuple[GridFunction, G
     return refine(f, res), refine(g, res)
 
 
-def _exact_array(arr: np.ndarray) -> np.ndarray:
-    return arr if arr.dtype == object else arr.astype(object)
-
-
 def _binary(f: GridFunction, g, op) -> GridFunction:
-    """Cellwise binary op against a GridFunction or a scalar."""
+    """Cellwise ``op`` (``np.add``, ``np.subtract`` or ``np.multiply``)
+    against a GridFunction or a scalar.  Exact operands (an int or Fraction
+    scalar counts as one) give an exact result: sums go over the lcm of the
+    denominators, products over their product."""
     if isinstance(g, GridFunction):
-        a, b = common_refinement(f, g)
-        if a.mode == "exact" and b.mode == "exact":
-            arr = op(_exact_array(a.values), _exact_array(b.values))
-            return GridFunction(a.resolution, arr, "exact")
-        arr = op(a.float_values(), b.float_values())
-        return GridFunction(a.resolution, arr, "float")
-    # scalar operand
-    if f.mode == "exact" and isinstance(g, (int, Fraction)) and not isinstance(g, bool):
-        return GridFunction(f.resolution, op(_exact_array(f.values), g), "exact")
-    return GridFunction(f.resolution, op(f.float_values(), float(g)), "float")
+        f, g = common_refinement(f, g)
+        exact, g_num, g_den = g.mode == "exact", g.values, g.den
+    else:
+        exact = isinstance(g, (int, Fraction)) and not isinstance(g, bool)
+        if exact:
+            g_num, g_den = Fraction(g).as_integer_ratio()
+    if not (exact and f.mode == "exact"):
+        other = g.float_values() if isinstance(g, GridFunction) else float(g)
+        return GridFunction(f.resolution, op(f.float_values(), other), "float")
+    if op is np.multiply:
+        den, f_mul, g_mul = f.den * g_den, 1, 1
+        bound = max_abs(f.values) * max_abs(g_num)
+    else:
+        den = math.lcm(f.den, g_den)
+        f_mul, g_mul = den // f.den, den // g_den
+        bound = max_abs(f.values) * f_mul + max_abs(g_num) * g_mul
+    dtype = int_dtype(bound)
+    arr = op(np.asarray(f.values, dtype=dtype) * f_mul,
+             np.asarray(g_num, dtype=dtype) * g_mul)
+    return GridFunction(f.resolution, arr, "exact", den)
 
 
 def add(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, lambda a, b: a + b)
+    return _binary(f, g, np.add)
 
 
 def sub(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, lambda a, b: a - b)
+    return _binary(f, g, np.subtract)
 
 
 def mul(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, lambda a, b: a * b)
+    return _binary(f, g, np.multiply)
 
 
 def scale(f: GridFunction, c) -> GridFunction:
-    return mul(f, c) if not isinstance(c, GridFunction) else _binary(f, c, lambda a, b: a * b)
+    return mul(f, c)
 
 
 def grids_equal(f: GridFunction, g: GridFunction) -> bool:
-    """Exact cellwise equality after refining both to the common grid."""
+    """Cellwise equality on the common refinement: exact when both grids are
+    (lowest terms make them unique), in float64 when one is a float grid."""
     a, b = common_refinement(f, g)
-    return bool(np.all(a.values == b.values))
+    if a.mode != b.mode:
+        a, b = a.to_float(), b.to_float()
+    return a.den == b.den and bool(np.all(a.values == b.values))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +370,8 @@ def grids_equal(f: GridFunction, g: GridFunction) -> bool:
 def expectation(f: GridFunction):
     """Mean value = 2**-(m1+...+md) * sum of cells; Fraction in exact mode."""
     if f.mode == "exact":
-        total = f.values.sum()
-        return Fraction(total) / f.resolution.cells
+        total = f.values.sum(dtype=int_dtype(max_abs(f.values) * f.resolution.cells))
+        return Fraction(int(total), f.resolution.cells * f.den)
     return float(np.sum(f.values)) / f.resolution.cells
 
 
@@ -340,30 +385,21 @@ def lp_moment(f: GridFunction, p: int):
     if not isinstance(p, int) or p < 1:
         raise ValueError("lp_moment needs an integer p >= 1")
     if f.mode == "exact":
-        if f.values.dtype != object:
-            return Fraction(_int_abs_power_sum(f.values, p), f.resolution.cells)
-        vals = _exact_array(f.values)
-        powered = vals ** p if p % 2 == 0 else abs(vals) ** p
-        return Fraction(powered.sum()) / f.resolution.cells
+        return Fraction(_int_abs_power_sum(f.values, p),
+                        f.resolution.cells * f.den ** p)
     return float(np.mean(np.abs(f.values) ** p))
 
 
 def _int_abs_power_sum(values: np.ndarray, p: int) -> int:
-    """Exact sum of |v|**p over an integer array, chunked; falls back to
-    Python-int arithmetic when int64 powers could overflow."""
+    """Exact sum of |v|**p over an integer or Python-int array, chunked, in
+    int64 where ``int_dtype`` proves a chunk's sum fits."""
     flat = values.reshape(-1)
-    if flat.size == 0:
-        return 0
     chunk = 1 << 22
-    peak = int(np.max(np.abs(flat)))
+    dtype = int_dtype(max_abs(flat) ** p * min(chunk, flat.size))
     total = 0
-    safe = peak == 0 or peak ** p < (1 << 62) // min(chunk, flat.size)
     for start in range(0, flat.size, chunk):
-        part = np.abs(flat[start:start + chunk].astype(np.int64))
-        if safe:
-            total += int(np.sum(part ** p))
-        else:
-            total += sum(int(v) ** p for v in part)
+        part = np.abs(flat[start:start + chunk].astype(dtype))
+        total += int(np.sum(part ** p))
     return total
 
 
@@ -380,11 +416,9 @@ def lp_norm(f: GridFunction, p) -> float:
 
 def sup_norm(f: GridFunction):
     """max |cell value| -- exact, since f is piecewise constant on its grid."""
-    if f.values.size == 0:
-        return 0
     if f.mode == "exact":
-        return max(abs(v) for v in f.values.flat) if f.values.dtype == object \
-            else int(np.max(np.abs(f.values)))
+        peak = max_abs(f.values)
+        return peak if f.den == 1 else Fraction(peak, f.den)
     return float(np.max(np.abs(f.values)))
 
 
@@ -489,19 +523,21 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
     return out
 
 
-def _analyze_axis0(vals: np.ndarray, exact: bool) -> np.ndarray:
+def _analyze_axis0(vals: np.ndarray) -> np.ndarray:
+    """Division-free Haar analysis along axis 0 of level m: index ``2**k + j``
+    gets its coefficient times ``2**m`` and index 0 the sum, so integer
+    input gives integer output of magnitude at most ``2**m * max|v|``."""
     size = vals.shape[0]
     m = size.bit_length() - 1
     if size != (1 << m):
         raise ValueError("axis length must be a power of two")
-    half = Fraction(1, 2) if exact else 0.5
-    cur = vals.astype(object) if exact else vals.astype(np.float64)
-    out = np.empty_like(cur)
+    out = np.empty_like(vals)
+    cur = vals
     for k in range(m - 1, -1, -1):
         even = cur[0::2]
         odd = cur[1::2]
-        out[1 << k: 1 << (k + 1)] = (odd - even) * half
-        cur = (odd + even) * half
+        out[1 << k: 2 << k] = (odd - even) * (1 << k)
+        cur = odd + even
     out[0:1] = cur
     return out
 
@@ -535,10 +571,11 @@ def synthesize(arr: np.ndarray, signed: bool = True) -> np.ndarray:
 class HaarSpectrum:
     """Tensor Haar coefficients of a GridFunction.
 
-    ``coefficients`` has the same shape as the value grid.  Along each axis,
-    index 0 is the constant factor and index ``2**k + j`` is the Haar
-    function of interval ``(k, j)``; a tensor entry is the coefficient of
-    the product of its per-axis factors.  The support weight of an entry is
+    ``coefficients`` has the same shape as the value grid (in exact mode,
+    numerators over ``den`` in lowest terms).  Along each axis, index 0 is
+    the constant factor and index ``2**k + j`` is the Haar function of
+    interval ``(k, j)``; a tensor entry is the coefficient of the product
+    of its per-axis factors.  The support weight of an entry is
     the product of its factor supports (1 for constant factors, ``2**-k``
     otherwise), which is the Parseval weight for the L-infinity-normalized
     basis.
@@ -547,77 +584,77 @@ class HaarSpectrum:
     resolution: Resolution
     coefficients: np.ndarray
     mode: str
+    den: int = 1
+
+
+def _cover(resolution: Resolution) -> int:
+    """How many spectrum entries cover one cell: prod of (m_i + 1)."""
+    return math.prod(m + 1 for m in resolution.levels)
 
 
 def haar_analyze(f: GridFunction) -> HaarSpectrum:
+    cells = f.resolution.cells
     exact = f.mode == "exact"
-    arr = f.values
+    arr = f.values.astype(int_dtype(max_abs(f.values) * cells) if exact
+                          else np.float64, copy=False)
     for axis in range(f.d):
-        arr = apply_along_axis0(_analyze_axis0, arr, axis, exact)
-    return HaarSpectrum(f.resolution, arr, f.mode)
+        arr = apply_along_axis0(_analyze_axis0, arr, axis)
+    if not exact:
+        return HaarSpectrum(f.resolution, arr / cells, "float")
+    num, den = _lowest_terms(arr, f.den * cells)
+    return HaarSpectrum(f.resolution, num, "exact", den)
 
 
 def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
     arr = spectrum.coefficients
-    if spectrum.mode == "exact" and arr.dtype.kind not in ("i", "u", "O"):
-        raise ValueError("exact spectrum needs integer or object coefficients")
-    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.mode)
+    if spectrum.mode == "exact":
+        if arr.dtype.kind not in ("i", "u", "O"):
+            raise ValueError("exact spectrum needs integer or object coefficients")
+        arr = arr.astype(int_dtype(max_abs(arr) * _cover(spectrum.resolution)),
+                         copy=False)
+    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.mode,
+                        spectrum.den)
 
 
 def _support_weights(m: int) -> np.ndarray:
-    """Parseval weight per spectrum index along one axis of level m."""
-    w = np.empty(1 << m, dtype=np.float64)
-    w[0] = 1.0
+    """Parseval weight per spectrum index along one axis of level m, times
+    2**m: 2**m for the constant factor, 2**(m-k) for an interval of level k."""
+    w = np.empty(1 << m, dtype=np.int64)
+    w[0] = 1 << m
     for k in range(m):
-        w[1 << k: 1 << (k + 1)] = 2.0 ** -k
+        w[1 << k: 1 << (k + 1)] = 1 << (m - k)
     return w
 
 
 def parseval_l2_moment(spectrum: HaarSpectrum):
     """||f||_2**2 from the spectrum: sum of c**2 times support weight."""
     arr = spectrum.coefficients
+    res = spectrum.resolution
     if spectrum.mode == "exact":
-        total = Fraction(0)
-        flat = arr.reshape(-1)
-        weights = _exact_support_weights(spectrum.resolution)
-        for idx in range(flat.size):
-            c = flat[idx]
-            if c:
-                total += Fraction(c) * Fraction(c) * weights[idx]
-        return total
-    w = np.ones((1,) * arr.ndim)
-    for axis, m in enumerate(spectrum.resolution.levels):
-        shape = [1] * arr.ndim
-        shape[axis] = 1 << m
-        w = w * _support_weights(m).reshape(shape)
-    return float(np.sum(arr * arr * w))
-
-
-def _exact_support_weights(resolution: Resolution) -> list[Fraction]:
-    per_axis = []
-    for m in resolution.levels:
-        w = [Fraction(1)] * (1 << m)
-        for k in range(m):
-            for j in range(1 << k):
-                w[(1 << k) + j] = Fraction(1, 1 << k)
-        per_axis.append(w)
-    out = []
-    import itertools
-    for combo in itertools.product(*per_axis):
-        prod = Fraction(1)
-        for v in combo:
-            prod *= v
-        out.append(prod)
-    return out
+        # sum of weights is cells * _cover, each weighting a c**2 <= peak**2
+        arr = arr.astype(int_dtype(max_abs(arr) ** 2 * res.cells * _cover(res)),
+                         copy=False)
+    w = math.prod(np.ix_(*(_support_weights(m).astype(arr.dtype)
+                           for m in res.levels)))
+    total = np.sum(arr * arr * w)
+    if spectrum.mode == "exact":
+        return Fraction(int(total), res.cells * spectrum.den ** 2)
+    return float(total) / res.cells
 
 
 def square_function_squared(f: GridFunction) -> GridFunction:
     """S(f)**2: for every spectrum entry, its squared coefficient spread over
     the entry's support.  In d=1 this is |Ef|**2 + sum over intervals of
     (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.  Exact in exact
-    mode."""
-    coef = haar_analyze(f).coefficients
-    return GridFunction(f.resolution, synthesize(coef * coef, signed=False), f.mode)
+    mode: the unsigned synthesis of the squared numerators over ``den**2``."""
+    spectrum = haar_analyze(f)
+    coef = spectrum.coefficients
+    if f.mode == "exact":
+        # the peak is measured: a priori it can be far below cells * max|f|
+        coef = coef.astype(int_dtype(max_abs(coef) ** 2 * _cover(f.resolution)),
+                           copy=False)
+    return GridFunction(f.resolution, synthesize(coef * coef, signed=False),
+                        f.mode, spectrum.den ** 2)
 
 
 def square_function(f: GridFunction) -> GridFunction:
@@ -637,15 +674,12 @@ def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
     for mf, fac in zip(field.levels, factors):
         inter_shape.extend((1 << mf, fac))
     sum_axes = tuple(range(1, 2 * f.d, 2))
-    sums = f.values.reshape(inter_shape).sum(axis=sum_axes)
-    count = 1
-    for fac in factors:
-        count *= fac
-    if f.mode == "exact":
-        if count == 1:
-            return GridFunction(field, sums, "exact")
-        arr = _exact_array(sums) * Fraction(1, count)
-        return GridFunction(field, arr, "exact")
+    count = math.prod(factors)
+    exact = f.mode == "exact"
+    sums = f.values.reshape(inter_shape).sum(
+        axis=sum_axes, dtype=int_dtype(max_abs(f.values) * count) if exact else None)
+    if exact:
+        return GridFunction(field, sums, "exact", f.den * count)
     return GridFunction(field, sums / count, "float")
 
 

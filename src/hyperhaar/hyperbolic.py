@@ -241,11 +241,6 @@ def _spectrum(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
     return spectrum
 
 
-def _max_abs(values) -> int:
-    arr = np.asarray(values)
-    return max(abs(int(arr.max())), abs(int(arr.min()))) if arr.size else 0
-
-
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
                    dtype=None, signed: bool = True) -> np.ndarray:
     """Sum over shapes of the Haar sums with the given per-rectangle
@@ -261,7 +256,7 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
         dtype = np.float64 if "f" in kinds else np.int64
     if np.dtype(dtype).kind in "iu":
         limit = np.iinfo(dtype).max
-        bound = sum(_max_abs(v) for v in shape_values.values())
+        bound = sum(grid.max_abs(v) for v in shape_values.values())
         if bound > limit:
             raise grid.GridError(
                 f"{np.dtype(dtype)} overflows: coefficient sums reach {bound} > "
@@ -283,8 +278,7 @@ def hyperbolic_sum(field: CoefficientField, resolution: Resolution | None = None
     if resolution is None:
         resolution = field_resolution(field)
     arr = shape_sum_grid(field.values, resolution, dtype=dtype)
-    return GridFunction(resolution, arr,
-                        "float" if arr.dtype.kind == "f" else "exact")
+    return GridFunction.from_values(resolution, arr)
 
 
 def coefficient_square_sum(field: CoefficientField,
@@ -298,8 +292,7 @@ def coefficient_square_sum(field: CoefficientField,
     squares = {s: field.values[s].astype(wide) ** 2
                for s in field.exact_volume_shapes}
     arr = shape_sum_grid(squares, resolution, signed=False)
-    return GridFunction(resolution, arr,
-                        "float" if arr.dtype.kind == "f" else "exact")
+    return GridFunction.from_values(resolution, arr)
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,

@@ -10,16 +10,16 @@ Two constructions:
   same-first-coordinate pair sums Gamma_t, exact duality certificates, and
   measured norm reports.
 
-Exactness strategy: every identity is checked in scaled integers.  The
-d=2 product is computed as ``prod (2 + psi_s)`` (an integer grid equal to
-``Psi * 2^{n+1}``); the short product writes the scalar ``rho~`` as the
-exact rational N/D of its float64 value and scales by D^q, so that
-``T = Psi * D^q = prod (D + N F_t)`` and the scaled sd/nsd layers
-``sum_u N^u D^(q-u) sd_u`` are integers.  All stated identities hold for
-*any* rational value of ``rho~``, so pinning it to the float's exact
-rational loses nothing.
+Exactness strategy: every identity is checked in scaled integers, the
+numerators of exact grids over one denominator.  The d=2 product is
+``prod (2 + psi_s)`` over ``2^{n+1}``; the short product writes the scalar
+``rho~`` as the exact rational N/D of its float64 value and scales by D^q,
+so that ``T = Psi * D^q = prod (D + N F_t)`` and the scaled sd/nsd layers
+``sum_u N^u D^(q-u) sd_u`` are integers over D^q.  All stated identities
+hold for *any* rational value of ``rho~``, so pinning it to the float's
+exact rational loses nothing.
 
-The scaled values never exist as per-cell Python integers.  Every cell is
+The reports never build per-cell Python integers.  Every cell is
 pooled by its small-integer vector (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q),
 which fixes T and both layers on that cell; the big-integer arithmetic is
 done once per distinct vector, and weighted by int64 cell counts or by
@@ -65,39 +65,27 @@ def _check_d2_exact_volume(field: CoefficientField, n: int) -> None:
         raise ValueError(f"field has volume parameter {field.n}, not {n}")
 
 
-def _psi_factors_scaled(field: CoefficientField, n: int) -> np.ndarray:
-    """Stack of the n+1 integer factors (2 + psi_s), each on the full grid."""
+def _temlyakov_scaled(field: CoefficientField, n: int) -> np.ndarray:
+    """Integer grid equal to Psi * 2^(n+1): the product of the n+1 factors
+    (2 + psi_s) on the full grid; |values| <= 3^(n+1)."""
     res = Resolution((n + 1, n + 1))
-    factors = np.empty((n + 1, *res.grid_shape), dtype=np.int64)
+    out = np.ones(res.grid_shape, dtype=np.int64)
     for s in range(n + 1):
         rf = hyperbolic.r_function(field, (s, n - s))
-        factors[s] = 2 + hyperbolic.r_function_grid(rf, res).values
-    return factors
-
-
-def _temlyakov_scaled(field: CoefficientField, n: int) -> np.ndarray:
-    """Integer grid equal to Psi * 2^(n+1); |values| <= 3^(n+1)."""
-    factors = _psi_factors_scaled(field, n)
-    out = factors[0].copy()
-    for s in range(1, n + 1):
-        out *= factors[s]
+        out *= 2 + hyperbolic.r_function_grid(rf, res).values
     return out
 
 
 def temlyakov_product(field: CoefficientField, n: int) -> GridFunction:
     """Psi = prod over all n+1 shapes s of (1 + psi_s/2), where psi_s is the
-    sign-pattern r-function of shape (s, n-s).  Nonnegative with mean one."""
+    sign-pattern r-function of shape (s, n-s).  Nonnegative with mean one.
+    Float cells equal the exact ones: dyadic, with numerators below 2^53."""
     _check_d2_exact_volume(field, n)
     res = Resolution((n + 1, n + 1))
-    if field.mode == "float":
-        out = np.ones(res.grid_shape, dtype=np.float64)
-        for s in range(n + 1):
-            rf = hyperbolic.r_function(field, (s, n - s))
-            out *= 1.0 + 0.5 * hyperbolic.r_function_grid(rf, res).values
-        return GridFunction(res, out, "float")
     scaled = _temlyakov_scaled(field, n)
-    half = Fraction(1, 2 ** (n + 1))
-    return GridFunction(res, scaled.astype(object) * half, "exact")
+    if field.mode == "float":
+        return GridFunction(res, scaled / 2 ** (n + 1), "float")
+    return GridFunction(res, scaled, "exact", den=2 ** (n + 1))
 
 
 def verify_temlyakov(field: CoefficientField, n: int) -> dict:
@@ -110,35 +98,24 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     offending identity and, for negativity, a witness cell), not raised.
     """
     _check_d2_exact_volume(field, n)
-    res = Resolution((n + 1, n + 1))
-    h = hyperbolic.hyperbolic_sum(field, res)
+    h = hyperbolic.hyperbolic_sum(field, Resolution((n + 1, n + 1)))
     exact_abs_sum = field.abs_sum()
     failures = []
+    psi = temlyakov_product(field, n)
     if field.mode == "float":
-        psi = temlyakov_product(field, n).values
         tol = 1e-10
-        nonneg = bool(np.min(psi) >= -tol)
-        mean = float(np.mean(psi))
-        mean_ok = abs(mean - 1.0) <= tol
-        inner = float(np.mean(h.float_values() * psi))
         expected = float(exact_abs_sum) / 2 ** (n + 1)
-        inner_ok = abs(inner - expected) <= tol * max(1.0, abs(expected))
     else:
-        scaled = _temlyakov_scaled(field, n)
-        denom = 2 ** (n + 1)
-        nonneg = bool(np.min(scaled) >= 0)
-        mean = Fraction(int(np.sum(scaled)), res.cells * denom)
-        mean_ok = mean == 1
-        inner = Fraction(int(np.sum(h.values.astype(np.int64) * scaled)),
-                         res.cells * denom)
-        expected = Fraction(exact_abs_sum, denom)
-        inner_ok = inner == expected
+        tol = 0
+        expected = Fraction(exact_abs_sum, 2 ** (n + 1))
+    nonneg = bool(np.min(psi.values) >= -tol)
+    mean = grid.expectation(psi)
+    mean_ok = abs(mean - 1) <= tol
+    inner = grid.inner_product(h, psi)
+    inner_ok = abs(inner - expected) <= tol * max(1, abs(expected))
     if not nonneg:
-        witness = None
-        values = psi if field.mode == "float" else scaled
-        idx = np.unravel_index(int(np.argmin(values)), values.shape)
-        witness = tuple(int(i) for i in idx)
-        failures.append({"check": "nonnegative", "cell": witness})
+        idx = np.unravel_index(int(np.argmin(psi.values)), psi.values.shape)
+        failures.append({"check": "nonnegative", "cell": tuple(int(i) for i in idx)})
     if not mean_ok:
         failures.append({"check": "mean", "lhs": mean, "rhs": 1})
     if not inner_ok:
@@ -194,6 +171,8 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     coordinate falls in interval t.  ``rho_tilde`` may be overridden (for
     instance to 0) for edge-case experiments.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n} (rho~ divides by n)")
     if a <= 0:
         raise ValueError("a must be positive")
     if q is None:
@@ -305,13 +284,13 @@ class _Pool:
         np.add.at(out, self.inverse, values.reshape(-1))
         return out.tolist()
 
-    def expand(self, per_key: list, resolution: Resolution) -> GridFunction:
-        """The exact grid taking the given value on each key's cells."""
-        values = np.empty(len(per_key), dtype=object)
-        values[:] = per_key
+    def expand(self, per_key: list[int], den: int,
+               resolution: Resolution) -> GridFunction:
+        """The exact grid taking ``per_key[k] / den`` on the cells of key k."""
+        values = np.array(per_key, dtype=grid.int_dtype(max(map(abs, per_key))))
         return GridFunction(resolution,
                             values[self.inverse].reshape(resolution.grid_shape),
-                            "exact")
+                            "exact", den)
 
 
 def _dot(a, b) -> int:
@@ -482,10 +461,8 @@ def block_sum(field: CoefficientField, params: RieszParams,
 def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
     """Psi = prod over t of (1 + rho~ F_t), exactly; its mean is one."""
     sp = ShortProduct(field, params)
-    unit = Fraction(1, sp.scale)
-    return sp.f_pool.expand(
-        [v * unit for v in sp.partial_products(range(1, params.q + 1))],
-        sp.resolution)
+    return sp.f_pool.expand(sp.partial_products(range(1, params.q + 1)),
+                            sp.scale, sp.resolution)
 
 
 def short_product_mean(field: CoefficientField, params: RieszParams):
@@ -510,12 +487,10 @@ def sd_decomposition(field: CoefficientField,
     checks against the independently enumerated complement.
     """
     sp = ShortProduct(field, params)
-    res = sp.resolution
     kv = sp.keyed
-    unit = Fraction(1, sp.scale)
-    return (sp.pool.expand([v * unit for v in kv.sd], res),
-            sp.pool.expand([(t - sp.scale - v) * unit
-                            for t, v in zip(kv.t, kv.sd)], res))
+    return (sp.pool.expand(kv.sd, sp.scale, sp.resolution),
+            sp.pool.expand([t - sp.scale - v for t, v in zip(kv.t, kv.sd)],
+                           sp.scale, sp.resolution))
 
 
 def decomposition_report(sp: ShortProduct) -> dict:
@@ -564,7 +539,7 @@ def duality_certificate(sp: ShortProduct) -> dict:
     """
     cells = sp.resolution.cells
     sup_h = int(np.max(np.abs(sp.h)))
-    if sup_h * cells > np.iinfo(np.int64).max:
+    if grid.int_dtype(sup_h * cells) is object:
         raise grid.GridTooLargeError("segment sums of H could overflow int64")
     h_sums = sp.pool.sums(sp.h)
     kv = sp.keyed

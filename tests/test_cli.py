@@ -159,6 +159,21 @@ class TestExperiments:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, digest", [
+        (["lp-profile", "--n", "5", "--p-list", "2,4,8", "--seed", "0"],
+         "16e5070beacd82c1a2180f631a5fbedc2a4787016dbe6a5b14e2222cd22b3bf0"),
+        (["lp-profile", "--d", "2", "--n", "8", "--p-list", "2,4,8",
+          "--seed", "1"],
+         "536decb99a591c85805ca8fcc4d0605a49597674bc1aa5bd3f2306521df20175"),
+    ])
+    def test_lp_profile_output_frozen(self, argv, digest, capsys):
+        # stdout byte for byte, as recorded while Haar analysis still ran
+        # over Fraction object arrays; S(f) and both norms go through the
+        # exact spectrum
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
         (["discrepancy", "--n-range", "2..1024", "--seed", "0"],
          "39df5b3580ab85004ca63282b05bc696bff5e98af23817313ea5585e0a7744e8"),
         (["discrepancy", "--generator", "halton", "--d", "3", "--n-range",
@@ -215,6 +230,31 @@ class TestExperiments:
         assert err["error"] == "validation"
         assert "--n-range" in err["detail"]
         assert "DLASCL" not in captured.err and "SVD" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["riesz3d", "--n", "0"],
+        ["verify", "--n", "0"],
+        ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
+         "--block-s", "0"],
+        ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
+         "--block-t", "9"],
+    ])
+    def test_out_of_range_parameters_rejected(self, argv, capfd):
+        # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
+        # traceback with exit 1 (a failed identity); --block-s 0 silently
+        # measured block 2 and --block-t 9 raised an IndexError
+        code = cli.main(argv)
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["lp-profile", "--n", "0"],
+                                      ["riesz2d", "--n", "0"]])
+    def test_zero_n_runs_where_defined(self, argv, capsys):
+        code, _ = run(argv, capsys)
+        assert code == 0
 
     def test_beck_gain_from_one_still_runs(self, capsys):
         code, payload = run_json(["beck-gain", "--n-range", "1..2"], capsys)

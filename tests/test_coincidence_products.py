@@ -151,6 +151,13 @@ class TestCoincidenceClasses:
             assert frozenset((r, s)) in allpairs
             assert r in p.blocks[0] and s in p.blocks[1]
 
+    @pytest.mark.parametrize("s, t", [(0, 2), (1, 0), (3, 1), (1, 3)])
+    def test_c2_restricted_block_index_checked(self, s, t):
+        # index 0 used to wrap to the last block through blocks[-1]
+        p = riesz.make_params(4, q=2)
+        with pytest.raises(ValueError, match="must lie in 1..2"):
+            coincidence.class_c2_restricted(4, p.blocks, s, t)
+
     def test_c2b_orders_by_first_coordinate(self):
         cls = coincidence.class_c2b(4, 2)
         assert cls.size > 0

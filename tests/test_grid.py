@@ -1,5 +1,6 @@
 """Grid algebra, Haar transform, square function, and norm diagnostics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -156,7 +157,7 @@ class TestAlgebra:
         f = GridFunction.constant(3, Resolution((1,)))
         g = grid.scale(f, Fraction(1, 2))
         assert g.mode == "exact"
-        assert g.values[0] == Fraction(3, 2)
+        assert Fraction(int(g.values[0]), g.den) == Fraction(3, 2)
 
     def test_dimension_mismatch_rejected(self):
         a = GridFunction.constant(1, Resolution((1,)))
@@ -195,6 +196,14 @@ class TestMoments:
         f = GridFunction.from_values(Resolution((1,)), np.array([3, -5]))
         assert grid.lp_moment(f, 4) == Fraction(3**4 + 5**4, 2)
         assert grid.lp_moment(f, 16) == Fraction(3**16 + 5**16, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, object])
+    def test_sup_norm_of_most_negative_value(self, dtype):
+        # abs() of int8 -128 wraps to -128, which hid the peak
+        f = GridFunction.from_values(Resolution((1,)),
+                                     np.array([-128, 5]).astype(dtype))
+        assert grid.sup_norm(f) == 128
+        assert grid.lp_moment(f, 1) == Fraction(133, 2)
 
     def test_float_mode_moments(self):
         f = GridFunction.constant(2.0, Resolution((1, 1)), mode="float")
@@ -375,6 +384,146 @@ class TestSquareFunction:
         )
         prof = grid.lp_profile(f, [2])
         assert prof.entries[0].b_p == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact routes against Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def _oracle_analyze(values):
+    """Haar coefficients as a Fraction object array: along every axis, half
+    differences and half sums level by level."""
+    arr = np.asarray(values).astype(object)
+    for axis in range(arr.ndim):
+        cur = np.moveaxis(arr, axis, 0)
+        m = cur.shape[0].bit_length() - 1
+        out = np.empty_like(cur)
+        for k in range(m - 1, -1, -1):
+            even, odd = cur[0::2], cur[1::2]
+            out[1 << k: 1 << (k + 1)] = (odd - even) * Fraction(1, 2)
+            cur = (odd + even) * Fraction(1, 2)
+        out[0:1] = cur
+        arr = np.moveaxis(out, 0, axis)
+    return arr
+
+
+def _oracle_parseval(coef, levels):
+    """sum over spectrum entries of c**2 times the support weight, one
+    Fraction per entry."""
+    per_axis = [[Fraction(1)] + [Fraction(1, 1 << k)
+                                 for k in range(m) for _ in range(1 << k)]
+                for m in levels]
+    return sum((Fraction(c) ** 2 * math.prod(w)
+                for c, w in zip(coef.flat, itertools.product(*per_axis))),
+               Fraction(0))
+
+
+def _oracle_conditional(cells, levels, field):
+    """Block averages as a Fraction object array."""
+    out = np.empty(Resolution(field).grid_shape, dtype=object)
+    for idx in np.ndindex(*out.shape):
+        block = tuple(slice(i << (m - mf), (i + 1) << (m - mf))
+                      for i, m, mf in zip(idx, levels, field))
+        out[idx] = Fraction(sum(cells[block].flat, Fraction(0)),
+                            cells[block].size)
+    return out
+
+
+def _fractions(values, den):
+    return [Fraction(int(v), den) for v in np.asarray(values).flat]
+
+
+class TestExactRoutesAgainstOracle:
+    """Integer numerators over one denominator against cellwise Fractions."""
+
+    @staticmethod
+    def _check(f):
+        levels = f.resolution.levels
+        cells = np.asarray(_fractions(f.values, f.den), dtype=object) \
+            .reshape(f.values.shape)
+        coef = _oracle_analyze(cells)
+        spectrum = grid.haar_analyze(f)
+        assert _fractions(spectrum.coefficients, spectrum.den) == list(coef.flat)
+        assert math.gcd(spectrum.den, *map(int, spectrum.coefficients.flat)) == 1
+
+        sq = grid.square_function_squared(f)
+        expected = grid.synthesize(coef * coef, signed=False)
+        assert _fractions(sq.values, sq.den) == list(expected.flat)
+        assert list(sq.to_float().values.flat) == [float(v) for v in expected.flat]
+
+        moment = _oracle_parseval(coef, levels)
+        assert grid.parseval_l2_moment(spectrum) == moment
+        assert grid.lp_moment(f, 2) == moment
+
+        rng = np.random.default_rng(sum(levels))
+        field = tuple(int(rng.integers(0, m + 1)) for m in levels)
+        for g, g_cells in ((f, cells), (sq, expected)):
+            ce = grid.conditional_expectation(g, Resolution(field))
+            oracle = _oracle_conditional(g_cells, levels, field)
+            assert _fractions(ce.values, ce.den) == list(oracle.flat)
+            assert list(ce.to_float().values.flat) == [float(v) for v in oracle.flat]
+        return spectrum, sq
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_integer_grids(self, d, level):
+        res = Resolution((level,) * d)
+        rng = np.random.default_rng((d, level))
+        f = GridFunction.from_values(
+            res, rng.integers(-9, 10, size=res.grid_shape, dtype=np.int64))
+        spectrum, sq = self._check(f)
+        assert spectrum.coefficients.dtype == np.int64
+        assert sq.values.dtype == np.int64
+        back = grid.haar_synthesize(spectrum)
+        assert back.den == 1 and np.array_equal(back.values, f.values)
+
+    def test_mixed_levels_and_fraction_input(self):
+        res = Resolution((3, 0, 2))
+        rng = np.random.default_rng(11)
+        f = grid.scale(GridFunction.from_values(
+            res, rng.integers(-9, 10, size=res.grid_shape, dtype=np.int64)),
+            Fraction(3, 8))
+        assert f.den == 8
+        self._check(f)
+
+    def test_python_int_route_past_int64(self):
+        # the sum of 16 cells above 2^59 passes 2^63 in the analysis, and
+        # squares pass it in the square function and Parseval sums: all
+        # take Python ints
+        res = Resolution((2, 2))
+        rng = np.random.default_rng(12)
+        f = GridFunction.from_values(
+            res, (1 << 59) + rng.integers(0, 1000, size=res.grid_shape))
+        assert f.values.dtype == np.int64
+        spectrum, sq = self._check(f)
+        assert spectrum.coefficients.dtype == object
+        assert sq.values.dtype == object
+        assert grid.lp_moment(sq, 3) == Fraction(
+            sum(int(v) ** 3 for v in sq.values.flat), res.cells * sq.den ** 3)
+        assert grid.sup_norm(sq) == Fraction(
+            max(int(v) for v in sq.values.flat), sq.den)
+
+    def test_binary_ops_combine_denominators(self):
+        res = Resolution((2,))
+        a = grid.scale(GridFunction.from_values(res, np.array([1, 2, 3, 4])),
+                       Fraction(1, 6))
+        b = grid.scale(GridFunction.from_values(res, np.array([1, 1, 1, -1])),
+                       Fraction(1, 4))
+        cases = {
+            grid.add: lambda x, y: x + y,
+            grid.sub: lambda x, y: x - y,
+            grid.mul: lambda x, y: x * y,
+        }
+        for op, ref in cases.items():
+            out = op(a, b)
+            expected = [ref(x, y) for x, y in zip(_fractions(a.values, a.den),
+                                                  _fractions(b.values, b.den))]
+            assert _fractions(out.values, out.den) == expected
+            assert math.gcd(out.den, *map(int, out.values.flat)) == 1
+        assert grid.mul(a, 3).den == 2 and grid.mul(a, 6).den == 1
+        assert grid.grids_equal(grid.sub(grid.add(a, b), b), a)
+        assert grid.grids_equal(a, a.to_float()) and grid.grids_equal(a.to_float(), a)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ class TestParams:
         with pytest.raises(ValueError):
             riesz.make_params(4, q=6)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        # rho~ = a q^b / n used to raise ZeroDivisionError at n = 0
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            riesz.make_params(n, q=1)
+
 
 class TestBlockSums:
     def test_mean_zero_and_l2(self):
@@ -113,7 +119,7 @@ class TestShortProduct:
             int(grid.sup_norm(riesz.block_sum(f, p, t))) for t in (1, 2))
         assert p.rho_tilde_exact * max_sup <= 1
         bound = 1 - p.q * p.rho_tilde_exact * max_sup
-        assert min(psi.values.reshape(-1)) >= bound
+        assert Fraction(int(psi.values.min()), psi.den) >= bound
 
     def test_d2_rejected(self):
         f = CoefficientField.random_signs(3, 2, 87)
@@ -408,6 +414,12 @@ ORACLE_CASES = [
 ]
 
 
+def _cells(g):
+    """The exact cell values of a grid, as a Fraction object array."""
+    return np.array([Fraction(int(v), g.den) for v in g.values.flat],
+                    dtype=object).reshape(g.values.shape)
+
+
 class TestShortProductOracle:
     @pytest.mark.parametrize("n, q, maker, seed, rho_tilde", ORACLE_CASES)
     def test_reports_and_grids_equal_direct_route(self, n, q, maker, seed,
@@ -434,10 +446,10 @@ class TestShortProductOracle:
             dataclasses.replace(norms, partial_norms=())
 
         psi, sd_grid, nsd_grid = grids
-        assert np.array_equal(riesz.short_product(field, params).values, psi)
+        assert np.array_equal(_cells(riesz.short_product(field, params)), psi)
         sd, nsd = riesz.sd_decomposition(field, params)
-        assert np.array_equal(sd.values, sd_grid)
-        assert np.array_equal(nsd.values, nsd_grid)
+        assert np.array_equal(_cells(sd), sd_grid)
+        assert np.array_equal(_cells(nsd), nsd_grid)
         assert riesz.short_product_mean(field, params) == norms.mean
 
     def test_constructor_does_no_grid_work(self, monkeypatch):
