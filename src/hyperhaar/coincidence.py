@@ -460,12 +460,10 @@ def sum_products(tuples, r_own: dict[Shape, GridFunction],
     ``resolution`` one axis at a time, in the axis order that writes the
     fewest cells, adding together the sums whose levels coincide after each
     axis.  Every partial sum is over a subset of the tuples, so the
-    accumulator is the narrowest of int16/int32/int64 that holds their
-    count.
+    accumulator is ``grid.int_dtype`` of their count.
     """
     tuples = list(tuples)
-    acc_dtype = next(dt for dt in (np.int16, np.int32, np.int64)
-                     if len(tuples) <= np.iinfo(dt).max)
+    acc_dtype = grid.int_dtype(len(tuples))
     if not tuples:
         return np.zeros(resolution.grid_shape, dtype=acc_dtype)
     groups: dict[tuple[int, ...], list] = {}
@@ -955,7 +953,8 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
     rhs = np.zeros(resolution.grid_shape, dtype=np.int64)
     for g in graphs:
         contrib = prod_over(X_of_graph(g, blocks), field, resolution)
-        rhs += coeffs[g] * contrib.values
+        # widened first: c_G times a narrow X(G) sum can pass its width
+        rhs += coeffs[g] * contrib.values.astype(np.int64)
     return {
         "vertices": verts,
         "graph_count": len(graphs),
@@ -975,6 +974,7 @@ def factorization_check(g: AdmissibleGraph, field: CoefficientField,
     shapes = {s for v in g.vertices for s in blocks[v - 1]}
     resolution = hyperbolic.minimal_resolution(shapes, field.d)
     whole = prod_over(X_of_graph(g, blocks), field, resolution)
+    # int64 from the start: a product of component sums outgrows each one
     prod = np.ones(resolution.grid_shape, dtype=np.int64)
     for comp in comps:
         prod = prod * prod_over(X_of_graph(comp, blocks), field, resolution).values

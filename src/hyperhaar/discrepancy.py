@@ -6,8 +6,8 @@ inverses, 2^53 for random floats, the lcm of exact denominators for user
 input).  One kernel counts points in the boxes at all corners of a grid:
 per axis it scales points and corners to the lcm of their denominators,
 places them with ``searchsorted``, scatters with ``bincount`` and takes
-prefix sums.  Integers are int64 where their bound (that lcm, or
-N * prod(dens) for the sup) is under 2^63, Python ints otherwise.  The
+prefix sums.  Integers take ``grid.int_dtype`` of their bound (that lcm,
+or N * prod(dens) for the sup): Python ints only past int64.  The
 sup is exact by critical-corner enumeration: per axis the candidates are
 the coordinates with 0 and 1; sup D is the maximum over corners of the
 closed-count value (the limit from above), inf D the minimum of the

@@ -10,8 +10,8 @@ its cell cap.  A grid function has one of two scalar modes:
   identity verification with zero tolerance.  A grid built with ``den > 1``
   is reduced to lowest terms, so integer-valued grids have ``den == 1``.
   Operations work on the numerators and compute the new ``den`` directly;
-  numerators are numpy integers, or Python ints in an ``object`` array
-  only where ``int_dtype`` finds that a bound on the result passes int64.
+  numerators take the narrowest width ``int_dtype`` finds for a bound on
+  the result (int8 up to int64, Python ints in an ``object`` array past).
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -199,9 +199,14 @@ def _mode_of_dtype(dtype: np.dtype) -> str:
 
 
 def int_dtype(bound: int):
-    """int64 if integers of magnitude at most ``bound`` fit, else Python ints
-    (``object``): the one overflow rule of every exact integer path."""
-    return np.int64 if bound < 1 << 63 else object
+    """The narrowest of int8/int16/int32/int64 that holds every integer of
+    magnitude at most ``bound``, else Python ints (``object``): the one
+    width rule of every exact integer array.  The bound must also cover
+    every Python-int scalar that meets the array in its arithmetic."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
 
 def max_abs(values) -> int:
@@ -264,9 +269,10 @@ class GridFunction:
     def constant(cls, value, resolution: Resolution, mode: str = "exact") -> "GridFunction":
         if mode == "float":
             arr = np.full(resolution.grid_shape, float(value), dtype=np.float64)
-        else:
-            arr = np.full(resolution.grid_shape, int(value), dtype=np.int64)
-        return cls(resolution, arr, mode)
+            return cls(resolution, arr, mode)
+        num, den = map(int, Fraction(value).as_integer_ratio())
+        arr = np.full(resolution.grid_shape, num, dtype=int_dtype(abs(num)))
+        return cls(resolution, arr, mode, den)
 
     @classmethod
     def zero(cls, resolution: Resolution, mode: str = "exact") -> "GridFunction":
@@ -331,7 +337,7 @@ def _binary(f: GridFunction, g, op) -> GridFunction:
         den = math.lcm(f.den, g_den)
         f_mul, g_mul = den // f.den, den // g_den
         bound = max_abs(f.values) * f_mul + max_abs(g_num) * g_mul
-    dtype = int_dtype(bound)
+    dtype = int_dtype(max(bound, f_mul, g_mul))
     arr = op(np.asarray(f.values, dtype=dtype) * f_mul,
              np.asarray(g_num, dtype=dtype) * g_mul)
     return GridFunction(f.resolution, arr, "exact", den)
@@ -392,10 +398,10 @@ def lp_moment(f: GridFunction, p: int):
 
 def _int_abs_power_sum(values: np.ndarray, p: int) -> int:
     """Exact sum of |v|**p over an integer or Python-int array, chunked, in
-    int64 where ``int_dtype`` proves a chunk's sum fits."""
+    the width ``int_dtype`` gives a chunk's sum (and the exponent p)."""
     flat = values.reshape(-1)
     chunk = 1 << 22
-    dtype = int_dtype(max_abs(flat) ** p * min(chunk, flat.size))
+    dtype = int_dtype(max(max_abs(flat) ** p * min(chunk, flat.size), p))
     total = 0
     for start in range(0, flat.size, chunk):
         part = np.abs(flat[start:start + chunk].astype(dtype))
@@ -595,7 +601,8 @@ def _cover(resolution: Resolution) -> int:
 def haar_analyze(f: GridFunction) -> HaarSpectrum:
     cells = f.resolution.cells
     exact = f.mode == "exact"
-    arr = f.values.astype(int_dtype(max_abs(f.values) * cells) if exact
+    # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
+    arr = f.values.astype(int_dtype(max(max_abs(f.values), 1) * cells) if exact
                           else np.float64, copy=False)
     for axis in range(f.d):
         arr = apply_along_axis0(_analyze_axis0, arr, axis)
@@ -631,9 +638,10 @@ def parseval_l2_moment(spectrum: HaarSpectrum):
     arr = spectrum.coefficients
     res = spectrum.resolution
     if spectrum.mode == "exact":
-        # sum of weights is cells * _cover, each weighting a c**2 <= peak**2
-        arr = arr.astype(int_dtype(max_abs(arr) ** 2 * res.cells * _cover(res)),
-                         copy=False)
+        # sum of weights is cells * _cover, each weighting a c**2 <= peak**2;
+        # max(peak, 1) keeps the weights themselves (up to cells) in range
+        arr = arr.astype(int_dtype(max(max_abs(arr), 1) ** 2 * res.cells
+                                   * _cover(res)), copy=False)
     w = math.prod(np.ix_(*(_support_weights(m).astype(arr.dtype)
                            for m in res.levels)))
     total = np.sum(arr * arr * w)

@@ -242,42 +242,36 @@ def _spectrum(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-                   dtype=None, signed: bool = True) -> np.ndarray:
+                   signed: bool = True) -> np.ndarray:
     """Sum over shapes of the Haar sums with the given per-rectangle
     coefficients, evaluated on the grid by one spectrum synthesis.
 
-    A fixed-width integer ``dtype`` is checked before anything is allocated:
-    every butterfly intermediate is a sum of at most one coefficient per
-    shape, so the sum over shapes of ``max|values|`` must fit in it.
+    Float coefficients give float64.  Integer ones give ``grid.int_dtype``
+    of the sum over shapes of ``max|values|``: every butterfly intermediate
+    is a sum of at most one coefficient per shape, so none can wrap.
     """
     _check_resolution(resolution, shape_values.keys())
-    if dtype is None:
-        kinds = {np.asarray(v).dtype.kind for v in shape_values.values()}
-        dtype = np.float64 if "f" in kinds else np.int64
-    if np.dtype(dtype).kind in "iu":
-        limit = np.iinfo(dtype).max
-        bound = sum(grid.max_abs(v) for v in shape_values.values())
-        if bound > limit:
-            raise grid.GridError(
-                f"{np.dtype(dtype)} overflows: coefficient sums reach {bound} > "
-                f"{limit}; pass a wider dtype")
+    if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
+        dtype = np.float64
+    else:
+        dtype = grid.int_dtype(sum(grid.max_abs(v) for v in shape_values.values()))
     # Built inline so that ``synthesize`` holds the spectrum's only reference
     # and frees it once the first axis is done.
     return grid.synthesize(_spectrum(shape_values, resolution, dtype), signed)
 
 
 def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:
-    arr = shape_sum_grid({rf.shape: rf.signs}, resolution, dtype=np.int8)
+    arr = shape_sum_grid({rf.shape: rf.signs}, resolution)
     return GridFunction(resolution, arr, "exact")
 
 
-def hyperbolic_sum(field: CoefficientField, resolution: Resolution | None = None,
-                   dtype=None) -> GridFunction:
+def hyperbolic_sum(field: CoefficientField,
+                   resolution: Resolution | None = None) -> GridFunction:
     """H_n = sum over all rectangles (every shape in the field, coarse shapes
     included for extended fields) of alpha(R) h_R, exactly on the grid."""
     if resolution is None:
         resolution = field_resolution(field)
-    arr = shape_sum_grid(field.values, resolution, dtype=dtype)
+    arr = shape_sum_grid(field.values, resolution)
     return GridFunction.from_values(resolution, arr)
 
 
@@ -296,14 +290,14 @@ def coefficient_square_sum(field: CoefficientField,
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
-                 shapes=None, dtype=np.int16) -> GridFunction:
+                 shapes=None) -> GridFunction:
     """Sum over the given shapes (default: all exact-volume shapes) of the
     alpha-induced r-functions -- integer valued, one synthesis."""
     chosen = list(shapes) if shapes is not None else field.exact_volume_shapes
     if resolution is None:
         resolution = minimal_resolution(chosen, field.d)
     sign_arrays = {s: signs_of(field.values[s]) for s in chosen}
-    arr = shape_sum_grid(sign_arrays, resolution, dtype=dtype)
+    arr = shape_sum_grid(sign_arrays, resolution)
     return GridFunction(resolution, arr, "exact")
 
 
@@ -353,21 +347,13 @@ def sharpness_experiment(n_values, d: int, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     per_n = []
     for n in n_values:
-        shapes = enumerate_shapes(n, d)
-        res = minimal_resolution(shapes, d)
+        res = minimal_resolution(enumerate_shapes(n, d), d)
         count = shape_count(n, d)
 
-        def one_trial(t: int, n=n, shapes=shapes, res=res, count=count):
-            rng = np.random.default_rng((seed, n, t))
-            sign_arrays = {
-                s: (rng.integers(0, 2, size=tuple(1 << r for r in s),
-                                 dtype=np.int8) * 2 - 1)
-                for s in shapes
-            }
-            total_abs = sum(int(a.size) for a in sign_arrays.values())
-            ok = Fraction(total_abs, 1 << n) == count
-            arr = shape_sum_grid(sign_arrays, res, dtype=np.int16)
-            return int(np.max(np.abs(arr))), ok
+        def one_trial(t: int, n=n, res=res, count=count):
+            field = CoefficientField.random_signs(n, d, (seed, n, t))
+            ok = Fraction(field.abs_sum(), 1 << n) == count
+            return grid.sup_norm(hyperbolic_sum(field, res)), ok
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -69,6 +69,7 @@ def _temlyakov_scaled(field: CoefficientField, n: int) -> np.ndarray:
     """Integer grid equal to Psi * 2^(n+1): the product of the n+1 factors
     (2 + psi_s) on the full grid; |values| <= 3^(n+1)."""
     res = Resolution((n + 1, n + 1))
+    # int64: the running product is not bounded by any one factor
     out = np.ones(res.grid_shape, dtype=np.int64)
     for s in range(n + 1):
         rf = hyperbolic.r_function(field, (s, n - s))
@@ -347,23 +348,23 @@ class ShortProduct:
 
     @cached_property
     def r_grids(self) -> dict[Shape, GridFunction]:
-        """The int8 r-function of every shape on its own grid, one
-        synthesis each."""
+        """The r-function of every shape on its own grid, one synthesis
+        each."""
         return coincidence.own_r_grids(
             self.field, [s for block in self.params.blocks for s in block])
 
     @cached_property
     def block_sums(self) -> list[np.ndarray]:
-        """F_1..F_q: the int16 sums of the r-functions of each block."""
+        """F_1..F_q: the sums of the r-functions of each block."""
         return [
-            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block,
-                                    dtype=np.int16).values
+            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block).values
             for block in self.params.blocks
         ]
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The hyperbolic sum H as an int64 grid."""
+        """The hyperbolic sum H as an int64 grid (int64 so that
+        ``np.add.at`` into the int64 segment sums keeps its fast path)."""
         return hyperbolic.hyperbolic_sum(self.field, self.resolution) \
             .values.astype(np.int64)
 
@@ -445,6 +446,7 @@ def _gamma_grid(block, r_own, resolution: Resolution) -> np.ndarray:
     coordinate is summed once and the total doubled."""
     pairs = [(a, b) for a, b in itertools.combinations(block, 2)
              if a[0] == b[0]]
+    # int32 before doubling: twice a narrow pair sum can pass its width
     return 2 * coincidence.sum_products(pairs, r_own, resolution) \
         .astype(np.int32)
 
@@ -455,7 +457,7 @@ def block_sum(field: CoefficientField, params: RieszParams,
     _check_short_inputs(field, params)
     _check_block_index(params, t)
     return hyperbolic.signed_r_sum(field, hyperbolic.field_resolution(field),
-                                   shapes=params.blocks[t - 1], dtype=np.int16)
+                                   shapes=params.blocks[t - 1])
 
 
 def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
@@ -606,7 +608,7 @@ def gamma_identity_report(sp: ShortProduct) -> dict:
     per_t = []
     all_ok = True
     for t in range(1, params.q + 1):
-        f = sp.block_sums[t - 1].astype(np.int32)
+        f = sp.block_sums[t - 1].astype(np.int32)  # int32: f * f is squared
         g = sp.gamma(t)
         count = len(params.blocks[t - 1])
         diff = f * f - count - g

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hyperhaar import discrepancy as dis
+from hyperhaar import grid
 from hyperhaar.grid import BudgetExceededError
 
 
@@ -229,7 +230,7 @@ class TestCountKernel:
     def test_overflow_set_takes_python_int_route(self):
         assert OVERFLOW.nums.dtype == object
         assert OVERFLOW.dens == (3 ** 40, 3 * 2 ** 1074)
-        assert all(a.nums.dtype == np.int64 for a in SETS[:-1])
+        assert all(a.nums.dtype == grid.int_dtype(max(a.dens)) for a in SETS[:-1])
 
     @pytest.mark.parametrize("a", SETS, ids=lambda a: f"{a.provenance}-{a.n}")
     @pytest.mark.parametrize("strict", [False, True])

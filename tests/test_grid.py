@@ -159,6 +159,17 @@ class TestAlgebra:
         assert g.mode == "exact"
         assert Fraction(int(g.values[0]), g.den) == Fraction(3, 2)
 
+    def test_constant_keeps_exact_fractions(self):
+        res = Resolution((1,))
+        half = GridFunction.constant(Fraction(1, 2), res)
+        assert half.mode == "exact" and half.den == 2
+        assert _fractions(half.values, half.den) == [Fraction(1, 2)] * 2
+        assert grid.expectation(GridFunction.constant(0.75, res)) == Fraction(3, 4)
+        tiny = GridFunction.constant(Fraction(-1, 2**70), res)
+        assert grid.expectation(tiny) == Fraction(-1, 2**70)
+        f = GridFunction.constant(0.5, res, mode="float")
+        assert f.mode == "float" and list(f.values) == [0.5, 0.5]
+
     def test_dimension_mismatch_rejected(self):
         a = GridFunction.constant(1, Resolution((1,)))
         b = GridFunction.constant(1, Resolution((1, 1)))
@@ -473,8 +484,8 @@ class TestExactRoutesAgainstOracle:
         f = GridFunction.from_values(
             res, rng.integers(-9, 10, size=res.grid_shape, dtype=np.int64))
         spectrum, sq = self._check(f)
-        assert spectrum.coefficients.dtype == np.int64
-        assert sq.values.dtype == np.int64
+        assert spectrum.coefficients.dtype.kind == "i"
+        assert sq.values.dtype.kind == "i"
         back = grid.haar_synthesize(spectrum)
         assert back.den == 1 and np.array_equal(back.values, f.values)
 
@@ -524,6 +535,35 @@ class TestExactRoutesAgainstOracle:
         assert grid.mul(a, 3).den == 2 and grid.mul(a, 6).den == 1
         assert grid.grids_equal(grid.sub(grid.add(a, b), b), a)
         assert grid.grids_equal(a, a.to_float()) and grid.grids_equal(a.to_float(), a)
+
+    def test_binary_scalar_multipliers(self):
+        # the scalar's denominator scales the grid: 2^70 needs Python ints,
+        # 128 needs more than int8, even when the grid is all zeros
+        res = Resolution((2,))
+        grids = [GridFunction.zero(res),
+                 GridFunction.from_values(res, np.array([1, -2, 3, 0], np.int8))]
+        cases = {
+            grid.add: lambda x, y: x + y,
+            grid.sub: lambda x, y: x - y,
+            grid.mul: lambda x, y: x * y,
+        }
+        for f in grids:
+            assert f.values.dtype == np.int8
+            for c in (Fraction(1, 2**70), Fraction(1, 3), Fraction(5, 128)):
+                for op, ref in cases.items():
+                    out = op(f, c)
+                    expected = [ref(x, c) for x in _fractions(f.values, f.den)]
+                    assert _fractions(out.values, out.den) == expected
+
+    def test_zero_grids_at_the_width_edges(self):
+        # the analysis multiplies by 2^7 > int8 though every value is 0;
+        # p = 200 exceeds int8 too
+        zero = GridFunction.zero(Resolution((8,)))
+        assert zero.values.dtype == np.int8
+        spectrum, sq = self._check(zero)
+        assert not spectrum.coefficients.any() and not sq.values.any()
+        assert grid.lp_moment(zero, 200) == 0
+        assert grid.lp_moment(GridFunction.zero(Resolution((1, 1))), 200) == 0
 
 
 # ---------------------------------------------------------------------------

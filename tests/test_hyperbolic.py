@@ -163,17 +163,19 @@ class TestHyperbolicSum:
         h = hyperbolic.hyperbolic_sum(f)
         assert grid.lp_moment(h, 2) == Fraction(f.square_sum(), 1 << n)
 
-    def test_int8_overflow_refused_before_synthesis(self):
-        vals = {(1, 0): np.full((2, 1), 100), (0, 1): np.full((1, 2), 100)}
-        with pytest.raises(grid.GridError, match="int8"):
-            hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int8)
-        wide = hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int16)
-        assert int(np.max(np.abs(wide))) == 200
-
-    def test_int8_bound_admits_exact_fit(self):
-        vals = {(1, 0): np.full((2, 1), 100), (0, 1): np.full((1, 2), -27)}
-        arr = hyperbolic.shape_sum_grid(vals, Resolution((2, 2)), dtype=np.int8)
-        assert int(np.max(np.abs(arr))) == 127
+    @pytest.mark.parametrize("total, dtype", [
+        (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+        (2**63, object),
+    ])
+    def test_width_follows_the_coefficient_bound(self, total, dtype):
+        # two shapes whose coefficients add up to ``total`` in every cell
+        first = total // 2
+        vals = {(1, 0): np.full((2, 1), first, dtype=object),
+                (0, 1): np.full((1, 2), total - first, dtype=object)}
+        arr = hyperbolic.shape_sum_grid(vals, Resolution((2, 2)))
+        assert arr.dtype == np.dtype(dtype)
+        assert grid.max_abs(arr) == total
 
     def test_coarse_shapes_enter_the_sum(self):
         base = CoefficientField.random_signs(2, 2, 30)

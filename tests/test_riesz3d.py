@@ -296,13 +296,13 @@ def _direct_route(field, params, v_list, r_list):
     frac = params.rho_tilde_exact
     n_, d_, q = frac.numerator, frac.denominator, params.q
     scale, cells = d_**q, res.cells
-    fs = [hyperbolic.signed_r_sum(field, res, shapes=block, dtype=np.int64).values
+    fs = [hyperbolic.signed_r_sum(field, res, shapes=block).values.astype(np.int64)
           for block in params.blocks]
     t = np.ones(res.grid_shape, dtype=object)
     for f in fs:
         t = t * (f.astype(object) * n_ + d_)
     r = {s: hyperbolic.shape_sum_grid(
-            {s: hyperbolic.signs_of(field.values[s])}, res, dtype=np.int64)
+            {s: hyperbolic.signs_of(field.values[s])}, res).astype(np.int64)
          for block in params.blocks for s in block}
     sd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, q + 1)}
     nsd = {u: np.zeros(res.grid_shape, dtype=np.int64) for u in range(1, q + 1)}
@@ -464,9 +464,9 @@ class TestShortProductOracle:
         calls = []
         real = hyperbolic.shape_sum_grid
 
-        def counting(shape_values, resolution, dtype=None, **kwargs):
-            calls.append((tuple(sorted(shape_values)), dtype))
-            return real(shape_values, resolution, dtype=dtype, **kwargs)
+        def counting(shape_values, resolution, **kwargs):
+            calls.append((tuple(sorted(shape_values)), resolution))
+            return real(shape_values, resolution, **kwargs)
 
         monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
         f = CoefficientField.random_signs(4, 3, 8)
@@ -484,9 +484,9 @@ class TestShortProductOracle:
         calls = []
         real = hyperbolic.shape_sum_grid
 
-        def counting(shape_values, resolution, dtype=None, **kwargs):
+        def counting(shape_values, resolution, **kwargs):
             calls.append(tuple(sorted(shape_values)))
-            return real(shape_values, resolution, dtype=dtype, **kwargs)
+            return real(shape_values, resolution, **kwargs)
 
         monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
         f = CoefficientField.random_signs(4, 3, 9)
