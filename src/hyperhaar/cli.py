@@ -142,7 +142,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--float", dest="exact", action="store_false",
                      help="use float64 scalars instead of exact rationals")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=_positive_int, default=1)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--budget", type=_positive_int, default=None,
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("riesz2d", help="d=2 product identity checks")
     _common_flags(p)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
 
     p = subs.add_parser("riesz3d", help="short-product construction report")
     _common_flags(p)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sharpness", help="sup-norm growth of hyperbolic sums")
     _common_flags(p)
     p.add_argument("--n-range", default="3..7")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
 
     p = subs.add_parser("lp-profile", help="L^p growth of a hyperbolic sum")
     _common_flags(p)

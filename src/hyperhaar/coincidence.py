@@ -507,7 +507,7 @@ def prod_over(tuples, field: CoefficientField,
         resolution = hyperbolic.minimal_resolution(shapes, field.d)
     hyperbolic._check_resolution(resolution, shapes)
     values = sum_products(tuples, own_r_grids(field, shapes), resolution)
-    return GridFunction(resolution, values, "exact")
+    return GridFunction(resolution, values)
 
 
 PREDICTED_EXPONENT = {

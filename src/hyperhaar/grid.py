@@ -3,15 +3,16 @@
 Hyperbolic sums, Riesz products and coincidence sums are carried by one
 representation, ``GridFunction``: a dense array of cell values on a dyadic
 grid in dimension 1-3.  The discrepancy scans use only ``Resolution`` and
-its cell cap.  A grid function has one of two scalar modes:
-
-* ``"float"`` -- float64 cells, for measurements and fits;
-* ``"exact"`` -- integer numerators over one positive int ``den``, for
-  identity verification with zero tolerance.  A grid built with ``den > 1``
-  is reduced to lowest terms, so integer-valued grids have ``den == 1``.
-  Operations work on the numerators and compute the new ``den`` directly;
-  numerators take the narrowest width ``int_dtype`` finds for a bound on
-  the result (int8 up to int64, Python ints in an ``object`` array past).
+its cell cap.  A grid function is exact: integer numerators over one
+positive int ``den``, so identities verify with zero tolerance.  A grid
+built with ``den > 1`` is reduced to lowest terms, so integer-valued grids
+have ``den == 1``.  Operations work on the numerators and compute the new
+``den`` directly; numerators take the narrowest width ``int_dtype`` finds
+for a bound on the result (int8 up to int64, Python ints in an ``object``
+array past).  Floats leave a grid only through the correctly rounded
+``GridFunction.float_values``, where a measurement needs them: the cellwise
+root of ``square_function``, L^p norms for non-integer p, and the Orlicz
+estimate.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -190,14 +191,6 @@ class Resolution:
 # ---------------------------------------------------------------------------
 
 
-def _mode_of_dtype(dtype: np.dtype) -> str:
-    if dtype.kind in ("i", "u", "O"):
-        return "exact"
-    if dtype.kind == "f":
-        return "float"
-    raise TypeError(f"unsupported dtype {dtype}")
-
-
 def int_dtype(bound: int):
     """The narrowest of int8/int16/int32/int64 that holds every integer of
     magnitude at most ``bound``, else Python ints (``object``): the one
@@ -229,71 +222,63 @@ def _lowest_terms(values: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 class GridFunction:
     """Piecewise-constant function on ``[0,1)**d``, one value per grid cell.
 
-    ``values`` has shape ``resolution.grid_shape`` (row-major over the cells).
-    ``mode`` is ``"exact"`` (cell = ``values / den``, in lowest terms) or
-    ``"float"`` (float64, ``den`` 1).  Instances are treated as immutable.
+    ``values`` is an integer array (Python ints in an ``object`` array past
+    int64) of shape ``resolution.grid_shape``, row-major over the cells;
+    each cell is ``values / den`` in lowest terms.  Instances are treated
+    as immutable.
     """
 
     resolution: Resolution
     values: np.ndarray
-    mode: str
     den: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.values.shape != self.resolution.grid_shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match resolution "
                 f"{self.resolution.grid_shape}"
             )
-        if _mode_of_dtype(self.values.dtype) != self.mode:
-            raise ValueError(f"dtype {self.values.dtype} inconsistent with mode {self.mode!r}")
+        if self.values.dtype.kind not in "iuO":
+            raise ValueError(f"grid values need an integer dtype, not {self.values.dtype}")
+        if not isinstance(self.den, int) or self.den < 1:
+            raise ValueError(f"grids need a positive int den, got {self.den!r}")
         if self.den != 1:
-            if self.mode != "exact" or not isinstance(self.den, int) or self.den < 1:
-                raise ValueError(f"exact grids need a positive int den, got {self.den!r}")
             values, den = _lowest_terms(self.values, self.den)
             object.__setattr__(self, "values", values)
             object.__setattr__(self, "den", den)
 
     @classmethod
-    def from_values(cls, resolution: Resolution, values, mode: str | None = None) -> "GridFunction":
-        arr = np.asarray(values)
-        if mode is None:
-            mode = _mode_of_dtype(arr.dtype)
-        elif mode == "float" and arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
-        return cls(resolution, arr.reshape(resolution.grid_shape), mode)
+    def from_values(cls, resolution: Resolution, values) -> "GridFunction":
+        return cls(resolution, np.asarray(values).reshape(resolution.grid_shape))
 
     @classmethod
-    def constant(cls, value, resolution: Resolution, mode: str = "exact") -> "GridFunction":
-        if mode == "float":
-            arr = np.full(resolution.grid_shape, float(value), dtype=np.float64)
-            return cls(resolution, arr, mode)
+    def constant(cls, value, resolution: Resolution) -> "GridFunction":
         num, den = map(int, Fraction(value).as_integer_ratio())
         arr = np.full(resolution.grid_shape, num, dtype=int_dtype(abs(num)))
-        return cls(resolution, arr, mode, den)
+        return cls(resolution, arr, den)
 
     @classmethod
-    def zero(cls, resolution: Resolution, mode: str = "exact") -> "GridFunction":
-        return cls.constant(0, resolution, mode)
+    def zero(cls, resolution: Resolution) -> "GridFunction":
+        return cls.constant(0, resolution)
 
     @property
     def d(self) -> int:
         return self.resolution.d
 
-    def to_float(self) -> "GridFunction":
-        """Cellwise float64; correctly rounded when ``den`` is a power of two,
-        as every ``den`` built from dyadic data is."""
-        if self.mode == "float":
-            return self
-        arr = self.values.astype(np.float64)
-        if self.den != 1:
-            arr /= self.den
-        return GridFunction(self.resolution, arr, "float")
-
     def float_values(self) -> np.ndarray:
-        return self.to_float().values
+        """Cellwise float64, correctly rounded.  One float64 division rounds
+        once when the numerators and ``den`` are exact in float64, or for
+        int64 numerators over a power of two up to 2**1022 (an exact
+        scaling); otherwise each cell is the Python ``int / int``."""
+        den = self.den
+        if (den & (den - 1) or den > 1 << 1022 or self.values.dtype == object) \
+                and max(max_abs(self.values), den) > 1 << 53:
+            return np.array([v / den for v in self.values.ravel().tolist()],
+                            dtype=np.float64).reshape(self.values.shape)
+        arr = self.values.astype(np.float64)
+        if den != 1:
+            arr /= den
+        return arr
 
 
 def refine(f: GridFunction, resolution: Resolution) -> GridFunction:
@@ -307,7 +292,7 @@ def refine(f: GridFunction, resolution: Resolution) -> GridFunction:
     for axis, (m_new, m_old) in enumerate(zip(resolution.levels, f.resolution.levels)):
         if m_new > m_old:
             arr = np.repeat(arr, 1 << (m_new - m_old), axis=axis)
-    return GridFunction(resolution, arr, f.mode, f.den)
+    return GridFunction(resolution, arr, f.den)
 
 
 def common_refinement(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -317,22 +302,18 @@ def common_refinement(f: GridFunction, g: GridFunction) -> tuple[GridFunction, G
 
 def _binary(f: GridFunction, g, op) -> GridFunction:
     """Cellwise ``op`` (``np.add``, ``np.subtract`` or ``np.multiply``)
-    against a GridFunction or a scalar.  Exact operands (an int or Fraction
-    scalar counts as one) give an exact result: sums go over the lcm of the
-    denominators, products over their product."""
+    against a GridFunction or a scalar, exactly: a scalar is taken at its
+    exact value (a float too, as in ``GridFunction.constant``); sums go over
+    the lcm of the denominators, products over their product."""
     if isinstance(g, GridFunction):
         f, g = common_refinement(f, g)
-        exact, g_num, g_den = g.mode == "exact", g.values, g.den
+        g_num, g_den = g.values, g.den
     else:
-        exact = isinstance(g, (int, Fraction)) and not isinstance(g, bool)
-        if exact:
-            g_num, g_den = Fraction(g).as_integer_ratio()
-    if not (exact and f.mode == "exact"):
-        other = g.float_values() if isinstance(g, GridFunction) else float(g)
-        return GridFunction(f.resolution, op(f.float_values(), other), "float")
+        g_num, g_den = Fraction(g).as_integer_ratio()
     if op is np.multiply:
         den, f_mul, g_mul = f.den * g_den, 1, 1
-        bound = max_abs(f.values) * max_abs(g_num)
+        # max(peak, 1): each factor must fit too, not just their product
+        bound = max(max_abs(f.values), 1) * max(max_abs(g_num), 1)
     else:
         den = math.lcm(f.den, g_den)
         f_mul, g_mul = den // f.den, den // g_den
@@ -340,7 +321,7 @@ def _binary(f: GridFunction, g, op) -> GridFunction:
     dtype = int_dtype(max(bound, f_mul, g_mul))
     arr = op(np.asarray(f.values, dtype=dtype) * f_mul,
              np.asarray(g_num, dtype=dtype) * g_mul)
-    return GridFunction(f.resolution, arr, "exact", den)
+    return GridFunction(f.resolution, arr, den)
 
 
 def add(f: GridFunction, g) -> GridFunction:
@@ -360,11 +341,9 @@ def scale(f: GridFunction, c) -> GridFunction:
 
 
 def grids_equal(f: GridFunction, g: GridFunction) -> bool:
-    """Cellwise equality on the common refinement: exact when both grids are
-    (lowest terms make them unique), in float64 when one is a float grid."""
+    """Cellwise equality on the common refinement; lowest terms make the
+    numerators and ``den`` unique."""
     a, b = common_refinement(f, g)
-    if a.mode != b.mode:
-        a, b = a.to_float(), b.to_float()
     return a.den == b.den and bool(np.all(a.values == b.values))
 
 
@@ -374,26 +353,21 @@ def grids_equal(f: GridFunction, g: GridFunction) -> bool:
 
 
 def expectation(f: GridFunction):
-    """Mean value = 2**-(m1+...+md) * sum of cells; Fraction in exact mode."""
-    if f.mode == "exact":
-        total = f.values.sum(dtype=int_dtype(max_abs(f.values) * f.resolution.cells))
-        return Fraction(int(total), f.resolution.cells * f.den)
-    return float(np.sum(f.values)) / f.resolution.cells
+    """Mean value = 2**-(m1+...+md) * sum of cells, as a Fraction."""
+    total = f.values.sum(dtype=int_dtype(max_abs(f.values) * f.resolution.cells))
+    return Fraction(int(total), f.resolution.cells * f.den)
 
 
 def inner_product(f: GridFunction, g: GridFunction):
-    """E(f*g), exact when both operands are exact."""
+    """E(f*g), exactly."""
     return expectation(mul(f, g))
 
 
 def lp_moment(f: GridFunction, p: int):
-    """E|f|**p for integer p >= 1; exact (Fraction) in exact mode."""
+    """E|f|**p for integer p >= 1, as a Fraction."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("lp_moment needs an integer p >= 1")
-    if f.mode == "exact":
-        return Fraction(_int_abs_power_sum(f.values, p),
-                        f.resolution.cells * f.den ** p)
-    return float(np.mean(np.abs(f.values) ** p))
+    return Fraction(_int_abs_power_sum(f.values, p), f.resolution.cells * f.den ** p)
 
 
 def _int_abs_power_sum(values: np.ndarray, p: int) -> int:
@@ -410,22 +384,25 @@ def _int_abs_power_sum(values: np.ndarray, p: int) -> int:
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """(E|f|**p)**(1/p).  For integer p in exact mode the moment is exact and
-    only the final root is floating point; otherwise float throughout."""
+    """(E|f|**p)**(1/p).  For integer p the moment is exact and only the
+    final root is floating point; other p go through ``float_values``."""
     if p <= 0:
         raise ValueError("p must be positive")
-    if f.mode == "exact" and isinstance(p, int):
-        moment = lp_moment(f, p)
-        return float(moment) ** (1.0 / p)
-    return float(np.mean(np.abs(f.float_values()) ** float(p)) ** (1.0 / float(p)))
+    if isinstance(p, int):
+        return float(lp_moment(f, p)) ** (1.0 / p)
+    return _float_lp_norm(np.abs(f.float_values()), p)
+
+
+def _float_lp_norm(abs_values: np.ndarray, p) -> float:
+    """(mean of abs_values**p)**(1/p) in float64: the one float L^p
+    expression, for arrays that are already nonnegative."""
+    return float(np.mean(abs_values ** float(p)) ** (1.0 / float(p)))
 
 
 def sup_norm(f: GridFunction):
     """max |cell value| -- exact, since f is piecewise constant on its grid."""
-    if f.mode == "exact":
-        peak = max_abs(f.values)
-        return peak if f.den == 1 else Fraction(peak, f.den)
-    return float(np.max(np.abs(f.values)))
+    peak = max_abs(f.values)
+    return peak if f.den == 1 else Fraction(peak, f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +416,7 @@ def haar_1d(interval: DyadicInterval, resolution: Resolution) -> GridFunction:
     if resolution.d != 1:
         raise ValueError("haar_1d needs a 1-dimensional resolution")
     vec = _haar_axis_values(interval, resolution.levels[0])
-    return GridFunction(resolution, vec, "exact")
+    return GridFunction(resolution, vec)
 
 
 def _haar_axis_values(interval: DyadicInterval, m: int) -> np.ndarray:
@@ -467,7 +444,7 @@ def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
         shape = [1] * rect.d
         shape[axis] = vec.size
         arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8), "exact")
+    return GridFunction(resolution, arr.astype(np.int8))
 
 
 def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
@@ -487,7 +464,7 @@ def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunctio
         shape = [1] * rect.d
         shape[axis] = vec.size
         arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8), "exact")
+    return GridFunction(resolution, arr.astype(np.int8))
 
 
 # -- transform kernels -------------------------------------------------------
@@ -577,8 +554,8 @@ def synthesize(arr: np.ndarray, signed: bool = True) -> np.ndarray:
 class HaarSpectrum:
     """Tensor Haar coefficients of a GridFunction.
 
-    ``coefficients`` has the same shape as the value grid (in exact mode,
-    numerators over ``den`` in lowest terms).  Along each axis, index 0 is
+    ``coefficients`` has the same shape as the value grid: integer
+    numerators over ``den``, in lowest terms.  Along each axis, index 0 is
     the constant factor and index ``2**k + j`` is the Haar function of
     interval ``(k, j)``; a tensor entry is the coefficient of the product
     of its per-axis factors.  The support weight of an entry is
@@ -589,7 +566,6 @@ class HaarSpectrum:
 
     resolution: Resolution
     coefficients: np.ndarray
-    mode: str
     den: int = 1
 
 
@@ -600,27 +576,20 @@ def _cover(resolution: Resolution) -> int:
 
 def haar_analyze(f: GridFunction) -> HaarSpectrum:
     cells = f.resolution.cells
-    exact = f.mode == "exact"
     # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
-    arr = f.values.astype(int_dtype(max(max_abs(f.values), 1) * cells) if exact
-                          else np.float64, copy=False)
+    arr = f.values.astype(int_dtype(max(max_abs(f.values), 1) * cells), copy=False)
     for axis in range(f.d):
         arr = apply_along_axis0(_analyze_axis0, arr, axis)
-    if not exact:
-        return HaarSpectrum(f.resolution, arr / cells, "float")
     num, den = _lowest_terms(arr, f.den * cells)
-    return HaarSpectrum(f.resolution, num, "exact", den)
+    return HaarSpectrum(f.resolution, num, den)
 
 
 def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
     arr = spectrum.coefficients
-    if spectrum.mode == "exact":
-        if arr.dtype.kind not in ("i", "u", "O"):
-            raise ValueError("exact spectrum needs integer or object coefficients")
-        arr = arr.astype(int_dtype(max_abs(arr) * _cover(spectrum.resolution)),
-                         copy=False)
-    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.mode,
-                        spectrum.den)
+    if arr.dtype.kind not in "iuO":
+        raise ValueError("a spectrum needs integer or object coefficients")
+    arr = arr.astype(int_dtype(max_abs(arr) * _cover(spectrum.resolution)), copy=False)
+    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.den)
 
 
 def _support_weights(m: int) -> np.ndarray:
@@ -635,40 +604,35 @@ def _support_weights(m: int) -> np.ndarray:
 
 def parseval_l2_moment(spectrum: HaarSpectrum):
     """||f||_2**2 from the spectrum: sum of c**2 times support weight."""
-    arr = spectrum.coefficients
     res = spectrum.resolution
-    if spectrum.mode == "exact":
-        # sum of weights is cells * _cover, each weighting a c**2 <= peak**2;
-        # max(peak, 1) keeps the weights themselves (up to cells) in range
-        arr = arr.astype(int_dtype(max(max_abs(arr), 1) ** 2 * res.cells
-                                   * _cover(res)), copy=False)
+    # sum of weights is cells * _cover, each weighting a c**2 <= peak**2;
+    # max(peak, 1) keeps the weights themselves (up to cells) in range
+    arr = spectrum.coefficients
+    arr = arr.astype(int_dtype(max(max_abs(arr), 1) ** 2 * res.cells * _cover(res)),
+                     copy=False)
     w = math.prod(np.ix_(*(_support_weights(m).astype(arr.dtype)
                            for m in res.levels)))
-    total = np.sum(arr * arr * w)
-    if spectrum.mode == "exact":
-        return Fraction(int(total), res.cells * spectrum.den ** 2)
-    return float(total) / res.cells
+    return Fraction(int(np.sum(arr * arr * w)), res.cells * spectrum.den ** 2)
 
 
 def square_function_squared(f: GridFunction) -> GridFunction:
     """S(f)**2: for every spectrum entry, its squared coefficient spread over
     the entry's support.  In d=1 this is |Ef|**2 + sum over intervals of
-    (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.  Exact in exact
-    mode: the unsigned synthesis of the squared numerators over ``den**2``."""
+    (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.  Exact: the
+    unsigned synthesis of the squared numerators over ``den**2``."""
     spectrum = haar_analyze(f)
+    # the peak is measured: a priori it can be far below cells * max|f|
     coef = spectrum.coefficients
-    if f.mode == "exact":
-        # the peak is measured: a priori it can be far below cells * max|f|
-        coef = coef.astype(int_dtype(max_abs(coef) ** 2 * _cover(f.resolution)),
-                           copy=False)
+    coef = coef.astype(int_dtype(max_abs(coef) ** 2 * _cover(f.resolution)), copy=False)
     return GridFunction(f.resolution, synthesize(coef * coef, signed=False),
-                        f.mode, spectrum.den ** 2)
+                        spectrum.den ** 2)
 
 
-def square_function(f: GridFunction) -> GridFunction:
-    """S(f) itself (float mode: the cellwise square root is irrational)."""
-    sq = square_function_squared(f)
-    return GridFunction(f.resolution, np.sqrt(sq.float_values()), "float")
+def square_function(f: GridFunction) -> np.ndarray:
+    """S(f) as a float64 array (the cellwise square root is irrational),
+    taken in place on the one float conversion of S(f)**2."""
+    sf = square_function_squared(f).float_values()
+    return np.sqrt(sf, out=sf)
 
 
 def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
@@ -683,12 +647,9 @@ def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
         inter_shape.extend((1 << mf, fac))
     sum_axes = tuple(range(1, 2 * f.d, 2))
     count = math.prod(factors)
-    exact = f.mode == "exact"
     sums = f.values.reshape(inter_shape).sum(
-        axis=sum_axes, dtype=int_dtype(max_abs(f.values) * count) if exact else None)
-    if exact:
-        return GridFunction(field, sums, "exact", f.den * count)
-    return GridFunction(field, sums / count, "float")
+        axis=sum_axes, dtype=int_dtype(max_abs(f.values) * count))
+    return GridFunction(field, sums, f.den * count)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +682,7 @@ def lp_profile(f: GridFunction, p_list) -> LPReport:
     entries = []
     for p in ps:
         nf = lp_norm(f, p)
-        ns = lp_norm(sf, p)
+        ns = _float_lp_norm(sf, p)  # S(f) >= 0
         entries.append(LPEntry(
             p=float(p), norm=nf, square_function_norm=ns,
             a_p=(ns / nf) if nf else float("nan"),
@@ -744,6 +705,6 @@ def orlicz_norm_estimate(f: GridFunction, alpha: float, p_max: int) -> float:
     vals = np.abs(f.float_values())
     best = 0.0
     for p in range(1, p_max + 1):
-        best = max(best, float(p) ** (-1.0 / alpha) * float(np.mean(vals ** p) ** (1.0 / p)))
+        best = max(best, float(p) ** (-1.0 / alpha) * _float_lp_norm(vals, p))
     return best
 

@@ -261,32 +261,34 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
 
 
 def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:
-    arr = shape_sum_grid({rf.shape: rf.signs}, resolution)
-    return GridFunction(resolution, arr, "exact")
+    return GridFunction(resolution, shape_sum_grid({rf.shape: rf.signs}, resolution))
+
+
+def _require_exact(field: CoefficientField) -> None:
+    if field.mode != "exact":
+        raise ValueError("grid functions are exact: this needs an integer field")
 
 
 def hyperbolic_sum(field: CoefficientField,
                    resolution: Resolution | None = None) -> GridFunction:
     """H_n = sum over all rectangles (every shape in the field, coarse shapes
     included for extended fields) of alpha(R) h_R, exactly on the grid."""
+    _require_exact(field)
     if resolution is None:
         resolution = field_resolution(field)
-    arr = shape_sum_grid(field.values, resolution)
-    return GridFunction.from_values(resolution, arr)
+    return GridFunction(resolution, shape_sum_grid(field.values, resolution))
 
 
 def coefficient_square_sum(field: CoefficientField,
                            resolution: Resolution | None = None) -> GridFunction:
     """sum over exact-volume rectangles of alpha(R)**2 1_R -- the squared
-    square function of the hyperbolic sum.  Computed by the unsigned
-    butterfly, so it is exact for integer fields."""
+    square function of the hyperbolic sum, exact by the unsigned butterfly."""
+    _require_exact(field)
     if resolution is None:
         resolution = field_resolution(field)
-    wide = np.float64 if field.mode == "float" else np.int64
-    squares = {s: field.values[s].astype(wide) ** 2
+    squares = {s: field.values[s].astype(np.int64) ** 2
                for s in field.exact_volume_shapes}
-    arr = shape_sum_grid(squares, resolution, signed=False)
-    return GridFunction.from_values(resolution, arr)
+    return GridFunction(resolution, shape_sum_grid(squares, resolution, signed=False))
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
@@ -297,8 +299,7 @@ def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
     if resolution is None:
         resolution = minimal_resolution(chosen, field.d)
     sign_arrays = {s: signs_of(field.values[s]) for s in chosen}
-    arr = shape_sum_grid(sign_arrays, resolution)
-    return GridFunction(resolution, arr, "exact")
+    return GridFunction(resolution, shape_sum_grid(sign_arrays, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +313,10 @@ def trivial_bound_report(field: CoefficientField) -> dict:
     n, d = field.n, field.d
     count = shape_count(n, d)
     h = hyperbolic_sum(field)
-    lhs = Fraction(field.abs_sum(), 1 << n) if field.mode == "exact" \
-        else field.abs_sum() / float(1 << n)
+    lhs = Fraction(field.abs_sum(), 1 << n)
     l2_sq = grid.lp_moment(h, 2)
     sup = grid.sup_norm(h)
-    ortho_rhs = (Fraction(field.square_sum(), 1 << n) if field.mode == "exact"
-                 else field.square_sum() / float(1 << n))
+    ortho_rhs = Fraction(field.square_sum(), 1 << n)
     chain_first = lhs * lhs <= count * l2_sq
     chain_second = l2_sq <= sup * sup
     return {
@@ -400,7 +399,7 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
     ps = list(range(1, p_max + 1))
     ratios = []
     for p in ps:
-        norm_p = float(np.mean(vals ** p) ** (1.0 / p))
+        norm_p = grid._float_lp_norm(vals, p)
         ratios.append(norm_p * p ** (-(d - 1) / 2.0) / s_inf if s_inf else float("nan"))
     return {
         "n": field.n,

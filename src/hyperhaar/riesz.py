@@ -17,7 +17,9 @@ numerators of exact grids over one denominator.  The d=2 product is
 so that ``T = Psi * D^q = prod (D + N F_t)`` and the scaled sd/nsd layers
 ``sum_u N^u D^(q-u) sd_u`` are integers over D^q.  All stated identities
 hold for *any* rational value of ``rho~``, so pinning it to the float's
-exact rational loses nothing.
+exact rational loses nothing.  Psi depends only on the coefficient signs,
+so it is an exact grid for float fields too; a float field (the d=2 check
+only) meets it through its float64 hyperbolic sum and float64 sums.
 
 The reports never build per-cell Python integers.  Every cell is
 pooled by its small-integer vector (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q),
@@ -80,39 +82,41 @@ def _temlyakov_scaled(field: CoefficientField, n: int) -> np.ndarray:
 def temlyakov_product(field: CoefficientField, n: int) -> GridFunction:
     """Psi = prod over all n+1 shapes s of (1 + psi_s/2), where psi_s is the
     sign-pattern r-function of shape (s, n-s).  Nonnegative with mean one.
-    Float cells equal the exact ones: dyadic, with numerators below 2^53."""
+    Exact for float fields too: Psi depends only on the signs."""
     _check_d2_exact_volume(field, n)
-    res = Resolution((n + 1, n + 1))
-    scaled = _temlyakov_scaled(field, n)
-    if field.mode == "float":
-        return GridFunction(res, scaled / 2 ** (n + 1), "float")
-    return GridFunction(res, scaled, "exact", den=2 ** (n + 1))
+    return GridFunction(Resolution((n + 1, n + 1)), _temlyakov_scaled(field, n),
+                        den=2 ** (n + 1))
 
 
 def verify_temlyakov(field: CoefficientField, n: int) -> dict:
-    """Check, exactly in rational mode: Psi >= 0 cellwise, E(Psi) = 1, and
-    <H, Psi> = 2^(-n-1) * sum of |alpha(R)| over the exact-volume
-    rectangles.  Coarser-rectangle coefficients may be present in the
-    field; they change H but cancel from the inner product.
+    """Check: Psi >= 0 cellwise, E(Psi) = 1, and <H, Psi> = 2^(-n-1) * sum
+    of |alpha(R)| over the exact-volume rectangles.  Coarser-rectangle
+    coefficients may be present in the field; they change H but cancel
+    from the inner product.  Exact for integer fields; a float field's H is
+    a float64 array, and the mean and inner product are float64 sums
+    checked to 1e-10.
 
     Returns a record with per-check results; failures are structured (the
     offending identity and, for negativity, a witness cell), not raised.
     """
     _check_d2_exact_volume(field, n)
-    h = hyperbolic.hyperbolic_sum(field, Resolution((n + 1, n + 1)))
-    exact_abs_sum = field.abs_sum()
+    res = Resolution((n + 1, n + 1))
     failures = []
     psi = temlyakov_product(field, n)
     if field.mode == "float":
         tol = 1e-10
-        expected = float(exact_abs_sum) / 2 ** (n + 1)
+        expected = field.abs_sum() / 2 ** (n + 1)
+        h = hyperbolic.shape_sum_grid(field.values, res)
+        psi_values = psi.float_values()
+        mean = float(np.sum(psi_values)) / res.cells
+        inner = float(np.sum(h * psi_values)) / res.cells
     else:
         tol = 0
-        expected = Fraction(exact_abs_sum, 2 ** (n + 1))
-    nonneg = bool(np.min(psi.values) >= -tol)
-    mean = grid.expectation(psi)
+        expected = Fraction(field.abs_sum(), 2 ** (n + 1))
+        mean = grid.expectation(psi)
+        inner = grid.inner_product(hyperbolic.hyperbolic_sum(field, res), psi)
+    nonneg = bool(np.min(psi.values) >= 0)
     mean_ok = abs(mean - 1) <= tol
-    inner = grid.inner_product(h, psi)
     inner_ok = abs(inner - expected) <= tol * max(1, abs(expected))
     if not nonneg:
         idx = np.unravel_index(int(np.argmin(psi.values)), psi.values.shape)
@@ -290,8 +294,7 @@ class _Pool:
         """The exact grid taking ``per_key[k] / den`` on the cells of key k."""
         values = np.array(per_key, dtype=grid.int_dtype(max(map(abs, per_key))))
         return GridFunction(resolution,
-                            values[self.inverse].reshape(resolution.grid_shape),
-                            "exact", den)
+                            values[self.inverse].reshape(resolution.grid_shape), den)
 
 
 def _dot(a, b) -> int:
@@ -596,7 +599,7 @@ def gamma(field: CoefficientField, params: RieszParams, t: int) -> GridFunction:
     res = hyperbolic.field_resolution(field)
     block = params.blocks[t - 1]
     return GridFunction(res, _gamma_grid(
-        block, coincidence.own_r_grids(field, block), res), "exact")
+        block, coincidence.own_r_grids(field, block), res))
 
 
 def gamma_identity_report(sp: ShortProduct) -> dict:

@@ -270,6 +270,23 @@ class TestExperiments:
         assert captured.out == ""
         assert "--vertices" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["riesz2d", "--trials", "0"],
+        ["sharpness", "--n-range", "3..3", "--trials", "-1"],
+        ["riesz2d", "--threads", "-4"],
+        ["sharpness", "--n-range", "3..3", "--trials", "1", "--threads", "0"],
+        ["lp-profile", "--n", "2", "--threads", "0"],
+    ])
+    def test_nonpositive_trials_or_threads_rejected(self, argv, capsys):
+        # riesz2d --trials 0 used to exit 0 with "ok": true after checking
+        # nothing, and --threads -4 ran serially
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("--threads" if "--threads" in argv else "--trials") in captured.err
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_riesz3d_nonpositive_budget_rejected(self, budget, capsys):
         with pytest.raises(SystemExit) as exc:

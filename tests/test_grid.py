@@ -156,19 +156,27 @@ class TestAlgebra:
     def test_exact_fraction_scaling(self):
         f = GridFunction.constant(3, Resolution((1,)))
         g = grid.scale(f, Fraction(1, 2))
-        assert g.mode == "exact"
+        assert g.den == 2
         assert Fraction(int(g.values[0]), g.den) == Fraction(3, 2)
 
     def test_constant_keeps_exact_fractions(self):
         res = Resolution((1,))
         half = GridFunction.constant(Fraction(1, 2), res)
-        assert half.mode == "exact" and half.den == 2
+        assert half.den == 2
         assert _fractions(half.values, half.den) == [Fraction(1, 2)] * 2
         assert grid.expectation(GridFunction.constant(0.75, res)) == Fraction(3, 4)
         tiny = GridFunction.constant(Fraction(-1, 2**70), res)
         assert grid.expectation(tiny) == Fraction(-1, 2**70)
-        f = GridFunction.constant(0.5, res, mode="float")
-        assert f.mode == "float" and list(f.values) == [0.5, 0.5]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_values_refused(self, dtype):
+        with pytest.raises(ValueError, match="integer dtype"):
+            GridFunction(Resolution((1,)), np.zeros(2, dtype=dtype))
+
+    @pytest.mark.parametrize("den", [0, -2, 2.0])
+    def test_den_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="den"):
+            GridFunction(Resolution((1,)), np.ones(2, dtype=np.int8), den)
 
     def test_dimension_mismatch_rejected(self):
         a = GridFunction.constant(1, Resolution((1,)))
@@ -216,11 +224,6 @@ class TestMoments:
         assert grid.sup_norm(f) == 128
         assert grid.lp_moment(f, 1) == Fraction(133, 2)
 
-    def test_float_mode_moments(self):
-        f = GridFunction.constant(2.0, Resolution((1, 1)), mode="float")
-        assert grid.expectation(f) == pytest.approx(2.0)
-        assert grid.lp_norm(f, 3) == pytest.approx(2.0)
-
 
 # ---------------------------------------------------------------------------
 # Haar transform
@@ -261,15 +264,8 @@ class TestHaarTransform:
             res, rng.integers(-9, 10, size=res.grid_shape, dtype=np.int64)
         )
         back = grid.haar_synthesize(grid.haar_analyze(f))
-        assert back.mode == "exact"
+        assert back.den == 1
         assert np.array_equal(back.values, f.values)
-
-    def test_round_trip_float(self):
-        res = Resolution((3, 2))
-        rng = np.random.default_rng(5)
-        f = GridFunction(res, rng.standard_normal(res.grid_shape), "float")
-        back = grid.haar_synthesize(grid.haar_analyze(f))
-        assert np.allclose(back.values, f.values, atol=1e-12)
 
     def test_parseval_moment_from_spectrum(self):
         res = Resolution((2, 2))
@@ -385,7 +381,7 @@ class TestSquareFunction:
         )
         s1 = grid.square_function(grid.scale(f, -3))
         s2 = grid.square_function(f)
-        assert np.allclose(s1.values, 3 * s2.values)
+        assert np.allclose(s1, 3 * s2)
 
     def test_l2_ratio_is_one(self):
         res = Resolution((3, 2))
@@ -461,7 +457,7 @@ class TestExactRoutesAgainstOracle:
         sq = grid.square_function_squared(f)
         expected = grid.synthesize(coef * coef, signed=False)
         assert _fractions(sq.values, sq.den) == list(expected.flat)
-        assert list(sq.to_float().values.flat) == [float(v) for v in expected.flat]
+        assert list(sq.float_values().flat) == [float(v) for v in expected.flat]
 
         moment = _oracle_parseval(coef, levels)
         assert grid.parseval_l2_moment(spectrum) == moment
@@ -473,7 +469,7 @@ class TestExactRoutesAgainstOracle:
             ce = grid.conditional_expectation(g, Resolution(field))
             oracle = _oracle_conditional(g_cells, levels, field)
             assert _fractions(ce.values, ce.den) == list(oracle.flat)
-            assert list(ce.to_float().values.flat) == [float(v) for v in oracle.flat]
+            assert list(ce.float_values().flat) == [float(v) for v in oracle.flat]
         return spectrum, sq
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
@@ -515,6 +511,21 @@ class TestExactRoutesAgainstOracle:
         assert grid.sup_norm(sq) == Fraction(
             max(int(v) for v in sq.values.flat), sq.den)
 
+    @pytest.mark.parametrize("nums, den", [
+        (2**60 + np.arange(256), 3),  # numerators past 2^53, odd den
+        (np.arange(-128, 128), 3**40),  # den past 2^53
+        (2**80 + 2**26 * np.arange(256, dtype=object), 3),  # Python ints
+        (2**1100 + np.arange(256, dtype=object), 2**1000),  # past float64 range
+        (np.arange(1, 257), 2**1030),  # den past float64 range
+        (2**60 + np.arange(256), 2**10),  # power of two: the float64 route
+    ])
+    def test_float_values_correctly_rounded(self, nums, den):
+        # dividing the rounded numerators by the rounded den rounded twice:
+        # 2^60 + k over 3 missed float(Fraction) in most cells
+        f = GridFunction(Resolution((8,)), nums, den)
+        assert f.float_values().dtype == np.float64
+        assert f.float_values().tolist() == [float(Fraction(int(v), den)) for v in nums]
+
     def test_binary_ops_combine_denominators(self):
         res = Resolution((2,))
         a = grid.scale(GridFunction.from_values(res, np.array([1, 2, 3, 4])),
@@ -534,11 +545,11 @@ class TestExactRoutesAgainstOracle:
             assert math.gcd(out.den, *map(int, out.values.flat)) == 1
         assert grid.mul(a, 3).den == 2 and grid.mul(a, 6).den == 1
         assert grid.grids_equal(grid.sub(grid.add(a, b), b), a)
-        assert grid.grids_equal(a, a.to_float()) and grid.grids_equal(a.to_float(), a)
 
     def test_binary_scalar_multipliers(self):
         # the scalar's denominator scales the grid: 2^70 needs Python ints,
-        # 128 needs more than int8, even when the grid is all zeros
+        # 128 needs more than int8, even when the grid is all zeros; so does
+        # a product's numerator 1000; a float counts at its exact value
         res = Resolution((2,))
         grids = [GridFunction.zero(res),
                  GridFunction.from_values(res, np.array([1, -2, 3, 0], np.int8))]
@@ -549,10 +560,11 @@ class TestExactRoutesAgainstOracle:
         }
         for f in grids:
             assert f.values.dtype == np.int8
-            for c in (Fraction(1, 2**70), Fraction(1, 3), Fraction(5, 128)):
+            for c in (Fraction(1, 2**70), Fraction(1, 3), Fraction(5, 128),
+                      Fraction(1000, 3), 0.1, -2.5):
                 for op, ref in cases.items():
                     out = op(f, c)
-                    expected = [ref(x, c) for x in _fractions(f.values, f.den)]
+                    expected = [ref(x, Fraction(c)) for x in _fractions(f.values, f.den)]
                     assert _fractions(out.values, out.den) == expected
 
     def test_zero_grids_at_the_width_edges(self):
@@ -624,7 +636,7 @@ class TestLPDiagnostics:
             res = Resolution((6,))
             spec = np.zeros(res.grid_shape, dtype=np.int64)
             spec[1:] = rng.integers(0, 2, size=spec.size - 1) * 2 - 1
-            f = grid.haar_synthesize(grid.HaarSpectrum(res, spec, "exact"))
+            f = grid.haar_synthesize(grid.HaarSpectrum(res, spec))
             prof = grid.lp_profile(f, [2, 4, 8, 16])
             worst = max(worst, max(e.b_p / math.sqrt(e.p) for e in prof.entries))
         assert worst <= 0.75

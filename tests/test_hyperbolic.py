@@ -177,6 +177,14 @@ class TestHyperbolicSum:
         assert arr.dtype == np.dtype(dtype)
         assert grid.max_abs(arr) == total
 
+    @pytest.mark.parametrize("report", [hyperbolic.hyperbolic_sum,
+                                        hyperbolic.coefficient_square_sum,
+                                        hyperbolic.trivial_bound_report])
+    def test_float_field_refused(self, report):
+        # grid functions are exact; only the d=2 product reads float fields
+        with pytest.raises(ValueError, match="integer field"):
+            report(CoefficientField.random_normal(2, 2, 0))
+
     def test_coarse_shapes_enter_the_sum(self):
         base = CoefficientField.random_signs(2, 2, 30)
         ext = hyperbolic.add_coarse_random(base, 31)

@@ -50,7 +50,6 @@ class TestTemlyakovProduct:
     def test_product_grid_properties(self):
         f = CoefficientField.random_signs(2, 2, 74)
         psi = riesz.temlyakov_product(f, 2)
-        assert psi.mode == "exact"
         assert grid.expectation(psi) == 1
         assert min(psi.values.reshape(-1)) >= 0
 
