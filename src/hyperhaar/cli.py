@@ -327,6 +327,8 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
+    if args.d != 3:
+        raise ValueError(f"riesz3d is a d=3 construction, not d={args.d}")
     _apply_budget(args)
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
     field = CoefficientField.random_signs(args.n, 3, args.seed)

@@ -21,13 +21,14 @@ exact rational loses nothing.  Psi depends only on the coefficient signs,
 so it is an exact grid for float fields too; a float field (the d=2 check
 only) meets it through its float64 hyperbolic sum and float64 sums.
 
-The reports never build per-cell Python integers.  Every cell is
-pooled by its small-integer vector (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q),
-which fixes T and both layers on that cell; the big-integer arithmetic is
-done once per distinct vector, and weighted by int64 cell counts or by
-int64 sums of H over the vector's cells.  Partial products depend on the
-F_t alone and pool on (F_1..F_q).  One ``ShortProduct`` holds the grids
-and pools of a field, builds each on first use, and serves every report.
+The reports never build per-cell Python integers.  Each nonlinear
+quantity pools the cells by the small-integer vector it depends on:
+(F_1..F_q) for T and the partial products, (sd_1..sd_q) for Psi_sd and
+(nsd_2..nsd_q) for Psi_nsd.  The big-integer arithmetic is done once per
+distinct vector, weighted by int64 cell counts or by int64 sums of H over
+the vector's cells.  The split itself is checked per power of rho~, on
+integer grids.  One ``ShortProduct`` holds the grids and pools of a
+field, builds each on first use, and serves every report.
 
 Every r-function is synthesized once, by ``hyperbolic.r_function_grid``.
 The short product keeps each one on its own grid (per axis, its level
@@ -274,7 +275,8 @@ class _Pool:
     count of every key, and one representative cell per key."""
 
     def __init__(self, columns) -> None:
-        self.inverse, counts = _fold_key(columns)
+        inverse, counts = _fold_key(columns)
+        self.inverse = inverse.astype(grid.int_dtype(counts.size))
         self.counts = counts.tolist()
         self.rep = np.empty(counts.size, dtype=np.int64)
         self.rep[self.inverse] = np.arange(self.inverse.size)
@@ -315,19 +317,6 @@ def _sd_tuple_counts(params: RieszParams) -> dict[int, int]:
     sizes = [len(b) for b in params.blocks]
     return {u: sum(math.prod(combo) for combo in itertools.combinations(sizes, u))
             for u in range(1, params.q + 1)}
-
-
-@dataclass(frozen=True)
-class KeyedValues:
-    """The scaled short product and its split at every pool key:
-    ``t = prod_t (D + N F_t)``, ``sd``/``nsd`` the layers weighted by
-    N^u D^(q-u) and summed over u, ``sd_layers[u]`` the raw sd layer u."""
-
-    counts: list[int]
-    t: list[int]
-    sd: list[int]
-    nsd: list[int]
-    sd_layers: dict[int, list[int]]
 
 
 class ShortProduct:
@@ -403,11 +392,16 @@ class ShortProduct:
         return _Pool(self.block_sums)
 
     @cached_property
-    def pool(self) -> _Pool:
-        """Cells pooled by (F_1..F_q, sd_1..sd_q, nsd_1..nsd_q), with the
-        F part entered as its ``f_pool`` index."""
-        sd, nsd = self.layers
-        return _Pool([self.f_pool.inverse, *sd.values(), *nsd.values()])
+    def sd_pool(self) -> _Pool:
+        """Cells pooled by (sd_1..sd_q)."""
+        return _Pool(list(self.layers[0].values()))
+
+    @cached_property
+    def nsd_pool(self) -> _Pool:
+        """Cells pooled by (nsd_2..nsd_q).  nsd_1 is always zero (a single
+        shape is strongly distinct); it is the whole key only when q = 1."""
+        nsd = list(self.layers[1].values())
+        return _Pool(nsd[1:] or nsd)
 
     @cached_property
     def f_values(self) -> list[tuple[int, ...]]:
@@ -419,22 +413,13 @@ class ShortProduct:
         n_, d_ = self.num, self.den
         return [math.prod(d_ + n_ * fs[t - 1] for t in v) for fs in self.f_values]
 
-    @cached_property
-    def keyed(self) -> KeyedValues:
-        """T and the scaled layers at every key of ``pool``, in Python ints."""
-        pool = self.pool
+    def scaled(self, pool: _Pool, by_u: dict[int, np.ndarray]) -> list[int]:
+        """sum over u of N^u D^(q-u) * layer_u at every key of ``pool``,
+        whose key must fix every layer in ``by_u``."""
         q = self.params.q
-        t_by_f = self.partial_products(range(1, q + 1))
-        t = [t_by_f[k] for k in pool.at_keys(self.f_pool.inverse)]
-        weights = [self.num**u * self.den ** (q - u) for u in range(1, q + 1)]
-        sd, nsd = ({u: pool.at_keys(layer) for u, layer in by_u.items()}
-                   for by_u in self.layers)
-        return KeyedValues(
-            counts=pool.counts, t=t,
-            sd=[_dot(weights, vals) for vals in zip(*sd.values())],
-            nsd=[_dot(weights, vals) for vals in zip(*nsd.values())],
-            sd_layers=sd,
-        )
+        weights = [self.num**u * self.den ** (q - u) for u in by_u]
+        return [_dot(weights, vals) for vals in
+                zip(*(pool.at_keys(layer) for layer in by_u.values()))]
 
     def gamma(self, t: int) -> np.ndarray:
         """Gamma_t as an int32 grid; see the module-level ``gamma``."""
@@ -487,40 +472,48 @@ def sd_decomposition(field: CoefficientField,
                      params: RieszParams) -> tuple[GridFunction, GridFunction]:
     """(Psi_sd, Psi_nsd) with Psi = 1 + Psi_sd + Psi_nsd cellwise.
 
-    Psi_sd is the direct enumeration sum rho~^u * (strongly distinct tuple
-    products); Psi_nsd is Psi - 1 - Psi_sd, which the decomposition report
-    checks against the independently enumerated complement.
+    Both are direct enumeration sums rho~^u * (tuple products), over the
+    strongly distinct tuples and over the rest; the decomposition report
+    checks that they split Psi, per u on integer grids.
     """
     sp = ShortProduct(field, params)
-    kv = sp.keyed
-    return (sp.pool.expand(kv.sd, sp.scale, sp.resolution),
-            sp.pool.expand([t - sp.scale - v for t, v in zip(kv.t, kv.sd)],
-                           sp.scale, sp.resolution))
+    sd, nsd = sp.layers
+    return (sp.sd_pool.expand(sp.scaled(sp.sd_pool, sd), sp.scale, sp.resolution),
+            sp.nsd_pool.expand(sp.scaled(sp.nsd_pool, nsd), sp.scale,
+                               sp.resolution))
 
 
 def decomposition_report(sp: ShortProduct) -> dict:
     """Exact decomposition checks on one grid:
 
-    * ``identity_ok``   — Psi = 1 + Psi_sd + Psi_nsd cellwise, with *both*
-      pieces from direct enumeration (so this also certifies that the
-      enumerated complement equals Psi - 1 - Psi_sd);
+    * ``identity_ok``   — Psi = 1 + Psi_sd + Psi_nsd, with *both* pieces
+      from direct enumeration.  Since T = sum_u N^u D^(q-u) e_u(F_1..F_q),
+      it is checked per u, as e_u(F) = sd_u + nsd_u cellwise on integer
+      grids, so it holds for every value of rho~, 0 included;
     * ``sd_mean_zero``  — every sd layer has exact mean zero;
     * tuple counts per layer.
-
-    The key of a cell holds every value the identity reads, so checking it
-    once per key checks it on every cell.
     """
-    kv = sp.keyed
-    identity_ok = all(t == sp.scale + s + ns
-                      for t, s, ns in zip(kv.t, kv.sd, kv.nsd))
-    sd_means = {u: _dot(kv.counts, vals) for u, vals in kv.sd_layers.items()}
+    sd, nsd = sp.layers
+    bounds = _sd_tuple_counts(sp.params)
+    # |e_u(F)| <= e_u(#A_1..#A_q), the u-tuple count; so is every partial
+    # sum and product of the recurrence e_u += F_t e_(u-1)
+    e = {u: np.zeros(sp.resolution.grid_shape, dtype=grid.int_dtype(bound))
+         for u, bound in bounds.items()}
+    for t, f in enumerate(sp.block_sums, 1):
+        for u in range(t, 1, -1):
+            e[u] += np.multiply(f, e[u - 1], dtype=e[u].dtype)
+        e[1] += f
+    identity_ok = all(
+        np.array_equal(e[u], np.add(sd[u], nsd[u], dtype=e[u].dtype))
+        for u in e)
+    sd_sums = {u: int(layer.sum()) for u, layer in sd.items()}
     return {
         "n": sp.params.n,
         "q": sp.params.q,
-        "tuples": sum(_sd_tuple_counts(sp.params).values()),
+        "tuples": sum(bounds.values()),
         "identity_ok": identity_ok,
-        "sd_mean_zero": all(v == 0 for v in sd_means.values()),
-        "sd_layer_sums": sd_means,
+        "sd_mean_zero": all(v == 0 for v in sd_sums.values()),
+        "sd_layer_sums": sd_sums,
     }
 
 
@@ -540,30 +533,35 @@ def duality_certificate(sp: ShortProduct) -> dict:
     The certificate is sound unconditionally -- it is the duality
     inequality itself, so (iii) failing would mean an arithmetic bug.
     Inner products pair the per-key values with the int64 sums of H over
-    each key's cells.
+    each key's cells: ``f_pool`` keys for Psi, ``sd_pool`` keys for Psi_sd
+    and its layers.
     """
     cells = sp.resolution.cells
     sup_h = int(np.max(np.abs(sp.h)))
     if grid.int_dtype(sup_h * cells) is object:
         raise grid.GridTooLargeError("segment sums of H could overflow int64")
-    h_sums = sp.pool.sums(sp.h)
-    kv = sp.keyed
+    sd, _ = sp.layers
+    pool = sp.sd_pool
+    h_sums = pool.sums(sp.h)
     rho = Fraction(sp.num, sp.den)
 
     rhs1 = rho * Fraction(int(sp.field.abs_sum()), 2**sp.params.n)
-    layer_inner = {u: _dot(h_sums, vals) for u, vals in kv.sd_layers.items()}
+    layer_inner = {u: _dot(h_sums, pool.at_keys(layer))
+                   for u, layer in sd.items()}
     inner_sd1 = rho * Fraction(layer_inner[1], cells)
     identity_1 = inner_sd1 == rhs1
 
     higher = {u: v for u, v in layer_inner.items() if u >= 2}
     higher_ok = all(v == 0 for v in higher.values())
 
-    inner_sd = _dot(h_sums, kv.sd)
+    sd_scaled = sp.scaled(pool, sd)
+    inner_sd = _dot(h_sums, sd_scaled)
+    t = sp.partial_products(range(1, sp.params.q + 1))
     certificates = {
-        "psi": _certificate(_dot(h_sums, kv.t),
-                            _dot(kv.counts, map(abs, kv.t)), sup_h),
+        "psi": _certificate(_dot(sp.f_pool.sums(sp.h), t),
+                            _dot(sp.f_pool.counts, map(abs, t)), sup_h),
         "psi_sd": _certificate(inner_sd,
-                               _dot(kv.counts, map(abs, kv.sd)), sup_h),
+                               _dot(pool.counts, map(abs, sd_scaled)), sup_h),
     }
     inner_sd_total = Fraction(inner_sd, cells * sp.scale)
     return {
@@ -674,18 +672,20 @@ def norm_report(sp: ShortProduct, v_list=(), r_list=(1, 2)) -> RieszNormReport:
     heuristic identification rho~^2 #A_q with a^2 q^(2b-1).
     """
     params = sp.params
-    kv = sp.keyed
     scale = sp.scale
     cells = sp.resolution.cells
-    mean = Fraction(_dot(kv.counts, kv.t), cells * scale)
-    negative = Fraction(sum(c for c, v in zip(kv.counts, kv.t) if v < 0), cells)
-    l1 = Fraction(_dot(kv.counts, map(abs, kv.t)), cells * scale)
-    second = Fraction(sum(c * v * v for c, v in zip(kv.counts, kv.t)),
+    counts = sp.f_pool.counts
+    t = sp.partial_products(range(1, params.q + 1))
+    mean = Fraction(_dot(counts, t), cells * scale)
+    negative = Fraction(sum(c for c, v in zip(counts, t) if v < 0), cells)
+    l1 = Fraction(_dot(counts, map(abs, t)), cells * scale)
+    second = Fraction(sum(c * v * v for c, v in zip(counts, t)),
                       cells * scale**2)
     l2 = math.sqrt(float(second))
-    sd_l1 = Fraction(_dot(kv.counts, map(abs, kv.sd)), cells * scale)
-    nsd_l1 = Fraction(_dot(kv.counts, map(abs, kv.nsd)), cells * scale)
-    counts = sp.f_pool.counts
+    sd_l1, nsd_l1 = (
+        Fraction(_dot(pool.counts, map(abs, sp.scaled(pool, by_u))),
+                 cells * scale)
+        for pool, by_u in zip((sp.sd_pool, sp.nsd_pool), sp.layers))
     partial = []
     for v in v_list:
         v = tuple(sorted(v))

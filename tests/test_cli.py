@@ -106,14 +106,19 @@ class TestExperiments:
         assert {"params", "checks", "norms", "certificate"} <= set(payload)
         assert all(c["ok"] for c in payload["checks"])
 
-    def test_riesz3d_output_frozen(self, capsys):
-        # stdout of the reference run, byte for byte, as recorded before
-        # the short-product reductions were pooled
-        code, out = run(["riesz3d", "--n", "4", "--q", "3", "--seed", "0"],
+    @pytest.mark.parametrize("n, digest", [
+        ("4", "bb716ca00b2bb206c7da58fd6a0d1ad3b915f82f10c6cd27e10a20621aa5e6ff"),
+        ("5", "7f699c4766857bc2ceaafa7f851ff88a1c6ad9e350b8a6bf8a0d4d9f72d60afd"),
+        ("6", "50baeb166a2798070fd6b3d04e417b6365bd15bc7f40c5cc7c1c8af5dd49a03d"),
+    ])
+    def test_riesz3d_output_frozen(self, n, digest, capsys):
+        # stdout of the reference runs, byte for byte: n=4 as recorded
+        # before the short-product reductions were pooled, n=5 the
+        # benchmark's riesz3d workload at seed 0
+        code, out = run(["riesz3d", "--n", n, "--q", "3", "--seed", "0"],
                         capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bb716ca00b2bb206c7da58fd6a0d1ad3b915f82f10c6cd27e10a20621aa5e6ff")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_beck_gain_output_frozen(self, capsys):
         # stdout of the benchmark's beck-gain run, byte for byte, as recorded
@@ -238,11 +243,13 @@ class TestExperiments:
          "--block-s", "0"],
         ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
          "--block-t", "9"],
+        ["riesz3d", "--n", "3", "--q", "2", "--d", "2"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
-        # traceback with exit 1 (a failed identity); --block-s 0 silently
-        # measured block 2 and --block-t 9 raised an IndexError
+        # traceback with exit 1 (a failed identity); riesz3d --d 2 ran the
+        # d=3 product and recorded d=2; --block-s 0 silently measured
+        # block 2 and --block-t 9 raised an IndexError
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2

@@ -162,6 +162,18 @@ class TestDecomposition:
         assert rep["identity_ok"]
         assert rep["sd_mean_zero"]
 
+    @pytest.mark.parametrize("rho_tilde", [0.0, None])
+    def test_corrupted_sd_cell_breaks_identity(self, rho_tilde):
+        # At rho~ = 0 every layer weight N^u D^(q-u) is zero, so a check of
+        # the scaled split alone cannot see a wrong layer cell.
+        f = CoefficientField.random_signs(3, 3, 91)
+        sp = riesz.ShortProduct(f, riesz.make_params(3, q=2, rho_tilde=rho_tilde))
+        sd, nsd = sp.layers
+        sd = {u: layer.copy() for u, layer in sd.items()}
+        sd[2].flat[0] += 1
+        sp.__dict__["layers"] = (sd, nsd)
+        assert not riesz.decomposition_report(sp)["identity_ok"]
+
     def test_decomposition_sums_to_product(self):
         f = CoefficientField.random_signs(4, 3, 92)
         p = riesz.make_params(4, q=3)
@@ -404,8 +416,7 @@ def _direct_route(field, params, v_list, r_list):
 ORACLE_CASES = [
     pytest.param(n, q, maker, seed, rho_tilde,
                  id=f"n{n}-q{q}-{maker}-s{seed}-rho{rho_tilde}")
-    for n in (2, 3, 4)
-    for q in (1, 2, 3)
+    for n, q in [*itertools.product((2, 3, 4), (1, 2, 3)), (3, 4), (4, 4)]
     for maker, seed, rho_tilde in (("random_signs", 0, None),
                                    ("random_signs", 1, None),
                                    ("random_signs", 2, 0.4),
