@@ -113,10 +113,13 @@ def _parse_doubling(text: str) -> list[int]:
 
 
 def _parse_p_list(text: str) -> list[int]:
-    """"2,4" -> [2, 4]; every entry must be a positive integer."""
+    """"2,4" -> [2, 4]; the entries must be positive integers, strictly
+    increasing."""
     ps = [int(v) for v in text.split(",")]
     if min(ps) < 1:
         raise ValueError(f"--p-list entries must be positive: {text!r}")
+    if any(b <= a for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"--p-list must be strictly increasing: {text!r}")
     return ps
 
 

@@ -533,6 +533,7 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     """
     n_values = sorted(n_values)
     per_np: dict[float, list[tuple[int, float]]] = {float(p): [] for p in p_list}
+    int_ps = [int(p) for p in p_list]
     counts = {}
     gain = []
     sup_bound_ok = True
@@ -550,8 +551,7 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
         sup_bound_ok &= grid.sup_norm(g) <= cls.size
         k = len(cls.tuples[0]) if cls.tuples else 2
         rho = math.sqrt(q) / n
-        for p in p_list:
-            norm = grid.lp_norm(g, int(p))
+        for p, norm in zip(p_list, grid.lp_norms(g, int_ps)):
             per_np[float(p)].append((n, norm))
             gain.append({
                 "n": n, "p": float(p),

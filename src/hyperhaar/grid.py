@@ -14,6 +14,13 @@ array past).  Floats leave a grid only through the correctly rounded
 root of ``square_function``, L^p norms for non-integer p, and the Orlicz
 estimate.
 
+Exact L^p moments come from ``_int_abs_power_sums``, which reads a grid
+once for every integer p asked for.  Values spanning at most
+``_POWER_CHUNK`` integers (every int8 and int16 grid) are counted in one
+chunked ``bincount`` pass, and each sum is ``count * |v|**p`` over the
+values that occur, in Python ints; wider spans and Python-int grids take a
+chunked power loop.  ``lp_norms`` gives several norms from that one read.
+
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
 excluded (measure zero).
@@ -364,33 +371,87 @@ def inner_product(f: GridFunction, g: GridFunction):
 
 
 def lp_moment(f: GridFunction, p: int):
-    """E|f|**p for integer p >= 1, as a Fraction."""
+    """E|f|**p for integer p >= 1, as a Fraction: the exact power sum of
+    ``_int_abs_power_sums`` over ``cells * den**p``."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("lp_moment needs an integer p >= 1")
-    return Fraction(_int_abs_power_sum(f.values, p), f.resolution.cells * f.den ** p)
+    (total,) = _int_abs_power_sums(f.values, [p])
+    return Fraction(total, f.resolution.cells * f.den ** p)
 
 
-def _int_abs_power_sum(values: np.ndarray, p: int) -> int:
-    """Exact sum of |v|**p over an integer or Python-int array, chunked, in
-    the width ``int_dtype`` gives a chunk's sum (and the exponent p)."""
+#: Cells per chunk of the exact power sums, and the widest value span
+#: that they count in one histogram.
+_POWER_CHUNK = 1 << 16
+
+
+def _int_abs_power_sums(values: np.ndarray, ps) -> list[int]:
+    """Exact sum of |v|**p over an integer or Python-int array, for each p.
+
+    Histogram route: when the values span at most ``_POWER_CHUNK``
+    integers (always for int8 and int16), one chunked ``bincount`` of the
+    offsets ``v - min`` counts each value, and every sum is the Python-int
+    sum of ``count * |v|**p`` over the values that occur.  The offsets are
+    taken in the unsigned type of the same width, modulo 2**bits, so no
+    value wraps.  Wide route: wider spans and ``object`` arrays widen and
+    ``abs`` each chunk once, then sum its powers per p in the width
+    ``int_dtype`` gives a chunk's sum (and the exponent p).
+    """
     flat = values.reshape(-1)
-    chunk = 1 << 22
-    dtype = int_dtype(max(max_abs(flat) ** p * min(chunk, flat.size), p))
-    total = 0
-    for start in range(0, flat.size, chunk):
-        part = np.abs(flat[start:start + chunk].astype(dtype))
-        total += int(np.sum(part ** p))
-    return total
+    ps = list(ps)
+    if flat.size and flat.dtype != object:
+        lo, hi = int(flat.min()), int(flat.max())
+        if hi - lo < _POWER_CHUNK:
+            return _histogram_power_sums(flat, lo, hi, ps)
+    peak = max_abs(flat)
+    dtypes = [int_dtype(max(peak ** p * min(_POWER_CHUNK, flat.size), p)) for p in ps]
+    totals = [0] * len(ps)
+    for start in range(0, flat.size, _POWER_CHUNK):
+        part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(peak)))
+        for i, (p, dtype) in enumerate(zip(ps, dtypes)):
+            totals[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
+    return totals
+
+
+def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int, ps) -> list[int]:
+    """``_int_abs_power_sums`` for values in ``[lo, hi]``, a span of at most
+    ``_POWER_CHUNK``: one pass of per-chunk value counts."""
+    unsigned = flat.view(f"u{flat.itemsize}")
+    shift = np.array(lo, dtype=flat.dtype).view(unsigned.dtype)
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for start in range(0, flat.size, _POWER_CHUNK):
+        offsets = (unsigned[start:start + _POWER_CHUNK] - shift).astype(np.intp)
+        counts += np.bincount(offsets, minlength=counts.size)
+    seen = np.flatnonzero(counts)
+    pairs = [(abs(lo + i), c) for i, c in zip(seen.tolist(), counts[seen].tolist())]
+    return [sum(c * v ** p for v, c in pairs) for p in ps]
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """(E|f|**p)**(1/p).  For integer p the moment is exact and only the
-    final root is floating point; other p go through ``float_values``."""
-    if p <= 0:
+    """(E|f|**p)**(1/p).  For integer p the moment is exact (one pass of
+    ``_int_abs_power_sums``) and only the final root is floating point;
+    other p go through ``float_values``."""
+    return lp_norms(f, [p])[0]
+
+
+def lp_norms(f: GridFunction, ps) -> list[float]:
+    """``lp_norm(f, p)`` for every p in ``ps``, bit for bit: the exact
+    moments of all integer p come from one read of the values."""
+    ps = list(ps)
+    if any(p <= 0 for p in ps):
         raise ValueError("p must be positive")
-    if isinstance(p, int):
-        return float(lp_moment(f, p)) ** (1.0 / p)
-    return _float_lp_norm(np.abs(f.float_values()), p)
+    exact = [p for p in ps if isinstance(p, int)]
+    sums = dict(zip(exact, _int_abs_power_sums(f.values, exact))) if exact else {}
+    abs_values = None
+    norms = []
+    for p in ps:
+        if isinstance(p, int):
+            moment = Fraction(sums[p], f.resolution.cells * f.den ** p)
+            norms.append(float(moment) ** (1.0 / p))
+        else:
+            if abs_values is None:
+                abs_values = np.abs(f.float_values())
+            norms.append(_float_lp_norm(abs_values, p))
+    return norms
 
 
 def _float_lp_norm(abs_values: np.ndarray, p) -> float:
@@ -680,8 +741,7 @@ def lp_profile(f: GridFunction, p_list) -> LPReport:
         raise ValueError("p_list must be strictly increasing")
     sf = square_function(f)
     entries = []
-    for p in ps:
-        nf = lp_norm(f, p)
+    for p, nf in zip(ps, lp_norms(f, ps)):
         ns = _float_lp_norm(sf, p)  # S(f) >= 0
         entries.append(LPEntry(
             p=float(p), norm=nf, square_function_norm=ns,

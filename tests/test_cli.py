@@ -209,6 +209,8 @@ class TestExperiments:
         ["beck-gain", "--n-range", "4..5", "--p-list", "0,2"],
         ["lp-profile", "--n", "3", "--p-list", "2.7,4"],
         ["lp-profile", "--n", "3", "--p-list=-2"],
+        ["beck-gain", "--n-range", "4..5", "--p-list", "4,2"],
+        ["beck-gain", "--n-range", "4..5", "--p-list", "2,2"],
     ])
     def test_bad_range_or_p_list_rejected(self, argv, capsys):
         code = cli.main(argv)

@@ -578,6 +578,50 @@ class TestExactRoutesAgainstOracle:
         assert grid.lp_moment(GridFunction.zero(Resolution((1, 1))), 200) == 0
 
 
+class TestPowerSumsAgainstOracle:
+    """``_int_abs_power_sums`` against a per-cell Python-int sum, on both
+    routes: the value histogram and the chunked power loop."""
+
+    PS = [1, 2, 3, 4, 16, 200]
+    CHUNK = grid._POWER_CHUNK
+
+    @pytest.mark.parametrize("values, route", [
+        (np.arange(-128, 128, dtype=np.int8), "histogram"),
+        (np.resize(np.arange(-3, 4, dtype=np.int8), 2 * CHUNK + 3), "histogram"),
+        (np.arange(-32768, 32768, dtype=np.int16), "histogram"),
+        (np.arange(-40000, -40000 + CHUNK, dtype=np.int32), "histogram"),
+        (np.arange(-40000, -40000 + CHUNK + 1, dtype=np.int32), "wide"),
+        (np.array([2**62, -2**62, 2**62 - 1, 3 - 2**62], dtype=np.int64), "wide"),
+        (np.arange(2**62 - 5, 2**62 + 6, dtype=np.int64), "histogram"),
+        (np.arange(256, dtype=np.uint8), "histogram"),
+        (np.array([2**63 + k for k in (0, 7, 3, 7)], dtype=np.uint64), "histogram"),
+        (np.array([2**64 - 1, 2**63, 0], dtype=np.uint64), "wide"),
+        (np.array([2**70, -2**70, 3, -5, 0], dtype=object), "wide"),
+        (np.array([1, -1, 2], dtype=object), "wide"),
+        (np.zeros(8, dtype=np.int8), "histogram"),
+    ])
+    def test_every_power_is_exact(self, values, route, monkeypatch):
+        calls = []
+        histogram = grid._histogram_power_sums
+        monkeypatch.setattr(grid, "_histogram_power_sums",
+                            lambda *a: calls.append(a) or histogram(*a))
+        rng = np.random.default_rng(values.size)
+        values = rng.permutation(values)
+        oracle = [sum(abs(int(v)) ** p for v in values.tolist()) for p in self.PS]
+        assert grid._int_abs_power_sums(values, self.PS) == oracle
+        assert len(calls) == (route == "histogram")
+
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_lp_norms_match_lp_norm_bitwise(self, den):
+        rng = np.random.default_rng(den)
+        res = Resolution((3, 2))
+        f = GridFunction(res, rng.integers(-50, 51, size=res.grid_shape), den)
+        assert f.den == den
+        ps = [1, 2, 3, 4, 7, 16, 2.5]
+        norms = grid.lp_norms(f, ps)
+        assert [v.hex() for v in norms] == [grid.lp_norm(f, p).hex() for p in ps]
+
+
 # ---------------------------------------------------------------------------
 # conditional expectation
 # ---------------------------------------------------------------------------
