@@ -369,8 +369,8 @@ def _cmd_beck_gain(args) -> tuple[int, dict, list]:
     rep = coincidence.beck_gain_measure(
         args.kind, _parse_int_range(args.n_range),
         _parse_p_list(args.p_list),
-        args.seed, q=args.q or 2, s=args.block_s, t=args.block_t,
-        b=args.pin, a=args.pin,
+        args.seed, q=2 if args.q is None else args.q,
+        s=args.block_s, t=args.block_t, b=args.pin, a=args.pin,
     )
     payload = {"kind": args.kind, "rows": rep["rows"],
                "fitted": rep["fitted"], "counts": rep["counts"],

@@ -4,8 +4,8 @@ Three layers live here:
 
 * the pointwise product rule for tensor Haar functions (products of
   rectangles with pairwise distinct sidelengths per coordinate collapse to
-  a single signed Haar function of the intersection) and the companion
-  mean-zero predicate;
+  a single signed Haar function of the intersection) and its exhaustive
+  check against grid products;
 * coincidence classes of shape tuples (pairs agreeing in the middle
   coordinate, and the 4-tuple classes with repeated coordinate maxima)
   together with their product sums and empirical norm-exponent tables;
@@ -113,22 +113,6 @@ def product_rule(rects) -> ProductResult:
             sign *= side.haar_sign_on(finest)
         finest_sides.append(finest)
     return ProductResult("haar", sign, DyadicRectangle(tuple(finest_sides)))
-
-
-def mean_zero_predicate(rects) -> bool:
-    """True when some coordinate's minimal sidelength (maximal level) is
-    achieved by exactly one rectangle; this forces the product of the Haar
-    tensors to have mean zero."""
-    rects = list(rects)
-    if not rects:
-        return False
-    d = rects[0].d
-    for axis in range(d):
-        levels = [r.sides[axis].level for r in rects]
-        top = max(levels)
-        if levels.count(top) == 1:
-            return True
-    return False
 
 
 def same_volume_product(r1: DyadicRectangle, r2: DyadicRectangle) -> ProductResult:
@@ -530,7 +514,12 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     (n, p) the gain diagnostics: norm/count (how far below the trivial
     triangle bound the class sum sits) and rho^k * norm with k the tuple
     length and rho = sqrt(q)/n the false L2 normalization.
+
+    Raises ``ValueError`` for q < 1 and for a class with no tuples at some
+    n, whose norms and fit would measure nothing.
     """
+    if q < 1:
+        raise ValueError(f"--q must be at least 1, got {q}")
     n_values = sorted(n_values)
     per_np: dict[float, list[tuple[int, float]]] = {float(p): [] for p in p_list}
     int_ps = [int(p) for p in p_list]
@@ -545,17 +534,21 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
             cls = class_c2_restricted(n, params.blocks, s, t)
         else:
             cls = enumerate_class(kind, n, b=b, a=a)
+        if not cls.size:
+            pin = {"C2b": b, "B4a": a}
+            where = f" with --pin {pin[kind]}" if kind in pin else ""
+            raise ValueError(f"the {kind} class has no tuples at n={n}{where}")
         counts[n] = cls.size
         field = CoefficientField.random_signs(n, 3, (seed, n))
         g = prod_over(cls.tuples, field)
         sup_bound_ok &= grid.sup_norm(g) <= cls.size
-        k = len(cls.tuples[0]) if cls.tuples else 2
+        k = len(cls.tuples[0])
         rho = math.sqrt(q) / n
         for p, norm in zip(p_list, grid.lp_norms(g, int_ps)):
             per_np[float(p)].append((n, norm))
             gain.append({
                 "n": n, "p": float(p),
-                "norm_over_count": norm / cls.size if cls.size else 0.0,
+                "norm_over_count": norm / cls.size,
                 "rho_scaled_norm": rho**k * norm,
             })
     rows = []
@@ -576,56 +569,6 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
             })
     return {"rows": rows, "fitted": fitted, "counts": counts,
             "gain": gain, "sup_bound_ok": bool(sup_bound_ok)}
-
-
-def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
-                                t: int = 2) -> dict:
-    """Compute ||Prod(C2 across two blocks)||_2**2 twice, exactly.
-
-    Route one is the grid second moment of the product sum.  Route two
-    expands the square into ordered pairs of pairs: identical pairs
-    contribute 1 (r-functions square to one); pairs sharing exactly one
-    shape vanish (the shared middle coordinate forces unique maxima in the
-    outer coordinates, hence mean zero); disjoint 4-tuples vanish unless
-    both outer-coordinate maxima repeat, and each surviving tuple's mean is
-    computed on its own minimal grid.  The two Fractions must be equal.
-    """
-    from . import riesz
-
-    params = riesz.make_params(n, q=q)
-    cls = class_c2_restricted(n, params.blocks, s, t)
-    field = CoefficientField.random_signs(n, 3, (seed, n))
-    g = prod_over(cls.tuples, field)
-    lhs = grid.lp_moment(g, 2)
-
-    total = Fraction(len(cls.tuples))
-    surviving = 0
-    for p1, p2 in itertools.product(cls.tuples, cls.tuples):
-        four = (*p1, *p2)
-        if p1 == p2:
-            continue  # already counted: product is identically 1
-        if len(set(four)) != 4:
-            continue  # partial overlap: mean zero
-        if not _max_achieved([v[0] for v in four]) or \
-           not _max_achieved([v[2] for v in four]):
-            continue  # unique outer max: mean zero
-        res = hyperbolic.minimal_resolution(four, 3)
-        cache = {shp: hyperbolic.r_function_grid(
-                     hyperbolic.r_function(field, shp), res).values
-                 for shp in set(four)}
-        prod = cache[four[0]].astype(np.int16)
-        for shp in four[1:]:
-            prod = prod * cache[shp]
-        total += Fraction(int(np.sum(prod, dtype=np.int64)), res.cells)
-        surviving += 1
-    return {
-        "n": n,
-        "pair_count": len(cls.tuples),
-        "surviving_tuples": surviving,
-        "grid_moment": lhs,
-        "expansion_moment": total,
-        "equal": lhs == total,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -816,26 +759,6 @@ def is_prime(g: AdmissibleGraph) -> bool:
     return True
 
 
-def grade(g: AdmissibleGraph, cap: int = 6) -> int:
-    """Smallest k with g a wedge of k primes (1 for primes); brute force,
-    for small graphs only."""
-    primes = [h for h in _subgraphs_edgewise(g) if is_prime(h)]
-    if g in primes:
-        return 1
-    frontier = {h for h in primes}
-    for k in range(2, cap + 1):
-        nxt = set()
-        for h in frontier:
-            for p in primes:
-                w = wedge(h, p)
-                if w == g:
-                    return k
-                if w is not None:
-                    nxt.add(w)
-        frontier = nxt
-    raise ValueError(f"no wedge decomposition into <= {cap} primes found")
-
-
 # ---------------------------------------------------------------------------
 # X(G), NSD, inclusion-exclusion, factorization
 # ---------------------------------------------------------------------------
@@ -849,24 +772,11 @@ def _budget_check(sizes) -> None:
         raise BudgetExceededError(f"enumeration of about {est} tuples exceeds budget")
 
 
-def _pattern_cliques(combo, verts, coord: int) -> tuple[tuple[int, ...], ...]:
-    """The cliques a tuple actually realizes in one coordinate: groups of
-    two or more vertices whose shapes agree there."""
-    groups: dict[int, list[int]] = {}
-    for v, shape in zip(verts, combo):
-        groups.setdefault(shape[coord], []).append(v)
-    return tuple(sorted(tuple(g) for g in groups.values() if len(g) >= 2))
-
-
-def X_of_graph(g: AdmissibleGraph, blocks,
-               exact_pattern: bool = False) -> list[tuple[Shape, ...]]:
+def X_of_graph(g: AdmissibleGraph, blocks) -> list[tuple[Shape, ...]]:
     """Shape tuples (one per vertex, drawn from that vertex's block) whose
     coordinates satisfy at least the coincidences demanded by g's edges
-    (color 2 pins coordinate 2, color 3 pins coordinate 3).
-
-    With ``exact_pattern`` the tuple's realized coincidence pattern must
-    equal g's cliques exactly -- no extra agreements.  The default at-least
-    semantics is the one the inclusion-exclusion identity is stated for.
+    (color 2 pins coordinate 2, color 3 pins coordinate 3).  These at-least
+    semantics are the ones the inclusion-exclusion identity is stated for.
     """
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
@@ -880,14 +790,8 @@ def X_of_graph(g: AdmissibleGraph, blocks,
             )
     out = []
     for combo in itertools.product(*[blocks[v - 1] for v in verts]):
-        if not all(combo[i][c] == combo[j][c] for c, i, j in constraints):
-            continue
-        if exact_pattern and (
-            _pattern_cliques(combo, verts, 1) != g.cliques2
-            or _pattern_cliques(combo, verts, 2) != g.cliques3
-        ):
-            continue
-        out.append(combo)
+        if all(combo[i][c] == combo[j][c] for c, i, j in constraints):
+            out.append(combo)
     return out
 
 

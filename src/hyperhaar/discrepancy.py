@@ -125,24 +125,6 @@ GENERATORS = {"vdc": van_der_corput, "halton": halton, "random": random_points}
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-
-def discrepancy_eval(a: PointSet, x):
-    """D_N at one corner: strict count minus N times the box volume.
-    Exact (a Fraction) when every coordinate of x is a Fraction or int;
-    float otherwise.  Point coordinates compare exactly either way."""
-    if len(x) != a.d:
-        raise ValueError("corner has wrong dimension")
-    if not all(0 <= c <= 1 for c in x):
-        raise ValueError("corner outside [0,1]^d")
-    count = sum(1 for p in a.points if all(pj < xj for pj, xj in zip(p, x)))
-    exact = all(isinstance(c, (Fraction, int)) for c in x)
-    return count - a.n * math.prod(x, start=Fraction(1) if exact else 1.0)
-
-
-# ---------------------------------------------------------------------------
 # exact supremum
 # ---------------------------------------------------------------------------
 

@@ -343,17 +343,6 @@ def mul(f: GridFunction, g) -> GridFunction:
     return _binary(f, g, np.multiply)
 
 
-def scale(f: GridFunction, c) -> GridFunction:
-    return mul(f, c)
-
-
-def grids_equal(f: GridFunction, g: GridFunction) -> bool:
-    """Cellwise equality on the common refinement; lowest terms make the
-    numerators and ``den`` unique."""
-    a, b = common_refinement(f, g)
-    return a.den == b.den and bool(np.all(a.values == b.values))
-
-
 # ---------------------------------------------------------------------------
 # expectation, inner products, norms
 # ---------------------------------------------------------------------------
@@ -467,45 +456,8 @@ def sup_norm(f: GridFunction):
 
 
 # ---------------------------------------------------------------------------
-# Haar basis on the grid
+# indicators on the grid
 # ---------------------------------------------------------------------------
-
-
-def haar_1d(interval: DyadicInterval, resolution: Resolution) -> GridFunction:
-    """L-infinity normalized Haar function: -1 on the left half of the
-    interval, +1 on the right half, 0 outside."""
-    if resolution.d != 1:
-        raise ValueError("haar_1d needs a 1-dimensional resolution")
-    vec = _haar_axis_values(interval, resolution.levels[0])
-    return GridFunction(resolution, vec)
-
-
-def _haar_axis_values(interval: DyadicInterval, m: int) -> np.ndarray:
-    if m < interval.level + 1:
-        raise InsufficientResolutionError(
-            f"insufficient resolution: level {m} cannot represent the halves "
-            f"of an interval at level {interval.level}"
-        )
-    vec = np.zeros(1 << m, dtype=np.int8)
-    width = 1 << (m - interval.level)
-    start = interval.position * width
-    half = width >> 1
-    vec[start:start + half] = -1
-    vec[start + half:start + width] = 1
-    return vec
-
-
-def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
-    """Tensor Haar function of a rectangle: the product of per-axis Haar values."""
-    if resolution.d != rect.d:
-        raise ValueError("dimension mismatch")
-    arr = np.ones((1,) * rect.d, dtype=np.int8)
-    for axis, side in enumerate(rect.sides):
-        vec = _haar_axis_values(side, resolution.levels[axis])
-        shape = [1] * rect.d
-        shape[axis] = vec.size
-        arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8))
 
 
 def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
@@ -645,37 +597,6 @@ def haar_analyze(f: GridFunction) -> HaarSpectrum:
     return HaarSpectrum(f.resolution, num, den)
 
 
-def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
-    arr = spectrum.coefficients
-    if arr.dtype.kind not in "iuO":
-        raise ValueError("a spectrum needs integer or object coefficients")
-    arr = arr.astype(int_dtype(max_abs(arr) * _cover(spectrum.resolution)), copy=False)
-    return GridFunction(spectrum.resolution, synthesize(arr), spectrum.den)
-
-
-def _support_weights(m: int) -> np.ndarray:
-    """Parseval weight per spectrum index along one axis of level m, times
-    2**m: 2**m for the constant factor, 2**(m-k) for an interval of level k."""
-    w = np.empty(1 << m, dtype=np.int64)
-    w[0] = 1 << m
-    for k in range(m):
-        w[1 << k: 1 << (k + 1)] = 1 << (m - k)
-    return w
-
-
-def parseval_l2_moment(spectrum: HaarSpectrum):
-    """||f||_2**2 from the spectrum: sum of c**2 times support weight."""
-    res = spectrum.resolution
-    # sum of weights is cells * _cover, each weighting a c**2 <= peak**2;
-    # max(peak, 1) keeps the weights themselves (up to cells) in range
-    arr = spectrum.coefficients
-    arr = arr.astype(int_dtype(max(max_abs(arr), 1) ** 2 * res.cells * _cover(res)),
-                     copy=False)
-    w = math.prod(np.ix_(*(_support_weights(m).astype(arr.dtype)
-                           for m in res.levels)))
-    return Fraction(int(np.sum(arr * arr * w)), res.cells * spectrum.den ** 2)
-
-
 def square_function_squared(f: GridFunction) -> GridFunction:
     """S(f)**2: for every spectrum entry, its squared coefficient spread over
     the entry's support.  In d=1 this is |Ef|**2 + sum over intervals of
@@ -694,23 +615,6 @@ def square_function(f: GridFunction) -> np.ndarray:
     taken in place on the one float conversion of S(f)**2."""
     sf = square_function_squared(f).float_values()
     return np.sqrt(sf, out=sf)
-
-
-def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
-    """Average f over the atoms (cells) of a coarser resolution."""
-    if field.d != f.d:
-        raise ValueError("dimension mismatch")
-    if not f.resolution.refines(field):
-        raise ValueError("field finer than f: cannot condition on a finer grid")
-    factors = [1 << (m - mf) for m, mf in zip(f.resolution.levels, field.levels)]
-    inter_shape: list[int] = []
-    for mf, fac in zip(field.levels, factors):
-        inter_shape.extend((1 << mf, fac))
-    sum_axes = tuple(range(1, 2 * f.d, 2))
-    count = math.prod(factors)
-    sums = f.values.reshape(inter_shape).sum(
-        axis=sum_axes, dtype=int_dtype(max_abs(f.values) * count))
-    return GridFunction(field, sums, f.den * count)
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,6 @@ class CoefficientField:
                 else int(np.sum(np.abs(arr.astype(np.int64))))
         return total
 
-    def square_sum(self):
-        """Sum of alpha(R)**2 over the exact-volume rectangles."""
-        total = 0
-        for shape in self.exact_volume_shapes:
-            arr = self.values[shape]
-            total += float(np.sum(arr ** 2)) if self.mode == "float" \
-                else int(np.sum(arr.astype(np.int64) ** 2))
-        return total
-
     @classmethod
     def constant(cls, n: int, d: int, value: int = 1) -> "CoefficientField":
         vals = {
@@ -279,18 +270,6 @@ def hyperbolic_sum(field: CoefficientField,
     return GridFunction(resolution, shape_sum_grid(field.values, resolution))
 
 
-def coefficient_square_sum(field: CoefficientField,
-                           resolution: Resolution | None = None) -> GridFunction:
-    """sum over exact-volume rectangles of alpha(R)**2 1_R -- the squared
-    square function of the hyperbolic sum, exact by the unsigned butterfly."""
-    _require_exact(field)
-    if resolution is None:
-        resolution = field_resolution(field)
-    squares = {s: field.values[s].astype(np.int64) ** 2
-               for s in field.exact_volume_shapes}
-    return GridFunction(resolution, shape_sum_grid(squares, resolution, signed=False))
-
-
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
                  shapes=None) -> GridFunction:
     """Sum over the given shapes (default: all exact-volume shapes) of the
@@ -305,31 +284,6 @@ def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
 # ---------------------------------------------------------------------------
 # reports and experiments
 # ---------------------------------------------------------------------------
-
-
-def trivial_bound_report(field: CoefficientField) -> dict:
-    """The counting bound: 2**-n sum|alpha| <= sqrt(#H_n) ||H||_2
-    <= sqrt(#H_n) ||H||_inf, verified exactly via squared comparisons."""
-    n, d = field.n, field.d
-    count = shape_count(n, d)
-    h = hyperbolic_sum(field)
-    lhs = Fraction(field.abs_sum(), 1 << n)
-    l2_sq = grid.lp_moment(h, 2)
-    sup = grid.sup_norm(h)
-    ortho_rhs = Fraction(field.square_sum(), 1 << n)
-    chain_first = lhs * lhs <= count * l2_sq
-    chain_second = l2_sq <= sup * sup
-    return {
-        "n": n,
-        "d": d,
-        "lhs": lhs,
-        "shape_count": count,
-        "l2_norm": float(l2_sq) ** 0.5,
-        "l2_moment": l2_sq,
-        "sup_norm": sup,
-        "l2_identity_exact": l2_sq == ortho_rhs,
-        "chain_ok": bool(chain_first and chain_second),
-    }
 
 
 def sharpness_experiment(n_values, d: int, trials: int, seed: int,
@@ -383,29 +337,3 @@ def sharpness_experiment(n_values, d: int, trials: int, seed: int,
         "per_n": per_n,
         "fitted_exponent": exponent,
     }
-
-
-def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
-    """sup over p <= p_max of p**-((d-1)/2) ||H_n||_p divided by the sup of
-    [sum alpha**2 1_R]**(1/2) -- the measured exponential-integrability
-    constant."""
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    h = hyperbolic_sum(field)
-    sq = coefficient_square_sum(field)
-    s_inf = float(grid.sup_norm(sq)) ** 0.5
-    vals = np.abs(h.float_values())
-    d = field.d
-    ps = list(range(1, p_max + 1))
-    ratios = []
-    for p in ps:
-        norm_p = grid._float_lp_norm(vals, p)
-        ratios.append(norm_p * p ** (-(d - 1) / 2.0) / s_inf if s_inf else float("nan"))
-    return {
-        "n": field.n,
-        "d": d,
-        "p": ps,
-        "ratio": ratios,
-        "sup_ratio": max(ratios) if ratios else float("nan"),
-    }
-

@@ -291,13 +291,6 @@ class _Pool:
         np.add.at(out, self.inverse, values.reshape(-1))
         return out.tolist()
 
-    def expand(self, per_key: list[int], den: int,
-               resolution: Resolution) -> GridFunction:
-        """The exact grid taking ``per_key[k] / den`` on the cells of key k."""
-        values = np.array(per_key, dtype=grid.int_dtype(max(map(abs, per_key))))
-        return GridFunction(resolution,
-                            values[self.inverse].reshape(resolution.grid_shape), den)
-
 
 def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
@@ -422,7 +415,9 @@ class ShortProduct:
                 zip(*(pool.at_keys(layer) for layer in by_u.values()))]
 
     def gamma(self, t: int) -> np.ndarray:
-        """Gamma_t as an int32 grid; see the module-level ``gamma``."""
+        """Gamma_t as an int32 grid: the sum over ordered pairs of distinct
+        shapes in block t sharing the first coordinate of the product of
+        their r-functions.  (The unordered sum is half of this.)"""
         _check_block_index(self.params, t)
         return _gamma_grid(self.params.blocks[t - 1], self.r_grids,
                            self.resolution)
@@ -439,48 +434,9 @@ def _gamma_grid(block, r_own, resolution: Resolution) -> np.ndarray:
         .astype(np.int32)
 
 
-def block_sum(field: CoefficientField, params: RieszParams,
-              t: int) -> GridFunction:
-    """F_t: the sum of the alpha-sign r-functions of every shape in block t."""
-    _check_short_inputs(field, params)
-    _check_block_index(params, t)
-    return hyperbolic.signed_r_sum(field, hyperbolic.field_resolution(field),
-                                   shapes=params.blocks[t - 1])
-
-
-def short_product(field: CoefficientField, params: RieszParams) -> GridFunction:
-    """Psi = prod over t of (1 + rho~ F_t), exactly; its mean is one."""
-    sp = ShortProduct(field, params)
-    return sp.f_pool.expand(sp.partial_products(range(1, params.q + 1)),
-                            sp.scale, sp.resolution)
-
-
-def short_product_mean(field: CoefficientField, params: RieszParams):
-    """E Psi as a Fraction, computed from the pooled per-cell products; it
-    is one exactly, for any coefficient field."""
-    sp = ShortProduct(field, params)
-    total = _dot(sp.f_pool.counts, sp.partial_products(range(1, params.q + 1)))
-    return Fraction(total, sp.scale * sp.resolution.cells)
-
-
 # ---------------------------------------------------------------------------
 # sd / not-sd decomposition
 # ---------------------------------------------------------------------------
-
-
-def sd_decomposition(field: CoefficientField,
-                     params: RieszParams) -> tuple[GridFunction, GridFunction]:
-    """(Psi_sd, Psi_nsd) with Psi = 1 + Psi_sd + Psi_nsd cellwise.
-
-    Both are direct enumeration sums rho~^u * (tuple products), over the
-    strongly distinct tuples and over the rest; the decomposition report
-    checks that they split Psi, per u on integer grids.
-    """
-    sp = ShortProduct(field, params)
-    sd, nsd = sp.layers
-    return (sp.sd_pool.expand(sp.scaled(sp.sd_pool, sd), sp.scale, sp.resolution),
-            sp.nsd_pool.expand(sp.scaled(sp.nsd_pool, nsd), sp.scale,
-                               sp.resolution))
 
 
 def decomposition_report(sp: ShortProduct) -> dict:
@@ -586,18 +542,6 @@ def _certificate(inner_scaled: int, l1_scaled: int, sup_h: int) -> dict:
 # ---------------------------------------------------------------------------
 # Gamma_t
 # ---------------------------------------------------------------------------
-
-
-def gamma(field: CoefficientField, params: RieszParams, t: int) -> GridFunction:
-    """Gamma_t: sum over ordered pairs of distinct shapes in block t sharing
-    the first coordinate of the product of their r-functions.  (The
-    unordered sum is half of this.)  Builds the r-grids of block t only."""
-    _check_short_inputs(field, params)
-    _check_block_index(params, t)
-    res = hyperbolic.field_resolution(field)
-    block = params.blocks[t - 1]
-    return GridFunction(res, _gamma_grid(
-        block, coincidence.own_r_grids(field, block), res))
 
 
 def gamma_identity_report(sp: ShortProduct) -> dict:

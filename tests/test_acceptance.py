@@ -19,6 +19,8 @@ from hyperhaar import coincidence, discrepancy, grid, hyperbolic, riesz
 from hyperhaar.coincidence import AdmissibleGraph
 from hyperhaar.hyperbolic import CoefficientField
 
+import oracles
+
 # The (n, q) grid shared by the short-product tests: q small enough that
 # every block is nonempty, n large enough that the cross-block structure
 # (strongly distinct tuples, coincidences) is exercised.
@@ -52,12 +54,13 @@ class TestShortProduct:
             params = riesz.make_params(n, q=q)
             for trial in range(20):
                 field = CoefficientField.random_signs(n, 3, (n, q, trial))
-                assert riesz.short_product_mean(field, params) == 1, (n, q, trial)
+                sp = riesz.ShortProduct(field, params)
+                assert oracles.short_product_mean(sp) == 1, (n, q, trial)
         # The pooled mean agrees with the materialized grid's expectation.
         field = CoefficientField.random_signs(3, 3, 999)
-        params = riesz.make_params(3, q=2)
-        assert grid.expectation(riesz.short_product(field, params)) \
-            == riesz.short_product_mean(field, params)
+        sp = riesz.ShortProduct(field, riesz.make_params(3, q=2))
+        assert grid.expectation(oracles.short_product(sp)) \
+            == oracles.short_product_mean(sp)
         assert time.monotonic() - start <= 300.0
 
     def test_decomposition_with_enumerated_complement(self):
@@ -146,7 +149,7 @@ class TestBeckGain:
     def test_l2_crosscheck_and_fitted_growth(self):
         start = time.monotonic()
         for n in range(4, 9):
-            rep = coincidence.c2_restricted_l2_crosscheck(n, seed=7)
+            rep = oracles.c2_restricted_l2_crosscheck(n, seed=7)
             assert rep["equal"], (n, rep)
         rep = coincidence.beck_gain_measure("C2_restricted", range(4, 9), [2], 7)
         assert rep["sup_bound_ok"]

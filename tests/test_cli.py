@@ -246,18 +246,37 @@ class TestExperiments:
         ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
          "--block-t", "9"],
         ["riesz3d", "--n", "3", "--q", "2", "--d", "2"],
+        ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3", "--q", "0"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..4", "--q", "0"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
         # traceback with exit 1 (a failed identity); riesz3d --d 2 ran the
         # d=3 product and recorded d=2; --block-s 0 silently measured
-        # block 2 and --block-t 9 raised an IndexError
+        # block 2 and --block-t 9 raised an IndexError; beck-gain --q 0
+        # ran with q = 2 and recorded q = 0
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "validation"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["beck-gain", "--kind", "B4a", "--n-range", "3..3"],
+         "B4a class has no tuples at n=3 with --pin 0"),
+        (["beck-gain", "--kind", "C2b", "--pin", "99", "--n-range", "3..4"],
+         "C2b class has no tuples at n=3 with --pin 99"),
+    ], ids=["B4a-pin0", "C2b-pin99"])
+    def test_empty_class_rejected(self, argv, named, capsys):
+        # an empty class used to exit 0 with zero norms and a NaN fit
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation"
+        assert named in err["detail"]
 
     @pytest.mark.parametrize("argv", [["lp-profile", "--n", "0"],
                                       ["riesz2d", "--n", "0"]])

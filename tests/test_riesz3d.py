@@ -11,6 +11,8 @@ import pytest
 from hyperhaar import coincidence, grid, hyperbolic, riesz
 from hyperhaar.hyperbolic import CoefficientField
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # parameters and blocks
@@ -71,8 +73,9 @@ class TestBlockSums:
         n = 5
         f = CoefficientField.random_signs(n, 3, 80)
         p = riesz.make_params(n, q=2)
+        sp = riesz.ShortProduct(f, p)
         for t in (1, 2):
-            ft = riesz.block_sum(f, p, t)
+            ft = grid.GridFunction(sp.resolution, sp.block_sums[t - 1])
             assert grid.expectation(ft) == 0
             assert grid.lp_moment(ft, 2) == len(p.blocks[t - 1])
 
@@ -80,7 +83,7 @@ class TestBlockSums:
         f = CoefficientField.random_signs(3, 3, 81)
         p = riesz.make_params(3, q=2)
         with pytest.raises(ValueError):
-            riesz.gamma(f, p, 3)
+            riesz.ShortProduct(f, p).gamma(3)
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +94,22 @@ class TestBlockSums:
 class TestShortProduct:
     def test_mean_one_small(self):
         f = CoefficientField.random_signs(4, 3, 82)
-        p = riesz.make_params(4, q=2)
-        psi = riesz.short_product(f, p)
+        sp = riesz.ShortProduct(f, riesz.make_params(4, q=2))
+        psi = oracles.short_product(sp)
         assert grid.expectation(psi) == 1
-        assert riesz.short_product_mean(f, p) == 1
+        assert oracles.short_product_mean(sp) == 1
 
     def test_pooled_mean_matches_grid_mean(self):
         for (n, q) in [(3, 2), (4, 3)]:
             f = CoefficientField.random_signs(n, 3, (83, n, q))
-            p = riesz.make_params(n, q=q)
-            assert riesz.short_product_mean(f, p) == \
-                grid.expectation(riesz.short_product(f, p))
+            sp = riesz.ShortProduct(f, riesz.make_params(n, q=q))
+            assert oracles.short_product_mean(sp) == \
+                grid.expectation(oracles.short_product(sp))
 
     def test_zero_rho_gives_constant_one(self):
         f = CoefficientField.random_signs(3, 3, 84)
         p = riesz.make_params(3, q=2, rho_tilde=0.0)
-        psi = riesz.short_product(f, p)
+        psi = oracles.short_product(riesz.ShortProduct(f, p))
         assert np.all(psi.values == 1)
 
     def test_cellwise_lower_bound_in_contraction_regime(self):
@@ -114,9 +117,9 @@ class TestShortProduct:
         # the product obeys the first-order bound 1 - q * rho~ * max||F||.
         f = CoefficientField.random_signs(4, 3, 85)
         p = riesz.make_params(4, q=2, rho_tilde=1 / 16)
-        psi = riesz.short_product(f, p)
-        max_sup = max(
-            int(grid.sup_norm(riesz.block_sum(f, p, t))) for t in (1, 2))
+        sp = riesz.ShortProduct(f, p)
+        psi = oracles.short_product(sp)
+        max_sup = max(grid.max_abs(ft) for ft in sp.block_sums)
         assert p.rho_tilde_exact * max_sup <= 1
         bound = 1 - p.q * p.rho_tilde_exact * max_sup
         assert Fraction(int(psi.values.min()), psi.den) >= bound
@@ -124,12 +127,9 @@ class TestShortProduct:
     def test_d2_rejected(self):
         f = CoefficientField.random_signs(3, 2, 87)
         with pytest.raises(ValueError):
-            riesz.short_product(f, riesz.make_params(3, q=2))
+            riesz.ShortProduct(f, riesz.make_params(3, q=2))
 
-    @pytest.mark.parametrize("build", [
-        riesz.ShortProduct, riesz.short_product, riesz.short_product_mean,
-        riesz.sd_decomposition,
-    ])
+    @pytest.mark.parametrize("build", [riesz.ShortProduct])
     def test_float_field_rejected(self, build):
         exact = CoefficientField.random_signs(3, 3, 86)
         f = CoefficientField(
@@ -149,11 +149,12 @@ class TestDecomposition:
         n = 3
         f = CoefficientField.random_signs(n, 3, 90)
         p = riesz.make_params(n, q=1)
-        sd, nsd = riesz.sd_decomposition(f, p)
+        sp = riesz.ShortProduct(f, p)
+        sd, nsd = oracles.sd_decomposition(sp)
         assert not np.any(nsd.values != 0)
-        f1 = riesz.block_sum(f, p, 1)
-        expected = grid.scale(f1, p.rho_tilde_exact)
-        assert grid.grids_equal(sd, expected)
+        f1 = grid.GridFunction(sp.resolution, sp.block_sums[0])
+        expected = grid.mul(f1, p.rho_tilde_exact)
+        assert oracles.grids_equal(sd, expected)
 
     def test_identity_and_mean_zero(self):
         f = CoefficientField.random_signs(4, 3, 91)
@@ -176,11 +177,11 @@ class TestDecomposition:
 
     def test_decomposition_sums_to_product(self):
         f = CoefficientField.random_signs(4, 3, 92)
-        p = riesz.make_params(4, q=3)
-        psi = riesz.short_product(f, p)
-        sd, nsd = riesz.sd_decomposition(f, p)
+        sp = riesz.ShortProduct(f, riesz.make_params(4, q=3))
+        psi = oracles.short_product(sp)
+        sd, nsd = oracles.sd_decomposition(sp)
         recon = grid.add(grid.add(GridOne(psi), sd), nsd)
-        assert grid.grids_equal(recon, psi)
+        assert oracles.grids_equal(recon, psi)
 
     def test_tuple_budget(self):
         f = CoefficientField.random_signs(4, 3, 93)
@@ -189,7 +190,7 @@ class TestDecomposition:
         riesz.SD_TUPLE_BUDGET = 1
         try:
             with pytest.raises(grid.BudgetExceededError):
-                riesz.sd_decomposition(f, p)
+                oracles.sd_decomposition(riesz.ShortProduct(f, p))
         finally:
             riesz.SD_TUPLE_BUDGET = old
 
@@ -254,14 +255,14 @@ class TestGamma:
         f = CoefficientField.random_signs(n, 3, 98)
         p = riesz.make_params(n, q=n + 1)
         # the last block holds only the shape with first coordinate n
-        g = riesz.gamma(f, p, n + 1)
-        assert not np.any(g.values != 0)
+        g = riesz.ShortProduct(f, p).gamma(n + 1)
+        assert not np.any(g != 0)
 
     def test_gamma_mean_zero(self):
         f = CoefficientField.random_signs(5, 3, 99)
-        p = riesz.make_params(5, q=3)
+        sp = riesz.ShortProduct(f, riesz.make_params(5, q=3))
         for t in (1, 2, 3):
-            assert grid.expectation(riesz.gamma(f, p, t)) == 0
+            assert grid.expectation(grid.GridFunction(sp.resolution, sp.gamma(t))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +274,10 @@ class TestNormReport:
     def test_mean_and_negativity(self):
         f = CoefficientField.random_signs(4, 3, 100)
         p = riesz.make_params(4, q=2)
-        rep = riesz.norm_report(riesz.ShortProduct(f, p), v_list=[(), (1,), (1, 2)])
+        sp = riesz.ShortProduct(f, p)
+        rep = riesz.norm_report(sp, v_list=[(), (1,), (1, 2)])
         assert rep.mean == 1
-        max_sup = max(
-            int(grid.sup_norm(riesz.block_sum(f, p, t))) for t in (1, 2))
+        max_sup = max(grid.max_abs(ft) for ft in sp.block_sums)
         if p.rho_tilde_exact * max_sup < 1:
             assert rep.negative_fraction == 0
 
@@ -457,11 +458,11 @@ class TestShortProductOracle:
             dataclasses.replace(norms, partial_norms=())
 
         psi, sd_grid, nsd_grid = grids
-        assert np.array_equal(_cells(riesz.short_product(field, params)), psi)
-        sd, nsd = riesz.sd_decomposition(field, params)
+        assert np.array_equal(_cells(oracles.short_product(sp)), psi)
+        sd, nsd = oracles.sd_decomposition(sp)
         assert np.array_equal(_cells(sd), sd_grid)
         assert np.array_equal(_cells(nsd), nsd_grid)
-        assert riesz.short_product_mean(field, params) == norms.mean
+        assert oracles.short_product_mean(sp) == norms.mean
 
     def test_constructor_does_no_grid_work(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -490,24 +491,6 @@ class TestShortProductOracle:
         shapes = len(hyperbolic.enumerate_shapes(4, 3))
         # one r-grid per shape, one F_t per block, and H
         assert len(calls) == len(set(calls)) == shapes + p.q + 1
-
-    def test_single_block_readers_build_block_t_only(self, monkeypatch):
-        calls = []
-        real = hyperbolic.shape_sum_grid
-
-        def counting(shape_values, resolution, **kwargs):
-            calls.append(tuple(sorted(shape_values)))
-            return real(shape_values, resolution, **kwargs)
-
-        monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
-        f = CoefficientField.random_signs(4, 3, 9)
-        p = riesz.make_params(4, q=3)
-        block = p.blocks[1]
-        riesz.block_sum(f, p, 2)
-        assert calls == [tuple(sorted(block))]
-        calls.clear()
-        riesz.gamma(f, p, 2)
-        assert sorted(calls) == [(s,) for s in sorted(block)]
 
 
 class TestFoldKey:
