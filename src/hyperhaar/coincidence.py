@@ -275,9 +275,14 @@ def class_c2(n: int) -> CoincidenceClass:
 
 def class_c2_restricted(n: int, blocks, s: int, t: int) -> CoincidenceClass:
     """Cross-block pairs (first component from block s, second from block t)
-    agreeing in the middle coordinate."""
+    agreeing in the middle coordinate.  The blocks must differ: with s == t
+    the class would hold the diagonal pairs (r, r) and each unordered pair
+    twice."""
     if not (1 <= s <= len(blocks) and 1 <= t <= len(blocks)):
         raise ValueError(f"blocks s={s}, t={t} must lie in 1..{len(blocks)}")
+    if s == t:
+        raise ValueError(f"blocks s={s}, t={t} must differ: C2_restricted "
+                         f"pairs two different blocks")
     pairs = [
         (r, u)
         for r in blocks[s - 1]

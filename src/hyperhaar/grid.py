@@ -34,13 +34,17 @@ O(cells) per axis; that property is what makes the large exact
 constructions in the other modules feasible.
 
 ``synthesize`` is the one synthesis loop: one ``synthesize_axis0`` call
-per axis through ``apply_along_axis0``.  That driver views the C-contiguous
-array as ``(pre, size, post)`` and hands the kernel the ``(size, pre,
-post)`` transpose, so every axis is processed in the array's own memory
-order.  The kernel allocates its output and a half-size scratch buffer
-with the input's layout and alternates the butterfly levels between the
-two with ``out=`` ufuncs, so no level allocates; the transpose back is
-C-contiguous and the input is never written.
+per axis it is given (every axis by default) through ``apply_along_axis0``.
+Dense spectra (``square_function_squared``) take every axis.  Shape sums
+(``hyperbolic.shape_sum_grid``) have one level per axis in each shape, so
+they are placed already synthesized along one axis and ``synthesize`` runs
+over the others only.  The driver views the C-contiguous array as ``(pre,
+size, post)`` and hands the kernel the ``(size, pre, post)`` transpose, so
+every axis is processed in the array's own memory order.  The kernel
+allocates its output and a half-size scratch buffer with the input's
+layout and alternates the butterfly levels between the two with ``out=``
+ufuncs, so no level allocates; the transpose back is C-contiguous and the
+input is never written.  Analysis (``_analyze_axis0``) works the same way.
 """
 
 from __future__ import annotations
@@ -522,18 +526,32 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
 def _analyze_axis0(vals: np.ndarray) -> np.ndarray:
     """Division-free Haar analysis along axis 0 of level m: index ``2**k + j``
     gets its coefficient times ``2**m`` and index 0 the sum, so integer
-    input gives integer output of magnitude at most ``2**m * max|v|``."""
+    input gives integer output of magnitude at most ``2**m * max|v|``.
+
+    Like ``synthesize_axis0``, it allocates only the output and one
+    half-size scratch buffer.  Each level reads the pair sums of the level
+    before, writes its differences into their place in the output and its
+    sums into the other buffer.  When the sums it reads sit in the output,
+    its differences would overwrite them, so they go through the scratch
+    buffer's upper half first.  ``vals`` is only read.
+    """
     size = vals.shape[0]
     m = size.bit_length() - 1
     if size != (1 << m):
         raise ValueError("axis length must be a power of two")
     out = np.empty_like(vals)
-    cur = vals
+    scratch = np.empty_like(vals[:size >> 1])
+    cur, dst = vals, scratch
     for k in range(m - 1, -1, -1):
-        even = cur[0::2]
-        odd = cur[1::2]
-        out[1 << k: 2 << k] = (odd - even) * (1 << k)
-        cur = odd + even
+        even, odd = cur[0::2], cur[1::2]
+        via_scratch = dst is scratch and cur is not vals
+        diffs = (scratch if via_scratch else out)[1 << k:2 << k]
+        np.subtract(odd, even, out=diffs)
+        np.multiply(diffs, 1 << k, out=diffs)
+        np.add(odd, even, out=dst[:1 << k])
+        if via_scratch:
+            out[1 << k:2 << k] = diffs
+        cur, dst = dst[:1 << k], (out if dst is scratch else scratch)
     out[0:1] = cur
     return out
 
@@ -553,12 +571,14 @@ def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.nda
     return fn(view, *args, **kwargs).transpose(1, 0, 2).reshape(shape)
 
 
-def synthesize(arr: np.ndarray, signed: bool = True) -> np.ndarray:
-    """Synthesize every axis of a Haar-layout array (see ``synthesize_axis0``).
+def synthesize(arr: np.ndarray, signed: bool = True, axes=None) -> np.ndarray:
+    """Synthesize the given axes (default: every axis) of a Haar-layout
+    array, in the order given (see ``synthesize_axis0``).
 
-    Returns a new C-contiguous array of the same dtype; ``arr`` is only read.
+    Returns a C-contiguous array of the same dtype, new unless ``axes`` is
+    empty; ``arr`` is only read.
     """
-    for axis in range(arr.ndim):
+    for axis in range(arr.ndim) if axes is None else axes:
         arr = apply_along_axis0(synthesize_axis0, arr, axis, signed)
     return arr
 

@@ -8,8 +8,11 @@ scalar to every rectangle of every shape; it induces sign patterns
 
 Fast exact construction: all rectangles of one shape occupy, per axis, the
 contiguous Haar-spectrum block [2**r, 2**(r+1)), and distinct shapes occupy
-disjoint tensor blocks.  So a whole hyperbolic sum is a single spectrum
-fill followed by one division-free synthesis -- O(cells) integer work.
+disjoint tensor blocks.  A shape has one level per axis, so along any one
+axis its synthesis is a plain repeat of each coefficient's -/+ pair.  A
+whole hyperbolic sum is therefore placed already synthesized along one
+axis and finished by a division-free synthesis of the other axes --
+O(cells) integer work.
 """
 
 from __future__ import annotations
@@ -219,36 +222,58 @@ def _check_resolution(resolution: Resolution, shapes) -> None:
                 )
 
 
-def _place_shape(spectrum: np.ndarray, shape: Shape, values: np.ndarray) -> None:
-    slices = tuple(slice(1 << r, 2 << r) for r in shape)
-    spectrum[slices] = values
-
-
-def _spectrum(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-              dtype) -> np.ndarray:
-    spectrum = np.zeros(resolution.grid_shape, dtype=dtype)
-    for shape, values in shape_values.items():
-        _place_shape(spectrum, shape, np.asarray(values).astype(dtype, copy=False))
-    return spectrum
+def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
+            dtype, signed: bool, axis: int) -> np.ndarray:
+    """The shape sum synthesized along ``axis`` only, the other axes still
+    in Haar layout.  A shape has one level r on ``axis``, so there its
+    synthesis is no butterfly: coefficient c becomes -c on the left half of
+    its interval and +c on the right half (+c on both unless ``signed``),
+    each repeated ``2**(m-r-1)`` times.  Shapes are added in ascending
+    level on ``axis``, the order in which the butterfly adds them."""
+    m = resolution.levels[axis]
+    out = np.zeros(resolution.grid_shape, dtype=dtype)
+    for shape in sorted(shape_values, key=lambda s: s[axis]):
+        r = shape[axis]
+        values = np.asarray(shape_values[shape]).astype(dtype, copy=False)
+        pair = np.stack((-values if signed else values, values), axis=axis + 1)
+        pair = pair.reshape(values.shape[:axis] + (2 << r,) + values.shape[axis + 1:])
+        block = tuple(slice(None) if b == axis else slice(1 << q, 2 << q)
+                      for b, q in enumerate(shape))
+        out[block] += np.repeat(pair, 1 << (m - r - 1), axis=axis)
+    return out
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
                    signed: bool = True) -> np.ndarray:
     """Sum over shapes of the Haar sums with the given per-rectangle
-    coefficients, evaluated on the grid by one spectrum synthesis.
+    coefficients, evaluated on the grid: one axis is synthesized as the
+    coefficients are placed (``_placed``), the others by
+    ``grid.synthesize``.
 
     Float coefficients give float64.  Integer ones give ``grid.int_dtype``
-    of the sum over shapes of ``max|values|``: every butterfly intermediate
-    is a sum of at most one coefficient per shape, so none can wrap.
+    of the sum over shapes of ``max|values|``: every placed or butterfly
+    partial sum is a sum of at most one coefficient per shape, so none can
+    wrap, and a coefficient of -2**(b-1) forces a width past b bits, so its
+    negation cannot wrap either.
+
+    Integer sums are exact in any order and place the last axis, whose
+    butterfly levels write with stride 2 in short inner loops.  Float sums
+    place axis 0, the butterfly's first axis: in ascending axis-0 level the
+    placement repeats its additions one for one, and the later axes run in
+    the same order, so every float rounds as it would in a full-spectrum
+    synthesis.
     """
     _check_resolution(resolution, shape_values.keys())
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
-        dtype = np.float64
+        dtype, axis = np.float64, 0
     else:
         dtype = grid.int_dtype(sum(grid.max_abs(v) for v in shape_values.values()))
-    # Built inline so that ``synthesize`` holds the spectrum's only reference
-    # and frees it once the first axis is done.
-    return grid.synthesize(_spectrum(shape_values, resolution, dtype), signed)
+        axis = resolution.d - 1
+    others = [b for b in range(resolution.d) if b != axis]
+    # Built inline so that ``synthesize`` holds the placed array's only
+    # reference and frees it once the next axis is done.
+    return grid.synthesize(_placed(shape_values, resolution, dtype, signed, axis),
+                           signed, others)
 
 
 def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:

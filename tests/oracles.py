@@ -137,6 +137,23 @@ def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+def full_spectrum_shape_sum(shape_values, resolution: Resolution,
+                            signed: bool = True) -> np.ndarray:
+    """``hyperbolic.shape_sum_grid`` by the full-spectrum route: every
+    shape's coefficients copied into their block of one zero spectrum, then
+    ``grid.synthesize`` over every axis, at the same dtype."""
+    hyperbolic._check_resolution(resolution, shape_values.keys())
+    if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
+        dtype = np.float64
+    else:
+        dtype = grid.int_dtype(sum(grid.max_abs(v) for v in shape_values.values()))
+    spectrum = np.zeros(resolution.grid_shape, dtype=dtype)
+    for shape, values in shape_values.items():
+        block = tuple(slice(1 << r, 2 << r) for r in shape)
+        spectrum[block] = np.asarray(values).astype(dtype, copy=False)
+    return grid.synthesize(spectrum, signed)
+
+
 def square_sum(field: CoefficientField):
     """Sum of alpha(R)**2 over the exact-volume rectangles."""
     total = 0

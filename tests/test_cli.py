@@ -137,10 +137,16 @@ class TestExperiments:
          "cb0b84d0c9dab13749ea7aa9a083209a42640a5f31c6c1486b409727a1ff9ed1"),
         (["verify", "--n", "4"],
          "9ddf02d0898b0a37b14bef60053506f6171bf62de712bf881e49b122087bcdb2"),
+        (["riesz2d", "--n", "3", "--seed", "0", "--float"],
+         "0c008e7fe8067068d0b02520e5344938a4da5881391ccdc99cd6dd507df2f04f"),
+        (["riesz2d", "--n", "5", "--seed", "0", "--float"],
+         "135e765a2910c2e4c8dd17ab56f0b4d53ea96ac738e97871b8941174d0a4f0e1"),
     ])
     def test_r_function_paths_output_frozen(self, argv, digest, capsys):
         # stdout byte for byte, as recorded before every one-shape r-function
-        # was built by hyperbolic.r_function_grid
+        # was built by hyperbolic.r_function_grid; the two float cases at
+        # n=3 and n=5 were recorded while shape sums still synthesized a full
+        # spectrum, and fix the order in which float64 H adds its terms
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -248,13 +254,16 @@ class TestExperiments:
         ["riesz3d", "--n", "3", "--q", "2", "--d", "2"],
         ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3", "--q", "0"],
         ["beck-gain", "--kind", "C2", "--n-range", "3..4", "--q", "0"],
+        ["beck-gain", "--kind", "C2_restricted", "--block-s", "1",
+         "--block-t", "1"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
         # traceback with exit 1 (a failed identity); riesz3d --d 2 ran the
         # d=3 product and recorded d=2; --block-s 0 silently measured
         # block 2 and --block-t 9 raised an IndexError; beck-gain --q 0
-        # ran with q = 2 and recorded q = 0
+        # ran with q = 2 and recorded q = 0; --block-s 1 --block-t 1
+        # measured diagonal pairs (r, r) and each other pair twice
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2

@@ -160,6 +160,13 @@ class TestCoincidenceClasses:
         with pytest.raises(ValueError, match="must lie in 1..2"):
             coincidence.class_c2_restricted(4, p.blocks, s, t)
 
+    def test_c2_restricted_blocks_must_differ(self):
+        # (s, t) = (1, 1) held 12 diagonal pairs (r, r) at n=4, q=2 and
+        # counted each unordered pair twice
+        p = riesz.make_params(4, q=2)
+        with pytest.raises(ValueError, match="must differ"):
+            coincidence.class_c2_restricted(4, p.blocks, 1, 1)
+
     def test_c2b_orders_by_first_coordinate(self):
         cls = coincidence.class_c2b(4, 2)
         assert cls.size > 0

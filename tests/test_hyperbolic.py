@@ -179,6 +179,46 @@ class TestHyperbolicSum:
         assert arr.dtype == np.dtype(dtype)
         assert grid.max_abs(arr) == total
 
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("kind", ["integers", "normal", "coarse_integers",
+                                      "coarse_normal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_placement_matches_full_spectrum(self, d, kind, signed):
+        # coarse shapes put several shapes in one placement block, at
+        # different levels of the placed axis
+        for n in range(5):
+            rng = np.random.default_rng((70, d, n))
+            field = (CoefficientField.random_normal(n, d, rng) if "normal" in kind
+                     else CoefficientField.random_integers(n, d, rng))
+            vals = dict(field.values)
+            if kind.startswith("coarse"):
+                for total in range(n):
+                    for s in hyperbolic.enumerate_shapes(total, d):
+                        size = tuple(1 << r for r in s)
+                        vals[s] = (rng.standard_normal(size) if "normal" in kind
+                                   else rng.integers(-3, 4, size=size))
+            minimal = hyperbolic.minimal_resolution(vals, d)
+            for res in (minimal, Resolution(tuple(m + 1 for m in minimal.levels))):
+                got = hyperbolic.shape_sum_grid(vals, res, signed)
+                want = oracles.full_spectrum_shape_sum(vals, res, signed)
+                assert got.dtype == want.dtype
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (n, res.levels)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_placement_bound_127_stays_int8(self, signed):
+        # -127 and +127 fill the int8 bound; -128 would force int16
+        vals = {(1, 0, 0): np.array([[[-100]], [[100]]]),
+                (0, 1, 1): np.array([[[27, -27], [-27, 27]]])}
+        res = Resolution((2, 2, 2))
+        got = hyperbolic.shape_sum_grid(vals, res, signed)
+        want = oracles.full_spectrum_shape_sum(vals, res, signed)
+        assert got.dtype == want.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+        assert grid.max_abs(got) == 127
+        assert hyperbolic.shape_sum_grid({(0, 0, 1): np.full((1, 1, 2), -128)},
+                                         res, signed).dtype == np.int16
+
     @pytest.mark.parametrize("report", [hyperbolic.hyperbolic_sum,
                                         oracles.coefficient_square_sum,
                                         oracles.trivial_bound_report])
@@ -227,8 +267,8 @@ class TestSharpnessExperiment:
             assert row["mean_sup"] <= hyperbolic.shape_count(row["n"], 3)
 
     def test_threaded_matches_serial(self):
-        serial = hyperbolic.sharpness_experiment([3], 3, 8, 51, threads=1)
-        threaded = hyperbolic.sharpness_experiment([3], 3, 8, 51, threads=2)
+        serial = hyperbolic.sharpness_experiment([3, 4, 5], 3, 8, 51, threads=1)
+        threaded = hyperbolic.sharpness_experiment([3, 4, 5], 3, 8, 51, threads=2)
         assert serial["per_n"] == threaded["per_n"]
 
 
