@@ -130,10 +130,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: The subcommands that enumerate tuples, so the only ones that take --budget.
+_BUDGETED = ("verify", "riesz3d", "beck-gain")
+
+
 def _apply_budget(args) -> None:
-    if args.budget is not None:
-        coincidence.MAX_TUPLES = args.budget
-        riesz.SD_TUPLE_BUDGET = args.budget
+    if args.budget is None:
+        return
+    if args.command not in _BUDGETED:
+        raise ValueError(f"{args.command} enumerates no tuples; --budget is "
+                         f"not supported")
+    coincidence.MAX_TUPLES = args.budget
+    riesz.SD_TUPLE_BUDGET = args.budget
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -149,7 +157,9 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--budget", type=_positive_int, default=None,
-                     help="cap on enumerated tuples")
+                     help="cap on the class and graph enumerations (default 10^7) "
+                          "and the short product's sd tuples (default 200,000); "
+                          "verify, riesz3d and beck-gain only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_verify(args) -> tuple[int, dict, list]:
     """Exact-identity suites across the library; exit 0 iff all pass."""
-    _apply_budget(args)
     suites = []
     failures = []
 
@@ -332,7 +341,6 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
     if args.d != 3:
         raise ValueError(f"riesz3d is a d=3 construction, not d={args.d}")
-    _apply_budget(args)
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
     field = CoefficientField.random_signs(args.n, 3, args.seed)
     short = riesz.ShortProduct(field, params)
@@ -365,7 +373,12 @@ def _cmd_riesz3d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_beck_gain(args) -> tuple[int, dict, list]:
-    _apply_budget(args)
+    # a block or pin flag off its parser default must select something
+    if args.kind != "C2_restricted" and (args.block_s, args.block_t) != (1, 2):
+        raise ValueError(f"--block-s/--block-t choose the blocks of "
+                         f"C2_restricted only, not of {args.kind}")
+    if args.pin and args.kind not in ("C2b", "B4a"):
+        raise ValueError(f"--pin pins C2b and B4a only, not {args.kind}")
     rep = coincidence.beck_gain_measure(
         args.kind, _parse_int_range(args.n_range),
         _parse_p_list(args.p_list),
@@ -390,7 +403,8 @@ def _cmd_lp_profile(args) -> tuple[int, dict, list]:
     field = CoefficientField.random_signs(args.n, args.d, args.seed)
     h = hyperbolic.hyperbolic_sum(field)
     p_list = _parse_p_list(args.p_list)
-    report = grid.lp_profile(h, p_list)
+    # a temporary, so lp_profile frees the integer S(H)^2 before its floats
+    report = grid.lp_profile(h, hyperbolic.square_function_squared(field), p_list)
     rows = [
         {"p": e.p, "norm": e.norm,
          "square_function_norm": e.square_function_norm,
@@ -460,6 +474,7 @@ def main(argv=None) -> int:
         if not args.exact and args.command != "riesz2d":
             raise ValueError(
                 f"{args.command} is exact-only; --float is not supported")
+        _apply_budget(args)
         if args.command == "verify":
             code, payload, rows = run_verify(args)
         else:

@@ -531,14 +531,11 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     counts = {}
     gain = []
     sup_bound_ok = True
-    for n in n_values:
-        if kind == "C2_restricted":
-            from . import riesz
+    from . import riesz  # riesz imports this module
 
-            params = riesz.make_params(n, q=q)
-            cls = class_c2_restricted(n, params.blocks, s, t)
-        else:
-            cls = enumerate_class(kind, n, b=b, a=a)
+    for n in n_values:
+        blocks = riesz.make_params(n, q=q).blocks if kind == "C2_restricted" else None
+        cls = enumerate_class(kind, n, blocks=blocks, s=s, t=t, b=b, a=a)
         if not cls.size:
             pin = {"C2b": b, "B4a": a}
             where = f" with --pin {pin[kind]}" if kind in pin else ""

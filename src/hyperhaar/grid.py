@@ -11,8 +11,8 @@ have ``den == 1``.  Operations work on the numerators and compute the new
 for a bound on the result (int8 up to int64, Python ints in an ``object``
 array past).  Floats leave a grid only through the correctly rounded
 ``GridFunction.float_values``, where a measurement needs them: the cellwise
-root of ``square_function``, L^p norms for non-integer p, and the Orlicz
-estimate.
+root of the square function in ``lp_profile``, L^p norms for non-integer
+p, and the Orlicz estimate.
 
 Exact L^p moments come from ``_int_abs_power_sums``, which reads a grid
 once for every integer p asked for.  Values spanning at most
@@ -25,26 +25,26 @@ Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
 excluded (measure zero).
 
-The Haar transform uses an in-place butterfly layout along each axis: index
+Haar synthesis uses an in-place butterfly layout along each axis: index
 ``0`` holds the constant (mean) factor and index ``2**k + j`` holds the
 coefficient of the L-infinity-normalized Haar function of the interval
 ``(level k, position j)``.  Synthesis is division-free (children are
 ``parent -+ coefficient``), so it is exact over integers and costs
 O(cells) per axis; that property is what makes the large exact
-constructions in the other modules feasible.
+constructions in the other modules feasible.  No grid is ever analysed.
 
 ``synthesize`` is the one synthesis loop: one ``synthesize_axis0`` call
 per axis it is given (every axis by default) through ``apply_along_axis0``.
-Dense spectra (``square_function_squared``) take every axis.  Shape sums
-(``hyperbolic.shape_sum_grid``) have one level per axis in each shape, so
-they are placed already synthesized along one axis and ``synthesize`` runs
-over the others only.  The driver views the C-contiguous array as ``(pre,
-size, post)`` and hands the kernel the ``(size, pre, post)`` transpose, so
-every axis is processed in the array's own memory order.  The kernel
-allocates its output and a half-size scratch buffer with the input's
-layout and alternates the butterfly levels between the two with ``out=``
-ufuncs, so no level allocates; the transpose back is C-contiguous and the
-input is never written.  Analysis (``_analyze_axis0``) works the same way.
+Dense spectra (the product-rule check in ``coincidence``) take every axis.
+Shape sums (``hyperbolic.shape_sum_grid``) have one level per axis in each
+shape, so they are placed already synthesized along one axis and
+``synthesize`` runs over the others only.  ``apply_along_axis0`` views the
+C-contiguous array as ``(pre, size, post)`` and hands the kernel the
+``(size, pre, post)`` transpose, so every axis is processed in the array's
+own memory order.  The kernel allocates its output and a half-size scratch
+buffer with the input's layout and alternates the butterfly levels between
+the two with ``out=`` ufuncs, so no level allocates; the transpose back is
+C-contiguous and the input is never written.
 """
 
 from __future__ import annotations
@@ -523,39 +523,6 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
     return out
 
 
-def _analyze_axis0(vals: np.ndarray) -> np.ndarray:
-    """Division-free Haar analysis along axis 0 of level m: index ``2**k + j``
-    gets its coefficient times ``2**m`` and index 0 the sum, so integer
-    input gives integer output of magnitude at most ``2**m * max|v|``.
-
-    Like ``synthesize_axis0``, it allocates only the output and one
-    half-size scratch buffer.  Each level reads the pair sums of the level
-    before, writes its differences into their place in the output and its
-    sums into the other buffer.  When the sums it reads sit in the output,
-    its differences would overwrite them, so they go through the scratch
-    buffer's upper half first.  ``vals`` is only read.
-    """
-    size = vals.shape[0]
-    m = size.bit_length() - 1
-    if size != (1 << m):
-        raise ValueError("axis length must be a power of two")
-    out = np.empty_like(vals)
-    scratch = np.empty_like(vals[:size >> 1])
-    cur, dst = vals, scratch
-    for k in range(m - 1, -1, -1):
-        even, odd = cur[0::2], cur[1::2]
-        via_scratch = dst is scratch and cur is not vals
-        diffs = (scratch if via_scratch else out)[1 << k:2 << k]
-        np.subtract(odd, even, out=diffs)
-        np.multiply(diffs, 1 << k, out=diffs)
-        np.add(odd, even, out=dst[:1 << k])
-        if via_scratch:
-            out[1 << k:2 << k] = diffs
-        cur, dst = dst[:1 << k], (out if dst is scratch else scratch)
-    out[0:1] = cur
-    return out
-
-
 def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.ndarray:
     """Run an axis-0 kernel along ``axis`` of ``arr`` in C order.
 
@@ -583,60 +550,6 @@ def synthesize(arr: np.ndarray, signed: bool = True, axes=None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HaarSpectrum:
-    """Tensor Haar coefficients of a GridFunction.
-
-    ``coefficients`` has the same shape as the value grid: integer
-    numerators over ``den``, in lowest terms.  Along each axis, index 0 is
-    the constant factor and index ``2**k + j`` is the Haar function of
-    interval ``(k, j)``; a tensor entry is the coefficient of the product
-    of its per-axis factors.  The support weight of an entry is
-    the product of its factor supports (1 for constant factors, ``2**-k``
-    otherwise), which is the Parseval weight for the L-infinity-normalized
-    basis.
-    """
-
-    resolution: Resolution
-    coefficients: np.ndarray
-    den: int = 1
-
-
-def _cover(resolution: Resolution) -> int:
-    """How many spectrum entries cover one cell: prod of (m_i + 1)."""
-    return math.prod(m + 1 for m in resolution.levels)
-
-
-def haar_analyze(f: GridFunction) -> HaarSpectrum:
-    cells = f.resolution.cells
-    # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
-    arr = f.values.astype(int_dtype(max(max_abs(f.values), 1) * cells), copy=False)
-    for axis in range(f.d):
-        arr = apply_along_axis0(_analyze_axis0, arr, axis)
-    num, den = _lowest_terms(arr, f.den * cells)
-    return HaarSpectrum(f.resolution, num, den)
-
-
-def square_function_squared(f: GridFunction) -> GridFunction:
-    """S(f)**2: for every spectrum entry, its squared coefficient spread over
-    the entry's support.  In d=1 this is |Ef|**2 + sum over intervals of
-    (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.  Exact: the
-    unsigned synthesis of the squared numerators over ``den**2``."""
-    spectrum = haar_analyze(f)
-    # the peak is measured: a priori it can be far below cells * max|f|
-    coef = spectrum.coefficients
-    coef = coef.astype(int_dtype(max_abs(coef) ** 2 * _cover(f.resolution)), copy=False)
-    return GridFunction(f.resolution, synthesize(coef * coef, signed=False),
-                        spectrum.den ** 2)
-
-
-def square_function(f: GridFunction) -> np.ndarray:
-    """S(f) as a float64 array (the cellwise square root is irrational),
-    taken in place on the one float conversion of S(f)**2."""
-    sf = square_function_squared(f).float_values()
-    return np.sqrt(sf, out=sf)
-
-
 # ---------------------------------------------------------------------------
 # LP / Orlicz diagnostics
 # ---------------------------------------------------------------------------
@@ -656,14 +569,18 @@ class LPReport:
     entries: tuple[LPEntry, ...]
 
 
-def lp_profile(f: GridFunction, p_list) -> LPReport:
-    """Norms of f and S(f) with the two-sided ratio estimates per p."""
+def lp_profile(f: GridFunction, sf_squared: GridFunction, p_list) -> LPReport:
+    """Norms of f and of S(f), given as ``sf_squared`` = S(f)**2, with the
+    two-sided ratio estimates per p.  S(f) is float64, rooted in place; the
+    argument is dropped first, so a caller's temporary is freed by then."""
     ps = list(p_list)
     if not ps:
         raise ValueError("p_list must be nonempty")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be strictly increasing")
-    sf = square_function(f)
+    sf = sf_squared.float_values()
+    del sf_squared
+    np.sqrt(sf, out=sf)
     entries = []
     for p, nf in zip(ps, lp_norms(f, ps)):
         ns = _float_lp_norm(sf, p)  # S(f) >= 0

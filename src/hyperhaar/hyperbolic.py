@@ -12,7 +12,9 @@ disjoint tensor blocks.  A shape has one level per axis, so along any one
 axis its synthesis is a plain repeat of each coefficient's -/+ pair.  A
 whole hyperbolic sum is therefore placed already synthesized along one
 axis and finished by a division-free synthesis of the other axes --
-O(cells) integer work.
+O(cells) integer work.  The same route with squared coefficients and
+unsigned halves gives the squared square function S(H)**2 = sum of
+alpha(R)**2 1_R, with no analysis of H.
 """
 
 from __future__ import annotations
@@ -293,6 +295,22 @@ def hyperbolic_sum(field: CoefficientField,
     if resolution is None:
         resolution = field_resolution(field)
     return GridFunction(resolution, shape_sum_grid(field.values, resolution))
+
+
+def square_function_squared(field: CoefficientField,
+                            resolution: Resolution | None = None) -> GridFunction:
+    """S(H)**2 of the field's hyperbolic sum H (coarse shapes included):
+    sum over all rectangles of alpha(R)**2 1_R, the unsigned shape sum of
+    the squared coefficients.  Each square is taken in ``grid.int_dtype``
+    of its peak, so squares past int64 are Python ints, never wrapped."""
+    _require_exact(field)
+    if resolution is None:
+        resolution = field_resolution(field)
+    squares = {}
+    for shape, values in field.values.items():
+        wide = values.astype(grid.int_dtype(grid.max_abs(values) ** 2), copy=False)
+        squares[shape] = wide * wide
+    return GridFunction(resolution, shape_sum_grid(squares, resolution, signed=False))
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,

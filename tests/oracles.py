@@ -3,10 +3,11 @@
 No subcommand runs any of these, so they live with the tests.  They build
 test inputs (Haar functions axis by axis, spectra synthesized back to
 grids) or recompute what the library computes by a simpler, independent
-route: Parseval sums entry by entry, block averages, corner counts over
-the point list, the C2 second moment expanded over pairs of pairs, the
-wedge grade of a graph, and the short product's grids expanded from its
-pools.
+route: the dense Haar analysis of a grid and the squared square function
+spread from its spectrum, Parseval sums entry by entry, block averages,
+corner counts over the point list, the C2 second moment expanded over
+pairs of pairs, the wedge grade of a graph, and the short product's grids
+expanded from its pools.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,6 @@ from hyperhaar.grid import (
     DyadicInterval,
     DyadicRectangle,
     GridFunction,
-    HaarSpectrum,
     InsufficientResolutionError,
     Resolution,
 )
@@ -81,13 +82,78 @@ def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
     return GridFunction(resolution, arr.astype(np.int8))
 
 
+@dataclass(frozen=True)
+class HaarSpectrum:
+    """Tensor Haar coefficients of a GridFunction.
+
+    ``coefficients`` has the same shape as the value grid: integer
+    numerators over ``den``, in lowest terms.  Along each axis, index 0 is
+    the constant factor and index ``2**k + j`` is the Haar function of
+    interval ``(k, j)``; a tensor entry is the coefficient of the product
+    of its per-axis factors.  The support weight of an entry is the product
+    of its factor supports (1 for constant factors, ``2**-k`` otherwise),
+    which is the Parseval weight for the L-infinity-normalized basis.
+    """
+
+    resolution: Resolution
+    coefficients: np.ndarray
+    den: int = 1
+
+
+def _cover(resolution: Resolution) -> int:
+    """How many spectrum entries cover one cell: prod of (m_i + 1)."""
+    return math.prod(m + 1 for m in resolution.levels)
+
+
+def _analyze_axis0(vals: np.ndarray) -> np.ndarray:
+    """Division-free Haar analysis along axis 0 of level m, one level at a
+    time: index ``2**k + j`` gets its coefficient times ``2**m`` and index
+    0 the sum, so integer input gives integer output of magnitude at most
+    ``2**m * max|v|``."""
+    m = vals.shape[0].bit_length() - 1
+    out = np.empty_like(vals)
+    cur = vals
+    for k in range(m - 1, -1, -1):
+        even, odd = cur[0::2], cur[1::2]
+        out[1 << k:2 << k] = (odd - even) * (1 << k)
+        cur = odd + even
+    out[0:1] = cur
+    return out
+
+
+def haar_analyze(f: GridFunction) -> HaarSpectrum:
+    """The dense spectrum of a grid, axis by axis, over ``den * cells``."""
+    cells = f.resolution.cells
+    # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
+    arr = f.values.astype(grid.int_dtype(max(grid.max_abs(f.values), 1) * cells))
+    for axis in range(f.d):
+        arr = np.moveaxis(_analyze_axis0(np.moveaxis(arr, axis, 0)), 0, axis)
+    num, den = grid._lowest_terms(arr, f.den * cells)
+    return HaarSpectrum(f.resolution, num, den)
+
+
+def square_function_squared(f: GridFunction) -> GridFunction:
+    """S(f)**2 of any grid: every spectrum entry's squared coefficient
+    spread over the entry's support.  In d=1 this is |Ef|**2 + sum over
+    intervals of (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.
+    Exact: the unsigned synthesis of the squared numerators over
+    ``den**2``."""
+    spectrum = haar_analyze(f)
+    # the peak is measured: a priori it can be far below cells * max|f|
+    coef = spectrum.coefficients
+    coef = coef.astype(grid.int_dtype(grid.max_abs(coef) ** 2 * _cover(f.resolution)),
+                       copy=False)
+    return GridFunction(f.resolution, grid.synthesize(coef * coef, signed=False),
+                        spectrum.den ** 2)
+
+
 def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
     """The grid function of a spectrum: ``grid.synthesize`` of the
     numerators, at a width no butterfly intermediate can pass."""
     arr = spectrum.coefficients
     if arr.dtype.kind not in "iuO":
         raise ValueError("a spectrum needs integer or object coefficients")
-    bound = grid.max_abs(arr) * grid._cover(spectrum.resolution)
+    bound = grid.max_abs(arr) * _cover(spectrum.resolution)
     arr = arr.astype(grid.int_dtype(bound), copy=False)
     return GridFunction(spectrum.resolution, grid.synthesize(arr), spectrum.den)
 
@@ -108,7 +174,7 @@ def parseval_l2_moment(spectrum: HaarSpectrum):
     # sum of weights is cells * _cover, each weighting a c**2 <= peak**2;
     # max(peak, 1) keeps the weights themselves (up to cells) in range
     arr = spectrum.coefficients
-    bound = max(grid.max_abs(arr), 1) ** 2 * res.cells * grid._cover(res)
+    bound = max(grid.max_abs(arr), 1) ** 2 * res.cells * _cover(res)
     arr = arr.astype(grid.int_dtype(bound), copy=False)
     w = math.prod(np.ix_(*(_support_weights(m).astype(arr.dtype)
                            for m in res.levels)))
@@ -164,19 +230,6 @@ def square_sum(field: CoefficientField):
     return total
 
 
-def coefficient_square_sum(field: CoefficientField,
-                           resolution: Resolution | None = None) -> GridFunction:
-    """sum over exact-volume rectangles of alpha(R)**2 1_R -- the squared
-    square function of the hyperbolic sum, exact by the unsigned butterfly."""
-    hyperbolic._require_exact(field)
-    if resolution is None:
-        resolution = hyperbolic.field_resolution(field)
-    squares = {s: field.values[s].astype(np.int64) ** 2
-               for s in field.exact_volume_shapes}
-    return GridFunction(resolution, hyperbolic.shape_sum_grid(squares, resolution,
-                                                              signed=False))
-
-
 def trivial_bound_report(field: CoefficientField) -> dict:
     """The counting bound: 2**-n sum|alpha| <= sqrt(#H_n) ||H||_2
     <= sqrt(#H_n) ||H||_inf, verified exactly via squared comparisons."""
@@ -204,12 +257,15 @@ def trivial_bound_report(field: CoefficientField) -> dict:
 
 def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
     """sup over p <= p_max of p**-((d-1)/2) ||H_n||_p divided by the sup of
-    [sum alpha**2 1_R]**(1/2) -- the measured exponential-integrability
-    constant."""
+    [sum alpha**2 1_R]**(1/2) over the exact-volume rectangles -- the
+    measured exponential-integrability constant."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     h = hyperbolic.hyperbolic_sum(field)
-    sq = coefficient_square_sum(field)
+    exact_volume = CoefficientField(
+        field.n, field.d, {s: field.values[s] for s in field.exact_volume_shapes},
+        field.mode)
+    sq = hyperbolic.square_function_squared(exact_volume)
     s_inf = float(grid.sup_norm(sq)) ** 0.5
     vals = np.abs(h.float_values())
     d = field.d

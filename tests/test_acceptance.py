@@ -161,8 +161,8 @@ class TestBeckGain:
 
 class TestSquareFunction:
     def test_parseval_on_random_sums(self):
-        # 14.8 s while the analysis ran over Fraction object arrays; the
-        # integer route takes well under a second
+        # 14.8 s while S(H)^2 came from an analysis over Fraction object
+        # arrays; from the coefficients it takes well under a second
         start = time.monotonic()
         cap = {1: 8, 2: 6, 3: 4}
         checked = 0
@@ -172,8 +172,9 @@ class TestSquareFunction:
             n = 1 + trial % cap[d]
             maker = (CoefficientField.random_signs if trial % 2
                      else CoefficientField.random_integers)
-            f = hyperbolic.hyperbolic_sum(maker(n, d, trial))
-            assert grid.expectation(grid.square_function_squared(f)) \
+            field = maker(n, d, trial)
+            f = hyperbolic.hyperbolic_sum(field)
+            assert grid.expectation(hyperbolic.square_function_squared(field)) \
                 == grid.lp_moment(f, 2), (d, n, trial)
             checked += 1
             trial += 1
@@ -189,7 +190,8 @@ class TestSquareFunction:
                 for seed in (0, 1):
                     field = CoefficientField.random_signs(n, d, (d, n, seed))
                     prof = grid.lp_profile(
-                        hyperbolic.hyperbolic_sum(field), [2, 4, 8, 16])
+                        hyperbolic.hyperbolic_sum(field),
+                        hyperbolic.square_function_squared(field), [2, 4, 8, 16])
                     worst = max(worst,
                                 max(e.b_p / math.sqrt(e.p) for e in prof.entries))
         assert 1 / math.sqrt(2) <= worst <= 0.75

@@ -178,8 +178,8 @@ class TestExperiments:
     ])
     def test_lp_profile_output_frozen(self, argv, digest, capsys):
         # stdout byte for byte, as recorded while Haar analysis still ran
-        # over Fraction object arrays; S(f) and both norms go through the
-        # exact spectrum
+        # over Fraction object arrays; S(f)^2 now comes from the
+        # coefficients, with no analysis at all
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -256,6 +256,21 @@ class TestExperiments:
         ["beck-gain", "--kind", "C2", "--n-range", "3..4", "--q", "0"],
         ["beck-gain", "--kind", "C2_restricted", "--block-s", "1",
          "--block-t", "1"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..4", "--block-s", "7"],
+        ["beck-gain", "--kind", "C2b", "--n-range", "3..4", "--pin", "1",
+         "--block-t", "3"],
+        ["beck-gain", "--kind", "B4", "--n-range", "3..3", "--block-s", "2"],
+        ["beck-gain", "--kind", "B4a", "--n-range", "4..4", "--pin", "2",
+         "--block-t", "1"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..4", "--pin", "5"],
+        ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
+         "--pin", "1"],
+        ["beck-gain", "--kind", "B4", "--n-range", "3..3", "--pin", "2"],
+        ["riesz2d", "--n", "2", "--trials", "1", "--budget", "5"],
+        ["sharpness", "--n-range", "3..3", "--trials", "1", "--budget", "5"],
+        ["lp-profile", "--n", "2", "--budget", "5"],
+        ["discrepancy", "--n-range", "2..4", "--budget", "5"],
+        ["graphs", "--vertices", "2", "--budget", "5"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
@@ -263,7 +278,9 @@ class TestExperiments:
         # d=3 product and recorded d=2; --block-s 0 silently measured
         # block 2 and --block-t 9 raised an IndexError; beck-gain --q 0
         # ran with q = 2 and recorded q = 0; --block-s 1 --block-t 1
-        # measured diagonal pairs (r, r) and each other pair twice
+        # measured diagonal pairs (r, r) and each other pair twice; block
+        # flags off C2_restricted, --pin off C2b/B4a and --budget where
+        # nothing is enumerated were ignored yet recorded in provenance
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2

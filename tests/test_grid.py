@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhaar import grid
+from hyperhaar import grid, hyperbolic
 from hyperhaar.grid import (
     DyadicInterval,
     DyadicRectangle,
@@ -18,6 +18,7 @@ from hyperhaar.grid import (
     Resolution,
     rectangle,
 )
+from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
 
@@ -236,7 +237,7 @@ class TestHaarTransform:
     def test_analyze_single_haar(self):
         r = rectangle((1, 2), (1, 3))
         res = Resolution((2, 3))
-        spectrum = grid.haar_analyze(oracles.haar_tensor(r, res))
+        spectrum = oracles.haar_analyze(oracles.haar_tensor(r, res))
         coeffs = spectrum.coefficients
         # axis index 2**k + j addresses the Haar at (level k, position j)
         idx = tuple((1 << side.level) + side.position for side in r.sides)
@@ -247,7 +248,7 @@ class TestHaarTransform:
 
     def test_analyze_constant(self):
         f = GridFunction.constant(1, Resolution((2, 2)))
-        spectrum = grid.haar_analyze(f)
+        spectrum = oracles.haar_analyze(f)
         assert spectrum.coefficients[0, 0] == 1
         rest = np.array(spectrum.coefficients, copy=True)
         rest[0, 0] = 0
@@ -265,7 +266,7 @@ class TestHaarTransform:
         f = GridFunction.from_values(
             res, rng.integers(-9, 10, size=res.grid_shape, dtype=np.int64)
         )
-        back = oracles.haar_synthesize(grid.haar_analyze(f))
+        back = oracles.haar_synthesize(oracles.haar_analyze(f))
         assert back.den == 1
         assert np.array_equal(back.values, f.values)
 
@@ -275,7 +276,7 @@ class TestHaarTransform:
         f = GridFunction.from_values(
             res, rng.integers(-4, 5, size=res.grid_shape, dtype=np.int64)
         )
-        assert oracles.parseval_l2_moment(grid.haar_analyze(f)) == grid.lp_moment(f, 2)
+        assert oracles.parseval_l2_moment(oracles.haar_analyze(f)) == grid.lp_moment(f, 2)
 
 
 def _spectrum_rectangle(index):
@@ -361,7 +362,7 @@ class TestSquareFunction:
         i = DyadicInterval(2, 1)
         res = Resolution((3,))
         h = oracles.haar_1d(i, res)
-        sq = grid.square_function_squared(h)
+        sq = oracles.square_function_squared(h)
         ind = grid.indicator_grid(DyadicRectangle((i,)), res)
         assert np.array_equal(sq.values, ind.values)
 
@@ -373,7 +374,7 @@ class TestSquareFunction:
         f = GridFunction.from_values(
             res, rng.integers(-5, 6, size=res.grid_shape, dtype=np.int64)
         )
-        assert grid.expectation(grid.square_function_squared(f)) == grid.lp_moment(f, 2)
+        assert grid.expectation(oracles.square_function_squared(f)) == grid.lp_moment(f, 2)
 
     def test_homogeneity(self):
         res = Resolution((2, 2))
@@ -381,9 +382,10 @@ class TestSquareFunction:
         f = GridFunction.from_values(
             res, rng.integers(-3, 4, size=res.grid_shape, dtype=np.int64)
         )
-        s1 = grid.square_function(grid.mul(f, -3))
-        s2 = grid.square_function(f)
-        assert np.allclose(s1, 3 * s2)
+        # S(-3f) = 3 S(f), checked exactly on the squares
+        s1 = oracles.square_function_squared(grid.mul(f, -3))
+        s2 = oracles.square_function_squared(f)
+        assert oracles.grids_equal(s1, grid.mul(s2, 9))
 
     def test_l2_ratio_is_one(self):
         res = Resolution((3, 2))
@@ -391,7 +393,7 @@ class TestSquareFunction:
         f = GridFunction.from_values(
             res, rng.integers(-5, 6, size=res.grid_shape, dtype=np.int64)
         )
-        prof = grid.lp_profile(f, [2])
+        prof = grid.lp_profile(f, oracles.square_function_squared(f), [2])
         assert prof.entries[0].b_p == pytest.approx(1.0)
 
 
@@ -452,11 +454,11 @@ class TestExactRoutesAgainstOracle:
         cells = np.asarray(_fractions(f.values, f.den), dtype=object) \
             .reshape(f.values.shape)
         coef = _oracle_analyze(cells)
-        spectrum = grid.haar_analyze(f)
+        spectrum = oracles.haar_analyze(f)
         assert _fractions(spectrum.coefficients, spectrum.den) == list(coef.flat)
         assert math.gcd(spectrum.den, *map(int, spectrum.coefficients.flat)) == 1
 
-        sq = grid.square_function_squared(f)
+        sq = oracles.square_function_squared(f)
         expected = grid.synthesize(coef * coef, signed=False)
         assert _fractions(sq.values, sq.den) == list(expected.flat)
         assert list(sq.float_values().flat) == [float(v) for v in expected.flat]
@@ -675,15 +677,18 @@ class TestLPDiagnostics:
 
     def test_ratio_constant_d1_haar_sums(self):
         # b_p / sqrt(p) stays below the frozen regression constant for
-        # one-dimensional Haar sums with random sign coefficients.
+        # one-dimensional Haar sums with random sign coefficients: a field
+        # with n=5 and every coarser shape, the 63 signs filling levels
+        # 0..5 in order.
         worst = 0.0
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            res = Resolution((6,))
-            spec = np.zeros(res.grid_shape, dtype=np.int64)
-            spec[1:] = rng.integers(0, 2, size=spec.size - 1) * 2 - 1
-            f = oracles.haar_synthesize(grid.HaarSpectrum(res, spec))
-            prof = grid.lp_profile(f, [2, 4, 8, 16])
+            spec = rng.integers(0, 2, size=63) * 2 - 1
+            field = CoefficientField(5, 1, {(k,): spec[(1 << k) - 1:(2 << k) - 1]
+                                            for k in range(6)})
+            prof = grid.lp_profile(hyperbolic.hyperbolic_sum(field),
+                                   hyperbolic.square_function_squared(field),
+                                   [2, 4, 8, 16])
             worst = max(worst, max(e.b_p / math.sqrt(e.p) for e in prof.entries))
         assert worst <= 0.75
 
@@ -695,5 +700,5 @@ class TestLPDiagnostics:
     def test_lp_profile_requires_increasing_ps(self):
         h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
         with pytest.raises(ValueError):
-            grid.lp_profile(h, [4, 2])
+            grid.lp_profile(h, oracles.square_function_squared(h), [4, 2])
 

@@ -220,7 +220,7 @@ class TestHyperbolicSum:
                                          res, signed).dtype == np.int16
 
     @pytest.mark.parametrize("report", [hyperbolic.hyperbolic_sum,
-                                        oracles.coefficient_square_sum,
+                                        hyperbolic.square_function_squared,
                                         oracles.trivial_bound_report])
     def test_float_field_refused(self, report):
         # grid functions are exact; only the d=2 product reads float fields
@@ -233,6 +233,45 @@ class TestHyperbolicSum:
         h_base = hyperbolic.hyperbolic_sum(base, Resolution((3, 3)))
         h_ext = hyperbolic.hyperbolic_sum(ext, Resolution((3, 3)))
         assert not np.array_equal(h_base.values, h_ext.values)
+
+
+class TestSquareFunctionSquared:
+    """S(H)**2 from the coefficients against the dense Haar analysis of the
+    synthesized sum H (``oracles.square_function_squared``)."""
+
+    N_MAX = {1: 8, 2: 6, 3: 4}
+
+    @pytest.mark.parametrize("coarse", [False, True], ids=["exact", "coarse"])
+    @pytest.mark.parametrize("maker", ["random_signs", "random_integers"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_analysis(self, d, maker, coarse):
+        # random_integers draws zeros too; coarse fields add every coarser shape
+        for n in range(self.N_MAX[d] + 1):
+            for seed in range(3):
+                field = getattr(CoefficientField, maker)(n, d, (80, d, n, seed))
+                if coarse:
+                    field = hyperbolic.add_coarse_random(field, (81, d, n, seed))
+                got = hyperbolic.square_function_squared(field)
+                want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
+                assert got.den == want.den == 1
+                assert np.array_equal(got.values, want.values), (n, seed)
+
+    def test_squares_past_int64(self):
+        # alpha = k * 2**32 + 1 squares past 2**63, so in int64 the squares
+        # wrap; they must become Python ints
+        rng = np.random.default_rng(82)
+        vals = {s: ((rng.integers(1, 1000, size=tuple(1 << r for r in s)) << 32) + 1)
+                * rng.choice([-1, 1], size=tuple(1 << r for r in s))
+                for s in hyperbolic.enumerate_shapes(2, 2)}
+        field = CoefficientField(2, 2, vals)
+        got = hyperbolic.square_function_squared(field)
+        assert got.values.dtype == object
+        want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
+        assert got.den == want.den == 1
+        assert np.array_equal(got.values, want.values)
+        finer = Resolution((4, 3))
+        assert oracles.grids_equal(hyperbolic.square_function_squared(field, finer),
+                                   grid.refine(got, finer))
 
 
 # ---------------------------------------------------------------------------
