@@ -491,6 +491,11 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": "validation", "detail": str(exc)}) + "\n")
         return 2
+    except MemoryError as exc:
+        # numpy's failed allocations too; exit 1 means an identity failed
+        sys.stderr.write(json.dumps(
+            {"error": "memory", "detail": str(exc)}) + "\n")
+        return 2
     finally:
         coincidence.MAX_TUPLES, riesz.SD_TUPLE_BUDGET = saved_caps
     try:

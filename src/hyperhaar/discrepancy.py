@@ -3,18 +3,20 @@
 ``D_N(x) = #(A ∩ [0, x)) - N * vol[0, x)`` for half-open anchored boxes.
 Coordinates are integers, ``nums[i, j] / dens[j]`` (over b^m for radical
 inverses, 2^53 for random floats, the lcm of exact denominators for user
-input).  One kernel counts points in the boxes at all corners of a grid:
-per axis it scales points and corners to the lcm of their denominators,
-places them with ``searchsorted``, scatters with ``bincount`` and takes
-prefix sums.  Integers take ``grid.int_dtype`` of their bound (that lcm,
-or N * prod(dens) for the sup): Python ints only past int64.  The
-sup is exact by critical-corner enumeration: per axis the candidates are
-the coordinates with 0 and 1; sup D is the maximum over corners of the
-closed-count value (the limit from above), inf D the minimum of the
+input).  One kernel counts points in the boxes at all corners of a grid,
+in axis-0 slabs: per axis it scales points and corners to the lcm of
+their denominators and places them with ``searchsorted``; per slab it
+scatters with ``bincount`` and takes prefix sums, carrying the last row
+into the next slab.  Integers take ``grid.int_dtype`` of their bound
+(that lcm, or N * prod(dens) for the sup): Python ints only past int64.
+The sup is exact by critical-corner enumeration: per axis the candidates
+are the coordinates with 0 and 1; sup D is the maximum over corners of
+the closed-count value (the limit from above), inf D the minimum of the
 strict-count value (attained), both as integers times prod(dens).
 
-Large sets fall back to a labeled grid-scan lower bound; L^p norms are
-estimated by midpoint sampling with the volume-term modulus recorded.
+Large sets fall back to a labeled grid-scan lower bound, a running max
+and min over the slabs, so no grid-sized array is allocated; L^p norms
+are estimated by midpoint sampling with the volume-term modulus recorded.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 
 #: Largest N for which the exact corner enumeration runs by default.
 EXACT_SUP_CAP = {2: 100, 3: 40}
+
+#: Cells per axis-0 slab of the scan (512 KiB of float64); a slab holds at
+#: least one row.
+_SLAB_CELLS = 1 << 16
 
 
 class PointSet:
@@ -156,8 +162,8 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
     vol = a.n
     for c in cands:
         vol = np.multiply.outer(vol, c.astype(dtype))
-    le = _scan_grid_counts(a, cands, a.dens, strict=False).astype(dtype)
-    lt = _scan_grid_counts(a, cands, a.dens, strict=True).astype(dtype)
+    le = _grid_counts(a, cands, a.dens, strict=False).astype(dtype)
+    lt = _grid_counts(a, cands, a.dens, strict=True).astype(dtype)
     sup, sup_idx = _extreme(le * den - vol, maximize=True)
     inf, inf_idx = _extreme(lt * den - vol, maximize=False)
     sup, inf = Fraction(int(sup), den), Fraction(int(inf), den)
@@ -170,13 +176,17 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
             "corner_inf": corner(inf_idx)}
 
 
-def _scan_grid_counts(a: PointSet, corner_nums, corner_dens,
-                      strict: bool) -> np.ndarray:
+def _count_slabs(a: PointSet, corner_nums, corner_dens, strict: bool,
+                 rows: int):
     """#points inside the box at every corner of the grid whose axis j holds
-    the sorted corners ``corner_nums[j] / corner_dens[j]``: strict uses
-    p_j < corner_j, non-strict p_j <= corner_j (the limit from above).  A
-    point past an axis's last corner is in no box.  Scaled to their lcm,
-    points and corners are at most that lcm, which picks the dtype."""
+    the sorted corners ``corner_nums[j] / corner_dens[j]``, yielded as
+    successive axis-0 slabs of ``rows`` rows (the last may be shorter):
+    strict uses p_j < corner_j, non-strict p_j <= corner_j (the limit from
+    above).  A point past an axis's last corner is in no box.  Scaled to
+    their lcm, points and corners are at most that lcm, which picks the
+    dtype.  Each slab is one ``bincount`` of its share of the sorted flat
+    indices, prefix-summed within its rows and then down axis 0 from the
+    previous slab's last row."""
     shape = tuple(len(c) for c in corner_nums)
     pos = []
     for j, (cnums, cden) in enumerate(zip(corner_nums, corner_dens)):
@@ -187,49 +197,80 @@ def _scan_grid_counts(a: PointSet, corner_nums, corner_dens,
         pos.append(np.searchsorted(corners, pts,
                                    side="right" if strict else "left"))
     inside = np.all([p < size for p, size in zip(pos, shape)], axis=0)
-    flat = np.ravel_multi_index(tuple(p[inside] for p in pos), shape)
-    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-    # in place, and by hyperplanes off the last axis (numpy's is slow there)
-    for axis in range(a.d - 1):
-        planes = np.moveaxis(counts, axis, 0)
-        for k in range(1, shape[axis]):
-            planes[k] += planes[k - 1]
-    return np.cumsum(counts, axis=-1, out=counts)
+    flat = np.sort(np.ravel_multi_index(tuple(p[inside] for p in pos), shape))
+    row_cells = math.prod(shape[1:])
+    carry = None
+    for lo in range(0, shape[0], rows):
+        hi = min(lo + rows, shape[0])
+        first, last = np.searchsorted(flat, (lo * row_cells, hi * row_cells))
+        counts = np.bincount(flat[first:last] - lo * row_cells,
+                             minlength=(hi - lo) * row_cells)
+        counts = counts.reshape((hi - lo,) + shape[1:])
+        # in place, and by hyperplanes off the last axis (numpy's is slow
+        # there); the carry is a prefix-summed row, so it joins after them
+        for axis in range(1, a.d - 1):
+            planes = np.moveaxis(counts, axis, 0)
+            for k in range(1, shape[axis]):
+                planes[k] += planes[k - 1]
+        np.cumsum(counts, axis=-1, out=counts)
+        if carry is not None:
+            counts[0] += carry
+        for k in range(1, hi - lo):
+            counts[k] += counts[k - 1]
+        # read-only: the next slab reads this one's last row
+        counts.flags.writeable = False
+        carry = counts[-1]
+        yield counts
+
+
+def _grid_counts(a: PointSet, corner_nums, corner_dens,
+                 strict: bool) -> np.ndarray:
+    """The whole count grid of ``_count_slabs``, as one slab."""
+    return next(_count_slabs(a, corner_nums, corner_dens, strict,
+                             len(corner_nums[0])))
 
 
 def _check_grid_level(grid_level: int, d: int) -> None:
-    """Refuse a scan grid of 2^(grid_level*d) corners before allocating it,
-    naming the byte estimate and the level that would fit."""
+    """Refuse a grid of 2^(grid_level*d) corners before starting, naming the
+    corner count and the level that would fit.  The scan streams its grid,
+    so for it the cap bounds work, not memory."""
     try:
         Resolution.uniform(grid_level, d)
     except GridTooLargeError as exc:
-        cells = 1 << (grid_level * d)
         raise GridTooLargeError(
-            f"{exc}: --grid-level {grid_level} in d={d} means {cells} corners, "
-            f"{8 * cells} bytes ({8 * cells / 2**30:g} GiB) per int64/float64 "
-            f"grid; --grid-level {grid.MAX_TOTAL_LEVEL // d} or lower fits"
+            f"{exc}: --grid-level {grid_level} in d={d} scans "
+            f"{1 << (grid_level * d)} corners; "
+            f"--grid-level {grid.MAX_TOTAL_LEVEL // d} or lower fits"
         ) from None
 
 
-def _grid_values(a: PointSet, nums, den: int, strict: bool) -> np.ndarray:
-    """D (strict) or its limit from above, in float64, at every corner of
-    the grid with corners ``nums / den`` on each axis."""
-    vol = nums / den
+def _volumes(a: PointSet, x0: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """N * vol[0, x) in float64 at the corners whose axis-0 coordinates are
+    ``x0`` and whose other coordinates are ``coords``."""
+    vol = x0
     for _ in range(a.d - 1):
-        vol = np.multiply.outer(vol, nums / den)
+        vol = np.multiply.outer(vol, coords)
     vol *= a.n
-    counts = _scan_grid_counts(a, [nums] * a.d, [den] * a.d, strict)
-    return np.subtract(counts, vol, out=vol)
+    return vol
 
 
 def _scan_bounds(a: PointSet, grid_level: int) -> dict:
     """Evaluate D (and its limit from above) on the corner grid k/2^level,
     k = 1..2^level: a certified lower bound on the sup and upper bound on
-    the inf, each within N * d * 2^-level of exact."""
+    the inf, each within N * d * 2^-level of exact.  The grid streams in
+    axis-0 slabs into a running max and min."""
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
-    sup = float(np.max(_grid_values(a, np.arange(1, g + 1), g, strict=False)))
-    inf = float(np.min(_grid_values(a, np.arange(1, g + 1), g, strict=True)))
+    nums = np.arange(1, g + 1)
+    coords = nums / g
+    rows = max(1, _SLAB_CELLS // g ** (a.d - 1))
+    closed = _count_slabs(a, [nums] * a.d, [g] * a.d, False, rows)
+    strict = _count_slabs(a, [nums] * a.d, [g] * a.d, True, rows)
+    sup, inf = -math.inf, math.inf
+    for lo, le, lt in zip(range(0, g, rows), closed, strict):
+        vol = _volumes(a, coords[lo:lo + rows], coords)
+        sup = max(sup, float(np.max(le - vol)))
+        inf = min(inf, float(np.min(np.subtract(lt, vol, out=vol))))
     return {"n": a.n, "d": a.d, "mode": "scan-lower-bound",
             "grid_level": grid_level, "sup": sup, "inf": inf,
             "sup_abs": max(sup, -inf), "gap_bound": a.n * a.d / g}
@@ -250,7 +291,11 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
         raise ValueError("p must be at least 1")
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
-    values = _grid_values(a, 2 * np.arange(g) + 1, 2 * g, strict=True)
+    nums = 2 * np.arange(g) + 1
+    coords = nums / (2 * g)
+    counts = _grid_counts(a, [nums] * a.d, [2 * g] * a.d, strict=True)
+    vol = _volumes(a, coords, coords)
+    values = np.subtract(counts, vol, out=vol)
     norm = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
     return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
             "value": norm, "modulus_bound": a.n * a.d / g}

@@ -5,7 +5,8 @@ test inputs (Haar functions axis by axis, spectra synthesized back to
 grids) or recompute what the library computes by a simpler, independent
 route: the dense Haar analysis of a grid and the squared square function
 spread from its spectrum, Parseval sums entry by entry, block averages,
-corner counts over the point list, the C2 second moment expanded over
+corner counts over the point list, the discrepancy scan over the whole
+corner grid at once, the C2 second moment expanded over
 pairs of pairs, the wedge grade of a graph, and the short product's grids
 expanded from its pools.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -407,6 +409,41 @@ def discrepancy_eval(a: PointSet, x):
     count = sum(1 for p in a.points if all(pj < xj for pj, xj in zip(p, x)))
     exact = all(isinstance(c, (Fraction, int)) for c in x)
     return count - a.n * math.prod(x, start=Fraction(1) if exact else 1.0)
+
+
+def corner_counts(a: PointSet, corners, strict: bool) -> np.ndarray:
+    """#points in the box at every corner of the sorted Fraction
+    ``corners`` (one list per axis): one bisect per point and axis, then a
+    cumulative sum along each axis of the full grid."""
+    counts = np.zeros(tuple(len(g) for g in corners), dtype=np.int64)
+    for p in a.points:
+        idx = [bisect_right(g, Fraction(c)) if strict
+               else bisect_left(g, Fraction(c)) for g, c in zip(corners, p)]
+        if all(i < len(g) for i, g in zip(idx, corners)):
+            counts[tuple(idx)] += 1
+    for axis in range(a.d):
+        counts = np.cumsum(counts, axis=axis)
+    return counts
+
+
+def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
+    """The scan bounds of ``discrepancy._scan_bounds`` with the whole corner
+    grid k/2^level held at once: the float64 volume grid, N times it, and
+    count minus volume, in the same operation order, so equal in bits."""
+    g = 1 << grid_level
+    corners = [Fraction(k, g) for k in range(1, g + 1)]
+    x = np.arange(1, g + 1) / g
+
+    def values(strict):
+        vol = x
+        for _ in range(a.d - 1):
+            vol = np.multiply.outer(vol, x)
+        vol *= a.n
+        return corner_counts(a, [corners] * a.d, strict) - vol
+
+    sup = float(np.max(values(strict=False)))
+    inf = float(np.min(values(strict=True)))
+    return {"sup": sup, "inf": inf, "sup_abs": max(sup, -inf)}
 
 
 # ---------------------------------------------------------------------------

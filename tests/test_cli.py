@@ -4,9 +4,10 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from hyperhaar import cli, coincidence
+from hyperhaar import cli, coincidence, discrepancy
 
 
 def run(argv, capsys):
@@ -79,6 +80,23 @@ class TestVerify:
         assert err["error"] == "limit"
         assert "total level 30" in err["detail"]
         assert "grid-level" in err["detail"]
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("out of memory"),
+        np._core._exceptions._ArrayMemoryError((1 << 40,), np.dtype(float)),
+    ], ids=["MemoryError", "numpy"])
+    def test_memory_error_exit_two(self, capsys, monkeypatch, error):
+        def raising(*args):
+            raise error
+
+        monkeypatch.setattr(discrepancy, "_count_slabs", raising)
+        code = cli.main(["discrepancy", "--generator", "vdc",
+                         "--n-range", "2..2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "memory",
+                                            "detail": str(error)}
 
     def test_unknown_flag_exit_two(self):
         with pytest.raises(SystemExit) as exc:

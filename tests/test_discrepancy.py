@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,22 +192,9 @@ class TestExtreme:
 
 
 # ---------------------------------------------------------------------------
-# the count kernel against the bisect-over-Fraction loop
+# the count kernel against the bisect-over-Fraction loop, and the scan
+# against the full grid
 # ---------------------------------------------------------------------------
-
-
-def oracle_counts(a, corners, strict):
-    """#points in the box at every corner of the Fraction ``corners``: one
-    bisect per point and axis, as the counts were taken before the kernel."""
-    counts = np.zeros(tuple(len(g) for g in corners), dtype=np.int64)
-    for p in a.points:
-        idx = [bisect_right(g, Fraction(c)) if strict
-               else bisect_left(g, Fraction(c)) for g, c in zip(corners, p)]
-        if all(i < len(g) for i, g in zip(idx, corners)):
-            counts[tuple(idx)] += 1
-    for axis in range(a.d):
-        counts = np.cumsum(counts, axis=axis)
-    return counts
 
 
 def candidates(a):
@@ -241,8 +228,15 @@ class TestCountKernel:
         for nums, den in ((np.arange(1, g + 1), g),
                           (2 * np.arange(g) + 1, 2 * g)):
             corners = [[Fraction(int(k), den) for k in nums]] * a.d
-            got = dis._scan_grid_counts(a, [nums] * a.d, [den] * a.d, strict)
-            assert np.array_equal(got, oracle_counts(a, corners, strict))
+            want = oracles.corner_counts(a, corners, strict)
+            got = dis._grid_counts(a, [nums] * a.d, [den] * a.d, strict)
+            assert np.array_equal(got, want)
+            # slab boundaries, including row counts that do not divide g
+            for rows in (1, 3, 5, g):
+                slabs = list(dis._count_slabs(a, [nums] * a.d, [den] * a.d,
+                                              strict, rows))
+                assert [len(s) for s in slabs[:-1]] == [rows] * (len(slabs) - 1)
+                assert np.array_equal(np.concatenate(slabs), want)
 
     @pytest.mark.parametrize("a", SETS, ids=lambda a: f"{a.provenance}-{a.n}")
     @pytest.mark.parametrize("strict", [False, True])
@@ -250,8 +244,11 @@ class TestCountKernel:
         cands = candidates(a)
         nums = [np.array([int(c * q) for c in cand], dtype=object)
                 for cand, q in zip(cands, a.dens)]
-        got = dis._scan_grid_counts(a, nums, a.dens, strict)
-        assert np.array_equal(got, oracle_counts(a, cands, strict))
+        want = oracles.corner_counts(a, cands, strict)
+        assert np.array_equal(dis._grid_counts(a, nums, a.dens, strict), want)
+        for rows in (1, 3):
+            slabs = dis._count_slabs(a, nums, a.dens, strict, rows)
+            assert np.array_equal(np.concatenate(list(slabs)), want)
 
     @pytest.mark.parametrize("a", [dis.van_der_corput(8), dis.halton(6),
                                    dis.halton(7, (2, 3)),
@@ -273,6 +270,35 @@ class TestCountKernel:
         assert rec["corner_inf"] == corners[inf_vals.index(min(inf_vals))]
         assert all(type(v) is Fraction for v in
                    (rec["sup"], rec["inf"], *rec["corner_sup"]))
+
+
+# d=3 streams in several slabs from level 6 on, d=2 only past level 8
+SCAN_CASES = ([(a, level) for a in SETS for level in (3, 4, 5, 6, 7)]
+              + [(a, 10) for a in SETS if a.d == 2])
+
+
+class TestScanStream:
+    @pytest.mark.parametrize(("a", "level"), SCAN_CASES,
+                             ids=[f"{a.provenance}-{a.n}-{level}"
+                                  for a, level in SCAN_CASES])
+    def test_matches_full_grid(self, a, level):
+        got = dis._scan_bounds(a, level)
+        want = oracles.scan_bounds_full_grid(a, level)
+        for key in ("sup", "inf", "sup_abs"):
+            assert got[key] == want[key]
+
+    def test_traced_peak_bounded(self):
+        # d=3 at level 8 is 2^24 corners: 128 MiB per float64 grid, which
+        # the scan must never hold
+        a = dis.halton(512)
+        tracemalloc.start()
+        try:
+            rec = dis.discrepancy_sup(a, approximate=True, grid_level=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec["mode"] == "scan-lower-bound"
+        assert peak < 16 << 20
 
 
 # ---------------------------------------------------------------------------
