@@ -372,7 +372,20 @@ def _cmd_riesz3d(args) -> tuple[int, dict, list]:
     return (0 if ok else 1), payload, checks
 
 
+#: Common flags that select nothing in beck-gain, which measures d=3 classes
+#: over --n-range with one exact route.
+_BECK_GAIN_UNUSED = ("n", "d", "a", "eps", "threads")
+
+
 def _cmd_beck_gain(args) -> tuple[int, dict, list]:
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common)
+    defaults = vars(common.parse_args([]))
+    unused = [f"--{name}" for name in _BECK_GAIN_UNUSED
+              if getattr(args, name) != defaults[name]]
+    if unused:
+        raise ValueError(f"beck-gain measures d=3 classes over --n-range; "
+                         f"{', '.join(unused)} would be ignored")
     # a block or pin flag off its parser default must select something
     if args.kind != "C2_restricted" and (args.block_s, args.block_t) != (1, 2):
         raise ValueError(f"--block-s/--block-t choose the blocks of "

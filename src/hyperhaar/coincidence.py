@@ -35,6 +35,9 @@ from .hyperbolic import CoefficientField, Shape
 #: Refuse enumerations beyond this many tuples (configurable).
 MAX_TUPLES = 10**7
 
+#: Cells per axis-0 slab in which product sums are refined (1 MiB of int8).
+_SLAB_CELLS = 1 << 20
+
 #: Vertex cap for graph enumeration.
 GRAPH_VERTEX_CAP = 6
 
@@ -409,9 +412,10 @@ def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
     """Refine every grid in ``bufs`` (keyed by its levels) to ``level`` on
     ``axis``, summing the grids whose levels then coincide.
 
-    A grid already at ``level`` on ``axis`` is the output of its class and
-    the others are added into it in place; every consumed grid is dropped
-    before the next class is built.
+    A writeable grid already at ``level`` on ``axis`` is the output of its
+    class and the others are added into it in place; a read-only one (a
+    view of a per-join sum) is added into a new grid instead.  Every
+    consumed grid is dropped before the next class is built.
     """
     classes: dict[tuple[int, ...], list] = {}
     for key in bufs:
@@ -429,36 +433,27 @@ def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
             if out is None:
                 out = np.empty(tuple(1 << m for m in out_key), dtype=src.dtype)
                 np.copyto(out.reshape(split), src)
+            elif not out.flags.writeable:
+                out = np.add(out.reshape(split), src).reshape(out.shape)
             else:
                 np.add(out.reshape(split), src, out=out.reshape(split))
         out_bufs[out_key] = out
     return out_bufs
 
 
-def sum_products(tuples, r_own: dict[Shape, GridFunction],
-                 resolution: Resolution) -> np.ndarray:
-    """Sum over the tuples of the products of their shapes' r-functions, as
-    an integer grid on ``resolution`` -- the one kernel for such sums.
-
-    ``r_own`` maps every shape to its r-function on its own grid (see
-    ``own_r_grids``); ``resolution`` must be fine enough for every shape.
-    A tuple's product depends only on its join (per axis, the max level + 1
-    over its shapes), so the tuples are grouped by join.  Each group
-    copies the r-functions of its shapes onto the join grid once and sums
-    its products there.  The per-join sums are then refined to
-    ``resolution`` one axis at a time, in the axis order that writes the
-    fewest cells, adding together the sums whose levels coincide after each
-    axis.  Every partial sum is over a subset of the tuples, so the
-    accumulator is ``grid.int_dtype`` of their count.
-    """
-    tuples = list(tuples)
+def _join_sums(tuples, r_own: dict[Shape, GridFunction], d: int) -> dict:
+    """Per join (per axis, the max level + 1 over a tuple's shapes), the sum
+    of the products of the r-functions of the tuples with that join, on
+    the join grid -- read-only, since the slabs of ``_slabs`` are
+    views of them.  A tuple's product depends only on its join; each group
+    copies the r-functions of its shapes onto its join grid once.  Every
+    sum is over a subset of the tuples, so its dtype is ``grid.int_dtype``
+    of their count."""
     acc_dtype = grid.int_dtype(len(tuples))
-    if not tuples:
-        return np.zeros(resolution.grid_shape, dtype=acc_dtype)
     groups: dict[tuple[int, ...], list] = {}
     for tup in tuples:
-        groups.setdefault(_join(tup, resolution.d), []).append(tup)
-    bufs = {}
+        groups.setdefault(_join(tup, d), []).append(tup)
+    sums = {}
     for join, members in groups.items():
         sub = Resolution(join)
         # Copies for one group at a time: the joins of a class are often
@@ -471,12 +466,82 @@ def sum_products(tuples, r_own: dict[Shape, GridFunction],
             for s in tup[1:]:
                 prod = prod * r_grids[s]
             acc += prod
-        bufs[join] = acc
+        acc.flags.writeable = False
+        sums[join] = acc
         del r_grids
-    for axis in _axis_order(bufs, resolution.levels):
-        bufs = _refine_axis(bufs, axis, resolution.levels[axis])
-    (values,) = bufs.values()
-    return values
+    return sums
+
+
+def _slabs(sums: dict, resolution: Resolution, rows: int | None = None):
+    """The grid of ``sum_products`` as successive axis-0 slabs of ``rows``
+    rows, a power of two, from the per-join sums of ``_join_sums``; by
+    default as many rows as fit in ``_SLAB_CELLS`` cells, and at least one.
+
+    With L0 the level of axis 0 and rows = 2^k, the slab at rows
+    [r0, r0 + 2^k) restricted to a sum at axis-0 level j0 is its rows
+    ``[r0 >> (L0 - j0)]`` onward, 2^max(j0 - (L0 - k), 0) of them: a grid at
+    that relative level.  Sums whose levels coincide after this clip are
+    added into a new grid, and each slab is refined to (k, L1, ...) in
+    the axis order that writes the fewest cells, computed once (every slab
+    has the same keys).  The per-join sums are never written.
+    """
+    levels = resolution.levels
+    if rows is None:
+        rows = max(min(1 << levels[0], _SLAB_CELLS >> sum(levels[1:])), 1)
+    k = rows.bit_length() - 1
+    clip = {key: (max(key[0] - (levels[0] - k), 0),) + key[1:] for key in sums}
+    target = (k,) + levels[1:]
+    order = _axis_order(set(clip.values()), target)
+    for r0 in range(0, 1 << levels[0], rows):
+        bufs = {}
+        for key, values in sums.items():
+            part = values[r0 >> (levels[0] - key[0]):][:1 << clip[key][0]]
+            out = bufs.get(clip[key])
+            bufs[clip[key]] = part if out is None else out + part
+        for axis in order:
+            bufs = _refine_axis(bufs, axis, target[axis])
+        (slab,) = bufs.values()
+        yield slab
+
+
+def sum_products(tuples, r_own: dict[Shape, GridFunction],
+                 resolution: Resolution) -> np.ndarray:
+    """Sum over the tuples of the products of their shapes' r-functions, as
+    an integer grid on ``resolution`` -- the one kernel for such sums.
+
+    ``r_own`` maps every shape to its r-function on its own grid (see
+    ``own_r_grids``); ``resolution`` must be fine enough for every shape.
+    The per-join sums of ``_join_sums`` are refined to ``resolution`` slab
+    by slab (``_slabs``), and each slab is copied into the output, so no
+    refine step holds a whole grid next to its input.  Every partial sum
+    is over a subset of the tuples, so the grid is ``grid.int_dtype`` of
+    their count.
+    """
+    tuples = list(tuples)
+    out = np.zeros(resolution.grid_shape, dtype=grid.int_dtype(len(tuples)))
+    if not tuples:
+        return out
+    r0 = 0
+    for slab in _slabs(_join_sums(tuples, r_own, resolution.d), resolution):
+        out[r0:r0 + len(slab)] = slab
+        r0 += len(slab)
+    return out
+
+
+def _checked_shapes(tuples, d: int,
+                    resolution: Resolution | None = None):
+    """The checks of every class-product sum, made before any r-grid is
+    built: at most ``MAX_TUPLES`` tuples, and a ``resolution`` fine enough
+    for each of their shapes (by default the minimal one, or level 1 on
+    every axis for no tuples).  Returns the shapes and the resolution."""
+    if len(tuples) > MAX_TUPLES:
+        raise BudgetExceededError(f"{len(tuples)} tuples exceed the budget")
+    shapes = {s for tup in tuples for s in tup}
+    if resolution is None:
+        resolution = (hyperbolic.minimal_resolution(shapes, d) if shapes
+                      else Resolution((1,) * d))
+    hyperbolic._check_resolution(resolution, shapes)
+    return shapes, resolution
 
 
 def prod_over(tuples, field: CoefficientField,
@@ -485,16 +550,7 @@ def prod_over(tuples, field: CoefficientField,
     of their shapes -- integer exact, through ``sum_products``.  The
     default resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
-    if len(tuples) > MAX_TUPLES:
-        raise BudgetExceededError(f"{len(tuples)} tuples exceed the budget")
-    if not tuples:
-        if resolution is None:
-            resolution = Resolution((1,) * field.d)
-        return GridFunction.zero(resolution)
-    shapes = {s for tup in tuples for s in tup}
-    if resolution is None:
-        resolution = hyperbolic.minimal_resolution(shapes, field.d)
-    hyperbolic._check_resolution(resolution, shapes)
+    shapes, resolution = _checked_shapes(tuples, field.d, resolution)
     values = sum_products(tuples, own_r_grids(field, shapes), resolution)
     return GridFunction(resolution, values)
 
@@ -511,7 +567,9 @@ PREDICTED_EXPONENT = {
 def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
                       s: int = 1, t: int = 2, b: int = 0, a: int = 0) -> dict:
     """Exact L^p norms of the class product sums across n, with fitted
-    n-exponents per p against each predicted exponent.
+    n-exponents per p against each predicted exponent.  Each sum streams
+    from ``_slabs`` into ``grid.abs_power_sums``, which gives every power
+    sum and the sup from one read, so its full grid is never built.
 
     The coefficient field is random signs from (seed, n).  Rows carry the
     CSV columns (kind, n, p, norm, fitted_exponent, predicted_exponent);
@@ -542,11 +600,15 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
             raise ValueError(f"the {kind} class has no tuples at n={n}{where}")
         counts[n] = cls.size
         field = CoefficientField.random_signs(n, 3, (seed, n))
-        g = prod_over(cls.tuples, field)
-        sup_bound_ok &= grid.sup_norm(g) <= cls.size
+        shapes, res = _checked_shapes(cls.tuples, 3)
+        sums = _join_sums(cls.tuples, own_r_grids(field, shapes), 3)
+        totals, peak = grid.abs_power_sums(_slabs(sums, res), int_ps)
+        del sums  # before the next n builds its own
+        sup_bound_ok &= peak <= cls.size
         k = len(cls.tuples[0])
         rho = math.sqrt(q) / n
-        for p, norm in zip(p_list, grid.lp_norms(g, int_ps)):
+        for p, total in zip(p_list, totals):
+            norm = grid.norm_of_power_sum(total, res.cells, p)
             per_np[float(p)].append((n, norm))
             gain.append({
                 "n": n, "p": float(p),

@@ -14,12 +14,14 @@ array past).  Floats leave a grid only through the correctly rounded
 root of the square function in ``lp_profile``, L^p norms for non-integer
 p, and the Orlicz estimate.
 
-Exact L^p moments come from ``_int_abs_power_sums``, which reads a grid
-once for every integer p asked for.  Values spanning at most
-``_POWER_CHUNK`` integers (every int8 and int16 grid) are counted in one
-chunked ``bincount`` pass, and each sum is ``count * |v|**p`` over the
-values that occur, in Python ints; wider spans and Python-int grids take a
-chunked power loop.  ``lp_norms`` gives several norms from that one read.
+Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
+values that reads each chunk once for every integer p asked for and also
+returns the peak |v|, so a grid can be streamed through it slab by slab.
+A chunk whose values span at most ``_POWER_CHUNK`` integers (every int8
+and int16 chunk) is counted in one chunked ``bincount`` pass after its
+min/max, and each sum is ``count * |v|**p`` over the values that occur, in
+Python ints; wider spans and Python-int chunks take a chunked power loop.
+``lp_norms`` gives several norms from one read, with the grid as one chunk.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -372,42 +374,60 @@ def lp_moment(f: GridFunction, p: int):
     return Fraction(total, f.resolution.cells * f.den ** p)
 
 
-#: Cells per chunk of the exact power sums, and the widest value span
-#: that they count in one histogram.
+#: Cells per piece that the exact power sums widen or count at once, and
+#: the widest value span of a chunk that they count in one histogram.
 _POWER_CHUNK = 1 << 16
 
 
-def _int_abs_power_sums(values: np.ndarray, ps) -> list[int]:
-    """Exact sum of |v|**p over an integer or Python-int array, for each p.
+def abs_power_sums(chunks, ps) -> tuple[list[int], int]:
+    """Exact sum of |v|**p for each p, and max |v| (0 if empty), over the
+    integer or Python-int arrays ``chunks`` taken as one: a fold that reads
+    each chunk once, so a grid can stream through it in slabs.
 
-    Histogram route: when the values span at most ``_POWER_CHUNK``
+    Histogram route: when a chunk's values span at most ``_POWER_CHUNK``
     integers (always for int8 and int16), one chunked ``bincount`` of the
     offsets ``v - min`` counts each value, and every sum is the Python-int
-    sum of ``count * |v|**p`` over the values that occur.  The offsets are
-    taken in the unsigned type of the same width, modulo 2**bits, so no
-    value wraps.  Wide route: wider spans and ``object`` arrays widen and
-    ``abs`` each chunk once, then sum its powers per p in the width
-    ``int_dtype`` gives a chunk's sum (and the exponent p).
+    sum of ``count * |v|**p`` over the values that occur.  Wide route:
+    wider spans and ``object`` chunks widen and ``abs`` each piece once,
+    then sum its powers per p in the width ``int_dtype`` gives a piece's
+    sum (and the exponent p).
     """
-    flat = values.reshape(-1)
     ps = list(ps)
-    if flat.size and flat.dtype != object:
-        lo, hi = int(flat.min()), int(flat.max())
-        if hi - lo < _POWER_CHUNK:
-            return _histogram_power_sums(flat, lo, hi, ps)
-    peak = max_abs(flat)
-    dtypes = [int_dtype(max(peak ** p * min(_POWER_CHUNK, flat.size), p)) for p in ps]
-    totals = [0] * len(ps)
-    for start in range(0, flat.size, _POWER_CHUNK):
-        part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(peak)))
-        for i, (p, dtype) in enumerate(zip(ps, dtypes)):
-            totals[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
-    return totals
+    parts = []  # (sums, max |v|) of each nonempty chunk
+    for chunk in chunks:
+        flat = chunk.reshape(-1)
+        if not flat.size:
+            continue
+        if flat.dtype != object:
+            lo, hi = int(flat.min()), int(flat.max())
+            if hi - lo < _POWER_CHUNK:
+                parts.append(_histogram_power_sums(flat, lo, hi, ps))
+                continue
+        top = max_abs(flat)
+        dtypes = [int_dtype(max(top ** p * min(_POWER_CHUNK, flat.size), p))
+                  for p in ps]
+        sums = [0] * len(ps)
+        for start in range(0, flat.size, _POWER_CHUNK):
+            part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(top)))
+            for i, (p, dtype) in enumerate(zip(ps, dtypes)):
+                sums[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
+        parts.append((sums, top))
+    return ([sum(sums[i] for sums, _ in parts) for i in range(len(ps))],
+            max((top for _, top in parts), default=0))
 
 
-def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int, ps) -> list[int]:
-    """``_int_abs_power_sums`` for values in ``[lo, hi]``, a span of at most
-    ``_POWER_CHUNK``: one pass of per-chunk value counts."""
+def _int_abs_power_sums(values: np.ndarray, ps) -> list[int]:
+    """Exact sum of |v|**p over an integer or Python-int array, for each p:
+    ``abs_power_sums`` of the array as one chunk."""
+    return abs_power_sums([values], ps)[0]
+
+
+def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
+                          ps) -> tuple[list[int], int]:
+    """The power sums and max |v| of ``abs_power_sums`` for one chunk of
+    values in ``[lo, hi]``, a span of at most ``_POWER_CHUNK``: one pass of
+    per-piece value counts.  The offsets are taken in the unsigned type of
+    the same width, modulo 2**bits, so no value wraps."""
     unsigned = flat.view(f"u{flat.itemsize}")
     shift = np.array(lo, dtype=flat.dtype).view(unsigned.dtype)
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
@@ -416,7 +436,13 @@ def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int, ps) -> list[int]:
         counts += np.bincount(offsets, minlength=counts.size)
     seen = np.flatnonzero(counts)
     pairs = [(abs(lo + i), c) for i, c in zip(seen.tolist(), counts[seen].tolist())]
-    return [sum(c * v ** p for v, c in pairs) for p in ps]
+    return [sum(c * v ** p for v, c in pairs) for p in ps], max(abs(lo), abs(hi))
+
+
+def norm_of_power_sum(total: int, scale: int, p: int) -> float:
+    """(total / scale) ** (1/p) with the exact moment rounded once: the one
+    route from an exact power sum to an L^p norm."""
+    return float(Fraction(total, scale)) ** (1.0 / p)
 
 
 def lp_norm(f: GridFunction, p) -> float:
@@ -438,8 +464,8 @@ def lp_norms(f: GridFunction, ps) -> list[float]:
     norms = []
     for p in ps:
         if isinstance(p, int):
-            moment = Fraction(sums[p], f.resolution.cells * f.den ** p)
-            norms.append(float(moment) ** (1.0 / p))
+            norms.append(norm_of_power_sum(
+                sums[p], f.resolution.cells * f.den ** p, p))
         else:
             if abs_values is None:
                 abs_values = np.abs(f.float_values())

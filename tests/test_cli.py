@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from hyperhaar import cli, coincidence, discrepancy
+from hyperhaar import cli, coincidence, discrepancy, hyperbolic
 
 
 def run(argv, capsys):
@@ -148,6 +148,35 @@ class TestExperiments:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "38392b9a5a343c238a15a92916c784989b3db121177691a2a37075fcd3ed7ff6")
 
+    def test_beck_gain_int16_sums_output_frozen(self, capsys):
+        # stdout byte for byte, as recorded while beck-gain still built each
+        # class sum as one grid; B4 has 192 tuples at n=6, so its sums are
+        # int16, which the power sums count over the whole int16 span
+        code, out = run(["beck-gain", "--kind", "B4", "--n-range", "4..6",
+                         "--p-list", "2,4", "--seed", "0"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "65569aef0d6799fbfd28ebc639a43a5db6131c24d50aa974128f5484f5f1e1f5")
+
+    @pytest.mark.parametrize("budget, code", [("8", 2), ("9", 0)])
+    def test_beck_gain_budget_checked_before_r_grids(self, budget, code,
+                                                     capsys, monkeypatch):
+        # C2_restricted has 9 tuples at n=4; a budget below that refuses
+        # the class before any r-function grid is built
+        built = []
+        r_function_grid = hyperbolic.r_function_grid
+        monkeypatch.setattr(hyperbolic, "r_function_grid",
+                            lambda *a: built.append(a) or r_function_grid(*a))
+        assert cli.main(["beck-gain", "--kind", "C2_restricted", "--n-range",
+                         "4..4", "--budget", budget]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert json.loads(captured.err)["error"] == "budget"
+            assert captured.out == ""
+            assert not built
+        else:
+            assert built
+
     @pytest.mark.parametrize("argv, digest", [
         (["riesz2d", "--n", "4", "--trials", "3", "--seed", "0"],
          "6337dfcdc28b5a25de6fa731b790a932e62c22a11a95eb19982d74b3ed91818d"),
@@ -284,6 +313,11 @@ class TestExperiments:
         ["beck-gain", "--kind", "C2_restricted", "--n-range", "3..3",
          "--pin", "1"],
         ["beck-gain", "--kind", "B4", "--n-range", "3..3", "--pin", "2"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--n", "5"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--d", "2"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--a", "2"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--eps", "0.25"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--threads", "2"],
         ["riesz2d", "--n", "2", "--trials", "1", "--budget", "5"],
         ["sharpness", "--n-range", "3..3", "--trials", "1", "--budget", "5"],
         ["lp-profile", "--n", "2", "--budget", "5"],
@@ -298,7 +332,8 @@ class TestExperiments:
         # ran with q = 2 and recorded q = 0; --block-s 1 --block-t 1
         # measured diagonal pairs (r, r) and each other pair twice; block
         # flags off C2_restricted, --pin off C2b/B4a and --budget where
-        # nothing is enumerated were ignored yet recorded in provenance
+        # nothing is enumerated were ignored yet recorded in provenance, as
+        # were --n, --d, --a, --eps and --threads in beck-gain
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2

@@ -1,5 +1,6 @@
 """Product rule, coincidence classes, and the second-moment cross-check."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +280,31 @@ class TestProdOver:
         coarse = coincidence.prod_over(cls.tuples, field, minimal)
         assert np.array_equal(grid.refine(coarse, res).values, out.values)
 
+    @pytest.mark.parametrize("kind", ["B4", "C2", "C2_restricted"])
+    def test_slab_stream_matches_full_grid_oracle(self, kind):
+        n = 5
+        cls = self._class(kind, n)
+        field = CoefficientField.random_signs(n, 3, (117, n))
+        shapes, res = coincidence._checked_shapes(cls.tuples, 3)
+        sums = coincidence._join_sums(
+            cls.tuples, coincidence.own_r_grids(field, shapes), 3)
+        before = {key: values.copy() for key, values in sums.items()}
+        oracle = self._full_grid_oracle(cls.tuples, field, res)
+        top = res.levels[0]
+        # two rows a slab: joins at axis-0 level top - 1 or below clip to
+        # relative level 0, and some of them then share their levels
+        clipped = {(max(key[0] - (top - 1), 0),) + key[1:] for key in sums}
+        assert len(clipped) < len(sums)
+        assert any(key[0] == top for key in sums)
+        for rows in (1, 2, 1 << top):
+            slabs = list(coincidence._slabs(sums, res, rows))
+            assert [len(slab) for slab in slabs] == [rows] * ((1 << top) // rows)
+            assert np.array_equal(np.concatenate(slabs), oracle)
+        # every slab was refined from views of the per-join sums, none of
+        # which may have been added into
+        for key, values in sums.items():
+            assert np.array_equal(values, before[key])
+
     def test_axis_order_writes_fewest_cells(self):
         # Two sums that differ on axis 0 only: refining axis 0 first merges
         # them at once (2 * 2^8 + 2^9 cells written), refining axis 1 first
@@ -324,6 +350,18 @@ class TestSecondMomentCrossCheck:
                                 "predicted_exponent"}
         assert rep["rows"][0]["predicted_exponent"] == \
             coincidence.PREDICTED_EXPONENT["C2"]
+
+    def test_beck_gain_streams_its_class_sums(self):
+        # at n=9 the class sum has 2^25 cells (32 MiB of int8), and its
+        # last refine step used to hold 62 MiB of input next to it
+        tracemalloc.start()
+        try:
+            rep = coincidence.beck_gain_measure("C2_restricted", [9], [2, 4], 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["sup_bound_ok"]
+        assert peak < 32 << 20
 
     def test_beck_gain_all_kinds_run(self):
         for kind in coincidence.PREDICTED_EXPONENT:

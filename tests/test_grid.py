@@ -589,7 +589,7 @@ class TestPowerSumsAgainstOracle:
     PS = [1, 2, 3, 4, 16, 200]
     CHUNK = grid._POWER_CHUNK
 
-    @pytest.mark.parametrize("values, route", [
+    CASES = [
         (np.arange(-128, 128, dtype=np.int8), "histogram"),
         (np.resize(np.arange(-3, 4, dtype=np.int8), 2 * CHUNK + 3), "histogram"),
         (np.arange(-32768, 32768, dtype=np.int16), "histogram"),
@@ -603,7 +603,9 @@ class TestPowerSumsAgainstOracle:
         (np.array([2**70, -2**70, 3, -5, 0], dtype=object), "wide"),
         (np.array([1, -1, 2], dtype=object), "wide"),
         (np.zeros(8, dtype=np.int8), "histogram"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("values, route", CASES)
     def test_every_power_is_exact(self, values, route, monkeypatch):
         calls = []
         histogram = grid._histogram_power_sums
@@ -614,6 +616,28 @@ class TestPowerSumsAgainstOracle:
         oracle = [sum(abs(int(v)) ** p for v in values.tolist()) for p in self.PS]
         assert grid._int_abs_power_sums(values, self.PS) == oracle
         assert len(calls) == (route == "histogram")
+
+    @pytest.mark.parametrize("values, route", CASES)
+    def test_fold_ignores_the_split(self, values, route):
+        # the fold's sums and peak are those of the chunks taken as one
+        # (whose sums test_every_power_is_exact checks), wherever they are
+        # cut, and with empty chunks among them
+        rng = np.random.default_rng(values.size + 1)
+        values = rng.permutation(values)
+        whole = grid.abs_power_sums([values], self.PS)
+        assert whole[1] == grid.max_abs(values)
+        for _ in range(3):
+            cuts = np.sort(rng.integers(0, values.size + 1, size=4))
+            chunks = np.split(values, cuts)
+            chunks.insert(int(rng.integers(0, len(chunks) + 1)), values[:0])
+            assert grid.abs_power_sums(chunks, self.PS) == whole
+
+    def test_fold_edges(self):
+        assert grid.abs_power_sums([], [1, 2]) == ([0, 0], 0)
+        # -128 alone in a chunk, and int8 and int16 chunks together
+        chunks = [np.array([-128], dtype=np.int8), np.array([], dtype=np.int8),
+                  np.array([5, -3], dtype=np.int16)]
+        assert grid.abs_power_sums(chunks, [1, 2]) == ([136, 128**2 + 34], 128)
 
     @pytest.mark.parametrize("den", [1, 3])
     def test_lp_norms_match_lp_norm_bitwise(self, den):
