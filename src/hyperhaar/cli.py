@@ -144,16 +144,41 @@ def _apply_budget(args) -> None:
     riesz.SD_TUPLE_BUDGET = args.budget
 
 
+#: Defaults of the common flags that some subcommand ignores.
+_COMMON_DEFAULTS = {"n": 4, "d": 3, "q": None, "a": 1.0, "eps": 0.5,
+                    "threads": 1}
+
+#: Per subcommand, the common flags it ignores and what it runs instead.
+#: Set off its default, such a flag is refused rather than recorded in the
+#: provenance as if it had selected something.
+_IGNORED_FLAGS = {
+    "verify": (("d", "q", "a", "eps", "threads"),
+               "verify runs fixed d=2 and d=3 suites up to --n"),
+    "beck-gain": (("n", "d", "a", "eps", "threads"),
+                  "beck-gain measures d=3 classes over --n-range"),
+}
+
+
+def _check_ignored_flags(args) -> None:
+    names, runs = _IGNORED_FLAGS.get(args.command, ((), ""))
+    ignored = [f"--{name}" for name in names
+               if getattr(args, name) != _COMMON_DEFAULTS[name]]
+    if ignored:
+        raise ValueError(f"{runs}; {', '.join(ignored)} would be ignored")
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=4)
-    sub.add_argument("--d", type=int, default=3, choices=(2, 3))
-    sub.add_argument("--q", type=int, default=None)
-    sub.add_argument("--a", type=float, default=1.0)
-    sub.add_argument("--eps", type=float, default=0.5)
+    sub.add_argument("--n", type=int, default=_COMMON_DEFAULTS["n"])
+    sub.add_argument("--d", type=int, default=_COMMON_DEFAULTS["d"],
+                     choices=(2, 3))
+    sub.add_argument("--q", type=int, default=_COMMON_DEFAULTS["q"])
+    sub.add_argument("--a", type=float, default=_COMMON_DEFAULTS["a"])
+    sub.add_argument("--eps", type=float, default=_COMMON_DEFAULTS["eps"])
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--float", dest="exact", action="store_false",
                      help="use float64 scalars instead of exact rationals")
-    sub.add_argument("--threads", type=_positive_int, default=1)
+    sub.add_argument("--threads", type=_positive_int,
+                     default=_COMMON_DEFAULTS["threads"])
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--budget", type=_positive_int, default=None,
@@ -372,20 +397,7 @@ def _cmd_riesz3d(args) -> tuple[int, dict, list]:
     return (0 if ok else 1), payload, checks
 
 
-#: Common flags that select nothing in beck-gain, which measures d=3 classes
-#: over --n-range with one exact route.
-_BECK_GAIN_UNUSED = ("n", "d", "a", "eps", "threads")
-
-
 def _cmd_beck_gain(args) -> tuple[int, dict, list]:
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common)
-    defaults = vars(common.parse_args([]))
-    unused = [f"--{name}" for name in _BECK_GAIN_UNUSED
-              if getattr(args, name) != defaults[name]]
-    if unused:
-        raise ValueError(f"beck-gain measures d=3 classes over --n-range; "
-                         f"{', '.join(unused)} would be ignored")
     # a block or pin flag off its parser default must select something
     if args.kind != "C2_restricted" and (args.block_s, args.block_t) != (1, 2):
         raise ValueError(f"--block-s/--block-t choose the blocks of "
@@ -487,6 +499,7 @@ def main(argv=None) -> int:
         if not args.exact and args.command != "riesz2d":
             raise ValueError(
                 f"{args.command} is exact-only; --float is not supported")
+        _check_ignored_flags(args)
         _apply_budget(args)
         if args.command == "verify":
             code, payload, rows = run_verify(args)

@@ -4,8 +4,11 @@ Three layers live here:
 
 * the pointwise product rule for tensor Haar functions (products of
   rectangles with pairwise distinct sidelengths per coordinate collapse to
-  a single signed Haar function of the intersection) and its exhaustive
-  check against grid products;
+  a single signed Haar function of the intersection), predicted as one
+  sign array per shape tuple and checked exhaustively against grid
+  products; rectangles are addressed by join-grid positions, and the
+  rectangle objects with the tuple-by-tuple rule live only in the test
+  oracles;
 * coincidence classes of shape tuples (pairs agreeing in the middle
   coordinate, and the 4-tuple classes with repeated coordinate maxima)
   together with their product sums and empirical norm-exponent tables;
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grid, hyperbolic
-from .grid import BudgetExceededError, DyadicRectangle, GridFunction, Resolution
+from .grid import BudgetExceededError, GridFunction, Resolution
 from .hyperbolic import CoefficientField, Shape
 
 #: Refuse enumerations beyond this many tuples (configurable).
@@ -45,21 +48,6 @@ GRAPH_VERTEX_CAP = 6
 # ---------------------------------------------------------------------------
 # product rule
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductResult:
-    """Outcome of multiplying Haar tensors.
-
-    ``kind`` is one of ``"haar"`` (the product is sign * h of ``rectangle``),
-    ``"indicator"`` (the product is the indicator of ``rectangle``),
-    ``"zero"`` (disjoint supports), or ``"not_applicable"`` (the
-    distinct-sidelength hypothesis fails, no structural claim is made).
-    """
-
-    kind: str
-    sign: int | None = None
-    rectangle: DyadicRectangle | None = None
 
 
 def strongly_distinct(shapes) -> bool:
@@ -82,54 +70,27 @@ def strongly_distinct(shapes) -> bool:
     return True
 
 
-def product_rule(rects) -> ProductResult:
-    """Product of the Haar tensors of the given rectangles.
+def product_signs(shapes: tuple[Shape, ...]) -> np.ndarray:
+    """The product rule's sign for every rectangle tuple of strongly
+    distinct shapes, as an int8 array over the cells of their join (per
+    axis, the max level m).
 
-    Hypothesis (checked here): in every coordinate the sidelengths are
-    pairwise distinct.  Under it, the product is zero when the rectangles
-    fail to intersect, and otherwise equals ``sign * h_S`` where S is the
-    intersection (per axis, the finest side) and the sign is the product of
-    the coarser sides' Haar values on S.  A single rectangle returns
-    ``(+1, R)``.  If the hypothesis fails, ``not_applicable`` is returned
-    and no claim is made.
+    The rectangles of the shapes that meet at join cell ``pos`` multiply to
+    ``sign * h`` of that cell.  Each coarser side (level r < m) contributes
+    its Haar value on the half that holds the cell: -1 on the left, +1 on
+    the right, read off bit ``m - r - 1`` of ``pos``.  The sign therefore
+    factors over the axes into an outer product of one vector per axis.
     """
-    rects = list(rects)
-    if not rects:
-        raise ValueError("need at least one rectangle")
-    d = rects[0].d
-    if any(r.d != d for r in rects):
-        raise ValueError("mixed dimensions")
-    for axis in range(d):
-        levels = [r.sides[axis].level for r in rects]
-        if len(set(levels)) != len(levels):
-            return ProductResult("not_applicable")
-    sign = 1
-    finest_sides = []
-    for axis in range(d):
-        sides = [r.sides[axis] for r in rects]
-        finest = max(sides, key=lambda s: s.level)
-        for side in sides:
-            if side is finest:
-                continue
-            if not side.contains(finest):
-                return ProductResult("zero")
-            sign *= side.haar_sign_on(finest)
-        finest_sides.append(finest)
-    return ProductResult("haar", sign, DyadicRectangle(tuple(finest_sides)))
-
-
-def same_volume_product(r1: DyadicRectangle, r2: DyadicRectangle) -> ProductResult:
-    """Case table for a product of two Haar tensors of equal volume (d=2):
-    identical rectangles give the indicator, distinct rectangles of one
-    shape are disjoint (zero), and distinct shapes fall under the product
-    rule (their sidelengths then differ in both coordinates)."""
-    if r1.volume != r2.volume:
-        raise ValueError("rectangles must have equal volume")
-    if r1 == r2:
-        return ProductResult("indicator", 1, r1)
-    if r1.shape == r2.shape:
-        return ProductResult("zero")
-    return product_rule([r1, r2])
+    signs = np.ones((), dtype=np.int8)
+    for axis in range(len(shapes[0])):
+        m = max(s[axis] for s in shapes)
+        pos = np.arange(1 << m)
+        vec = np.ones(1 << m, dtype=np.int8)
+        for s in shapes:
+            if s[axis] < m:
+                vec *= (2 * ((pos >> (m - s[axis] - 1)) & 1) - 1).astype(np.int8)
+        signs = np.multiply.outer(signs, vec)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +111,11 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
     The product of the shapes' (all-plus) r-functions expands into the sum
     over all rectangle tuples of the product of their Haar tensors; the
     intersecting tuples correspond one-to-one to the cells of the joined
-    shape (per axis, the max level).  Placing each tuple's predicted sign at
-    its predicted output rectangle in a Haar spectrum and synthesizing must
-    therefore reproduce the grid product exactly -- which verifies sign,
-    support and completeness for every tuple simultaneously.
+    shape (per axis, the max level).  Placing every tuple's predicted sign
+    at its join cell in a Haar spectrum and synthesizing must therefore
+    reproduce the grid product exactly -- which verifies sign, support and
+    completeness for every tuple simultaneously.  A mismatch names the join
+    position of the first differing grid cell.
     """
     d = len(shapes[0])
     join = tuple(max(s[axis] for s in shapes) for axis in range(d))
@@ -162,24 +124,14 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
     for s in shapes[1:]:
         gridprod = gridprod * _all_ones_r_grid(s, res)
     spectrum = np.zeros(res.grid_shape, dtype=np.int8)
+    spectrum[tuple(slice(1 << m, 2 << m) for m in join)] = product_signs(shapes)
+    differ = np.argwhere(grid.synthesize(spectrum) != gridprod)
     failures = []
-    checked = 0
-    for pos in itertools.product(*[range(1 << m) for m in join]):
-        rects = [
-            grid.rectangle(s, tuple(p >> (m - r) for p, m, r in zip(pos, join, s)))
-            for s in shapes
-        ]
-        result = product_rule(rects)
-        checked += 1
-        expected_cell = grid.rectangle(join, pos)
-        if result.kind != "haar" or result.rectangle != expected_cell:
-            failures.append({"shapes": shapes, "position": pos, "kind": result.kind})
-            continue
-        spectrum[tuple((1 << m) + p for m, p in zip(join, pos))] = result.sign
-    predicted = grid.synthesize(spectrum)
-    if not np.array_equal(predicted, gridprod):
-        failures.append({"shapes": shapes, "position": None, "kind": "grid mismatch"})
-    return checked, failures
+    if len(differ):
+        position = tuple(int(i) >> 1 for i in differ[0])
+        failures.append({"shapes": shapes, "position": position,
+                         "kind": "grid mismatch"})
+    return 1 << sum(join), failures
 
 
 def product_rule_exhaustive_check(n: int, d: int = 3, tuple_sizes=(2, 3)) -> dict:
@@ -214,9 +166,10 @@ def same_volume_exhaustive_check(n: int) -> dict:
     Distinct-shape pairs are verified tuple-by-tuple through the same
     synthesis comparison as the d=3 rule.  Same-shape pairs are covered by
     the structural facts that imply the whole diagonal of the table: each
-    shape's rectangles tile the unit square (so distinct rectangles are
-    disjoint and their Haar products vanish) and the all-plus r-function of
-    the shape squares to one (so h_R * h_R = 1_R rectangle by rectangle).
+    shape's rectangles tile the unit square (every rectangle holds the same
+    number of grid cells, so distinct rectangles are disjoint and their
+    Haar products vanish) and the all-plus r-function of the shape squares
+    to one (so h_R * h_R = 1_R rectangle by rectangle).
     """
     failures = []
     pair_count = 0
@@ -227,18 +180,14 @@ def same_volume_exhaustive_check(n: int) -> dict:
             rgrid = _all_ones_r_grid(s, res).astype(np.int16)
             if not np.all(rgrid * rgrid == 1):
                 failures.append({"shape": s, "kind": "square != 1"})
-            tiling = np.zeros(res.grid_shape, dtype=np.int16)
-            for rect in hyperbolic.rectangles_of_shape(s):
-                tiling += grid.indicator_grid(rect, res).values
-            if not np.all(tiling == 1):
+            # the id of the rectangle of s that holds each cell
+            ids = np.ravel_multi_index(
+                np.ix_(*(np.arange(1 << m) >> (m - r)
+                         for m, r in zip(res.levels, s))),
+                tuple(1 << r for r in s))
+            counts = np.bincount(ids.ravel(), minlength=1 << total)
+            if not np.all(counts == 1 << (sum(res.levels) - total)):
                 failures.append({"shape": s, "kind": "not a tiling"})
-            sample = hyperbolic.rectangles_of_shape(s)[0]
-            if same_volume_product(sample, sample).kind != "indicator":
-                failures.append({"shape": s, "kind": "diagonal case"})
-            if len(hyperbolic.rectangles_of_shape(s)) > 1:
-                other = hyperbolic.rectangles_of_shape(s)[1]
-                if same_volume_product(sample, other).kind != "zero":
-                    failures.append({"shape": s, "kind": "same-shape case"})
         for s1, s2 in itertools.combinations(shapes, 2):
             pair_count += 1
             checked, fails = _verify_shape_tuple((s1, s2))

@@ -25,7 +25,10 @@ Python ints; wider spans and Python-int chunks take a chunked power loop.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
-excluded (measure zero).
+excluded (measure zero).  The library names a dyadic rectangle only by its
+shape and position indices, or as a block of a Haar spectrum; interval and
+rectangle objects, and their indicator grids, live only in the test
+oracles.
 
 Haar synthesis uses an in-place butterfly layout along each axis: index
 ``0`` holds the constant (mean) factor and index ``2**k + j`` holds the
@@ -80,77 +83,6 @@ class BudgetExceededError(GridError):
 # ---------------------------------------------------------------------------
 # dyadic geometry
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class DyadicInterval:
-    """Half-open dyadic interval ``[position * 2**-level, (position+1) * 2**-level)``."""
-
-    level: int
-    position: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if not 0 <= self.position < (1 << self.level):
-            raise ValueError(
-                f"position {self.position} out of range for level {self.level}"
-            )
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.position, 1 << self.level)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        """True iff ``other`` is a subinterval of ``self`` (dyadic nesting)."""
-        if other.level < self.level:
-            return False
-        return (other.position >> (other.level - self.level)) == self.position
-
-    def haar_sign_on(self, sub: "DyadicInterval") -> int:
-        """Value of this interval's Haar function on a strict subinterval.
-
-        ``sub`` must be strictly finer and contained in ``self``; the value
-        is -1 on the left half and +1 on the right half.
-        """
-        if sub.level <= self.level or not self.contains(sub):
-            raise ValueError("sub must be a strictly finer subinterval")
-        bit = (sub.position >> (sub.level - self.level - 1)) & 1
-        return 1 if bit else -1
-
-
-@dataclass(frozen=True, slots=True)
-class DyadicRectangle:
-    """Product of dyadic intervals, one per coordinate (d in 1..3)."""
-
-    sides: tuple[DyadicInterval, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.sides) <= 3:
-            raise ValueError("rectangles live in dimension 1..3")
-
-    @property
-    def d(self) -> int:
-        return len(self.sides)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(side.level for side in self.sides)
-
-    @property
-    def volume(self) -> Fraction:
-        return Fraction(1, 1 << sum(side.level for side in self.sides))
-
-
-def rectangle(shape: tuple[int, ...], positions: tuple[int, ...]) -> DyadicRectangle:
-    """Convenience constructor from per-axis levels and positions."""
-    return DyadicRectangle(
-        tuple(DyadicInterval(k, j) for k, j in zip(shape, positions, strict=True))
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -483,31 +415,6 @@ def sup_norm(f: GridFunction):
     """max |cell value| -- exact, since f is piecewise constant on its grid."""
     peak = max_abs(f.values)
     return peak if f.den == 1 else Fraction(peak, f.den)
-
-
-# ---------------------------------------------------------------------------
-# indicators on the grid
-# ---------------------------------------------------------------------------
-
-
-def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
-    """Indicator function of a dyadic rectangle on the grid."""
-    if resolution.d != rect.d:
-        raise ValueError("dimension mismatch")
-    arr = np.ones((1,) * rect.d, dtype=np.int8)
-    for axis, side in enumerate(rect.sides):
-        m = resolution.levels[axis]
-        if m < side.level:
-            raise InsufficientResolutionError(
-                f"insufficient resolution: level {m} < interval level {side.level}"
-            )
-        vec = np.zeros(1 << m, dtype=np.int8)
-        width = 1 << (m - side.level)
-        vec[side.position * width:(side.position + 1) * width] = 1
-        shape = [1] * rect.d
-        shape[axis] = vec.size
-        arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8))
 
 
 # -- transform kernels -------------------------------------------------------

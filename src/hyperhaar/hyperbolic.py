@@ -19,7 +19,6 @@ alpha(R)**2 1_R, with no analysis of H.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grid
-from .grid import (
-    DyadicInterval,
-    DyadicRectangle,
-    GridFunction,
-    InsufficientResolutionError,
-    Resolution,
-)
+from .grid import GridFunction, InsufficientResolutionError, Resolution
 
 Shape = tuple[int, ...]
 
@@ -56,15 +49,6 @@ def enumerate_shapes(n: int, d: int) -> list[Shape]:
     for first in range(n, -1, -1):
         out.extend((first, *rest) for rest in enumerate_shapes(n - first, d - 1))
     return out
-
-
-def rectangles_of_shape(shape: Shape) -> list[DyadicRectangle]:
-    """The 2**n pairwise disjoint rectangles of one shape, tiling [0,1)**d."""
-    ranges = [range(1 << r) for r in shape]
-    return [
-        DyadicRectangle(tuple(DyadicInterval(r, j) for r, j in zip(shape, pos)))
-        for pos in itertools.product(*ranges)
-    ]
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:

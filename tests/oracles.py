@@ -1,14 +1,15 @@
 """Reference routes that the tests compare the library against.
 
 No subcommand runs any of these, so they live with the tests.  They build
-test inputs (Haar functions axis by axis, spectra synthesized back to
-grids) or recompute what the library computes by a simpler, independent
-route: the dense Haar analysis of a grid and the squared square function
-spread from its spectrum, Parseval sums entry by entry, block averages,
-corner counts over the point list, the discrepancy scan over the whole
-corner grid at once, the C2 second moment expanded over
-pairs of pairs, the wedge grade of a graph, and the short product's grids
-expanded from its pools.
+test inputs (dyadic intervals and rectangles as objects, their indicator
+grids, Haar functions axis by axis, spectra synthesized back to grids) or
+recompute what the library computes by a simpler, independent route: the
+product rule rectangle tuple by rectangle tuple, the dense Haar analysis
+of a grid and the squared square function spread from its spectrum,
+Parseval sums entry by entry, block averages, corner counts over the
+point list, the discrepancy scan over the whole corner grid at once, the
+C2 second moment expanded over pairs of pairs, the wedge grade of a
+graph, and the short product's grids expanded from its pools.
 """
 
 from __future__ import annotations
@@ -25,14 +26,110 @@ import numpy as np
 from hyperhaar import coincidence, grid, hyperbolic, riesz
 from hyperhaar.coincidence import AdmissibleGraph
 from hyperhaar.discrepancy import PointSet
-from hyperhaar.grid import (
-    DyadicInterval,
-    DyadicRectangle,
-    GridFunction,
-    InsufficientResolutionError,
-    Resolution,
-)
-from hyperhaar.hyperbolic import CoefficientField
+from hyperhaar.grid import GridFunction, InsufficientResolutionError, Resolution
+from hyperhaar.hyperbolic import CoefficientField, Shape
+
+
+# ---------------------------------------------------------------------------
+# dyadic geometry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class DyadicInterval:
+    """Half-open dyadic interval ``[position * 2**-level, (position+1) * 2**-level)``."""
+
+    level: int
+    position: int
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise ValueError(f"level must be nonnegative, got {self.level}")
+        if not 0 <= self.position < (1 << self.level):
+            raise ValueError(
+                f"position {self.position} out of range for level {self.level}"
+            )
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(1, 1 << self.level)
+
+    @property
+    def left(self) -> Fraction:
+        return Fraction(self.position, 1 << self.level)
+
+    def contains(self, other: "DyadicInterval") -> bool:
+        """True iff ``other`` is a subinterval of ``self`` (dyadic nesting)."""
+        if other.level < self.level:
+            return False
+        return (other.position >> (other.level - self.level)) == self.position
+
+    def haar_sign_on(self, sub: "DyadicInterval") -> int:
+        """Value of this interval's Haar function on a strict subinterval.
+
+        ``sub`` must be strictly finer and contained in ``self``; the value
+        is -1 on the left half and +1 on the right half.
+        """
+        if sub.level <= self.level or not self.contains(sub):
+            raise ValueError("sub must be a strictly finer subinterval")
+        bit = (sub.position >> (sub.level - self.level - 1)) & 1
+        return 1 if bit else -1
+
+
+@dataclass(frozen=True, slots=True)
+class DyadicRectangle:
+    """Product of dyadic intervals, one per coordinate (d in 1..3)."""
+
+    sides: tuple[DyadicInterval, ...]
+
+    def __post_init__(self) -> None:
+        if not 1 <= len(self.sides) <= 3:
+            raise ValueError("rectangles live in dimension 1..3")
+
+    @property
+    def d(self) -> int:
+        return len(self.sides)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(side.level for side in self.sides)
+
+    @property
+    def volume(self) -> Fraction:
+        return Fraction(1, 1 << sum(side.level for side in self.sides))
+
+
+def rectangle(shape: tuple[int, ...], positions: tuple[int, ...]) -> DyadicRectangle:
+    """Convenience constructor from per-axis levels and positions."""
+    return DyadicRectangle(
+        tuple(DyadicInterval(k, j) for k, j in zip(shape, positions, strict=True))
+    )
+
+
+def rectangles_of_shape(shape: Shape) -> list[DyadicRectangle]:
+    """The 2**n pairwise disjoint rectangles of one shape, tiling [0,1)**d."""
+    ranges = [range(1 << r) for r in shape]
+    return [rectangle(shape, pos) for pos in itertools.product(*ranges)]
+
+
+def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
+    """Indicator function of a dyadic rectangle on the grid."""
+    if resolution.d != rect.d:
+        raise ValueError("dimension mismatch")
+    arr = np.ones((1,) * rect.d, dtype=np.int8)
+    for axis, side in enumerate(rect.sides):
+        m = resolution.levels[axis]
+        if m < side.level:
+            raise InsufficientResolutionError(
+                f"insufficient resolution: level {m} < interval level {side.level}"
+            )
+        vec = np.zeros(1 << m, dtype=np.int8)
+        width = 1 << (m - side.level)
+        vec[side.position * width:(side.position + 1) * width] = 1
+        shape = [1] * rect.d
+        shape[axis] = vec.size
+        arr = arr * vec.reshape(shape)
+    return GridFunction(resolution, arr.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +380,76 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
         "ratio": ratios,
         "sup_ratio": max(ratios) if ratios else float("nan"),
     }
+
+
+# ---------------------------------------------------------------------------
+# the product rule, rectangle by rectangle
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProductResult:
+    """Outcome of multiplying Haar tensors.
+
+    ``kind`` is one of ``"haar"`` (the product is sign * h of ``rectangle``),
+    ``"indicator"`` (the product is the indicator of ``rectangle``),
+    ``"zero"`` (disjoint supports), or ``"not_applicable"`` (the
+    distinct-sidelength hypothesis fails, no structural claim is made).
+    """
+
+    kind: str
+    sign: int | None = None
+    rectangle: DyadicRectangle | None = None
+
+
+def product_rule(rects) -> ProductResult:
+    """Product of the Haar tensors of the given rectangles.
+
+    Hypothesis (checked here): in every coordinate the sidelengths are
+    pairwise distinct.  Under it, the product is zero when the rectangles
+    fail to intersect, and otherwise equals ``sign * h_S`` where S is the
+    intersection (per axis, the finest side) and the sign is the product of
+    the coarser sides' Haar values on S.  A single rectangle returns
+    ``(+1, R)``.  If the hypothesis fails, ``not_applicable`` is returned
+    and no claim is made.
+    """
+    rects = list(rects)
+    if not rects:
+        raise ValueError("need at least one rectangle")
+    d = rects[0].d
+    if any(r.d != d for r in rects):
+        raise ValueError("mixed dimensions")
+    for axis in range(d):
+        levels = [r.sides[axis].level for r in rects]
+        if len(set(levels)) != len(levels):
+            return ProductResult("not_applicable")
+    sign = 1
+    finest_sides = []
+    for axis in range(d):
+        sides = [r.sides[axis] for r in rects]
+        finest = max(sides, key=lambda s: s.level)
+        for side in sides:
+            if side is finest:
+                continue
+            if not side.contains(finest):
+                return ProductResult("zero")
+            sign *= side.haar_sign_on(finest)
+        finest_sides.append(finest)
+    return ProductResult("haar", sign, DyadicRectangle(tuple(finest_sides)))
+
+
+def same_volume_product(r1: DyadicRectangle, r2: DyadicRectangle) -> ProductResult:
+    """Case table for a product of two Haar tensors of equal volume (d=2):
+    identical rectangles give the indicator, distinct rectangles of one
+    shape are disjoint (zero), and distinct shapes fall under the product
+    rule (their sidelengths then differ in both coordinates)."""
+    if r1.volume != r2.volume:
+        raise ValueError("rectangles must have equal volume")
+    if r1 == r2:
+        return ProductResult("indicator", 1, r1)
+    if r1.shape == r2.shape:
+        return ProductResult("zero")
+    return product_rule([r1, r2])
 
 
 # ---------------------------------------------------------------------------

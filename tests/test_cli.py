@@ -37,22 +37,26 @@ class TestVerify:
                 "inclusion-exclusion", "exponent-recursion"} <= names
 
     def test_injected_sign_error_names_tuple(self, capsys, monkeypatch):
-        true_rule = coincidence.product_rule
+        true_signs = coincidence.product_signs
 
-        def flipped(rects):
-            out = true_rule(rects)
-            if out.kind == "haar":
-                return coincidence.ProductResult("haar", sign=-out.sign,
-                                                 rectangle=out.rectangle)
-            return out
+        def flipped(shapes):
+            # one wrong sign, at the last cell of the join
+            signs = true_signs(shapes).copy()
+            signs[(-1,) * signs.ndim] *= -1
+            return signs
 
-        monkeypatch.setattr(coincidence, "product_rule", flipped)
+        monkeypatch.setattr(coincidence, "product_signs", flipped)
         code, payload = run_json(["verify", "--n", "2"], capsys)
         assert code == 1
         broken = [f for f in payload["failures"]
                   if f["suite"].startswith("product-rule")]
         assert broken
         assert broken[0]["details"]["failures"][0]["shapes"]
+        first = broken[0]["details"]["failures"][0]
+        assert first["position"] is not None
+        shapes = first["shapes"]
+        assert first["position"] == [(1 << max(s[axis] for s in shapes)) - 1
+                                     for axis in range(len(shapes[0]))]
 
     def test_budget_exit_code(self, capsys):
         code, _ = run(["verify", "--n", "3", "--budget", "1"], capsys)
@@ -323,6 +327,11 @@ class TestExperiments:
         ["lp-profile", "--n", "2", "--budget", "5"],
         ["discrepancy", "--n-range", "2..4", "--budget", "5"],
         ["graphs", "--vertices", "2", "--budget", "5"],
+        ["verify", "--n", "2", "--d", "2"],
+        ["verify", "--n", "2", "--q", "3"],
+        ["verify", "--n", "2", "--a", "2"],
+        ["verify", "--n", "2", "--eps", "0.25"],
+        ["verify", "--n", "2", "--threads", "2"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
@@ -333,7 +342,9 @@ class TestExperiments:
         # measured diagonal pairs (r, r) and each other pair twice; block
         # flags off C2_restricted, --pin off C2b/B4a and --budget where
         # nothing is enumerated were ignored yet recorded in provenance, as
-        # were --n, --d, --a, --eps and --threads in beck-gain
+        # were --n, --d, --a, --eps and --threads in beck-gain, and --d,
+        # --q, --a, --eps and --threads in verify (verify --n 2 --d 2
+        # exited 0 after checking the d=3 suites)
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2

@@ -1,5 +1,6 @@
 """Product rule, coincidence classes, and the second-moment cross-check."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from hyperhaar import coincidence, grid, hyperbolic, riesz
-from hyperhaar.grid import Resolution, rectangle
+from hyperhaar.grid import Resolution
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
+from oracles import rectangle
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +39,7 @@ class TestProductRule:
     def test_intersecting_pair_yields_haar(self):
         r1 = rectangle((2, 0), (0, 0))  # [0,1/4) x [0,1)
         r2 = rectangle((0, 2), (0, 0))  # [0,1) x [0,1/4)
-        out = coincidence.product_rule([r1, r2])
+        out = oracles.product_rule([r1, r2])
         assert out.kind == "haar"
         assert out.rectangle.shape == (2, 2)
         assert out.sign in (-1, 1)
@@ -46,7 +48,7 @@ class TestProductRule:
         res = Resolution((3, 3))
         r1 = rectangle((2, 1), (1, 1))
         r2 = rectangle((1, 2), (0, 2))
-        out = coincidence.product_rule([r1, r2])
+        out = oracles.product_rule([r1, r2])
         assert out.kind == "haar"
         prod = grid.mul(oracles.haar_tensor(r1, res), oracles.haar_tensor(r2, res))
         expected = grid.mul(oracles.haar_tensor(out.rectangle, res), out.sign)
@@ -55,20 +57,20 @@ class TestProductRule:
     def test_disjoint_supports_zero(self):
         r1 = rectangle((2, 0), (0, 0))  # [0,1/4) x [0,1)
         r2 = rectangle((1, 1), (1, 0))  # [1/2,1) x [0,1/2): disjoint in axis 1
-        out = coincidence.product_rule([r1, r2])
+        out = oracles.product_rule([r1, r2])
         assert out.kind == "zero"
 
     def test_shared_sidelength_not_applicable(self):
         r1 = rectangle((1, 1), (0, 0))
         r2 = rectangle((1, 1), (1, 1))
-        out = coincidence.product_rule([r1, r2])
+        out = oracles.product_rule([r1, r2])
         assert out.kind == "not_applicable"
 
     def test_triple_product(self):
         rects = [rectangle((2, 0, 1), (0, 0, 0)),
                  rectangle((1, 2, 0), (0, 0, 0)),
                  rectangle((0, 1, 2), (0, 0, 0))]
-        out = coincidence.product_rule(rects)
+        out = oracles.product_rule(rects)
         assert out.kind == "haar"
         assert out.rectangle.shape == (2, 2, 2)
 
@@ -76,19 +78,19 @@ class TestProductRule:
 class TestSameVolumeProducts:
     def test_identical_rectangle_gives_indicator(self):
         r = rectangle((1, 1), (1, 0))
-        out = coincidence.same_volume_product(r, r)
+        out = oracles.same_volume_product(r, r)
         assert out.kind == "indicator"
         assert out.rectangle == r
 
     def test_same_shape_distinct_gives_zero(self):
-        out = coincidence.same_volume_product(
+        out = oracles.same_volume_product(
             rectangle((1, 1), (0, 0)), rectangle((1, 1), (1, 0)))
         assert out.kind == "zero"
 
     def test_distinct_shapes_fall_through_to_product_rule(self):
         r1 = rectangle((2, 0), (0, 0))
         r2 = rectangle((0, 2), (0, 0))
-        assert coincidence.same_volume_product(r1, r2).kind == "haar"
+        assert oracles.same_volume_product(r1, r2).kind == "haar"
 
 
 class TestMeanZeroPredicate:
@@ -111,6 +113,39 @@ class TestMeanZeroPredicate:
         r1 = rectangle((1, 1), (0, 0))
         r2 = rectangle((1, 1), (1, 1))
         assert not oracles.mean_zero_predicate([r1, r2])
+
+
+def _product_rule_tuples(n):
+    """Every strongly distinct d=3 pair and triple and every d=2 pair of
+    distinct shapes, at each total level up to n."""
+    for total in range(1, n + 1):
+        d3 = hyperbolic.enumerate_shapes(total, 3)
+        for size in (2, 3):
+            yield from (combo for combo in itertools.combinations(d3, size)
+                        if coincidence.strongly_distinct(combo))
+        yield from itertools.combinations(hyperbolic.enumerate_shapes(total, 2), 2)
+
+
+class TestProductSigns:
+    def test_matches_rectangle_oracle(self):
+        # the predictor against the product rule, rectangle tuple by tuple
+        tuples = list(_product_rule_tuples(4))
+        # the 88 d=3 shape tuples and 20 d=2 pairs that verify --n 4 checks
+        assert len(tuples) == 88 + 20
+        for shapes in tuples:
+            signs = coincidence.product_signs(shapes)
+            join = tuple(max(s[axis] for s in shapes)
+                         for axis in range(len(shapes[0])))
+            assert signs.dtype == np.int8
+            assert signs.shape == tuple(1 << m for m in join)
+            for pos in np.ndindex(*signs.shape):
+                out = oracles.product_rule(
+                    rectangle(s, tuple(p >> (m - r)
+                                      for p, m, r in zip(pos, join, s)))
+                    for s in shapes)
+                assert out.kind == "haar", (shapes, pos)
+                assert out.rectangle == rectangle(join, pos)
+                assert out.sign == signs[pos], (shapes, pos)
 
 
 class TestExhaustiveChecks:

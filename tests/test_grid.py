@@ -10,17 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhaar import grid, hyperbolic
-from hyperhaar.grid import (
-    DyadicInterval,
-    DyadicRectangle,
-    GridFunction,
-    GridTooLargeError,
-    Resolution,
-    rectangle,
-)
+from hyperhaar.grid import GridFunction, GridTooLargeError, Resolution
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
+from oracles import DyadicInterval, DyadicRectangle, rectangle
 
 
 def cell_value(f: GridFunction, point):
@@ -121,7 +115,7 @@ class TestHaarFunctions:
 
     def test_indicator_grid(self):
         r = rectangle((1, 1), (1, 0))
-        ind = grid.indicator_grid(r, Resolution((2, 2)))
+        ind = oracles.indicator_grid(r, Resolution((2, 2)))
         assert grid.expectation(ind) == r.volume
         assert set(np.unique(ind.values)) <= {0, 1}
 
@@ -142,7 +136,7 @@ class TestAlgebra:
         res = Resolution((3,))
         h = oracles.haar_1d(i, res)
         sq = grid.mul(h, h)
-        ind = grid.indicator_grid(DyadicRectangle((i,)), res)
+        ind = oracles.indicator_grid(DyadicRectangle((i,)), res)
         assert oracles.grids_equal(sq, ind)
 
     def test_scale_by_zero(self):
@@ -328,7 +322,7 @@ class TestSynthesizeOracle:
             if not c:
                 continue
             basis = (_signed_basis(index, res) if signed else
-                     grid.indicator_grid(_spectrum_rectangle(index), res).values)
+                     oracles.indicator_grid(_spectrum_rectangle(index), res).values)
             expected = expected + c * basis.astype(object)
         out = grid.synthesize(spec, signed)
         assert out.dtype == spec.dtype
@@ -363,7 +357,7 @@ class TestSquareFunction:
         res = Resolution((3,))
         h = oracles.haar_1d(i, res)
         sq = oracles.square_function_squared(h)
-        ind = grid.indicator_grid(DyadicRectangle((i,)), res)
+        ind = oracles.indicator_grid(DyadicRectangle((i,)), res)
         assert np.array_equal(sq.values, ind.values)
 
     @settings(max_examples=20, deadline=None)

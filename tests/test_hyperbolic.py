@@ -33,12 +33,12 @@ class TestShapes:
                 len(hyperbolic.enumerate_shapes(n, d))
 
     def test_tiling_of_shape(self):
-        rects = hyperbolic.rectangles_of_shape((1, 1))
+        rects = oracles.rectangles_of_shape((1, 1))
         assert len(rects) == 4
         assert sum(r.volume for r in rects) == 1
 
     def test_slab_shape(self):
-        rects = hyperbolic.rectangles_of_shape((0, 0, 2))
+        rects = oracles.rectangles_of_shape((0, 0, 2))
         assert len(rects) == 4
         for r in rects:
             assert r.sides[0].level == 0 and r.sides[1].level == 0
@@ -47,8 +47,8 @@ class TestShapes:
     def test_tiling_is_disjoint(self):
         res = Resolution((2, 1))
         total = grid.GridFunction.zero(res)
-        for r in hyperbolic.rectangles_of_shape((2, 1)):
-            total = grid.add(total, grid.indicator_grid(r, res))
+        for r in oracles.rectangles_of_shape((2, 1)):
+            total = grid.add(total, oracles.indicator_grid(r, res))
         assert np.all(total.values == 1)
 
 
@@ -145,7 +145,7 @@ class TestHyperbolicSum:
         f = CoefficientField(n, d, vals)
         h = hyperbolic.hyperbolic_sum(f)
         expected = grid.mul(
-            oracles.haar_tensor(grid.rectangle((1, 1), (1, 0)), h.resolution), 5)
+            oracles.haar_tensor(oracles.rectangle((1, 1), (1, 0)), h.resolution), 5)
         assert oracles.grids_equal(h, expected)
 
     def test_inner_product_with_matching_r_function(self):
