@@ -130,38 +130,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
-#: The subcommands that enumerate tuples, so the only ones that take --budget.
-_BUDGETED = ("verify", "riesz3d", "beck-gain")
-
-
-def _apply_budget(args) -> None:
-    if args.budget is None:
-        return
-    if args.command not in _BUDGETED:
-        raise ValueError(f"{args.command} enumerates no tuples; --budget is "
-                         f"not supported")
-    coincidence.MAX_TUPLES = args.budget
-    riesz.SD_TUPLE_BUDGET = args.budget
-
-
-#: Defaults of the common flags that some subcommand ignores.
+#: Defaults of the common flags that some subcommand ignores, by dest
+#: (``exact`` is ``--float``).  --seed, --out and --format serve all.
 _COMMON_DEFAULTS = {"n": 4, "d": 3, "q": None, "a": 1.0, "eps": 0.5,
-                    "threads": 1}
+                    "exact": True, "threads": 1, "budget": None}
 
 #: Per subcommand, the common flags it ignores and what it runs instead.
 #: Set off its default, such a flag is refused rather than recorded in the
-#: provenance as if it had selected something.
+#: provenance as if it had selected something.  Only riesz2d computes in
+#: float64, and only verify, riesz3d and beck-gain enumerate tuples.
 _IGNORED_FLAGS = {
-    "verify": (("d", "q", "a", "eps", "threads"),
-               "verify runs fixed d=2 and d=3 suites up to --n"),
-    "beck-gain": (("n", "d", "a", "eps", "threads"),
-                  "beck-gain measures d=3 classes over --n-range"),
+    "verify": (("d", "q", "a", "eps", "exact", "threads"),
+               "verify runs fixed exact d=2 and d=3 suites up to --n"),
+    "riesz2d": (("q", "a", "eps", "threads", "budget"),
+                "riesz2d checks the d=2 product of --n over --trials fields"),
+    "riesz3d": (("d", "exact", "threads"),
+                "riesz3d builds the exact d=3 short product"),
+    "beck-gain": (("n", "d", "a", "eps", "exact", "threads"),
+                  "beck-gain measures exact d=3 classes over --n-range"),
+    "sharpness": (("n", "q", "a", "eps", "exact", "budget"),
+                  "sharpness measures exact hyperbolic sums over --n-range"),
+    "lp-profile": (("q", "a", "eps", "exact", "threads", "budget"),
+                   "lp-profile measures one exact hyperbolic sum of --n"),
+    "discrepancy": (("n", "q", "a", "eps", "exact", "threads", "budget"),
+                    "discrepancy scans point sets over --n-range"),
+    "graphs": (("n", "d", "q", "a", "eps", "exact", "threads", "budget"),
+               "graphs enumerates the admissible graphs on --vertices"),
 }
 
 
 def _check_ignored_flags(args) -> None:
-    names, runs = _IGNORED_FLAGS.get(args.command, ((), ""))
-    ignored = [f"--{name}" for name in names
+    names, runs = _IGNORED_FLAGS[args.command]
+    ignored = ["--float" if name == "exact" else f"--{name}" for name in names
                if getattr(args, name) != _COMMON_DEFAULTS[name]]
     if ignored:
         raise ValueError(f"{runs}; {', '.join(ignored)} would be ignored")
@@ -176,14 +176,17 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps", type=float, default=_COMMON_DEFAULTS["eps"])
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--float", dest="exact", action="store_false",
-                     help="use float64 scalars instead of exact rationals")
+                     default=_COMMON_DEFAULTS["exact"],
+                     help="float64 scalars, not exact rationals; riesz2d only")
     sub.add_argument("--threads", type=_positive_int,
                      default=_COMMON_DEFAULTS["threads"])
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--budget", type=_positive_int, default=None,
-                     help="cap on the class and graph enumerations (default 10^7) "
-                          "and the short product's sd tuples (default 200,000); "
+    # positive when given, so `args.budget or DEFAULT` falls back only on None
+    sub.add_argument("--budget", type=_positive_int,
+                     default=_COMMON_DEFAULTS["budget"],
+                     help="cap on the tuples of each enumeration (default 10^7, "
+                          "200,000 for the short product's sd/nsd tuples); "
                           "verify, riesz3d and beck-gain only")
 
 
@@ -279,7 +282,8 @@ def run_verify(args) -> tuple[int, dict, list]:
 
     params = riesz.make_params(n, q=min(2, n + 1))
     field = CoefficientField.random_signs(n, 3, args.seed)
-    short = riesz.ShortProduct(field, params)
+    short = riesz.ShortProduct(field, params,
+                               budget=args.budget or riesz.SD_TUPLE_BUDGET)
     rep = riesz.decomposition_report(short)
     record("short-product-decomposition",
            rep["identity_ok"] and rep["sd_mean_zero"], rep)
@@ -293,13 +297,14 @@ def run_verify(args) -> tuple[int, dict, list]:
     rep = riesz.gamma_identity_report(short)
     record("gamma-identity", rep["all_ok"], rep)
 
+    tuple_budget = args.budget or coincidence.MAX_TUPLES
     ie_ok = True
     ie_details = []
     for q in (2, min(3, n + 1)):
         pq = riesz.make_params(n, q=q)
         f3 = CoefficientField.random_signs(n, 3, (args.seed, q))
         rep = coincidence.inclusion_exclusion_check(
-            range(1, q + 1), f3, pq.blocks)
+            range(1, q + 1), f3, pq.blocks, budget=tuple_budget)
         ie_ok &= rep["equal"]
         ie_details.append({"q": q, "graphs": rep["graph_count"],
                            "equal": rep["equal"]})
@@ -314,7 +319,8 @@ def run_verify(args) -> tuple[int, dict, list]:
         [],
     )
     if coincidence.is_admissible(g):
-        rep = coincidence.factorization_check(g, f3, pq.blocks)
+        rep = coincidence.factorization_check(g, f3, pq.blocks,
+                                              budget=tuple_budget)
         record("factorization", rep["equal"], rep)
 
     # Known worst-case exponents per vertex count.  The uniform -1/10 bound
@@ -364,11 +370,10 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
-    if args.d != 3:
-        raise ValueError(f"riesz3d is a d=3 construction, not d={args.d}")
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
     field = CoefficientField.random_signs(args.n, 3, args.seed)
-    short = riesz.ShortProduct(field, params)
+    short = riesz.ShortProduct(field, params,
+                               budget=args.budget or riesz.SD_TUPLE_BUDGET)
     decomposition = riesz.decomposition_report(short)
     dual = riesz.duality_certificate(short)
     gamma_rep = riesz.gamma_identity_report(short)
@@ -399,8 +404,9 @@ def _cmd_riesz3d(args) -> tuple[int, dict, list]:
 
 def _cmd_beck_gain(args) -> tuple[int, dict, list]:
     # a block or pin flag off its parser default must select something
-    if args.kind != "C2_restricted" and (args.block_s, args.block_t) != (1, 2):
-        raise ValueError(f"--block-s/--block-t choose the blocks of "
+    if args.kind != "C2_restricted" and (
+            (args.block_s, args.block_t) != (1, 2) or args.q is not None):
+        raise ValueError(f"--q/--block-s/--block-t choose the blocks of "
                          f"C2_restricted only, not of {args.kind}")
     if args.pin and args.kind not in ("C2b", "B4a"):
         raise ValueError(f"--pin pins C2b and B4a only, not {args.kind}")
@@ -409,6 +415,7 @@ def _cmd_beck_gain(args) -> tuple[int, dict, list]:
         _parse_p_list(args.p_list),
         args.seed, q=2 if args.q is None else args.q,
         s=args.block_s, t=args.block_t, b=args.pin, a=args.pin,
+        budget=args.budget or coincidence.MAX_TUPLES,
     )
     payload = {"kind": args.kind, "rows": rep["rows"],
                "fitted": rep["fitted"], "counts": rep["counts"],
@@ -490,17 +497,8 @@ def run_experiment(args) -> tuple[int, dict, list]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # --budget narrows module-level caps for the duration of this call only,
-    # so in-process callers (tests, notebooks) are not left with a tiny cap.
-    saved_caps = coincidence.MAX_TUPLES, riesz.SD_TUPLE_BUDGET
     try:
-        # Only riesz2d computes in float64; the other subcommands are
-        # exact-only and refuse --float rather than record a mode unused.
-        if not args.exact and args.command != "riesz2d":
-            raise ValueError(
-                f"{args.command} is exact-only; --float is not supported")
         _check_ignored_flags(args)
-        _apply_budget(args)
         if args.command == "verify":
             code, payload, rows = run_verify(args)
         else:
@@ -509,7 +507,8 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": "budget", "detail": str(exc)}) + "\n")
         return 2
-    except GridTooLargeError as exc:
+    except (GridTooLargeError, OverflowError) as exc:
+        # OverflowError: a scalar past the float range, such as n**eps
         sys.stderr.write(json.dumps(
             {"error": "limit", "detail": str(exc)}) + "\n")
         return 2
@@ -522,8 +521,6 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": "memory", "detail": str(exc)}) + "\n")
         return 2
-    finally:
-        coincidence.MAX_TUPLES, riesz.SD_TUPLE_BUDGET = saved_caps
     try:
         _emit(_render(payload, rows, args), args)
     except OSError as exc:

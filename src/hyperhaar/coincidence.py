@@ -35,7 +35,8 @@ from . import grid, hyperbolic
 from .grid import BudgetExceededError, GridFunction, Resolution
 from .hyperbolic import CoefficientField, Shape
 
-#: Refuse enumerations beyond this many tuples (configurable).
+#: Default budget: refuse class and graph enumerations beyond this many
+#: tuples.  Every enumeration takes its budget as an argument.
 MAX_TUPLES = 10**7
 
 #: Cells per axis-0 slab in which product sums are refined (1 MiB of int8).
@@ -263,7 +264,14 @@ def _max_achieved(values, at_least: int = 2) -> bool:
     return sum(1 for v in values if v == top) >= at_least
 
 
-def _b4_tuples(n: int):
+def check_budget(estimate: int, budget: int) -> None:
+    """Refuse an enumeration of about ``estimate`` tuples over ``budget``."""
+    if estimate > budget:
+        raise BudgetExceededError(f"the enumeration needs about {estimate} "
+                                  f"tuples, over the budget {budget} (--budget)")
+
+
+def _b4_tuples(n: int, *, budget: int = MAX_TUPLES):
     """Ordered 4-tuples (r,s,t,u) of pairwise distinct shapes with the two
     middle-coordinate agreements r2=s2, t2=u2, and the coordinate-1 and
     coordinate-3 maxima achieved at least twice."""
@@ -274,10 +282,7 @@ def _b4_tuples(n: int):
         for s in shapes
         if r != s and r[1] == s[1]
     ]
-    if len(pairs) ** 2 > MAX_TUPLES:
-        raise BudgetExceededError(
-            f"B4 enumeration would scan {len(pairs) ** 2} tuples"
-        )
+    check_budget(len(pairs) ** 2, budget)
     for (r, s), (t, u) in itertools.product(pairs, pairs):
         four = (r, s, t, u)
         if len(set(four)) != 4:
@@ -289,16 +294,16 @@ def _b4_tuples(n: int):
         yield four
 
 
-def class_b4(n: int) -> CoincidenceClass:
-    return CoincidenceClass("B4", n, (), tuple(_b4_tuples(n)))
+def class_b4(n: int, *, budget: int = MAX_TUPLES) -> CoincidenceClass:
+    return CoincidenceClass("B4", n, (), tuple(_b4_tuples(n, budget=budget)))
 
 
-def class_b4a(n: int, a: int) -> CoincidenceClass:
+def class_b4a(n: int, a: int, *, budget: int = MAX_TUPLES) -> CoincidenceClass:
     """B4 tuples with the second components of both pairs pinned to first
     coordinate a and some two of the four agreeing in the third
     coordinate."""
     tuples = []
-    for four in _b4_tuples(n):
+    for four in _b4_tuples(n, budget=budget):
         r, s, t, u = four
         if s[0] != a or u[0] != a:
             continue
@@ -307,7 +312,8 @@ def class_b4a(n: int, a: int) -> CoincidenceClass:
     return CoincidenceClass("B4a", n, (a,), tuple(tuples))
 
 
-def enumerate_class(kind: str, n: int, **params) -> CoincidenceClass:
+def enumerate_class(kind: str, n: int, *, budget: int = MAX_TUPLES,
+                    **params) -> CoincidenceClass:
     if kind == "C2":
         return class_c2(n)
     if kind == "C2_restricted":
@@ -316,9 +322,9 @@ def enumerate_class(kind: str, n: int, **params) -> CoincidenceClass:
     if kind == "C2b":
         return class_c2b(n, params["b"])
     if kind == "B4":
-        return class_b4(n)
+        return class_b4(n, budget=budget)
     if kind == "B4a":
-        return class_b4a(n, params["a"])
+        return class_b4a(n, params["a"], budget=budget)
     raise ValueError(f"unknown class kind {kind!r}")
 
 
@@ -477,14 +483,13 @@ def sum_products(tuples, r_own: dict[Shape, GridFunction],
     return out
 
 
-def _checked_shapes(tuples, d: int,
-                    resolution: Resolution | None = None):
+def _checked_shapes(tuples, d: int, resolution: Resolution | None = None, *,
+                    budget: int = MAX_TUPLES):
     """The checks of every class-product sum, made before any r-grid is
-    built: at most ``MAX_TUPLES`` tuples, and a ``resolution`` fine enough
+    built: at most ``budget`` tuples, and a ``resolution`` fine enough
     for each of their shapes (by default the minimal one, or level 1 on
     every axis for no tuples).  Returns the shapes and the resolution."""
-    if len(tuples) > MAX_TUPLES:
-        raise BudgetExceededError(f"{len(tuples)} tuples exceed the budget")
+    check_budget(len(tuples), budget)
     shapes = {s for tup in tuples for s in tup}
     if resolution is None:
         resolution = (hyperbolic.minimal_resolution(shapes, d) if shapes
@@ -494,12 +499,14 @@ def _checked_shapes(tuples, d: int,
 
 
 def prod_over(tuples, field: CoefficientField,
-              resolution: Resolution | None = None) -> GridFunction:
+              resolution: Resolution | None = None, *,
+              budget: int = MAX_TUPLES) -> GridFunction:
     """Sum over the tuples of the products of the alpha-induced r-functions
     of their shapes -- integer exact, through ``sum_products``.  The
     default resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
-    shapes, resolution = _checked_shapes(tuples, field.d, resolution)
+    shapes, resolution = _checked_shapes(tuples, field.d, resolution,
+                                         budget=budget)
     values = sum_products(tuples, own_r_grids(field, shapes), resolution)
     return GridFunction(resolution, values)
 
@@ -514,18 +521,20 @@ PREDICTED_EXPONENT = {
 
 
 def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
-                      s: int = 1, t: int = 2, b: int = 0, a: int = 0) -> dict:
+                      s: int = 1, t: int = 2, b: int = 0, a: int = 0,
+                      budget: int = MAX_TUPLES) -> dict:
     """Exact L^p norms of the class product sums across n, with fitted
     n-exponents per p against each predicted exponent.  Each sum streams
     from ``_slabs`` into ``grid.abs_power_sums``, which gives every power
     sum and the sup from one read, so its full grid is never built.
 
-    The coefficient field is random signs from (seed, n).  Rows carry the
-    CSV columns (kind, n, p, norm, fitted_exponent, predicted_exponent);
-    the dict adds tuple counts, the sup-norm triangle bound check, and per
-    (n, p) the gain diagnostics: norm/count (how far below the trivial
-    triangle bound the class sum sits) and rho^k * norm with k the tuple
-    length and rho = sqrt(q)/n the false L2 normalization.
+    The coefficient field is random signs from (seed, n).  ``q`` is the
+    block count of ``C2_restricted``, whose blocks s and t are paired;
+    ``b`` and ``a`` pin ``C2b`` and ``B4a``; the other kinds ignore them.
+    A class whose enumeration passes ``budget`` tuples is refused before
+    any r-grid is built.  Rows carry the CSV columns (kind, n, p, norm,
+    fitted_exponent, predicted_exponent); the dict adds the tuple count per
+    n and the sup-norm triangle bound check.
 
     Raises ``ValueError`` for q < 1 and for a class with no tuples at some
     n, whose norms and fit would measure nothing.
@@ -536,34 +545,27 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     per_np: dict[float, list[tuple[int, float]]] = {float(p): [] for p in p_list}
     int_ps = [int(p) for p in p_list]
     counts = {}
-    gain = []
     sup_bound_ok = True
     from . import riesz  # riesz imports this module
 
     for n in n_values:
         blocks = riesz.make_params(n, q=q).blocks if kind == "C2_restricted" else None
-        cls = enumerate_class(kind, n, blocks=blocks, s=s, t=t, b=b, a=a)
+        cls = enumerate_class(kind, n, budget=budget, blocks=blocks, s=s, t=t,
+                              b=b, a=a)
         if not cls.size:
             pin = {"C2b": b, "B4a": a}
             where = f" with --pin {pin[kind]}" if kind in pin else ""
             raise ValueError(f"the {kind} class has no tuples at n={n}{where}")
         counts[n] = cls.size
         field = CoefficientField.random_signs(n, 3, (seed, n))
-        shapes, res = _checked_shapes(cls.tuples, 3)
+        shapes, res = _checked_shapes(cls.tuples, 3, budget=budget)
         sums = _join_sums(cls.tuples, own_r_grids(field, shapes), 3)
         totals, peak = grid.abs_power_sums(_slabs(sums, res), int_ps)
         del sums  # before the next n builds its own
         sup_bound_ok &= peak <= cls.size
-        k = len(cls.tuples[0])
-        rho = math.sqrt(q) / n
         for p, total in zip(p_list, totals):
-            norm = grid.norm_of_power_sum(total, res.cells, p)
-            per_np[float(p)].append((n, norm))
-            gain.append({
-                "n": n, "p": float(p),
-                "norm_over_count": norm / cls.size,
-                "rho_scaled_norm": rho**k * norm,
-            })
+            per_np[float(p)].append(
+                (n, grid.norm_of_power_sum(total, res.cells, p)))
     rows = []
     fitted = {}
     for p, series in per_np.items():
@@ -581,7 +583,7 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
                 "predicted_exponent": PREDICTED_EXPONENT[kind],
             })
     return {"rows": rows, "fitted": fitted, "counts": counts,
-            "gain": gain, "sup_bound_ok": bool(sup_bound_ok)}
+            "sup_bound_ok": bool(sup_bound_ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +779,8 @@ def is_prime(g: AdmissibleGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _budget_check(sizes) -> None:
-    est = 1
-    for s in sizes:
-        est *= s
-    if est > MAX_TUPLES:
-        raise BudgetExceededError(f"enumeration of about {est} tuples exceeds budget")
-
-
-def X_of_graph(g: AdmissibleGraph, blocks) -> list[tuple[Shape, ...]]:
+def X_of_graph(g: AdmissibleGraph, blocks, *,
+               budget: int = MAX_TUPLES) -> list[tuple[Shape, ...]]:
     """Shape tuples (one per vertex, drawn from that vertex's block) whose
     coordinates satisfy at least the coincidences demanded by g's edges
     (color 2 pins coordinate 2, color 3 pins coordinate 3).  These at-least
@@ -793,7 +788,7 @@ def X_of_graph(g: AdmissibleGraph, blocks) -> list[tuple[Shape, ...]]:
     """
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    _budget_check(len(blocks[v - 1]) for v in verts)
+    check_budget(math.prod(len(blocks[v - 1]) for v in verts), budget)
     constraints = []
     for color, coord in ((2, 1), (3, 2)):
         for q in g.cliques(color):
@@ -808,14 +803,15 @@ def X_of_graph(g: AdmissibleGraph, blocks) -> list[tuple[Shape, ...]]:
     return out
 
 
-def nsd_tuples(vertices, blocks) -> list[tuple[Shape, ...]]:
+def nsd_tuples(vertices, blocks, *,
+               budget: int = MAX_TUPLES) -> list[tuple[Shape, ...]]:
     """Tuples in which every component shares coordinate 2 or 3 with some
     other component (no component is coincidence-free; first coordinates
     cannot collide across distinct blocks)."""
     verts = sorted(set(vertices))
     if not verts:
         return []
-    _budget_check(len(blocks[v - 1]) for v in verts)
+    check_budget(math.prod(len(blocks[v - 1]) for v in verts), budget)
     out = []
     k = len(verts)
     for combo in itertools.product(*[blocks[v - 1] for v in verts]):
@@ -854,7 +850,8 @@ def inclusion_exclusion_coefficients(
 
 
 def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
-                              resolution: Resolution | None = None) -> dict:
+                              resolution: Resolution | None = None, *,
+                              budget: int = MAX_TUPLES) -> dict:
     """Cellwise identity: Prod over the not-strongly-distinct tuples equals
     the signed sum over admissible graphs of Prod(X(G))."""
     verts = tuple(sorted(set(vertices)))
@@ -866,10 +863,12 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
     shapes = {s for v in verts for s in blocks[v - 1]}
     if resolution is None:
         resolution = hyperbolic.minimal_resolution(shapes, field.d)
-    lhs = prod_over(nsd_tuples(verts, blocks), field, resolution)
+    lhs = prod_over(nsd_tuples(verts, blocks, budget=budget), field, resolution,
+                    budget=budget)
     rhs = np.zeros(resolution.grid_shape, dtype=np.int64)
     for g in graphs:
-        contrib = prod_over(X_of_graph(g, blocks), field, resolution)
+        contrib = prod_over(X_of_graph(g, blocks, budget=budget), field,
+                            resolution, budget=budget)
         # widened first: c_G times a narrow X(G) sum can pass its width
         rhs += coeffs[g] * contrib.values.astype(np.int64)
     return {
@@ -884,17 +883,19 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
 
 
 def factorization_check(g: AdmissibleGraph, field: CoefficientField,
-                        blocks) -> dict:
+                        blocks, *, budget: int = MAX_TUPLES) -> dict:
     """Prod(X(G)) of a disjoint union equals the product of the components'
     Prod(X(G_t)), cellwise exactly."""
     comps = connected_components(g)
     shapes = {s for v in g.vertices for s in blocks[v - 1]}
     resolution = hyperbolic.minimal_resolution(shapes, field.d)
-    whole = prod_over(X_of_graph(g, blocks), field, resolution)
+    whole = prod_over(X_of_graph(g, blocks, budget=budget), field, resolution,
+                      budget=budget)
     # int64 from the start: a product of component sums outgrows each one
     prod = np.ones(resolution.grid_shape, dtype=np.int64)
     for comp in comps:
-        prod = prod * prod_over(X_of_graph(comp, blocks), field, resolution).values
+        prod = prod * prod_over(X_of_graph(comp, blocks, budget=budget), field,
+                                resolution, budget=budget).values
     return {
         "components": len(comps),
         "equal": bool(np.array_equal(whole.values, prod)),

@@ -179,8 +179,9 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n} (rho~ divides by n)")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not (0 < a < math.inf and math.isfinite(eps)):
+        raise ValueError(f"a must be positive and finite and eps finite, not "
+                         f"a={a}, eps={eps}")
     if q is None:
         q = max(1, round(a * n**eps))
     if not 1 <= q <= n + 1:
@@ -300,7 +301,7 @@ def _dot(a, b) -> int:
 # the short product
 # ---------------------------------------------------------------------------
 
-#: Refuse sd enumerations beyond this many tuples.
+#: Default budget: refuse sd/nsd enumerations beyond this many tuples.
 SD_TUPLE_BUDGET = 200_000
 
 
@@ -320,12 +321,15 @@ class ShortProduct:
     The constructor only validates.  Every grid is built once, on first
     use, and shared by all the reports.  With rho~ = N/D exactly, values
     are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
+    ``budget`` caps the u-tuples that ``layers`` enumerates.
     """
 
-    def __init__(self, field: CoefficientField, params: RieszParams) -> None:
+    def __init__(self, field: CoefficientField, params: RieszParams, *,
+                 budget: int = SD_TUPLE_BUDGET) -> None:
         _check_short_inputs(field, params)
         self.field = field
         self.params = params
+        self.budget = budget
         self.resolution = hyperbolic.field_resolution(field)
         frac = params.rho_tilde_exact
         self.num, self.den = frac.numerator, frac.denominator
@@ -360,12 +364,8 @@ class ShortProduct:
         distinct blocks, split by the strongly-distinct predicate and
         summed by ``coincidence.sum_products``."""
         params = self.params
-        estimate = sum(_sd_tuple_counts(params).values())
-        if estimate > SD_TUPLE_BUDGET:
-            raise grid.BudgetExceededError(
-                f"sd enumeration needs about {estimate} tuples "
-                f"(budget {SD_TUPLE_BUDGET})"
-            )
+        coincidence.check_budget(sum(_sd_tuple_counts(params).values()),
+                                 self.budget)
         sd, nsd = {}, {}
         for u in range(1, params.q + 1):
             sd_tuples, nsd_tuples = [], []

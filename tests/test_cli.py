@@ -1,5 +1,6 @@
 """Command-line interface: verify suites, experiments, formats, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -8,6 +9,13 @@ import numpy as np
 import pytest
 
 from hyperhaar import cli, coincidence, discrepancy, hyperbolic
+
+
+#: riesz3d scalars that pass the float range: refused as a limit.
+OVERFLOWING = [
+    ["riesz3d", "--n", "2", "--eps", "2000"],
+    ["riesz3d", "--n", "2", "--q", "2", "--a", "1e308"],
+]
 
 
 def run(argv, capsys):
@@ -332,6 +340,18 @@ class TestExperiments:
         ["verify", "--n", "2", "--a", "2"],
         ["verify", "--n", "2", "--eps", "0.25"],
         ["verify", "--n", "2", "--threads", "2"],
+        ["riesz2d", "--n", "2", "--trials", "1", "--q", "5"],
+        ["sharpness", "--n-range", "3..3", "--trials", "1", "--n", "9",
+         "--q", "4"],
+        ["lp-profile", "--n", "2", "--q", "7", "--eps", "0.1"],
+        ["graphs", "--vertices", "2", "--d", "2", "--n", "9"],
+        ["discrepancy", "--n-range", "2..4", "--n", "8", "--threads", "2"],
+        ["riesz3d", "--n", "3", "--q", "2", "--threads", "2"],
+        ["beck-gain", "--kind", "C2", "--n-range", "3..3", "--q", "3"],
+        ["riesz3d", "--n", "2", "--q", "2", "--a", "inf"],
+        ["riesz3d", "--n", "2", "--a", "inf"],
+        ["riesz3d", "--n", "2", "--eps", "inf"],
+        *OVERFLOWING,
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
@@ -344,13 +364,33 @@ class TestExperiments:
         # nothing is enumerated were ignored yet recorded in provenance, as
         # were --n, --d, --a, --eps and --threads in beck-gain, and --d,
         # --q, --a, --eps and --threads in verify (verify --n 2 --d 2
-        # exited 0 after checking the d=3 suites)
+        # exited 0 after checking the d=3 suites); so were the common flags
+        # of riesz2d, sharpness, lp-profile, graphs, discrepancy and riesz3d
+        # and beck-gain's --q off C2_restricted; a non-finite --a/--eps, or
+        # one that overflows a float, ended riesz3d in a traceback (exit 1)
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert json.loads(captured.err)["error"] == "validation"
+        assert json.loads(captured.err)["error"] == (
+            "limit" if argv in OVERFLOWING else "validation")
         assert "Traceback" not in captured.err
+
+    def test_flag_table_covers_every_subcommand(self):
+        # every subcommand has a row, every common flag but --seed, --out and
+        # --format a default there, and each such default is the parser's
+        parser = cli.build_parser()
+        (subs,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        assert set(subs.choices) == set(cli._IGNORED_FLAGS)
+        common = argparse.ArgumentParser(add_help=False)
+        cli._common_flags(common)
+        dests = {a.dest for a in common._actions} - {"seed", "out", "format"}
+        assert dests == set(cli._COMMON_DEFAULTS)
+        for command, (names, _) in cli._IGNORED_FLAGS.items():
+            assert set(names) <= dests
+            for dest, default in cli._COMMON_DEFAULTS.items():
+                assert subs.choices[command].get_default(dest) == default
 
     @pytest.mark.parametrize("argv, named", [
         (["beck-gain", "--kind", "B4a", "--n-range", "3..3"],

@@ -358,13 +358,8 @@ class TestProdOver:
     def test_budget_guard(self):
         field = CoefficientField.random_signs(3, 3, 114)
         cls = coincidence.class_c2(3)
-        old = coincidence.MAX_TUPLES
-        coincidence.MAX_TUPLES = 1
-        try:
-            with pytest.raises(grid.BudgetExceededError):
-                coincidence.prod_over(cls.tuples, field)
-        finally:
-            coincidence.MAX_TUPLES = old
+        with pytest.raises(grid.BudgetExceededError):
+            coincidence.prod_over(cls.tuples, field, budget=1)
 
 
 class TestSecondMomentCrossCheck:

@@ -186,13 +186,8 @@ class TestDecomposition:
     def test_tuple_budget(self):
         f = CoefficientField.random_signs(4, 3, 93)
         p = riesz.make_params(4, q=2)
-        old = riesz.SD_TUPLE_BUDGET
-        riesz.SD_TUPLE_BUDGET = 1
-        try:
-            with pytest.raises(grid.BudgetExceededError):
-                oracles.sd_decomposition(riesz.ShortProduct(f, p))
-        finally:
-            riesz.SD_TUPLE_BUDGET = old
+        with pytest.raises(grid.BudgetExceededError):
+            oracles.sd_decomposition(riesz.ShortProduct(f, p, budget=1))
 
 
 def GridOne(like):
