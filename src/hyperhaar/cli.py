@@ -449,6 +449,9 @@ def _cmd_lp_profile(args) -> tuple[int, dict, list]:
 
 
 def _cmd_discrepancy(args) -> tuple[int, dict, list]:
+    if args.generator == "vdc" and args.d != _COMMON_DEFAULTS["d"]:
+        raise ValueError("--generator vdc is the d=2 van der Corput set; "
+                         f"--d {args.d} would be ignored")
     rep = discrepancy.scaling_report(
         args.generator, _parse_doubling(args.n_range),
         grid_level=args.grid_level, seed=args.seed,

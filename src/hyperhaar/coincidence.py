@@ -39,9 +39,6 @@ from .hyperbolic import CoefficientField, Shape
 #: tuples.  Every enumeration takes its budget as an argument.
 MAX_TUPLES = 10**7
 
-#: Cells per axis-0 slab in which product sums are refined (1 MiB of int8).
-_SLAB_CELLS = 1 << 20
-
 #: Vertex cap for graph enumeration.
 GRAPH_VERTEX_CAP = 6
 
@@ -430,7 +427,8 @@ def _join_sums(tuples, r_own: dict[Shape, GridFunction], d: int) -> dict:
 def _slabs(sums: dict, resolution: Resolution, rows: int | None = None):
     """The grid of ``sum_products`` as successive axis-0 slabs of ``rows``
     rows, a power of two, from the per-join sums of ``_join_sums``; by
-    default as many rows as fit in ``_SLAB_CELLS`` cells, and at least one.
+    default as many rows as fit in ``grid.SLAB_CELLS`` cells, and at least
+    one.
 
     With L0 the level of axis 0 and rows = 2^k, the slab at rows
     [r0, r0 + 2^k) restricted to a sum at axis-0 level j0 is its rows
@@ -442,7 +440,7 @@ def _slabs(sums: dict, resolution: Resolution, rows: int | None = None):
     """
     levels = resolution.levels
     if rows is None:
-        rows = max(min(1 << levels[0], _SLAB_CELLS >> sum(levels[1:])), 1)
+        rows = max(min(1 << levels[0], grid.SLAB_CELLS >> sum(levels[1:])), 1)
     k = rows.bit_length() - 1
     clip = {key: (max(key[0] - (levels[0] - k), 0),) + key[1:] for key in sums}
     target = (k,) + levels[1:]

@@ -63,6 +63,10 @@ import numpy as np
 #: Cap on the total level (sum over axes); 2**MAX_TOTAL_LEVEL cells at most.
 MAX_TOTAL_LEVEL = 27
 
+#: Cells per axis-0 slab of the streamed grids, the hyperbolic shape sums
+#: and the class product sums (1 MiB of int8).
+SLAB_CELLS = 1 << 20
+
 
 class GridError(Exception):
     """Base class for grid-layer failures."""

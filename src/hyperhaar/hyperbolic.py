@@ -15,6 +15,17 @@ axis and finished by a division-free synthesis of the other axes --
 O(cells) integer work.  The same route with squared coefficients and
 unsigned halves gives the squared square function S(H)**2 = sum of
 alpha(R)**2 1_R, with no analysis of H.
+
+The sum streams in axis-0 slabs (``shape_sum_slabs``); ``shape_sum_grid``
+is its one-slab case.  Integer sums place the last axis and split axis 0
+by resolution: the shapes of axis-0 level below c (2**c slabs) are
+synthesized along axis 0 once, into a coarse block of one base row per
+slab, and each slab finishes from its base and the finer levels inside
+it.  Float sums place axis 0 and take a slab as rows of that placement,
+so every float addition keeps the order of a full-spectrum synthesis.
+The sharpness experiment takes its sup over the slabs, so an n=7, d=3
+trial holds a 16-row slab and a 16-row coarse block, never the 2**24-cell
+sum.
 """
 
 from __future__ import annotations
@@ -209,31 +220,57 @@ def _check_resolution(resolution: Resolution, shapes) -> None:
 
 
 def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-            dtype, signed: bool, axis: int) -> np.ndarray:
-    """The shape sum synthesized along ``axis`` only, the other axes still
-    in Haar layout.  A shape has one level r on ``axis``, so there its
-    synthesis is no butterfly: coefficient c becomes -c on the left half of
-    its interval and +c on the right half (+c on both unless ``signed``),
-    each repeated ``2**(m-r-1)`` times.  Shapes are added in ascending
-    level on ``axis``, the order in which the butterfly adds them."""
-    m = resolution.levels[axis]
-    out = np.zeros(resolution.grid_shape, dtype=dtype)
+            signed: bool, axis: int, out: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Add rows ``[lo, lo + len(out))`` of axis 0 of the shape sum
+    synthesized along ``axis`` only, the other axes still in Haar layout,
+    into the C-contiguous ``out``, and return it.  ``axis`` is 0 or the
+    last axis.  A shape has one level r on ``axis``, so there its synthesis
+    is no butterfly: coefficient c becomes -c on the left half of its
+    interval and +c on the right half (+c on both unless ``signed``), each
+    repeated ``2**(m-r-1)`` times, m the level of ``axis``.  Only the part
+    of a shape inside the row window is written.  Shapes are added in
+    ascending level on ``axis``, the order in which the butterfly adds
+    them."""
+    hi = lo + len(out)
     for shape in sorted(shape_values, key=lambda s: s[axis]):
         r = shape[axis]
-        values = np.asarray(shape_values[shape]).astype(dtype, copy=False)
-        pair = np.stack((-values if signed else values, values), axis=axis + 1)
-        pair = pair.reshape(values.shape[:axis] + (2 << r,) + values.shape[axis + 1:])
-        block = tuple(slice(None) if b == axis else slice(1 << q, 2 << q)
-                      for b, q in enumerate(shape))
-        out[block] += np.repeat(pair, 1 << (m - r - 1), axis=axis)
+        rep = 1 << (resolution.levels[axis] - r - 1)
+        if axis == 0:
+            # rows lo..hi of the repeated -c/+c pairs
+            values = np.asarray(shape_values[shape]).astype(out.dtype, copy=False)
+            pair = np.stack((-values if signed else values, values), axis=1)
+            pair = pair.reshape((2 << r,) + values.shape[1:])
+            block = tuple(slice(1 << q, 2 << q) for q in shape[1:])
+            out[(slice(None),) + block] += pair[np.arange(lo, hi) // rep]
+            continue
+        # axis 0 in Haar layout: the shape's rows are [2**q, 2**(q+1))
+        first, last = max(lo, 1 << shape[0]), min(hi, 2 << shape[0])
+        if first >= last:
+            continue
+        values = np.asarray(shape_values[shape])[first - (1 << shape[0]):
+                                                 last - (1 << shape[0])]
+        values = values.astype(out.dtype, copy=False)[..., None]
+        # the last axis split into (interval, half, repeat), a view of out
+        halves = out.reshape(out.shape[:-1] + (1 << r, 2, rep))
+        halves = halves[(slice(first - lo, last - lo),)
+                        + tuple(slice(1 << q, 2 << q) for q in shape[1:-1])]
+        if signed:
+            halves[..., 0, :] -= values
+        else:
+            halves[..., 0, :] += values
+        halves[..., 1, :] += values
     return out
 
 
-def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-                   signed: bool = True) -> np.ndarray:
+def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
+                    signed: bool = True, rows: int | None = None):
     """Sum over shapes of the Haar sums with the given per-rectangle
-    coefficients, evaluated on the grid: one axis is synthesized as the
-    coefficients are placed (``_placed``), the others by
+    coefficients, evaluated on the grid and yielded as successive
+    C-contiguous axis-0 slabs of ``rows`` rows, a power of two; by default
+    as many rows as fit in ``grid.SLAB_CELLS`` cells, but at least
+    ``2**ceil(m0/2)`` (m0 the level of axis 0), so that the integer sums'
+    coarse block below is never larger than a slab.  One axis is
+    synthesized as the coefficients are placed (``_placed``), the others by
     ``grid.synthesize``.
 
     Float coefficients give float64.  Integer ones give ``grid.int_dtype``
@@ -243,11 +280,30 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
     negation cannot wrap either.
 
     Integer sums are exact in any order and place the last axis, whose
-    butterfly levels write with stride 2 in short inner loops.  Float sums
-    place axis 0, the butterfly's first axis: in ascending axis-0 level the
-    placement repeats its additions one for one, and the later axes run in
-    the same order, so every float rounds as it would in a full-spectrum
-    synthesis.
+    butterfly levels write with stride 2 in short inner loops.  Axis 0 is
+    then split by resolution: with m0 its level, rows = 2**j and
+    c = m0 - j, the coefficient rows [0, 2**c) are the shapes whose axis-0
+    level is below c.  They are placed and synthesized along axis 0 once,
+    into the coarse block, whose row b is the base of slab b: the sum of
+    those shapes on the level-c interval b.  Slab b's own Haar column is
+    that base followed, for t < j, by the level-(c+t) rows
+    ``2**(c+t) + b*2**t`` onward, ``2**t`` of them; one butterfly along
+    axis 0 and the middle axes finish the slab.
+
+    Float sums place axis 0, the butterfly's first axis, so a slab is just
+    rows of that placement (so are d=1 integer sums, whose last axis is
+    axis 0): in ascending axis-0 level the placement repeats the
+    butterfly's additions one for one, and the later axes run in the same
+    order within each row, so every float rounds as it would in a
+    full-spectrum synthesis, whatever the slab size.
+
+    Peak memory: the coarse block (``2**c`` rows, ``cells / rows`` cells)
+    and about 3.5 slabs -- the one the caller still holds, the next one's
+    Haar column, and the butterfly's output and half-size scratch.  At
+    n=7, d=3 (levels 8, 8, 8, int8) the default is 16-row slabs and a
+    16-row coarse block, 1 MiB each, where the whole sum is 16 MiB; at
+    n=8 (levels 9, 9, 9) it is 32-row slabs of 8 MiB and a 16-row coarse
+    block, where the whole sum is 128 MiB.
     """
     _check_resolution(resolution, shape_values.keys())
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
@@ -255,11 +311,56 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
     else:
         dtype = grid.int_dtype(sum(grid.max_abs(v) for v in shape_values.values()))
         axis = resolution.d - 1
+    m0, rest = resolution.levels[0], resolution.grid_shape[1:]
+    if rows is None:
+        rows = max(min(1 << m0, grid.SLAB_CELLS >> sum(resolution.levels[1:])),
+                   1 << (m0 + 1) // 2)
+    if rows < 1 or rows & (rows - 1) or rows > 1 << m0:
+        raise ValueError(f"rows={rows} must be a power of two up to {1 << m0}")
+    j = rows.bit_length() - 1
     others = [b for b in range(resolution.d) if b != axis]
-    # Built inline so that ``synthesize`` holds the placed array's only
+    # Each slab is built inline, so that ``synthesize`` holds its only
     # reference and frees it once the next axis is done.
-    return grid.synthesize(_placed(shape_values, resolution, dtype, signed, axis),
-                           signed, others)
+    if axis == 0:
+        for lo in range(0, 1 << m0, rows):
+            yield grid.synthesize(_placed(shape_values, resolution, signed, axis,
+                                          np.zeros((rows,) + rest, dtype), lo),
+                                  signed, others)
+        return
+    c = m0 - j
+    by_level: dict = {}  # the shapes by axis-0 level, the coarse ones under -1
+    for shape, values in shape_values.items():
+        by_level.setdefault(shape[0] if shape[0] >= c else -1, {})[shape] = values
+    base = grid.synthesize(_placed(by_level.get(-1, {}), resolution, signed, axis,
+                                   np.zeros((1 << c,) + rest, dtype)),
+                           signed, [0])
+
+    def column(b: int) -> np.ndarray:
+        col = np.zeros((rows,) + rest, dtype)
+        col[0] = base[b]
+        for t in range(j):
+            _placed(by_level.get(c + t, {}), resolution, signed, axis,
+                    col[1 << t:2 << t], (1 << (c + t)) + (b << t))
+        return col
+
+    for b in range(1 << c):
+        yield grid.synthesize(column(b), signed, others)
+
+
+def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
+                   signed: bool = True) -> np.ndarray:
+    """The whole shape sum on the grid: ``shape_sum_slabs`` with one slab.
+
+    Integer sums: with c = 0 the coarse block is row 0 of the placement,
+    which no shape reaches, so the slab's Haar column is the whole
+    placement along the last axis, synthesized along every other axis.
+    Float sums: the slab is the whole placement along axis 0, whose
+    additions, in ascending axis-0 level, are the butterfly's own, so every
+    float rounds as in a full-spectrum synthesis.  See ``shape_sum_slabs``
+    for the widths and the coarse/fine split of axis 0.
+    """
+    return next(shape_sum_slabs(shape_values, resolution, signed,
+                                1 << resolution.levels[0]))
 
 
 def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:
@@ -333,7 +434,8 @@ def sharpness_experiment(n_values, d: int, trials: int, seed: int,
         def one_trial(t: int, n=n, res=res, count=count):
             field = CoefficientField.random_signs(n, d, (seed, n, t))
             ok = Fraction(field.abs_sum(), 1 << n) == count
-            return grid.sup_norm(hyperbolic_sum(field, res)), ok
+            slabs = shape_sum_slabs(field.values, res)
+            return max(grid.max_abs(slab) for slab in slabs), ok
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

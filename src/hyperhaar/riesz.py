@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -176,6 +177,10 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     taking the remainder, and block t collects the shapes whose first
     coordinate falls in interval t.  ``rho_tilde`` may be overridden (for
     instance to 0) for edge-case experiments.
+
+    Raises ``OverflowError``, naming ``--a``/``--eps`` and their values,
+    when ``a * n**eps`` or the bound prod_t (1 + |rho~| #B_t)**2 of the
+    product's moments is past the float range, before anything is built.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n} (rho~ divides by n)")
@@ -183,7 +188,14 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
         raise ValueError(f"a must be positive and finite and eps finite, not "
                          f"a={a}, eps={eps}")
     if q is None:
-        q = max(1, round(a * n**eps))
+        try:
+            scale = a * n**eps
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise OverflowError(f"--a {a} times n**--eps = {n}**{eps} is past "
+                                f"the float range")
+        q = max(1, round(scale))
     if not 1 <= q <= n + 1:
         raise ValueError(f"q={q} must lie in 1..{n + 1} (blocks would be empty)")
     values = list(range(n + 1))
@@ -200,6 +212,15 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     )
     if rho_tilde is None:
         rho_tilde = a * q ** float(B_EXPONENT) / n
+    # |1 + rho~ F_t| <= 1 + |rho~| #B_t, so this bounds every product moment
+    # the norm report turns into a float
+    log_l2_squared = math.fsum(2 * math.log1p(abs(rho_tilde) * len(block))
+                               for block in blocks)
+    if not log_l2_squared < math.log(sys.float_info.max):
+        raise OverflowError(
+            f"rho~ = {rho_tilde:g} (--a {a}, q={q}, n={n}) puts the product "
+            f"bound prod_t (1 + rho~ #B_t)**2 = e**{log_l2_squared:g} past the "
+            f"float range")
     return RieszParams(
         n=n, d=3, a=a, eps=eps, q=q,
         rho_tilde=float(rho_tilde), rho=math.sqrt(q) / n,

@@ -352,6 +352,7 @@ class TestExperiments:
         ["riesz3d", "--n", "2", "--a", "inf"],
         ["riesz3d", "--n", "2", "--eps", "inf"],
         *OVERFLOWING,
+        ["discrepancy", "--generator", "vdc", "--n-range", "2..4", "--d", "2"],
     ])
     def test_out_of_range_parameters_rejected(self, argv, capfd):
         # n = 0 used to reach rho~ = a q^b / n, a ZeroDivisionError
@@ -367,7 +368,8 @@ class TestExperiments:
         # exited 0 after checking the d=3 suites); so were the common flags
         # of riesz2d, sharpness, lp-profile, graphs, discrepancy and riesz3d
         # and beck-gain's --q off C2_restricted; a non-finite --a/--eps, or
-        # one that overflows a float, ended riesz3d in a traceback (exit 1)
+        # one that overflows a float, ended riesz3d in a traceback (exit 1);
+        # discrepancy --generator vdc ran the d=2 set under any --d
         code = cli.main(argv)
         captured = capfd.readouterr()
         assert code == 2
@@ -375,6 +377,18 @@ class TestExperiments:
         assert json.loads(captured.err)["error"] == (
             "limit" if argv in OVERFLOWING else "validation")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, named", [
+        (OVERFLOWING[0], ["--eps", "2000", "--a 1.0"]),
+        (OVERFLOWING[1], ["--a 1e+308", "q=2", "n=2"]),
+    ], ids=["eps", "a"])
+    def test_overflow_names_the_flag(self, argv, named, capfd):
+        # the bare C message, "(34, 'Numerical result out of range')",
+        # named neither the flag nor its value
+        assert cli.main(argv) == 2
+        detail = json.loads(capfd.readouterr().err)["detail"]
+        for word in named:
+            assert word in detail
 
     def test_flag_table_covers_every_subcommand(self):
         # every subcommand has a row, every common flag but --seed, --out and

@@ -1,5 +1,6 @@
 """Shapes, r-functions, hyperbolic sums, and the sup-norm experiments."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,98 @@ class TestHyperbolicSum:
         assert not np.array_equal(h_base.values, h_ext.values)
 
 
+def _stream_fields(d: int, kind: str):
+    """(n, shape values) at n = 0..4: random integers, their squares (the
+    unsigned S(H)**2 sums), integers with every coarser shape added, and a
+    ``random_normal`` float field."""
+    for n in range(5):
+        rng = np.random.default_rng((90, d, n))
+        if kind == "normal":
+            yield n, dict(CoefficientField.random_normal(n, d, rng).values)
+            continue
+        vals = dict(CoefficientField.random_integers(n, d, rng).values)
+        if kind == "squares":
+            vals = {s: v * v for s, v in vals.items()}
+        if kind == "coarse":
+            vals.update(hyperbolic.add_coarse_random(
+                CoefficientField(n, d, vals), rng).values)
+        yield n, vals
+
+
+class TestShapeSumSlabs:
+    """``shape_sum_slabs`` concatenated against ``shape_sum_grid`` and the
+    dense-spectrum oracle, bit for bit, for every slab size."""
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("kind", ["integers", "squares", "coarse", "normal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slabs_match_grid_and_full_spectrum(self, d, kind, signed):
+        for n, vals in _stream_fields(d, kind):
+            minimal = hyperbolic.minimal_resolution(vals, d)
+            for res in (minimal, Resolution(tuple(m + 1 for m in minimal.levels))):
+                whole = hyperbolic.shape_sum_grid(vals, res, signed)
+                want = oracles.full_spectrum_shape_sum(vals, res, signed)
+                assert whole.dtype == want.dtype
+                assert whole.tobytes() == want.tobytes(), (n, res.levels)
+                m0 = res.levels[0]
+                # 1, 2, a middle value and the whole axis
+                for rows in sorted({1, 2, 1 << (m0 // 2), 1 << m0}):
+                    slabs = list(hyperbolic.shape_sum_slabs(vals, res, signed, rows))
+                    assert len(slabs) == (1 << m0) // rows
+                    for slab in slabs:
+                        assert slab.shape == (rows,) + res.grid_shape[1:]
+                        assert slab.dtype == want.dtype
+                        assert slab.flags.c_contiguous
+                    got = np.concatenate(slabs)
+                    assert got.tobytes() == want.tobytes(), (n, res.levels, rows)
+                    if kind == "normal":
+                        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_bound_127_stays_int8(self, signed, rows):
+        vals = {(1, 0, 0): np.array([[[-100]], [[100]]]),
+                (0, 1, 1): np.array([[[27, -27], [-27, 27]]])}
+        res = Resolution((2, 2, 2))
+        slabs = list(hyperbolic.shape_sum_slabs(vals, res, signed, rows))
+        want = oracles.full_spectrum_shape_sum(vals, res, signed)
+        assert all(slab.dtype == np.int8 for slab in slabs)
+        assert np.concatenate(slabs).tobytes() == want.tobytes()
+        assert max(grid.max_abs(slab) for slab in slabs) == 127
+
+    @pytest.mark.parametrize("n, rows, count", [(3, 16, 1), (7, 16, 16),
+                                                 (8, 32, 16)])
+    def test_default_slab_size(self, n, rows, count):
+        # d=3 at level n+1 per axis: 2^20 cells are 16 rows at n=7; at n=8
+        # they would be 4 rows and a 128-row coarse block, so the rows are
+        # raised to 2^ceil(9/2) = 32
+        field = CoefficientField.random_signs(n, 3, 91)
+        res = hyperbolic.field_resolution(field)
+        slabs = hyperbolic.shape_sum_slabs(field.values, res)
+        first = next(slabs)
+        side = 2 << n
+        assert first.shape == (rows, side, side) and first.dtype == np.int8
+        assert 1 + sum(1 for _ in slabs) == count
+
+    @pytest.mark.parametrize("rows", [0, 3, 8])
+    def test_rows_must_be_a_power_of_two_in_range(self, rows):
+        vals = {(1, 1): np.ones((2, 2), dtype=np.int64)}
+        with pytest.raises(ValueError, match="power of two"):
+            next(hyperbolic.shape_sum_slabs(vals, Resolution((2, 2)), rows=rows))
+
+    def test_sharpness_trial_peak_bounded(self):
+        # one n=7, d=3 trial: the whole 2^24-cell sum is 16 MiB of int8,
+        # which the stream of 16-row slabs never holds
+        tracemalloc.start()
+        try:
+            rep = hyperbolic.sharpness_experiment([7], 3, 1, 92)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["per_n"][0]["coeff_sum_ok"]
+        assert peak < 8 << 20
+
+
 class TestSquareFunctionSquared:
     """S(H)**2 from the coefficients against the dense Haar analysis of the
     synthesized sum H (``oracles.square_function_squared``)."""
@@ -305,10 +398,20 @@ class TestSharpnessExperiment:
             assert row["coeff_sum_ok"]
             assert row["mean_sup"] <= hyperbolic.shape_count(row["n"], 3)
 
-    def test_threaded_matches_serial(self):
-        serial = hyperbolic.sharpness_experiment([3, 4, 5], 3, 8, 51, threads=1)
-        threaded = hyperbolic.sharpness_experiment([3, 4, 5], 3, 8, 51, threads=2)
+    def test_threaded_matches_serial(self, monkeypatch):
+        serial = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=1)
+        threaded = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert serial["per_n"] == threaded["per_n"]
+        # 2^10-cell slabs fall to the floor of 2^ceil(m0/2) rows, so every n
+        # streams 4 to 8 slabs
+        monkeypatch.setattr(grid, "SLAB_CELLS", 1 << 10)
+        small = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
+        assert small["per_n"] == serial["per_n"]
+        for row in serial["per_n"]:
+            n = row["n"]
+            sups = [grid.sup_norm(hyperbolic.hyperbolic_sum(
+                CoefficientField.random_signs(n, 3, (51, n, t)))) for t in range(8)]
+            assert (row["min_sup"], row["max_sup"]) == (min(sups), max(sups))
 
 
 class TestExpIntegrability:
