@@ -1,9 +1,10 @@
 """hyperhaar: exact dyadic Haar analysis on grids.
 
-Piecewise-constant function algebra with an exact rational backend,
-hyperbolic Haar sums and r-functions, the two Riesz-product test-function
-constructions, coincidence/graph combinatorics, and discrepancy evaluation,
-plus a CLI (``hyperhaar``) that drives verification suites and experiments.
+Exact piecewise-constant grids (integer numerators over one denominator)
+with Haar synthesis and exact power sums, hyperbolic Haar sums and
+r-functions, the two Riesz-product test-function constructions,
+coincidence/graph combinatorics, and discrepancy evaluation, plus a CLI
+(``hyperhaar``) that drives verification suites and experiments.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exact algebra of piecewise-constant functions on dyadic grids.
+"""Piecewise-constant functions on dyadic grids, exactly.
 
 Hyperbolic sums, Riesz products and coincidence sums are carried by one
 representation, ``GridFunction``: a dense array of cell values on a dyadic
@@ -6,13 +6,12 @@ grid in dimension 1-3.  The discrepancy scans use only ``Resolution`` and
 its cell cap.  A grid function is exact: integer numerators over one
 positive int ``den``, so identities verify with zero tolerance.  A grid
 built with ``den > 1`` is reduced to lowest terms, so integer-valued grids
-have ``den == 1``.  Operations work on the numerators and compute the new
-``den`` directly; numerators take the narrowest width ``int_dtype`` finds
-for a bound on the result (int8 up to int64, Python ints in an ``object``
-array past).  Floats leave a grid only through the correctly rounded
+have ``den == 1``.  Callers combine grids as integer sums over an explicit
+scale; numerators take the narrowest width ``int_dtype`` finds for a bound
+on the result (int8 up to int64, Python ints in an ``object`` array past).
+Floats leave a grid only through the correctly rounded
 ``GridFunction.float_values``, where a measurement needs them: the cellwise
-root of the square function in ``lp_profile``, L^p norms for non-integer
-p, and the Orlicz estimate.
+root of the square function in ``lp_profile`` and the Orlicz estimate.
 
 Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
 values that reads each chunk once for every integer p asked for and also
@@ -128,12 +127,6 @@ class Resolution:
             return False
         return all(a >= b for a, b in zip(self.levels, other.levels))
 
-    def join(self, other: "Resolution") -> "Resolution":
-        """Coordinatewise max -- the coarsest common refinement."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return Resolution(tuple(max(a, b) for a, b in zip(self.levels, other.levels)))
-
 
 # ---------------------------------------------------------------------------
 # grid functions
@@ -196,24 +189,6 @@ class GridFunction:
             object.__setattr__(self, "values", values)
             object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_values(cls, resolution: Resolution, values) -> "GridFunction":
-        return cls(resolution, np.asarray(values).reshape(resolution.grid_shape))
-
-    @classmethod
-    def constant(cls, value, resolution: Resolution) -> "GridFunction":
-        num, den = map(int, Fraction(value).as_integer_ratio())
-        arr = np.full(resolution.grid_shape, num, dtype=int_dtype(abs(num)))
-        return cls(resolution, arr, den)
-
-    @classmethod
-    def zero(cls, resolution: Resolution) -> "GridFunction":
-        return cls.constant(0, resolution)
-
-    @property
-    def d(self) -> int:
-        return self.resolution.d
-
     def float_values(self) -> np.ndarray:
         """Cellwise float64, correctly rounded.  One float64 division rounds
         once when the numerators and ``den`` are exact in float64, or for
@@ -244,49 +219,8 @@ def refine(f: GridFunction, resolution: Resolution) -> GridFunction:
     return GridFunction(resolution, arr, f.den)
 
 
-def common_refinement(f: GridFunction, g: GridFunction) -> tuple[GridFunction, GridFunction]:
-    res = f.resolution.join(g.resolution)
-    return refine(f, res), refine(g, res)
-
-
-def _binary(f: GridFunction, g, op) -> GridFunction:
-    """Cellwise ``op`` (``np.add``, ``np.subtract`` or ``np.multiply``)
-    against a GridFunction or a scalar, exactly: a scalar is taken at its
-    exact value (a float too, as in ``GridFunction.constant``); sums go over
-    the lcm of the denominators, products over their product."""
-    if isinstance(g, GridFunction):
-        f, g = common_refinement(f, g)
-        g_num, g_den = g.values, g.den
-    else:
-        g_num, g_den = Fraction(g).as_integer_ratio()
-    if op is np.multiply:
-        den, f_mul, g_mul = f.den * g_den, 1, 1
-        # max(peak, 1): each factor must fit too, not just their product
-        bound = max(max_abs(f.values), 1) * max(max_abs(g_num), 1)
-    else:
-        den = math.lcm(f.den, g_den)
-        f_mul, g_mul = den // f.den, den // g_den
-        bound = max_abs(f.values) * f_mul + max_abs(g_num) * g_mul
-    dtype = int_dtype(max(bound, f_mul, g_mul))
-    arr = op(np.asarray(f.values, dtype=dtype) * f_mul,
-             np.asarray(g_num, dtype=dtype) * g_mul)
-    return GridFunction(f.resolution, arr, den)
-
-
-def add(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, np.add)
-
-
-def sub(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, np.subtract)
-
-
-def mul(f: GridFunction, g) -> GridFunction:
-    return _binary(f, g, np.multiply)
-
-
 # ---------------------------------------------------------------------------
-# expectation, inner products, norms
+# expectation and norms
 # ---------------------------------------------------------------------------
 
 
@@ -294,20 +228,6 @@ def expectation(f: GridFunction):
     """Mean value = 2**-(m1+...+md) * sum of cells, as a Fraction."""
     total = f.values.sum(dtype=int_dtype(max_abs(f.values) * f.resolution.cells))
     return Fraction(int(total), f.resolution.cells * f.den)
-
-
-def inner_product(f: GridFunction, g: GridFunction):
-    """E(f*g), exactly."""
-    return expectation(mul(f, g))
-
-
-def lp_moment(f: GridFunction, p: int):
-    """E|f|**p for integer p >= 1, as a Fraction: the exact power sum of
-    ``_int_abs_power_sums`` over ``cells * den**p``."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("lp_moment needs an integer p >= 1")
-    (total,) = _int_abs_power_sums(f.values, [p])
-    return Fraction(total, f.resolution.cells * f.den ** p)
 
 
 #: Cells per piece that the exact power sums widen or count at once, and
@@ -352,12 +272,6 @@ def abs_power_sums(chunks, ps) -> tuple[list[int], int]:
             max((top for _, top in parts), default=0))
 
 
-def _int_abs_power_sums(values: np.ndarray, ps) -> list[int]:
-    """Exact sum of |v|**p over an integer or Python-int array, for each p:
-    ``abs_power_sums`` of the array as one chunk."""
-    return abs_power_sums([values], ps)[0]
-
-
 def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
                           ps) -> tuple[list[int], int]:
     """The power sums and max |v| of ``abs_power_sums`` for one chunk of
@@ -381,44 +295,22 @@ def norm_of_power_sum(total: int, scale: int, p: int) -> float:
     return float(Fraction(total, scale)) ** (1.0 / p)
 
 
-def lp_norm(f: GridFunction, p) -> float:
-    """(E|f|**p)**(1/p).  For integer p the moment is exact (one pass of
-    ``_int_abs_power_sums``) and only the final root is floating point;
-    other p go through ``float_values``."""
-    return lp_norms(f, [p])[0]
-
-
 def lp_norms(f: GridFunction, ps) -> list[float]:
-    """``lp_norm(f, p)`` for every p in ``ps``, bit for bit: the exact
-    moments of all integer p come from one read of the values."""
+    """(E|f|**p)**(1/p) for every integer p >= 1 in ``ps``: the exact
+    moments come from one read of the values, and only the final root is
+    floating point."""
     ps = list(ps)
-    if any(p <= 0 for p in ps):
-        raise ValueError("p must be positive")
-    exact = [p for p in ps if isinstance(p, int)]
-    sums = dict(zip(exact, _int_abs_power_sums(f.values, exact))) if exact else {}
-    abs_values = None
-    norms = []
-    for p in ps:
-        if isinstance(p, int):
-            norms.append(norm_of_power_sum(
-                sums[p], f.resolution.cells * f.den ** p, p))
-        else:
-            if abs_values is None:
-                abs_values = np.abs(f.float_values())
-            norms.append(_float_lp_norm(abs_values, p))
-    return norms
+    if not all(isinstance(p, int) and p >= 1 for p in ps):
+        raise ValueError(f"L^p norms need integer p >= 1, got {ps}")
+    sums, _ = abs_power_sums([f.values], ps)
+    return [norm_of_power_sum(total, f.resolution.cells * f.den ** p, p)
+            for p, total in zip(ps, sums)]
 
 
 def _float_lp_norm(abs_values: np.ndarray, p) -> float:
     """(mean of abs_values**p)**(1/p) in float64: the one float L^p
     expression, for arrays that are already nonnegative."""
     return float(np.mean(abs_values ** float(p)) ** (1.0 / float(p)))
-
-
-def sup_norm(f: GridFunction):
-    """max |cell value| -- exact, since f is piecewise constant on its grid."""
-    peak = max_abs(f.values)
-    return peak if f.den == 1 else Fraction(peak, f.den)
 
 
 # -- transform kernels -------------------------------------------------------

@@ -111,21 +111,12 @@ class CoefficientField:
         return sorted((s for s in self.values if sum(s) < self.n), reverse=True)
 
     def abs_sum(self):
-        """Sum of |alpha(R)| over the exact-volume rectangles (exact for ints)."""
-        total = 0
-        for shape in self.exact_volume_shapes:
-            arr = self.values[shape]
-            total += float(np.sum(np.abs(arr))) if self.mode == "float" \
-                else int(np.sum(np.abs(arr.astype(np.int64))))
-        return total
-
-    @classmethod
-    def constant(cls, n: int, d: int, value: int = 1) -> "CoefficientField":
-        vals = {
-            s: np.full(tuple(1 << r for r in s), int(value), dtype=np.int64)
-            for s in enumerate_shapes(n, d)
-        }
-        return cls(n, d, vals, "exact")
+        """Sum of |alpha(R)| over the exact-volume rectangles: a Python int
+        from ``grid.abs_power_sums`` for ints, a float per shape for floats."""
+        arrays = [self.values[shape] for shape in self.exact_volume_shapes]
+        if self.mode == "float":
+            return sum(float(np.sum(np.abs(arr))) for arr in arrays)
+        return grid.abs_power_sums(arrays, [1])[0][0]
 
     @classmethod
     def random_signs(cls, n: int, d: int, seed_or_rng) -> "CoefficientField":

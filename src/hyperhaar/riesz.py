@@ -94,9 +94,11 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     """Check: Psi >= 0 cellwise, E(Psi) = 1, and <H, Psi> = 2^(-n-1) * sum
     of |alpha(R)| over the exact-volume rectangles.  Coarser-rectangle
     coefficients may be present in the field; they change H but cancel
-    from the inner product.  Exact for integer fields; a float field's H is
-    a float64 array, and the mean and inner product are float64 sums
-    checked to 1e-10.
+    from the inner product.  Exact for integer fields: <H, Psi> is one
+    integer sum of H times Psi's numerators over ``cells * den``, at the
+    width ``int_dtype`` gives its bound.  A float field's H is a float64
+    array, and the mean and inner product are float64 sums checked to
+    1e-10.
 
     Returns a record with per-check results; failures are structured (the
     offending identity and, for negativity, a witness cell), not raised.
@@ -116,7 +118,11 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
         tol = 0
         expected = Fraction(field.abs_sum(), 2 ** (n + 1))
         mean = grid.expectation(psi)
-        inner = grid.inner_product(hyperbolic.hyperbolic_sum(field, res), psi)
+        h = hyperbolic.hyperbolic_sum(field, res).values
+        dtype = grid.int_dtype(
+            grid.max_abs(h) * grid.max_abs(psi.values) * res.cells)
+        total = np.multiply(h, psi.values, dtype=dtype).sum(dtype=dtype)
+        inner = Fraction(int(total), res.cells * psi.den)
     nonneg = bool(np.min(psi.values) >= 0)
     mean_ok = abs(mean - 1) <= tol
     inner_ok = abs(inner - expected) <= tol * max(1, abs(expected))
@@ -627,7 +633,11 @@ class RieszNormReport:
         }
 
 
-def norm_report(sp: ShortProduct, v_list=(), r_list=(1, 2)) -> RieszNormReport:
+#: The orders r of the partial product norms N(V; r).
+PARTIAL_NORM_ORDERS = (1, 2)
+
+
+def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
     """Measured norms of the short product: exact mean, exact fraction of
     negative cells, exact L1, L2, the sd/nsd L1 norms, and the partial
     product norms N(V; r) = || prod over t in V of (1 + rho~ F_t) ||_r.
@@ -656,15 +666,10 @@ def norm_report(sp: ShortProduct, v_list=(), r_list=(1, 2)) -> RieszNormReport:
         v = tuple(sorted(v))
         prods = [abs(p) for p in sp.partial_products(v)]
         pscale = sp.den ** len(v)
-        for r in r_list:
-            if isinstance(r, int) and r >= 1:
-                moment = Fraction(_dot(counts, (p**r for p in prods)),
-                                  cells * pscale**r)
-                partial.append((v, r, float(moment) ** (1.0 / r)))
-            else:
-                moment = math.fsum(c * (p / pscale) ** r
-                                   for c, p in zip(counts, prods)) / cells
-                partial.append((v, r, moment ** (1.0 / r)))
+        for r in PARTIAL_NORM_ORDERS:
+            moment = Fraction(_dot(counts, (p**r for p in prods)),
+                              cells * pscale**r)
+            partial.append((v, r, float(moment) ** (1.0 / r)))
     b2 = 2 * float(B_EXPONENT)
     a_prime = math.log(l2) / params.q**b2 if l2 > 0 else float("nan")
     rho2_last = params.rho_tilde**2 * len(params.blocks[-1])

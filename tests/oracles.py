@@ -2,11 +2,12 @@
 
 No subcommand runs any of these, so they live with the tests.  They build
 test inputs (dyadic intervals and rectangles as objects, their indicator
-grids, Haar functions axis by axis, spectra synthesized back to grids) or
-recompute what the library computes by a simpler, independent route: the
-product rule rectangle tuple by rectangle tuple, the dense Haar analysis
-of a grid and the squared square function spread from its spectrum,
-Parseval sums entry by entry, block averages, corner counts over the
+grids, Haar functions axis by axis, spectra synthesized back to grids,
+constant coefficient fields) or recompute what the library computes by a
+simpler, independent route: the product rule rectangle tuple by rectangle
+tuple, the dense Haar analysis of a grid and the squared square function
+spread from its spectrum, Parseval sums entry by entry, exact moments from
+the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
 graph, and the short product's grids expanded from its pools.
@@ -138,10 +139,19 @@ def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunctio
 
 
 def grids_equal(f: GridFunction, g: GridFunction) -> bool:
-    """Cellwise equality on the common refinement; lowest terms make the
-    numerators and ``den`` unique."""
-    a, b = grid.common_refinement(f, g)
-    return a.den == b.den and bool(np.all(a.values == b.values))
+    """Cellwise equality of two grids on one resolution; lowest terms make
+    the numerators and ``den`` unique."""
+    return f.resolution == g.resolution and f.den == g.den \
+        and np.array_equal(f.values, g.values)
+
+
+def moment(f: GridFunction, p: int) -> Fraction:
+    """E|f|**p in Python ints, from the distinct cell values and their
+    counts as ``np.unique`` sorts them out."""
+    values, counts = np.unique(f.values, return_counts=True)
+    return Fraction(sum(c * abs(v) ** p for v, c in zip(values.tolist(),
+                                                         counts.tolist())),
+                    f.resolution.cells * f.den ** p)
 
 
 def haar_1d(interval: DyadicInterval, resolution: Resolution) -> GridFunction:
@@ -225,7 +235,7 @@ def haar_analyze(f: GridFunction) -> HaarSpectrum:
     cells = f.resolution.cells
     # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
     arr = f.values.astype(grid.int_dtype(max(grid.max_abs(f.values), 1) * cells))
-    for axis in range(f.d):
+    for axis in range(f.resolution.d):
         arr = np.moveaxis(_analyze_axis0(np.moveaxis(arr, axis, 0)), 0, axis)
     num, den = grid._lowest_terms(arr, f.den * cells)
     return HaarSpectrum(f.resolution, num, den)
@@ -282,7 +292,7 @@ def parseval_l2_moment(spectrum: HaarSpectrum):
 
 def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
     """Average f over the atoms (cells) of a coarser resolution."""
-    if field.d != f.d:
+    if field.d != f.resolution.d:
         raise ValueError("dimension mismatch")
     if not f.resolution.refines(field):
         raise ValueError("field finer than f: cannot condition on a finer grid")
@@ -290,7 +300,7 @@ def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
     inter_shape: list[int] = []
     for mf, fac in zip(field.levels, factors):
         inter_shape.extend((1 << mf, fac))
-    sum_axes = tuple(range(1, 2 * f.d, 2))
+    sum_axes = tuple(range(1, 2 * f.resolution.d, 2))
     count = math.prod(factors)
     sums = f.values.reshape(inter_shape).sum(
         axis=sum_axes, dtype=grid.int_dtype(grid.max_abs(f.values) * count))
@@ -319,14 +329,19 @@ def full_spectrum_shape_sum(shape_values, resolution: Resolution,
     return grid.synthesize(spectrum, signed)
 
 
+def constant_field(n: int, d: int, value: int = 1) -> CoefficientField:
+    """The exact field with the same coefficient on every rectangle."""
+    return CoefficientField(n, d, {
+        s: np.full(tuple(1 << r for r in s), int(value), dtype=np.int64)
+        for s in hyperbolic.enumerate_shapes(n, d)})
+
+
 def square_sum(field: CoefficientField):
     """Sum of alpha(R)**2 over the exact-volume rectangles."""
-    total = 0
-    for shape in field.exact_volume_shapes:
-        arr = field.values[shape]
-        total += float(np.sum(arr ** 2)) if field.mode == "float" \
-            else int(np.sum(arr.astype(np.int64) ** 2))
-    return total
+    arrays = [field.values[shape] for shape in field.exact_volume_shapes]
+    if field.mode == "float":
+        return sum(float(np.sum(arr ** 2)) for arr in arrays)
+    return grid.abs_power_sums(arrays, [2])[0][0]
 
 
 def trivial_bound_report(field: CoefficientField) -> dict:
@@ -336,8 +351,8 @@ def trivial_bound_report(field: CoefficientField) -> dict:
     count = hyperbolic.shape_count(n, d)
     h = hyperbolic.hyperbolic_sum(field)
     lhs = Fraction(field.abs_sum(), 1 << n)
-    l2_sq = grid.lp_moment(h, 2)
-    sup = grid.sup_norm(h)
+    l2_sq = moment(h, 2)
+    sup = grid.max_abs(h.values)
     ortho_rhs = Fraction(square_sum(field), 1 << n)
     chain_first = lhs * lhs <= count * l2_sq
     chain_second = l2_sq <= sup * sup
@@ -365,7 +380,7 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
         field.n, field.d, {s: field.values[s] for s in field.exact_volume_shapes},
         field.mode)
     sq = hyperbolic.square_function_squared(exact_volume)
-    s_inf = float(grid.sup_norm(sq)) ** 0.5
+    s_inf = grid.max_abs(sq.values) ** 0.5
     vals = np.abs(h.float_values())
     d = field.d
     ps = list(range(1, p_max + 1))
@@ -489,7 +504,7 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
     cls = coincidence.class_c2_restricted(n, params.blocks, s, t)
     field = CoefficientField.random_signs(n, 3, (seed, n))
     g = coincidence.prod_over(cls.tuples, field)
-    lhs = grid.lp_moment(g, 2)
+    lhs = moment(g, 2)
 
     total = Fraction(len(cls.tuples))
     surviving = 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperhaar import coincidence, grid, hyperbolic, riesz
-from hyperhaar.grid import Resolution
+from hyperhaar.grid import GridFunction, Resolution
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
@@ -50,9 +50,9 @@ class TestProductRule:
         r2 = rectangle((1, 2), (0, 2))
         out = oracles.product_rule([r1, r2])
         assert out.kind == "haar"
-        prod = grid.mul(oracles.haar_tensor(r1, res), oracles.haar_tensor(r2, res))
-        expected = grid.mul(oracles.haar_tensor(out.rectangle, res), out.sign)
-        assert oracles.grids_equal(prod, expected)
+        prod = oracles.haar_tensor(r1, res).values * oracles.haar_tensor(r2, res).values
+        expected = oracles.haar_tensor(out.rectangle, res).values * out.sign
+        assert np.array_equal(prod, expected)
 
     def test_disjoint_supports_zero(self):
         r1 = rectangle((2, 0), (0, 0))  # [0,1/4) x [0,1)
@@ -99,15 +99,15 @@ class TestMeanZeroPredicate:
         r2 = rectangle((0, 2), (0, 0))
         assert oracles.mean_zero_predicate([r1, r2])
         res = Resolution((3, 3))
-        prod = grid.mul(oracles.haar_tensor(r1, res), oracles.haar_tensor(r2, res))
-        assert grid.expectation(prod) == 0
+        prod = oracles.haar_tensor(r1, res).values * oracles.haar_tensor(r2, res).values
+        assert grid.expectation(GridFunction(res, prod)) == 0
 
     def test_identical_pair_not_mean_zero(self):
         r = rectangle((1, 1), (0, 1))
         assert not oracles.mean_zero_predicate([r, r])
         res = Resolution((2, 2))
-        sq = grid.mul(oracles.haar_tensor(r, res), oracles.haar_tensor(r, res))
-        assert grid.expectation(sq) == r.volume
+        h = oracles.haar_tensor(r, res).values
+        assert grid.expectation(GridFunction(res, h * h)) == r.volume
 
     def test_coordinate_tie_not_certified(self):
         r1 = rectangle((1, 1), (0, 0))
@@ -353,7 +353,7 @@ class TestProdOver:
         field = CoefficientField.random_signs(n, 3, 113)
         cls = coincidence.class_c2(n)
         out = coincidence.prod_over(cls.tuples, field)
-        assert grid.sup_norm(out) <= cls.size
+        assert grid.max_abs(out.values) <= cls.size
 
     def test_budget_guard(self):
         field = CoefficientField.random_signs(3, 3, 114)

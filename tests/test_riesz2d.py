@@ -8,14 +8,23 @@ import pytest
 from hyperhaar import grid, hyperbolic, riesz
 from hyperhaar.hyperbolic import CoefficientField
 
+import oracles
+
 
 class TestTemlyakovProduct:
     def test_all_ones_n1_inner_product(self):
-        f = CoefficientField.constant(1, 2)
+        f = oracles.constant_field(1, 2)
         rec = riesz.verify_temlyakov(f, 1)
         assert rec["ok"], rec
         # 2 shapes x 2 rectangles, each |alpha|=1, scaled by 2**-(n+1)
         assert rec["inner_product"] == 1
+
+    def test_wide_inner_product_takes_python_ints(self):
+        # |H| * |Psi numerators| * cells = 2^61 * 9 * 16 passes int64
+        f = oracles.constant_field(1, 2, value=2**60)
+        rec = riesz.verify_temlyakov(f, 1)
+        assert rec["ok"], rec
+        assert rec["inner_product"] == 2**60
 
     def test_nonnegative_and_mean_one_random(self):
         for seed in range(10):
@@ -83,5 +92,8 @@ class TestTemlyakovProduct:
         assert scaled.dtype == np.int64
         assert int(scaled.max()) <= 3 ** (n + 1)
         psi = riesz.temlyakov_product(f, n)
-        assert grid.inner_product(hyperbolic.hyperbolic_sum(f), psi) == \
-            Fraction(f.abs_sum(), 1 << (n + 1))
+        h = hyperbolic.hyperbolic_sum(f)
+        assert h.resolution == psi.resolution
+        inner = Fraction(int(np.sum(h.values.astype(np.int64) * psi.values)),
+                         h.resolution.cells * psi.den)
+        assert inner == Fraction(f.abs_sum(), 1 << (n + 1))
