@@ -1,6 +1,6 @@
 """hyperhaar: exact dyadic Haar analysis on grids.
 
-Exact piecewise-constant grids (integer numerators over one denominator)
+Exact piecewise-constant grids (integer arrays over explicit scales)
 with Haar synthesis and exact power sums, hyperbolic Haar sums and
 r-functions, the two Riesz-product test-function constructions,
 coincidence/graph combinatorics, and discrepancy evaluation, plus a CLI

@@ -436,13 +436,7 @@ def _cmd_lp_profile(args) -> tuple[int, dict, list]:
     h = hyperbolic.hyperbolic_sum(field)
     p_list = _parse_p_list(args.p_list)
     # a temporary, so lp_profile frees the integer S(H)^2 before its floats
-    report = grid.lp_profile(h, hyperbolic.square_function_squared(field), p_list)
-    rows = [
-        {"p": e.p, "norm": e.norm,
-         "square_function_norm": e.square_function_norm,
-         "a_p": e.a_p, "b_p": e.b_p}
-        for e in report.entries
-    ]
+    rows = grid.lp_profile(h, hyperbolic.square_function_squared(field), p_list)
     payload = {"n": args.n, "d": args.d, "rows": rows,
                "orlicz_estimate": grid.orlicz_norm_estimate(h, 2.0, max(p_list))}
     return 0, payload, rows

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grid, hyperbolic
-from .grid import BudgetExceededError, GridFunction, Resolution
+from .grid import BudgetExceededError, Resolution
 from .hyperbolic import CoefficientField, Shape
 
 #: Default budget: refuse class and graph enumerations beyond this many
@@ -98,8 +98,7 @@ def product_signs(shapes: tuple[Shape, ...]) -> np.ndarray:
 
 def _all_ones_r_grid(shape: Shape, resolution: Resolution) -> np.ndarray:
     signs = np.ones(tuple(1 << r for r in shape), dtype=np.int8)
-    return hyperbolic.r_function_grid(hyperbolic.RFunction(shape, signs),
-                                      resolution).values
+    return hyperbolic.shape_sum_grid({shape: signs}, resolution)
 
 
 def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
@@ -325,13 +324,11 @@ def enumerate_class(kind: str, n: int, *, budget: int = MAX_TUPLES,
     raise ValueError(f"unknown class kind {kind!r}")
 
 
-def own_r_grids(field: CoefficientField, shapes) -> dict[Shape, GridFunction]:
+def own_r_grids(field: CoefficientField, shapes) -> dict[Shape, np.ndarray]:
     """The alpha-induced r-function of every shape, each on its own grid
     (per axis, its level + 1): 2^(n+3) cells for a d=3 shape of volume
     2^-n, whatever grid its products are summed on."""
-    return {s: hyperbolic.r_function_grid(hyperbolic.r_function(field, s),
-                                          hyperbolic.minimal_resolution([s]))
-            for s in shapes}
+    return {s: hyperbolic.signed_r_sum(field, shapes=[s]) for s in shapes}
 
 
 def _join(tup, d: int) -> tuple[int, ...]:
@@ -393,14 +390,14 @@ def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
     return out_bufs
 
 
-def _join_sums(tuples, r_own: dict[Shape, GridFunction], d: int) -> dict:
+def _join_sums(tuples, r_own: dict[Shape, np.ndarray], d: int) -> dict:
     """Per join (per axis, the max level + 1 over a tuple's shapes), the sum
     of the products of the r-functions of the tuples with that join, on
     the join grid -- read-only, since the slabs of ``_slabs`` are
     views of them.  A tuple's product depends only on its join; each group
-    copies the r-functions of its shapes onto its join grid once.  Every
-    sum is over a subset of the tuples, so its dtype is ``grid.int_dtype``
-    of their count."""
+    repeats the cells of its shapes' r-functions onto its join grid once.
+    Every sum is over a subset of the tuples, so its dtype is
+    ``grid.int_dtype`` of their count."""
     acc_dtype = grid.int_dtype(len(tuples))
     groups: dict[tuple[int, ...], list] = {}
     for tup in tuples:
@@ -410,8 +407,13 @@ def _join_sums(tuples, r_own: dict[Shape, GridFunction], d: int) -> dict:
         sub = Resolution(join)
         # Copies for one group at a time: the joins of a class are often
         # all distinct, so keeping them across groups only raises the peak.
-        r_grids = {s: grid.refine(r_own[s], sub).values
-                   for s in {s for tup in members for s in tup}}
+        r_grids = {}
+        for s in {s for tup in members for s in tup}:
+            arr = r_own[s]
+            for axis, size in enumerate(sub.grid_shape):
+                if arr.shape[axis] < size:
+                    arr = np.repeat(arr, size // arr.shape[axis], axis=axis)
+            r_grids[s] = arr
         acc = np.zeros(sub.grid_shape, dtype=acc_dtype)
         for tup in members:
             prod = r_grids[tup[0]]
@@ -457,7 +459,7 @@ def _slabs(sums: dict, resolution: Resolution, rows: int | None = None):
         yield slab
 
 
-def sum_products(tuples, r_own: dict[Shape, GridFunction],
+def sum_products(tuples, r_own: dict[Shape, np.ndarray],
                  resolution: Resolution) -> np.ndarray:
     """Sum over the tuples of the products of their shapes' r-functions, as
     an integer grid on ``resolution`` -- the one kernel for such sums.
@@ -498,15 +500,14 @@ def _checked_shapes(tuples, d: int, resolution: Resolution | None = None, *,
 
 def prod_over(tuples, field: CoefficientField,
               resolution: Resolution | None = None, *,
-              budget: int = MAX_TUPLES) -> GridFunction:
+              budget: int = MAX_TUPLES) -> np.ndarray:
     """Sum over the tuples of the products of the alpha-induced r-functions
-    of their shapes -- integer exact, through ``sum_products``.  The
+    of their shapes -- an integer grid, through ``sum_products``.  The
     default resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
     shapes, resolution = _checked_shapes(tuples, field.d, resolution,
                                          budget=budget)
-    values = sum_products(tuples, own_r_grids(field, shapes), resolution)
-    return GridFunction(resolution, values)
+    return sum_products(tuples, own_r_grids(field, shapes), resolution)
 
 
 PREDICTED_EXPONENT = {
@@ -868,7 +869,7 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
         contrib = prod_over(X_of_graph(g, blocks, budget=budget), field,
                             resolution, budget=budget)
         # widened first: c_G times a narrow X(G) sum can pass its width
-        rhs += coeffs[g] * contrib.values.astype(np.int64)
+        rhs += coeffs[g] * contrib.astype(np.int64)
     return {
         "vertices": verts,
         "graph_count": len(graphs),
@@ -876,7 +877,7 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
             {"cliques2": g.cliques2, "cliques3": g.cliques3, "c": coeffs[g]}
             for g in graphs
         ],
-        "equal": bool(np.array_equal(lhs.values, rhs)),
+        "equal": bool(np.array_equal(lhs, rhs)),
     }
 
 
@@ -893,10 +894,10 @@ def factorization_check(g: AdmissibleGraph, field: CoefficientField,
     prod = np.ones(resolution.grid_shape, dtype=np.int64)
     for comp in comps:
         prod = prod * prod_over(X_of_graph(comp, blocks, budget=budget), field,
-                                resolution, budget=budget).values
+                                resolution, budget=budget)
     return {
         "components": len(comps),
-        "equal": bool(np.array_equal(whole.values, prod)),
+        "equal": bool(np.array_equal(whole, prod)),
     }
 
 

@@ -296,9 +296,9 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
     counts = _grid_counts(a, [nums] * a.d, [2 * g] * a.d, strict=True)
     vol = _volumes(a, coords, coords)
     values = np.subtract(counts, vol, out=vol)
-    norm = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
     return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
-            "value": norm, "modulus_bound": a.n * a.d / g}
+            "value": grid.float_lp_norm(np.abs(values, out=values), p),
+            "modulus_bound": a.n * a.d / g}
 
 
 def scaling_report(generator: str, n_list, grid_level: int = 10,

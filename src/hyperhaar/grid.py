@@ -1,17 +1,16 @@
 """Piecewise-constant functions on dyadic grids, exactly.
 
-Hyperbolic sums, Riesz products and coincidence sums are carried by one
-representation, ``GridFunction``: a dense array of cell values on a dyadic
-grid in dimension 1-3.  The discrepancy scans use only ``Resolution`` and
-its cell cap.  A grid function is exact: integer numerators over one
-positive int ``den``, so identities verify with zero tolerance.  A grid
-built with ``den > 1`` is reduced to lowest terms, so integer-valued grids
-have ``den == 1``.  Callers combine grids as integer sums over an explicit
-scale; numerators take the narrowest width ``int_dtype`` finds for a bound
-on the result (int8 up to int64, Python ints in an ``object`` array past).
-Floats leave a grid only through the correctly rounded
-``GridFunction.float_values``, where a measurement needs them: the cellwise
-root of the square function in ``lp_profile`` and the Orlicz estimate.
+A grid is a C-contiguous integer ndarray of shape
+``Resolution.grid_shape``, one value per cell of a dyadic grid in
+dimension 1-3, over a scale that the caller passes explicitly (the d=2
+product is over 2**(n+1), the short product over D**q); most grids are
+over 1.  Identities are integer sums over those scales, so they verify
+with zero tolerance.  Values take the narrowest width ``int_dtype`` finds
+for a bound on the result (int8 up to int64, Python ints in an ``object``
+array past).  Floats leave a grid only through ``astype(np.float64)``,
+which rounds each cell correctly, where a measurement needs them: the
+cellwise root of the square function in ``lp_profile`` and the Orlicz
+estimate.  ``float_lp_norm`` is the one float L^p expression.
 
 Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
 values that reads each chunk once for every integer p asked for and also
@@ -20,7 +19,7 @@ A chunk whose values span at most ``_POWER_CHUNK`` integers (every int8
 and int16 chunk) is counted in one chunked ``bincount`` pass after its
 min/max, and each sum is ``count * |v|**p`` over the values that occur, in
 Python ints; wider spans and Python-int chunks take a chunked power loop.
-``lp_norms`` gives several norms from one read, with the grid as one chunk.
+``lp_norms`` gives several norms of a grid from one read, as one chunk.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -53,7 +52,6 @@ C-contiguous and the input is never written.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,15 +119,9 @@ class Resolution:
     def cells(self) -> int:
         return 1 << sum(self.levels)
 
-    def refines(self, other: "Resolution") -> bool:
-        """True iff ``self`` is at least as fine as ``other`` in every axis."""
-        if self.d != other.d:
-            return False
-        return all(a >= b for a, b in zip(self.levels, other.levels))
-
 
 # ---------------------------------------------------------------------------
-# grid functions
+# integer grids
 # ---------------------------------------------------------------------------
 
 
@@ -149,85 +141,6 @@ def max_abs(values) -> int:
     wrapping the most negative value of its dtype."""
     arr = np.asarray(values)
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
-
-
-def _lowest_terms(values: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """``values / den`` with the common factor of ``den`` and all values out."""
-    g = int(np.gcd.reduce(values, axis=None))
-    if g == 0:
-        return values, 1
-    g = math.gcd(den, g)
-    return (values // g, den // g) if g > 1 else (values, den)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Piecewise-constant function on ``[0,1)**d``, one value per grid cell.
-
-    ``values`` is an integer array (Python ints in an ``object`` array past
-    int64) of shape ``resolution.grid_shape``, row-major over the cells;
-    each cell is ``values / den`` in lowest terms.  Instances are treated
-    as immutable.
-    """
-
-    resolution: Resolution
-    values: np.ndarray
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.resolution.grid_shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match resolution "
-                f"{self.resolution.grid_shape}"
-            )
-        if self.values.dtype.kind not in "iuO":
-            raise ValueError(f"grid values need an integer dtype, not {self.values.dtype}")
-        if not isinstance(self.den, int) or self.den < 1:
-            raise ValueError(f"grids need a positive int den, got {self.den!r}")
-        if self.den != 1:
-            values, den = _lowest_terms(self.values, self.den)
-            object.__setattr__(self, "values", values)
-            object.__setattr__(self, "den", den)
-
-    def float_values(self) -> np.ndarray:
-        """Cellwise float64, correctly rounded.  One float64 division rounds
-        once when the numerators and ``den`` are exact in float64, or for
-        int64 numerators over a power of two up to 2**1022 (an exact
-        scaling); otherwise each cell is the Python ``int / int``."""
-        den = self.den
-        if (den & (den - 1) or den > 1 << 1022 or self.values.dtype == object) \
-                and max(max_abs(self.values), den) > 1 << 53:
-            return np.array([v / den for v in self.values.ravel().tolist()],
-                            dtype=np.float64).reshape(self.values.shape)
-        arr = self.values.astype(np.float64)
-        if den != 1:
-            arr /= den
-        return arr
-
-
-def refine(f: GridFunction, resolution: Resolution) -> GridFunction:
-    """Replicate cell values onto a finer grid; preserves all norms exactly."""
-    if not resolution.refines(f.resolution):
-        raise InsufficientResolutionError(
-            f"insufficient resolution: {resolution.levels} does not refine "
-            f"{f.resolution.levels}"
-        )
-    arr = f.values
-    for axis, (m_new, m_old) in enumerate(zip(resolution.levels, f.resolution.levels)):
-        if m_new > m_old:
-            arr = np.repeat(arr, 1 << (m_new - m_old), axis=axis)
-    return GridFunction(resolution, arr, f.den)
-
-
-# ---------------------------------------------------------------------------
-# expectation and norms
-# ---------------------------------------------------------------------------
-
-
-def expectation(f: GridFunction):
-    """Mean value = 2**-(m1+...+md) * sum of cells, as a Fraction."""
-    total = f.values.sum(dtype=int_dtype(max_abs(f.values) * f.resolution.cells))
-    return Fraction(int(total), f.resolution.cells * f.den)
 
 
 #: Cells per piece that the exact power sums widen or count at once, and
@@ -295,19 +208,18 @@ def norm_of_power_sum(total: int, scale: int, p: int) -> float:
     return float(Fraction(total, scale)) ** (1.0 / p)
 
 
-def lp_norms(f: GridFunction, ps) -> list[float]:
-    """(E|f|**p)**(1/p) for every integer p >= 1 in ``ps``: the exact
-    moments come from one read of the values, and only the final root is
-    floating point."""
+def lp_norms(values: np.ndarray, ps) -> list[float]:
+    """(E|v|**p)**(1/p) over the cells of an integer grid, for every integer
+    p >= 1 in ``ps``: the exact moments come from one read of the values,
+    and only the final root is floating point."""
     ps = list(ps)
     if not all(isinstance(p, int) and p >= 1 for p in ps):
         raise ValueError(f"L^p norms need integer p >= 1, got {ps}")
-    sums, _ = abs_power_sums([f.values], ps)
-    return [norm_of_power_sum(total, f.resolution.cells * f.den ** p, p)
-            for p, total in zip(ps, sums)]
+    sums, _ = abs_power_sums([values], ps)
+    return [norm_of_power_sum(total, values.size, p) for p, total in zip(ps, sums)]
 
 
-def _float_lp_norm(abs_values: np.ndarray, p) -> float:
+def float_lp_norm(abs_values: np.ndarray, p) -> float:
     """(mean of abs_values**p)**(1/p) in float64: the one float L^p
     expression, for arrays that are already nonnegative."""
     return float(np.mean(abs_values ** float(p)) ** (1.0 / float(p)))
@@ -384,44 +296,31 @@ def synthesize(arr: np.ndarray, signed: bool = True, axes=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LPEntry:
-    p: float
-    norm: float
-    square_function_norm: float
-    a_p: float  # ||S(f)||_p / ||f||_p
-    b_p: float  # ||f||_p / ||S(f)||_p
-
-
-@dataclass(frozen=True)
-class LPReport:
-    entries: tuple[LPEntry, ...]
-
-
-def lp_profile(f: GridFunction, sf_squared: GridFunction, p_list) -> LPReport:
-    """Norms of f and of S(f), given as ``sf_squared`` = S(f)**2, with the
-    two-sided ratio estimates per p.  S(f) is float64, rooted in place; the
-    argument is dropped first, so a caller's temporary is freed by then."""
+def lp_profile(values: np.ndarray, sf_squared: np.ndarray, p_list) -> list[dict]:
+    """Norms of an integer grid f and of S(f), given as ``sf_squared`` =
+    S(f)**2, with the two-sided ratio estimates: one row per p, with the
+    keys p, norm, square_function_norm, a_p = ||S(f)||_p / ||f||_p and
+    b_p = ||f||_p / ||S(f)||_p.  S(f) is float64, each cell the correctly
+    rounded float of its integer, rooted in place; the argument is dropped
+    first, so a caller's temporary is freed by then."""
     ps = list(p_list)
     if not ps:
         raise ValueError("p_list must be nonempty")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be strictly increasing")
-    sf = sf_squared.float_values()
+    sf = sf_squared.astype(np.float64)
     del sf_squared
     np.sqrt(sf, out=sf)
-    entries = []
-    for p, nf in zip(ps, lp_norms(f, ps)):
-        ns = _float_lp_norm(sf, p)  # S(f) >= 0
-        entries.append(LPEntry(
-            p=float(p), norm=nf, square_function_norm=ns,
-            a_p=(ns / nf) if nf else float("nan"),
-            b_p=(nf / ns) if ns else float("nan"),
-        ))
-    return LPReport(tuple(entries))
+    rows = []
+    for p, nf in zip(ps, lp_norms(values, ps)):
+        ns = float_lp_norm(sf, p)  # S(f) >= 0
+        rows.append({"p": float(p), "norm": nf, "square_function_norm": ns,
+                     "a_p": (ns / nf) if nf else float("nan"),
+                     "b_p": (nf / ns) if ns else float("nan")})
+    return rows
 
 
-def orlicz_norm_estimate(f: GridFunction, alpha: float, p_max: int) -> float:
+def orlicz_norm_estimate(values: np.ndarray, alpha: float, p_max: int) -> float:
     """max over integer p in [1, p_max] of p**(-1/alpha) * ||f||_p.
 
     This is the sup-over-p equivalent of the exponential-integrability norm,
@@ -432,9 +331,9 @@ def orlicz_norm_estimate(f: GridFunction, alpha: float, p_max: int) -> float:
         raise ValueError("alpha must be positive")
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    vals = np.abs(f.float_values())
+    vals = np.abs(values.astype(np.float64))
     best = 0.0
     for p in range(1, p_max + 1):
-        best = max(best, float(p) ** (-1.0 / alpha) * _float_lp_norm(vals, p))
+        best = max(best, float(p) ** (-1.0 / alpha) * float_lp_norm(vals, p))
     return best
 

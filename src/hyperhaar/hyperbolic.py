@@ -14,7 +14,10 @@ whole hyperbolic sum is therefore placed already synthesized along one
 axis and finished by a division-free synthesis of the other axes --
 O(cells) integer work.  The same route with squared coefficients and
 unsigned halves gives the squared square function S(H)**2 = sum of
-alpha(R)**2 1_R, with no analysis of H.
+alpha(R)**2 1_R, with no analysis of H.  Every sum is returned as a grid
+in the sense of ``grid``: a C-contiguous integer ndarray over the scale 1.
+``signed_r_sum`` is the one r-function provider; with one shape it gives
+that shape's r-function.
 
 The sum streams in axis-0 slabs (``shape_sum_slabs``); ``shape_sum_grid``
 is its one-slab case.  Integer sums place the last axis and split axis 0
@@ -37,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grid
-from .grid import GridFunction, InsufficientResolutionError, Resolution
+from .grid import InsufficientResolutionError, Resolution
 
 Shape = tuple[int, ...]
 
@@ -163,25 +166,9 @@ def add_coarse_random(field: CoefficientField, seed_or_rng, low: int = -3,
     return CoefficientField(field.n, field.d, vals, field.mode)
 
 
-@dataclass(frozen=True)
-class RFunction:
-    """Sign pattern of one shape: the induced grid function is the sum of
-    one signed Haar function per rectangle and takes values in {-1,+1}
-    everywhere (its square is identically 1)."""
-
-    shape: Shape
-    signs: np.ndarray  # int8 array of +-1, indexed by rectangle positions
-
-
 def signs_of(values: np.ndarray) -> np.ndarray:
     """Sign pattern with the sgn(0) := +1 tie-break."""
     return np.where(values >= 0, 1, -1).astype(np.int8)
-
-
-def r_function(field: CoefficientField, shape: Shape) -> RFunction:
-    if shape not in field.values:
-        raise KeyError(f"field has no shape {shape}")
-    return RFunction(shape, signs_of(field.values[shape]))
 
 
 def minimal_resolution(shapes, d: int | None = None) -> Resolution:
@@ -354,27 +341,23 @@ def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution
                                 1 << resolution.levels[0]))
 
 
-def r_function_grid(rf: RFunction, resolution: Resolution) -> GridFunction:
-    return GridFunction(resolution, shape_sum_grid({rf.shape: rf.signs}, resolution))
-
-
 def _require_exact(field: CoefficientField) -> None:
     if field.mode != "exact":
-        raise ValueError("grid functions are exact: this needs an integer field")
+        raise ValueError("grids are exact: this needs an integer field")
 
 
 def hyperbolic_sum(field: CoefficientField,
-                   resolution: Resolution | None = None) -> GridFunction:
+                   resolution: Resolution | None = None) -> np.ndarray:
     """H_n = sum over all rectangles (every shape in the field, coarse shapes
     included for extended fields) of alpha(R) h_R, exactly on the grid."""
     _require_exact(field)
     if resolution is None:
         resolution = field_resolution(field)
-    return GridFunction(resolution, shape_sum_grid(field.values, resolution))
+    return shape_sum_grid(field.values, resolution)
 
 
 def square_function_squared(field: CoefficientField,
-                            resolution: Resolution | None = None) -> GridFunction:
+                            resolution: Resolution | None = None) -> np.ndarray:
     """S(H)**2 of the field's hyperbolic sum H (coarse shapes included):
     sum over all rectangles of alpha(R)**2 1_R, the unsigned shape sum of
     the squared coefficients.  Each square is taken in ``grid.int_dtype``
@@ -386,18 +369,22 @@ def square_function_squared(field: CoefficientField,
     for shape, values in field.values.items():
         wide = values.astype(grid.int_dtype(grid.max_abs(values) ** 2), copy=False)
         squares[shape] = wide * wide
-    return GridFunction(resolution, shape_sum_grid(squares, resolution, signed=False))
+    return shape_sum_grid(squares, resolution, signed=False)
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
-                 shapes=None) -> GridFunction:
+                 shapes=None) -> np.ndarray:
     """Sum over the given shapes (default: all exact-volume shapes) of the
-    alpha-induced r-functions -- integer valued, one synthesis."""
+    alpha-induced r-functions -- integer valued, one synthesis, on
+    ``resolution`` (default: the minimal one for the shapes).  The one
+    r-function provider: with one shape it is that shape's r-function, the
+    sum of one signed Haar function per rectangle, which takes values in
+    {-1, +1} everywhere (sgn(0) := +1)."""
     chosen = list(shapes) if shapes is not None else field.exact_volume_shapes
     if resolution is None:
         resolution = minimal_resolution(chosen, field.d)
     sign_arrays = {s: signs_of(field.values[s]) for s in chosen}
-    return GridFunction(resolution, shape_sum_grid(sign_arrays, resolution))
+    return shape_sum_grid(sign_arrays, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ Two constructions:
   same-first-coordinate pair sums Gamma_t, exact duality certificates, and
   measured norm reports.
 
-Exactness strategy: every identity is checked in scaled integers, the
-numerators of exact grids over one denominator.  The d=2 product is
-``prod (2 + psi_s)`` over ``2^{n+1}``; the short product writes the scalar
-``rho~`` as the exact rational N/D of its float64 value and scales by D^q,
-so that ``T = Psi * D^q = prod (D + N F_t)`` and the scaled sd/nsd layers
-``sum_u N^u D^(q-u) sd_u`` are integers over D^q.  All stated identities
+Exactness strategy: every identity is checked in scaled integers.  A grid
+is an integer array over a scale that is passed explicitly (see ``grid``).
+The d=2 product is the array ``prod (2 + psi_s)`` over ``2^{n+1}``; the
+short product writes the scalar ``rho~`` as the exact rational N/D of its
+float64 value and scales by D^q, so that ``T = Psi * D^q = prod (D + N
+F_t)`` and the scaled sd/nsd layers ``sum_u N^u D^(q-u) sd_u`` are
+integers over D^q.  All stated identities
 hold for *any* rational value of ``rho~``, so pinning it to the float's
 exact rational loses nothing.  Psi depends only on the coefficient signs,
 so it is an exact grid for float fields too; a float field (the d=2 check
@@ -30,7 +31,7 @@ the vector's cells.  The split itself is checked per power of rho~, on
 integer grids.  One ``ShortProduct`` holds the grids and pools of a
 field, builds each on first use, and serves every report.
 
-Every r-function is synthesized once, by ``hyperbolic.r_function_grid``.
+Every r-function is synthesized once, by ``hyperbolic.signed_r_sum``.
 The short product keeps each one on its own grid (per axis, its level
 + 1); the sd/nsd layers and Gamma_t are sums of r-function products over
 shape tuples and are computed by ``coincidence.sum_products``, the join-
@@ -50,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coincidence, grid, hyperbolic
-from .grid import GridFunction, Resolution
+from .grid import Resolution
 from .hyperbolic import CoefficientField, Shape
 
 #: Exponent b in rho~ = a * q**b / n.
@@ -69,25 +70,19 @@ def _check_d2_exact_volume(field: CoefficientField, n: int) -> None:
         raise ValueError(f"field has volume parameter {field.n}, not {n}")
 
 
-def _temlyakov_scaled(field: CoefficientField, n: int) -> np.ndarray:
-    """Integer grid equal to Psi * 2^(n+1): the product of the n+1 factors
-    (2 + psi_s) on the full grid; |values| <= 3^(n+1)."""
+def temlyakov_product(field: CoefficientField, n: int) -> np.ndarray:
+    """Psi = prod over all n+1 shapes s of (1 + psi_s/2), where psi_s is the
+    sign-pattern r-function of shape (s, n-s), as the integer grid over
+    2^(n+1): the product of the factors (2 + psi_s) on the full grid, with
+    |values| <= 3^(n+1).  Nonnegative with mean one.  Exact for float
+    fields too: Psi depends only on the signs."""
+    _check_d2_exact_volume(field, n)
     res = Resolution((n + 1, n + 1))
     # int64: the running product is not bounded by any one factor
     out = np.ones(res.grid_shape, dtype=np.int64)
     for s in range(n + 1):
-        rf = hyperbolic.r_function(field, (s, n - s))
-        out *= 2 + hyperbolic.r_function_grid(rf, res).values
+        out *= 2 + hyperbolic.signed_r_sum(field, res, shapes=[(s, n - s)])
     return out
-
-
-def temlyakov_product(field: CoefficientField, n: int) -> GridFunction:
-    """Psi = prod over all n+1 shapes s of (1 + psi_s/2), where psi_s is the
-    sign-pattern r-function of shape (s, n-s).  Nonnegative with mean one.
-    Exact for float fields too: Psi depends only on the signs."""
-    _check_d2_exact_volume(field, n)
-    return GridFunction(Resolution((n + 1, n + 1)), _temlyakov_scaled(field, n),
-                        den=2 ** (n + 1))
 
 
 def verify_temlyakov(field: CoefficientField, n: int) -> dict:
@@ -95,7 +90,7 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     of |alpha(R)| over the exact-volume rectangles.  Coarser-rectangle
     coefficients may be present in the field; they change H but cancel
     from the inner product.  Exact for integer fields: <H, Psi> is one
-    integer sum of H times Psi's numerators over ``cells * den``, at the
+    integer sum of H times Psi's grid over ``cells * 2^(n+1)``, at the
     width ``int_dtype`` gives its bound.  A float field's H is a float64
     array, and the mean and inner product are float64 sums checked to
     1e-10.
@@ -107,27 +102,28 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     res = Resolution((n + 1, n + 1))
     failures = []
     psi = temlyakov_product(field, n)
+    scale = 2 ** (n + 1)
     if field.mode == "float":
         tol = 1e-10
-        expected = field.abs_sum() / 2 ** (n + 1)
+        expected = field.abs_sum() / scale
         h = hyperbolic.shape_sum_grid(field.values, res)
-        psi_values = psi.float_values()
+        psi_values = psi.astype(np.float64) / scale  # exact: a power of two
         mean = float(np.sum(psi_values)) / res.cells
         inner = float(np.sum(h * psi_values)) / res.cells
     else:
         tol = 0
-        expected = Fraction(field.abs_sum(), 2 ** (n + 1))
-        mean = grid.expectation(psi)
-        h = hyperbolic.hyperbolic_sum(field, res).values
-        dtype = grid.int_dtype(
-            grid.max_abs(h) * grid.max_abs(psi.values) * res.cells)
-        total = np.multiply(h, psi.values, dtype=dtype).sum(dtype=dtype)
-        inner = Fraction(int(total), res.cells * psi.den)
-    nonneg = bool(np.min(psi.values) >= 0)
+        expected = Fraction(field.abs_sum(), scale)
+        dtype = grid.int_dtype(grid.max_abs(psi) * res.cells)
+        mean = Fraction(int(psi.sum(dtype=dtype)), res.cells * scale)
+        h = hyperbolic.hyperbolic_sum(field, res)
+        dtype = grid.int_dtype(grid.max_abs(h) * grid.max_abs(psi) * res.cells)
+        total = np.multiply(h, psi, dtype=dtype).sum(dtype=dtype)
+        inner = Fraction(int(total), res.cells * scale)
+    nonneg = bool(np.min(psi) >= 0)
     mean_ok = abs(mean - 1) <= tol
     inner_ok = abs(inner - expected) <= tol * max(1, abs(expected))
     if not nonneg:
-        idx = np.unravel_index(int(np.argmin(psi.values)), psi.values.shape)
+        idx = np.unravel_index(int(np.argmin(psi)), psi.shape)
         failures.append({"check": "nonnegative", "cell": tuple(int(i) for i in idx)})
     if not mean_ok:
         failures.append({"check": "mean", "lhs": mean, "rhs": 1})
@@ -363,7 +359,7 @@ class ShortProduct:
         self.scale = self.den ** params.q
 
     @cached_property
-    def r_grids(self) -> dict[Shape, GridFunction]:
+    def r_grids(self) -> dict[Shape, np.ndarray]:
         """The r-function of every shape on its own grid, one synthesis
         each."""
         return coincidence.own_r_grids(
@@ -373,7 +369,7 @@ class ShortProduct:
     def block_sums(self) -> list[np.ndarray]:
         """F_1..F_q: the sums of the r-functions of each block."""
         return [
-            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block).values
+            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block)
             for block in self.params.blocks
         ]
 
@@ -382,7 +378,7 @@ class ShortProduct:
         """The hyperbolic sum H as an int64 grid (int64 so that
         ``np.add.at`` into the int64 segment sums keeps its fast path)."""
         return hyperbolic.hyperbolic_sum(self.field, self.resolution) \
-            .values.astype(np.int64)
+            .astype(np.int64)
 
     @cached_property
     def layers(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -520,7 +516,7 @@ def duality_certificate(sp: ShortProduct) -> dict:
     and its layers.
     """
     cells = sp.resolution.cells
-    sup_h = int(np.max(np.abs(sp.h)))
+    sup_h = grid.max_abs(sp.h)
     if grid.int_dtype(sup_h * cells) is object:
         raise grid.GridTooLargeError("segment sums of H could overflow int64")
     sd, _ = sp.layers

@@ -11,6 +11,11 @@ the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
 graph, and the short product's grids expanded from its pools.
+
+The library's grids are integer arrays over scales their callers pass.
+The oracles' fractional grids (the Haar analysis, the square function
+spread from it, conditional expectations and the materialized short
+product) carry their denominator with them, as a ``RationalGrid``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from hyperhaar import coincidence, grid, hyperbolic, riesz
 from hyperhaar.coincidence import AdmissibleGraph
 from hyperhaar.discrepancy import PointSet
-from hyperhaar.grid import GridFunction, InsufficientResolutionError, Resolution
+from hyperhaar.grid import InsufficientResolutionError, Resolution
 from hyperhaar.hyperbolic import CoefficientField, Shape
 
 
@@ -113,7 +118,7 @@ def rectangles_of_shape(shape: Shape) -> list[DyadicRectangle]:
     return [rectangle(shape, pos) for pos in itertools.product(*ranges)]
 
 
-def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
+def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> np.ndarray:
     """Indicator function of a dyadic rectangle on the grid."""
     if resolution.d != rect.d:
         raise ValueError("dimension mismatch")
@@ -130,7 +135,7 @@ def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunctio
         shape = [1] * rect.d
         shape[axis] = vec.size
         arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8))
+    return arr.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +143,74 @@ def indicator_grid(rect: DyadicRectangle, resolution: Resolution) -> GridFunctio
 # ---------------------------------------------------------------------------
 
 
-def grids_equal(f: GridFunction, g: GridFunction) -> bool:
-    """Cellwise equality of two grids on one resolution; lowest terms make
-    the numerators and ``den`` unique."""
-    return f.resolution == g.resolution and f.den == g.den \
-        and np.array_equal(f.values, g.values)
+@dataclass(frozen=True)
+class RationalGrid:
+    """The grid taking ``values / den`` cellwise: integer numerators (Python
+    ints in an ``object`` array past int64) over a positive int ``den``,
+    reduced to lowest terms, so that the numerators and ``den`` of a
+    function are unique."""
+
+    values: np.ndarray
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        if self.values.dtype.kind not in "iuO":
+            raise ValueError(f"grid values need an integer dtype, not {self.values.dtype}")
+        if not isinstance(self.den, int) or self.den < 1:
+            raise ValueError(f"grids need a positive int den, got {self.den!r}")
+        if self.den == 1:
+            return
+        g = int(np.gcd.reduce(self.values, axis=None))
+        if not g:  # the zero grid is 0 / 1
+            object.__setattr__(self, "den", 1)
+            return
+        g = math.gcd(self.den, g)
+        if g > 1:
+            object.__setattr__(self, "values", self.values // g)
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def resolution(self) -> Resolution:
+        return Resolution(tuple(size.bit_length() - 1 for size in self.values.shape))
 
 
-def moment(f: GridFunction, p: int) -> Fraction:
+def rational(f) -> RationalGrid:
+    """``f`` itself if it is a ``RationalGrid``, else the integer grid f
+    over 1."""
+    return f if isinstance(f, RationalGrid) else RationalGrid(np.asarray(f))
+
+
+def grids_equal(f, g) -> bool:
+    """Cellwise equality of two grids; lowest terms make the numerators and
+    ``den`` unique."""
+    f, g = rational(f), rational(g)
+    return f.den == g.den and np.array_equal(f.values, g.values)
+
+
+def mean(f) -> Fraction:
+    """E f, exactly: the sum of the numerators over ``cells * den``."""
+    f = rational(f)
+    cells = f.values.size
+    total = f.values.sum(dtype=grid.int_dtype(grid.max_abs(f.values) * cells))
+    return Fraction(int(total), cells * f.den)
+
+
+def moment(f, p: int) -> Fraction:
     """E|f|**p in Python ints, from the distinct cell values and their
     counts as ``np.unique`` sorts them out."""
+    f = rational(f)
     values, counts = np.unique(f.values, return_counts=True)
     return Fraction(sum(c * abs(v) ** p for v, c in zip(values.tolist(),
                                                          counts.tolist())),
-                    f.resolution.cells * f.den ** p)
+                    f.values.size * f.den ** p)
 
 
-def haar_1d(interval: DyadicInterval, resolution: Resolution) -> GridFunction:
+def haar_1d(interval: DyadicInterval, resolution: Resolution) -> np.ndarray:
     """L-infinity normalized Haar function: -1 on the left half of the
     interval, +1 on the right half, 0 outside."""
     if resolution.d != 1:
         raise ValueError("haar_1d needs a 1-dimensional resolution")
-    vec = _haar_axis_values(interval, resolution.levels[0])
-    return GridFunction(resolution, vec)
+    return _haar_axis_values(interval, resolution.levels[0])
 
 
 def _haar_axis_values(interval: DyadicInterval, m: int) -> np.ndarray:
@@ -178,7 +228,7 @@ def _haar_axis_values(interval: DyadicInterval, m: int) -> np.ndarray:
     return vec
 
 
-def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
+def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> np.ndarray:
     """Tensor Haar function of a rectangle: the product of per-axis Haar values."""
     if resolution.d != rect.d:
         raise ValueError("dimension mismatch")
@@ -188,12 +238,12 @@ def haar_tensor(rect: DyadicRectangle, resolution: Resolution) -> GridFunction:
         shape = [1] * rect.d
         shape[axis] = vec.size
         arr = arr * vec.reshape(shape)
-    return GridFunction(resolution, arr.astype(np.int8))
+    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)
 class HaarSpectrum:
-    """Tensor Haar coefficients of a GridFunction.
+    """Tensor Haar coefficients of a grid.
 
     ``coefficients`` has the same shape as the value grid: integer
     numerators over ``den``, in lowest terms.  Along each axis, index 0 is
@@ -230,18 +280,20 @@ def _analyze_axis0(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_analyze(f: GridFunction) -> HaarSpectrum:
-    """The dense spectrum of a grid, axis by axis, over ``den * cells``."""
-    cells = f.resolution.cells
+def haar_analyze(f) -> HaarSpectrum:
+    """The dense spectrum of a grid (an integer array or a ``RationalGrid``),
+    axis by axis, over ``den * cells``."""
+    f = rational(f)
+    cells = f.values.size
     # max(peak, 1): the butterfly multiplies by 2**k < cells even when f is 0
     arr = f.values.astype(grid.int_dtype(max(grid.max_abs(f.values), 1) * cells))
-    for axis in range(f.resolution.d):
+    for axis in range(arr.ndim):
         arr = np.moveaxis(_analyze_axis0(np.moveaxis(arr, axis, 0)), 0, axis)
-    num, den = grid._lowest_terms(arr, f.den * cells)
-    return HaarSpectrum(f.resolution, num, den)
+    spectrum = RationalGrid(arr, f.den * cells)
+    return HaarSpectrum(f.resolution, spectrum.values, spectrum.den)
 
 
-def square_function_squared(f: GridFunction) -> GridFunction:
+def square_function_squared(f) -> RationalGrid:
     """S(f)**2 of any grid: every spectrum entry's squared coefficient
     spread over the entry's support.  In d=1 this is |Ef|**2 + sum over
     intervals of (c_I)**2 1_I; for a pure Haar sum it is sum a_R**2 1_R.
@@ -250,13 +302,14 @@ def square_function_squared(f: GridFunction) -> GridFunction:
     spectrum = haar_analyze(f)
     # the peak is measured: a priori it can be far below cells * max|f|
     coef = spectrum.coefficients
-    coef = coef.astype(grid.int_dtype(grid.max_abs(coef) ** 2 * _cover(f.resolution)),
-                       copy=False)
-    return GridFunction(f.resolution, grid.synthesize(coef * coef, signed=False),
+    coef = coef.astype(
+        grid.int_dtype(grid.max_abs(coef) ** 2 * _cover(spectrum.resolution)),
+        copy=False)
+    return RationalGrid(grid.synthesize(coef * coef, signed=False),
                         spectrum.den ** 2)
 
 
-def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
+def haar_synthesize(spectrum: HaarSpectrum) -> RationalGrid:
     """The grid function of a spectrum: ``grid.synthesize`` of the
     numerators, at a width no butterfly intermediate can pass."""
     arr = spectrum.coefficients
@@ -264,7 +317,7 @@ def haar_synthesize(spectrum: HaarSpectrum) -> GridFunction:
         raise ValueError("a spectrum needs integer or object coefficients")
     bound = grid.max_abs(arr) * _cover(spectrum.resolution)
     arr = arr.astype(grid.int_dtype(bound), copy=False)
-    return GridFunction(spectrum.resolution, grid.synthesize(arr), spectrum.den)
+    return RationalGrid(grid.synthesize(arr), spectrum.den)
 
 
 def _support_weights(m: int) -> np.ndarray:
@@ -290,11 +343,12 @@ def parseval_l2_moment(spectrum: HaarSpectrum):
     return Fraction(int(np.sum(arr * arr * w)), res.cells * spectrum.den ** 2)
 
 
-def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
+def conditional_expectation(f, field: Resolution) -> RationalGrid:
     """Average f over the atoms (cells) of a coarser resolution."""
+    f = rational(f)
     if field.d != f.resolution.d:
         raise ValueError("dimension mismatch")
-    if not f.resolution.refines(field):
+    if any(m < mf for m, mf in zip(f.resolution.levels, field.levels)):
         raise ValueError("field finer than f: cannot condition on a finer grid")
     factors = [1 << (m - mf) for m, mf in zip(f.resolution.levels, field.levels)]
     inter_shape: list[int] = []
@@ -304,7 +358,7 @@ def conditional_expectation(f: GridFunction, field: Resolution) -> GridFunction:
     count = math.prod(factors)
     sums = f.values.reshape(inter_shape).sum(
         axis=sum_axes, dtype=grid.int_dtype(grid.max_abs(f.values) * count))
-    return GridFunction(field, sums, f.den * count)
+    return RationalGrid(sums, f.den * count)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +406,7 @@ def trivial_bound_report(field: CoefficientField) -> dict:
     h = hyperbolic.hyperbolic_sum(field)
     lhs = Fraction(field.abs_sum(), 1 << n)
     l2_sq = moment(h, 2)
-    sup = grid.max_abs(h.values)
+    sup = grid.max_abs(h)
     ortho_rhs = Fraction(square_sum(field), 1 << n)
     chain_first = lhs * lhs <= count * l2_sq
     chain_second = l2_sq <= sup * sup
@@ -380,13 +434,13 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
         field.n, field.d, {s: field.values[s] for s in field.exact_volume_shapes},
         field.mode)
     sq = hyperbolic.square_function_squared(exact_volume)
-    s_inf = grid.max_abs(sq.values) ** 0.5
-    vals = np.abs(h.float_values())
+    s_inf = grid.max_abs(sq) ** 0.5
+    vals = np.abs(h.astype(np.float64))
     d = field.d
     ps = list(range(1, p_max + 1))
     ratios = []
     for p in ps:
-        norm_p = grid._float_lp_norm(vals, p)
+        norm_p = grid.float_lp_norm(vals, p)
         ratios.append(norm_p * p ** (-(d - 1) / 2.0) / s_inf if s_inf else float("nan"))
     return {
         "n": field.n,
@@ -518,8 +572,7 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
            not coincidence._max_achieved([v[2] for v in four]):
             continue  # unique outer max: mean zero
         res = hyperbolic.minimal_resolution(four, 3)
-        cache = {shp: hyperbolic.r_function_grid(
-                     hyperbolic.r_function(field, shp), res).values
+        cache = {shp: hyperbolic.signed_r_sum(field, res, shapes=[shp])
                  for shp in set(four)}
         prod = cache[four[0]].astype(np.int16)
         for shp in four[1:]:
@@ -633,16 +686,15 @@ def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _expand(sp: riesz.ShortProduct, pool, per_key: list[int]) -> GridFunction:
+def _expand(sp: riesz.ShortProduct, pool, per_key: list[int]) -> RationalGrid:
     """The exact grid taking ``per_key[k] / sp.scale`` on the cells of key
     k of ``pool``."""
     values = np.array(per_key, dtype=grid.int_dtype(max(map(abs, per_key))))
-    return GridFunction(sp.resolution,
-                        values[pool.inverse].reshape(sp.resolution.grid_shape),
+    return RationalGrid(values[pool.inverse].reshape(sp.resolution.grid_shape),
                         sp.scale)
 
 
-def short_product(sp: riesz.ShortProduct) -> GridFunction:
+def short_product(sp: riesz.ShortProduct) -> RationalGrid:
     """Psi = prod over t of (1 + rho~ F_t), exactly, as a grid."""
     return _expand(sp, sp.f_pool, sp.partial_products(range(1, sp.params.q + 1)))
 
@@ -655,7 +707,7 @@ def short_product_mean(sp: riesz.ShortProduct) -> Fraction:
                     sp.scale * sp.resolution.cells)
 
 
-def sd_decomposition(sp: riesz.ShortProduct) -> tuple[GridFunction, GridFunction]:
+def sd_decomposition(sp: riesz.ShortProduct) -> tuple[RationalGrid, RationalGrid]:
     """(Psi_sd, Psi_nsd) as grids: the enumerated layers weighted by the
     powers of rho~, with Psi = 1 + Psi_sd + Psi_nsd cellwise."""
     sd, nsd = sp.layers

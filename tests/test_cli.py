@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from hyperhaar import cli, coincidence, discrepancy, hyperbolic
+from hyperhaar import cli, coincidence, discrepancy, grid, hyperbolic
 
 
 #: riesz3d scalars that pass the float range: refused as a limit.
@@ -176,9 +176,9 @@ class TestExperiments:
         # C2_restricted has 9 tuples at n=4; a budget below that refuses
         # the class before any r-function grid is built
         built = []
-        r_function_grid = hyperbolic.r_function_grid
-        monkeypatch.setattr(hyperbolic, "r_function_grid",
-                            lambda *a: built.append(a) or r_function_grid(*a))
+        signed_r_sum = hyperbolic.signed_r_sum
+        monkeypatch.setattr(hyperbolic, "signed_r_sum",
+                            lambda *a, **k: built.append(a) or signed_r_sum(*a, **k))
         assert cli.main(["beck-gain", "--kind", "C2_restricted", "--n-range",
                          "4..4", "--budget", budget]) == code
         captured = capsys.readouterr()
@@ -203,7 +203,7 @@ class TestExperiments:
     ])
     def test_r_function_paths_output_frozen(self, argv, digest, capsys):
         # stdout byte for byte, as recorded before every one-shape r-function
-        # was built by hyperbolic.r_function_grid; the two float cases at
+        # was built by one provider (now hyperbolic.signed_r_sum); the two float cases at
         # n=3 and n=5 were recorded while shape sums still synthesized a full
         # spectrum, and fix the order in which float64 H adds its terms
         code, out = run(argv, capsys)
@@ -514,6 +514,17 @@ class TestExperiments:
         assert code == 0
         assert [row["p"] for row in payload["rows"]] == [2, 4]
         assert all(row["b_p"] > 0 for row in payload["rows"])
+
+    def test_lp_profile_csv_rows_are_the_library_rows(self, capsys):
+        # the CSV header and cells are grid.lp_profile's rows, in key order
+        code, out = run(["lp-profile", "--n", "3", "--p-list", "2,4", "--seed",
+                         "5", "--format", "csv"], capsys)
+        assert code == 0
+        field = hyperbolic.CoefficientField.random_signs(3, 3, 5)
+        rows = grid.lp_profile(hyperbolic.hyperbolic_sum(field),
+                               hyperbolic.square_function_squared(field), [2, 4])
+        assert out.splitlines()[1:] == [",".join(rows[0])] + [
+            ",".join(repr(v) for v in row.values()) for row in rows]
 
     def test_discrepancy_scaling_table(self, capsys):
         code, payload = run_json(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperhaar import coincidence, grid, hyperbolic, riesz
-from hyperhaar.grid import GridFunction, Resolution
+from hyperhaar.grid import Resolution
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
@@ -50,8 +50,8 @@ class TestProductRule:
         r2 = rectangle((1, 2), (0, 2))
         out = oracles.product_rule([r1, r2])
         assert out.kind == "haar"
-        prod = oracles.haar_tensor(r1, res).values * oracles.haar_tensor(r2, res).values
-        expected = oracles.haar_tensor(out.rectangle, res).values * out.sign
+        prod = oracles.haar_tensor(r1, res) * oracles.haar_tensor(r2, res)
+        expected = oracles.haar_tensor(out.rectangle, res) * out.sign
         assert np.array_equal(prod, expected)
 
     def test_disjoint_supports_zero(self):
@@ -99,15 +99,15 @@ class TestMeanZeroPredicate:
         r2 = rectangle((0, 2), (0, 0))
         assert oracles.mean_zero_predicate([r1, r2])
         res = Resolution((3, 3))
-        prod = oracles.haar_tensor(r1, res).values * oracles.haar_tensor(r2, res).values
-        assert grid.expectation(GridFunction(res, prod)) == 0
+        prod = oracles.haar_tensor(r1, res) * oracles.haar_tensor(r2, res)
+        assert oracles.mean(prod) == 0
 
     def test_identical_pair_not_mean_zero(self):
         r = rectangle((1, 1), (0, 1))
         assert not oracles.mean_zero_predicate([r, r])
         res = Resolution((2, 2))
-        h = oracles.haar_tensor(r, res).values
-        assert grid.expectation(GridFunction(res, h * h)) == r.volume
+        h = oracles.haar_tensor(r, res)
+        assert oracles.mean(h * h) == r.volume
 
     def test_coordinate_tie_not_certified(self):
         r1 = rectangle((1, 1), (0, 0))
@@ -242,7 +242,7 @@ class TestProdOver:
     def test_empty_class_is_zero_function(self):
         field = CoefficientField.random_signs(2, 3, 110)
         out = coincidence.prod_over([], field, Resolution((1, 1, 1)))
-        assert not np.any(out.values != 0)
+        assert not np.any(out != 0)
 
     def test_matches_manual_r_products(self):
         n = 3
@@ -252,24 +252,25 @@ class TestProdOver:
             {s for tup in cls.tuples for s in tup}, 3)
         manual = np.zeros(res.grid_shape, dtype=np.int64)
         for r, s in cls.tuples:
-            gr = hyperbolic.r_function_grid(hyperbolic.r_function(field, r), res)
-            gs = hyperbolic.r_function_grid(hyperbolic.r_function(field, s), res)
-            manual += gr.values.astype(np.int64) * gs.values.astype(np.int64)
+            gr = hyperbolic.signed_r_sum(field, res, shapes=[r])
+            gs = hyperbolic.signed_r_sum(field, res, shapes=[s])
+            manual += gr.astype(np.int64) * gs.astype(np.int64)
         out = coincidence.prod_over(cls.tuples, field, res)
-        assert np.array_equal(out.values, manual)
+        assert np.array_equal(out, manual)
 
     @staticmethod
     def _full_grid_oracle(tuples, field, res):
-        # Every shape's r-grid at the full resolution, multiplied cell by
-        # cell: no join grids and no refinement.
+        # Every shape's r-grid at the full resolution, by the full-spectrum
+        # synthesis, multiplied cell by cell: no join grids and no
+        # refinement.
         r_grids = {}
         manual = np.zeros(res.grid_shape, dtype=np.int64)
         for tup in tuples:
             prod = np.ones(res.grid_shape, dtype=np.int64)
             for s in tup:
                 if s not in r_grids:
-                    r_grids[s] = hyperbolic.r_function_grid(
-                        hyperbolic.r_function(field, s), res).values
+                    r_grids[s] = oracles.full_spectrum_shape_sum(
+                        {s: hyperbolic.signs_of(field.values[s])}, res)
                 prod *= r_grids[s]
             manual += prod
         return manual
@@ -296,8 +297,8 @@ class TestProdOver:
         out = coincidence.prod_over(cls.tuples, field)
         res = hyperbolic.minimal_resolution(
             {s for tup in cls.tuples for s in tup}, 3)
-        assert out.resolution == res
-        assert np.array_equal(out.values, self._full_grid_oracle(
+        assert out.shape == res.grid_shape
+        assert np.array_equal(out, self._full_grid_oracle(
             cls.tuples, field, res))
 
     @pytest.mark.parametrize("kind", ["B4", "C2_restricted"])
@@ -309,11 +310,13 @@ class TestProdOver:
             {s for tup in cls.tuples for s in tup}, 3)
         res = Resolution(tuple(m + e for m, e in zip(minimal.levels, (1, 2, 0))))
         out = coincidence.prod_over(cls.tuples, field, res)
-        assert out.resolution == res
-        assert np.array_equal(out.values, self._full_grid_oracle(
+        assert out.shape == res.grid_shape
+        assert np.array_equal(out, self._full_grid_oracle(
             cls.tuples, field, res))
         coarse = coincidence.prod_over(cls.tuples, field, minimal)
-        assert np.array_equal(grid.refine(coarse, res).values, out.values)
+        # one and two levels finer on axes 0 and 1: each cell repeated
+        assert np.array_equal(np.repeat(np.repeat(coarse, 2, axis=0), 4, axis=1),
+                              out)
 
     @pytest.mark.parametrize("kind", ["B4", "C2", "C2_restricted"])
     def test_slab_stream_matches_full_grid_oracle(self, kind):
@@ -353,7 +356,7 @@ class TestProdOver:
         field = CoefficientField.random_signs(n, 3, 113)
         cls = coincidence.class_c2(n)
         out = coincidence.prod_over(cls.tuples, field)
-        assert grid.max_abs(out.values) <= cls.size
+        assert grid.max_abs(out) <= cls.size
 
     def test_budget_guard(self):
         field = CoefficientField.random_signs(3, 3, 114)

@@ -47,7 +47,7 @@ class TestShapes:
 
     def test_tiling_is_disjoint(self):
         res = Resolution((2, 1))
-        total = sum(oracles.indicator_grid(r, res).values
+        total = sum(oracles.indicator_grid(r, res)
                     for r in oracles.rectangles_of_shape((2, 1)))
         assert np.all(total == 1)
 
@@ -110,34 +110,35 @@ class TestCoefficientField:
 
 
 class TestRFunctions:
+    """The r-function of one shape is ``signed_r_sum`` over that shape."""
+
     def test_all_plus_r_function_values(self):
         f = oracles.constant_field(2, 2)
-        rf = hyperbolic.r_function(f, (1, 1))
-        g = hyperbolic.r_function_grid(rf, Resolution((2, 2)))
-        assert set(np.unique(g.values)) <= {-1, 1}
-        assert grid.expectation(g) == 0
+        g = hyperbolic.signed_r_sum(f, Resolution((2, 2)), shapes=[(1, 1)])
+        assert set(np.unique(g)) <= {-1, 1}
+        assert oracles.mean(g) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 100))
     def test_r_function_squares_to_one(self, seed):
         f = CoefficientField.random_signs(3, 3, seed)
         shape = hyperbolic.enumerate_shapes(3, 3)[seed % 10]
-        g = hyperbolic.r_function_grid(hyperbolic.r_function(f, shape),
-                                       hyperbolic.minimal_resolution([shape]))
-        assert np.all(g.values * g.values == 1)
+        g = hyperbolic.signed_r_sum(f, shapes=[shape])
+        assert g.shape == hyperbolic.minimal_resolution([shape]).grid_shape
+        assert np.all(g * g == 1)
 
     def test_insufficient_resolution_raises(self):
         f = oracles.constant_field(3, 2)
         with pytest.raises(InsufficientResolutionError):
-            hyperbolic.r_function_grid(hyperbolic.r_function(f, (3, 0)),
-                                       Resolution((2, 2)))
+            hyperbolic.signed_r_sum(f, Resolution((2, 2)), shapes=[(3, 0)])
 
     def test_signed_r_sum_restricts_to_shapes(self):
         f = oracles.constant_field(2, 2)
         res = Resolution((3, 3))
         partial = hyperbolic.signed_r_sum(f, res, shapes=[(2, 0)])
-        single = hyperbolic.r_function_grid(hyperbolic.r_function(f, (2, 0)), res)
-        assert np.array_equal(partial.values, single.values)
+        single = oracles.full_spectrum_shape_sum(
+            {(2, 0): hyperbolic.signs_of(f.values[(2, 0)])}, res)
+        assert np.array_equal(partial, single)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +154,20 @@ class TestHyperbolicSum:
         vals[(1, 1)][1, 0] = 5
         f = CoefficientField(n, d, vals)
         h = hyperbolic.hyperbolic_sum(f)
-        haar = oracles.haar_tensor(oracles.rectangle((1, 1), (1, 0)), h.resolution)
-        assert h.den == 1 and np.array_equal(h.values, 5 * haar.values)
+        haar = oracles.haar_tensor(oracles.rectangle((1, 1), (1, 0)),
+                                   hyperbolic.field_resolution(f))
+        assert np.array_equal(h, 5 * haar)
 
     def test_inner_product_with_matching_r_function(self):
         n, d = 3, 2
         f = CoefficientField.random_integers(n, d, 21)
-        h = hyperbolic.hyperbolic_sum(f)
+        res = hyperbolic.field_resolution(f)
+        h = hyperbolic.hyperbolic_sum(f, res)
         for shape in hyperbolic.enumerate_shapes(n, d):
-            rf = hyperbolic.r_function_grid(hyperbolic.r_function(f, shape),
-                                            h.resolution)
+            rf = hyperbolic.signed_r_sum(f, res, shapes=[shape])
             expected = Fraction(
                 int(np.sum(np.abs(f.values[shape].astype(np.int64)))), 1 << n)
-            inner = Fraction(int(np.sum(h.values.astype(np.int64) * rf.values)),
-                             h.resolution.cells)
+            inner = Fraction(int(np.sum(h.astype(np.int64) * rf)), res.cells)
             assert inner == expected
 
     def test_l2_moment_matches_coefficient_squares(self):
@@ -233,7 +234,7 @@ class TestHyperbolicSum:
                                         hyperbolic.square_function_squared,
                                         oracles.trivial_bound_report])
     def test_float_field_refused(self, report):
-        # grid functions are exact; only the d=2 product reads float fields
+        # grids are exact; only the d=2 product reads float fields
         with pytest.raises(ValueError, match="integer field"):
             report(CoefficientField.random_normal(2, 2, 0))
 
@@ -242,7 +243,7 @@ class TestHyperbolicSum:
         ext = hyperbolic.add_coarse_random(base, 31)
         h_base = hyperbolic.hyperbolic_sum(base, Resolution((3, 3)))
         h_ext = hyperbolic.hyperbolic_sum(ext, Resolution((3, 3)))
-        assert not np.array_equal(h_base.values, h_ext.values)
+        assert not np.array_equal(h_base, h_ext)
 
 
 def _stream_fields(d: int, kind: str):
@@ -355,8 +356,8 @@ class TestSquareFunctionSquared:
                     field = hyperbolic.add_coarse_random(field, (81, d, n, seed))
                 got = hyperbolic.square_function_squared(field)
                 want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
-                assert got.den == want.den == 1
-                assert np.array_equal(got.values, want.values), (n, seed)
+                assert want.den == 1
+                assert np.array_equal(got, want.values), (n, seed)
 
     def test_squares_past_int64(self):
         # alpha = k * 2**32 + 1 squares past 2**63, so in int64 the squares
@@ -367,13 +368,14 @@ class TestSquareFunctionSquared:
                 for s in hyperbolic.enumerate_shapes(2, 2)}
         field = CoefficientField(2, 2, vals)
         got = hyperbolic.square_function_squared(field)
-        assert got.values.dtype == object
+        assert got.dtype == object
         want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
-        assert got.den == want.den == 1
-        assert np.array_equal(got.values, want.values)
+        assert want.den == 1
+        assert np.array_equal(got, want.values)
+        # on a grid one level finer along axis 0, every cell is repeated
         finer = Resolution((4, 3))
         assert oracles.grids_equal(hyperbolic.square_function_squared(field, finer),
-                                   grid.refine(got, finer))
+                                   np.repeat(got, 2, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +421,7 @@ class TestSharpnessExperiment:
         for row in serial["per_n"]:
             n = row["n"]
             sups = [grid.max_abs(hyperbolic.hyperbolic_sum(
-                CoefficientField.random_signs(n, 3, (51, n, t))).values)
+                CoefficientField.random_signs(n, 3, (51, n, t))))
                 for t in range(8)]
             assert (row["min_sup"], row["max_sup"]) == (min(sups), max(sups))
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperhaar import grid, hyperbolic, riesz
+from hyperhaar import hyperbolic, riesz
+from hyperhaar.grid import Resolution
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
@@ -59,8 +60,20 @@ class TestTemlyakovProduct:
     def test_product_grid_properties(self):
         f = CoefficientField.random_signs(2, 2, 74)
         psi = riesz.temlyakov_product(f, 2)
-        assert grid.expectation(psi) == 1
-        assert min(psi.values.reshape(-1)) >= 0
+        assert oracles.mean(oracles.RationalGrid(psi, 2 ** 3)) == 1
+        assert min(psi.reshape(-1)) >= 0
+
+    def test_product_is_the_grid_of_its_factors(self):
+        # Psi * 2^(n+1) is prod_s (2 + psi_s) cellwise, each psi_s by the
+        # full-spectrum synthesis of its shape's signs (zeros count as +1)
+        n = 3
+        f = CoefficientField.random_integers(n, 2, 70)
+        res = Resolution((n + 1, n + 1))
+        want = np.ones(res.grid_shape, dtype=np.int64)
+        for s in range(n + 1):
+            signs = np.where(f.values[(s, n - s)] >= 0, 1, -1)
+            want *= 2 + oracles.full_spectrum_shape_sum({(s, n - s): signs}, res)
+        assert np.array_equal(riesz.temlyakov_product(f, n), want)
 
     def test_float_mode_within_tolerance(self):
         f = CoefficientField.random_normal(4, 2, 75)
@@ -88,12 +101,11 @@ class TestTemlyakovProduct:
     def test_scaled_values_are_small_integers(self):
         n = 3
         f = CoefficientField.random_signs(n, 2, 79)
-        scaled = riesz._temlyakov_scaled(f, n)
+        scaled = riesz.temlyakov_product(f, n)
         assert scaled.dtype == np.int64
         assert int(scaled.max()) <= 3 ** (n + 1)
-        psi = riesz.temlyakov_product(f, n)
         h = hyperbolic.hyperbolic_sum(f)
-        assert h.resolution == psi.resolution
-        inner = Fraction(int(np.sum(h.values.astype(np.int64) * psi.values)),
-                         h.resolution.cells * psi.den)
+        assert h.shape == scaled.shape
+        inner = Fraction(int(np.sum(h.astype(np.int64) * scaled)),
+                         h.size * 2 ** (n + 1))
         assert inner == Fraction(f.abs_sum(), 1 << (n + 1))
