@@ -27,9 +27,15 @@ quantity pools the cells by the small-integer vector it depends on:
 (F_1..F_q) for T and the partial products, (sd_1..sd_q) for Psi_sd and
 (nsd_2..nsd_q) for Psi_nsd.  The big-integer arithmetic is done once per
 distinct vector, weighted by int64 cell counts or by int64 sums of H over
-the vector's cells.  The split itself is checked per power of rho~, on
-integer grids.  One ``ShortProduct`` holds the grids and pools of a
-field, builds each on first use, and serves every report.
+the vector's cells.  A pool folds its columns into one mixed-radix int64
+key per cell, in place, and numbers the distinct keys in the narrowest
+width that holds their count.  A key whose span-sized presence table
+needs fewer bytes than an argsort of the cells (every q=3 key up to n=7)
+is numbered through that table; only wider keys (the q=4 sd and nsd keys
+at n=6 and 7) are argsorted.  The split itself is
+checked per power of rho~, on integer grids.  One ``ShortProduct`` holds
+the grids and pools of a field, builds each on first use, and serves
+every report.
 
 Every r-function is synthesized once, by ``hyperbolic.signed_r_sum``.
 The short product keeps each one on its own grid (per axis, its level
@@ -258,11 +264,11 @@ def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct per-cell vectors of small-integer columns.
 
     Returns (inverse, counts): for every cell the index of its vector among
-    the distinct vectors in lexicographic order, and each vector's cell
-    count.  The columns are folded one at a time into a mixed-radix int64
-    key.  Before a column would take the product of spans past ``limit``,
-    the key is renumbered densely, so no intermediate key reaches ``limit``
-    and the arithmetic cannot wrap.
+    the k distinct vectors in lexicographic order, in ``grid.int_dtype(k)``,
+    and each vector's int64 cell count.  The columns are folded one at a
+    time into a mixed-radix int64 key, in place: ``key * width + col - lo``.
+    Before a column would take the product of spans past ``limit``, the key
+    is renumbered densely, so no intermediate key reaches ``limit``.
     """
     key = np.zeros(np.asarray(columns[0]).size, dtype=np.int64)
     span = 1
@@ -271,43 +277,72 @@ def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
         lo = int(col.min())
         width = int(col.max()) - lo + 1
         if span * width > limit:
-            span = _densify(key, span)
+            dense, span = _densify(key, span)
+            key[...] = dense
             if span * width > limit:
                 raise grid.GridTooLargeError(
                     f"pooling key needs {span} x {width} values (limit {limit})")
+        # int64 wraps modulo 2^64 and the result is below ``limit``, so a
+        # wrap in ``+= col`` is undone by ``-= lo``
         key *= width
-        key += np.subtract(col, lo, dtype=np.int64)
+        key += col
+        key -= lo
         span *= width
-    span = _densify(key, span)
-    return key, np.bincount(key, minlength=span)
+    inverse, span = _densify(key, span)
+    counts = np.zeros(span, dtype=np.int64)
+    np.add.at(counts, inverse, 1)
+    return inverse, counts
 
 
-def _densify(key: np.ndarray, span: int) -> int:
-    """Renumber the keys in [0, span) in place as 0..k-1, keeping their
-    order, and return k."""
+def _densify(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Renumber the int64 keys in [0, span) as 0..k-1, keeping their order.
+
+    Returns the new numbering in ``grid.int_dtype(k)`` and k.  A span whose
+    table needs fewer bytes than the sort is renumbered through it: a
+    ``bool`` presence array over the span, its cumsum in the narrow width,
+    and one lookup per cell, which is the result.  A wider span is
+    argsorted and ranked in ``key`` itself, which is then narrowed.  The
+    table route is also the faster wherever it is the smaller.
+    """
+    # Bytes each route holds beyond the key and the result: per value of the
+    # span, the presence flag, the cumsum's cast of it and the table entry;
+    # per cell, the order, the sorted keys, their boundary mask and the
+    # cumsum's int64 cast of it.
+    entry = np.dtype(grid.int_dtype(min(span, key.size))).itemsize
+    if span * (1 + 2 * entry) <= key.size * (8 + 8 + 1 + 8):
+        present = np.zeros(span, dtype=bool)
+        present[key] = True
+        k = int(np.count_nonzero(present))
+        table = np.cumsum(present, dtype=grid.int_dtype(k))
+        del present
+        table -= 1
+        return table[key], k
     order = np.argsort(key)
     ranks = key[order]
     new = ranks[1:] != ranks[:-1]
     ranks[0] = 0
     np.cumsum(new, out=ranks[1:])
     key[order] = ranks
-    return int(ranks[-1]) + 1
+    k = int(ranks[-1]) + 1
+    del order, ranks
+    return key.astype(grid.int_dtype(k), copy=False), k
 
 
 class _Pool:
-    """Cells pooled by equal key vectors: each cell's key index, the cell
-    count of every key, and one representative cell per key."""
+    """Cells pooled by equal key vectors: each cell's key index, in the
+    narrowest width that numbers the keys, and the cell count of every
+    key."""
 
     def __init__(self, columns) -> None:
-        inverse, counts = _fold_key(columns)
-        self.inverse = inverse.astype(grid.int_dtype(counts.size))
+        self.inverse, counts = _fold_key(columns)
         self.counts = counts.tolist()
-        self.rep = np.empty(counts.size, dtype=np.int64)
-        self.rep[self.inverse] = np.arange(self.inverse.size)
 
     def at_keys(self, values: np.ndarray) -> list[int]:
-        """A grid that is constant on every key, as one value per key."""
-        return values.reshape(-1)[self.rep].tolist()
+        """A grid that is constant on every key, as one value per key: each
+        cell writes its value at its key."""
+        out = np.empty(len(self.counts), dtype=values.dtype)
+        out[self.inverse] = values.reshape(-1)
+        return out.tolist()
 
     def sums(self, values: np.ndarray) -> list[int]:
         """Exact int64 segment sums of an integer grid, one per key."""
@@ -438,23 +473,26 @@ class ShortProduct:
                 zip(*(pool.at_keys(layer) for layer in by_u.values()))]
 
     def gamma(self, t: int) -> np.ndarray:
-        """Gamma_t as an int32 grid: the sum over ordered pairs of distinct
-        shapes in block t sharing the first coordinate of the product of
-        their r-functions.  (The unordered sum is half of this.)"""
+        """Gamma_t as an integer grid: the sum over ordered pairs of
+        distinct shapes in block t sharing the first coordinate of the
+        product of their r-functions.  (The unordered sum is half of
+        this.)"""
         _check_block_index(self.params, t)
         return _gamma_grid(self.params.blocks[t - 1], self.r_grids,
                            self.resolution)
 
 
 def _gamma_grid(block, r_own, resolution: Resolution) -> np.ndarray:
-    """Gamma_t of one block, as an int32 grid, from the own-grid
-    r-functions of its shapes: each unordered pair sharing the first
-    coordinate is summed once and the total doubled."""
+    """Gamma_t of one block from the own-grid r-functions of its shapes:
+    each unordered pair sharing the first coordinate is summed once and the
+    total doubled, at the width ``grid.int_dtype`` gives twice the pair
+    count."""
     pairs = [(a, b) for a, b in itertools.combinations(block, 2)
              if a[0] == b[0]]
-    # int32 before doubling: twice a narrow pair sum can pass its width
-    return 2 * coincidence.sum_products(pairs, r_own, resolution) \
-        .astype(np.int32)
+    out = coincidence.sum_products(pairs, r_own, resolution) \
+        .astype(grid.int_dtype(2 * len(pairs)), copy=False)
+    out *= 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +609,24 @@ def gamma_identity_report(sp: ShortProduct) -> dict:
     """For every block t, check exactly that averaging over the first
     coordinate gives  E_x1(F_t^2) = #A_t + E_x1(Gamma_t)  cellwise in the
     remaining coordinates, and that E(Gamma_t) = 0 (each contributing pair
-    has a unique maximal level in both remaining coordinates)."""
+    has a unique maximal level in both remaining coordinates).
+
+    Each side is summed over x1 on its own, in int64: the squares F_t^2 at
+    the width of their bound #A_t^2 (|F_t| <= #A_t), then #A_t times the
+    2^L0 cells of the x1 axis and the sum of Gamma_t come off.  No
+    full-size grid is wider than its bound."""
     params = sp.params
     per_t = []
     all_ok = True
     for t in range(1, params.q + 1):
-        f = sp.block_sums[t - 1].astype(np.int32)  # int32: f * f is squared
-        g = sp.gamma(t)
+        f = sp.block_sums[t - 1]
         count = len(params.blocks[t - 1])
-        diff = f * f - count - g
-        residual = np.sum(diff, axis=0, dtype=np.int64)
-        ok = bool(np.all(residual == 0))
+        residual = np.sum(np.multiply(f, f, dtype=grid.int_dtype(count**2)),
+                          axis=0, dtype=np.int64)
+        residual -= count * f.shape[0]
+        g = sp.gamma(t)
+        residual -= np.sum(g, axis=0, dtype=np.int64)
+        ok = not residual.any()
         mean_zero = int(np.sum(g, dtype=np.int64)) == 0
         all_ok &= ok and mean_zero
         per_t.append({

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,25 @@ class TestGamma:
         for t in (1, 2, 3):
             assert oracles.mean(sp.gamma(t)) == 0
 
+    def test_corrupted_gamma_cell_fails_both_checks(self, monkeypatch):
+        # the report sums F_t^2 and Gamma_t over x1 separately; one wrong
+        # Gamma cell must show in both the conditional identity and the mean
+        real = riesz._gamma_grid
+
+        def corrupted(*args):
+            g = real(*args).astype(np.int64)
+            g.flat[0] += 1
+            return g
+
+        monkeypatch.setattr(riesz, "_gamma_grid", corrupted)
+        f = CoefficientField.random_signs(4, 3, 97)
+        rep = riesz.gamma_identity_report(
+            riesz.ShortProduct(f, riesz.make_params(4, q=2)))
+        assert not rep["all_ok"]
+        for entry in rep["per_t"]:
+            assert not entry["conditional_identity_ok"], entry
+            assert not entry["gamma_mean_zero"], entry
+
 
 # ---------------------------------------------------------------------------
 # norm report
@@ -398,6 +418,8 @@ def _direct_route(field, params, v_list):
     return decomposition, duality, gamma_rep, norms, grids
 
 
+# n=4, q=1 is one block of 15 shapes, so #A_t^2 = 225 > 127 and the Gamma
+# report squares F_t in int16 there
 ORACLE_CASES = [
     pytest.param(n, q, maker, seed, rho_tilde,
                  id=f"n{n}-q{q}-{maker}-s{seed}-rho{rho_tilde}")
@@ -471,15 +493,44 @@ class TestShortProductOracle:
 class TestFoldKey:
     @staticmethod
     def _spy(monkeypatch):
+        """Record the route (whether it argsorted), largest key and span of
+        every renumbering."""
         seen = []
-        real = riesz._densify
+        real, real_argsort = riesz._densify, np.argsort
 
         def spy(key, span):
-            seen.append((int(key.max()), span))
-            return real(key, span)
+            sorts = []
+
+            def argsort(*args, **kwargs):
+                sorts.append(1)
+                return real_argsort(*args, **kwargs)
+
+            top = int(key.max())
+            with monkeypatch.context() as m:
+                m.setattr(np, "argsort", argsort)
+                out = real(key, span)
+            seen.append(("sort" if sorts else "table", top, span))
+            return out
 
         monkeypatch.setattr(riesz, "_densify", spy)
         return seen
+
+    @staticmethod
+    def _check_unique(cols, inverse, counts):
+        _, expected, expected_counts = np.unique(
+            np.stack(cols, 1), axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(inverse, expected.reshape(-1))
+        assert np.array_equal(counts, expected_counts)
+        assert inverse.dtype == grid.int_dtype(counts.size)
+
+    @staticmethod
+    def _pooled_rows(seed, widths, cells=20_000, distinct=400):
+        # columns of the given widths, with repeats so that keys pool
+        rng = np.random.default_rng(seed)
+        base = np.stack([rng.integers(-(w // 2), w - w // 2, size=distinct)
+                         for w in widths], 1)
+        rows = base[rng.integers(0, distinct, size=cells)]
+        return [rows[:, i].copy() for i in range(len(widths))]
 
     @pytest.mark.parametrize("limit", [riesz.KEY_LIMIT, 1 << 20])
     def test_partition_matches_unique_rows(self, monkeypatch, limit):
@@ -492,14 +543,79 @@ class TestFoldKey:
         assert spans > 2**63
         seen = self._spy(monkeypatch)
         inverse, counts = riesz._fold_key(cols, limit)
-        _, expected, expected_counts = np.unique(
-            np.stack(cols, 1), axis=0, return_inverse=True, return_counts=True)
-        assert np.array_equal(inverse, expected.reshape(-1))
-        assert np.array_equal(counts, expected_counts)
-        assert seen and max(k for k, _ in seen) < min(limit, 2**62)
-        assert max(span for _, span in seen) <= min(limit, 2**62)
+        self._check_unique(cols, inverse, counts)
+        assert seen and max(k for _, k, _ in seen) < min(limit, 2**62)
+        assert max(span for _, _, span in seen) <= min(limit, 2**62)
+
+    @pytest.mark.parametrize("widths, limit, routes", [
+        # span about 30,000 over 20,000 cells: past the cell count, but its
+        # table is smaller than the sort, so one table at the final fold
+        ([100, 300], riesz.KEY_LIMIT, ["table"]),
+        # span 2.2e8: one argsort at the final fold
+        ([600, 600, 600], riesz.KEY_LIMIT, ["sort"]),
+        # span 360,000 before the third column passes the limit: an argsort
+        # mid-loop leaves at most 400 keys, so the final span is at most
+        # 40,000 and takes the table
+        ([600, 600, 100], 1 << 20, ["sort", "table"]),
+    ], ids=["table", "sort", "sort-then-table"])
+    def test_both_renumbering_routes(self, monkeypatch, widths, limit, routes):
+        cols = self._pooled_rows(12, widths)
+        seen = self._spy(monkeypatch)
+        inverse, counts = riesz._fold_key(cols, limit)
+        assert [route for route, _, _ in seen] == routes
+        self._check_unique(cols, inverse, counts)
+
+    def test_int64_extremes_do_not_wrap(self, monkeypatch):
+        # key * width + col would pass int64 before lo came off for the
+        # column at the top of the range; the one at the bottom has -lo past
+        # int64 max
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        rng = np.random.default_rng(13)
+        small = rng.integers(0, 1000, size=5_000)
+        high = top - rng.integers(0, 10, size=small.size)
+        low = bottom + rng.integers(0, 10, size=small.size)
+        cols = [small, high, low]
+        assert (1000 - 1) * 10 + int(high.max()) > top
+        seen = self._spy(monkeypatch)
+        inverse, counts = riesz._fold_key(cols)
+        assert [route for route, _, _ in seen] == ["sort"]
+        self._check_unique(cols, inverse, counts)
+
+    def test_int64_column_wider_than_limit_refused(self):
+        cols = [np.array([0, 1, 2]), np.array([-2**62, 0, 2**62])]
+        with pytest.raises(grid.GridTooLargeError):
+            riesz._fold_key(cols)
 
     def test_column_wider_than_limit_refused(self):
         cols = [np.array([0, 1, 2]), np.array([0, 50, 100])]
         with pytest.raises(grid.GridTooLargeError):
             riesz._fold_key(cols, limit=64)
+
+
+class TestPoolPeaks:
+    def test_pools_and_gamma_peak_bounded(self):
+        # at n=5, q=3 the pools took 33 B and the Gamma report 20 B per cell
+        # above what was live when the key was argsorted in int64 and the
+        # report held four int32 grids
+        sp = riesz.ShortProduct(CoefficientField.random_signs(5, 3, 0),
+                                riesz.make_params(5, q=3))
+        sp.layers, sp.block_sums  # built before tracing
+        cells = sp.resolution.cells
+        steps = {
+            "f_pool": lambda: sp.f_pool,
+            "sd_pool": lambda: sp.sd_pool,
+            "nsd_pool": lambda: sp.nsd_pool,
+            "gamma": lambda: riesz.gamma_identity_report(sp),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, step in steps.items():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                step()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(peak <= 16 * cells for peak in peaks.values()), \
+            {name: peak / cells for name, peak in peaks.items()}
