@@ -259,7 +259,7 @@ def run_verify(args) -> tuple[int, dict, list]:
             failures.append({"suite": name, "details": details})
 
     n = args.n
-    rep = coincidence.product_rule_exhaustive_check(n, 3)
+    rep = coincidence.product_rule_exhaustive_check(n)
     record("product-rule-d3", rep["all_ok"],
            {k: rep[k] for k in ("shape_tuples", "rect_tuples", "failures")})
 

@@ -11,7 +11,11 @@ Three layers live here:
   oracles;
 * coincidence classes of shape tuples (pairs agreeing in the middle
   coordinate, and the 4-tuple classes with repeated coordinate maxima)
-  together with their product sums and empirical norm-exponent tables;
+  together with their product sums and empirical norm-exponent tables.
+  By the same rule a product of r-functions is, axis by axis, a signed
+  Haar function or an indicator of its join interval, so every product
+  sum is a Haar sum on the tuples' join shapes, one per sign pattern,
+  streamed in slabs by ``hyperbolic.shape_sum_slabs``;
 * admissible two-colored graphs: enumeration, wedge/prime structure, the
   inclusion-exclusion identity with derived coefficients, the disjoint-
   union factorization, and the recursive 3/2 / 1/2 vertex classification
@@ -131,13 +135,13 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
     return 1 << sum(join), failures
 
 
-def product_rule_exhaustive_check(n: int, d: int = 3, tuple_sizes=(2, 3)) -> dict:
+def product_rule_exhaustive_check(n: int) -> dict:
     """Grid verification of the product rule over all strongly distinct
-    pairs (and triples) of shapes with total level up to n."""
+    d=3 pairs and triples of shapes with total level up to n."""
     shape_tuples = []
     for total in range(1, n + 1):
-        shapes = hyperbolic.enumerate_shapes(total, d)
-        for size in tuple_sizes:
+        shapes = hyperbolic.enumerate_shapes(total, 3)
+        for size in (2, 3):
             for combo in itertools.combinations(shapes, size):
                 if strongly_distinct(combo):
                     shape_tuples.append(combo)
@@ -149,7 +153,7 @@ def product_rule_exhaustive_check(n: int, d: int = 3, tuple_sizes=(2, 3)) -> dic
         failures.extend(fails)
     return {
         "n": n,
-        "d": d,
+        "d": 3,
         "shape_tuples": len(shape_tuples),
         "rect_tuples": rect_tuples,
         "all_ok": not failures,
@@ -255,9 +259,8 @@ def class_c2b(n: int, b: int) -> CoincidenceClass:
     return CoincidenceClass("C2b", n, (b,), tuple(pairs))
 
 
-def _max_achieved(values, at_least: int = 2) -> bool:
-    top = max(values)
-    return sum(1 for v in values if v == top) >= at_least
+def _max_achieved(values) -> bool:
+    return values.count(max(values)) >= 2
 
 
 def check_budget(estimate: int, budget: int) -> None:
@@ -331,131 +334,68 @@ def own_r_grids(field: CoefficientField, shapes) -> dict[Shape, np.ndarray]:
     return {s: hyperbolic.signed_r_sum(field, shapes=[s]) for s in shapes}
 
 
-def _join(tup, d: int) -> tuple[int, ...]:
-    """Per-axis (max level + 1) over the tuple's shapes: the coarsest grid
-    on which the product of their r-functions is represented."""
-    return tuple(max(s[axis] for s in tup) + 1 for axis in range(d))
+def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
+    """The sum over the tuples (all of one length) of the products of their
+    shapes' r-functions as Haar sums on their join shapes (per axis, the
+    max level m over a tuple's shapes): ``{pattern: {join: coefficients}}``.
 
-
-def _axis_order(keys, target) -> tuple[int, ...]:
-    """The order of refining the axes of grids at levels ``keys`` up to
-    ``target`` that writes the fewest cells in total."""
-
-    def written(order) -> int:
-        total = 0
-        current = set(keys)
-        for axis in order:
-            refined = set()
-            for key in current:
-                out = key[:axis] + (target[axis],) + key[axis + 1:]
-                if key[axis] != target[axis]:
-                    total += 1 << sum(out)
-                refined.add(out)
-            current = refined
-        return total
-
-    return min(itertools.permutations(range(len(target))), key=written)
-
-
-def _refine_axis(bufs: dict, axis: int, level: int) -> dict:
-    """Refine every grid in ``bufs`` (keyed by its levels) to ``level`` on
-    ``axis``, summing the grids whose levels then coincide.
-
-    A writeable grid already at ``level`` on ``axis`` is the output of its
-    class and the others are added into it in place; a read-only one (a
-    view of a per-join sum) is added into a new grid instead.  Every
-    consumed grid is dropped before the next class is built.
-    """
-    classes: dict[tuple[int, ...], list] = {}
-    for key in bufs:
-        classes.setdefault(key[:axis] + (level,) + key[axis + 1:], []).append(key)
-    out_bufs = {}
-    for out_key, keys in classes.items():
-        out = bufs.pop(out_key, None)
-        for key in keys:
-            if key == out_key:
-                continue
-            src = bufs.pop(key)
-            # ``out`` viewed with ``axis`` split into (source cells, copies)
-            split = src.shape[:axis + 1] + (-1,) + src.shape[axis + 1:]
-            src = np.expand_dims(src, axis + 1)
-            if out is None:
-                out = np.empty(tuple(1 << m for m in out_key), dtype=src.dtype)
-                np.copyto(out.reshape(split), src)
-            elif not out.flags.writeable:
-                out = np.add(out.reshape(split), src).reshape(out.shape)
-            else:
-                np.add(out.reshape(split), src, out=out.reshape(split))
-        out_bufs[out_key] = out
-    return out_bufs
-
-
-def _join_sums(tuples, r_own: dict[Shape, np.ndarray], d: int) -> dict:
-    """Per join (per axis, the max level + 1 over a tuple's shapes), the sum
-    of the products of the r-functions of the tuples with that join, on
-    the join grid -- read-only, since the slabs of ``_slabs`` are
-    views of them.  A tuple's product depends only on its join; each group
-    repeats the cells of its shapes' r-functions onto its join grid once.
-    Every sum is over a subset of the tuples, so its dtype is
-    ``grid.int_dtype`` of their count."""
+    By the product rule each product is, per axis, the Haar function of its
+    level-m interval where m occurs an odd number of times among the
+    tuple's levels and its indicator where it occurs an even number (h**2 =
+    1): the pattern flags the signed axes.  A coefficient is the product
+    read on the right half of its interval, where that Haar function is +1:
+    on a shape's own grid (level r + 1), the odd cells of an axis with
+    r = m, each cell repeated 2**(m - r - 1) times where r < m.  Each sum
+    is over some of the tuples, so it takes ``grid.int_dtype`` of their
+    count."""
+    if not tuples:
+        return {}
     acc_dtype = grid.int_dtype(len(tuples))
+    levels = np.array(tuples)  # (tuple, shape, axis)
+    joins = levels.max(axis=1)
+    odd = (levels == joins[:, None]).sum(axis=1) % 2 == 1
     groups: dict[tuple[int, ...], list] = {}
-    for tup in tuples:
-        groups.setdefault(_join(tup, d), []).append(tup)
-    sums = {}
+    for tup, join, pattern in zip(tuples, joins.tolist(), odd.tolist()):
+        groups.setdefault(tuple(join), []).append((tup, tuple(pattern)))
+    sums: dict[tuple[bool, ...], dict] = {}
     for join, members in groups.items():
-        sub = Resolution(join)
-        # Copies for one group at a time: the joins of a class are often
-        # all distinct, so keeping them across groups only raises the peak.
-        r_grids = {}
-        for s in {s for tup in members for s in tup}:
+        # the reads of one join at a time: the joins of a class are often
+        # all distinct, so keeping them across joins only raises the peak
+        reads = {}
+        for s in {s for tup, _ in members for s in tup}:
             arr = r_own[s]
-            for axis, size in enumerate(sub.grid_shape):
-                if arr.shape[axis] < size:
-                    arr = np.repeat(arr, size // arr.shape[axis], axis=axis)
-            r_grids[s] = arr
-        acc = np.zeros(sub.grid_shape, dtype=acc_dtype)
-        for tup in members:
-            prod = r_grids[tup[0]]
+            for axis, (r, m) in enumerate(zip(s, join)):
+                if r == m:
+                    arr = arr[(slice(None),) * axis + (slice(1, None, 2),)]
+                elif r + 1 < m:
+                    arr = np.repeat(arr, 1 << (m - r - 1), axis=axis)
+            reads[s] = arr
+        for tup, pattern in members:
+            prod = reads[tup[0]]
             for s in tup[1:]:
-                prod = prod * r_grids[s]
-            acc += prod
-        acc.flags.writeable = False
-        sums[join] = acc
-        del r_grids
+                prod = prod * reads[s]
+            by_join = sums.setdefault(pattern, {})
+            if join in by_join:
+                by_join[join] += prod
+            else:
+                by_join[join] = prod.astype(acc_dtype)
     return sums
 
 
-def _slabs(sums: dict, resolution: Resolution, rows: int | None = None):
+def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
+                  resolution: Resolution, rows: int | None = None):
     """The grid of ``sum_products`` as successive axis-0 slabs of ``rows``
-    rows, a power of two, from the per-join sums of ``_join_sums``; by
-    default as many rows as fit in ``grid.SLAB_CELLS`` cells, and at least
-    one.
-
-    With L0 the level of axis 0 and rows = 2^k, the slab at rows
-    [r0, r0 + 2^k) restricted to a sum at axis-0 level j0 is its rows
-    ``[r0 >> (L0 - j0)]`` onward, 2^max(j0 - (L0 - k), 0) of them: a grid at
-    that relative level.  Sums whose levels coincide after this clip are
-    added into a new grid, and each slab is refined to (k, L1, ...) in
-    the axis order that writes the fewest cells, computed once (every slab
-    has the same keys).  The per-join sums are never written.
-    """
-    levels = resolution.levels
-    if rows is None:
-        rows = max(min(1 << levels[0], grid.SLAB_CELLS >> sum(levels[1:])), 1)
-    k = rows.bit_length() - 1
-    clip = {key: (max(key[0] - (levels[0] - k), 0),) + key[1:] for key in sums}
-    target = (k,) + levels[1:]
-    order = _axis_order(set(clip.values()), target)
-    for r0 in range(0, 1 << levels[0], rows):
-        bufs = {}
-        for key, values in sums.items():
-            part = values[r0 >> (levels[0] - key[0]):][:1 << clip[key][0]]
-            out = bufs.get(clip[key])
-            bufs[clip[key]] = part if out is None else out + part
-        for axis in order:
-            bufs = _refine_axis(bufs, axis, target[axis])
-        (slab,) = bufs.values()
+    rows (by default those of ``hyperbolic.shape_sum_slabs``): one shape
+    sum stream per sign pattern of ``_join_sums``, at most 2**d of them,
+    added slab by slab at ``grid.int_dtype`` of the tuple count."""
+    tuples = list(tuples)
+    dtype = grid.int_dtype(len(tuples))
+    streams = [hyperbolic.shape_sum_slabs(coeffs, resolution, pattern, rows)
+               for pattern, coeffs in _join_sums(tuples, r_own).items()]
+    for parts in zip(*streams):
+        slab = parts[0].astype(dtype, copy=False)
+        for part in parts[1:]:
+            slab += part
         yield slab
 
 
@@ -466,18 +406,13 @@ def sum_products(tuples, r_own: dict[Shape, np.ndarray],
 
     ``r_own`` maps every shape to its r-function on its own grid (see
     ``own_r_grids``); ``resolution`` must be fine enough for every shape.
-    The per-join sums of ``_join_sums`` are refined to ``resolution`` slab
-    by slab (``_slabs``), and each slab is copied into the output, so no
-    refine step holds a whole grid next to its input.  Every partial sum
-    is over a subset of the tuples, so the grid is ``grid.int_dtype`` of
-    their count.
+    The grid, at ``grid.int_dtype`` of the tuple count, is filled slab by
+    slab from ``product_slabs``.
     """
     tuples = list(tuples)
     out = np.zeros(resolution.grid_shape, dtype=grid.int_dtype(len(tuples)))
-    if not tuples:
-        return out
     r0 = 0
-    for slab in _slabs(_join_sums(tuples, r_own, resolution.d), resolution):
+    for slab in product_slabs(tuples, r_own, resolution):
         out[r0:r0 + len(slab)] = slab
         r0 += len(slab)
     return out
@@ -502,8 +437,9 @@ def prod_over(tuples, field: CoefficientField,
               resolution: Resolution | None = None, *,
               budget: int = MAX_TUPLES) -> np.ndarray:
     """Sum over the tuples of the products of the alpha-induced r-functions
-    of their shapes -- an integer grid, through ``sum_products``.  The
-    default resolution is the minimal one for the tuples' shapes."""
+    of their shapes -- an integer grid, through ``sum_products`` from the
+    shapes' own-grid r-functions.  The default resolution is the minimal
+    one for the tuples' shapes."""
     tuples = list(tuples)
     shapes, resolution = _checked_shapes(tuples, field.d, resolution,
                                          budget=budget)
@@ -524,8 +460,8 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
                       budget: int = MAX_TUPLES) -> dict:
     """Exact L^p norms of the class product sums across n, with fitted
     n-exponents per p against each predicted exponent.  Each sum streams
-    from ``_slabs`` into ``grid.abs_power_sums``, which gives every power
-    sum and the sup from one read, so its full grid is never built.
+    from ``product_slabs`` into ``grid.abs_power_sums``, which gives every
+    power sum and the sup from one read, so its full grid is never built.
 
     The coefficient field is random signs from (seed, n).  ``q`` is the
     block count of ``C2_restricted``, whose blocks s and t are paired;
@@ -558,9 +494,8 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
         counts[n] = cls.size
         field = CoefficientField.random_signs(n, 3, (seed, n))
         shapes, res = _checked_shapes(cls.tuples, 3, budget=budget)
-        sums = _join_sums(cls.tuples, own_r_grids(field, shapes), 3)
-        totals, peak = grid.abs_power_sums(_slabs(sums, res), int_ps)
-        del sums  # before the next n builds its own
+        totals, peak = grid.abs_power_sums(
+            product_slabs(cls.tuples, own_r_grids(field, shapes), res), int_ps)
         sup_bound_ok &= peak <= cls.size
         for p, total in zip(p_list, totals):
             per_np[float(p)].append(
@@ -848,8 +783,7 @@ def inclusion_exclusion_coefficients(
     return coeffs
 
 
-def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
-                              resolution: Resolution | None = None, *,
+def inclusion_exclusion_check(vertices, field: CoefficientField, blocks, *,
                               budget: int = MAX_TUPLES) -> dict:
     """Cellwise identity: Prod over the not-strongly-distinct tuples equals
     the signed sum over admissible graphs of Prod(X(G))."""
@@ -860,8 +794,7 @@ def inclusion_exclusion_check(vertices, field: CoefficientField, blocks,
     graphs = enumerate_admissible(verts)
     coeffs = inclusion_exclusion_coefficients(graphs)
     shapes = {s for v in verts for s in blocks[v - 1]}
-    if resolution is None:
-        resolution = hyperbolic.minimal_resolution(shapes, field.d)
+    resolution = hyperbolic.minimal_resolution(shapes, field.d)
     lhs = prod_over(nsd_tuples(verts, blocks, budget=budget), field, resolution,
                     budget=budget)
     rhs = np.zeros(resolution.grid_shape, dtype=np.int64)

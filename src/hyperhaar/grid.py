@@ -41,13 +41,14 @@ per axis it is given (every axis by default) through ``apply_along_axis0``.
 Dense spectra (the product-rule check in ``coincidence``) take every axis.
 Shape sums (``hyperbolic.shape_sum_grid``) have one level per axis in each
 shape, so they are placed already synthesized along one axis and
-``synthesize`` runs over the others only.  ``apply_along_axis0`` views the
-C-contiguous array as ``(pre, size, post)`` and hands the kernel the
-``(size, pre, post)`` transpose, so every axis is processed in the array's
-own memory order.  The kernel allocates its output and a half-size scratch
-buffer with the input's layout and alternates the butterfly levels between
-the two with ``out=`` ufuncs, so no level allocates; the transpose back is
-C-contiguous and the input is never written.
+``synthesize`` runs over the others only, each with its own signed flag.
+``apply_along_axis0`` views the C-contiguous array as ``(pre, size,
+post)`` and hands the kernel the ``(size, pre, post)`` transpose, so every
+axis is processed in the array's own memory order.  The kernel allocates
+its output and a half-size scratch buffer with the input's layout and
+alternates the butterfly levels between the two with ``out=`` ufuncs, so
+no level allocates; the transpose back is C-contiguous and the input is
+never written.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ import numpy as np
 #: Cap on the total level (sum over axes); 2**MAX_TOTAL_LEVEL cells at most.
 MAX_TOTAL_LEVEL = 27
 
-#: Cells per axis-0 slab of the streamed grids, the hyperbolic shape sums
-#: and the class product sums (1 MiB of int8).
+#: Cells per axis-0 slab of the streamed shape sums, the hyperbolic sums
+#: and the r-function product sums alike (1 MiB of int8).
 SLAB_CELLS = 1 << 20
 
 
@@ -279,15 +280,18 @@ def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.nda
     return fn(view, *args, **kwargs).transpose(1, 0, 2).reshape(shape)
 
 
-def synthesize(arr: np.ndarray, signed: bool = True, axes=None) -> np.ndarray:
+def synthesize(arr: np.ndarray, signed=True, axes=None) -> np.ndarray:
     """Synthesize the given axes (default: every axis) of a Haar-layout
-    array, in the order given (see ``synthesize_axis0``).
+    array, in the order given (see ``synthesize_axis0``).  ``signed`` is
+    one flag per axis of ``arr``, or a bool for every axis.
 
     Returns a C-contiguous array of the same dtype, new unless ``axes`` is
     empty; ``arr`` is only read.
     """
+    if isinstance(signed, bool):
+        signed = (signed,) * arr.ndim
     for axis in range(arr.ndim) if axes is None else axes:
-        arr = apply_along_axis0(synthesize_axis0, arr, axis, signed)
+        arr = apply_along_axis0(synthesize_axis0, arr, axis, signed[axis])
     return arr
 
 

@@ -20,15 +20,18 @@ in the sense of ``grid``: a C-contiguous integer ndarray over the scale 1.
 that shape's r-function.
 
 The sum streams in axis-0 slabs (``shape_sum_slabs``); ``shape_sum_grid``
-is its one-slab case.  Integer sums place the last axis and split axis 0
-by resolution: the shapes of axis-0 level below c (2**c slabs) are
-synthesized along axis 0 once, into a coarse block of one base row per
-slab, and each slab finishes from its base and the finer levels inside
-it.  Float sums place axis 0 and take a slab as rows of that placement,
-so every float addition keeps the order of a full-spectrum synthesis.
-The sharpness experiment takes its sup over the slabs, so an n=7, d=3
-trial holds a 16-row slab and a 16-row coarse block, never the 2**24-cell
-sum.
+is its one-slab case.  Each axis is signed (Haar functions) or unsigned
+(indicators of the same intervals): the square function is unsigned on
+every axis, and the products of r-functions in ``coincidence`` are Haar
+sums on their join shapes with a pattern of signed and unsigned axes.
+Integer sums place the last axis and split axis 0 by resolution: the
+shapes of axis-0 level below c (2**c slabs) are synthesized along axis 0
+once, into a coarse block of one base row per slab, and each slab
+finishes from its base and the finer levels inside it.  Float sums place
+axis 0 and take a slab as rows of that placement, so every float addition
+keeps the order of a full-spectrum synthesis.  The sharpness experiment
+takes its sup over the slabs, so an n=7, d=3 trial holds a 16-row slab
+and a 16-row coarse block, never the 2**24-cell sum.
 """
 
 from __future__ import annotations
@@ -132,12 +135,12 @@ class CoefficientField:
         return cls(n, d, vals, "exact")
 
     @classmethod
-    def random_integers(cls, n: int, d: int, seed_or_rng, low: int = -3,
-                        high: int = 3) -> "CoefficientField":
-        """Integer-valued field with zeros included (exercises sgn(0))."""
+    def random_integers(cls, n: int, d: int, seed_or_rng) -> "CoefficientField":
+        """Integer-valued field in [-3, 3], zeros included (exercises
+        sgn(0))."""
         rng = _as_rng(seed_or_rng)
         vals = {
-            s: rng.integers(low, high + 1, size=tuple(1 << r for r in s), dtype=np.int64)
+            s: rng.integers(-3, 4, size=tuple(1 << r for r in s), dtype=np.int64)
             for s in enumerate_shapes(n, d)
         }
         return cls(n, d, vals, "exact")
@@ -152,16 +155,15 @@ class CoefficientField:
         return cls(n, d, vals, "float")
 
 
-def add_coarse_random(field: CoefficientField, seed_or_rng, low: int = -3,
-                      high: int = 3) -> CoefficientField:
-    """Extended field: add integer coefficients on every coarser shape
-    (level sum < n).  Used by the d=2 product verification, whose identity
-    must be unchanged by any such extension."""
+def add_coarse_random(field: CoefficientField, seed_or_rng) -> CoefficientField:
+    """Extended field: add integer coefficients in [-3, 3] on every coarser
+    shape (level sum < n).  Used by the d=2 product verification, whose
+    identity must be unchanged by any such extension."""
     rng = _as_rng(seed_or_rng)
     vals = dict(field.values)
     for total in range(field.n):
         for s in enumerate_shapes(total, field.d):
-            vals[s] = rng.integers(low, high + 1, size=tuple(1 << r for r in s),
+            vals[s] = rng.integers(-3, 4, size=tuple(1 << r for r in s),
                                    dtype=np.int64)
     return CoefficientField(field.n, field.d, vals, field.mode)
 
@@ -198,18 +200,20 @@ def _check_resolution(resolution: Resolution, shapes) -> None:
 
 
 def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-            signed: bool, axis: int, out: np.ndarray, lo: int = 0) -> np.ndarray:
+            signed: tuple[bool, ...], axis: int, out: np.ndarray,
+            lo: int = 0) -> np.ndarray:
     """Add rows ``[lo, lo + len(out))`` of axis 0 of the shape sum
     synthesized along ``axis`` only, the other axes still in Haar layout,
     into the C-contiguous ``out``, and return it.  ``axis`` is 0 or the
     last axis.  A shape has one level r on ``axis``, so there its synthesis
     is no butterfly: coefficient c becomes -c on the left half of its
-    interval and +c on the right half (+c on both unless ``signed``), each
-    repeated ``2**(m-r-1)`` times, m the level of ``axis``.  Only the part
-    of a shape inside the row window is written.  Shapes are added in
+    interval and +c on the right half (+c on both unless ``signed`` flags
+    ``axis``), each repeated ``2**(m-r-1)`` times, m the level of ``axis``.
+    Only the part of a shape inside the row window is written.  Shapes are added in
     ascending level on ``axis``, the order in which the butterfly adds
     them."""
     hi = lo + len(out)
+    signed = signed[axis]
     for shape in sorted(shape_values, key=lambda s: s[axis]):
         r = shape[axis]
         rep = 1 << (resolution.levels[axis] - r - 1)
@@ -241,7 +245,7 @@ def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
 
 
 def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-                    signed: bool = True, rows: int | None = None):
+                    signed=True, rows: int | None = None):
     """Sum over shapes of the Haar sums with the given per-rectangle
     coefficients, evaluated on the grid and yielded as successive
     C-contiguous axis-0 slabs of ``rows`` rows, a power of two; by default
@@ -249,7 +253,9 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     ``2**ceil(m0/2)`` (m0 the level of axis 0), so that the integer sums'
     coarse block below is never larger than a slab.  One axis is
     synthesized as the coefficients are placed (``_placed``), the others by
-    ``grid.synthesize``.
+    ``grid.synthesize``.  ``signed`` is one flag per axis, or a bool for
+    every axis: an unsigned axis takes each coefficient's indicator of its
+    interval in place of its Haar function.
 
     Float coefficients give float64.  Integer ones give ``grid.int_dtype``
     of the sum over shapes of ``max|values|``: every placed or butterfly
@@ -284,6 +290,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     block, where the whole sum is 128 MiB.
     """
     _check_resolution(resolution, shape_values.keys())
+    if isinstance(signed, bool):
+        signed = (signed,) * resolution.d
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
         dtype, axis = np.float64, 0
     else:
@@ -326,7 +334,7 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-                   signed: bool = True) -> np.ndarray:
+                   signed=True) -> np.ndarray:
     """The whole shape sum on the grid: ``shape_sum_slabs`` with one slab.
 
     Integer sums: with c = 0 the coarse block is row 0 of the placement,
@@ -356,20 +364,18 @@ def hyperbolic_sum(field: CoefficientField,
     return shape_sum_grid(field.values, resolution)
 
 
-def square_function_squared(field: CoefficientField,
-                            resolution: Resolution | None = None) -> np.ndarray:
-    """S(H)**2 of the field's hyperbolic sum H (coarse shapes included):
-    sum over all rectangles of alpha(R)**2 1_R, the unsigned shape sum of
-    the squared coefficients.  Each square is taken in ``grid.int_dtype``
-    of its peak, so squares past int64 are Python ints, never wrapped."""
+def square_function_squared(field: CoefficientField) -> np.ndarray:
+    """S(H)**2 of the field's hyperbolic sum H (coarse shapes included), on
+    the field's minimal grid: sum over all rectangles of alpha(R)**2 1_R,
+    the unsigned shape sum of the squared coefficients.  Each square is
+    taken in ``grid.int_dtype`` of its peak, so squares past int64 are
+    Python ints, never wrapped."""
     _require_exact(field)
-    if resolution is None:
-        resolution = field_resolution(field)
     squares = {}
     for shape, values in field.values.items():
         wide = values.astype(grid.int_dtype(grid.max_abs(values) ** 2), copy=False)
         squares[shape] = wide * wide
-    return shape_sum_grid(squares, resolution, signed=False)
+    return shape_sum_grid(squares, field_resolution(field), signed=False)
 
 
 def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,

@@ -40,8 +40,10 @@ every report.
 Every r-function is synthesized once, by ``hyperbolic.signed_r_sum``.
 The short product keeps each one on its own grid (per axis, its level
 + 1); the sd/nsd layers and Gamma_t are sums of r-function products over
-shape tuples and are computed by ``coincidence.sum_products``, the join-
-grid kernel that also serves ``coincidence.prod_over``.
+shape tuples and are computed by ``coincidence.sum_products``, which also
+serves ``coincidence.prod_over``: each sum is a Haar sum on the tuples'
+join shapes, read off those own grids and synthesized by
+``hyperbolic.shape_sum_slabs``.
 """
 
 from __future__ import annotations
@@ -299,29 +301,33 @@ def _densify(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
 
     Returns the new numbering in ``grid.int_dtype(k)`` and k.  A span whose
     table needs fewer bytes than the sort is renumbered through it: a
-    ``bool`` presence array over the span, its cumsum in the narrow width,
-    and one lookup per cell, which is the result.  A wider span is
-    argsorted and ranked in ``key`` itself, which is then narrowed.  The
-    table route is also the faster wherever it is the smaller.
+    ``bool`` presence array over the span, cast to the narrow width and
+    cumsummed in place, and one lookup per cell, which is the result.  A
+    wider span is argsorted and ranked in ``key`` itself, which is then
+    narrowed; the boundary mask of the sorted keys is written over them and
+    cumsummed in place.  The table route is also the faster wherever it is
+    the smaller.
     """
     # Bytes each route holds beyond the key and the result: per value of the
-    # span, the presence flag, the cumsum's cast of it and the table entry;
-    # per cell, the order, the sorted keys, their boundary mask and the
-    # cumsum's int64 cast of it.
+    # span, the presence flag and the table entry; per cell, the order, the
+    # sorted keys and their boundary mask.
     entry = np.dtype(grid.int_dtype(min(span, key.size))).itemsize
-    if span * (1 + 2 * entry) <= key.size * (8 + 8 + 1 + 8):
+    if span * (1 + entry) <= key.size * (8 + 8 + 1):
         present = np.zeros(span, dtype=bool)
         present[key] = True
         k = int(np.count_nonzero(present))
-        table = np.cumsum(present, dtype=grid.int_dtype(k))
+        table = present.astype(grid.int_dtype(k))
         del present
+        np.cumsum(table, out=table)
         table -= 1
         return table[key], k
     order = np.argsort(key)
     ranks = key[order]
     new = ranks[1:] != ranks[:-1]
+    ranks[1:] = new
+    del new
     ranks[0] = 0
-    np.cumsum(new, out=ranks[1:])
+    np.cumsum(ranks, out=ranks)
     key[order] = ranks
     k = int(ranks[-1]) + 1
     del order, ranks

@@ -367,10 +367,14 @@ def conditional_expectation(f, field: Resolution) -> RationalGrid:
 
 
 def full_spectrum_shape_sum(shape_values, resolution: Resolution,
-                            signed: bool = True) -> np.ndarray:
+                            signed=True) -> np.ndarray:
     """``hyperbolic.shape_sum_grid`` by the full-spectrum route: every
     shape's coefficients copied into their block of one zero spectrum, then
-    ``grid.synthesize`` over every axis, at the same dtype."""
+    ``grid.synthesize`` of one axis at a time, with that axis's flag of
+    ``signed`` (one per axis, or a bool for every axis), at the same
+    dtype."""
+    if isinstance(signed, bool):
+        signed = (signed,) * resolution.d
     hyperbolic._check_resolution(resolution, shape_values.keys())
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
         dtype = np.float64
@@ -380,7 +384,9 @@ def full_spectrum_shape_sum(shape_values, resolution: Resolution,
     for shape, values in shape_values.items():
         block = tuple(slice(1 << r, 2 << r) for r in shape)
         spectrum[block] = np.asarray(values).astype(dtype, copy=False)
-    return grid.synthesize(spectrum, signed)
+    for axis, flag in enumerate(signed):
+        spectrum = grid.synthesize(spectrum, flag, [axis])
+    return spectrum
 
 
 def constant_field(n: int, d: int, value: int = 1) -> CoefficientField:

@@ -100,7 +100,7 @@ class TestProductRule:
     def test_exhaustive_pairs_and_triples(self):
         start = time.monotonic()
         for n in range(1, 6):
-            rep = coincidence.product_rule_exhaustive_check(n, 3, tuple_sizes=(2, 3))
+            rep = coincidence.product_rule_exhaustive_check(n)
             assert rep["all_ok"], (n, rep["failures"])
         for n in range(1, 7):
             rep = coincidence.same_volume_exhaustive_check(n)

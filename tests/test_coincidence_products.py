@@ -126,6 +126,16 @@ def _product_rule_tuples(n):
         yield from itertools.combinations(hyperbolic.enumerate_shapes(total, 2), 2)
 
 
+def _join(tup):
+    """Per axis, the max level over the tuple's shapes."""
+    return tuple(max(col) for col in zip(*tup))
+
+
+def _max_holders(tup):
+    """Per axis, how many of the tuple's shapes hold its max level."""
+    return tuple(col.count(max(col)) for col in zip(*tup))
+
+
 class TestProductSigns:
     def test_matches_rectangle_oracle(self):
         # the predictor against the product rule, rectangle tuple by tuple
@@ -150,7 +160,7 @@ class TestProductSigns:
 
 class TestExhaustiveChecks:
     def test_d3_pairs_and_triples_small(self):
-        rep = coincidence.product_rule_exhaustive_check(3, 3, (2, 3))
+        rep = coincidence.product_rule_exhaustive_check(3)
         assert rep["all_ok"], rep["failures"][:3]
         assert rep["shape_tuples"] == 20
 
@@ -287,7 +297,7 @@ class TestProdOver:
     def test_matches_full_grid_oracle(self, kind, n):
         cls = self._class(kind, n)
         assert cls.tuples
-        joins = {coincidence._join(tup, 3) for tup in cls.tuples}
+        joins = {_join(tup) for tup in cls.tuples}
         if kind == "B4":
             # many tuples share a join, so the per-join sums carry weight
             assert len(joins) * 3 <= len(cls.tuples)
@@ -324,32 +334,40 @@ class TestProdOver:
         cls = self._class(kind, n)
         field = CoefficientField.random_signs(n, 3, (117, n))
         shapes, res = coincidence._checked_shapes(cls.tuples, 3)
-        sums = coincidence._join_sums(
-            cls.tuples, coincidence.own_r_grids(field, shapes), 3)
-        before = {key: values.copy() for key, values in sums.items()}
+        r_own = coincidence.own_r_grids(field, shapes)
         oracle = self._full_grid_oracle(cls.tuples, field, res)
         top = res.levels[0]
-        # two rows a slab: joins at axis-0 level top - 1 or below clip to
-        # relative level 0, and some of them then share their levels
-        clipped = {(max(key[0] - (top - 1), 0),) + key[1:] for key in sums}
-        assert len(clipped) < len(sums)
-        assert any(key[0] == top for key in sums)
+        dtype = grid.int_dtype(len(cls.tuples))
         for rows in (1, 2, 1 << top):
-            slabs = list(coincidence._slabs(sums, res, rows))
+            slabs = list(coincidence.product_slabs(cls.tuples, r_own, res, rows))
             assert [len(slab) for slab in slabs] == [rows] * ((1 << top) // rows)
+            assert all(slab.dtype == dtype for slab in slabs)
             assert np.array_equal(np.concatenate(slabs), oracle)
-        # every slab was refined from views of the per-join sums, none of
-        # which may have been added into
-        for key, values in sums.items():
-            assert np.array_equal(values, before[key])
 
-    def test_axis_order_writes_fewest_cells(self):
-        # Two sums that differ on axis 0 only: refining axis 0 first merges
-        # them at once (2 * 2^8 + 2^9 cells written), refining axis 1 first
-        # carries both up to 2^9 cells (2^7 + 2^8 + 2 * 2^9).
-        target = (3, 3, 3)
-        assert coincidence._axis_order({(1, 2, 3), (2, 2, 3)}, target)[0] == 0
-        assert coincidence._axis_order({(2, 1, 3), (2, 2, 3)}, target)[0] == 1
+    def test_ties_and_every_sign_pattern_match_oracle(self):
+        # The nsd_3 tuples of riesz n=5, q=3: on axes 1 and 2 the max level
+        # is held by one, two or three shapes, and some pairs tie below the
+        # max, so all four patterns (axis 0 is always signed) occur.
+        n = 5
+        params = riesz.make_params(n, q=3)
+        tuples = [tup for tup in itertools.product(*params.blocks)
+                  if not coincidence.strongly_distinct(tup)]
+        holders = {_max_holders(tup)[axis] for tup in tuples for axis in (1, 2)}
+        assert holders == {1, 2, 3}
+        assert any(col.count(v) == 2
+                   for tup in tuples for col in list(zip(*tup))[1:]
+                   for v in col if v < max(col))
+        patterns = {tuple(c % 2 == 1 for c in _max_holders(tup))
+                    for tup in tuples}
+        assert patterns == {(True, a, b) for a in (True, False)
+                            for b in (True, False)}
+        field = CoefficientField.random_signs(n, 3, (118, n))
+        res = hyperbolic.field_resolution(field)
+        out = coincidence.sum_products(
+            tuples, coincidence.own_r_grids(field, {s for t in tuples for s in t}),
+            res)
+        assert out.dtype == grid.int_dtype(len(tuples))
+        assert np.array_equal(out, self._full_grid_oracle(tuples, field, res))
 
     def test_sup_bounded_by_tuple_count(self):
         n = 4
@@ -385,16 +403,18 @@ class TestSecondMomentCrossCheck:
             coincidence.PREDICTED_EXPONENT["C2"]
 
     def test_beck_gain_streams_its_class_sums(self):
-        # at n=9 the class sum has 2^25 cells (32 MiB of int8), and its
-        # last refine step used to hold 62 MiB of input next to it
+        # at n=9 the class sum has 2^25 cells (32 MiB of int8); its
+        # join-shape coefficients and one shape-sum stream hold about 9 MiB
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             rep = coincidence.beck_gain_measure("C2_restricted", [9], [2, 4], 0)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert rep["sup_bound_ok"]
-        assert peak < 32 << 20
+        assert peak <= 12 << 20, peak / 2**20
 
     def test_beck_gain_all_kinds_run(self):
         for kind in coincidence.PREDICTED_EXPONENT:

@@ -1,5 +1,6 @@
 """Shapes, r-functions, hyperbolic sums, and the sup-norm experiments."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -293,6 +294,34 @@ class TestShapeSumSlabs:
                     if kind == "normal":
                         assert np.array_equal(got, whole)
 
+    @pytest.mark.parametrize("kind", ["integers", "coarse", "normal"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_per_axis_flags_match_full_spectrum(self, d, kind):
+        # every mix of signed and unsigned axes, against the oracle that
+        # synthesizes one axis at a time with that axis's flag
+        patterns = [p for p in itertools.product([True, False], repeat=d)
+                    if len(set(p)) == 2]
+        for n, vals in _stream_fields(d, kind):
+            res = hyperbolic.minimal_resolution(vals, d)
+            m0 = res.levels[0]
+            for signed in patterns:
+                want = oracles.full_spectrum_shape_sum(vals, res, signed)
+                whole = hyperbolic.shape_sum_grid(vals, res, signed)
+                assert whole.tobytes() == want.tobytes(), (n, signed)
+                for rows in sorted({1, 2, 1 << m0}):
+                    slabs = list(hyperbolic.shape_sum_slabs(vals, res, signed,
+                                                            rows))
+                    got = np.concatenate(slabs)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (n, signed, rows)
+        # a flag per axis differs from both bools
+        vals = {(1, 1): np.arange(1, 5).reshape(2, 2)}
+        res = Resolution((2, 2))
+        mixed = hyperbolic.shape_sum_grid(vals, res, (True, False))
+        for signed in (True, False):
+            assert not np.array_equal(
+                mixed, hyperbolic.shape_sum_grid(vals, res, signed))
+
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize("rows", [1, 2, 4])
     def test_bound_127_stays_int8(self, signed, rows):
@@ -372,10 +401,6 @@ class TestSquareFunctionSquared:
         want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
         assert want.den == 1
         assert np.array_equal(got, want.values)
-        # on a grid one level finer along axis 0, every cell is repeated
-        finer = Resolution((4, 3))
-        assert oracles.grids_equal(hyperbolic.square_function_squared(field, finer),
-                                   np.repeat(got, 2, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,31 @@ class TestFoldKey:
         with pytest.raises(grid.GridTooLargeError):
             riesz._fold_key(cols, limit=64)
 
+    @pytest.mark.parametrize("span_per_cell, route", [(2, "table"),
+                                                      (40, "sort")])
+    def test_renumbering_holds_only_its_cut_bytes(self, monkeypatch,
+                                                  span_per_cell, route):
+        # Each route holds the bytes its side of the cut counts, and the
+        # result: span x (1 + entry) for the table, 17 B per cell for the
+        # sort.  A cumsum from the bool flags or mask cast them to the
+        # output width first: 18 and 25 B per cell here, with the result.
+        cells = 1 << 18
+        span = span_per_cell * cells
+        key = np.random.default_rng(14).integers(0, span, size=cells)
+        seen = self._spy(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out, k = riesz._densify(key, span)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert [r for r, _, _ in seen] == [route]
+        assert out.dtype == grid.int_dtype(k) == np.int32
+        held = span * (1 + out.itemsize) if route == "table" else 17 * cells
+        assert peak <= held + out.nbytes, peak / cells
+
 
 class TestPoolPeaks:
     def test_pools_and_gamma_peak_bounded(self):
