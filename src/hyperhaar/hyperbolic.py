@@ -250,8 +250,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     coefficients, evaluated on the grid and yielded as successive
     C-contiguous axis-0 slabs of ``rows`` rows, a power of two; by default
     as many rows as fit in ``grid.SLAB_CELLS`` cells, but at least
-    ``2**ceil(m0/2)`` (m0 the level of axis 0), so that the integer sums'
-    coarse block below is never larger than a slab.  One axis is
+    ``2**floor(m0/2)`` (m0 the level of axis 0), so that the integer sums'
+    coarse block below is at most two slabs.  One axis is
     synthesized as the coefficients are placed (``_placed``), the others by
     ``grid.synthesize``.  ``signed`` is one flag per axis, or a bool for
     every axis: an unsigned axis takes each coefficient's indicator of its
@@ -286,8 +286,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     Haar column, and the butterfly's output and half-size scratch.  At
     n=7, d=3 (levels 8, 8, 8, int8) the default is 16-row slabs and a
     16-row coarse block, 1 MiB each, where the whole sum is 16 MiB; at
-    n=8 (levels 9, 9, 9) it is 32-row slabs of 8 MiB and a 16-row coarse
-    block, where the whole sum is 128 MiB.
+    n=8 (levels 9, 9, 9) it is 16-row slabs of 4 MiB and a 32-row coarse
+    block of 8 MiB, where the whole sum is 128 MiB.
     """
     _check_resolution(resolution, shape_values.keys())
     if isinstance(signed, bool):
@@ -300,7 +300,7 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     m0, rest = resolution.levels[0], resolution.grid_shape[1:]
     if rows is None:
         rows = max(min(1 << m0, grid.SLAB_CELLS >> sum(resolution.levels[1:])),
-                   1 << (m0 + 1) // 2)
+                   1 << m0 // 2)
     if rows < 1 or rows & (rows - 1) or rows > 1 << m0:
         raise ValueError(f"rows={rows} must be a power of two up to {1 << m0}")
     j = rows.bit_length() - 1

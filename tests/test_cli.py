@@ -4,6 +4,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,12 @@ def run(argv, capsys):
 def run_json(argv, capsys):
     code, out = run(argv, capsys)
     return code, json.loads(out)
+
+
+def _subparsers(parser):
+    (subs,) = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +403,8 @@ class TestExperiments:
     def test_flag_table_covers_every_subcommand(self):
         # every subcommand has a row, every common flag but --seed, --out and
         # --format a default there, and each such default is the parser's
-        parser = cli.build_parser()
-        (subs,) = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-        assert set(subs.choices) == set(cli._IGNORED_FLAGS)
+        subs = _subparsers(cli.build_parser())
+        assert set(subs) == set(cli._IGNORED_FLAGS)
         common = argparse.ArgumentParser(add_help=False)
         cli._common_flags(common)
         dests = {a.dest for a in common._actions} - {"seed", "out", "format"}
@@ -404,7 +412,7 @@ class TestExperiments:
         for command, (names, _) in cli._IGNORED_FLAGS.items():
             assert set(names) <= dests
             for dest, default in cli._COMMON_DEFAULTS.items():
-                assert subs.choices[command].get_default(dest) == default
+                assert subs[command].get_default(dest) == default
 
     @pytest.mark.parametrize("argv, named", [
         (["beck-gain", "--kind", "B4a", "--n-range", "3..3"],
@@ -584,3 +592,85 @@ class TestOutput:
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "validation"
+
+
+# ---------------------------------------------------------------------------
+# start-up: the parser loads no library module, a subcommand only its own
+# ---------------------------------------------------------------------------
+
+
+#: The modules whose loading the start-up tests watch.
+LIBRARY = {"numpy", *(f"hyperhaar.{m}" for m in
+                      ("grid", "hyperbolic", "coincidence", "riesz",
+                       "discrepancy"))}
+
+#: sha256 of ``hyperhaar [<command>] --help`` at 80 columns, as Python
+#: 3.11's argparse formats it; the top-level parser under "".
+HELP_DIGESTS = {
+    "": "7a7a3b2722805f5d7e71dde647bb689a84e2a3e3689bbe7cd16270105c0a9d87",
+    "verify":
+        "586d4d20ee5a41894943c0f9f3b1b369bdf9b364f95a71a7746d1c403412cee8",
+    "riesz2d":
+        "48ed432a79c5c5aef50451ef0b7fe835927323e2f80e76fc6ee6d33b525e340c",
+    "riesz3d":
+        "30669f3d0166f24a6ef867681d2d79225c2eb279e0a80af233cd4e5604cca7b7",
+    "beck-gain":
+        "d4a1420dacca81d298094de0fa040e92bb74dcf39b0d223dfbc8f922571963b6",
+    "sharpness":
+        "93652354c87c5cb00925260ff5dc64f7f451b1adfef28e1d6d6f48097d5e43a6",
+    "lp-profile":
+        "17b55a8b1c1740b96b2c7b6ebecb7fff6d248949ee819dbc0c2b51684a84d54b",
+    "discrepancy":
+        "f2ba96935d95d6de46d951b4ddbbd8cc16c2bd69ec8509087418084c93fe6077",
+    "graphs":
+        "4babfec7b112228dba0092562e0115633ffa0944368d775c3dba26b51fd25564",
+}
+
+
+class TestStartup:
+    @staticmethod
+    def _loaded_after(code: str) -> set:
+        """The watched modules loaded by a fresh interpreter that imports
+        ``hyperhaar.cli`` and runs ``code``."""
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import hyperhaar.cli as cli",
+            code,
+            f"print(*sorted(set(sys.modules) & set({sorted(LIBRARY)!r})))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    @pytest.mark.parametrize("code, loaded", [
+        ("cli.build_parser()", set()),
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['discrepancy', '--n-range', '2..8']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.discrepancy"}),
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['sharpness', '--n-range', '2..3',\n"
+         "                     '--trials', '1']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic"}),
+    ], ids=["parser", "discrepancy", "sharpness"])
+    def test_loads_only_the_modules_it_runs(self, code, loaded):
+        assert self._loaded_after(code) == loaded
+
+    def test_choice_tuples_match_the_library(self):
+        subs = _subparsers(cli.build_parser())
+        (kind,) = [a for a in subs["beck-gain"]._actions if a.dest == "kind"]
+        (gen,) = [a for a in subs["discrepancy"]._actions
+                  if a.dest == "generator"]
+        assert list(kind.choices) == sorted(coincidence.PREDICTED_EXPONENT)
+        assert list(gen.choices) == sorted(discrepancy.GENERATORS)
+
+    @pytest.mark.parametrize("command", list(HELP_DIGESTS))
+    def test_help_text_frozen(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        if command:
+            parser = _subparsers(parser)[command]
+        text = parser.format_help()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            HELP_DIGESTS[command]

@@ -402,19 +402,25 @@ class TestSecondMomentCrossCheck:
         assert rep["rows"][0]["predicted_exponent"] == \
             coincidence.PREDICTED_EXPONENT["C2"]
 
-    def test_beck_gain_streams_its_class_sums(self):
-        # at n=9 the class sum has 2^25 cells (32 MiB of int8); its
-        # join-shape coefficients and one shape-sum stream hold about 9 MiB
+    @pytest.mark.parametrize("kind, n_values, seed, mib", [
+        ("C2_restricted", [9], 0, 12),
+        ("C2", range(4, 9), 3, 18),
+    ], ids=["C2_restricted-9", "C2-4..8"])
+    def test_beck_gain_streams_its_class_sums(self, kind, n_values, seed, mib):
+        # C2_restricted at n=9 sums 2^25 cells (32 MiB of int8); its
+        # join-shape coefficients and one shape-sum stream hold about 9 MiB.
+        # C2 at n=8 sums 2^27 cells in 16-row slabs and a 32-row coarse
+        # block, about 15 MiB, where 32-row slabs took 23 MiB
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rep = coincidence.beck_gain_measure("C2_restricted", [9], [2, 4], 0)
+            rep = coincidence.beck_gain_measure(kind, n_values, [2, 4], seed)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert rep["sup_bound_ok"]
-        assert peak <= 12 << 20, peak / 2**20
+        assert peak <= mib << 20, peak / 2**20
 
     def test_beck_gain_all_kinds_run(self):
         for kind in coincidence.PREDICTED_EXPONENT:

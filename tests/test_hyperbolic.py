@@ -335,11 +335,11 @@ class TestShapeSumSlabs:
         assert max(grid.max_abs(slab) for slab in slabs) == 127
 
     @pytest.mark.parametrize("n, rows, count", [(3, 16, 1), (7, 16, 16),
-                                                 (8, 32, 16)])
+                                                 (8, 16, 32)])
     def test_default_slab_size(self, n, rows, count):
         # d=3 at level n+1 per axis: 2^20 cells are 16 rows at n=7; at n=8
         # they would be 4 rows and a 128-row coarse block, so the rows are
-        # raised to 2^ceil(9/2) = 32
+        # raised to 2^floor(9/2) = 16, under a 32-row coarse block
         field = CoefficientField.random_signs(n, 3, 91)
         res = hyperbolic.field_resolution(field)
         slabs = hyperbolic.shape_sum_slabs(field.values, res)
@@ -354,17 +354,20 @@ class TestShapeSumSlabs:
         with pytest.raises(ValueError, match="power of two"):
             next(hyperbolic.shape_sum_slabs(vals, Resolution((2, 2)), rows=rows))
 
-    def test_sharpness_trial_peak_bounded(self):
-        # one n=7, d=3 trial: the whole 2^24-cell sum is 16 MiB of int8,
-        # which the stream of 16-row slabs never holds
+    @pytest.mark.parametrize("n, mib", [(7, 8), (8, 26)])
+    def test_sharpness_trial_peak_bounded(self, n, mib):
+        # one d=3 trial; the whole sum is never held: at n=7 (2^24 cells,
+        # 16 MiB of int8) the stream holds 16-row slabs and a 16-row coarse
+        # block, at n=8 (128 MiB) 16-row slabs and a 32-row block, where
+        # 32-row slabs and a 16-row block took 32 MiB
         tracemalloc.start()
         try:
-            rep = hyperbolic.sharpness_experiment([7], 3, 1, 92)
+            rep = hyperbolic.sharpness_experiment([n], 3, 1, 92)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep["per_n"][0]["coeff_sum_ok"]
-        assert peak < 8 << 20
+        assert peak < mib << 20, peak / 2**20
 
 
 class TestSquareFunctionSquared:
@@ -438,8 +441,8 @@ class TestSharpnessExperiment:
         serial = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=1)
         threaded = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert serial["per_n"] == threaded["per_n"]
-        # 2^10-cell slabs fall to the floor of 2^ceil(m0/2) rows, so every n
-        # streams 4 to 8 slabs
+        # 2^10-cell slabs fall to the floor of 2^floor(m0/2) rows, so every
+        # n streams 4 to 16 slabs
         monkeypatch.setattr(grid, "SLAB_CELLS", 1 << 10)
         small = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert small["per_n"] == serial["per_n"]
