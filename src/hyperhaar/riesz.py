@@ -22,20 +22,16 @@ exact rational loses nothing.  Psi depends only on the coefficient signs,
 so it is an exact grid for float fields too; a float field (the d=2 check
 only) meets it through its float64 hyperbolic sum and float64 sums.
 
-The reports never build per-cell Python integers.  Each nonlinear
-quantity pools the cells by the small-integer vector it depends on:
-(F_1..F_q) for T and the partial products, (sd_1..sd_q) for Psi_sd and
-(nsd_2..nsd_q) for Psi_nsd.  The big-integer arithmetic is done once per
-distinct vector, weighted by int64 cell counts or by int64 sums of H over
-the vector's cells.  A pool folds its columns into one mixed-radix int64
-key per cell, in place, and numbers the distinct keys in the narrowest
-width that holds their count.  A key whose span-sized presence table
-needs fewer bytes than an argsort of the cells (every q=3 key up to n=7)
-is numbered through that table; only wider keys (the q=4 sd and nsd keys
-at n=6 and 7) are argsorted.  The split itself is
-checked per power of rho~, on integer grids.  One ``ShortProduct`` holds
-the grids and pools of a field, builds each on first use, and serves
-every report.
+The reports never build per-cell Python integers.  Each quantity is a
+polynomial in rho~ = N/D with integer grids as coefficients: T = sum_u
+N^u D^(q-u) e_u(F_1..F_q), and the scaled sd/nsd sums weight their layers
+the same way.  One pass over chunks of 2^16 cells (``ShortProduct.sums``)
+takes every integer sum the reports read, each at the width of its bound,
+and the weights N^u D^(q-u) combine them in Python ints.  The L1 norms
+need each cell's sign: T's is the product of the signs of D + N F_t,
+exact from integer thresholds; those of Psi_sd and Psi_nsd come from a
+float filter, rechecked in Python ints where its error bound cannot
+decide.  The split itself is checked per power of rho~, on integer grids.
 
 Every r-function is synthesized once, by ``hyperbolic.signed_r_sum``.
 The short product keeps each one on its own grid (per axis, its level
@@ -255,110 +251,147 @@ def _check_block_index(params: RieszParams, t: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pooling cells by small-integer keys
+# exact sums over cell chunks
 # ---------------------------------------------------------------------------
 
-#: Bound on every intermediate pooling key; int64 holds twice this.
-KEY_LIMIT = 1 << 62
+
+def _elementary(values) -> list[int]:
+    """e_0..e_k of the numbers.  Of the block sizes these are the u-tuple
+    counts with one shape from each of u distinct blocks, which bound
+    |e_u(F_1..F_k)|, |sd_u| and |nsd_u|."""
+    e = [1]
+    for x in values:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    return e
 
 
-def _fold_key(columns, limit: int = KEY_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct per-cell vectors of small-integer columns.
+def _chunks(*grids):
+    """Matching flat pieces of ``grid._POWER_CHUNK`` cells of the grids."""
+    flats = [g.reshape(-1) for g in grids]
+    for start in range(0, flats[0].size, grid._POWER_CHUNK):
+        yield [f[start:start + grid._POWER_CHUNK] for f in flats]
 
-    Returns (inverse, counts): for every cell the index of its vector among
-    the k distinct vectors in lexicographic order, in ``grid.int_dtype(k)``,
-    and each vector's int64 cell count.  The columns are folded one at a
-    time into a mixed-radix int64 key, in place: ``key * width + col - lo``.
-    Before a column would take the product of spans past ``limit``, the key
-    is renumbered densely, so no intermediate key reaches ``limit``.
+
+def _isum(a: np.ndarray, b: np.ndarray, bound: int) -> int:
+    """The exact sum of a * b over a chunk whose products are at most
+    ``bound`` in magnitude, at the width ``grid.int_dtype`` gives the
+    chunk's sum (Python ints past int64)."""
+    dtype = grid.int_dtype(bound * a.size)
+    return int(np.multiply(a, b, dtype=dtype).sum(dtype=dtype))
+
+
+def _factor_signs(f: np.ndarray, bound: int, num: int, den: int) -> np.ndarray:
+    """sign(D + N f) on a chunk with |f| <= bound, as int8: f against the
+    floor and the ceiling of -D/N (D > 0), clipped to +-(bound + 1)."""
+    if not num:
+        return np.ones(f.size, dtype=np.int8)
+    lo, hi = -bound - 1, bound + 1
+    above = f > min(max(-den // num, lo), hi)
+    below = f < min(max(-(den // num), lo), hi)
+    signs = above.view(np.int8) - below.view(np.int8)
+    return signs if num > 0 else -signs
+
+
+def _weights(num: int, den: int, k: int) -> list[int]:
+    """N^u D^(k-u) for u = 0..k: the weight of e_u in prod of k factors
+    (D + N F_t), and of the layer u in the scaled sd/nsd sums (k = q)."""
+    return [num**u * den ** (k - u) for u in range(k + 1)]
+
+
+def _weighted(weights, sums) -> int:
+    """sum_u w_u sums[u], in Python ints."""
+    return sum(map(operator.mul, weights, sums))
+
+
+def _product_chunk(fs, sizes, num: int, den: int):
+    """e_0..e_k of chunks of F_1..F_k (e_0 = 1), each at the width of its
+    bound e_u(sizes), and sign(prod_t (D + N F_t)) as int8; |F_t| <=
+    sizes[t-1]."""
+    e = [np.ones(fs[0].size, dtype=np.int8)]
+    e += [np.zeros(fs[0].size, dtype=grid.int_dtype(b))
+          for b in _elementary(sizes)[1:]]
+    signs = np.ones(fs[0].size, dtype=np.int8)
+    for t, (f, bound) in enumerate(zip(fs, sizes), 1):
+        for u in range(t, 0, -1):
+            e[u] += np.multiply(f, e[u - 1], dtype=e[u].dtype)
+        signs *= _factor_signs(f, bound, num, den)
+    return e, signs
+
+
+def _layer_signs(layers, num: int, den: int, bounds) -> np.ndarray:
+    """sign(S), S = sum_u N^u D^(q-u) L_u, on every cell of the chunks of
+    the layers L_1..L_q, |L_u| <= bounds[u-1], as int8.
+
+    When |rho~| sum_u bound_u < 1 (rho~ = 0 too), sign(rho~^k L_k) at the
+    first nonzero layer L_k: the later terms sum to less than |rho~|^k in
+    magnitude.  Otherwise a float filter (Shewchuk 1997): the float64
+    value of S / D^q = sum_u rho~^u L_u decides every cell where it
+    exceeds ``error``, and the cells it leaves open are decided by
+    ``_exact_signs``, except those whose layers are all 0, where the
+    value is exactly 0.
     """
-    key = np.zeros(np.asarray(columns[0]).size, dtype=np.int64)
-    span = 1
-    for col in columns:
-        col = np.asarray(col).reshape(-1)
-        lo = int(col.min())
-        width = int(col.max()) - lo + 1
-        if span * width > limit:
-            dense, span = _densify(key, span)
-            key[...] = dense
-            if span * width > limit:
-                raise grid.GridTooLargeError(
-                    f"pooling key needs {span} x {width} values (limit {limit})")
-        # int64 wraps modulo 2^64 and the result is below ``limit``, so a
-        # wrap in ``+= col`` is undone by ``-= lo``
-        key *= width
-        key += col
-        key -= lo
-        span *= width
-    inverse, span = _densify(key, span)
-    counts = np.zeros(span, dtype=np.int64)
-    np.add.at(counts, inverse, 1)
-    return inverse, counts
+    q = len(layers)
+    if abs(num) * sum(bounds) < den:
+        signs = np.zeros(layers[0].size, dtype=np.int8)
+        sign = (num > 0) - (num < 0)
+        for u, layer in reversed(list(enumerate(layers, 1))):
+            lead = np.sign(layer).astype(np.int8) * sign**u
+            signs = np.where(layer != 0, lead, signs)
+        return signs
+    powers = [num**u / den**u for u in range(1, q + 1)]  # correctly rounded
+    # Over twice the forward error bound of the float64 sum of the terms
+    # fl(rho~^u) L_u, each rounded once, summed in order: (q + 1) eps/2
+    # sum_u |rho~^u| bound_u to first order, if every power is normal.
+    error = ((q + 2) * sys.float_info.epsilon
+             * math.fsum(map(operator.mul, map(abs, powers), bounds))
+             if min(map(abs, powers)) >= sys.float_info.min else math.inf)
+    value = np.multiply(layers[0], powers[0], dtype=np.float64)
+    for power, layer in zip(powers[1:], layers[1:]):
+        value += np.multiply(layer, power, dtype=np.float64)
+    signs = np.sign(value).astype(np.int8)
+    cells = np.flatnonzero(np.abs(value, out=value) <= error)
+    if cells.size:
+        open_ = [layer[cells] for layer in layers]
+        live = np.logical_or.reduce([layer != 0 for layer in open_])
+        if live.any():
+            signs[cells[live]] = _exact_signs([layer[live] for layer in open_],
+                                              _weights(num, den, q)[1:])
+    return signs
 
 
-def _densify(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Renumber the int64 keys in [0, span) as 0..k-1, keeping their order.
-
-    Returns the new numbering in ``grid.int_dtype(k)`` and k.  A span whose
-    table needs fewer bytes than the sort is renumbered through it: a
-    ``bool`` presence array over the span, cast to the narrow width and
-    cumsummed in place, and one lookup per cell, which is the result.  A
-    wider span is argsorted and ranked in ``key`` itself, which is then
-    narrowed; the boundary mask of the sorted keys is written over them and
-    cumsummed in place.  The table route is also the faster wherever it is
-    the smaller.
-    """
-    # Bytes each route holds beyond the key and the result: per value of the
-    # span, the presence flag and the table entry; per cell, the order, the
-    # sorted keys and their boundary mask.
-    entry = np.dtype(grid.int_dtype(min(span, key.size))).itemsize
-    if span * (1 + entry) <= key.size * (8 + 8 + 1):
-        present = np.zeros(span, dtype=bool)
-        present[key] = True
-        k = int(np.count_nonzero(present))
-        table = present.astype(grid.int_dtype(k))
-        del present
-        np.cumsum(table, out=table)
-        table -= 1
-        return table[key], k
-    order = np.argsort(key)
-    ranks = key[order]
-    new = ranks[1:] != ranks[:-1]
-    ranks[1:] = new
-    del new
-    ranks[0] = 0
-    np.cumsum(ranks, out=ranks)
-    key[order] = ranks
-    k = int(ranks[-1]) + 1
-    del order, ranks
-    return key.astype(grid.int_dtype(k), copy=False), k
+def _exact_signs(layers, weights) -> np.ndarray:
+    """sign(sum_u w_u L_u) of every cell, in Python ints."""
+    total = sum(w * layer.astype(object) for w, layer in zip(weights, layers))
+    return np.sign(total).astype(np.int8)
 
 
-class _Pool:
-    """Cells pooled by equal key vectors: each cell's key index, in the
-    narrowest width that numbers the keys, and the cell count of every
-    key."""
+class _Terms:
+    """Exact sums over the cells of the terms x_u of a sum S = sum_u w_u
+    x_u, folded chunk by chunk: sum sign(S) x_u, the count of cells with
+    S < 0 and, when asked, sum x_u x_v and sum H x_u.  ``bounds`` bound
+    the |x_u|, and ``sup_h`` bounds |H|."""
 
-    def __init__(self, columns) -> None:
-        self.inverse, counts = _fold_key(columns)
-        self.counts = counts.tolist()
+    def __init__(self, weights, bounds, sup_h: int = 0) -> None:
+        k = len(weights)
+        self.weights, self.bounds, self.sup_h = weights, bounds, sup_h
+        self.signed, self.h = [0] * k, [0] * k
+        self.cross = [[0] * k for _ in range(k)]
+        self.negative = 0
 
-    def at_keys(self, values: np.ndarray) -> list[int]:
-        """A grid that is constant on every key, as one value per key: each
-        cell writes its value at its key."""
-        out = np.empty(len(self.counts), dtype=values.dtype)
-        out[self.inverse] = values.reshape(-1)
-        return out.tolist()
+    def add(self, terms, signs, h=None, cross: bool = False) -> None:
+        self.negative += int(np.count_nonzero(signs < 0))
+        for u, (x, bound) in enumerate(zip(terms, self.bounds)):
+            self.signed[u] += _isum(signs, x, bound)
+            if h is not None:
+                self.h[u] += _isum(h, x, bound * self.sup_h)
+            for v in range(u, len(terms)) if cross else ():
+                self.cross[u][v] += _isum(x, terms[v], bound * self.bounds[v])
 
-    def sums(self, values: np.ndarray) -> list[int]:
-        """Exact int64 segment sums of an integer grid, one per key."""
-        out = np.zeros(len(self.counts), dtype=np.int64)
-        np.add.at(out, self.inverse, values.reshape(-1))
-        return out.tolist()
-
-
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
+    def square_sum(self) -> int:
+        """The sum of S^2 = sum_(u,v) w_u w_v x_u x_v, from ``cross``."""
+        w, c = self.weights, self.cross
+        return sum(w[u] * w[v] * c[u][v] * (1 if u == v else 2)
+                   for u in range(len(w)) for v in range(u, len(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +402,14 @@ def _dot(a, b) -> int:
 SD_TUPLE_BUDGET = 200_000
 
 
-def _sd_tuple_counts(params: RieszParams) -> dict[int, int]:
-    """The number of u-tuples with one shape from each of u distinct
-    blocks, for u = 1..q."""
-    sizes = [len(b) for b in params.blocks]
-    return {u: sum(math.prod(combo) for combo in itertools.combinations(sizes, u))
-            for u in range(1, params.q + 1)}
-
-
 class ShortProduct:
     """The d=3 short product Psi = prod_t (1 + rho~ F_t) of one exact-mode
     coefficient field, with its strongly-distinct split
     Psi = 1 + Psi_sd + Psi_nsd.
 
     The constructor only validates.  Every grid is built once, on first
-    use, and shared by all the reports.  With rho~ = N/D exactly, values
+    use, and shared by all the reports, and so is ``sums``, the one fold
+    of those grids that the reports read.  With rho~ = N/D exactly, values
     are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
     ``budget`` caps the u-tuples that ``layers`` enumerates.
     """
@@ -398,6 +424,9 @@ class ShortProduct:
         frac = params.rho_tilde_exact
         self.num, self.den = frac.numerator, frac.denominator
         self.scale = self.den ** params.q
+        self.sizes = [len(block) for block in params.blocks]
+        #: u-tuple counts, u = 0..q
+        self.tuple_counts = _elementary(self.sizes)
 
     @cached_property
     def r_grids(self) -> dict[Shape, np.ndarray]:
@@ -416,10 +445,8 @@ class ShortProduct:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The hyperbolic sum H as an int64 grid (int64 so that
-        ``np.add.at`` into the int64 segment sums keeps its fast path)."""
-        return hyperbolic.hyperbolic_sum(self.field, self.resolution) \
-            .astype(np.int64)
+        """The hyperbolic sum H, at the width of its bound."""
+        return hyperbolic.hyperbolic_sum(self.field, self.resolution)
 
     @cached_property
     def layers(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -428,8 +455,7 @@ class ShortProduct:
         distinct blocks, split by the strongly-distinct predicate and
         summed by ``coincidence.sum_products``."""
         params = self.params
-        coincidence.check_budget(sum(_sd_tuple_counts(params).values()),
-                                 self.budget)
+        coincidence.check_budget(sum(self.tuple_counts[1:]), self.budget)
         sd, nsd = {}, {}
         for u in range(1, params.q + 1):
             sd_tuples, nsd_tuples = [], []
@@ -444,39 +470,30 @@ class ShortProduct:
         return sd, nsd
 
     @cached_property
-    def f_pool(self) -> _Pool:
-        """Cells pooled by (F_1..F_q)."""
-        return _Pool(self.block_sums)
-
-    @cached_property
-    def sd_pool(self) -> _Pool:
-        """Cells pooled by (sd_1..sd_q)."""
-        return _Pool(list(self.layers[0].values()))
-
-    @cached_property
-    def nsd_pool(self) -> _Pool:
-        """Cells pooled by (nsd_2..nsd_q).  nsd_1 is always zero (a single
-        shape is strongly distinct); it is the whole key only when q = 1."""
-        nsd = list(self.layers[1].values())
-        return _Pool(nsd[1:] or nsd)
-
-    @cached_property
-    def f_values(self) -> list[tuple[int, ...]]:
-        """(F_1..F_q) at every key of ``f_pool``."""
-        return list(zip(*(self.f_pool.at_keys(f) for f in self.block_sums)))
-
-    def partial_products(self, v) -> list[int]:
-        """prod over t in v of (D + N F_t) at every key of ``f_pool``."""
-        n_, d_ = self.num, self.den
-        return [math.prod(d_ + n_ * fs[t - 1] for t in v) for fs in self.f_values]
-
-    def scaled(self, pool: _Pool, by_u: dict[int, np.ndarray]) -> list[int]:
-        """sum over u of N^u D^(q-u) * layer_u at every key of ``pool``,
-        whose key must fix every layer in ``by_u``."""
-        q = self.params.q
-        weights = [self.num**u * self.den ** (q - u) for u in by_u]
-        return [_dot(weights, vals) for vals in
-                zip(*(pool.at_keys(layer) for layer in by_u.values()))]
+    def sums(self) -> tuple[_Terms, _Terms, _Terms, bool]:
+        """(T, sd, nsd, identity), from one pass over chunks of F_1..F_q, H
+        and the layers: the exact sums of the e_u(F_1..F_q) with sign(T),
+        each other and H (the terms of T), of the sd layers with
+        sign(Psi_sd) and H, of the nsd layers with sign(Psi_nsd), and
+        whether e_u(F) = sd_u + nsd_u on every cell."""
+        q, counts, num, den = self.params.q, self.tuple_counts, self.num, self.den
+        sup_h = grid.max_abs(self.h)
+        product = _Terms(_weights(num, den, q), counts, sup_h)
+        sd_sums = _Terms(_weights(num, den, q)[1:], counts[1:], sup_h)
+        nsd_sums = _Terms(_weights(num, den, q)[1:], counts[1:])
+        sd, nsd = (list(by_u.values()) for by_u in self.layers)
+        identity = True
+        for fs, (h,), sd_c, nsd_c in zip(_chunks(*self.block_sums),
+                                         _chunks(self.h), _chunks(*sd),
+                                         _chunks(*nsd)):
+            e, signs = _product_chunk(fs, self.sizes, num, den)
+            product.add(e, signs, h, cross=True)
+            sd_sums.add(sd_c, _layer_signs(sd_c, num, den, counts[1:]), h)
+            nsd_sums.add(nsd_c, _layer_signs(nsd_c, num, den, counts[1:]))
+            identity &= all(
+                np.array_equal(eu, np.add(a, b, dtype=eu.dtype))
+                for eu, a, b in zip(e[1:], sd_c, nsd_c))
+        return product, sd_sums, nsd_sums, identity
 
     def gamma(self, t: int) -> np.ndarray:
         """Gamma_t as an integer grid: the sum over ordered pairs of
@@ -516,24 +533,12 @@ def decomposition_report(sp: ShortProduct) -> dict:
     * ``sd_mean_zero``  — every sd layer has exact mean zero;
     * tuple counts per layer.
     """
-    sd, nsd = sp.layers
-    bounds = _sd_tuple_counts(sp.params)
-    # |e_u(F)| <= e_u(#A_1..#A_q), the u-tuple count; so is every partial
-    # sum and product of the recurrence e_u += F_t e_(u-1)
-    e = {u: np.zeros(sp.resolution.grid_shape, dtype=grid.int_dtype(bound))
-         for u, bound in bounds.items()}
-    for t, f in enumerate(sp.block_sums, 1):
-        for u in range(t, 1, -1):
-            e[u] += np.multiply(f, e[u - 1], dtype=e[u].dtype)
-        e[1] += f
-    identity_ok = all(
-        np.array_equal(e[u], np.add(sd[u], nsd[u], dtype=e[u].dtype))
-        for u in e)
-    sd_sums = {u: int(layer.sum()) for u, layer in sd.items()}
+    _, _, _, identity_ok = sp.sums
+    sd_sums = {u: int(layer.sum()) for u, layer in sp.layers[0].items()}
     return {
         "n": sp.params.n,
         "q": sp.params.q,
-        "tuples": sum(bounds.values()),
+        "tuples": sum(sp.tuple_counts[1:]),
         "identity_ok": identity_ok,
         "sd_mean_zero": all(v == 0 for v in sd_sums.values()),
         "sd_layer_sums": sd_sums,
@@ -555,36 +560,28 @@ def duality_certificate(sp: ShortProduct) -> dict:
 
     The certificate is sound unconditionally -- it is the duality
     inequality itself, so (iii) failing would mean an arithmetic bug.
-    Inner products pair the per-key values with the int64 sums of H over
-    each key's cells: ``f_pool`` keys for Psi, ``sd_pool`` keys for Psi_sd
-    and its layers.
+    Every quantity is a sum over u of N^u D^(q-u) times an integer sum
+    over the cells, read from ``ShortProduct.sums``: <H, e_u> and
+    sign(T) e_u for Psi, <H, sd_u> and sign(Psi_sd) sd_u for Psi_sd.
     """
     cells = sp.resolution.cells
-    sup_h = grid.max_abs(sp.h)
-    if grid.int_dtype(sup_h * cells) is object:
-        raise grid.GridTooLargeError("segment sums of H could overflow int64")
-    sd, _ = sp.layers
-    pool = sp.sd_pool
-    h_sums = pool.sums(sp.h)
+    product, sd, _, _ = sp.sums
+    sup_h = product.sup_h
     rho = Fraction(sp.num, sp.den)
 
     rhs1 = rho * Fraction(int(sp.field.abs_sum()), 2**sp.params.n)
-    layer_inner = {u: _dot(h_sums, pool.at_keys(layer))
-                   for u, layer in sd.items()}
-    inner_sd1 = rho * Fraction(layer_inner[1], cells)
+    inner_sd1 = rho * Fraction(sd.h[0], cells)
     identity_1 = inner_sd1 == rhs1
 
-    higher = {u: v for u, v in layer_inner.items() if u >= 2}
+    higher = dict(enumerate(sd.h[1:], 2))
     higher_ok = all(v == 0 for v in higher.values())
 
-    sd_scaled = sp.scaled(pool, sd)
-    inner_sd = _dot(h_sums, sd_scaled)
-    t = sp.partial_products(range(1, sp.params.q + 1))
+    inner_sd = _weighted(sd.weights, sd.h)
     certificates = {
-        "psi": _certificate(_dot(sp.f_pool.sums(sp.h), t),
-                            _dot(sp.f_pool.counts, map(abs, t)), sup_h),
-        "psi_sd": _certificate(inner_sd,
-                               _dot(pool.counts, map(abs, sd_scaled)), sup_h),
+        "psi": _certificate(_weighted(product.weights, product.h),
+                            _weighted(product.weights, product.signed), sup_h),
+        "psi_sd": _certificate(inner_sd, _weighted(sd.weights, sd.signed),
+                               sup_h),
     }
     inner_sd_total = Fraction(inner_sd, cells * sp.scale)
     return {
@@ -599,10 +596,7 @@ def duality_certificate(sp: ShortProduct) -> dict:
 
 
 def _certificate(inner_scaled: int, l1_scaled: int, sup_h: int) -> dict:
-    if l1_scaled == 0:
-        bound = Fraction(0)
-    else:
-        bound = Fraction(inner_scaled, l1_scaled)
+    bound = Fraction(inner_scaled, l1_scaled) if l1_scaled else Fraction(0)
     return {"lower_bound": bound, "sup_norm": sup_h, "sound": bound <= sup_h}
 
 
@@ -680,14 +674,14 @@ class RieszNormReport:
         }
 
 
-#: The orders r of the partial product norms N(V; r).
-PARTIAL_NORM_ORDERS = (1, 2)
-
-
 def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
     """Measured norms of the short product: exact mean, exact fraction of
     negative cells, exact L1, L2, the sd/nsd L1 norms, and the partial
     product norms N(V; r) = || prod over t in V of (1 + rho~ F_t) ||_r.
+
+    Every moment is a sum over powers of rho~ of integer sums over the
+    cells (``ShortProduct.sums``; a proper subset V folds its own F_t the
+    same way), and only the L2 norm and N(V; r) are floats of them.
 
     Also reports, without asserting anything: a' = log||Psi||_2 / q^(2b)
     (the measured constant in the L2 growth), and the two sides of the
@@ -696,27 +690,32 @@ def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
     params = sp.params
     scale = sp.scale
     cells = sp.resolution.cells
-    counts = sp.f_pool.counts
-    t = sp.partial_products(range(1, params.q + 1))
-    mean = Fraction(_dot(counts, t), cells * scale)
-    negative = Fraction(sum(c for c, v in zip(counts, t) if v < 0), cells)
-    l1 = Fraction(_dot(counts, map(abs, t)), cells * scale)
-    second = Fraction(sum(c * v * v for c, v in zip(counts, t)),
-                      cells * scale**2)
+    product, sd, nsd, _ = sp.sums
+    w = product.weights
+    mean = Fraction(_weighted(w, product.cross[0]), cells * scale)
+    negative = Fraction(product.negative, cells)
+    l1 = Fraction(_weighted(w, product.signed), cells * scale)
+    second = Fraction(product.square_sum(), cells * scale**2)
     l2 = math.sqrt(float(second))
-    sd_l1, nsd_l1 = (
-        Fraction(_dot(pool.counts, map(abs, sp.scaled(pool, by_u))),
-                 cells * scale)
-        for pool, by_u in zip((sp.sd_pool, sp.nsd_pool), sp.layers))
+    sd_l1, nsd_l1 = (Fraction(_weighted(layers.weights, layers.signed),
+                              cells * scale) for layers in (sd, nsd))
     partial = []
     for v in v_list:
         v = tuple(sorted(v))
-        prods = [abs(p) for p in sp.partial_products(v)]
+        sizes = [sp.sizes[t - 1] for t in v]
+        if v == tuple(range(1, params.q + 1)):
+            part = product
+        elif v:
+            part = _Terms(_weights(sp.num, sp.den, len(v)), _elementary(sizes))
+            for fs in _chunks(*(sp.block_sums[t - 1] for t in v)):
+                part.add(*_product_chunk(fs, sizes, sp.num, sp.den), cross=True)
         pscale = sp.den ** len(v)
-        for r in PARTIAL_NORM_ORDERS:
-            moment = Fraction(_dot(counts, (p**r for p in prods)),
-                              cells * pscale**r)
-            partial.append((v, r, float(moment) ** (1.0 / r)))
+        moments = ((1, 1) if not v else  # the empty product is 1
+                   (Fraction(_weighted(part.weights, part.signed),
+                             cells * pscale),
+                    Fraction(part.square_sum(), cells * pscale**2)))
+        partial += [(v, r, float(moment) ** (1.0 / r))
+                    for r, moment in zip((1, 2), moments)]
     b2 = 2 * float(B_EXPONENT)
     a_prime = math.log(l2) / params.q**b2 if l2 > 0 else float("nan")
     rho2_last = params.rho_tilde**2 * len(params.blocks[-1])

@@ -10,7 +10,9 @@ spread from its spectrum, Parseval sums entry by entry, exact moments from
 the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
-graph, and the short product's grids expanded from its pools.
+graph, and the short product's grids built cell by cell in Python ints
+from its block sums and layers, and its mean from a histogram of the
+vectors (F_1..F_q).
 
 The library's grids are integer arrays over scales their callers pass.
 The oracles' fractional grids (the Haar analysis, the square function
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -688,34 +689,53 @@ def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the short product, materialised from its pools
+# the short product, materialised cell by cell
 # ---------------------------------------------------------------------------
 
 
-def _expand(sp: riesz.ShortProduct, pool, per_key: list[int]) -> RationalGrid:
-    """The exact grid taking ``per_key[k] / sp.scale`` on the cells of key
-    k of ``pool``."""
-    values = np.array(per_key, dtype=grid.int_dtype(max(map(abs, per_key))))
-    return RationalGrid(values[pool.inverse].reshape(sp.resolution.grid_shape),
-                        sp.scale)
+def _scaled_t(sp: riesz.ShortProduct) -> np.ndarray:
+    """T = Psi * D^q = prod over t of (D + N F_t), in Python ints, from the
+    block sums."""
+    t = np.ones(sp.resolution.grid_shape, dtype=object)
+    for f in sp.block_sums:
+        t = t * (f.astype(object) * sp.num + sp.den)
+    return t
 
 
 def short_product(sp: riesz.ShortProduct) -> RationalGrid:
     """Psi = prod over t of (1 + rho~ F_t), exactly, as a grid."""
-    return _expand(sp, sp.f_pool, sp.partial_products(range(1, sp.params.q + 1)))
+    return RationalGrid(_scaled_t(sp), sp.scale)
 
 
 def short_product_mean(sp: riesz.ShortProduct) -> Fraction:
-    """E Psi from the pooled per-key products; it is one exactly, for any
-    coefficient field."""
-    t = sp.partial_products(range(1, sp.params.q + 1))
-    return Fraction(sum(map(operator.mul, sp.f_pool.counts, t)),
-                    sp.scale * sp.resolution.cells)
+    """E Psi, from the cell count of every vector (F_1..F_q), a bincount of
+    its mixed-radix key, and the product of its factors in Python ints; it
+    is one exactly, for any coefficient field."""
+    radices = [2 * size + 1 for size in sp.sizes]  # F_t in [-size, size]
+    key = np.zeros(sp.resolution.cells, dtype=np.int64)
+    for f, size, radix in zip(sp.block_sums, sp.sizes, radices):
+        key = key * radix + (f.reshape(-1).astype(np.int64) + size)
+    total = 0
+    for k, count in enumerate(np.bincount(key).tolist()):
+        t = 1
+        for size, radix in zip(reversed(sp.sizes), reversed(radices)):
+            k, digit = divmod(k, radix)
+            t *= sp.den + sp.num * (digit - size)
+        total += count * t
+    return Fraction(total, sp.scale * sp.resolution.cells)
 
 
 def sd_decomposition(sp: riesz.ShortProduct) -> tuple[RationalGrid, RationalGrid]:
     """(Psi_sd, Psi_nsd) as grids: the enumerated layers weighted by the
-    powers of rho~, with Psi = 1 + Psi_sd + Psi_nsd cellwise."""
+    powers of rho~, sum over u of N^u D^(q-u) layer_u over D^q in Python
+    ints, with Psi = 1 + Psi_sd + Psi_nsd cellwise."""
+    q = sp.params.q
+
+    def scaled(by_u):
+        out = np.zeros(sp.resolution.grid_shape, dtype=object)
+        for u, layer in by_u.items():
+            out = out + layer.astype(object) * (sp.num**u * sp.den ** (q - u))
+        return RationalGrid(out, sp.scale)
+
     sd, nsd = sp.layers
-    return (_expand(sp, sp.sd_pool, sp.scaled(sp.sd_pool, sd)),
-            _expand(sp, sp.nsd_pool, sp.scaled(sp.nsd_pool, nsd)))
+    return scaled(sd), scaled(nsd)

@@ -56,7 +56,7 @@ class TestShortProduct:
                 field = CoefficientField.random_signs(n, 3, (n, q, trial))
                 sp = riesz.ShortProduct(field, params)
                 assert oracles.short_product_mean(sp) == 1, (n, q, trial)
-        # The pooled mean agrees with the materialized grid's expectation.
+        # The counted mean agrees with the materialized grid's expectation.
         field = CoefficientField.random_signs(3, 3, 999)
         sp = riesz.ShortProduct(field, riesz.make_params(3, q=2))
         assert oracles.mean(oracles.short_product(sp)) \

@@ -219,12 +219,15 @@ class TestDuality:
         assert rep["certificates"]["psi_sd"]["lower_bound"] == 0
         assert rep["certificates"]["psi_sd"]["sound"]
 
-    def test_wide_h_refused_before_segment_sums(self):
-        # |H| * cells would pass int64, so the per-key sums of H could wrap
+    def test_wide_h_sums_in_python_ints(self):
+        # |H| * cells passes int64, so the chunk sums of H are Python ints
         f = oracles.constant_field(2, 3, value=2**55)
-        sp = riesz.ShortProduct(f, riesz.make_params(2, q=2))
-        with pytest.raises(grid.GridTooLargeError):
-            riesz.duality_certificate(sp)
+        params = riesz.make_params(2, q=2)
+        sp = riesz.ShortProduct(f, params)
+        assert grid.int_dtype(grid.max_abs(sp.h) * sp.resolution.cells) \
+            is object
+        _, duality, _, _, _ = _direct_route(f, params, [])
+        assert riesz.duality_certificate(sp) == duality
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +430,15 @@ ORACLE_CASES = [
     for maker, seed, rho_tilde in (("random_signs", 0, None),
                                    ("random_signs", 1, None),
                                    ("random_signs", 2, 0.4),
+                                   ("random_signs", 5, 0.5),
                                    ("random_integers", 3, None),
                                    ("random_signs", 4, 0.0))
+] + [
+    # negative rho~: every factor sign D + N F_t flips its thresholds
+    pytest.param(n, q, maker, seed, rho_tilde,
+                 id=f"n{n}-q{q}-{maker}-s{seed}-rho{rho_tilde}")
+    for n, q, maker, seed, rho_tilde in ((3, 3, "random_signs", 6, -0.3),
+                                         (4, 2, "random_integers", 7, -1.5))
 ]
 
 
@@ -490,146 +500,97 @@ class TestShortProductOracle:
         assert len(calls) == len(set(calls)) == shapes + p.q + 1
 
 
-class TestFoldKey:
+class TestLayerSigns:
+    @staticmethod
+    def _signs(rho_tilde, layers, bounds=None):
+        """``_layer_signs`` of the hand-built int layers L_1..L_q at rho~
+        (with their peaks as bounds, unless given), and their signs in
+        Python ints."""
+        frac = Fraction(rho_tilde)
+        num, den, q = frac.numerator, frac.denominator, len(layers)
+        arrays = [np.array(layer, dtype=np.int32) for layer in layers]
+        exact = [
+            (v > 0) - (v < 0) for v in (
+                sum(int(a[i]) * num**u * den ** (q - u)
+                    for u, a in enumerate(arrays, 1))
+                for i in range(arrays[0].size))]
+        bounds = bounds or [grid.max_abs(a) for a in arrays]
+        return riesz._layer_signs(arrays, num, den, bounds).tolist(), exact
+
     @staticmethod
     def _spy(monkeypatch):
-        """Record the route (whether it argsorted), largest key and span of
-        every renumbering."""
+        """Record the cell count of every exact recheck."""
         seen = []
-        real, real_argsort = riesz._densify, np.argsort
+        real = riesz._exact_signs
 
-        def spy(key, span):
-            sorts = []
+        def spy(layers, weights):
+            seen.append(layers[0].size)
+            return real(layers, weights)
 
-            def argsort(*args, **kwargs):
-                sorts.append(1)
-                return real_argsort(*args, **kwargs)
-
-            top = int(key.max())
-            with monkeypatch.context() as m:
-                m.setattr(np, "argsort", argsort)
-                out = real(key, span)
-            seen.append(("sort" if sorts else "table", top, span))
-            return out
-
-        monkeypatch.setattr(riesz, "_densify", spy)
+        monkeypatch.setattr(riesz, "_exact_signs", spy)
         return seen
 
-    @staticmethod
-    def _check_unique(cols, inverse, counts):
-        _, expected, expected_counts = np.unique(
-            np.stack(cols, 1), axis=0, return_inverse=True, return_counts=True)
-        assert np.array_equal(inverse, expected.reshape(-1))
-        assert np.array_equal(counts, expected_counts)
-        assert inverse.dtype == grid.int_dtype(counts.size)
+    def test_exact_cancellation_is_rechecked(self, monkeypatch):
+        # at rho~ = 1/2, L_1 = 1 and L_2 = -2 cancel: 1/2 - 2/4 = 0; the
+        # last cell has every layer 0 and takes sign 0 without a recheck
+        seen = self._spy(monkeypatch)
+        signs, exact = self._signs(0.5, [[1, 1, -1, 0], [-2, -1, 2, 0]])
+        assert signs == exact == [0, 1, 0, 0]
+        assert seen == [2]
 
-    @staticmethod
-    def _pooled_rows(seed, widths, cells=20_000, distinct=400):
-        # columns of the given widths, with repeats so that keys pool
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_cancellation_matches_python_ints(self, monkeypatch, seed):
+        # rho~ = 1/2 + j 2^-52 and L_1 = -(L_2/2 + L_3/4): the terms cancel
+        # at rho~ = 1/2, so most cells sum to about j 2^-52 times their
+        # terms, below what float64 resolves; a third of them are offset
+        # by +-1 and decided by the filter
         rng = np.random.default_rng(seed)
-        base = np.stack([rng.integers(-(w // 2), w - w // 2, size=distinct)
-                         for w in widths], 1)
-        rows = base[rng.integers(0, distinct, size=cells)]
-        return [rows[:, i].copy() for i in range(len(widths))]
-
-    @pytest.mark.parametrize("limit", [riesz.KEY_LIMIT, 1 << 20])
-    def test_partition_matches_unique_rows(self, monkeypatch, limit):
-        rng = np.random.default_rng(11)
-        # eight columns of span about 600, with repeats so that keys pool
-        base = rng.integers(-300, 300, size=(400, 8))
-        rows = base[rng.integers(0, 400, size=20_000)]
-        cols = [rows[:, i].copy() for i in range(8)]
-        spans = math.prod(int(c.max()) - int(c.min()) + 1 for c in cols)
-        assert spans > 2**63
+        rho = 0.5 + int(rng.integers(1, 5)) * 2.0**-52
+        l2 = 2 * rng.integers(-500, 500, size=3000)
+        l3 = 4 * rng.integers(-500, 500, size=l2.size)
+        l1 = -(l2 // 2 + l3 // 4) + rng.choice([-1, 0, 0, 0, 0, 1], size=l2.size)
         seen = self._spy(monkeypatch)
-        inverse, counts = riesz._fold_key(cols, limit)
-        self._check_unique(cols, inverse, counts)
-        assert seen and max(k for _, k, _ in seen) < min(limit, 2**62)
-        assert max(span for _, _, span in seen) <= min(limit, 2**62)
+        signs, exact = self._signs(rho, [l1, l2, l3])
+        assert signs == exact
+        assert set(exact) == {-1, 1}
+        assert len(seen) == 1 and l2.size // 2 < seen[0] < l2.size
 
-    @pytest.mark.parametrize("widths, limit, routes", [
-        # span about 30,000 over 20,000 cells: past the cell count, but its
-        # table is smaller than the sort, so one table at the final fold
-        ([100, 300], riesz.KEY_LIMIT, ["table"]),
-        # span 2.2e8: one argsort at the final fold
-        ([600, 600, 600], riesz.KEY_LIMIT, ["sort"]),
-        # span 360,000 before the third column passes the limit: an argsort
-        # mid-loop leaves at most 400 keys, so the final span is at most
-        # 40,000 and takes the table
-        ([600, 600, 100], 1 << 20, ["sort", "table"]),
-    ], ids=["table", "sort", "sort-then-table"])
-    def test_both_renumbering_routes(self, monkeypatch, widths, limit, routes):
-        cols = self._pooled_rows(12, widths)
+    @pytest.mark.parametrize("rho_tilde", [1e-120, -1e-120, 1e-3])
+    def test_small_rho_takes_the_leading_layer(self, monkeypatch, rho_tilde):
+        # |rho~| times the summed bounds is below 1, so the first nonzero
+        # layer decides, with the sign of rho~^k, and nothing is rechecked
         seen = self._spy(monkeypatch)
-        inverse, counts = riesz._fold_key(cols, limit)
-        assert [route for route, _, _ in seen] == routes
-        self._check_unique(cols, inverse, counts)
+        signs, exact = self._signs(rho_tilde, [[1, 0, 0, -1, 0],
+                                               [-9, 3, 0, 0, 0],
+                                               [2, 5, 0, 7, -8]])
+        assert signs == exact
+        assert {-1, 1} <= set(signs) and signs[2] == 0
+        assert seen == []
 
-    def test_int64_extremes_do_not_wrap(self, monkeypatch):
-        # key * width + col would pass int64 before lo came off for the
-        # column at the top of the range; the one at the bottom has -lo past
-        # int64 max
-        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
-        rng = np.random.default_rng(13)
-        small = rng.integers(0, 1000, size=5_000)
-        high = top - rng.integers(0, 10, size=small.size)
-        low = bottom + rng.integers(0, 10, size=small.size)
-        cols = [small, high, low]
-        assert (1000 - 1) * 10 + int(high.max()) > top
+    def test_subnormal_powers_recheck_every_live_cell(self, monkeypatch):
+        # rho~^3 underflows and a huge bound keeps the leading-layer rule
+        # off, so the float filter decides no cell
         seen = self._spy(monkeypatch)
-        inverse, counts = riesz._fold_key(cols)
-        assert [route for route, _, _ in seen] == ["sort"]
-        self._check_unique(cols, inverse, counts)
-
-    def test_int64_column_wider_than_limit_refused(self):
-        cols = [np.array([0, 1, 2]), np.array([-2**62, 0, 2**62])]
-        with pytest.raises(grid.GridTooLargeError):
-            riesz._fold_key(cols)
-
-    def test_column_wider_than_limit_refused(self):
-        cols = [np.array([0, 1, 2]), np.array([0, 50, 100])]
-        with pytest.raises(grid.GridTooLargeError):
-            riesz._fold_key(cols, limit=64)
-
-    @pytest.mark.parametrize("span_per_cell, route", [(2, "table"),
-                                                      (40, "sort")])
-    def test_renumbering_holds_only_its_cut_bytes(self, monkeypatch,
-                                                  span_per_cell, route):
-        # Each route holds the bytes its side of the cut counts, and the
-        # result: span x (1 + entry) for the table, 17 B per cell for the
-        # sort.  A cumsum from the bool flags or mask cast them to the
-        # output width first: 18 and 25 B per cell here, with the result.
-        cells = 1 << 18
-        span = span_per_cell * cells
-        key = np.random.default_rng(14).integers(0, span, size=cells)
-        seen = self._spy(monkeypatch)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out, k = riesz._densify(key, span)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert [r for r, _, _ in seen] == [route]
-        assert out.dtype == grid.int_dtype(k) == np.int32
-        held = span * (1 + out.itemsize) if route == "table" else 17 * cells
-        assert peak <= held + out.nbytes, peak / cells
+        signs, exact = self._signs(1e-120, [[1, 0, 0, -1], [-1, 3, 0, 0],
+                                            [2, 5, 0, 7]], [10**130, 3, 7])
+        assert signs == exact == [1, 1, 0, -1]
+        assert seen == [3]
 
 
-class TestPoolPeaks:
-    def test_pools_and_gamma_peak_bounded(self):
-        # at n=5, q=3 the pools took 33 B and the Gamma report 20 B per cell
-        # above what was live when the key was argsorted in int64 and the
-        # report held four int32 grids
-        sp = riesz.ShortProduct(CoefficientField.random_signs(5, 3, 0),
-                                riesz.make_params(5, q=3))
-        sp.layers, sp.block_sums  # built before tracing
+class TestReportPeaks:
+    def test_reports_peak_bounded(self):
+        # with the grids built, the reports fold chunks of 2^16 cells, so
+        # none holds a grid-sized temporary (8 MiB of int32 at n=6); the
+        # Gamma report holds its bound of 16 B per cell
+        sp = riesz.ShortProduct(CoefficientField.random_signs(6, 3, 0),
+                                riesz.make_params(6, q=3))
+        sp.layers, sp.block_sums, sp.h  # built before tracing
+        assert sp.h.dtype == grid.int_dtype(grid.max_abs(sp.h))
         cells = sp.resolution.cells
         steps = {
-            "f_pool": lambda: sp.f_pool,
-            "sd_pool": lambda: sp.sd_pool,
-            "nsd_pool": lambda: sp.nsd_pool,
+            "decomposition": lambda: riesz.decomposition_report(sp),
+            "duality": lambda: riesz.duality_certificate(sp),
+            "norm": lambda: riesz.norm_report(sp, v_list=[(1,), (1, 2, 3)]),
             "gamma": lambda: riesz.gamma_identity_report(sp),
         }
         peaks = {}
@@ -642,5 +603,6 @@ class TestPoolPeaks:
                 peaks[name] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert all(peak <= 16 * cells for peak in peaks.values()), \
-            {name: peak / cells for name, peak in peaks.items()}
+        mib = {name: peak / 2**20 for name, peak in peaks.items()}
+        assert peaks.pop("gamma") <= 16 * cells, mib
+        assert all(peak <= 4 << 20 for peak in peaks.values()), mib
