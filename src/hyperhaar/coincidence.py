@@ -384,38 +384,25 @@ def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
 
 def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
                   resolution: Resolution, rows: int | None = None):
-    """The grid of ``sum_products`` as successive axis-0 slabs of ``rows``
-    rows (by default those of ``hyperbolic.shape_sum_slabs``): one shape
-    sum stream per sign pattern of ``_join_sums``, at most 2**d of them,
-    added slab by slab at ``grid.int_dtype`` of the tuple count."""
+    """The sum over the tuples of the products of their shapes'
+    r-functions -- the one kernel for such sums -- on ``resolution``, as
+    successive axis-0 slabs of ``rows`` rows (by default those of
+    ``hyperbolic.shape_sum_slabs``).  ``r_own`` maps every shape to its
+    r-function on its own grid (``own_r_grids``).  One shape sum stream
+    per sign pattern of ``_join_sums``, at most 2**d of them, is added
+    slab by slab at ``grid.int_dtype`` of the tuple count.  No tuples give
+    the empty shape sum, whose slabs are zeros, so the stream has as many
+    slabs as any other on ``resolution``."""
     tuples = list(tuples)
     dtype = grid.int_dtype(len(tuples))
     streams = [hyperbolic.shape_sum_slabs(coeffs, resolution, pattern, rows)
                for pattern, coeffs in _join_sums(tuples, r_own).items()]
+    streams = streams or [hyperbolic.shape_sum_slabs({}, resolution, True, rows)]
     for parts in zip(*streams):
         slab = parts[0].astype(dtype, copy=False)
         for part in parts[1:]:
             slab += part
         yield slab
-
-
-def sum_products(tuples, r_own: dict[Shape, np.ndarray],
-                 resolution: Resolution) -> np.ndarray:
-    """Sum over the tuples of the products of their shapes' r-functions, as
-    an integer grid on ``resolution`` -- the one kernel for such sums.
-
-    ``r_own`` maps every shape to its r-function on its own grid (see
-    ``own_r_grids``); ``resolution`` must be fine enough for every shape.
-    The grid, at ``grid.int_dtype`` of the tuple count, is filled slab by
-    slab from ``product_slabs``.
-    """
-    tuples = list(tuples)
-    out = np.zeros(resolution.grid_shape, dtype=grid.int_dtype(len(tuples)))
-    r0 = 0
-    for slab in product_slabs(tuples, r_own, resolution):
-        out[r0:r0 + len(slab)] = slab
-        r0 += len(slab)
-    return out
 
 
 def _checked_shapes(tuples, d: int, resolution: Resolution | None = None, *,
@@ -437,13 +424,18 @@ def prod_over(tuples, field: CoefficientField,
               resolution: Resolution | None = None, *,
               budget: int = MAX_TUPLES) -> np.ndarray:
     """Sum over the tuples of the products of the alpha-induced r-functions
-    of their shapes -- an integer grid, through ``sum_products`` from the
-    shapes' own-grid r-functions.  The default resolution is the minimal
-    one for the tuples' shapes."""
+    of their shapes, as an integer grid at ``grid.int_dtype`` of the tuple
+    count, filled slab by slab from ``product_slabs``.  The default
+    resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
     shapes, resolution = _checked_shapes(tuples, field.d, resolution,
                                          budget=budget)
-    return sum_products(tuples, own_r_grids(field, shapes), resolution)
+    out = np.zeros(resolution.grid_shape, dtype=grid.int_dtype(len(tuples)))
+    r0 = 0
+    for slab in product_slabs(tuples, own_r_grids(field, shapes), resolution):
+        out[r0:r0 + len(slab)] = slab
+        r0 += len(slab)
+    return out
 
 
 PREDICTED_EXPONENT = {

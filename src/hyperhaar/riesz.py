@@ -25,21 +25,20 @@ only) meets it through its float64 hyperbolic sum and float64 sums.
 The reports never build per-cell Python integers.  Each quantity is a
 polynomial in rho~ = N/D with integer grids as coefficients: T = sum_u
 N^u D^(q-u) e_u(F_1..F_q), and the scaled sd/nsd sums weight their layers
-the same way.  One pass over chunks of 2^16 cells (``ShortProduct.sums``)
-takes every integer sum the reports read, each at the width of its bound,
-and the weights N^u D^(q-u) combine them in Python ints.  The L1 norms
-need each cell's sign: T's is the product of the signs of D + N F_t,
-exact from integer thresholds; those of Psi_sd and Psi_nsd come from a
-float filter, rechecked in Python ints where its error bound cannot
-decide.  The split itself is checked per power of rho~, on integer grids.
+the same way.  One pass (``ShortProduct.sums``) takes every integer sum
+the reports read, each at the width of its bound, and the weights N^u
+D^(q-u) combine them in Python ints.  The L1 norms need each cell's sign:
+T's is the product of the signs of D + N F_t, exact from integer
+thresholds; those of Psi_sd and Psi_nsd come from a float filter,
+rechecked in Python ints where its error bound cannot decide.  The split
+itself is checked per power of rho~, on integer grids.
 
-Every r-function is synthesized once, by ``hyperbolic.signed_r_sum``.
-The short product keeps each one on its own grid (per axis, its level
-+ 1); the sd/nsd layers and Gamma_t are sums of r-function products over
-shape tuples and are computed by ``coincidence.sum_products``, which also
-serves ``coincidence.prod_over``: each sum is a Haar sum on the tuples'
-join shapes, read off those own grids and synthesized by
-``hyperbolic.shape_sum_slabs``.
+No grid of the full resolution is kept.  The pass reads aligned axis-0
+slab streams, in pieces of 2^16 cells: F_1..F_q and H from
+``hyperbolic.shape_sum_slabs``, and each sd/nsd layer and each Gamma_t
+from ``coincidence.product_slabs`` over its enumerated tuples, as Haar
+sums on their join shapes read off the r-functions on their own grids
+(per axis, the level + 1), each synthesized once.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,13 +245,8 @@ def _check_short_inputs(field: CoefficientField, params: RieszParams) -> None:
         raise ValueError("short product is exact-mode only")
 
 
-def _check_block_index(params: RieszParams, t: int) -> None:
-    if not 1 <= t <= params.q:
-        raise ValueError(f"t={t} out of range 1..{params.q}")
-
-
 # ---------------------------------------------------------------------------
-# exact sums over cell chunks
+# exact sums over slab chunks
 # ---------------------------------------------------------------------------
 
 
@@ -265,11 +260,12 @@ def _elementary(values) -> list[int]:
     return e
 
 
-def _chunks(*grids):
-    """Matching flat pieces of ``grid._POWER_CHUNK`` cells of the grids."""
-    flats = [g.reshape(-1) for g in grids]
+def _chunks(*slabs):
+    """Matching flat pieces of ``grid._POWER_CHUNK`` cells of the slabs,
+    each with its offset in the slab."""
+    flats = [s.reshape(-1) for s in slabs]
     for start in range(0, flats[0].size, grid._POWER_CHUNK):
-        yield [f[start:start + grid._POWER_CHUNK] for f in flats]
+        yield start, [f[start:start + grid._POWER_CHUNK] for f in flats]
 
 
 def _isum(a: np.ndarray, b: np.ndarray, bound: int) -> int:
@@ -367,29 +363,31 @@ def _exact_signs(layers, weights) -> np.ndarray:
 
 class _Terms:
     """Exact sums over the cells of the terms x_u of a sum S = sum_u w_u
-    x_u, folded chunk by chunk: sum sign(S) x_u, the count of cells with
-    S < 0 and, when asked, sum x_u x_v and sum H x_u.  ``bounds`` bound
-    the |x_u|, and ``sup_h`` bounds |H|."""
+    x_u, folded chunk by chunk: sum x_u, sum sign(S) x_u, the count of
+    cells with S < 0 and, when asked, sum H x_u and sum x_u x_v (``cross``:
+    then x_0 = 1, so sum x_0 x_v is sum x_v).  ``bounds`` bound the |x_u|,
+    and ``h_bound`` bounds |H|."""
 
-    def __init__(self, weights, bounds, sup_h: int = 0) -> None:
+    def __init__(self, weights, bounds, h_bound: int = 0) -> None:
         k = len(weights)
-        self.weights, self.bounds, self.sup_h = weights, bounds, sup_h
-        self.signed, self.h = [0] * k, [0] * k
+        self.weights, self.bounds, self.h_bound = weights, bounds, h_bound
+        self.total, self.signed, self.h = [0] * k, [0] * k, [0] * k
         self.cross = [[0] * k for _ in range(k)]
         self.negative = 0
 
     def add(self, terms, signs, h=None, cross: bool = False) -> None:
         self.negative += int(np.count_nonzero(signs < 0))
         for u, (x, bound) in enumerate(zip(terms, self.bounds)):
+            self.total[u] += int(x.sum(dtype=grid.int_dtype(bound * x.size)))
             self.signed[u] += _isum(signs, x, bound)
             if h is not None:
-                self.h[u] += _isum(h, x, bound * self.sup_h)
-            for v in range(u, len(terms)) if cross else ():
+                self.h[u] += _isum(h, x, bound * self.h_bound)
+            for v in range(u, len(terms)) if cross and u else ():
                 self.cross[u][v] += _isum(x, terms[v], bound * self.bounds[v])
 
     def square_sum(self) -> int:
         """The sum of S^2 = sum_(u,v) w_u w_v x_u x_v, from ``cross``."""
-        w, c = self.weights, self.cross
+        w, c = self.weights, [self.total] + self.cross[1:]
         return sum(w[u] * w[v] * c[u][v] * (1 if u == v else 2)
                    for u in range(len(w)) for v in range(u, len(w)))
 
@@ -402,16 +400,30 @@ class _Terms:
 SD_TUPLE_BUDGET = 200_000
 
 
+class _Sums(NamedTuple):
+    """The fold of ``ShortProduct.sums``; ``planes`` and ``gamma`` hold,
+    per block, the sums over x1 of F_t^2 - Gamma_t and the sum of Gamma_t."""
+
+    product: _Terms
+    sd: _Terms
+    nsd: _Terms
+    identity: bool
+    sup_h: int
+    planes: list
+    gamma: list
+
+
 class ShortProduct:
     """The d=3 short product Psi = prod_t (1 + rho~ F_t) of one exact-mode
     coefficient field, with its strongly-distinct split
     Psi = 1 + Psi_sd + Psi_nsd.
 
-    The constructor only validates.  Every grid is built once, on first
-    use, and shared by all the reports, and so is ``sums``, the one fold
-    of those grids that the reports read.  With rho~ = N/D exactly, values
-    are scaled by ``scale`` = D^q: T = Psi * D^q = prod_t (D + N F_t).
-    ``budget`` caps the u-tuples that ``layers`` enumerates.
+    The constructor only validates.  It keeps, each built on first use,
+    the r-functions on their own small grids (``r_grids``), the enumerated
+    ``tuples`` and ``sums``, the one fold of streams of ``rows`` =
+    2**(m0 // 2) rows (m0 the level of axis 0) that the reports read.
+    With rho~ = N/D exactly, values are scaled by ``scale`` = D^q:
+    T = Psi * D^q = prod_t (D + N F_t).  ``budget`` caps the u-tuples.
     """
 
     def __init__(self, field: CoefficientField, params: RieszParams, *,
@@ -421,6 +433,9 @@ class ShortProduct:
         self.params = params
         self.budget = budget
         self.resolution = hyperbolic.field_resolution(field)
+        # a stream's coarse block and slab are then about equal, which
+        # makes their sum smallest; from n=7 up it is the streams' default
+        self.rows = 1 << self.resolution.levels[0] // 2
         frac = params.rho_tilde_exact
         self.num, self.den = frac.numerator, frac.denominator
         self.scale = self.den ** params.q
@@ -436,86 +451,81 @@ class ShortProduct:
             self.field, [s for block in self.params.blocks for s in block])
 
     @cached_property
-    def block_sums(self) -> list[np.ndarray]:
-        """F_1..F_q: the sums of the r-functions of each block."""
-        return [
-            hyperbolic.signed_r_sum(self.field, self.resolution, shapes=block)
-            for block in self.params.blocks
-        ]
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        """The hyperbolic sum H, at the width of its bound."""
-        return hyperbolic.hyperbolic_sum(self.field, self.resolution)
-
-    @cached_property
-    def layers(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """(sd, nsd): for every u, the grid sum of the products of the
-        r-functions over the u-tuples with one shape from each of u
-        distinct blocks, split by the strongly-distinct predicate and
-        summed by ``coincidence.sum_products``."""
-        params = self.params
+    def tuples(self) -> tuple[list[list], list[list], list[list]]:
+        """(sd, nsd, pairs): for u = 1..q, the u-tuples with one shape from
+        each of u distinct blocks, split by the strongly-distinct
+        predicate; for t = 1..q, the unordered pairs of shapes of block t
+        that share the first coordinate."""
+        blocks = self.params.blocks
         coincidence.check_budget(sum(self.tuple_counts[1:]), self.budget)
-        sd, nsd = {}, {}
-        for u in range(1, params.q + 1):
-            sd_tuples, nsd_tuples = [], []
-            for subset in itertools.combinations(params.blocks, u):
+        sd, nsd = [[] for _ in blocks], [[] for _ in blocks]
+        for u in range(1, len(blocks) + 1):
+            for subset in itertools.combinations(blocks, u):
                 for tup in itertools.product(*subset):
-                    (sd_tuples if coincidence.strongly_distinct(tup)
-                     else nsd_tuples).append(tup)
-            sd[u] = coincidence.sum_products(sd_tuples, self.r_grids,
-                                             self.resolution)
-            nsd[u] = coincidence.sum_products(nsd_tuples, self.r_grids,
-                                              self.resolution)
-        return sd, nsd
+                    (sd if coincidence.strongly_distinct(tup)
+                     else nsd)[u - 1].append(tup)
+        pairs = [[(a, b) for a, b in itertools.combinations(block, 2)
+                  if a[0] == b[0]] for block in blocks]
+        return sd, nsd, pairs
+
+    def block_slabs(self, t: int):
+        """The slabs of F_t, the sum of the r-functions of block t."""
+        signs = {s: hyperbolic.signs_of(self.field.values[s])
+                 for s in self.params.blocks[t - 1]}
+        return hyperbolic.shape_sum_slabs(signs, self.resolution, True, self.rows)
 
     @cached_property
-    def sums(self) -> tuple[_Terms, _Terms, _Terms, bool]:
-        """(T, sd, nsd, identity), from one pass over chunks of F_1..F_q, H
-        and the layers: the exact sums of the e_u(F_1..F_q) with sign(T),
-        each other and H (the terms of T), of the sd layers with
-        sign(Psi_sd) and H, of the nsd layers with sign(Psi_nsd), and
-        whether e_u(F) = sd_u + nsd_u on every cell."""
-        q, counts, num, den = self.params.q, self.tuple_counts, self.num, self.den
-        sup_h = grid.max_abs(self.h)
-        product = _Terms(_weights(num, den, q), counts, sup_h)
-        sd_sums = _Terms(_weights(num, den, q)[1:], counts[1:], sup_h)
+    def sums(self) -> _Sums:
+        """One pass over the aligned slab streams of F_1..F_q, H, the sd and
+        nsd layers and Gamma_t, in pieces of ``grid._POWER_CHUNK`` cells:
+        the exact sums of the e_u(F_1..F_q) (the terms of T) with sign(T),
+        each other and H, of the sd layers with sign(Psi_sd) and H, of the
+        nsd layers with sign(Psi_nsd), max |H|, whether e_u(F) = sd_u +
+        nsd_u on every cell, and the Gamma_t sums.  Products with H take
+        the bound of its width, the sum over shapes of max |alpha|."""
+        q, sizes, num, den = self.params.q, self.sizes, self.num, self.den
+        counts = self.tuple_counts
+        sd_tuples, nsd_tuples, pairs = self.tuples
+        h_bound = sum(grid.max_abs(v) for v in self.field.values.values())
+        product = _Terms(_weights(num, den, q), counts, h_bound)
+        sd_sums = _Terms(_weights(num, den, q)[1:], counts[1:], h_bound)
         nsd_sums = _Terms(_weights(num, den, q)[1:], counts[1:])
-        sd, nsd = (list(by_u.values()) for by_u in self.layers)
-        identity = True
-        for fs, (h,), sd_c, nsd_c in zip(_chunks(*self.block_sums),
-                                         _chunks(self.h), _chunks(*sd),
-                                         _chunks(*nsd)):
-            e, signs = _product_chunk(fs, self.sizes, num, den)
-            product.add(e, signs, h, cross=True)
-            sd_sums.add(sd_c, _layer_signs(sd_c, num, den, counts[1:]), h)
-            nsd_sums.add(nsd_c, _layer_signs(nsd_c, num, den, counts[1:]))
-            identity &= all(
-                np.array_equal(eu, np.add(a, b, dtype=eu.dtype))
-                for eu, a, b in zip(e[1:], sd_c, nsd_c))
-        return product, sd_sums, nsd_sums, identity
-
-    def gamma(self, t: int) -> np.ndarray:
-        """Gamma_t as an integer grid: the sum over ordered pairs of
-        distinct shapes in block t sharing the first coordinate of the
-        product of their r-functions.  (The unordered sum is half of
-        this.)"""
-        _check_block_index(self.params, t)
-        return _gamma_grid(self.params.blocks[t - 1], self.r_grids,
-                           self.resolution)
-
-
-def _gamma_grid(block, r_own, resolution: Resolution) -> np.ndarray:
-    """Gamma_t of one block from the own-grid r-functions of its shapes:
-    each unordered pair sharing the first coordinate is summed once and the
-    total doubled, at the width ``grid.int_dtype`` gives twice the pair
-    count."""
-    pairs = [(a, b) for a, b in itertools.combinations(block, 2)
-             if a[0] == b[0]]
-    out = coincidence.sum_products(pairs, r_own, resolution) \
-        .astype(grid.int_dtype(2 * len(pairs)), copy=False)
-    out *= 2
-    return out
+        plane = self.resolution.cells >> self.resolution.levels[0]
+        planes = [np.zeros(plane, dtype=np.int64) for _ in range(q)]
+        gamma = [0] * q
+        sup_h, identity = 0, True
+        streams = [*map(self.block_slabs, range(1, q + 1)),
+                   hyperbolic.shape_sum_slabs(self.field.values, self.resolution,
+                                              True, self.rows),
+                   *(coincidence.product_slabs(tuples, self.r_grids,
+                                               self.resolution, self.rows)
+                     for tuples in sd_tuples + nsd_tuples + pairs)]
+        for slabs in zip(*streams):
+            sup_h = max(sup_h, grid.max_abs(slabs[q]))
+            for start, pieces in _chunks(*slabs):
+                fs, h = pieces[:q], pieces[q]
+                sd, nsd, gs = (pieces[q + 1 + i * q:q + 1 + (i + 1) * q]
+                               for i in range(3))
+                e, signs = _product_chunk(fs, sizes, num, den)
+                product.add(e, signs, h, cross=True)
+                sd_sums.add(sd, _layer_signs(sd, num, den, counts[1:]), h)
+                nsd_sums.add(nsd, _layer_signs(nsd, num, den, counts[1:]))
+                identity &= all(
+                    np.array_equal(eu, np.add(a, b, dtype=eu.dtype))
+                    for eu, a, b in zip(e[1:], sd, nsd))
+                # a piece is whole rows of the plane or a part of one row
+                width = min(h.size, plane)
+                col = start % plane
+                for t, (f, g) in enumerate(zip(fs, gs)):
+                    # F_t^2 - Gamma_t, Gamma_t twice the pair sum g
+                    residual = np.multiply(f, f, dtype=grid.int_dtype(
+                        sizes[t] ** 2 + 2 * len(pairs[t])))
+                    residual -= g
+                    residual -= g
+                    planes[t][col:col + width] += residual.reshape(-1, width).sum(
+                        axis=0, dtype=np.int64)
+                    gamma[t] += 2 * int(g.sum(dtype=np.int64))
+        return _Sums(product, sd_sums, nsd_sums, identity, sup_h, planes, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +543,13 @@ def decomposition_report(sp: ShortProduct) -> dict:
     * ``sd_mean_zero``  — every sd layer has exact mean zero;
     * tuple counts per layer.
     """
-    _, _, _, identity_ok = sp.sums
-    sd_sums = {u: int(layer.sum()) for u, layer in sp.layers[0].items()}
+    sums = sp.sums
+    sd_sums = dict(enumerate(sums.sd.total, 1))
     return {
         "n": sp.params.n,
         "q": sp.params.q,
         "tuples": sum(sp.tuple_counts[1:]),
-        "identity_ok": identity_ok,
+        "identity_ok": sums.identity,
         "sd_mean_zero": all(v == 0 for v in sd_sums.values()),
         "sd_layer_sums": sd_sums,
     }
@@ -565,8 +575,7 @@ def duality_certificate(sp: ShortProduct) -> dict:
     sign(T) e_u for Psi, <H, sd_u> and sign(Psi_sd) sd_u for Psi_sd.
     """
     cells = sp.resolution.cells
-    product, sd, _, _ = sp.sums
-    sup_h = product.sup_h
+    product, sd, sup_h = sp.sums.product, sp.sums.sd, sp.sums.sup_h
     rho = Fraction(sp.num, sp.den)
 
     rhs1 = rho * Fraction(int(sp.field.abs_sum()), 2**sp.params.n)
@@ -611,23 +620,18 @@ def gamma_identity_report(sp: ShortProduct) -> dict:
     remaining coordinates, and that E(Gamma_t) = 0 (each contributing pair
     has a unique maximal level in both remaining coordinates).
 
-    Each side is summed over x1 on its own, in int64: the squares F_t^2 at
-    the width of their bound #A_t^2 (|F_t| <= #A_t), then #A_t times the
-    2^L0 cells of the x1 axis and the sum of Gamma_t come off.  No
-    full-size grid is wider than its bound."""
+    Both come from ``ShortProduct.sums``: the (x2, x3) plane of the sums
+    over x1 of F_t^2 - Gamma_t, in int64, minus #A_t times the 2^L0 cells
+    of the x1 axis, must vanish, and so must the sum of Gamma_t."""
     params = sp.params
+    sums = sp.sums
     per_t = []
     all_ok = True
     for t in range(1, params.q + 1):
-        f = sp.block_sums[t - 1]
         count = len(params.blocks[t - 1])
-        residual = np.sum(np.multiply(f, f, dtype=grid.int_dtype(count**2)),
-                          axis=0, dtype=np.int64)
-        residual -= count * f.shape[0]
-        g = sp.gamma(t)
-        residual -= np.sum(g, axis=0, dtype=np.int64)
+        residual = sums.planes[t - 1] - count * (1 << sp.resolution.levels[0])
         ok = not residual.any()
-        mean_zero = int(np.sum(g, dtype=np.int64)) == 0
+        mean_zero = sums.gamma[t - 1] == 0
         all_ok &= ok and mean_zero
         per_t.append({
             "t": t,
@@ -680,8 +684,9 @@ def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
     product norms N(V; r) = || prod over t in V of (1 + rho~ F_t) ||_r.
 
     Every moment is a sum over powers of rho~ of integer sums over the
-    cells (``ShortProduct.sums``; a proper subset V folds its own F_t the
-    same way), and only the L2 norm and N(V; r) are floats of them.
+    cells, read from ``ShortProduct.sums``; a proper nonempty subset V
+    streams the F_t of its own blocks again and folds them the same way.
+    Only the L2 norm and N(V; r) are floats of them.
 
     Also reports, without asserting anything: a' = log||Psi||_2 / q^(2b)
     (the measured constant in the L2 growth), and the two sides of the
@@ -690,9 +695,9 @@ def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
     params = sp.params
     scale = sp.scale
     cells = sp.resolution.cells
-    product, sd, nsd, _ = sp.sums
+    product, sd, nsd = sp.sums.product, sp.sums.sd, sp.sums.nsd
     w = product.weights
-    mean = Fraction(_weighted(w, product.cross[0]), cells * scale)
+    mean = Fraction(_weighted(w, product.total), cells * scale)
     negative = Fraction(product.negative, cells)
     l1 = Fraction(_weighted(w, product.signed), cells * scale)
     second = Fraction(product.square_sum(), cells * scale**2)
@@ -707,8 +712,10 @@ def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
             part = product
         elif v:
             part = _Terms(_weights(sp.num, sp.den, len(v)), _elementary(sizes))
-            for fs in _chunks(*(sp.block_sums[t - 1] for t in v)):
-                part.add(*_product_chunk(fs, sizes, sp.num, sp.den), cross=True)
+            for slabs in zip(*map(sp.block_slabs, v)):
+                for _, fs in _chunks(*slabs):
+                    part.add(*_product_chunk(fs, sizes, sp.num, sp.den),
+                             cross=True)
         pscale = sp.den ** len(v)
         moments = ((1, 1) if not v else  # the empty product is 1
                    (Fraction(_weighted(part.weights, part.signed),

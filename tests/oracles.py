@@ -11,8 +11,9 @@ the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
 graph, and the short product's grids built cell by cell in Python ints
-from its block sums and layers, and its mean from a histogram of the
-vectors (F_1..F_q).
+from its block sums (one ``signed_r_sum`` per block) and layers (one
+``prod_over`` per enumerated tuple list), its Gamma_t grids, and its mean
+from a histogram of the vectors (F_1..F_q).
 
 The library's grids are integer arrays over scales their callers pass.
 The oracles' fractional grids (the Haar analysis, the square function
@@ -693,11 +694,45 @@ def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def block_sums(sp: riesz.ShortProduct) -> list[np.ndarray]:
+    """F_1..F_q, each the sum of its block's r-functions, synthesized
+    whole by ``hyperbolic.signed_r_sum``."""
+    return [hyperbolic.signed_r_sum(sp.field, sp.resolution, shapes=block)
+            for block in sp.params.blocks]
+
+
+def layers(sp: riesz.ShortProduct):
+    """(sd, nsd): for u = 1..q, the grid sum of the products of the
+    r-functions over the u-tuples with one shape from each of u distinct
+    blocks, enumerated here, split by the strongly-distinct predicate and
+    summed by ``coincidence.prod_over``."""
+    q = sp.params.q
+    sd, nsd = {}, {}
+    for u in range(1, q + 1):
+        tuples = [tup for subset in itertools.combinations(sp.params.blocks, u)
+                  for tup in itertools.product(*subset)]
+        for out, keep in ((sd, True), (nsd, False)):
+            out[u] = coincidence.prod_over(
+                [tup for tup in tuples
+                 if coincidence.strongly_distinct(tup) == keep],
+                sp.field, sp.resolution)
+    return sd, nsd
+
+
+def gamma(sp: riesz.ShortProduct, t: int) -> np.ndarray:
+    """Gamma_t: the sum over ordered pairs of distinct shapes of block t
+    that share the first coordinate of the products of their
+    r-functions, by ``coincidence.prod_over``."""
+    pairs = [(a, b) for a, b in itertools.permutations(sp.params.blocks[t - 1], 2)
+             if a[0] == b[0]]
+    return coincidence.prod_over(pairs, sp.field, sp.resolution)
+
+
 def _scaled_t(sp: riesz.ShortProduct) -> np.ndarray:
     """T = Psi * D^q = prod over t of (D + N F_t), in Python ints, from the
     block sums."""
     t = np.ones(sp.resolution.grid_shape, dtype=object)
-    for f in sp.block_sums:
+    for f in block_sums(sp):
         t = t * (f.astype(object) * sp.num + sp.den)
     return t
 
@@ -713,7 +748,7 @@ def short_product_mean(sp: riesz.ShortProduct) -> Fraction:
     is one exactly, for any coefficient field."""
     radices = [2 * size + 1 for size in sp.sizes]  # F_t in [-size, size]
     key = np.zeros(sp.resolution.cells, dtype=np.int64)
-    for f, size, radix in zip(sp.block_sums, sp.sizes, radices):
+    for f, size, radix in zip(block_sums(sp), sp.sizes, radices):
         key = key * radix + (f.reshape(-1).astype(np.int64) + size)
     total = 0
     for k, count in enumerate(np.bincount(key).tolist()):
@@ -737,5 +772,5 @@ def sd_decomposition(sp: riesz.ShortProduct) -> tuple[RationalGrid, RationalGrid
             out = out + layer.astype(object) * (sp.num**u * sp.den ** (q - u))
         return RationalGrid(out, sp.scale)
 
-    sd, nsd = sp.layers
+    sd, nsd = layers(sp)
     return scaled(sd), scaled(nsd)

@@ -254,6 +254,17 @@ class TestProdOver:
         out = coincidence.prod_over([], field, Resolution((1, 1, 1)))
         assert not np.any(out != 0)
 
+    @pytest.mark.parametrize("rows", [1, 4, None])
+    def test_empty_class_streams_zero_slabs(self, rows):
+        # as many slabs as any stream on the grid, so a zip over the
+        # streams of a fold does not stop at an empty one
+        res = Resolution((4, 3, 2))
+        slabs = list(coincidence.product_slabs([], {}, res, rows))
+        one = {(0, 0, 0): np.ones((1, 1, 1), dtype=np.int8)}
+        full = list(hyperbolic.shape_sum_slabs(one, res, True, rows))
+        assert [s.shape for s in slabs] == [s.shape for s in full]
+        assert not any(s.any() for s in slabs)
+
     def test_matches_manual_r_products(self):
         n = 3
         field = CoefficientField.random_signs(n, 3, 111)
@@ -363,9 +374,7 @@ class TestProdOver:
                             for b in (True, False)}
         field = CoefficientField.random_signs(n, 3, (118, n))
         res = hyperbolic.field_resolution(field)
-        out = coincidence.sum_products(
-            tuples, coincidence.own_r_grids(field, {s for t in tuples for s in t}),
-            res)
+        out = coincidence.prod_over(tuples, field, res)
         assert out.dtype == grid.int_dtype(len(tuples))
         assert np.array_equal(out, self._full_grid_oracle(tuples, field, res))
 

@@ -73,17 +73,11 @@ class TestBlockSums:
         n = 5
         f = CoefficientField.random_signs(n, 3, 80)
         p = riesz.make_params(n, q=2)
-        sp = riesz.ShortProduct(f, p)
-        for t in (1, 2):
-            ft = sp.block_sums[t - 1]
+        res = hyperbolic.field_resolution(f)
+        for block in p.blocks:
+            ft = hyperbolic.signed_r_sum(f, res, shapes=block)
             assert oracles.mean(ft) == 0
-            assert oracles.moment(ft, 2) == len(p.blocks[t - 1])
-
-    def test_block_index_validation(self):
-        f = CoefficientField.random_signs(3, 3, 81)
-        p = riesz.make_params(3, q=2)
-        with pytest.raises(ValueError):
-            riesz.ShortProduct(f, p).gamma(3)
+            assert oracles.moment(ft, 2) == len(block)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +113,7 @@ class TestShortProduct:
         p = riesz.make_params(4, q=2, rho_tilde=1 / 16)
         sp = riesz.ShortProduct(f, p)
         psi = oracles.short_product(sp)
-        max_sup = max(grid.max_abs(ft) for ft in sp.block_sums)
+        max_sup = max(grid.max_abs(ft) for ft in oracles.block_sums(sp))
         assert p.rho_tilde_exact * max_sup <= 1
         bound = 1 - p.q * p.rho_tilde_exact * max_sup
         assert Fraction(int(psi.values.min()), psi.den) >= bound
@@ -139,6 +133,22 @@ class TestShortProduct:
             build(f, riesz.make_params(3, q=2))
 
 
+def _corrupt_first_cell(monkeypatch, chosen):
+    """Make the first cell of every ``coincidence.product_slabs`` stream
+    whose tuples are ``chosen`` one larger."""
+    real = coincidence.product_slabs
+
+    def corrupted(tuples, *args):
+        slabs = real(tuples, *args)
+        if tuples and chosen(tuples[0]):
+            first = next(slabs).astype(np.int64)
+            first.flat[0] += 1
+            slabs = itertools.chain([first], slabs)
+        return slabs
+
+    monkeypatch.setattr(coincidence, "product_slabs", corrupted)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -152,7 +162,7 @@ class TestDecomposition:
         sp = riesz.ShortProduct(f, p)
         sd, nsd = oracles.sd_decomposition(sp)
         assert not np.any(nsd.values != 0)
-        expected = sp.block_sums[0].astype(object) * p.rho_tilde_exact
+        expected = oracles.block_sums(sp)[0].astype(object) * p.rho_tilde_exact
         assert np.array_equal(_cells(sd), expected)
 
     def test_identity_and_mean_zero(self):
@@ -163,15 +173,13 @@ class TestDecomposition:
         assert rep["sd_mean_zero"]
 
     @pytest.mark.parametrize("rho_tilde", [0.0, None])
-    def test_corrupted_sd_cell_breaks_identity(self, rho_tilde):
+    def test_corrupted_sd_cell_breaks_identity(self, rho_tilde, monkeypatch):
         # At rho~ = 0 every layer weight N^u D^(q-u) is zero, so a check of
         # the scaled split alone cannot see a wrong layer cell.
+        _corrupt_first_cell(monkeypatch, lambda tup: len(tup) == 2
+                            and coincidence.strongly_distinct(tup))
         f = CoefficientField.random_signs(3, 3, 91)
         sp = riesz.ShortProduct(f, riesz.make_params(3, q=2, rho_tilde=rho_tilde))
-        sd, nsd = sp.layers
-        sd = {u: layer.copy() for u, layer in sd.items()}
-        sd[2].flat[0] += 1
-        sp.__dict__["layers"] = (sd, nsd)
         assert not riesz.decomposition_report(sp)["identity_ok"]
 
     def test_decomposition_sums_to_product(self):
@@ -185,7 +193,7 @@ class TestDecomposition:
         f = CoefficientField.random_signs(4, 3, 93)
         p = riesz.make_params(4, q=2)
         with pytest.raises(grid.BudgetExceededError):
-            oracles.sd_decomposition(riesz.ShortProduct(f, p, budget=1))
+            riesz.decomposition_report(riesz.ShortProduct(f, p, budget=1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +232,8 @@ class TestDuality:
         f = oracles.constant_field(2, 3, value=2**55)
         params = riesz.make_params(2, q=2)
         sp = riesz.ShortProduct(f, params)
-        assert grid.int_dtype(grid.max_abs(sp.h) * sp.resolution.cells) \
-            is object
+        h = hyperbolic.hyperbolic_sum(f)
+        assert grid.int_dtype(grid.max_abs(h) * sp.resolution.cells) is object
         _, duality, _, _, _ = _direct_route(f, params, [])
         assert riesz.duality_certificate(sp) == duality
 
@@ -245,28 +253,26 @@ class TestGamma:
     def test_single_shape_block_gamma_vanishes(self):
         n = 3
         f = CoefficientField.random_signs(n, 3, 98)
-        p = riesz.make_params(n, q=n + 1)
-        # the last block holds only the shape with first coordinate n
-        g = riesz.ShortProduct(f, p).gamma(n + 1)
-        assert not np.any(g != 0)
+        sp = riesz.ShortProduct(f, riesz.make_params(n, q=n + 1))
+        # the last block holds only the shape with first coordinate n, so
+        # its Gamma stream has no pairs
+        assert sp.tuples[2][-1] == []
+        assert not np.any(oracles.gamma(sp, n + 1) != 0)
+        last = riesz.gamma_identity_report(sp)["per_t"][-1]
+        assert last["conditional_identity_ok"] and last["gamma_mean_zero"]
 
     def test_gamma_mean_zero(self):
         f = CoefficientField.random_signs(5, 3, 99)
         sp = riesz.ShortProduct(f, riesz.make_params(5, q=3))
         for t in (1, 2, 3):
-            assert oracles.mean(sp.gamma(t)) == 0
+            assert oracles.mean(oracles.gamma(sp, t)) == 0
 
     def test_corrupted_gamma_cell_fails_both_checks(self, monkeypatch):
-        # the report sums F_t^2 and Gamma_t over x1 separately; one wrong
-        # Gamma cell must show in both the conditional identity and the mean
-        real = riesz._gamma_grid
-
-        def corrupted(*args):
-            g = real(*args).astype(np.int64)
-            g.flat[0] += 1
-            return g
-
-        monkeypatch.setattr(riesz, "_gamma_grid", corrupted)
+        # the report folds F_t^2 - Gamma_t over x1 and Gamma_t over every
+        # cell; one wrong cell of the Gamma stream must show in both the
+        # conditional identity and the mean
+        _corrupt_first_cell(monkeypatch, lambda tup: len(tup) == 2
+                            and tup[0][0] == tup[1][0])
         f = CoefficientField.random_signs(4, 3, 97)
         rep = riesz.gamma_identity_report(
             riesz.ShortProduct(f, riesz.make_params(4, q=2)))
@@ -288,7 +294,7 @@ class TestNormReport:
         sp = riesz.ShortProduct(f, p)
         rep = riesz.norm_report(sp, v_list=[(), (1,), (1, 2)])
         assert rep.mean == 1
-        max_sup = max(grid.max_abs(ft) for ft in sp.block_sums)
+        max_sup = max(grid.max_abs(ft) for ft in oracles.block_sums(sp))
         if p.rho_tilde_exact * max_sup < 1:
             assert rep.negative_fraction == 0
 
@@ -458,11 +464,16 @@ class TestShortProductOracle:
         decomposition, duality, gamma_rep, norms, grids = _direct_route(
             field, params, v_list)
 
-        sp = riesz.ShortProduct(field, params)
-        assert riesz.decomposition_report(sp) == decomposition
-        assert riesz.duality_certificate(sp) == duality
-        assert riesz.gamma_identity_report(sp) == gamma_rep
-        assert riesz.norm_report(sp, v_list=v_list) == norms
+        # slabs of one row, two rows, the default and the whole axis; the
+        # nsd_1 stream is always empty, and so is a one-shape block's Gamma
+        whole = 1 << hyperbolic.field_resolution(field).levels[0]
+        for rows in (1, 2, None, whole):
+            sp = riesz.ShortProduct(field, params)
+            sp.rows = rows or sp.rows
+            assert riesz.decomposition_report(sp) == decomposition, rows
+            assert riesz.duality_certificate(sp) == duality, rows
+            assert riesz.gamma_identity_report(sp) == gamma_rep, rows
+            assert riesz.norm_report(sp, v_list=v_list) == norms, rows
 
         psi, sd_grid, nsd_grid = grids
         assert np.array_equal(_cells(oracles.short_product(sp)), psi)
@@ -471,23 +482,43 @@ class TestShortProductOracle:
         assert np.array_equal(_cells(nsd), nsd_grid)
         assert oracles.short_product_mean(sp) == norms.mean
 
+    @pytest.mark.parametrize("n, q, seed", [(3, 2, 0), (4, 3, 1), (4, 4, 2)])
+    def test_pieces_inside_one_plane_row_equal_direct_route(self, n, q, seed,
+                                                            monkeypatch):
+        # pieces of 2^6 cells are parts of one row of the (x2, x3) plane
+        # (2^8 cells at n=3), as pieces of 2^16 cells are from n=8 up
+        monkeypatch.setattr(grid, "_POWER_CHUNK", 1 << 6)
+        field = CoefficientField.random_signs(n, 3, (n, q, seed))
+        params = riesz.make_params(n, q=q)
+        v_list = [(1,), tuple(range(1, q + 1))]
+        decomposition, duality, gamma_rep, norms, _ = _direct_route(
+            field, params, v_list)
+        for rows in (1, None):
+            sp = riesz.ShortProduct(field, params)
+            sp.rows = rows or sp.rows
+            assert riesz.decomposition_report(sp) == decomposition, rows
+            assert riesz.duality_certificate(sp) == duality, rows
+            assert riesz.gamma_identity_report(sp) == gamma_rep, rows
+            assert riesz.norm_report(sp, v_list=v_list) == norms, rows
+
     def test_constructor_does_no_grid_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid built at construction")
 
+        monkeypatch.setattr(hyperbolic, "shape_sum_slabs", refuse)
         monkeypatch.setattr(hyperbolic, "shape_sum_grid", refuse)
         f = CoefficientField.random_signs(3, 3, 7)
         riesz.ShortProduct(f, riesz.make_params(3, q=2))
 
-    def test_each_grid_is_built_once(self, monkeypatch):
+    def test_each_stream_is_opened_once(self, monkeypatch):
         calls = []
-        real = hyperbolic.shape_sum_grid
+        real = hyperbolic.shape_sum_slabs
 
-        def counting(shape_values, resolution, **kwargs):
-            calls.append((tuple(sorted(shape_values)), resolution))
-            return real(shape_values, resolution, **kwargs)
+        def counting(shape_values, *args):
+            calls.append(sorted(shape_values))
+            return real(shape_values, *args)
 
-        monkeypatch.setattr(hyperbolic, "shape_sum_grid", counting)
+        monkeypatch.setattr(hyperbolic, "shape_sum_slabs", counting)
         f = CoefficientField.random_signs(4, 3, 8)
         p = riesz.make_params(4, q=3)
         sp = riesz.ShortProduct(f, p)
@@ -495,9 +526,29 @@ class TestShortProductOracle:
         riesz.duality_certificate(sp)
         riesz.gamma_identity_report(sp)
         riesz.norm_report(sp, v_list=[(1,), (1, 2, 3)])
+        opened = len(calls)
+        # the fold is kept: the reports that read only it open no stream
+        riesz.decomposition_report(sp)
+        riesz.duality_certificate(sp)
+        riesz.gamma_identity_report(sp)
+        riesz.norm_report(sp, v_list=[(1, 2, 3)])
+        assert len(calls) == opened
+
+        def patterns(tuples):
+            # per axis, whether the tuple's top level occurs an odd number
+            # of times: one stream per pattern, and one for no tuples
+            return max(1, len({
+                tuple(sum(s[axis] == max(x[axis] for x in tup) for s in tup) % 2
+                      for axis in range(3))
+                for tup in tuples}))
+
+        sd, nsd, pairs = sp.tuples
+        assert nsd[0] == []  # its stream is the empty one
         shapes = len(hyperbolic.enumerate_shapes(4, 3))
-        # one r-grid per shape, one F_t per block, and H
-        assert len(calls) == len(set(calls)) == shapes + p.q + 1
+        # one r-grid per shape, one F_t per block, H, one stream per sign
+        # pattern of each layer and each Gamma_t, and F_1 again for V = (1,)
+        assert opened == (shapes + p.q + 1
+                          + sum(map(patterns, sd + nsd + pairs)) + 1)
 
 
 class TestLayerSigns:
@@ -579,30 +630,19 @@ class TestLayerSigns:
 
 class TestReportPeaks:
     def test_reports_peak_bounded(self):
-        # with the grids built, the reports fold chunks of 2^16 cells, so
-        # none holds a grid-sized temporary (8 MiB of int32 at n=6); the
-        # Gamma report holds its bound of 16 B per cell
+        # the four reports of the CLI read one fold of axis-0 slab streams,
+        # so no grid of the full resolution (2^21 cells at n=6) is held:
+        # with only the r-grids built, they peak under 16 MiB together
         sp = riesz.ShortProduct(CoefficientField.random_signs(6, 3, 0),
                                 riesz.make_params(6, q=3))
-        sp.layers, sp.block_sums, sp.h  # built before tracing
-        assert sp.h.dtype == grid.int_dtype(grid.max_abs(sp.h))
-        cells = sp.resolution.cells
-        steps = {
-            "decomposition": lambda: riesz.decomposition_report(sp),
-            "duality": lambda: riesz.duality_certificate(sp),
-            "norm": lambda: riesz.norm_report(sp, v_list=[(1,), (1, 2, 3)]),
-            "gamma": lambda: riesz.gamma_identity_report(sp),
-        }
-        peaks = {}
+        sp.r_grids  # built before tracing
         tracemalloc.start()
         try:
-            for name, step in steps.items():
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                step()
-                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+            riesz.decomposition_report(sp)
+            riesz.duality_certificate(sp)
+            riesz.gamma_identity_report(sp)
+            riesz.norm_report(sp, v_list=[(1,), (1, 2, 3)])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        mib = {name: peak / 2**20 for name, peak in peaks.items()}
-        assert peaks.pop("gamma") <= 16 * cells, mib
-        assert all(peak <= 4 << 20 for peak in peaks.values()), mib
+        assert peak <= 16 << 20, peak / 2**20
