@@ -8,16 +8,13 @@ in axis-0 slabs: per axis it scales points and corners to the lcm of
 their denominators and places them with ``searchsorted``; per slab it
 scatters with ``bincount`` and takes prefix sums, carrying the last row
 into the next slab.  Integers take ``grid.int_dtype`` of their bound
-(that lcm, or N * prod(dens) for the sup): Python ints only past int64.
-The sup is exact by critical-corner enumeration: per axis the candidates
-are the coordinates with 0 and 1; sup D is the maximum over corners of
-the closed-count value (the limit from above), inf D the minimum of the
-strict-count value (attained), both as integers times prod(dens).
-
-Large sets fall back to a labeled grid-scan lower bound, a running max
-and min over the slabs, so no grid-sized array is allocated; L^p norms
-are estimated by midpoint sampling with the volume-term modulus recorded.
-"""
+(that lcm, or N times the corner denominators' product): Python ints only
+past int64.  One fold of the slabs gives the sup: the running max of the
+closed-count value (the limit from above) and min of the strict-count one
+(attained), so no grid-sized array is allocated.  Its corners make it
+exact (per axis the coordinates with 0 and 1) or, for large sets, a
+labeled grid-scan lower bound (k/2^level).  L^p norms are estimated by
+midpoint sampling with the volume-term modulus recorded."""
 
 from __future__ import annotations
 
@@ -29,11 +26,15 @@ import numpy as np
 from . import grid
 from .grid import BudgetExceededError, GridTooLargeError, Resolution
 
-#: Largest N for which the exact corner enumeration runs by default.
+#: Largest N for which the exact corner enumeration runs by default.  It
+#: does not bound memory, since the corners stream: it keeps the default
+#: outputs (raising it moves the scan rows to exact ones) and bounds the
+#: O((N+2)^d) work.
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
-#: Cells per axis-0 slab of the scan (512 KiB of float64); a slab holds at
-#: least one row.
+#: Cells per axis-0 slab of the sup's fold (512 KiB per int64 array); a
+#: slab holds at least one row.  ``grid.SLAB_CELLS`` (2^20 cells) would be
+#: 8 MiB per int64 array, a large share of the discrepancy command's RSS.
 _SLAB_CELLS = 1 << 16
 
 
@@ -131,49 +132,80 @@ GENERATORS = {"vdc": van_der_corput, "halton": halton, "random": random_points}
 
 
 # ---------------------------------------------------------------------------
-# exact supremum
+# supremum
 # ---------------------------------------------------------------------------
-
-
-def _extreme(values: np.ndarray, maximize: bool):
-    """Extreme value with the lexicographically smallest attaining index."""
-    idx = np.unravel_index(np.argmax(values) if maximize else np.argmin(values),
-                           values.shape)
-    return values[idx], idx
 
 
 def discrepancy_sup(a: PointSet, approximate: bool = False,
                     grid_level: int = 10, cap: int | None = None) -> dict:
     """Exact sup/inf of D over the unit cube (see module docstring), or a
     labeled grid-scan lower bound when the set is too large and
-    ``approximate`` is set."""
+    ``approximate`` is set: the same fold over other corners."""
     limit = cap if cap is not None else EXACT_SUP_CAP[a.d]
-    if a.n > limit:
-        if not approximate:
-            raise BudgetExceededError(
-                f"N={a.n} exceeds the exact-sup cap {limit}; "
-                "pass approximate=True for a sampled lower bound"
-            )
-        return _scan_bounds(a, grid_level)
-    cands = [np.unique(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
-             for j, q in enumerate(a.dens)]
-    den = math.prod(a.dens)
-    dtype = grid.int_dtype(a.n * den)
-    vol = a.n
-    for c in cands:
-        vol = np.multiply.outer(vol, c.astype(dtype))
-    le = _grid_counts(a, cands, a.dens, strict=False).astype(dtype)
-    lt = _grid_counts(a, cands, a.dens, strict=True).astype(dtype)
-    sup, sup_idx = _extreme(le * den - vol, maximize=True)
-    inf, inf_idx = _extreme(lt * den - vol, maximize=False)
-    sup, inf = Fraction(int(sup), den), Fraction(int(inf), den)
+    if a.n <= limit:
+        nums = [np.unique(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
+                for j, q in enumerate(a.dens)]
+        (sup, sup_idx), (inf, inf_idx) = _extremes(a, nums, a.dens)
+        corner_sup, corner_inf = (
+            tuple(Fraction(int(c[i]), q) for c, i, q in zip(nums, idx, a.dens))
+            for idx in (sup_idx, inf_idx))
+        return {"n": a.n, "d": a.d, "mode": "exact", "sup": sup, "inf": inf,
+                "sup_abs": max(sup, -inf), "corner_sup": corner_sup,
+                "corner_inf": corner_inf}
+    if not approximate:
+        raise BudgetExceededError(
+            f"N={a.n} exceeds the exact-sup cap {limit}; "
+            "pass approximate=True for a sampled lower bound"
+        )
+    _check_grid_level(grid_level, a.d)
+    g = 1 << grid_level
+    (sup, _), (inf, _) = _extremes(a, [np.arange(1, g + 1)] * a.d, [g] * a.d)
+    sup, inf = float(sup), float(inf)  # exact while N * g^d < 2^53
+    return {"n": a.n, "d": a.d, "mode": "scan-lower-bound",
+            "grid_level": grid_level, "sup": sup, "inf": inf,
+            "sup_abs": max(sup, -inf), "gap_bound": a.n * a.d / g}
 
-    def corner(idx):
-        return tuple(Fraction(int(c[i]), q)
-                     for c, i, q in zip(cands, idx, a.dens))
-    return {"n": a.n, "d": a.d, "mode": "exact", "sup": sup, "inf": inf,
-            "sup_abs": max(sup, -inf), "corner_sup": corner(sup_idx),
-            "corner_inf": corner(inf_idx)}
+
+def _extremes(a: PointSet, corner_nums, corner_dens):
+    """(max, index) of the closed-count values (the limit of D from above)
+    and (min, index) of the strict-count ones (D itself) over the corner
+    grid of ``_count_slabs``, each at its first index in C order, as
+    Fractions.  Both streams fold slab by slab into D * prod(corner_dens) as
+    integers."""
+    shape = tuple(len(c) for c in corner_nums)
+    row_cells = math.prod(shape[1:])
+    rows = max(1, _SLAB_CELLS // row_cells)
+    den = math.prod(corner_dens)
+    dtype = grid.int_dtype(a.n * den)
+    closed = _count_slabs(a, corner_nums, corner_dens, False, rows)
+    strict = _count_slabs(a, corner_nums, corner_dens, True, rows)
+    best = [None, None]  # (value, flat index): the max, and minus the min
+    for lo, le, lt in zip(range(0, shape[0], rows), closed, strict):
+        vol = _volumes(a.n, [corner_nums[0][lo:lo + rows], *corner_nums[1:]],
+                       dtype)
+        values = np.empty_like(vol)
+        for i, counts in enumerate((le, lt)):
+            np.multiply(counts, den, out=values, dtype=dtype)
+            values -= vol
+            if i:  # the min as minus the max, so both keep the first argmax
+                np.negative(values, out=values)
+            k = int(np.argmax(values))
+            # a later slab wins only when strictly larger: first in C order
+            if best[i] is None or values.flat[k] > best[i][0]:
+                best[i] = (int(values.flat[k]), lo * row_cells + k)
+        del values  # before the streams make their next slabs
+    (sup, i), (neg_inf, j) = best
+    return ((Fraction(sup, den), np.unravel_index(i, shape)),
+            (Fraction(-neg_inf, den), np.unravel_index(j, shape)))
+
+
+def _volumes(n: int, corner_nums, dtype) -> np.ndarray:
+    """N * vol[0, x) * prod(corner_dens) at ``dtype``, at the corners whose
+    axis j holds the numerators ``corner_nums[j]``."""
+    vol = corner_nums[0].astype(dtype) * n
+    for c in corner_nums[1:]:
+        vol = np.multiply.outer(vol, c.astype(dtype))
+    return vol
 
 
 def _count_slabs(a: PointSet, corner_nums, corner_dens, strict: bool,
@@ -223,13 +255,6 @@ def _count_slabs(a: PointSet, corner_nums, corner_dens, strict: bool,
         yield counts
 
 
-def _grid_counts(a: PointSet, corner_nums, corner_dens,
-                 strict: bool) -> np.ndarray:
-    """The whole count grid of ``_count_slabs``, as one slab."""
-    return next(_count_slabs(a, corner_nums, corner_dens, strict,
-                             len(corner_nums[0])))
-
-
 def _check_grid_level(grid_level: int, d: int) -> None:
     """Refuse a grid of 2^(grid_level*d) corners before starting, naming the
     corner count and the level that would fit.  The scan streams its grid,
@@ -242,38 +267,6 @@ def _check_grid_level(grid_level: int, d: int) -> None:
             f"{1 << (grid_level * d)} corners; "
             f"--grid-level {grid.MAX_TOTAL_LEVEL // d} or lower fits"
         ) from None
-
-
-def _volumes(a: PointSet, x0: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """N * vol[0, x) in float64 at the corners whose axis-0 coordinates are
-    ``x0`` and whose other coordinates are ``coords``."""
-    vol = x0
-    for _ in range(a.d - 1):
-        vol = np.multiply.outer(vol, coords)
-    vol *= a.n
-    return vol
-
-
-def _scan_bounds(a: PointSet, grid_level: int) -> dict:
-    """Evaluate D (and its limit from above) on the corner grid k/2^level,
-    k = 1..2^level: a certified lower bound on the sup and upper bound on
-    the inf, each within N * d * 2^-level of exact.  The grid streams in
-    axis-0 slabs into a running max and min."""
-    _check_grid_level(grid_level, a.d)
-    g = 1 << grid_level
-    nums = np.arange(1, g + 1)
-    coords = nums / g
-    rows = max(1, _SLAB_CELLS // g ** (a.d - 1))
-    closed = _count_slabs(a, [nums] * a.d, [g] * a.d, False, rows)
-    strict = _count_slabs(a, [nums] * a.d, [g] * a.d, True, rows)
-    sup, inf = -math.inf, math.inf
-    for lo, le, lt in zip(range(0, g, rows), closed, strict):
-        vol = _volumes(a, coords[lo:lo + rows], coords)
-        sup = max(sup, float(np.max(le - vol)))
-        inf = min(inf, float(np.min(np.subtract(lt, vol, out=vol))))
-    return {"n": a.n, "d": a.d, "mode": "scan-lower-bound",
-            "grid_level": grid_level, "sup": sup, "inf": inf,
-            "sup_abs": max(sup, -inf), "gap_bound": a.n * a.d / g}
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +284,12 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
         raise ValueError("p must be at least 1")
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
-    nums = 2 * np.arange(g) + 1
-    coords = nums / (2 * g)
-    counts = _grid_counts(a, [nums] * a.d, [2 * g] * a.d, strict=True)
-    vol = _volumes(a, coords, coords)
-    values = np.subtract(counts, vol, out=vol)
+    nums, den = 2 * np.arange(g) + 1, (2 * g) ** a.d
+    dtype = grid.int_dtype(a.n * den)
+    values = np.multiply(next(_count_slabs(a, [nums] * a.d, [2 * g] * a.d,
+                                           True, g)), den, dtype=dtype)
+    values -= _volumes(a.n, [nums] * a.d, dtype)
+    values = values / den  # by a power of two: exact below 2^53
     return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
             "value": grid.float_lp_norm(np.abs(values, out=values), p),
             "modulus_bound": a.n * a.d / g}

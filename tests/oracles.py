@@ -670,9 +670,10 @@ def corner_counts(a: PointSet, corners, strict: bool) -> np.ndarray:
 
 
 def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
-    """The scan bounds of ``discrepancy._scan_bounds`` with the whole corner
-    grid k/2^level held at once: the float64 volume grid, N times it, and
-    count minus volume, in the same operation order, so equal in bits."""
+    """The scan bounds of ``discrepancy.discrepancy_sup`` with the whole
+    corner grid k/2^level held at once, in float64: the volume grid, N times
+    it, and count minus volume.  Below 2^53 every step is exact, so the
+    values equal the scan's integer fold in bits."""
     g = 1 << grid_level
     corners = [Fraction(k, g) for k in range(1, g + 1)]
     x = np.arange(1, g + 1) / g

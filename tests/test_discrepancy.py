@@ -162,33 +162,23 @@ class TestSupEnumeration:
         rec = dis.discrepancy_sup(a)
         assert rec["sup"] >= 1  # the box under the largest point
 
-
-class TestExtreme:
-    def test_first_extreme_in_c_order(self):
-        values = np.array([[Fraction(1, 2), Fraction(3, 4), Fraction(-1)],
-                           [Fraction(3, 4), Fraction(-1), Fraction(0)]],
-                          dtype=object)
-        assert dis._extreme(values, maximize=True) == (Fraction(3, 4), (0, 1))
-        assert dis._extreme(values, maximize=False) == (Fraction(-1), (0, 2))
-
-    def test_matches_reference_loop(self):
-        def reference(values, maximize):
-            best = best_idx = None
-            for idx, v in np.ndenumerate(values):
-                if best is None or (v > best if maximize else v < best):
-                    best, best_idx = v, idx
-            return best, best_idx
-
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-            values = np.empty(shape, dtype=object)
-            for idx in np.ndindex(shape):
-                values[idx] = Fraction(int(rng.integers(-3, 4)),
-                                       int(rng.integers(1, 4)))
-            for maximize in (True, False):
-                assert dis._extreme(values, maximize) == \
-                    reference(values, maximize)
+    def test_exact_sup_streams(self):
+        # 130^3 corners: the count and volume grids held whole would take
+        # over 60 MiB
+        tracemalloc.start()
+        try:
+            rec = dis.discrepancy_sup(dis.halton(128), cap=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+        assert rec["mode"] == "exact"
+        assert (rec["sup"], rec["inf"]) == (Fraction(14632, 2025),
+                                            Fraction(-4487, 1125))
+        assert rec["corner_sup"] == (Fraction(85, 128), Fraction(64, 81),
+                                     Fraction(61, 125))
+        assert rec["corner_inf"] == (Fraction(51, 64), Fraction(47, 81),
+                                     Fraction(57, 125))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +205,37 @@ SETS = [dis.van_der_corput(37), dis.van_der_corput(64),
         dis.random_points(40, 2, 3), dis.random_points(25, 3, 4), OVERFLOW]
 
 
+# The sup of vdC(5) is attained at two corners whose axis-0 coordinates,
+# 2/5 and 4/5, land in different slabs at every slab size below.
+BRUTE_SETS = [dis.van_der_corput(8), dis.halton(6), dis.halton(7, (2, 3)),
+              dis.random_points(6, 2, 1), dis.random_points(5, 3, 2),
+              OVERFLOW, dis.van_der_corput(5)]
+SLAB_CELLS = [1, 3, 7, 16]
+
+
+def brute_force(a):
+    """Every candidate corner in C order, with the closed-count value (the
+    limit of D from above) and D itself (the strict count) at each."""
+    corners = list(itertools.product(*candidates(a)))
+    sup_vals = [sum(all(pj <= xj for pj, xj in zip(p, x))
+                    for p in a.points) - a.n * math.prod(x)
+                for x in corners]
+    inf_vals = [oracles.discrepancy_eval(a, x) for x in corners]
+    return corners, sup_vals, inf_vals
+
+
+def assert_sup_matches_brute_force(a):
+    # the extremes, each at its first corner in C order
+    corners, sup_vals, inf_vals = brute_force(a)
+    rec = dis.discrepancy_sup(a)
+    assert rec["sup"] == max(sup_vals)
+    assert rec["inf"] == min(inf_vals)
+    assert rec["corner_sup"] == corners[sup_vals.index(max(sup_vals))]
+    assert rec["corner_inf"] == corners[inf_vals.index(min(inf_vals))]
+    assert all(type(v) is Fraction for v in
+               (rec["sup"], rec["inf"], *rec["corner_sup"]))
+
+
 class TestCountKernel:
     def test_overflow_set_takes_python_int_route(self):
         assert OVERFLOW.nums.dtype == object
@@ -229,9 +250,8 @@ class TestCountKernel:
                           (2 * np.arange(g) + 1, 2 * g)):
             corners = [[Fraction(int(k), den) for k in nums]] * a.d
             want = oracles.corner_counts(a, corners, strict)
-            got = dis._grid_counts(a, [nums] * a.d, [den] * a.d, strict)
-            assert np.array_equal(got, want)
-            # slab boundaries, including row counts that do not divide g
+            # slab boundaries, including row counts that do not divide g,
+            # and the whole grid as one slab
             for rows in (1, 3, 5, g):
                 slabs = list(dis._count_slabs(a, [nums] * a.d, [den] * a.d,
                                               strict, rows))
@@ -245,31 +265,34 @@ class TestCountKernel:
         nums = [np.array([int(c * q) for c in cand], dtype=object)
                 for cand, q in zip(cands, a.dens)]
         want = oracles.corner_counts(a, cands, strict)
-        assert np.array_equal(dis._grid_counts(a, nums, a.dens, strict), want)
-        for rows in (1, 3):
+        for rows in (1, 3, len(cands[0])):
             slabs = dis._count_slabs(a, nums, a.dens, strict, rows)
             assert np.array_equal(np.concatenate(list(slabs)), want)
 
-    @pytest.mark.parametrize("a", [dis.van_der_corput(8), dis.halton(6),
-                                   dis.halton(7, (2, 3)),
-                                   dis.random_points(6, 2, 1),
-                                   dis.random_points(5, 3, 2), OVERFLOW],
+    @pytest.mark.parametrize("a", BRUTE_SETS,
                              ids=lambda a: f"{a.provenance}-{a.n}")
     def test_exact_sup_against_brute_force(self, a):
-        # inf: D itself (strict count) at every candidate corner; sup: its
-        # limit from above (closed count); the first extreme in C order
-        corners = list(itertools.product(*candidates(a)))
-        inf_vals = [oracles.discrepancy_eval(a, x) for x in corners]
-        sup_vals = [sum(all(pj <= xj for pj, xj in zip(p, x))
-                        for p in a.points) - a.n * math.prod(x)
-                    for x in corners]
-        rec = dis.discrepancy_sup(a)
-        assert rec["sup"] == max(sup_vals)
-        assert rec["inf"] == min(inf_vals)
-        assert rec["corner_sup"] == corners[sup_vals.index(max(sup_vals))]
-        assert rec["corner_inf"] == corners[inf_vals.index(min(inf_vals))]
-        assert all(type(v) is Fraction for v in
-                   (rec["sup"], rec["inf"], *rec["corner_sup"]))
+        assert_sup_matches_brute_force(a)
+
+
+class TestSlabFold:
+    @pytest.mark.parametrize("a", BRUTE_SETS,
+                             ids=lambda a: f"{a.provenance}-{a.n}")
+    @pytest.mark.parametrize("cells", SLAB_CELLS)
+    def test_exact_sup_across_slabs(self, a, cells, monkeypatch):
+        monkeypatch.setattr(dis, "_SLAB_CELLS", cells)
+        assert_sup_matches_brute_force(a)
+
+    @pytest.mark.parametrize("cells", SLAB_CELLS)
+    def test_tie_spans_slabs(self, cells):
+        # a later slab that ties must not replace the first extreme
+        a = BRUTE_SETS[-1]
+        cands = candidates(a)
+        rows = max(1, cells // len(cands[1]))
+        corners, sup_vals, _ = brute_force(a)
+        slabs = {cands[0].index(x[0]) // rows
+                 for x, v in zip(corners, sup_vals) if v == max(sup_vals)}
+        assert len(slabs) == 2
 
 
 # d=3 streams in several slabs from level 6 on, d=2 only past level 8
@@ -282,8 +305,11 @@ class TestScanStream:
                              ids=[f"{a.provenance}-{a.n}-{level}"
                                   for a, level in SCAN_CASES])
     def test_matches_full_grid(self, a, level):
-        got = dis._scan_bounds(a, level)
+        got = dis.discrepancy_sup(a, approximate=True, grid_level=level,
+                                  cap=0)
         want = oracles.scan_bounds_full_grid(a, level)
+        assert got["mode"] == "scan-lower-bound"
+        assert type(got["sup"]) is float and type(got["inf"]) is float
         for key in ("sup", "inf", "sup_abs"):
             assert got[key] == want[key]
 
