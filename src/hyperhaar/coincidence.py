@@ -383,26 +383,37 @@ def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
 
 
 def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
-                  resolution: Resolution, rows: int | None = None):
+                  resolution: Resolution, rows: int | None = None,
+                  workspace: grid.Workspace | None = None):
     """The sum over the tuples of the products of their shapes'
     r-functions -- the one kernel for such sums -- on ``resolution``, as
     successive axis-0 slabs of ``rows`` rows (by default those of
     ``hyperbolic.shape_sum_slabs``).  ``r_own`` maps every shape to its
     r-function on its own grid (``own_r_grids``).  One shape sum stream
     per sign pattern of ``_join_sums``, at most 2**d of them, is added
-    slab by slab at ``grid.int_dtype`` of the tuple count.  No tuples give
-    the empty shape sum, whose slabs are zeros, so the stream has as many
-    slabs as any other on ``resolution``."""
+    slab by slab at ``grid.int_dtype`` of the tuple count; the streams
+    share ``workspace`` (by default one of their own), as they advance in
+    turn.  No tuples give the empty shape sum, whose slabs are zeros, so
+    the stream has as many slabs as any other on ``resolution``.  Each
+    part is dropped once added and each slab once yielded, so no stream
+    builds its next slab while this one holds the last."""
     tuples = list(tuples)
     dtype = grid.int_dtype(len(tuples))
-    streams = [hyperbolic.shape_sum_slabs(coeffs, resolution, pattern, rows)
+    if workspace is None:
+        workspace = grid.Workspace()
+    streams = [hyperbolic.shape_sum_slabs(coeffs, resolution, pattern, rows,
+                                          workspace)
                for pattern, coeffs in _join_sums(tuples, r_own).items()]
-    streams = streams or [hyperbolic.shape_sum_slabs({}, resolution, True, rows)]
-    for parts in zip(*streams):
-        slab = parts[0].astype(dtype, copy=False)
-        for part in parts[1:]:
-            slab += part
+    streams = streams or [hyperbolic.shape_sum_slabs({}, resolution, True, rows,
+                                                     workspace)]
+    # not zip, whose result tuple holds each stream's last slab while that
+    # stream builds the next
+    for slab in streams[0]:
+        slab = slab.astype(dtype, copy=False)
+        for stream in streams[1:]:
+            slab += next(stream)
         yield slab
+        del slab
 
 
 def _checked_shapes(tuples, d: int, resolution: Resolution | None = None, *,

@@ -33,8 +33,8 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
 #: Cells per axis-0 slab of the sup's fold (512 KiB per int64 array); a
-#: slab holds at least one row.  ``grid.SLAB_CELLS`` (2^20 cells) would be
-#: 8 MiB per int64 array, a large share of the discrepancy command's RSS.
+#: slab holds at least one row.  ``grid.SLAB_CELLS`` (2^18 cells) would be
+#: 2 MiB per int64 array, of which the fold holds several at once.
 _SLAB_CELLS = 1 << 16
 
 

@@ -48,11 +48,15 @@ axis is processed in the array's own memory order.  The kernel allocates
 its output and a half-size scratch buffer with the input's layout and
 alternates the butterfly levels between the two with ``out=`` ufuncs, so
 no level allocates; the transpose back is C-contiguous and the input is
-never written.
+never written.  A caller that synthesizes slab after slab passes a
+``Workspace``, from which ``synthesize`` takes the scratch and every
+output but the last, so only the result is allocated per call.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,8 +66,8 @@ import numpy as np
 MAX_TOTAL_LEVEL = 27
 
 #: Cells per axis-0 slab of the streamed shape sums, the hyperbolic sums
-#: and the r-function product sums alike (1 MiB of int8).
-SLAB_CELLS = 1 << 20
+#: and the r-function product sums alike (256 KiB of int8).
+SLAB_CELLS = 1 << 18
 
 
 class GridError(Exception):
@@ -163,27 +167,30 @@ def abs_power_sums(chunks, ps) -> tuple[list[int], int]:
     sum (and the exponent p).
     """
     ps = list(ps)
-    parts = []  # (sums, max |v|) of each nonempty chunk
-    for chunk in chunks:
-        flat = chunk.reshape(-1)
-        if not flat.size:
-            continue
-        if flat.dtype != object:
-            lo, hi = int(flat.min()), int(flat.max())
-            if hi - lo < _POWER_CHUNK:
-                parts.append(_histogram_power_sums(flat, lo, hi, ps))
-                continue
-        top = max_abs(flat)
-        dtypes = [int_dtype(max(top ** p * min(_POWER_CHUNK, flat.size), p))
-                  for p in ps]
-        sums = [0] * len(ps)
-        for start in range(0, flat.size, _POWER_CHUNK):
-            part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(top)))
-            for i, (p, dtype) in enumerate(zip(ps, dtypes)):
-                sums[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
-        parts.append((sums, top))
+    # map holds no chunk while a stream builds the next one
+    parts = list(map(_chunk_power_sums, chunks, itertools.repeat(ps)))
     return ([sum(sums[i] for sums, _ in parts) for i in range(len(ps))],
             max((top for _, top in parts), default=0))
+
+
+def _chunk_power_sums(chunk: np.ndarray, ps) -> tuple[list[int], int]:
+    """The power sums and max |v| of ``abs_power_sums`` for one chunk."""
+    flat = chunk.reshape(-1)
+    if not flat.size:
+        return [0] * len(ps), 0
+    if flat.dtype != object:
+        lo, hi = int(flat.min()), int(flat.max())
+        if hi - lo < _POWER_CHUNK:
+            return _histogram_power_sums(flat, lo, hi, ps)
+    top = max_abs(flat)
+    dtypes = [int_dtype(max(top ** p * min(_POWER_CHUNK, flat.size), p))
+              for p in ps]
+    sums = [0] * len(ps)
+    for start in range(0, flat.size, _POWER_CHUNK):
+        part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(top)))
+        for i, (p, dtype) in enumerate(zip(ps, dtypes)):
+            sums[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
+    return sums, top
 
 
 def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
@@ -191,12 +198,19 @@ def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
     """The power sums and max |v| of ``abs_power_sums`` for one chunk of
     values in ``[lo, hi]``, a span of at most ``_POWER_CHUNK``: one pass of
     per-piece value counts.  The offsets are taken in the unsigned type of
-    the same width, modulo 2**bits, so no value wraps."""
+    the same width, modulo 2**bits, so no value wraps, and written into one
+    ``intp`` buffer that every piece reuses: a fresh one per piece made
+    glibc trim and re-fault the heap between the slabs of a stream."""
     unsigned = flat.view(f"u{flat.itemsize}")
     shift = np.array(lo, dtype=flat.dtype).view(unsigned.dtype)
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    buffer = np.empty(min(flat.size, _POWER_CHUNK), np.intp)
     for start in range(0, flat.size, _POWER_CHUNK):
-        offsets = (unsigned[start:start + _POWER_CHUNK] - shift).astype(np.intp)
+        piece = unsigned[start:start + _POWER_CHUNK]
+        offsets = buffer[:piece.size]
+        # the offsets are below _POWER_CHUNK, so the cast to intp is exact
+        np.subtract(piece, shift, out=offsets, dtype=unsigned.dtype,
+                    casting="unsafe")
         counts += np.bincount(offsets, minlength=counts.size)
     seen = np.flatnonzero(counts)
     pairs = [(abs(lo + i), c) for i, c in zip(seen.tolist(), counts[seen].tolist())]
@@ -229,7 +243,9 @@ def float_lp_norm(abs_values: np.ndarray, p) -> float:
 # -- transform kernels -------------------------------------------------------
 
 
-def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
+def synthesize_axis0(coef: np.ndarray, signed: bool = True, *,
+                     out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Invert the Haar layout along axis 0 with the division-free butterfly.
 
     ``signed=True`` is the Haar synthesis (left child = parent - c, right
@@ -239,19 +255,24 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True) -> np.ndarray:
     function.  Works for integer, float and object dtypes alike; exact
     whenever the dtype is.
 
-    The output and one half-size scratch buffer are the only allocations;
-    both copy ``coef``'s memory layout, and the levels alternate between
-    them so that the last one lands in the output.  ``coef`` is only read.
+    The output and one half-size scratch buffer are the only allocations,
+    unless the caller passes them (``out`` of ``coef``'s shape, ``scratch``
+    of its first half's, neither overlapping ``coef``); allocated, both
+    copy ``coef``'s memory layout.  The levels alternate between them so
+    that the last one lands in the output, which is returned and written
+    whole.  ``coef`` is only read.
     """
     size = coef.shape[0]
     m = size.bit_length() - 1
     if size != (1 << m):
         raise ValueError("axis length must be a power of two")
-    out = np.empty_like(coef)
+    if out is None:
+        out = np.empty_like(coef)
     if m == 0:
         out[...] = coef
         return out
-    scratch = np.empty_like(coef[:size >> 1])
+    if scratch is None:
+        scratch = np.empty_like(coef[:size >> 1])
     cur = coef[0:1]
     for k in range(m):
         nxt = (out if (m - k) % 2 else scratch)[:2 << k]
@@ -280,18 +301,57 @@ def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.nda
     return fn(view, *args, **kwargs).transpose(1, 0, 2).reshape(shape)
 
 
-def synthesize(arr: np.ndarray, signed=True, axes=None) -> np.ndarray:
+class Workspace:
+    """Buffers that a run reuses from one call to the next, one per role,
+    each grown to the largest request, so that a stream of slabs does not
+    allocate (and fault in) its temporaries afresh for every slab.
+    ``take`` returns a role's bytes as an uninitialized C-contiguous array;
+    ``object`` arrays are never reused, so ``take`` allocates them.  An
+    array is valid until the next ``take`` of its role, so the calls that
+    share a workspace must run one after another, never in two threads.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def take(self, role, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        if dtype == object:
+            return np.empty(shape, dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[role] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def synthesize(arr: np.ndarray, signed=True, axes=None,
+               workspace: Workspace | None = None) -> np.ndarray:
     """Synthesize the given axes (default: every axis) of a Haar-layout
     array, in the order given (see ``synthesize_axis0``).  ``signed`` is
-    one flag per axis of ``arr``, or a bool for every axis.
+    one flag per axis of ``arr``, or a bool for every axis.  With a
+    ``workspace``, the butterflies' scratch and the outputs of every axis
+    but the last are taken from it.
 
     Returns a C-contiguous array of the same dtype, new unless ``axes`` is
     empty; ``arr`` is only read.
     """
     if isinstance(signed, bool):
         signed = (signed,) * arr.ndim
-    for axis in range(arr.ndim) if axes is None else axes:
-        arr = apply_along_axis0(synthesize_axis0, arr, axis, signed[axis])
+    axes = list(range(arr.ndim) if axes is None else axes)
+    for i, axis in enumerate(axes):
+        buffers = {}
+        if workspace is not None:
+            # laid out as the (size, pre, post) view of apply_along_axis0
+            pre, size = math.prod(arr.shape[:axis]), arr.shape[axis]
+            post = math.prod(arr.shape[axis + 1:])
+            buffers["scratch"] = workspace.take(
+                "scratch", (pre, size >> 1, post), arr.dtype).transpose(1, 0, 2)
+            if i + 1 < len(axes):
+                buffers["out"] = workspace.take(
+                    ("out", i % 2), (pre, size, post), arr.dtype).transpose(1, 0, 2)
+        arr = apply_along_axis0(synthesize_axis0, arr, axis, signed[axis],
+                                **buffers)
     return arr
 
 

@@ -24,14 +24,16 @@ is its one-slab case.  Each axis is signed (Haar functions) or unsigned
 (indicators of the same intervals): the square function is unsigned on
 every axis, and the products of r-functions in ``coincidence`` are Haar
 sums on their join shapes with a pattern of signed and unsigned axes.
-Integer sums place the last axis and split axis 0 by resolution: the
-shapes of axis-0 level below c (2**c slabs) are synthesized along axis 0
-once, into a coarse block of one base row per slab, and each slab
-finishes from its base and the finer levels inside it.  Float sums place
-axis 0 and take a slab as rows of that placement, so every float addition
-keeps the order of a full-spectrum synthesis.  The sharpness experiment
-takes its sup over the slabs, so an n=7, d=3 trial holds a 16-row slab
-and a 16-row coarse block, never the 2**24-cell sum.
+Integer sums place the last axis and split axis 0 by resolution: with
+2**c slabs, each slab's base row is the sum of the shapes of axis-0 level
+below c on its interval, taken from a depth-first walk of those coarse
+levels that holds one row per level, and each slab finishes from its
+base and the finer levels inside it.  Float sums place axis 0 and take a
+slab as rows of that placement, so every float addition keeps the order
+of a full-spectrum synthesis.  A stream reuses one workspace for its
+per-slab buffers and yields each slab as a new array.  The sharpness
+experiment takes its sup over the slabs, so an n=8, d=3 trial holds
+8-row slabs of 2 MiB and a walk of 7 rows, never the 2**27-cell sum.
 """
 
 from __future__ import annotations
@@ -231,31 +233,45 @@ def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
             continue
         values = np.asarray(shape_values[shape])[first - (1 << shape[0]):
                                                  last - (1 << shape[0])]
-        values = values.astype(out.dtype, copy=False)[..., None]
-        # the last axis split into (interval, half, repeat), a view of out
-        halves = out.reshape(out.shape[:-1] + (1 << r, 2, rep))
-        halves = halves[(slice(first - lo, last - lo),)
-                        + tuple(slice(1 << q, 2 << q) for q in shape[1:-1])]
+        values = values.astype(out.dtype, copy=False)
+        window = ((slice(first - lo, last - lo),)
+                  + tuple(slice(1 << q, 2 << q) for q in shape[1:-1]))
+        if rep > 1:
+            # one add of the repeated pairs: a strided write of rep-long
+            # inner loops costs several times more
+            pair = np.stack((-values if signed else values, values), axis=-1)
+            target = out[window]
+            target += np.repeat(pair, rep, axis=-1).reshape(target.shape)
+            continue
+        # the last axis split into (interval, half), a view of out
+        halves = out.reshape(out.shape[:-1] + (1 << r, 2))[window]
         if signed:
-            halves[..., 0, :] -= values
+            halves[..., 0] -= values
         else:
-            halves[..., 0, :] += values
-        halves[..., 1, :] += values
+            halves[..., 0] += values
+        halves[..., 1] += values
     return out
 
 
+def slab_rows(resolution: Resolution) -> int:
+    """The default rows of a ``shape_sum_slabs`` slab: as many as fit in
+    ``grid.SLAB_CELLS`` cells, but at least 8 (or the whole axis 0), which
+    bounds the integer sums' extra row work per slab."""
+    return min(1 << resolution.levels[0],
+               max(grid.SLAB_CELLS >> sum(resolution.levels[1:]), 8))
+
+
 def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-                    signed=True, rows: int | None = None):
+                    signed=True, rows: int | None = None,
+                    workspace: grid.Workspace | None = None):
     """Sum over shapes of the Haar sums with the given per-rectangle
     coefficients, evaluated on the grid and yielded as successive
-    C-contiguous axis-0 slabs of ``rows`` rows, a power of two; by default
-    as many rows as fit in ``grid.SLAB_CELLS`` cells, but at least
-    ``2**floor(m0/2)`` (m0 the level of axis 0), so that the integer sums'
-    coarse block below is at most two slabs.  One axis is
-    synthesized as the coefficients are placed (``_placed``), the others by
-    ``grid.synthesize``.  ``signed`` is one flag per axis, or a bool for
-    every axis: an unsigned axis takes each coefficient's indicator of its
-    interval in place of its Haar function.
+    C-contiguous axis-0 slabs of ``rows`` rows, a power of two (by default
+    ``slab_rows``: as many as fit in ``grid.SLAB_CELLS`` cells, at least
+    8).  One axis is synthesized as the coefficients are placed
+    (``_placed``), the others by ``grid.synthesize``.  ``signed`` is one
+    flag per axis, or a bool for every axis: an unsigned axis takes each
+    coefficient's indicator of its interval in place of its Haar function.
 
     Float coefficients give float64.  Integer ones give ``grid.int_dtype``
     of the sum over shapes of ``max|values|``: every placed or butterfly
@@ -264,15 +280,20 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     negation cannot wrap either.
 
     Integer sums are exact in any order and place the last axis, whose
-    butterfly levels write with stride 2 in short inner loops.  Axis 0 is
-    then split by resolution: with m0 its level, rows = 2**j and
-    c = m0 - j, the coefficient rows [0, 2**c) are the shapes whose axis-0
-    level is below c.  They are placed and synthesized along axis 0 once,
-    into the coarse block, whose row b is the base of slab b: the sum of
-    those shapes on the level-c interval b.  Slab b's own Haar column is
-    that base followed, for t < j, by the level-(c+t) rows
-    ``2**(c+t) + b*2**t`` onward, ``2**t`` of them; one butterfly along
-    axis 0 and the middle axes finish the slab.
+    butterfly levels write with stride 2 in short inner loops.  With m0
+    the level of axis 0, rows = 2**j and c = m0 - j, slab b is the level-c
+    interval b of axis 0.  Its Haar column is a base row, the sum of the
+    shapes of axis-0 level below c on that interval, followed for t < j by
+    the level-(c+t) rows ``2**(c+t) + b*2**t`` onward, ``2**t`` of them;
+    one butterfly along axis 0 and the middle axes finish the slab.  The
+    bases come from a depth-first walk of axis 0's coarse levels, which
+    holds one row per level: ``partial[k]`` is the sum of the shapes of
+    axis-0 level below k on the level-k interval ``b >> (c-k)``.  Moving
+    to slab b refreshes the depths whose interval changed (k >= c minus
+    the trailing zeros of b).  A left child is its parent minus the placed
+    Haar row ``2**(k-1) + (b >> (c-k+1))`` of level k-1 (plus, on an
+    unsigned axis 0); a right child recovers that row as parent minus left
+    and adds it to the parent, so each Haar row is placed once.
 
     Float sums place axis 0, the butterfly's first axis, so a slab is just
     rows of that placement (so are d=1 integer sums, whose last axis is
@@ -281,13 +302,20 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     order within each row, so every float rounds as it would in a
     full-spectrum synthesis, whatever the slab size.
 
-    Peak memory: the coarse block (``2**c`` rows, ``cells / rows`` cells)
-    and about 3.5 slabs -- the one the caller still holds, the next one's
-    Haar column, and the butterfly's output and half-size scratch.  At
-    n=7, d=3 (levels 8, 8, 8, int8) the default is 16-row slabs and a
-    16-row coarse block, 1 MiB each, where the whole sum is 16 MiB; at
-    n=8 (levels 9, 9, 9) it is 16-row slabs of 4 MiB and a 32-row coarse
-    block of 8 MiB, where the whole sum is 128 MiB.
+    Each yielded slab is a new array.  The slab's Haar column, the
+    butterflies' scratch and all outputs but the last are taken from
+    ``workspace`` (by default one of the stream's own), so a stream does
+    not allocate them afresh for every slab.  Streams that one consumer
+    advances in turn may share a workspace, since each uses it only
+    within one ``next``; streams in different threads must not.
+
+    Peak memory: the walk's ``c + 1`` rows (``cells / 2**m0`` cells each)
+    and about 3.5 slabs -- the workspace's Haar column, axis-0 output and
+    half-size scratch, and the new slab -- plus the previous slab if the
+    caller still holds it.  At n=8, d=3 (levels 9, 9, 9, int8; the whole
+    sum is 128 MiB) that is 8-row slabs of 2 MiB and 7 walk rows of 256
+    KiB: one sharpness trial's traced peak is 8.9 MiB, where 16-row slabs
+    beside a 32-row coarse block of 8 MiB took 22.2 MiB.
     """
     _check_resolution(resolution, shape_values.keys())
     if isinstance(signed, bool):
@@ -299,51 +327,78 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
         axis = resolution.d - 1
     m0, rest = resolution.levels[0], resolution.grid_shape[1:]
     if rows is None:
-        rows = max(min(1 << m0, grid.SLAB_CELLS >> sum(resolution.levels[1:])),
-                   1 << m0 // 2)
+        rows = slab_rows(resolution)
     if rows < 1 or rows & (rows - 1) or rows > 1 << m0:
         raise ValueError(f"rows={rows} must be a power of two up to {1 << m0}")
+    if workspace is None and rows < 1 << m0:
+        workspace = grid.Workspace()
     j = rows.bit_length() - 1
     others = [b for b in range(resolution.d) if b != axis]
-    # Each slab is built inline, so that ``synthesize`` holds its only
-    # reference and frees it once the next axis is done.
+
+    def zeros() -> np.ndarray:
+        # a slab's Haar column; new when it is the slab itself or when
+        # there is no workspace, so that ``synthesize`` frees it early
+        if workspace is None or not others:
+            return np.zeros((rows,) + rest, dtype)
+        col = workspace.take("column", (rows,) + rest, dtype)
+        col[...] = 0
+        return col
+
     if axis == 0:
         for lo in range(0, 1 << m0, rows):
             yield grid.synthesize(_placed(shape_values, resolution, signed, axis,
-                                          np.zeros((rows,) + rest, dtype), lo),
-                                  signed, others)
+                                          zeros(), lo),
+                                  signed, others, workspace)
         return
     c = m0 - j
-    by_level: dict = {}  # the shapes by axis-0 level, the coarse ones under -1
+    by_level: dict = {}  # the shapes by axis-0 level
     for shape, values in shape_values.items():
-        by_level.setdefault(shape[0] if shape[0] >= c else -1, {})[shape] = values
-    base = grid.synthesize(_placed(by_level.get(-1, {}), resolution, signed, axis,
-                                   np.zeros((1 << c,) + rest, dtype)),
-                           signed, [0])
+        by_level.setdefault(shape[0], {})[shape] = values
+    partial = np.zeros((c + 1,) + rest, dtype)
 
     def column(b: int) -> np.ndarray:
-        col = np.zeros((rows,) + rest, dtype)
-        col[0] = base[b]
+        # the depths whose interval changed: every one at b = 0, else
+        # k >= c minus the trailing zeros of b
+        for k in range(c - (b & -b).bit_length() + 1 if b else 1, c + 1):
+            parent, row = partial[k - 1], partial[k]
+            if b >> (c - k) & 1:  # right child; row holds the left one
+                if signed[0]:
+                    np.subtract(parent, row, out=row)
+                    row += parent
+                continue
+            row[...] = 0
+            _placed(by_level.get(k - 1, {}), resolution, signed, axis,
+                    partial[k:k + 1], (1 << (k - 1)) + (b >> (c - k + 1)))
+            if signed[0]:
+                np.subtract(parent, row, out=row)
+            else:
+                row += parent
+        col = zeros()
+        col[0] = partial[c]
         for t in range(j):
             _placed(by_level.get(c + t, {}), resolution, signed, axis,
                     col[1 << t:2 << t], (1 << (c + t)) + (b << t))
         return col
 
+    # each column is passed inline, so that without a workspace
+    # ``synthesize`` holds its only reference and frees it after axis 0
     for b in range(1 << c):
-        yield grid.synthesize(column(b), signed, others)
+        yield grid.synthesize(column(b), signed, others, workspace)
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
                    signed=True) -> np.ndarray:
     """The whole shape sum on the grid: ``shape_sum_slabs`` with one slab.
 
-    Integer sums: with c = 0 the coarse block is row 0 of the placement,
+    Integer sums: with c = 0 the base row is row 0 of the placement,
     which no shape reaches, so the slab's Haar column is the whole
     placement along the last axis, synthesized along every other axis.
+    One slab reuses nothing, so it takes no workspace, and the column is
+    freed as soon as axis 0 is synthesized.
     Float sums: the slab is the whole placement along axis 0, whose
     additions, in ascending axis-0 level, are the butterfly's own, so every
     float rounds as in a full-spectrum synthesis.  See ``shape_sum_slabs``
-    for the widths and the coarse/fine split of axis 0.
+    for the widths and the split of axis 0.
     """
     return next(shape_sum_slabs(shape_values, resolution, signed,
                                 1 << resolution.levels[0]))
@@ -418,8 +473,8 @@ def sharpness_experiment(n_values, d: int, trials: int, seed: int,
         def one_trial(t: int, n=n, res=res, count=count):
             field = CoefficientField.random_signs(n, d, (seed, n, t))
             ok = Fraction(field.abs_sum(), 1 << n) == count
-            slabs = shape_sum_slabs(field.values, res)
-            return max(grid.max_abs(slab) for slab in slabs), ok
+            # map holds no slab while the stream builds the next one
+            return max(map(grid.max_abs, shape_sum_slabs(field.values, res))), ok
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

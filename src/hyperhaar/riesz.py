@@ -420,8 +420,10 @@ class ShortProduct:
 
     The constructor only validates.  It keeps, each built on first use,
     the r-functions on their own small grids (``r_grids``), the enumerated
-    ``tuples`` and ``sums``, the one fold of streams of ``rows`` =
-    2**(m0 // 2) rows (m0 the level of axis 0) that the reports read.
+    ``tuples`` and ``sums``, the one fold that the reports read, of
+    streams of ``rows`` = min(2**(m0 // 2), ``hyperbolic.slab_rows``)
+    rows (m0 the level of axis 0; 8 rows from n=5 up) on one shared
+    workspace.
     With rho~ = N/D exactly, values are scaled by ``scale`` = D^q:
     T = Psi * D^q = prod_t (D + N F_t).  ``budget`` caps the u-tuples.
     """
@@ -433,9 +435,10 @@ class ShortProduct:
         self.params = params
         self.budget = budget
         self.resolution = hyperbolic.field_resolution(field)
-        # a stream's coarse block and slab are then about equal, which
-        # makes their sum smallest; from n=7 up it is the streams' default
-        self.rows = 1 << self.resolution.levels[0] // 2
+        # the streams' default from n=7 up; below it, the fold's many
+        # streams each hold smaller slabs
+        self.rows = min(1 << self.resolution.levels[0] // 2,
+                        hyperbolic.slab_rows(self.resolution))
         frac = params.rho_tilde_exact
         self.num, self.den = frac.numerator, frac.denominator
         self.scale = self.den ** params.q
@@ -468,11 +471,12 @@ class ShortProduct:
                   if a[0] == b[0]] for block in blocks]
         return sd, nsd, pairs
 
-    def block_slabs(self, t: int):
+    def block_slabs(self, t: int, workspace: grid.Workspace | None = None):
         """The slabs of F_t, the sum of the r-functions of block t."""
         signs = {s: hyperbolic.signs_of(self.field.values[s])
                  for s in self.params.blocks[t - 1]}
-        return hyperbolic.shape_sum_slabs(signs, self.resolution, True, self.rows)
+        return hyperbolic.shape_sum_slabs(signs, self.resolution, True, self.rows,
+                                          workspace)
 
     @cached_property
     def sums(self) -> _Sums:
@@ -494,11 +498,13 @@ class ShortProduct:
         planes = [np.zeros(plane, dtype=np.int64) for _ in range(q)]
         gamma = [0] * q
         sup_h, identity = 0, True
-        streams = [*map(self.block_slabs, range(1, q + 1)),
+        # the streams advance in turn, so they share one workspace
+        ws = grid.Workspace()
+        streams = [*(self.block_slabs(t, ws) for t in range(1, q + 1)),
                    hyperbolic.shape_sum_slabs(self.field.values, self.resolution,
-                                              True, self.rows),
+                                              True, self.rows, ws),
                    *(coincidence.product_slabs(tuples, self.r_grids,
-                                               self.resolution, self.rows)
+                                               self.resolution, self.rows, ws)
                      for tuples in sd_tuples + nsd_tuples + pairs)]
         for slabs in zip(*streams):
             sup_h = max(sup_h, grid.max_abs(slabs[q]))
@@ -525,6 +531,10 @@ class ShortProduct:
                     planes[t][col:col + width] += residual.reshape(-1, width).sum(
                         axis=0, dtype=np.int64)
                     gamma[t] += 2 * int(g.sum(dtype=np.int64))
+            # the slabs and all the fold still binds: zip then reuses its
+            # tuple and frees each stream's slab as that stream yields the
+            # next, so the streams do not hold two slabs each
+            del slabs, pieces, fs, h, sd, nsd, gs, e, signs, residual, f, g
         return _Sums(product, sd_sums, nsd_sums, identity, sup_h, planes, gamma)
 
 
@@ -712,7 +722,8 @@ def norm_report(sp: ShortProduct, v_list=()) -> RieszNormReport:
             part = product
         elif v:
             part = _Terms(_weights(sp.num, sp.den, len(v)), _elementary(sizes))
-            for slabs in zip(*map(sp.block_slabs, v)):
+            ws = grid.Workspace()
+            for slabs in zip(*(sp.block_slabs(t, ws) for t in v)):
                 for _, fs in _chunks(*slabs):
                     part.add(*_product_chunk(fs, sizes, sp.num, sp.den),
                              cross=True)

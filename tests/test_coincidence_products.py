@@ -412,14 +412,14 @@ class TestSecondMomentCrossCheck:
             coincidence.PREDICTED_EXPONENT["C2"]
 
     @pytest.mark.parametrize("kind, n_values, seed, mib", [
-        ("C2_restricted", [9], 0, 12),
-        ("C2", range(4, 9), 3, 18),
+        ("C2_restricted", [9], 0, 6.5),
+        ("C2", range(4, 9), 3, 11),
     ], ids=["C2_restricted-9", "C2-4..8"])
     def test_beck_gain_streams_its_class_sums(self, kind, n_values, seed, mib):
         # C2_restricted at n=9 sums 2^25 cells (32 MiB of int8); its
-        # join-shape coefficients and one shape-sum stream hold about 9 MiB.
-        # C2 at n=8 sums 2^27 cells in 16-row slabs and a 32-row coarse
-        # block, about 15 MiB, where 32-row slabs took 23 MiB
+        # join-shape coefficients and one shape-sum stream hold about 4 MiB.
+        # C2 at n=8 sums 2^27 cells in 8-row slabs, about 6 MiB, where
+        # 16-row slabs and a 32-row coarse block took 15 MiB
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -429,7 +429,7 @@ class TestSecondMomentCrossCheck:
         finally:
             tracemalloc.stop()
         assert rep["sup_bound_ok"]
-        assert peak <= mib << 20, peak / 2**20
+        assert peak <= mib * 2**20, peak / 2**20
 
     def test_beck_gain_all_kinds_run(self):
         for kind in coincidence.PREDICTED_EXPONENT:

@@ -302,6 +302,23 @@ class TestSynthesizeOracle:
             assert np.array_equal(out, ref)
             assert np.array_equal(variant, before)
 
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_workspace_reused_across_dtypes_and_shapes(self, signed):
+        # one workspace for every case in turn, so each call meets buffers
+        # that another width and shape left dirty; outputs stay new arrays
+        ws = grid.Workspace()
+        last = None
+        for levels, dtype in itertools.product(self.LEVELS, self.DTYPES):
+            _, spec = self._spectrum(levels, dtype, seed=2)
+            before = spec.copy()
+            out = grid.synthesize(spec, signed, workspace=ws)
+            assert out.flags.c_contiguous and out.dtype == spec.dtype
+            assert np.array_equal(out, grid.synthesize(spec, signed))
+            assert np.array_equal(spec, before)
+            if last is not None:
+                assert not np.shares_memory(out, last)
+            last = out
+
 
 # ---------------------------------------------------------------------------
 # square function

@@ -322,6 +322,54 @@ class TestShapeSumSlabs:
             assert not np.array_equal(
                 mixed, hyperbolic.shape_sum_grid(vals, res, signed))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_streams_sharing_a_workspace(self, d):
+        # streams of int8, int16, float64 and Python-int sums with several
+        # sign patterns, advanced in lockstep on one workspace, each against
+        # its own stream on a private workspace and the oracle, bit for bit
+        n = 4
+        fields = [vals for kind in ("integers", "squares", "coarse", "normal")
+                  for m, vals in _stream_fields(d, kind) if m == n]
+        fields[1] = {s: v << 3 for s, v in fields[1].items()}  # past int8
+        fields.append({s: v.astype(object) << 62 for s, v in fields[0].items()})
+        mixed = (True,) + (False,) * (d - 1)
+        patterns = [True, False, mixed, tuple(not f for f in mixed), mixed]
+        res = Resolution((n + 1,) * d)
+        wants = [oracles.full_spectrum_shape_sum(vals, res, signed)
+                 for vals, signed in zip(fields, patterns)]
+        assert [w.dtype for w in wants] == [np.int8, np.int16, np.int8,
+                                           np.float64, object]
+
+        def same(a, b):
+            return a.dtype == b.dtype and (a.tolist() == b.tolist()
+                                           if a.dtype == object
+                                           else a.tobytes() == b.tobytes())
+
+        for rows in (1, 2, 1 << (n + 1) // 2):
+            ws = grid.Workspace()
+            shared = [hyperbolic.shape_sum_slabs(vals, res, signed, rows, ws)
+                      for vals, signed in zip(fields, patterns)]
+            got = list(zip(*zip(*shared)))
+            assert len(got) == len(fields)
+            for slabs, vals, signed, want in zip(got, fields, patterns, wants):
+                own = list(hyperbolic.shape_sum_slabs(vals, res, signed, rows))
+                assert len(slabs) == len(own) == (1 << (n + 1)) // rows
+                assert all(same(a, b) for a, b in zip(slabs, own)), (rows, signed)
+                assert same(np.concatenate(slabs), want), (rows, signed)
+
+    @pytest.mark.parametrize("kind", ["integers", "normal"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_listed_slabs_share_no_memory(self, d, kind):
+        # every yielded slab is a new array, so a list of them holds the sum
+        *_, (n, vals) = _stream_fields(d, kind)
+        res = hyperbolic.minimal_resolution(vals, d)
+        want = oracles.full_spectrum_shape_sum(vals, res)
+        for rows in (1, 2, 1 << res.levels[0]):
+            slabs = list(hyperbolic.shape_sum_slabs(vals, res, True, rows))
+            assert not any(np.shares_memory(a, b)
+                           for a, b in itertools.combinations(slabs, 2))
+            assert np.concatenate(slabs).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("signed", [True, False])
     @pytest.mark.parametrize("rows", [1, 2, 4])
     def test_bound_127_stays_int8(self, signed, rows):
@@ -334,12 +382,12 @@ class TestShapeSumSlabs:
         assert np.concatenate(slabs).tobytes() == want.tobytes()
         assert max(grid.max_abs(slab) for slab in slabs) == 127
 
-    @pytest.mark.parametrize("n, rows, count", [(3, 16, 1), (7, 16, 16),
-                                                 (8, 16, 32)])
+    @pytest.mark.parametrize("n, rows, count", [(3, 16, 1), (7, 8, 32),
+                                                 (8, 8, 64)])
     def test_default_slab_size(self, n, rows, count):
-        # d=3 at level n+1 per axis: 2^20 cells are 16 rows at n=7; at n=8
-        # they would be 4 rows and a 128-row coarse block, so the rows are
-        # raised to 2^floor(9/2) = 16, under a 32-row coarse block
+        # d=3 at level n+1 per axis: 2^18 cells are the whole 16-row axis
+        # at n=3; they are 4 rows at n=7 and 1 row at n=8, both raised to
+        # the floor of 8 rows
         field = CoefficientField.random_signs(n, 3, 91)
         res = hyperbolic.field_resolution(field)
         slabs = hyperbolic.shape_sum_slabs(field.values, res)
@@ -354,12 +402,12 @@ class TestShapeSumSlabs:
         with pytest.raises(ValueError, match="power of two"):
             next(hyperbolic.shape_sum_slabs(vals, Resolution((2, 2)), rows=rows))
 
-    @pytest.mark.parametrize("n, mib", [(7, 8), (8, 26)])
+    @pytest.mark.parametrize("n, mib", [(7, 8), (8, 18)])
     def test_sharpness_trial_peak_bounded(self, n, mib):
         # one d=3 trial; the whole sum is never held: at n=7 (2^24 cells,
-        # 16 MiB of int8) the stream holds 16-row slabs and a 16-row coarse
-        # block, at n=8 (128 MiB) 16-row slabs and a 32-row block, where
-        # 32-row slabs and a 16-row block took 32 MiB
+        # 16 MiB of int8) and at n=8 (128 MiB) the stream holds 8-row slabs
+        # and one walk row per coarse level of axis 0, where 16-row slabs
+        # and a 32-row coarse block took 22 MiB at n=8
         tracemalloc.start()
         try:
             rep = hyperbolic.sharpness_experiment([n], 3, 1, 92)
@@ -441,8 +489,8 @@ class TestSharpnessExperiment:
         serial = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=1)
         threaded = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert serial["per_n"] == threaded["per_n"]
-        # 2^10-cell slabs fall to the floor of 2^floor(m0/2) rows, so every
-        # n streams 4 to 16 slabs
+        # 2^10-cell slabs fall to the floor of 8 rows, so every n streams
+        # 2 to 16 slabs
         monkeypatch.setattr(grid, "SLAB_CELLS", 1 << 10)
         small = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert small["per_n"] == serial["per_n"]
