@@ -9,19 +9,18 @@ failed; 2 validation or budget errors (argparse uses the same code);
 3 I/O errors.
 
 Importing this module and building its parser load only the standard
-library; each subcommand imports the library modules it runs (numpy with
-them), so ``discrepancy`` never loads ``hyperbolic`` and ``sharpness``
+library, and not ``fractions`` or ``csv``, which the output imports where
+it needs them; each subcommand imports the library modules it runs (numpy
+with them), so ``discrepancy`` never loads ``hyperbolic`` and ``sharpness``
 never loads ``coincidence``, ``riesz`` or ``discrepancy``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 
@@ -32,6 +31,7 @@ from . import __version__
 
 
 def _jsonify(obj):
+    from fractions import Fraction  # already loaded by the library modules
     import numpy as np  # already loaded: main imports grid
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -56,6 +56,7 @@ def _render(payload: dict, rows, args) -> str:
         "scalar_mode": "exact" if getattr(args, "exact", True) else "float",
     }
     if args.format == "csv":
+        import csv
         out = io.StringIO()
         out.write("# provenance: " + json.dumps(_jsonify(provenance),
                                                 sort_keys=True) + "\n")
@@ -253,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_verify(args) -> tuple[int, dict, list]:
     """Exact-identity suites across the library; exit 0 iff all pass."""
+    from fractions import Fraction
+
     from . import coincidence, hyperbolic, riesz
     from .hyperbolic import CoefficientField
     suites = []

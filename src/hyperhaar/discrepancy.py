@@ -12,13 +12,19 @@ into the next slab.  Integers take ``grid.int_dtype`` of their bound
 past int64.  One fold of the slabs gives the sup: the running max of the
 closed-count value (the limit from above) and min of the strict-count one
 (attained), so no grid-sized array is allocated.  Its corners make it
-exact (per axis the coordinates with 0 and 1) or, for large sets, a
-labeled grid-scan lower bound (k/2^level).  L^p norms are estimated by
-midpoint sampling with the volume-term modulus recorded."""
+exact (per axis the coordinates with 0 and 1, sorted and deduplicated by
+``_distinct``, as ``np.unique`` would without loading ``numpy.ma``) or,
+for large sets, a labeled grid-scan lower bound (k/2^level).  L^p norms
+are estimated by midpoint sampling with the volume-term modulus recorded:
+the midpoint grid streams through the same count slabs into
+``grid.float_lp_norm``, whose tree of slab sums equals ``np.mean`` over
+the whole grid bit for bit.  Slabs are ``_SLAB_CELLS`` cells, so the
+fold's peak is the per-point sort of the count kernel plus a few slabs."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +38,20 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 #: O((N+2)^d) work.
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
-#: Cells per axis-0 slab of the sup's fold (512 KiB per int64 array); a
-#: slab holds at least one row.  ``grid.SLAB_CELLS`` (2^18 cells) would be
-#: 2 MiB per int64 array, of which the fold holds several at once.
-_SLAB_CELLS = 1 << 16
+#: Cells per axis-0 slab of the sup's fold and of the L^p estimate (128 KiB
+#: per int64 array, so a slab's count, volume and value arrays stay in L2);
+#: a slab holds at least one row.  The discrepancy benchmark workload (vdc,
+#: N = 2..16384; medians of 5 alternating runs on a 2-core Xeon, whose
+#: wall_s spread is about 0.1 s), its eight level-10 scans in process (3
+#: runs), and the traced peak of the N=16384 scan:
+#:
+#:     cells   wall_s   peak_rss_mb   eight scans      traced peak
+#:     2^16    0.371    33.59         0.123-0.169 s    2.90 MiB
+#:     2^15    0.328    32.34         0.109-0.145 s    1.65 MiB
+#:     2^14    0.337    32.06         0.111-0.149 s    1.03 MiB
+#:     2^13    0.371    32.06         0.137-0.161 s    0.88 MiB
+#:     2^12    0.406    32.06         0.153-0.203 s    0.84 MiB
+_SLAB_CELLS = 1 << 14
 
 
 class PointSet:
@@ -143,7 +159,7 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
     ``approximate`` is set: the same fold over other corners."""
     limit = cap if cap is not None else EXACT_SUP_CAP[a.d]
     if a.n <= limit:
-        nums = [np.unique(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
+        nums = [_distinct(np.append(a.nums[:, j], np.array([0, q], a.nums.dtype)))
                 for j, q in enumerate(a.dens)]
         (sup, sup_idx), (inf, inf_idx) = _extremes(a, nums, a.dens)
         corner_sup, corner_inf = (
@@ -166,6 +182,17 @@ def discrepancy_sup(a: PointSet, approximate: bool = False,
             "sup_abs": max(sup, -inf), "gap_bound": a.n * a.d / g}
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-d integer or Python-int array, as
+    ``np.unique`` gives them, from one sort and a mask of the entries that
+    differ from their left neighbour (``np.unique`` loads ``numpy.ma``)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _extremes(a: PointSet, corner_nums, corner_dens):
     """(max, index) of the closed-count values (the limit of D from above)
     and (min, index) of the strict-count ones (D itself) over the corner
@@ -179,24 +206,23 @@ def _extremes(a: PointSet, corner_nums, corner_dens):
     dtype = grid.int_dtype(a.n * den)
     closed = _count_slabs(a, corner_nums, corner_dens, False, rows)
     strict = _count_slabs(a, corner_nums, corner_dens, True, rows)
-    best = [None, None]  # (value, flat index): the max, and minus the min
+    best = [None, None]  # (value, flat index) of the max and of the min
     for lo, le, lt in zip(range(0, shape[0], rows), closed, strict):
         vol = _volumes(a.n, [corner_nums[0][lo:lo + rows], *corner_nums[1:]],
                        dtype)
         values = np.empty_like(vol)
-        for i, counts in enumerate((le, lt)):
+        for i, (counts, arg, better) in enumerate((
+                (le, np.argmax, operator.gt), (lt, np.argmin, operator.lt))):
             np.multiply(counts, den, out=values, dtype=dtype)
             values -= vol
-            if i:  # the min as minus the max, so both keep the first argmax
-                np.negative(values, out=values)
-            k = int(np.argmax(values))
-            # a later slab wins only when strictly larger: first in C order
-            if best[i] is None or values.flat[k] > best[i][0]:
+            k = int(arg(values))  # the first extreme in C order
+            # a later slab wins only when strictly better
+            if best[i] is None or better(values.flat[k], best[i][0]):
                 best[i] = (int(values.flat[k]), lo * row_cells + k)
         del values  # before the streams make their next slabs
-    (sup, i), (neg_inf, j) = best
+    (sup, i), (inf, j) = best
     return ((Fraction(sup, den), np.unravel_index(i, shape)),
-            (Fraction(-neg_inf, den), np.unravel_index(j, shape)))
+            (Fraction(inf, den), np.unravel_index(j, shape)))
 
 
 def _volumes(n: int, corner_nums, dtype) -> np.ndarray:
@@ -229,7 +255,9 @@ def _count_slabs(a: PointSet, corner_nums, corner_dens, strict: bool,
         pos.append(np.searchsorted(corners, pts,
                                    side="right" if strict else "left"))
     inside = np.all([p < size for p, size in zip(pos, shape)], axis=0)
-    flat = np.sort(np.ravel_multi_index(tuple(p[inside] for p in pos), shape))
+    flat = np.ravel_multi_index(tuple(p[inside] for p in pos), shape)
+    flat.sort()
+    del pos, inside, pts  # per point: only flat stays with the slabs
     row_cells = math.prod(shape[1:])
     carry = None
     for lo in range(0, shape[0], rows):
@@ -284,15 +312,29 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
         raise ValueError("p must be at least 1")
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
+    return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
+            "value": grid.float_lp_norm(_midpoint_slabs(a, g), p),
+            "modulus_bound": a.n * a.d / g}
+
+
+def _midpoint_slabs(a: PointSet, g: int):
+    """|D| at the midpoints (2k+1)/2g of a g^d grid, in float64, as the
+    axis-0 slabs ``grid.float_lp_norm`` pairs into np.mean's sum: of a
+    power of two of rows near ``_SLAB_CELLS`` cells, or the whole grid
+    when that is under ``grid._PAIRWISE_BLOCK`` cells."""
     nums, den = 2 * np.arange(g) + 1, (2 * g) ** a.d
     dtype = grid.int_dtype(a.n * den)
-    values = np.multiply(next(_count_slabs(a, [nums] * a.d, [2 * g] * a.d,
-                                           True, g)), den, dtype=dtype)
-    values -= _volumes(a.n, [nums] * a.d, dtype)
-    values = values / den  # by a power of two: exact below 2^53
-    return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
-            "value": grid.float_lp_norm(np.abs(values, out=values), p),
-            "modulus_bound": a.n * a.d / g}
+    row_cells = g ** (a.d - 1)
+    rows = 1 << (max(1, _SLAB_CELLS // row_cells).bit_length() - 1)
+    if rows * row_cells < grid._PAIRWISE_BLOCK:
+        rows = g
+    counts = _count_slabs(a, [nums] * a.d, [2 * g] * a.d, True, rows)
+    for lo, slab in zip(range(0, g, rows), counts):
+        values = np.multiply(slab, den, dtype=dtype)
+        values -= _volumes(a.n, [nums[lo:lo + rows], *[nums] * (a.d - 1)],
+                           dtype)
+        values = values / den  # by a power of two: exact below 2^53
+        yield np.abs(values, out=values)
 
 
 def scaling_report(generator: str, n_list, grid_level: int = 10,

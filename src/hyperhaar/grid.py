@@ -9,8 +9,13 @@ with zero tolerance.  Values take the narrowest width ``int_dtype`` finds
 for a bound on the result (int8 up to int64, Python ints in an ``object``
 array past).  Floats leave a grid only through ``astype(np.float64)``,
 which rounds each cell correctly, where a measurement needs them: the
-cellwise root of the square function in ``lp_profile`` and the Orlicz
-estimate.  ``float_lp_norm`` is the one float L^p expression.
+cellwise root of the square function in ``lp_profile``, the Orlicz
+estimate and the discrepancy's midpoint L^p estimate.  ``float_lp_norm``
+is the one float L^p expression.  It takes slabs: the whole grid as one,
+or C-order slabs of a power of two of at least 2^7 cells (numpy's
+pairwise block), a power of two of them, whose ``np.sum`` values it adds
+in a binary tree.  numpy's pairwise sum halves such a grid into the same
+tree, so both forms equal ``np.mean`` of the whole grid bit for bit.
 
 Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
 values that reads each chunk once for every integer p asked for and also
@@ -130,13 +135,18 @@ class Resolution:
 # ---------------------------------------------------------------------------
 
 
+#: (dtype, largest value) of each fixed integer width, narrowest first.
+_INT_WIDTHS = tuple((dtype, int(np.iinfo(dtype).max))
+                    for dtype in (np.int8, np.int16, np.int32, np.int64))
+
+
 def int_dtype(bound: int):
     """The narrowest of int8/int16/int32/int64 that holds every integer of
     magnitude at most ``bound``, else Python ints (``object``): the one
     width rule of every exact integer array.  The bound must also cover
     every Python-int scalar that meets the array in its arithmetic."""
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
+    for dtype, top in _INT_WIDTHS:
+        if bound <= top:
             return dtype
     return object
 
@@ -234,10 +244,41 @@ def lp_norms(values: np.ndarray, ps) -> list[float]:
     return [norm_of_power_sum(total, values.size, p) for p, total in zip(ps, sums)]
 
 
-def float_lp_norm(abs_values: np.ndarray, p) -> float:
-    """(mean of abs_values**p)**(1/p) in float64: the one float L^p
-    expression, for arrays that are already nonnegative."""
-    return float(np.mean(abs_values ** float(p)) ** (1.0 / float(p)))
+#: Cells that numpy's pairwise float sum adds in one unrolled block; it
+#: halves a longer power-of-two range until the halves are this long.
+_PAIRWISE_BLOCK = 1 << 7
+
+
+def float_lp_norm(slabs, p) -> float:
+    """(mean of v**p)**(1/p) in float64 over the nonnegative arrays
+    ``slabs`` taken as one grid, in order: the one float L^p expression.
+
+    Each slab's ``np.sum`` of v**p is a leaf of a binary tree of float
+    sums, and two subtrees of equal size join as left + right.  With the
+    grid as one slab, or in C-order slabs of one power of two of at least
+    ``_PAIRWISE_BLOCK`` cells, a power of two of them, that tree is the one
+    numpy's pairwise sum builds over the whole grid, so the result equals
+    ``np.mean(grid ** p) ** (1 / p)`` bit for bit.  Other slabs raise
+    ``ValueError``."""
+    p = float(p)
+    tree = []  # (cells, sum) of each complete subtree, left to right
+    leaves = pairable = 0
+    for slab in slabs:
+        size = slab.size
+        leaves += 1
+        pairable += size >= _PAIRWISE_BLOCK and not size & (size - 1)
+        node = (size, np.sum(slab ** p))
+        while tree and tree[-1][0] == size:
+            left = tree.pop()[1]
+            size *= 2
+            node = (size, left + node[1])
+        tree.append(node)
+    if len(tree) != 1 or (leaves > 1 and pairable < leaves):
+        raise ValueError("float_lp_norm takes one slab, or a power of two "
+                         "of C-order slabs of one power of two of at least "
+                         f"{_PAIRWISE_BLOCK} cells")
+    cells, total = tree[0]
+    return float((total / cells) ** (1.0 / p))
 
 
 # -- transform kernels -------------------------------------------------------
@@ -377,7 +418,7 @@ def lp_profile(values: np.ndarray, sf_squared: np.ndarray, p_list) -> list[dict]
     np.sqrt(sf, out=sf)
     rows = []
     for p, nf in zip(ps, lp_norms(values, ps)):
-        ns = float_lp_norm(sf, p)  # S(f) >= 0
+        ns = float_lp_norm([sf], p)  # S(f) >= 0
         rows.append({"p": float(p), "norm": nf, "square_function_norm": ns,
                      "a_p": (ns / nf) if nf else float("nan"),
                      "b_p": (nf / ns) if ns else float("nan")})
@@ -398,6 +439,6 @@ def orlicz_norm_estimate(values: np.ndarray, alpha: float, p_max: int) -> float:
     vals = np.abs(values.astype(np.float64))
     best = 0.0
     for p in range(1, p_max + 1):
-        best = max(best, float(p) ** (-1.0 / alpha) * float_lp_norm(vals, p))
+        best = max(best, float(p) ** (-1.0 / alpha) * float_lp_norm([vals], p))
     return best
 

@@ -448,7 +448,7 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
     ps = list(range(1, p_max + 1))
     ratios = []
     for p in ps:
-        norm_p = grid.float_lp_norm(vals, p)
+        norm_p = grid.float_lp_norm([vals], p)
         ratios.append(norm_p * p ** (-(d - 1) / 2.0) / s_inf if s_inf else float("nan"))
     return {
         "n": field.n,
@@ -688,6 +688,22 @@ def scan_bounds_full_grid(a: PointSet, grid_level: int) -> dict:
     sup = float(np.max(values(strict=False)))
     inf = float(np.min(values(strict=True)))
     return {"sup": sup, "inf": inf, "sup_abs": max(sup, -inf)}
+
+
+def midpoint_lp_full_grid(a: PointSet, p: float, grid_level: int) -> float:
+    """The L^p estimate of ``discrepancy.discrepancy_lp`` with the whole
+    midpoint grid (2k+1)/2^(level+1) held at once, in float64, and one
+    ``np.mean`` of its powers.  Below 2^53 count minus N times the volume
+    is exact, as in the scan bounds above."""
+    g = 1 << grid_level
+    corners = [Fraction(2 * k + 1, 2 * g) for k in range(g)]
+    x = (2 * np.arange(g) + 1) / (2 * g)
+    vol = x
+    for _ in range(a.d - 1):
+        vol = np.multiply.outer(vol, x)
+    vol *= a.n
+    values = np.abs(corner_counts(a, [corners] * a.d, True) - vol)
+    return float(np.mean(values ** float(p)) ** (1.0 / float(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,10 @@ LIBRARY = {"numpy", *(f"hyperhaar.{m}" for m in
                       ("grid", "hyperbolic", "coincidence", "riesz",
                        "discrepancy"))}
 
+#: Standard-library and numpy modules that the parser need not load:
+#: ``fractions`` loads ``decimal``, and ``np.unique`` loads ``numpy.ma``.
+DEFERRED = {"fractions", "decimal", "csv", "numpy.ma"}
+
 #: sha256 of ``hyperhaar [<command>] --help`` at 80 columns, as Python
 #: 3.11's argparse formats it; the top-level parser under "".
 HELP_DIGESTS = {
@@ -632,13 +636,14 @@ HELP_DIGESTS = {
 class TestStartup:
     @staticmethod
     def _loaded_after(code: str) -> set:
-        """The watched modules loaded by a fresh interpreter that imports
-        ``hyperhaar.cli`` and runs ``code``."""
+        """The watched modules (``LIBRARY`` and ``DEFERRED``) loaded by a
+        fresh interpreter that imports ``hyperhaar.cli`` and runs ``code``."""
+        watched = sorted(LIBRARY | DEFERRED)
         script = "\n".join([
             "import contextlib, io, sys",
             "import hyperhaar.cli as cli",
             code,
-            f"print(*sorted(set(sys.modules) & set({sorted(LIBRARY)!r})))",
+            f"print(*sorted(set(sys.modules) & set({watched!r})))",
         ])
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
@@ -650,12 +655,19 @@ class TestStartup:
         ("cli.build_parser()", set()),
         ("with contextlib.redirect_stdout(io.StringIO()):\n"
          "    assert cli.main(['discrepancy', '--n-range', '2..8']) == 0",
-         {"numpy", "hyperhaar.grid", "hyperhaar.discrepancy"}),
+         {"numpy", "hyperhaar.grid", "hyperhaar.discrepancy", "fractions",
+          "decimal"}),
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['discrepancy', '--n-range', '2..8',\n"
+         "                     '--format', 'csv']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.discrepancy", "fractions",
+          "decimal", "csv"}),
         ("with contextlib.redirect_stdout(io.StringIO()):\n"
          "    assert cli.main(['sharpness', '--n-range', '2..3',\n"
          "                     '--trials', '1']) == 0",
-         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic"}),
-    ], ids=["parser", "discrepancy", "sharpness"])
+         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic", "fractions",
+          "decimal"}),
+    ], ids=["parser", "discrepancy", "discrepancy-csv", "sharpness"])
     def test_loads_only_the_modules_it_runs(self, code, loaded):
         assert self._loaded_after(code) == loaded
 

@@ -274,6 +274,21 @@ class TestCountKernel:
     def test_exact_sup_against_brute_force(self, a):
         assert_sup_matches_brute_force(a)
 
+    @pytest.mark.parametrize("values", [
+        np.array([5, -3, 5, 0, 2**62, -3, 0], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.array([3, 3, 3], dtype=np.int16),
+        # numerators over denominators past int64, with duplicates
+        np.append(OVERFLOW.nums[:, 0], OVERFLOW.nums[:2, 0]),
+        np.append(OVERFLOW.nums[:, 1], np.array([0, OVERFLOW.dens[1]], object)),
+        np.array([3 ** 40], dtype=object),
+    ], ids=["int64", "one", "int16-all-equal", "object-0", "object-1",
+            "object-one"])
+    def test_distinct_is_np_unique(self, values):
+        got, want = dis._distinct(values), np.unique(values)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
 
 class TestSlabFold:
     @pytest.mark.parametrize("a", BRUTE_SETS,
@@ -313,6 +328,19 @@ class TestScanStream:
         for key in ("sup", "inf", "sup_abs"):
             assert got[key] == want[key]
 
+    def test_vdc_16384_scan_peak(self):
+        # 2^20 corners in slabs of _SLAB_CELLS: with 2^16-cell slabs the
+        # traced peak was 3.5 MiB
+        a = dis.van_der_corput(16384)
+        tracemalloc.start()
+        try:
+            rec = dis.discrepancy_sup(a, approximate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec["mode"] == "scan-lower-bound"
+        assert peak <= 2 << 20
+
     def test_traced_peak_bounded(self):
         # d=3 at level 8 is 2^24 corners: 128 MiB per float64 grid, which
         # the scan must never hold
@@ -332,7 +360,36 @@ class TestScanStream:
 # ---------------------------------------------------------------------------
 
 
+# d=2 streams several slabs from level 8 on, d=3 from level 5
+LP_CASES = ([(a, level) for a in SETS if a.d == 2 for level in range(1, 10)]
+            + [(a, level) for a in SETS if a.d == 3 for level in range(1, 6)])
+
+
 class TestLpAndScaling:
+    @pytest.mark.parametrize(("a", "level"), LP_CASES,
+                             ids=[f"{a.provenance}-{a.n}-{level}"
+                                  for a, level in LP_CASES])
+    def test_lp_matches_full_grid_mean(self, a, level, monkeypatch):
+        # bit for bit, at the default slabs, at every slab size of
+        # TestSlabFold (slabs under 2^7 cells stream as the whole grid) and
+        # at 3 * 2^8 cells, whose rows round down to a power of two
+        want = {p: oracles.midpoint_lp_full_grid(a, p, level) for p in (1, 2, 3)}
+        for cells in [dis._SLAB_CELLS, *SLAB_CELLS, 3 << 8]:
+            monkeypatch.setattr(dis, "_SLAB_CELLS", cells)
+            for p, value in want.items():
+                assert dis.discrepancy_lp(a, p, grid_level=level)["value"] == value
+
+    def test_lp_streams(self):
+        # the 2^16-cell midpoint grid held whole took 1.13 MiB traced
+        a = dis.van_der_corput(16384)
+        tracemalloc.start()
+        try:
+            dis.discrepancy_lp(a, 2, grid_level=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
     def test_l2_against_closed_form(self):
         # For the single point at the origin the deviation is 1 - x1 x2,
         # whose squared integral over the unit square is 11/18.

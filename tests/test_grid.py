@@ -145,6 +145,21 @@ class TestGrids:
         with pytest.raises(ValueError, match="den"):
             RationalGrid(np.ones(2, dtype=np.int8), den)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_int_dtype_table_keeps_the_iinfo_rule(self, dtype):
+        # the rule the width table replaced, at each boundary
+        def iinfo_rule(bound):
+            for t in (np.int8, np.int16, np.int32, np.int64):
+                if bound <= np.iinfo(t).max:
+                    return t
+            return object
+
+        top = int(np.iinfo(dtype).max)
+        for bound in (top - 1, top, top + 1, np.int64(top), 0, 2**63,
+                      2**63 - 1, 2**200):
+            assert grid.int_dtype(bound) is iinfo_rule(bound)
+        assert grid.int_dtype(top) is dtype
+
 
 # ---------------------------------------------------------------------------
 # expectation and norms
@@ -498,9 +513,10 @@ class TestExactRoutesAgainstOracle:
         assert [row["norm"] for row in rows] == grid.lp_norms(values, ps) == \
             [float(oracles.moment(values, p)) ** (1.0 / p) for p in ps]
         assert [row["square_function_norm"] for row in rows] == \
-            [grid.float_lp_norm(np.sqrt(cells), p) for p in ps]
+            [grid.float_lp_norm([np.sqrt(cells)], p) for p in ps]
         assert grid.orlicz_norm_estimate(values, 2.0, 4) == \
-            max(float(p) ** -0.5 * grid.float_lp_norm(np.abs(cells), p) for p in ps)
+            max(float(p) ** -0.5 * grid.float_lp_norm([np.abs(cells)], p)
+                for p in ps)
 
     @pytest.mark.parametrize("nums, den", [
         (2**60 + np.arange(256), 3),  # numerators past 2^53, odd den
@@ -652,6 +668,34 @@ class TestConditionalExpectation:
 
 
 class TestLPDiagnostics:
+    # 2^20 cells in C-order slabs of 2^7 (numpy's pairwise block), 2^10 and
+    # 2^14 cells, and as one slab: a numpy whose sum stops halving
+    # power-of-two ranges down to 2^7-cell blocks fails here
+    @pytest.mark.parametrize("p", [1, 2, 3, 2.5])
+    @pytest.mark.parametrize("slab_cells", [1 << 7, 1 << 10, 1 << 14, 1 << 20])
+    def test_float_lp_norm_over_slabs_is_np_mean(self, p, slab_cells):
+        x = np.abs(np.random.default_rng(7).standard_normal((1 << 10, 1 << 10)))
+        want = float(np.mean(x ** p) ** (1 / p))
+        rows = slab_cells >> 10 or 1
+        slabs = ([x[lo:lo + rows] for lo in range(0, len(x), rows)]
+                 if slab_cells >= 1 << 10 else
+                 [x.reshape(-1)[lo:lo + slab_cells]
+                  for lo in range(0, x.size, slab_cells)])
+        assert grid.float_lp_norm(slabs, p) == want
+        assert grid.float_lp_norm(iter(slabs), p) == want
+
+    @pytest.mark.parametrize("sizes", [[64, 64], [128, 128, 128], [96, 96],
+                                       [128, 256, 128], []])
+    def test_float_lp_norm_refuses_slabs_off_the_pairwise_tree(self, sizes):
+        x = np.ones(sum(sizes))
+        slabs = np.split(x, np.cumsum(sizes)[:-1]) if sizes else []
+        with pytest.raises(ValueError, match="slab"):
+            grid.float_lp_norm(slabs, 2)
+
+    def test_float_lp_norm_takes_any_single_slab(self):
+        x = np.arange(1.0, 25.0).reshape(2, 3, 4)
+        assert grid.float_lp_norm([x], 3) == float(np.mean(x ** 3.0) ** (1 / 3))
+
     def test_full_interval_haar_profile(self):
         h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
         assert grid.lp_norms(h, [1, 2, 4, 8]) == pytest.approx([1.0] * 4)
