@@ -256,8 +256,9 @@ def run_verify(args) -> tuple[int, dict, list]:
     """Exact-identity suites across the library; exit 0 iff all pass."""
     from fractions import Fraction
 
-    from . import coincidence, hyperbolic, riesz
+    from . import coincidence, grid, hyperbolic, riesz
     from .hyperbolic import CoefficientField
+    grid.Resolution.uniform(args.n + 1, 3)  # the short product's, before any suite
     suites = []
     failures = []
 
@@ -355,8 +356,9 @@ def run_verify(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz2d(args) -> tuple[int, dict, list]:
-    from . import riesz
+    from . import grid, riesz
     from .hyperbolic import CoefficientField
+    grid.Resolution.uniform(args.n + 1, 2)  # the product's grid, before any draw
     rows = []
     ok = True
     for trial in range(args.trials):
@@ -380,9 +382,10 @@ def _cmd_riesz2d(args) -> tuple[int, dict, list]:
 
 
 def _cmd_riesz3d(args) -> tuple[int, dict, list]:
-    from . import riesz
+    from . import grid, riesz
     from .hyperbolic import CoefficientField
     params = riesz.make_params(args.n, q=args.q, a=args.a, eps=args.eps)
+    grid.Resolution.uniform(args.n + 1, 3)  # the short product's, before the draw
     field = CoefficientField.random_signs(args.n, 3, args.seed)
     short = riesz.ShortProduct(field, params,
                                budget=args.budget or riesz.SD_TUPLE_BUDGET)
@@ -447,13 +450,16 @@ def _cmd_sharpness(args) -> tuple[int, dict, list]:
 
 def _cmd_lp_profile(args) -> tuple[int, dict, list]:
     from . import grid, hyperbolic
-    field = hyperbolic.CoefficientField.random_signs(args.n, args.d, args.seed)
-    h = hyperbolic.hyperbolic_sum(field)
     p_list = _parse_p_list(args.p_list)
-    # a temporary, so lp_profile frees the integer S(H)^2 before its floats
-    rows = grid.lp_profile(h, hyperbolic.square_function_squared(field), p_list)
+    res = grid.Resolution.uniform(args.n + 1, args.d)  # the field's grid
+    field = hyperbolic.CoefficientField.random_signs(args.n, args.d, args.seed)
+    # H streams twice (exact moments, then Orlicz floats), S(H)^2 once
+    rows = grid.lp_profile(hyperbolic.shape_sum_slabs(field.values, res),
+                           hyperbolic.square_function_slabs(field), p_list)
+    orlicz = grid.orlicz_norm_estimate(
+        hyperbolic.shape_sum_slabs(field.values, res), 2.0, max(p_list))
     payload = {"n": args.n, "d": args.d, "rows": rows,
-               "orlicz_estimate": grid.orlicz_norm_estimate(h, 2.0, max(p_list))}
+               "orlicz_estimate": orlicz}
     return 0, payload, rows
 
 

@@ -313,7 +313,7 @@ def discrepancy_lp(a: PointSet, p: float, grid_level: int = 8) -> dict:
     _check_grid_level(grid_level, a.d)
     g = 1 << grid_level
     return {"n": a.n, "d": a.d, "p": p, "grid_level": grid_level,
-            "value": grid.float_lp_norm(_midpoint_slabs(a, g), p),
+            "value": grid.float_lp_norm(_midpoint_slabs(a, g), [p])[0],
             "modulus_bound": a.n * a.d / g}
 
 

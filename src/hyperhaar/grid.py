@@ -11,11 +11,13 @@ array past).  Floats leave a grid only through ``astype(np.float64)``,
 which rounds each cell correctly, where a measurement needs them: the
 cellwise root of the square function in ``lp_profile``, the Orlicz
 estimate and the discrepancy's midpoint L^p estimate.  ``float_lp_norm``
-is the one float L^p expression.  It takes slabs: the whole grid as one,
-or C-order slabs of a power of two of at least 2^7 cells (numpy's
-pairwise block), a power of two of them, whose ``np.sum`` values it adds
-in a binary tree.  numpy's pairwise sum halves such a grid into the same
-tree, so both forms equal ``np.mean`` of the whole grid bit for bit.
+is the one float L^p expression, for several p in one read.  It takes
+slabs: the whole grid as one, or C-order slabs of a power of two of at
+least 2^7 cells (numpy's pairwise block), a power of two of them, whose
+``np.sum`` values it adds in a binary tree.  numpy's pairwise sum halves
+such a grid into the same tree, so both forms equal ``np.mean`` of the
+whole grid bit for bit.  The L^p and Orlicz diagnostics take slabs too,
+and cast one slab at a time, so no float copy of a whole grid is made.
 
 Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
 values that reads each chunk once for every integer p asked for and also
@@ -24,7 +26,6 @@ A chunk whose values span at most ``_POWER_CHUNK`` integers (every int8
 and int16 chunk) is counted in one chunked ``bincount`` pass after its
 min/max, and each sum is ``count * |v|**p`` over the values that occur, in
 Python ints; wider spans and Python-int chunks take a chunked power loop.
-``lp_norms`` gives several norms of a grid from one read, as one chunk.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
 ``2**m_i`` intervals ``[j*2**-m_i, (j+1)*2**-m_i)``.  The point ``x = 1`` is
@@ -233,52 +234,42 @@ def norm_of_power_sum(total: int, scale: int, p: int) -> float:
     return float(Fraction(total, scale)) ** (1.0 / p)
 
 
-def lp_norms(values: np.ndarray, ps) -> list[float]:
-    """(E|v|**p)**(1/p) over the cells of an integer grid, for every integer
-    p >= 1 in ``ps``: the exact moments come from one read of the values,
-    and only the final root is floating point."""
-    ps = list(ps)
-    if not all(isinstance(p, int) and p >= 1 for p in ps):
-        raise ValueError(f"L^p norms need integer p >= 1, got {ps}")
-    sums, _ = abs_power_sums([values], ps)
-    return [norm_of_power_sum(total, values.size, p) for p, total in zip(ps, sums)]
-
-
 #: Cells that numpy's pairwise float sum adds in one unrolled block; it
 #: halves a longer power-of-two range until the halves are this long.
 _PAIRWISE_BLOCK = 1 << 7
 
 
-def float_lp_norm(slabs, p) -> float:
-    """(mean of v**p)**(1/p) in float64 over the nonnegative arrays
-    ``slabs`` taken as one grid, in order: the one float L^p expression.
+def float_lp_norm(slabs, ps) -> list[float]:
+    """(mean of v**p)**(1/p) in float64, for each p in ``ps``, over the
+    nonnegative arrays ``slabs`` taken as one grid, in order: the one float
+    L^p expression.
 
-    Each slab's ``np.sum`` of v**p is a leaf of a binary tree of float
-    sums, and two subtrees of equal size join as left + right.  With the
-    grid as one slab, or in C-order slabs of one power of two of at least
-    ``_PAIRWISE_BLOCK`` cells, a power of two of them, that tree is the one
-    numpy's pairwise sum builds over the whole grid, so the result equals
-    ``np.mean(grid ** p) ** (1 / p)`` bit for bit.  Other slabs raise
-    ``ValueError``."""
-    p = float(p)
-    tree = []  # (cells, sum) of each complete subtree, left to right
+    Each slab's ``np.sum`` of v**p, one per p, is a leaf of a binary tree
+    of float sums, and two subtrees of equal size join as left + right.
+    With the grid as one slab, or in C-order slabs of one power of two of
+    at least ``_PAIRWISE_BLOCK`` cells, a power of two of them, that tree
+    is the one numpy's pairwise sum builds over the whole grid, so each
+    result equals ``np.mean(grid ** p) ** (1 / p)`` bit for bit.  Other
+    slabs raise ``ValueError``."""
+    ps = [float(p) for p in ps]
+    tree = []  # (cells, sum per p) of each complete subtree, left to right
     leaves = pairable = 0
     for slab in slabs:
         size = slab.size
         leaves += 1
         pairable += size >= _PAIRWISE_BLOCK and not size & (size - 1)
-        node = (size, np.sum(slab ** p))
+        sums = [np.sum(slab ** p) for p in ps]
         while tree and tree[-1][0] == size:
             left = tree.pop()[1]
             size *= 2
-            node = (size, left + node[1])
-        tree.append(node)
+            sums = [a + b for a, b in zip(left, sums)]
+        tree.append((size, sums))
     if len(tree) != 1 or (leaves > 1 and pairable < leaves):
         raise ValueError("float_lp_norm takes one slab, or a power of two "
                          "of C-order slabs of one power of two of at least "
                          f"{_PAIRWISE_BLOCK} cells")
-    cells, total = tree[0]
-    return float((total / cells) ** (1.0 / p))
+    cells, totals = tree[0]
+    return [float((total / cells) ** (1.0 / p)) for p, total in zip(ps, totals)]
 
 
 # -- transform kernels -------------------------------------------------------
@@ -401,32 +392,44 @@ def synthesize(arr: np.ndarray, signed=True, axes=None,
 # ---------------------------------------------------------------------------
 
 
-def lp_profile(values: np.ndarray, sf_squared: np.ndarray, p_list) -> list[dict]:
-    """Norms of an integer grid f and of S(f), given as ``sf_squared`` =
-    S(f)**2, with the two-sided ratio estimates: one row per p, with the
-    keys p, norm, square_function_norm, a_p = ||S(f)||_p / ||f||_p and
-    b_p = ||f||_p / ||S(f)||_p.  S(f) is float64, each cell the correctly
-    rounded float of its integer, rooted in place; the argument is dropped
-    first, so a caller's temporary is freed by then."""
+def lp_profile(slabs, sf_squared_slabs, p_list) -> list[dict]:
+    """Norms of an integer grid f and of S(f), each given as its C-order
+    slabs (f, and S(f)**2 in ``sf_squared_slabs``), with the two-sided
+    ratio estimates: one row per integer p >= 1 of the strictly increasing
+    ``p_list``, with the keys p, norm, square_function_norm,
+    a_p = ||S(f)||_p / ||f||_p and b_p = ||f||_p / ||S(f)||_p.  f's norms
+    root its exact moments; S(f) is float64, each cell the square root of
+    the correctly rounded float of its integer.  ``p_list`` is checked
+    before any slab is read."""
     ps = list(p_list)
     if not ps:
         raise ValueError("p_list must be nonempty")
+    if not all(isinstance(p, int) and p >= 1 for p in ps):
+        raise ValueError(f"L^p norms need integer p >= 1, got {ps}")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be strictly increasing")
-    sf = sf_squared.astype(np.float64)
-    del sf_squared
-    np.sqrt(sf, out=sf)
+    sizes = []
+
+    def counted():
+        for slab in slabs:
+            sizes.append(slab.size)
+            yield slab
+
+    sums, _ = abs_power_sums(counted(), ps)
+    sf_norms = float_lp_norm((np.sqrt(s.astype(np.float64))
+                              for s in sf_squared_slabs), ps)
     rows = []
-    for p, nf in zip(ps, lp_norms(values, ps)):
-        ns = float_lp_norm([sf], p)  # S(f) >= 0
+    for p, total, ns in zip(ps, sums, sf_norms):
+        nf = norm_of_power_sum(total, sum(sizes), p)
         rows.append({"p": float(p), "norm": nf, "square_function_norm": ns,
                      "a_p": (ns / nf) if nf else float("nan"),
                      "b_p": (nf / ns) if ns else float("nan")})
     return rows
 
 
-def orlicz_norm_estimate(values: np.ndarray, alpha: float, p_max: int) -> float:
-    """max over integer p in [1, p_max] of p**(-1/alpha) * ||f||_p.
+def orlicz_norm_estimate(slabs, alpha: float, p_max: int) -> float:
+    """max over integer p in [1, p_max] of p**(-1/alpha) * ||f||_p, over
+    the C-order slabs of an integer grid f, each cast to float64 |f|.
 
     This is the sup-over-p equivalent of the exponential-integrability norm,
     a surrogate that matches the true norm up to absolute constants; it is
@@ -436,9 +439,6 @@ def orlicz_norm_estimate(values: np.ndarray, alpha: float, p_max: int) -> float:
         raise ValueError("alpha must be positive")
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    vals = np.abs(values.astype(np.float64))
-    best = 0.0
-    for p in range(1, p_max + 1):
-        best = max(best, float(p) ** (-1.0 / alpha) * float_lp_norm([vals], p))
-    return best
-
+    ps = range(1, p_max + 1)
+    norms = float_lp_norm((np.abs(s.astype(np.float64)) for s in slabs), ps)
+    return max(float(p) ** (-1.0 / alpha) * norm for p, norm in zip(ps, norms))

@@ -107,10 +107,10 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
     failures = []
     psi = temlyakov_product(field, n)
     scale = 2 ** (n + 1)
+    h = hyperbolic.shape_sum_grid(field.values, res)
     if field.mode == "float":
         tol = 1e-10
         expected = field.abs_sum() / scale
-        h = hyperbolic.shape_sum_grid(field.values, res)
         psi_values = psi.astype(np.float64) / scale  # exact: a power of two
         mean = float(np.sum(psi_values)) / res.cells
         inner = float(np.sum(h * psi_values)) / res.cells
@@ -119,7 +119,6 @@ def verify_temlyakov(field: CoefficientField, n: int) -> dict:
         expected = Fraction(field.abs_sum(), scale)
         dtype = grid.int_dtype(grid.max_abs(psi) * res.cells)
         mean = Fraction(int(psi.sum(dtype=dtype)), res.cells * scale)
-        h = hyperbolic.hyperbolic_sum(field, res)
         dtype = grid.int_dtype(grid.max_abs(h) * grid.max_abs(psi) * res.cells)
         total = np.multiply(h, psi, dtype=dtype).sum(dtype=dtype)
         inner = Fraction(int(total), res.cells * scale)

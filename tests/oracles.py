@@ -409,9 +409,11 @@ def square_sum(field: CoefficientField):
 def trivial_bound_report(field: CoefficientField) -> dict:
     """The counting bound: 2**-n sum|alpha| <= sqrt(#H_n) ||H||_2
     <= sqrt(#H_n) ||H||_inf, verified exactly via squared comparisons."""
+    if field.mode != "exact":
+        raise ValueError("the bound is checked exactly: it needs an integer field")
     n, d = field.n, field.d
     count = hyperbolic.shape_count(n, d)
-    h = hyperbolic.hyperbolic_sum(field)
+    h = hyperbolic.shape_sum_grid(field.values, hyperbolic.field_resolution(field))
     lhs = Fraction(field.abs_sum(), 1 << n)
     l2_sq = moment(h, 2)
     sup = grid.max_abs(h)
@@ -437,18 +439,17 @@ def exp_integrability_profile(field: CoefficientField, p_max: int) -> dict:
     measured exponential-integrability constant."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    h = hyperbolic.hyperbolic_sum(field)
+    h = hyperbolic.shape_sum_grid(field.values, hyperbolic.field_resolution(field))
     exact_volume = CoefficientField(
         field.n, field.d, {s: field.values[s] for s in field.exact_volume_shapes},
         field.mode)
-    sq = hyperbolic.square_function_squared(exact_volume)
-    s_inf = grid.max_abs(sq) ** 0.5
+    sq = hyperbolic.square_function_slabs(exact_volume)
+    s_inf = max(map(grid.max_abs, sq)) ** 0.5
     vals = np.abs(h.astype(np.float64))
     d = field.d
     ps = list(range(1, p_max + 1))
     ratios = []
-    for p in ps:
-        norm_p = grid.float_lp_norm([vals], p)
+    for p, norm_p in zip(ps, grid.float_lp_norm([vals], ps)):
         ratios.append(norm_p * p ** (-(d - 1) / 2.0) / s_inf if s_inf else float("nan"))
     return {
         "n": field.n,

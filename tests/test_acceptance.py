@@ -173,9 +173,10 @@ class TestSquareFunction:
             maker = (CoefficientField.random_signs if trial % 2
                      else CoefficientField.random_integers)
             field = maker(n, d, trial)
-            f = hyperbolic.hyperbolic_sum(field)
-            assert oracles.mean(hyperbolic.square_function_squared(field)) \
-                == oracles.moment(f, 2), (d, n, trial)
+            f = hyperbolic.shape_sum_grid(field.values,
+                                          hyperbolic.field_resolution(field))
+            [sf_squared] = hyperbolic.square_function_slabs(field)
+            assert oracles.mean(sf_squared) == oracles.moment(f, 2), (d, n, trial)
             checked += 1
             trial += 1
         assert time.monotonic() - start <= 10.0
@@ -190,8 +191,9 @@ class TestSquareFunction:
                 for seed in (0, 1):
                     field = CoefficientField.random_signs(n, d, (d, n, seed))
                     prof = grid.lp_profile(
-                        hyperbolic.hyperbolic_sum(field),
-                        hyperbolic.square_function_squared(field), [2, 4, 8, 16])
+                        [hyperbolic.shape_sum_grid(
+                            field.values, hyperbolic.field_resolution(field))],
+                        hyperbolic.square_function_slabs(field), [2, 4, 8, 16])
                     worst = max(worst,
                                 max(row["b_p"] / math.sqrt(row["p"]) for row in prof))
         assert 1 / math.sqrt(2) <= worst <= 0.75

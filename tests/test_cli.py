@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +81,30 @@ class TestVerify:
         code, _ = run(["verify", "--n", "3", "--budget", "1"], capsys)
         assert code == 2
 
-    def test_grid_limit_exit_code(self, capsys):
-        code = cli.main(["sharpness", "--n-range", "9..9", "--trials", "1",
-                         "--d", "3"])
+    @pytest.mark.parametrize("argv, level", [
+        (["sharpness", "--n-range", "9..9", "--trials", "1", "--d", "3"], 30),
+        (["sharpness", "--n-range", "3..9", "--trials", "4"], 30),
+        (["riesz3d", "--n", "25"], 78),
+        (["riesz2d", "--n", "30"], 62),
+        (["lp-profile", "--n", "25"], 78),
+        (["verify", "--n", "25"], 78),
+    ])
+    def test_grid_limit_exit_code(self, argv, level, capsys, monkeypatch):
+        # refused before any field is drawn and before verify's first
+        # suite: at n=25 the field of riesz3d alone is about 100 GB, and
+        # sharpness must not run n=3..8 first
+        def started(*args):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(hyperbolic, "_as_rng", started)
+        monkeypatch.setattr(coincidence, "product_rule_exhaustive_check", started)
+        code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "limit"
-        assert "total level 30" in err["detail"]
+        assert f"total level {level} " in err["detail"]
 
     def test_oversized_discrepancy_scan_refused(self, capsys):
         # halton d=3 with N > 40 takes the scan bound, whose default grid
@@ -525,14 +541,35 @@ class TestExperiments:
         assert [row["p"] for row in payload["rows"]] == [2, 4]
         assert all(row["b_p"] > 0 for row in payload["rows"])
 
+    def test_lp_profile_traced_peak(self, capsys):
+        # H and S(H)^2 stream in slabs: their 2^21-cell grids (2 MiB of
+        # int8 each, 16 MiB as float64) are never held whole, where the
+        # whole grids and their float copies took 34.7 MiB
+        tracemalloc.start()
+        try:
+            code = cli.main(["lp-profile", "--n", "6", "--p-list", "2,4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 12 << 20, peak / 2**20
+        # the 8 slabs of each stream give the numbers of the whole grids
+        payload = json.loads(capsys.readouterr().out)
+        field = hyperbolic.CoefficientField.random_signs(6, 3, 0)
+        h = hyperbolic.shape_sum_grid(field.values, hyperbolic.field_resolution(field))
+        sf_squared = np.concatenate(list(hyperbolic.square_function_slabs(field)))
+        assert payload["rows"] == grid.lp_profile([h], [sf_squared], [2, 4])
+        assert payload["orlicz_estimate"] == grid.orlicz_norm_estimate([h], 2.0, 4)
+
     def test_lp_profile_csv_rows_are_the_library_rows(self, capsys):
         # the CSV header and cells are grid.lp_profile's rows, in key order
         code, out = run(["lp-profile", "--n", "3", "--p-list", "2,4", "--seed",
                          "5", "--format", "csv"], capsys)
         assert code == 0
         field = hyperbolic.CoefficientField.random_signs(3, 3, 5)
-        rows = grid.lp_profile(hyperbolic.hyperbolic_sum(field),
-                               hyperbolic.square_function_squared(field), [2, 4])
+        rows = grid.lp_profile([hyperbolic.shape_sum_grid(
+                                   field.values, hyperbolic.field_resolution(field))],
+                               hyperbolic.square_function_slabs(field), [2, 4])
         assert out.splitlines()[1:] == [",".join(rows[0])] + [
             ",".join(repr(v) for v in row.values()) for row in rows]
 

@@ -180,7 +180,8 @@ class TestMoments:
 
     def test_lp_norm_of_half_interval_haar(self):
         h = oracles.haar_1d(DyadicInterval(1, 0), Resolution((2,)))
-        assert grid.lp_norms(h, [2]) == [pytest.approx(2 ** -0.5)]
+        assert grid.lp_profile([h], [h * h], [2])[0]["norm"] == \
+            pytest.approx(2 ** -0.5)
 
     def test_sup_norm_is_one(self):
         h = oracles.haar_tensor(rectangle((1, 1), (0, 1)), Resolution((2, 2)))
@@ -374,7 +375,7 @@ class TestSquareFunction:
         f = res.cells * rng.integers(-5, 6, size=res.grid_shape, dtype=np.int64)
         sq = oracles.square_function_squared(f)
         assert sq.den == 1
-        prof = grid.lp_profile(f, sq.values, [2])
+        prof = grid.lp_profile([f], [sq.values], [2])
         assert prof[0]["b_p"] == pytest.approx(1.0)
 
 
@@ -504,19 +505,19 @@ class TestExactRoutesAgainstOracle:
                 s: (rng.integers(1, 1000, size=tuple(1 << r for r in s)) << 32)
                 + rng.integers(0, 1 << 20, size=tuple(1 << r for r in s))
                 for s in hyperbolic.enumerate_shapes(2, 2)}
-            values = hyperbolic.square_function_squared(
+            [values] = hyperbolic.square_function_slabs(
                 CoefficientField(2, 2, shape_values))
         assert values.dtype == dtype
         cells = np.array([float(Fraction(int(v))) for v in values.flat])
         ps = [1, 2, 3, 4]
-        rows = grid.lp_profile(values, values, ps)
-        assert [row["norm"] for row in rows] == grid.lp_norms(values, ps) == \
+        rows = grid.lp_profile([values], [values], ps)
+        assert [row["norm"] for row in rows] == \
             [float(oracles.moment(values, p)) ** (1.0 / p) for p in ps]
         assert [row["square_function_norm"] for row in rows] == \
-            [grid.float_lp_norm([np.sqrt(cells)], p) for p in ps]
-        assert grid.orlicz_norm_estimate(values, 2.0, 4) == \
-            max(float(p) ** -0.5 * grid.float_lp_norm([np.abs(cells)], p)
-                for p in ps)
+            grid.float_lp_norm([np.sqrt(cells)], ps)
+        assert grid.orlicz_norm_estimate([values], 2.0, 4) == \
+            max(float(p) ** -0.5 * norm
+                for p, norm in zip(ps, grid.float_lp_norm([np.abs(cells)], ps)))
 
     @pytest.mark.parametrize("nums, den", [
         (2**60 + np.arange(256), 3),  # numerators past 2^53, odd den
@@ -605,7 +606,7 @@ class TestPowerSumsAgainstOracle:
         assert grid.abs_power_sums(chunks, [1, 2]) == ([136, 128**2 + 34], 128)
 
     @pytest.mark.parametrize("den", [1, 3])
-    def test_lp_norms_root_the_exact_moments(self, den):
+    def test_lp_profile_norms_root_the_exact_moments(self, den):
         # a grid over a scale den: E|v/den|**p is the power sum over
         # cells * den**p, rooted once
         rng = np.random.default_rng(den)
@@ -618,15 +619,18 @@ class TestPowerSumsAgainstOracle:
         assert [grid.norm_of_power_sum(total, f.values.size * den**p, p).hex()
                 for total, p in zip(sums, ps)] == want
         if den == 1:
-            assert [v.hex() for v in grid.lp_norms(f.values, ps)] == want
+            rows = grid.lp_profile([f.values], [f.values ** 2], ps)
+            assert [row["norm"].hex() for row in rows] == want
 
     @pytest.mark.parametrize("p", [2.5, 0, 2.0])
-    def test_lp_norms_need_integer_p(self, p):
-        h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
-        with pytest.raises(ValueError, match="integer p"):
-            grid.lp_norms(h, [1, p])
-        with pytest.raises(ValueError, match="integer p"):
-            grid.lp_profile(h, oracles.square_function_squared(h).values, [p])
+    def test_lp_profile_needs_integer_p(self, p):
+        def unread():
+            raise AssertionError("a slab was read")
+            yield
+
+        for ps in ([1, p], [p]):
+            with pytest.raises(ValueError, match="integer p"):
+                grid.lp_profile(unread(), unread(), ps)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +675,21 @@ class TestLPDiagnostics:
     # 2^20 cells in C-order slabs of 2^7 (numpy's pairwise block), 2^10 and
     # 2^14 cells, and as one slab: a numpy whose sum stops halving
     # power-of-two ranges down to 2^7-cell blocks fails here
+    # (each id leads the one call with its own p, then checks that p alone)
     @pytest.mark.parametrize("p", [1, 2, 3, 2.5])
     @pytest.mark.parametrize("slab_cells", [1 << 7, 1 << 10, 1 << 14, 1 << 20])
     def test_float_lp_norm_over_slabs_is_np_mean(self, p, slab_cells):
         x = np.abs(np.random.default_rng(7).standard_normal((1 << 10, 1 << 10)))
-        want = float(np.mean(x ** p) ** (1 / p))
+        ps = [p] + [q for q in (1, 2, 3, 2.5) if q != p]
+        want = [float(np.mean(x ** q) ** (1 / q)) for q in ps]
         rows = slab_cells >> 10 or 1
         slabs = ([x[lo:lo + rows] for lo in range(0, len(x), rows)]
                  if slab_cells >= 1 << 10 else
                  [x.reshape(-1)[lo:lo + slab_cells]
                   for lo in range(0, x.size, slab_cells)])
-        assert grid.float_lp_norm(slabs, p) == want
-        assert grid.float_lp_norm(iter(slabs), p) == want
+        assert grid.float_lp_norm(slabs, ps) == want
+        assert grid.float_lp_norm(iter(slabs), ps) == want
+        assert grid.float_lp_norm(slabs, [p]) == want[:1]
 
     @pytest.mark.parametrize("sizes", [[64, 64], [128, 128, 128], [96, 96],
                                        [128, 256, 128], []])
@@ -690,16 +697,17 @@ class TestLPDiagnostics:
         x = np.ones(sum(sizes))
         slabs = np.split(x, np.cumsum(sizes)[:-1]) if sizes else []
         with pytest.raises(ValueError, match="slab"):
-            grid.float_lp_norm(slabs, 2)
+            grid.float_lp_norm(slabs, [2])
 
     def test_float_lp_norm_takes_any_single_slab(self):
         x = np.arange(1.0, 25.0).reshape(2, 3, 4)
-        assert grid.float_lp_norm([x], 3) == float(np.mean(x ** 3.0) ** (1 / 3))
+        assert grid.float_lp_norm([x], [3]) == [float(np.mean(x ** 3.0) ** (1 / 3))]
 
     def test_full_interval_haar_profile(self):
         h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
-        assert grid.lp_norms(h, [1, 2, 4, 8]) == pytest.approx([1.0] * 4)
-        assert grid.orlicz_norm_estimate(h, 1.0, 4) == pytest.approx(1.0)
+        rows = grid.lp_profile([h], [h * h], [1, 2, 4, 8])
+        assert [row["norm"] for row in rows] == pytest.approx([1.0] * 4)
+        assert grid.orlicz_norm_estimate([h], 1.0, 4) == pytest.approx(1.0)
 
     def test_ratio_constant_d1_haar_sums(self):
         # b_p / sqrt(p) stays below the frozen regression constant for
@@ -712,8 +720,9 @@ class TestLPDiagnostics:
             spec = rng.integers(0, 2, size=63) * 2 - 1
             field = CoefficientField(5, 1, {(k,): spec[(1 << k) - 1:(2 << k) - 1]
                                             for k in range(6)})
-            prof = grid.lp_profile(hyperbolic.hyperbolic_sum(field),
-                                   hyperbolic.square_function_squared(field),
+            h = hyperbolic.shape_sum_grid(field.values,
+                                          hyperbolic.field_resolution(field))
+            prof = grid.lp_profile([h], hyperbolic.square_function_slabs(field),
                                    [2, 4, 8, 16])
             worst = max(worst, max(row["b_p"] / math.sqrt(row["p"]) for row in prof))
         assert worst <= 0.75
@@ -721,10 +730,10 @@ class TestLPDiagnostics:
     def test_orlicz_requires_positive_alpha(self):
         h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
         with pytest.raises(ValueError):
-            grid.orlicz_norm_estimate(h, 0.0, 4)
+            grid.orlicz_norm_estimate([h], 0.0, 4)
 
     def test_lp_profile_requires_increasing_ps(self):
         h = oracles.haar_1d(DyadicInterval(0, 0), Resolution((1,)))
         with pytest.raises(ValueError):
-            grid.lp_profile(h, oracles.square_function_squared(h).values, [4, 2])
+            grid.lp_profile([h], [oracles.square_function_squared(h).values], [4, 2])
 

@@ -154,7 +154,7 @@ class TestHyperbolicSum:
                 for s in hyperbolic.enumerate_shapes(n, d)}
         vals[(1, 1)][1, 0] = 5
         f = CoefficientField(n, d, vals)
-        h = hyperbolic.hyperbolic_sum(f)
+        h = hyperbolic.shape_sum_grid(f.values, hyperbolic.field_resolution(f))
         haar = oracles.haar_tensor(oracles.rectangle((1, 1), (1, 0)),
                                    hyperbolic.field_resolution(f))
         assert np.array_equal(h, 5 * haar)
@@ -163,7 +163,7 @@ class TestHyperbolicSum:
         n, d = 3, 2
         f = CoefficientField.random_integers(n, d, 21)
         res = hyperbolic.field_resolution(f)
-        h = hyperbolic.hyperbolic_sum(f, res)
+        h = hyperbolic.shape_sum_grid(f.values, res)
         for shape in hyperbolic.enumerate_shapes(n, d):
             rf = hyperbolic.signed_r_sum(f, res, shapes=[shape])
             expected = Fraction(
@@ -174,7 +174,7 @@ class TestHyperbolicSum:
     def test_l2_moment_matches_coefficient_squares(self):
         n, d = 3, 3
         f = CoefficientField.random_integers(n, d, 22)
-        h = hyperbolic.hyperbolic_sum(f)
+        h = hyperbolic.shape_sum_grid(f.values, hyperbolic.field_resolution(f))
         assert oracles.moment(h, 2) == Fraction(oracles.square_sum(f), 1 << n)
 
     @pytest.mark.parametrize("total, dtype", [
@@ -231,8 +231,7 @@ class TestHyperbolicSum:
         assert hyperbolic.shape_sum_grid({(0, 0, 1): np.full((1, 1, 2), -128)},
                                          res, signed).dtype == np.int16
 
-    @pytest.mark.parametrize("report", [hyperbolic.hyperbolic_sum,
-                                        hyperbolic.square_function_squared,
+    @pytest.mark.parametrize("report", [hyperbolic.square_function_slabs,
                                         oracles.trivial_bound_report])
     def test_float_field_refused(self, report):
         # grids are exact; only the d=2 product reads float fields
@@ -242,8 +241,8 @@ class TestHyperbolicSum:
     def test_coarse_shapes_enter_the_sum(self):
         base = CoefficientField.random_signs(2, 2, 30)
         ext = hyperbolic.add_coarse_random(base, 31)
-        h_base = hyperbolic.hyperbolic_sum(base, Resolution((3, 3)))
-        h_ext = hyperbolic.hyperbolic_sum(ext, Resolution((3, 3)))
+        h_base = hyperbolic.shape_sum_grid(base.values, Resolution((3, 3)))
+        h_ext = hyperbolic.shape_sum_grid(ext.values, Resolution((3, 3)))
         assert not np.array_equal(h_base, h_ext)
 
 
@@ -418,6 +417,11 @@ class TestShapeSumSlabs:
         assert peak < mib << 20, peak / 2**20
 
 
+def _square_function_squared(field: CoefficientField) -> np.ndarray:
+    """The whole grid of ``hyperbolic.square_function_slabs``."""
+    return np.concatenate(list(hyperbolic.square_function_slabs(field)))
+
+
 class TestSquareFunctionSquared:
     """S(H)**2 from the coefficients against the dense Haar analysis of the
     synthesized sum H (``oracles.square_function_squared``)."""
@@ -434,8 +438,9 @@ class TestSquareFunctionSquared:
                 field = getattr(CoefficientField, maker)(n, d, (80, d, n, seed))
                 if coarse:
                     field = hyperbolic.add_coarse_random(field, (81, d, n, seed))
-                got = hyperbolic.square_function_squared(field)
-                want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
+                got = _square_function_squared(field)
+                want = oracles.square_function_squared(hyperbolic.shape_sum_grid(
+                    field.values, hyperbolic.field_resolution(field)))
                 assert want.den == 1
                 assert np.array_equal(got, want.values), (n, seed)
 
@@ -447,9 +452,10 @@ class TestSquareFunctionSquared:
                 * rng.choice([-1, 1], size=tuple(1 << r for r in s))
                 for s in hyperbolic.enumerate_shapes(2, 2)}
         field = CoefficientField(2, 2, vals)
-        got = hyperbolic.square_function_squared(field)
+        got = _square_function_squared(field)
         assert got.dtype == object
-        want = oracles.square_function_squared(hyperbolic.hyperbolic_sum(field))
+        want = oracles.square_function_squared(hyperbolic.shape_sum_grid(
+            field.values, hyperbolic.field_resolution(field)))
         assert want.den == 1
         assert np.array_equal(got, want.values)
 
@@ -496,9 +502,10 @@ class TestSharpnessExperiment:
         assert small["per_n"] == serial["per_n"]
         for row in serial["per_n"]:
             n = row["n"]
-            sups = [grid.max_abs(hyperbolic.hyperbolic_sum(
-                CoefficientField.random_signs(n, 3, (51, n, t))))
-                for t in range(8)]
+            fields = [CoefficientField.random_signs(n, 3, (51, n, t))
+                      for t in range(8)]
+            sups = [grid.max_abs(hyperbolic.shape_sum_grid(
+                f.values, hyperbolic.field_resolution(f))) for f in fields]
             assert (row["min_sup"], row["max_sup"]) == (min(sups), max(sups))
 
 

@@ -104,7 +104,7 @@ class TestTemlyakovProduct:
         scaled = riesz.temlyakov_product(f, n)
         assert scaled.dtype == np.int64
         assert int(scaled.max()) <= 3 ** (n + 1)
-        h = hyperbolic.hyperbolic_sum(f)
+        h = hyperbolic.shape_sum_grid(f.values, hyperbolic.field_resolution(f))
         assert h.shape == scaled.shape
         inner = Fraction(int(np.sum(h.astype(np.int64) * scaled)),
                          h.size * 2 ** (n + 1))

@@ -232,7 +232,7 @@ class TestDuality:
         f = oracles.constant_field(2, 3, value=2**55)
         params = riesz.make_params(2, q=2)
         sp = riesz.ShortProduct(f, params)
-        h = hyperbolic.hyperbolic_sum(f)
+        h = hyperbolic.shape_sum_grid(f.values, hyperbolic.field_resolution(f))
         assert grid.int_dtype(grid.max_abs(h) * sp.resolution.cells) is object
         _, duality, _, _, _ = _direct_route(f, params, [])
         assert riesz.duality_certificate(sp) == duality
@@ -361,7 +361,7 @@ def _direct_route(field, params, v_list):
         "sd_layer_sums": sd_sums,
     }
 
-    h = hyperbolic.hyperbolic_sum(field, res).astype(object)
+    h = hyperbolic.shape_sum_grid(field.values, res).astype(object)
     sup_h = int(np.max(np.abs(h)))
     rho = Fraction(n_, d_)
 
