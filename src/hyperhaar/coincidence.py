@@ -22,8 +22,9 @@ Three layers live here:
   with its exponent.
 
 Graph vertices are block indices; the block lists themselves are passed in
-as plain sequences of shapes so this module stays independent of how the
-blocks were built.
+as plain sequences of shapes.  ``first_coordinate_blocks`` builds the
+blocks by first coordinate, those of ``C2_restricted`` and of the short
+product in ``riesz``, so ``beck-gain`` never loads ``riesz``.
 """
 
 from __future__ import annotations
@@ -224,6 +225,22 @@ def class_c2(n: int) -> CoincidenceClass:
         if r[1] == s[1]
     ]
     return CoincidenceClass("C2", n, (), tuple(pairs))
+
+
+def first_coordinate_blocks(n: int, q: int) -> tuple[tuple, tuple]:
+    """The q blocks of the d=3 shapes of volume 2**-n, as (intervals,
+    blocks): the first-coordinate values {0..n} split into q consecutive
+    intervals as equally as possible, the leading intervals taking the
+    remainder, and block t the shapes whose first coordinate falls in
+    interval t.  q must lie in 1..n+1, so that no block is empty."""
+    if not 1 <= q <= n + 1:
+        raise ValueError(f"q={q} must lie in 1..{n + 1} (blocks would be empty)")
+    base, extra = divmod(n + 1, q)
+    bounds = [t * base + min(t, extra) for t in range(q + 1)]
+    intervals = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    shapes = hyperbolic.enumerate_shapes(n, 3)
+    return intervals, tuple(tuple(s for s in shapes if s[0] in interval)
+                            for interval in intervals)
 
 
 def class_c2_restricted(n: int, blocks, s: int, t: int) -> CoincidenceClass:
@@ -484,10 +501,9 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     int_ps = [int(p) for p in p_list]
     counts = {}
     sup_bound_ok = True
-    from . import riesz  # riesz imports this module
-
     for n in n_values:
-        blocks = riesz.make_params(n, q=q).blocks if kind == "C2_restricted" else None
+        blocks = (first_coordinate_blocks(n, q)[1] if kind == "C2_restricted"
+                  else None)
         cls = enumerate_class(kind, n, budget=budget, blocks=blocks, s=s, t=t,
                               b=b, a=a)
         if not cls.size:

@@ -22,9 +22,12 @@ and cast one slab at a time, so no float copy of a whole grid is made.
 Exact L^p moments come from ``abs_power_sums``, a fold over chunks of
 values that reads each chunk once for every integer p asked for and also
 returns the peak |v|, so a grid can be streamed through it slab by slab.
-A chunk whose values span at most ``_POWER_CHUNK`` integers (every int8
-and int16 chunk) is counted in one chunked ``bincount`` pass after its
-min/max, and each sum is ``count * |v|**p`` over the values that occur, in
+Every p whose sum over a piece of ``_POWER_CHUNK`` cells fits int64 (p up
+to 6 for int8 values) is summed directly: each piece's |v| and its
+powers are taken in place in reused buffers, each power at the width of
+a sum of 32 of them, and column sums of 32 cells add at that width.  The
+other p count the values of a chunk that spans at most ``_POWER_CHUNK``
+integers in one chunked ``bincount`` pass and sum ``count * |v|**p`` in
 Python ints; wider spans and Python-int chunks take a chunked power loop.
 
 Cells are half-open boxes: axis ``i`` at level ``m_i`` splits ``[0,1)`` into
@@ -169,31 +172,92 @@ def abs_power_sums(chunks, ps) -> tuple[list[int], int]:
     integer or Python-int arrays ``chunks`` taken as one: a fold that reads
     each chunk once, so a grid can stream through it in slabs.
 
-    Histogram route: when a chunk's values span at most ``_POWER_CHUNK``
-    integers (always for int8 and int16), one chunked ``bincount`` of the
-    offsets ``v - min`` counts each value, and every sum is the Python-int
-    sum of ``count * |v|**p`` over the values that occur.  Wide route:
-    wider spans and ``object`` chunks widen and ``abs`` each piece once,
-    then sum its powers per p in the width ``int_dtype`` gives a piece's
-    sum (and the exponent p).
+    Direct route, for every p whose sum over a piece of ``_POWER_CHUNK``
+    cells fits int64: each piece is widened, then taken ``abs``, then
+    raised to each power in place at the width ``int_dtype`` gives
+    ``top**p * 32``, top the chunk's max |v|; the columns of its (32,
+    cols) view are summed at that width, and the column sums in int64.
+    The buffers come from one workspace that the whole fold reuses.
+    Count route, for the other p of a chunk whose values span at most
+    ``_POWER_CHUNK`` integers: one chunked ``bincount`` of the offsets
+    ``v - min`` counts each value, and each sum is the Python-int sum of
+    ``count * |v|**p`` over the values that occur.  Wide route, for those
+    p of wider spans and for ``object`` chunks: each piece is widened and
+    taken ``abs`` once, and its powers are summed in the width
+    ``int_dtype`` gives a piece's sum (and p).
     """
     ps = list(ps)
+    workspace = Workspace()
     # map holds no chunk while a stream builds the next one
-    parts = list(map(_chunk_power_sums, chunks, itertools.repeat(ps)))
+    parts = list(map(_chunk_power_sums, chunks, itertools.repeat(ps),
+                     itertools.repeat(workspace)))
     return ([sum(sums[i] for sums, _ in parts) for i in range(len(ps))],
             max((top for _, top in parts), default=0))
 
 
-def _chunk_power_sums(chunk: np.ndarray, ps) -> tuple[list[int], int]:
+def _chunk_power_sums(chunk: np.ndarray, ps,
+                      workspace: Workspace) -> tuple[list[int], int]:
     """The power sums and max |v| of ``abs_power_sums`` for one chunk."""
     flat = chunk.reshape(-1)
     if not flat.size:
         return [0] * len(ps), 0
-    if flat.dtype != object:
-        lo, hi = int(flat.min()), int(flat.max())
-        if hi - lo < _POWER_CHUNK:
-            return _histogram_power_sums(flat, lo, hi, ps)
-    top = max_abs(flat)
+    if flat.dtype == object:
+        top = max_abs(flat)
+        return _wide_power_sums(flat, top, ps), top
+    lo, hi = int(flat.min()), int(flat.max())
+    top = max(-lo, hi)
+    direct = sorted({p for p in ps
+                     if int_dtype(top ** p * _POWER_CHUNK) is not object})
+    sums = (dict(zip(direct, _direct_power_sums(flat, top, direct, workspace)))
+            if direct else {})
+    rest = [p for p in ps if p not in sums]
+    if rest and hi - lo < _POWER_CHUNK:
+        sums.update(zip(rest, _histogram_power_sums(flat, lo, hi, rest)))
+    elif rest:
+        sums.update(zip(rest, _wide_power_sums(flat, top, rest)))
+    return [sums[p] for p in ps], top
+
+
+def _direct_power_sums(flat: np.ndarray, top: int, ps,
+                       workspace: Workspace) -> list[int]:
+    """The power sums of ``abs_power_sums`` for one fixed-width chunk of
+    max |v| ``top``, for the ascending ``ps`` whose sums over a piece fit
+    int64.  Each piece's |v| is taken at a width that holds ``-top``, so
+    int8 -128 and int16 -32768 cannot wrap, and each power comes from the
+    last by squaring or by one more factor |v|.  A power is kept at the
+    width of a column's sum, 32 of them, so no step casts on the way: a
+    column sum at a wider width than its power's took about twice as long.
+    A piece whose length 32 does not divide is summed as one row."""
+    rows = 32
+    dtypes = [int_dtype(top ** p * rows) for p in ps]
+    base_dtype = int_dtype(top * rows)
+    sums = [0] * len(ps)
+    for start in range(0, flat.size, _POWER_CHUNK):
+        piece = flat[start:start + _POWER_CHUNK]
+        base = workspace.take("base", piece.shape, base_dtype)
+        np.absolute(piece, out=base, dtype=base_dtype)
+        power, e = base, 1
+        for i, (p, dtype) in enumerate(zip(ps, dtypes)):
+            if p > 1 and (power is base or power.dtype != dtype):
+                # the powers' own buffer, widened where p needs it
+                wider = workspace.take(("power", dtype), piece.shape, dtype)
+                np.copyto(wider, power)
+                power = wider
+            while e < p:
+                square = 2 * e <= p
+                np.multiply(power, power if square else base, out=power)
+                e += e if square else 1
+            columns = power.reshape(rows if piece.size % rows == 0 else 1, -1)
+            sums[i] += int(np.add.reduce(np.add.reduce(columns, axis=0,
+                                                       dtype=dtype),
+                                         dtype=np.int64))
+    return sums
+
+
+def _wide_power_sums(flat: np.ndarray, top: int, ps) -> list[int]:
+    """The power sums of ``abs_power_sums`` for one chunk of max |v|
+    ``top``, any dtype: each piece widened and taken ``abs`` once, then
+    each power summed at the width ``int_dtype`` gives a piece's sum."""
     dtypes = [int_dtype(max(top ** p * min(_POWER_CHUNK, flat.size), p))
               for p in ps]
     sums = [0] * len(ps)
@@ -201,13 +265,12 @@ def _chunk_power_sums(chunk: np.ndarray, ps) -> tuple[list[int], int]:
         part = np.abs(flat[start:start + _POWER_CHUNK].astype(int_dtype(top)))
         for i, (p, dtype) in enumerate(zip(ps, dtypes)):
             sums[i] += int(np.sum(part.astype(dtype, copy=False) ** p))
-    return sums, top
+    return sums
 
 
-def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
-                          ps) -> tuple[list[int], int]:
-    """The power sums and max |v| of ``abs_power_sums`` for one chunk of
-    values in ``[lo, hi]``, a span of at most ``_POWER_CHUNK``: one pass of
+def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int, ps) -> list[int]:
+    """The power sums of ``abs_power_sums`` for one chunk of values in
+    ``[lo, hi]``, a span of at most ``_POWER_CHUNK``: one pass of
     per-piece value counts.  The offsets are taken in the unsigned type of
     the same width, modulo 2**bits, so no value wraps, and written into one
     ``intp`` buffer that every piece reuses: a fresh one per piece made
@@ -225,7 +288,7 @@ def _histogram_power_sums(flat: np.ndarray, lo: int, hi: int,
         counts += np.bincount(offsets, minlength=counts.size)
     seen = np.flatnonzero(counts)
     pairs = [(abs(lo + i), c) for i, c in zip(seen.tolist(), counts[seen].tolist())]
-    return [sum(c * v ** p for v, c in pairs) for p in ps], max(abs(lo), abs(hi))
+    return [sum(c * v ** p for v, c in pairs) for p in ps]
 
 
 def norm_of_power_sum(total: int, scale: int, p: int) -> float:
@@ -250,15 +313,20 @@ def float_lp_norm(slabs, ps) -> list[float]:
     at least ``_PAIRWISE_BLOCK`` cells, a power of two of them, that tree
     is the one numpy's pairwise sum builds over the whole grid, so each
     result equals ``np.mean(grid ** p) ** (1 / p)`` bit for bit.  Other
-    slabs raise ``ValueError``."""
+    slabs raise ``ValueError``.  The powers of float64 slabs are taken
+    into one buffer, on the ufunc of ``slab ** p``: numpy squares for
+    p = 2 and takes the values themselves for p = 1."""
     ps = [float(p) for p in ps]
     tree = []  # (cells, sum per p) of each complete subtree, left to right
     leaves = pairable = 0
+    workspace = Workspace()
     for slab in slabs:
         size = slab.size
         leaves += 1
         pairable += size >= _PAIRWISE_BLOCK and not size & (size - 1)
-        sums = [np.sum(slab ** p) for p in ps]
+        power = workspace.take("power", slab.shape, slab.dtype)
+        sums = [np.sum(slab if p == 1 else np.square(slab, out=power) if p == 2
+                       else np.power(slab, p, out=power)) for p in ps]
         while tree and tree[-1][0] == size:
             left = tree.pop()[1]
             size *= 2
@@ -392,6 +460,18 @@ def synthesize(arr: np.ndarray, signed=True, axes=None,
 # ---------------------------------------------------------------------------
 
 
+def _float_slabs(slabs, fn):
+    """``fn`` (``np.sqrt`` or ``np.abs``) of each integer slab cast to
+    float64, each cell's float correctly rounded, taken in place in one
+    buffer that every slab reuses: a fresh cast, root or abs per slab
+    made glibc trim and re-fault the heap between the slabs."""
+    workspace = Workspace()
+    for slab in slabs:
+        cast = workspace.take("cast", slab.shape, np.float64)
+        np.copyto(cast, slab, casting="unsafe")
+        yield fn(cast, out=cast)
+
+
 def lp_profile(slabs, sf_squared_slabs, p_list) -> list[dict]:
     """Norms of an integer grid f and of S(f), each given as its C-order
     slabs (f, and S(f)**2 in ``sf_squared_slabs``), with the two-sided
@@ -416,8 +496,7 @@ def lp_profile(slabs, sf_squared_slabs, p_list) -> list[dict]:
             yield slab
 
     sums, _ = abs_power_sums(counted(), ps)
-    sf_norms = float_lp_norm((np.sqrt(s.astype(np.float64))
-                              for s in sf_squared_slabs), ps)
+    sf_norms = float_lp_norm(_float_slabs(sf_squared_slabs, np.sqrt), ps)
     rows = []
     for p, total, ns in zip(ps, sums, sf_norms):
         nf = norm_of_power_sum(total, sum(sizes), p)
@@ -440,5 +519,5 @@ def orlicz_norm_estimate(slabs, alpha: float, p_max: int) -> float:
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     ps = range(1, p_max + 1)
-    norms = float_lp_norm((np.abs(s.astype(np.float64)) for s in slabs), ps)
+    norms = float_lp_norm(_float_slabs(slabs, np.abs), ps)
     return max(float(p) ** (-1.0 / alpha) * norm for p, norm in zip(ps, norms))

@@ -25,11 +25,12 @@ is its one-slab case.  Each axis is signed (Haar functions) or unsigned
 (indicators of the same intervals): the square function is unsigned on
 every axis, and the products of r-functions in ``coincidence`` are Haar
 sums on their join shapes with a pattern of signed and unsigned axes.
-Integer sums place the last axis and split axis 0 by resolution: with
-2**c slabs, each slab's base row is the sum of the shapes of axis-0 level
-below c on its interval, taken from a depth-first walk of those coarse
-levels that holds one row per level, and each slab finishes from its
-base and the finer levels inside it.  Float sums place axis 0 and take a
+Integer sums place the last axis, one block of shapes at a time (the
+shapes that share their levels on every other axis), and split axis 0 by
+resolution: with 2**c slabs, each slab's base row is the sum of the
+shapes of axis-0 level below c on its interval, taken from a depth-first
+walk of those coarse levels that holds one row per level, and each slab
+finishes from its base and the finer levels inside it.  Float sums place axis 0 and take a
 slab as rows of that placement, so every float addition keeps the order
 of a full-spectrum synthesis.  A stream reuses one workspace for its
 per-slab buffers and yields each slab as a new array.  The sharpness
@@ -206,56 +207,91 @@ def _check_resolution(resolution: Resolution, shapes) -> None:
                 )
 
 
+def _pairs(values: np.ndarray, signed: bool, dtype, axis: int) -> np.ndarray:
+    """The synthesis of each coefficient c of ``values`` at its own level
+    along ``axis``: the pair (-c, +c) (+c twice unless ``signed``), in
+    ``dtype`` and interleaved, so that axis is twice as long.  The
+    negation is taken at ``dtype``, whose width holds it and every value
+    (Python ints included, so their cast is exact)."""
+    pair = np.empty(values.shape[:axis + 1] + (2,) + values.shape[axis + 1:],
+                    dtype)
+    half = (slice(None),) * (axis + 1)
+    if signed:
+        np.negative(values, out=pair[half + (0,)], dtype=dtype,
+                    casting="unsafe")
+    else:
+        pair[half + (0,)] = values
+    pair[half + (1,)] = values
+    return pair.reshape(values.shape[:axis] + (-1,) + values.shape[axis + 1:])
+
+
 def _placed(shape_values: dict[Shape, np.ndarray], resolution: Resolution,
-            signed: tuple[bool, ...], axis: int, out: np.ndarray,
-            lo: int = 0) -> np.ndarray:
-    """Add rows ``[lo, lo + len(out))`` of axis 0 of the shape sum
-    synthesized along ``axis`` only, the other axes still in Haar layout,
-    into the C-contiguous ``out``, and return it.  ``axis`` is 0 or the
-    last axis.  A shape has one level r on ``axis``, so there its synthesis
+            signed: bool, out: np.ndarray, lo: int) -> np.ndarray:
+    """Add rows ``[lo, lo + len(out))`` of the shape sum synthesized along
+    axis 0 only, the other axes still in Haar layout, into ``out``, and
+    return it.  A shape has one level r on axis 0, so there its synthesis
     is no butterfly: coefficient c becomes -c on the left half of its
-    interval and +c on the right half (+c on both unless ``signed`` flags
-    ``axis``), each repeated ``2**(m-r-1)`` times, m the level of ``axis``.
-    Only the part of a shape inside the row window is written.  Shapes are added in
-    ascending level on ``axis``, the order in which the butterfly adds
-    them."""
-    hi = lo + len(out)
-    signed = signed[axis]
-    for shape in sorted(shape_values, key=lambda s: s[axis]):
-        r = shape[axis]
-        rep = 1 << (resolution.levels[axis] - r - 1)
-        if axis == 0:
-            # rows lo..hi of the repeated -c/+c pairs
-            values = np.asarray(shape_values[shape]).astype(out.dtype, copy=False)
-            pair = np.stack((-values if signed else values, values), axis=1)
-            pair = pair.reshape((2 << r,) + values.shape[1:])
-            block = tuple(slice(1 << q, 2 << q) for q in shape[1:])
-            out[(slice(None),) + block] += pair[np.arange(lo, hi) // rep]
-            continue
-        # axis 0 in Haar layout: the shape's rows are [2**q, 2**(q+1))
-        first, last = max(lo, 1 << shape[0]), min(hi, 2 << shape[0])
-        if first >= last:
-            continue
-        values = np.asarray(shape_values[shape])[first - (1 << shape[0]):
-                                                 last - (1 << shape[0])]
-        values = values.astype(out.dtype, copy=False)
-        window = ((slice(first - lo, last - lo),)
-                  + tuple(slice(1 << q, 2 << q) for q in shape[1:-1]))
-        if rep > 1:
-            # one add of the repeated pairs: a strided write of rep-long
-            # inner loops costs several times more
-            pair = np.stack((-values if signed else values, values), axis=-1)
-            target = out[window]
-            target += np.repeat(pair, rep, axis=-1).reshape(target.shape)
-            continue
-        # the last axis split into (interval, half), a view of out
-        halves = out.reshape(out.shape[:-1] + (1 << r, 2))[window]
-        if signed:
-            halves[..., 0] -= values
-        else:
-            halves[..., 0] += values
-        halves[..., 1] += values
+    interval and +c on the right half (+c on both unless ``signed``), each
+    repeated ``2**(m-r-1)`` times, m the level of axis 0.  Shapes are added
+    in the order of ``shape_values``, ascending in axis-0 level: the order
+    in which the butterfly adds them."""
+    rows = np.arange(lo, lo + len(out))
+    for shape, values in shape_values.items():
+        block = tuple(slice(1 << q, 2 << q) for q in shape[1:])
+        pair = _pairs(values, signed, out.dtype, 0)
+        out[(slice(None),) + block] += pair[rows >> (resolution.levels[0]
+                                                     - shape[0] - 1)]
     return out
+
+
+def _last_axis_blocks(shape_values: dict[Shape, np.ndarray],
+                      resolution: Resolution) -> dict:
+    """The shapes of a sum that places its last axis, by axis-0 level and
+    then by the levels of the middle axes, whose shapes all add into one
+    block: ``{level: [(middle slices, repeats, [values])]}``.  ``repeats``
+    gives each entry of the block's pairs, laid end to end along the last
+    axis, its count ``2**(m-r-1)``: m the last axis's level, r its shape's."""
+    m = resolution.levels[-1]
+    heads: dict = {}
+    for shape, values in shape_values.items():
+        heads.setdefault(shape[0], {}).setdefault(shape[1:-1], []).append(
+            (shape[-1], np.asarray(values)))
+    return {level: [(tuple(slice(1 << q, 2 << q) for q in middle),
+                     np.repeat([1 << (m - r - 1) for r, _ in members],
+                               [2 << r for r, _ in members])
+                     if len(members) > 1 else 1 << (m - members[0][0] - 1),
+                     [values for _, values in members])
+                    for middle, members in blocks.items()]
+            for level, blocks in heads.items()}
+
+
+def _placed_last(blocks, level: int, signed: bool, out: np.ndarray,
+                 lo: int) -> None:
+    """Add rows ``[lo, lo + len(out))`` of axis 0, in Haar layout, of the
+    sum of the shapes of axis-0 level ``level`` synthesized along the last
+    axis only (``blocks``, one entry of ``_last_axis_blocks``) into
+    ``out``.  The level's shapes occupy the Haar rows
+    ``[2**level, 2**(level+1))``, and only the part inside the window is
+    written.  Along the last axis a shape's synthesis is its pairs (see
+    ``_placed``) repeated, so one block takes its shapes' pairs end to
+    end, one ``repeat`` of them all and one add of their sum: a write per
+    shape cost several times more in numpy calls, and a strided write of
+    rep-long inner loops more again."""
+    base = 1 << level
+    first, last = max(lo, base), min(lo + len(out), 2 * base)
+    if first >= last:
+        return
+    rows = slice(first - base, last - base)
+    for middle, repeats, members in blocks:
+        target = out[(slice(first - lo, last - lo),) + middle]
+        values = (np.concatenate([v[rows] for v in members], axis=-1)
+                  if len(members) > 1 else members[0][rows])
+        expanded = _pairs(values, signed, out.dtype, values.ndim - 1).repeat(
+            repeats, axis=-1)
+        if len(members) > 1:
+            expanded = expanded.reshape(target.shape[:-1] + (len(members), -1)
+                                        ).sum(axis=-2, dtype=out.dtype)
+        target += expanded.reshape(target.shape)
 
 
 def slab_rows(resolution: Resolution) -> int:
@@ -274,7 +310,7 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     C-contiguous axis-0 slabs of ``rows`` rows, a power of two (by default
     ``slab_rows``: as many as fit in ``grid.SLAB_CELLS`` cells, at least
     8).  One axis is synthesized as the coefficients are placed
-    (``_placed``), the others by ``grid.synthesize``.  ``signed`` is one
+    (``_placed`` or ``_placed_last``), the others by ``grid.synthesize``.  ``signed`` is one
     flag per axis, or a bool for every axis: an unsigned axis takes each
     coefficient's indicator of its interval in place of its Haar function.
 
@@ -350,15 +386,16 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
         return col
 
     if axis == 0:
+        # in ascending axis-0 level, the butterfly's order
+        shape_values = {s: np.asarray(v) for s, v in
+                        sorted(shape_values.items(), key=lambda kv: kv[0][0])}
         for lo in range(0, 1 << m0, rows):
-            yield grid.synthesize(_placed(shape_values, resolution, signed, axis,
+            yield grid.synthesize(_placed(shape_values, resolution, signed[0],
                                           zeros(), lo),
                                   signed, others, workspace)
         return
     c = m0 - j
-    by_level: dict = {}  # the shapes by axis-0 level
-    for shape, values in shape_values.items():
-        by_level.setdefault(shape[0], {})[shape] = values
+    by_level = _last_axis_blocks(shape_values, resolution)
     partial = np.zeros((c + 1,) + rest, dtype)
 
     def column(b: int) -> np.ndarray:
@@ -372,8 +409,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
                     row += parent
                 continue
             row[...] = 0
-            _placed(by_level.get(k - 1, {}), resolution, signed, axis,
-                    partial[k:k + 1], (1 << (k - 1)) + (b >> (c - k + 1)))
+            _placed_last(by_level.get(k - 1, ()), k - 1, signed[axis],
+                         partial[k:k + 1], (1 << (k - 1)) + (b >> (c - k + 1)))
             if signed[0]:
                 np.subtract(parent, row, out=row)
             else:
@@ -381,8 +418,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
         col = zeros()
         col[0] = partial[c]
         for t in range(j):
-            _placed(by_level.get(c + t, {}), resolution, signed, axis,
-                    col[1 << t:2 << t], (1 << (c + t)) + (b << t))
+            _placed_last(by_level.get(c + t, ()), c + t, signed[axis],
+                         col[1 << t:2 << t], (1 << (c + t)) + (b << t))
         return col
 
     # each column is passed inline, so that without a workspace

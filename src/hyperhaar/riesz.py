@@ -177,11 +177,10 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     """Build short-product parameters for d=3.
 
     q defaults to round(a * n**eps), clamped to at least 1; it may also be
-    given directly.  The first-coordinate values {0..n} are split into q
-    consecutive intervals as equally as possible, the leading intervals
-    taking the remainder, and block t collects the shapes whose first
-    coordinate falls in interval t.  ``rho_tilde`` may be overridden (for
-    instance to 0) for edge-case experiments.
+    given directly, and must lie in 1..n+1.  The intervals of
+    first-coordinate values and the shape blocks are those of
+    ``coincidence.first_coordinate_blocks``.  ``rho_tilde`` may be
+    overridden (for instance to 0) for edge-case experiments.
 
     Raises ``OverflowError``, naming ``--a``/``--eps`` and their values,
     when ``a * n**eps`` or the bound prod_t (1 + |rho~| #B_t)**2 of the
@@ -201,20 +200,7 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
             raise OverflowError(f"--a {a} times n**--eps = {n}**{eps} is past "
                                 f"the float range")
         q = max(1, round(scale))
-    if not 1 <= q <= n + 1:
-        raise ValueError(f"q={q} must lie in 1..{n + 1} (blocks would be empty)")
-    values = list(range(n + 1))
-    base, extra = divmod(len(values), q)
-    intervals = []
-    start = 0
-    for t in range(q):
-        size = base + (1 if t < extra else 0)
-        intervals.append(tuple(values[start:start + size]))
-        start += size
-    shapes = hyperbolic.enumerate_shapes(n, 3)
-    blocks = tuple(
-        tuple(s for s in shapes if s[0] in interval) for interval in intervals
-    )
+    intervals, blocks = coincidence.first_coordinate_blocks(n, q)
     if rho_tilde is None:
         rho_tilde = a * q ** float(B_EXPONENT) / n
     # |1 + rho~ F_t| <= 1 + |rho~| #B_t, so this bounds every product moment
@@ -229,7 +215,7 @@ def make_params(n: int, q: int | None = None, a: float = 1.0,
     return RieszParams(
         n=n, d=3, a=a, eps=eps, q=q,
         rho_tilde=float(rho_tilde), rho=math.sqrt(q) / n,
-        intervals=tuple(intervals), blocks=blocks,
+        intervals=intervals, blocks=blocks,
     )
 
 

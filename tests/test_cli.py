@@ -704,7 +704,14 @@ class TestStartup:
          "                     '--trials', '1']) == 0",
          {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic", "fractions",
           "decimal"}),
-    ], ids=["parser", "discrepancy", "discrepancy-csv", "sharpness"])
+        # the C2_restricted blocks come from coincidence, not riesz
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['beck-gain', '--kind', 'C2_restricted',\n"
+         "                     '--n-range', '4..5']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic",
+          "hyperhaar.coincidence", "fractions", "decimal"}),
+    ], ids=["parser", "discrepancy", "discrepancy-csv", "sharpness",
+            "beck-gain"])
     def test_loads_only_the_modules_it_runs(self, code, loaded):
         assert self._loaded_after(code) == loaded
 

@@ -1,5 +1,6 @@
 """Integer grids, Haar transform, square function, and norm diagnostics."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -549,39 +550,70 @@ class TestExactRoutesAgainstOracle:
 
 
 class TestPowerSumsAgainstOracle:
-    """``abs_power_sums`` against a per-cell Python-int sum, on both
-    routes: the value histogram and the chunked power loop."""
+    """``abs_power_sums`` against a per-cell Python-int sum, on every
+    route: the direct powers of the p whose piece sums fit int64, and for
+    the other p the value histogram or the chunked power loop."""
 
     PS = [1, 2, 3, 4, 16, 200]
     CHUNK = grid._POWER_CHUNK
+    ROUTES = {"direct": "_direct_power_sums", "histogram": "_histogram_power_sums",
+              "wide": "_wide_power_sums"}
 
     CASES = [
-        (np.arange(-128, 128, dtype=np.int8), "histogram"),
-        (np.resize(np.arange(-3, 4, dtype=np.int8), 2 * CHUNK + 3), "histogram"),
-        (np.arange(-32768, 32768, dtype=np.int16), "histogram"),
-        (np.arange(-40000, -40000 + CHUNK, dtype=np.int32), "histogram"),
-        (np.arange(-40000, -40000 + CHUNK + 1, dtype=np.int32), "wide"),
+        (np.arange(-128, 128, dtype=np.int8), "direct+histogram"),
+        (np.resize(np.arange(-3, 4, dtype=np.int8), 2 * CHUNK + 3),
+         "direct+histogram"),
+        (np.arange(-32768, 32768, dtype=np.int16), "direct+histogram"),
+        (np.arange(-40000, -40000 + CHUNK, dtype=np.int32), "direct+histogram"),
+        (np.arange(-40000, -40000 + CHUNK + 1, dtype=np.int32), "direct+wide"),
         (np.array([2**62, -2**62, 2**62 - 1, 3 - 2**62], dtype=np.int64), "wide"),
         (np.arange(2**62 - 5, 2**62 + 6, dtype=np.int64), "histogram"),
-        (np.arange(256, dtype=np.uint8), "histogram"),
+        (np.arange(256, dtype=np.uint8), "direct+histogram"),
         (np.array([2**63 + k for k in (0, 7, 3, 7)], dtype=np.uint64), "histogram"),
         (np.array([2**64 - 1, 2**63, 0], dtype=np.uint64), "wide"),
         (np.array([2**70, -2**70, 3, -5, 0], dtype=object), "wide"),
         (np.array([1, -1, 2], dtype=object), "wide"),
-        (np.zeros(8, dtype=np.int8), "histogram"),
+        (np.zeros(8, dtype=np.int8), "direct"),
+        # -128 and -32768 alone: |v| is taken after widening
+        (np.array([-128], dtype=np.int8), "direct+histogram"),
+        (np.array([-32768], dtype=np.int16), "direct+histogram"),
+        # small uint64 values take the direct route, widened to int16
+        (np.array([0, 7, 3, 2**20], dtype=np.uint64), "direct+wide"),
+        (np.resize(np.arange(19, dtype=np.uint64), 100), "direct+histogram"),
+        # 32 columns of 100 pass int8, the width of |v| itself, and
+        # lengths that 32 does not divide, alone and after whole pieces
+        (np.full(64, 100, dtype=np.int8), "direct+histogram"),
+        (np.arange(-50, 50, dtype=np.int8), "direct+histogram"),
+        (np.resize(np.arange(-100, 101, dtype=np.int16), CHUNK + 7),
+         "direct+histogram"),
     ]
 
     @pytest.mark.parametrize("values, route", CASES)
     def test_every_power_is_exact(self, values, route, monkeypatch):
         calls = []
-        histogram = grid._histogram_power_sums
-        monkeypatch.setattr(grid, "_histogram_power_sums",
-                            lambda *a: calls.append(a) or histogram(*a))
+
+        def spy(name, run):
+            return lambda *args: calls.append(name) or run(*args)
+
+        for name, attr in self.ROUTES.items():
+            monkeypatch.setattr(grid, attr, spy(name, getattr(grid, attr)))
         rng = np.random.default_rng(values.size)
         values = rng.permutation(values)
         oracle = [sum(abs(int(v)) ** p for v in values.tolist()) for p in self.PS]
         assert grid.abs_power_sums([values], self.PS)[0] == oracle
-        assert len(calls) == (route == "histogram")
+        assert route.split("+") == [name for name in self.ROUTES if name in calls]
+
+    @pytest.mark.parametrize("ps", [[2, 4], [4, 2], [1, 2, 3, 6], [6, 3, 2, 1],
+                                    [5, 5, 1], [16, 2], [200, 1, 2]])
+    def test_powers_in_any_order(self, ps):
+        # each power comes from the last in ascending p, by a square or
+        # one more factor |v|, and the buffers pass from piece to piece
+        # and chunk to chunk; the sums keep the order of ps, repeats too
+        values = np.resize(np.arange(-128, 128, dtype=np.int8), 2 * self.CHUNK + 5)
+        chunks = [values, values[:77]]
+        counts = collections.Counter(v for c in chunks for v in c.tolist())
+        oracle = [sum(n * abs(v) ** p for v, n in counts.items()) for p in ps]
+        assert grid.abs_power_sums(chunks, ps) == (oracle, 128)
 
     @pytest.mark.parametrize("values, route", CASES)
     def test_fold_ignores_the_split(self, values, route):

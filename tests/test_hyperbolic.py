@@ -231,6 +231,26 @@ class TestHyperbolicSum:
         assert hyperbolic.shape_sum_grid({(0, 0, 1): np.full((1, 1, 2), -128)},
                                          res, signed).dtype == np.int16
 
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_int8_most_negative_placed_wide(self, signed, rows):
+        # int8 coefficients of -128 put the sum past int8, and each is
+        # negated at the sum's width: in blocks of one shape, and in a
+        # block of three shapes of one (axis-0, middle) level pair whose
+        # pairs are repeated end to end
+        rng = np.random.default_rng(7)
+        shapes = [(1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 1, 1), (2, 1, 0)]
+        vals = {s: rng.choice(np.array([-128, 127, 0, -1], dtype=np.int8),
+                              size=tuple(1 << r for r in s)) for s in shapes}
+        vals[(1, 0, 2)][...] = -128
+        res = Resolution((3, 2, 4))
+        want = oracles.full_spectrum_shape_sum(vals, res, signed)
+        assert want.dtype == np.int16
+        got = np.concatenate(list(hyperbolic.shape_sum_slabs(vals, res, signed,
+                                                             rows)))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("report", [hyperbolic.square_function_slabs,
                                         oracles.trivial_bound_report])
     def test_float_field_refused(self, report):
