@@ -268,7 +268,8 @@ def run_verify(args) -> tuple[int, dict, list]:
             failures.append({"suite": name, "details": details})
 
     n = args.n
-    rep = coincidence.product_rule_exhaustive_check(n)
+    tuple_budget = args.budget or coincidence.MAX_TUPLES
+    rep = coincidence.product_rule_exhaustive_check(n, budget=tuple_budget)
     record("product-rule-d3", rep["all_ok"],
            {k: rep[k] for k in ("shape_tuples", "rect_tuples", "failures")})
 
@@ -306,7 +307,6 @@ def run_verify(args) -> tuple[int, dict, list]:
     rep = riesz.gamma_identity_report(short)
     record("gamma-identity", rep["all_ok"], rep)
 
-    tuple_budget = args.budget or coincidence.MAX_TUPLES
     ie_ok = True
     ie_details = []
     for q in (2, min(3, n + 1)):

@@ -103,7 +103,7 @@ def product_signs(shapes: tuple[Shape, ...]) -> np.ndarray:
 
 def _all_ones_r_grid(shape: Shape, resolution: Resolution) -> np.ndarray:
     signs = np.ones(tuple(1 << r for r in shape), dtype=np.int8)
-    return hyperbolic.shape_sum_grid({shape: signs}, resolution)
+    return hyperbolic.r_function(signs, shape, resolution.levels)
 
 
 def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
@@ -116,8 +116,10 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
     shape (per axis, the max level).  Placing every tuple's predicted sign
     at its join cell in a Haar spectrum and synthesizing must therefore
     reproduce the grid product exactly -- which verifies sign, support and
-    completeness for every tuple simultaneously.  A mismatch names the join
-    position of the first differing grid cell.
+    completeness for every tuple simultaneously.  The two sides take
+    independent routes: the r-functions are pair expansions
+    (``hyperbolic.r_function``), the spectrum a butterfly synthesis.  A
+    mismatch names the join position of the first differing grid cell.
     """
     d = len(shapes[0])
     join = tuple(max(s[axis] for s in shapes) for axis in range(d))
@@ -136,9 +138,11 @@ def _verify_shape_tuple(shapes: tuple[Shape, ...]) -> tuple[int, list]:
     return 1 << sum(join), failures
 
 
-def product_rule_exhaustive_check(n: int) -> dict:
+def product_rule_exhaustive_check(n: int, *, budget: int = MAX_TUPLES) -> dict:
     """Grid verification of the product rule over all strongly distinct
-    d=3 pairs and triples of shapes with total level up to n."""
+    d=3 pairs and triples of shapes with total level up to n.  More than
+    ``budget`` shape tuples (88 at n=4, 2,728 at n=7) are refused before
+    any grid is built."""
     shape_tuples = []
     for total in range(1, n + 1):
         shapes = hyperbolic.enumerate_shapes(total, 3)
@@ -146,6 +150,7 @@ def product_rule_exhaustive_check(n: int) -> dict:
             for combo in itertools.combinations(shapes, size):
                 if strongly_distinct(combo):
                     shape_tuples.append(combo)
+    check_budget(len(shape_tuples), budget)
     rect_tuples = 0
     failures = []
     for combo in shape_tuples:
@@ -344,14 +349,7 @@ def enumerate_class(kind: str, n: int, *, budget: int = MAX_TUPLES,
     raise ValueError(f"unknown class kind {kind!r}")
 
 
-def own_r_grids(field: CoefficientField, shapes) -> dict[Shape, np.ndarray]:
-    """The alpha-induced r-function of every shape, each on its own grid
-    (per axis, its level + 1): 2^(n+3) cells for a d=3 shape of volume
-    2^-n, whatever grid its products are summed on."""
-    return {s: hyperbolic.signed_r_sum(field, shapes=[s]) for s in shapes}
-
-
-def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
+def _join_sums(tuples, field: CoefficientField) -> dict:
     """The sum over the tuples (all of one length) of the products of their
     shapes' r-functions as Haar sums on their join shapes (per axis, the
     max level m over a tuple's shapes): ``{pattern: {join: coefficients}}``.
@@ -361,10 +359,9 @@ def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
     tuple's levels and its indicator where it occurs an even number (h**2 =
     1): the pattern flags the signed axes.  A coefficient is the product
     read on the right half of its interval, where that Haar function is +1:
-    on a shape's own grid (level r + 1), the odd cells of an axis with
-    r = m, each cell repeated 2**(m - r - 1) times where r < m.  Each sum
-    is over some of the tuples, so it takes ``grid.int_dtype`` of their
-    count."""
+    each shape's ``hyperbolic.r_function`` on the join's levels, which keeps
+    the sign where r = m.  Each sum is over some of the tuples, so it takes
+    ``grid.int_dtype`` of their count."""
     if not tuples:
         return {}
     acc_dtype = grid.int_dtype(len(tuples))
@@ -374,19 +371,14 @@ def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
     groups: dict[tuple[int, ...], list] = {}
     for tup, join, pattern in zip(tuples, joins.tolist(), odd.tolist()):
         groups.setdefault(tuple(join), []).append((tup, tuple(pattern)))
+    signs = {s: hyperbolic.signs_of(field.values[s])
+             for s in {s for tup in tuples for s in tup}}
     sums: dict[tuple[bool, ...], dict] = {}
     for join, members in groups.items():
         # the reads of one join at a time: the joins of a class are often
         # all distinct, so keeping them across joins only raises the peak
-        reads = {}
-        for s in {s for tup, _ in members for s in tup}:
-            arr = r_own[s]
-            for axis, (r, m) in enumerate(zip(s, join)):
-                if r == m:
-                    arr = arr[(slice(None),) * axis + (slice(1, None, 2),)]
-                elif r + 1 < m:
-                    arr = np.repeat(arr, 1 << (m - r - 1), axis=axis)
-            reads[s] = arr
+        reads = {s: hyperbolic.r_function(signs[s], s, join)
+                 for s in {s for tup, _ in members for s in tup}}
         for tup, pattern in members:
             prod = reads[tup[0]]
             for s in tup[1:]:
@@ -399,14 +391,13 @@ def _join_sums(tuples, r_own: dict[Shape, np.ndarray]) -> dict:
     return sums
 
 
-def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
+def product_slabs(tuples, field: CoefficientField,
                   resolution: Resolution, rows: int | None = None,
                   workspace: grid.Workspace | None = None):
     """The sum over the tuples of the products of their shapes'
-    r-functions -- the one kernel for such sums -- on ``resolution``, as
-    successive axis-0 slabs of ``rows`` rows (by default those of
-    ``hyperbolic.shape_sum_slabs``).  ``r_own`` maps every shape to its
-    r-function on its own grid (``own_r_grids``).  One shape sum stream
+    alpha-induced r-functions -- the one kernel for such sums -- on
+    ``resolution``, as successive axis-0 slabs of ``rows`` rows (by
+    default those of ``hyperbolic.shape_sum_slabs``).  One shape sum stream
     per sign pattern of ``_join_sums``, at most 2**d of them, is added
     slab by slab at ``grid.int_dtype`` of the tuple count; the streams
     share ``workspace`` (by default one of their own), as they advance in
@@ -420,7 +411,7 @@ def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
         workspace = grid.Workspace()
     streams = [hyperbolic.shape_sum_slabs(coeffs, resolution, pattern, rows,
                                           workspace)
-               for pattern, coeffs in _join_sums(tuples, r_own).items()]
+               for pattern, coeffs in _join_sums(tuples, field).items()]
     streams = streams or [hyperbolic.shape_sum_slabs({}, resolution, True, rows,
                                                      workspace)]
     # not zip, whose result tuple holds each stream's last slab while that
@@ -433,19 +424,19 @@ def product_slabs(tuples, r_own: dict[Shape, np.ndarray],
         del slab
 
 
-def _checked_shapes(tuples, d: int, resolution: Resolution | None = None, *,
-                    budget: int = MAX_TUPLES):
-    """The checks of every class-product sum, made before any r-grid is
-    built: at most ``budget`` tuples, and a ``resolution`` fine enough
+def _checked_resolution(tuples, d: int, resolution: Resolution | None = None,
+                        *, budget: int = MAX_TUPLES) -> Resolution:
+    """The checks of every class-product sum, made before any r-function is
+    read: at most ``budget`` tuples, and a ``resolution`` fine enough
     for each of their shapes (by default the minimal one, or level 1 on
-    every axis for no tuples).  Returns the shapes and the resolution."""
+    every axis for no tuples), which is returned."""
     check_budget(len(tuples), budget)
     shapes = {s for tup in tuples for s in tup}
     if resolution is None:
         resolution = (hyperbolic.minimal_resolution(shapes, d) if shapes
                       else Resolution((1,) * d))
     hyperbolic._check_resolution(resolution, shapes)
-    return shapes, resolution
+    return resolution
 
 
 def prod_over(tuples, field: CoefficientField,
@@ -456,11 +447,10 @@ def prod_over(tuples, field: CoefficientField,
     count, filled slab by slab from ``product_slabs``.  The default
     resolution is the minimal one for the tuples' shapes."""
     tuples = list(tuples)
-    shapes, resolution = _checked_shapes(tuples, field.d, resolution,
-                                         budget=budget)
+    resolution = _checked_resolution(tuples, field.d, resolution, budget=budget)
     out = np.zeros(resolution.grid_shape, dtype=grid.int_dtype(len(tuples)))
     r0 = 0
-    for slab in product_slabs(tuples, own_r_grids(field, shapes), resolution):
+    for slab in product_slabs(tuples, field, resolution):
         out[r0:r0 + len(slab)] = slab
         r0 += len(slab)
     return out
@@ -487,7 +477,7 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
     block count of ``C2_restricted``, whose blocks s and t are paired;
     ``b`` and ``a`` pin ``C2b`` and ``B4a``; the other kinds ignore them.
     A class whose enumeration passes ``budget`` tuples is refused before
-    any r-grid is built.  Rows carry the CSV columns (kind, n, p, norm,
+    any r-function is read.  Rows carry the CSV columns (kind, n, p, norm,
     fitted_exponent, predicted_exponent); the dict adds the tuple count per
     n and the sup-norm triangle bound check.
 
@@ -512,9 +502,9 @@ def beck_gain_measure(kind: str, n_values, p_list, seed: int, *, q: int = 2,
             raise ValueError(f"the {kind} class has no tuples at n={n}{where}")
         counts[n] = cls.size
         field = CoefficientField.random_signs(n, 3, (seed, n))
-        shapes, res = _checked_shapes(cls.tuples, 3, budget=budget)
+        res = _checked_resolution(cls.tuples, 3, budget=budget)
         totals, peak = grid.abs_power_sums(
-            product_slabs(cls.tuples, own_r_grids(field, shapes), res), int_ps)
+            product_slabs(cls.tuples, field, res), int_ps)
         sup_bound_ok &= peak <= cls.size
         for p, total in zip(p_list, totals):
             per_np[float(p)].append(

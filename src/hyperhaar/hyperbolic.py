@@ -17,8 +17,8 @@ unsigned halves gives the squared square function S(H)**2 = sum of
 alpha(R)**2 1_R, with no analysis of H, as a stream of slabs
 (``square_function_slabs``).  Every whole sum is returned as a grid in
 the sense of ``grid``: a C-contiguous integer ndarray over the scale 1.
-``signed_r_sum`` is the one r-function provider; with one shape it gives
-that shape's r-function.
+``r_function`` is the one r-function provider: one shape's pair
+expansion of its signs, axis by axis, with no butterfly.
 
 The sum streams in axis-0 slabs (``shape_sum_slabs``); ``shape_sum_grid``
 is its one-slab case.  Each axis is signed (Haar functions) or unsigned
@@ -462,19 +462,25 @@ def square_function_slabs(field: CoefficientField):
     return shape_sum_slabs(squares, field_resolution(field), signed=False)
 
 
-def signed_r_sum(field: CoefficientField, resolution: Resolution | None = None,
-                 shapes=None) -> np.ndarray:
-    """Sum over the given shapes (default: all exact-volume shapes) of the
-    alpha-induced r-functions -- integer valued, one synthesis, on
-    ``resolution`` (default: the minimal one for the shapes).  The one
-    r-function provider: with one shape it is that shape's r-function, the
-    sum of one signed Haar function per rectangle, which takes values in
-    {-1, +1} everywhere (sgn(0) := +1)."""
-    chosen = list(shapes) if shapes is not None else field.exact_volume_shapes
-    if resolution is None:
-        resolution = minimal_resolution(chosen, field.d)
-    sign_arrays = {s: signs_of(field.values[s]) for s in chosen}
-    return shape_sum_grid(sign_arrays, resolution)
+def r_function(signs: np.ndarray, shape: Shape, levels) -> np.ndarray:
+    """The r-function of one shape with the given rectangle signs, on the
+    grid of ``levels`` per axis, at the signs' dtype.  A shape has one
+    level r per axis, so on an axis of level m > r its synthesis is a pair
+    expansion: each sign c becomes (-c, +c), each entry repeated
+    2**(m-r-1) times.  An axis with m = r keeps c, the value on the right
+    half of each interval, where its Haar function is +1.  Below r the
+    grid cannot hold the shape's rectangles."""
+    out = signs
+    for axis, (r, m) in enumerate(zip(shape, levels)):
+        if m < r:
+            raise InsufficientResolutionError(
+                f"insufficient resolution: axis {axis} level {m} < {r} "
+                f"needed by shape {shape}")
+        if m > r:
+            out = _pairs(out, True, out.dtype, axis)
+            if m > r + 1:
+                out = out.repeat(1 << (m - r - 1), axis=axis)
+    return out
 
 
 # ---------------------------------------------------------------------------

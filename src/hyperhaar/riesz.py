@@ -37,8 +37,8 @@ No grid of the full resolution is kept.  The pass reads aligned axis-0
 slab streams, in pieces of 2^16 cells: F_1..F_q and H from
 ``hyperbolic.shape_sum_slabs``, and each sd/nsd layer and each Gamma_t
 from ``coincidence.product_slabs`` over its enumerated tuples, as Haar
-sums on their join shapes read off the r-functions on their own grids
-(per axis, the level + 1), each synthesized once.
+sums on their join shapes read off each shape's pair expansion
+(``hyperbolic.r_function``) on the join's levels.
 """
 
 from __future__ import annotations
@@ -85,7 +85,9 @@ def temlyakov_product(field: CoefficientField, n: int) -> np.ndarray:
     # int64: the running product is not bounded by any one factor
     out = np.ones(res.grid_shape, dtype=np.int64)
     for s in range(n + 1):
-        out *= 2 + hyperbolic.signed_r_sum(field, res, shapes=[(s, n - s)])
+        shape = (s, n - s)
+        out *= 2 + hyperbolic.r_function(
+            hyperbolic.signs_of(field.values[shape]), shape, res.levels)
     return out
 
 
@@ -404,11 +406,10 @@ class ShortProduct:
     Psi = 1 + Psi_sd + Psi_nsd.
 
     The constructor only validates.  It keeps, each built on first use,
-    the r-functions on their own small grids (``r_grids``), the enumerated
-    ``tuples`` and ``sums``, the one fold that the reports read, of
-    streams of ``rows`` = min(2**(m0 // 2), ``hyperbolic.slab_rows``)
-    rows (m0 the level of axis 0; 8 rows from n=5 up) on one shared
-    workspace.
+    the enumerated ``tuples`` and ``sums``, the one fold that the reports
+    read, of streams of ``rows`` = min(2**(m0 // 2),
+    ``hyperbolic.slab_rows``) rows (m0 the level of axis 0; 8 rows from
+    n=5 up) on one shared workspace.
     With rho~ = N/D exactly, values are scaled by ``scale`` = D^q:
     T = Psi * D^q = prod_t (D + N F_t).  ``budget`` caps the u-tuples.
     """
@@ -430,13 +431,6 @@ class ShortProduct:
         self.sizes = [len(block) for block in params.blocks]
         #: u-tuple counts, u = 0..q
         self.tuple_counts = _elementary(self.sizes)
-
-    @cached_property
-    def r_grids(self) -> dict[Shape, np.ndarray]:
-        """The r-function of every shape on its own grid, one synthesis
-        each."""
-        return coincidence.own_r_grids(
-            self.field, [s for block in self.params.blocks for s in block])
 
     @cached_property
     def tuples(self) -> tuple[list[list], list[list], list[list]]:
@@ -488,7 +482,7 @@ class ShortProduct:
         streams = [*(self.block_slabs(t, ws) for t in range(1, q + 1)),
                    hyperbolic.shape_sum_slabs(self.field.values, self.resolution,
                                               True, self.rows, ws),
-                   *(coincidence.product_slabs(tuples, self.r_grids,
+                   *(coincidence.product_slabs(tuples, self.field,
                                                self.resolution, self.rows, ws)
                      for tuples in sd_tuples + nsd_tuples + pairs)]
         for slabs in zip(*streams):

@@ -11,9 +11,10 @@ the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
 graph, and the short product's grids built cell by cell in Python ints
-from its block sums (one ``signed_r_sum`` per block) and layers (one
-``prod_over`` per enumerated tuple list), its Gamma_t grids, and its mean
-from a histogram of the vectors (F_1..F_q).
+from its block sums (one ``signed_r_sum`` per block, a butterfly synthesis
+of the block's signs) and layers (one ``prod_over`` per enumerated tuple
+list), its Gamma_t grids, and its mean from a histogram of the vectors
+(F_1..F_q).
 
 The library's grids are integer arrays over scales their callers pass.
 The oracles' fractional grids (the Haar analysis, the square function
@@ -391,6 +392,16 @@ def full_spectrum_shape_sum(shape_values, resolution: Resolution,
     return spectrum
 
 
+def signed_r_sum(field: CoefficientField, resolution: Resolution,
+                 shapes) -> np.ndarray:
+    """The sum of the alpha-induced r-functions of the given shapes on
+    ``resolution``, by one ``hyperbolic.shape_sum_grid`` of their signs:
+    the butterfly route, where ``hyperbolic.r_function`` expands one shape
+    in pairs."""
+    return hyperbolic.shape_sum_grid(
+        {s: hyperbolic.signs_of(field.values[s]) for s in shapes}, resolution)
+
+
 def constant_field(n: int, d: int, value: int = 1) -> CoefficientField:
     """The exact field with the same coefficient on every rectangle."""
     return CoefficientField(n, d, {
@@ -581,7 +592,7 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
            not coincidence._max_achieved([v[2] for v in four]):
             continue  # unique outer max: mean zero
         res = hyperbolic.minimal_resolution(four, 3)
-        cache = {shp: hyperbolic.signed_r_sum(field, res, shapes=[shp])
+        cache = {shp: signed_r_sum(field, res, [shp])
                  for shp in set(four)}
         prod = cache[four[0]].astype(np.int16)
         for shp in four[1:]:
@@ -714,8 +725,8 @@ def midpoint_lp_full_grid(a: PointSet, p: float, grid_level: int) -> float:
 
 def block_sums(sp: riesz.ShortProduct) -> list[np.ndarray]:
     """F_1..F_q, each the sum of its block's r-functions, synthesized
-    whole by ``hyperbolic.signed_r_sum``."""
-    return [hyperbolic.signed_r_sum(sp.field, sp.resolution, shapes=block)
+    whole by ``signed_r_sum``."""
+    return [signed_r_sum(sp.field, sp.resolution, block)
             for block in sp.params.blocks]
 
 

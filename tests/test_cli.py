@@ -81,6 +81,19 @@ class TestVerify:
         code, _ = run(["verify", "--n", "3", "--budget", "1"], capsys)
         assert code == 2
 
+    def test_budget_bounds_the_product_rule_suite(self, capsys, monkeypatch):
+        # 88 strongly distinct shape tuples at n=4: one more than the
+        # budget refuses the suite before any tuple is verified
+        def verified(shapes):
+            raise AssertionError("a shape tuple was verified before the refusal")
+
+        monkeypatch.setattr(coincidence, "_verify_shape_tuple", verified)
+        assert cli.main(["verify", "--n", "4", "--budget", "87"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "budget"
+        assert "88 tuples" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, level", [
         (["sharpness", "--n-range", "9..9", "--trials", "1", "--d", "3"], 30),
         (["sharpness", "--n-range", "3..9", "--trials", "4"], 30),
@@ -202,11 +215,11 @@ class TestExperiments:
     def test_beck_gain_budget_checked_before_r_grids(self, budget, code,
                                                      capsys, monkeypatch):
         # C2_restricted has 9 tuples at n=4; a budget below that refuses
-        # the class before any r-function grid is built
+        # the class before any r-function is read
         built = []
-        signed_r_sum = hyperbolic.signed_r_sum
-        monkeypatch.setattr(hyperbolic, "signed_r_sum",
-                            lambda *a, **k: built.append(a) or signed_r_sum(*a, **k))
+        r_function = hyperbolic.r_function
+        monkeypatch.setattr(hyperbolic, "r_function",
+                            lambda *a, **k: built.append(a) or r_function(*a, **k))
         assert cli.main(["beck-gain", "--kind", "C2_restricted", "--n-range",
                          "4..4", "--budget", budget]) == code
         captured = capsys.readouterr()
@@ -231,9 +244,10 @@ class TestExperiments:
     ])
     def test_r_function_paths_output_frozen(self, argv, digest, capsys):
         # stdout byte for byte, as recorded before every one-shape r-function
-        # was built by one provider (now hyperbolic.signed_r_sum); the two float cases at
-        # n=3 and n=5 were recorded while shape sums still synthesized a full
-        # spectrum, and fix the order in which float64 H adds its terms
+        # was built by one provider (now hyperbolic.r_function); the two float
+        # cases at n=3 and n=5 were recorded while shape sums still
+        # synthesized a full spectrum, and fix the order in which float64 H
+        # adds its terms
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -259,7 +259,7 @@ class TestProdOver:
         # as many slabs as any stream on the grid, so a zip over the
         # streams of a fold does not stop at an empty one
         res = Resolution((4, 3, 2))
-        slabs = list(coincidence.product_slabs([], {}, res, rows))
+        slabs = list(coincidence.product_slabs([], None, res, rows))
         one = {(0, 0, 0): np.ones((1, 1, 1), dtype=np.int8)}
         full = list(hyperbolic.shape_sum_slabs(one, res, True, rows))
         assert [s.shape for s in slabs] == [s.shape for s in full]
@@ -273,8 +273,8 @@ class TestProdOver:
             {s for tup in cls.tuples for s in tup}, 3)
         manual = np.zeros(res.grid_shape, dtype=np.int64)
         for r, s in cls.tuples:
-            gr = hyperbolic.signed_r_sum(field, res, shapes=[r])
-            gs = hyperbolic.signed_r_sum(field, res, shapes=[s])
+            gr = oracles.signed_r_sum(field, res, [r])
+            gs = oracles.signed_r_sum(field, res, [s])
             manual += gr.astype(np.int64) * gs.astype(np.int64)
         out = coincidence.prod_over(cls.tuples, field, res)
         assert np.array_equal(out, manual)
@@ -344,13 +344,12 @@ class TestProdOver:
         n = 5
         cls = self._class(kind, n)
         field = CoefficientField.random_signs(n, 3, (117, n))
-        shapes, res = coincidence._checked_shapes(cls.tuples, 3)
-        r_own = coincidence.own_r_grids(field, shapes)
+        res = coincidence._checked_resolution(cls.tuples, 3)
         oracle = self._full_grid_oracle(cls.tuples, field, res)
         top = res.levels[0]
         dtype = grid.int_dtype(len(cls.tuples))
         for rows in (1, 2, 1 << top):
-            slabs = list(coincidence.product_slabs(cls.tuples, r_own, res, rows))
+            slabs = list(coincidence.product_slabs(cls.tuples, field, res, rows))
             assert [len(slab) for slab in slabs] == [rows] * ((1 << top) // rows)
             assert all(slab.dtype == dtype for slab in slabs)
             assert np.array_equal(np.concatenate(slabs), oracle)

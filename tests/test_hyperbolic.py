@@ -111,11 +111,20 @@ class TestCoefficientField:
 
 
 class TestRFunctions:
-    """The r-function of one shape is ``signed_r_sum`` over that shape."""
+    """The r-function of one shape is ``hyperbolic.r_function``, the pair
+    expansion of its signs."""
+
+    #: one shape per d, with levels 0 to 2
+    SHAPES = [(2,), (1, 2), (2, 0, 1)]
+
+    @staticmethod
+    def _r(field, shape, levels):
+        return hyperbolic.r_function(hyperbolic.signs_of(field.values[shape]),
+                                     shape, levels)
 
     def test_all_plus_r_function_values(self):
         f = oracles.constant_field(2, 2)
-        g = hyperbolic.signed_r_sum(f, Resolution((2, 2)), shapes=[(1, 1)])
+        g = self._r(f, (1, 1), (2, 2))
         assert set(np.unique(g)) <= {-1, 1}
         assert oracles.mean(g) == 0
 
@@ -124,22 +133,57 @@ class TestRFunctions:
     def test_r_function_squares_to_one(self, seed):
         f = CoefficientField.random_signs(3, 3, seed)
         shape = hyperbolic.enumerate_shapes(3, 3)[seed % 10]
-        g = hyperbolic.signed_r_sum(f, shapes=[shape])
-        assert g.shape == hyperbolic.minimal_resolution([shape]).grid_shape
+        res = hyperbolic.minimal_resolution([shape])
+        g = self._r(f, shape, res.levels)
+        assert g.shape == res.grid_shape
         assert np.all(g * g == 1)
 
     def test_insufficient_resolution_raises(self):
         f = oracles.constant_field(3, 2)
         with pytest.raises(InsufficientResolutionError):
-            hyperbolic.signed_r_sum(f, Resolution((2, 2)), shapes=[(3, 0)])
+            self._r(f, (3, 0), (2, 2))
 
-    def test_signed_r_sum_restricts_to_shapes(self):
+    def test_restricts_to_its_shape(self):
+        # one shape of a field that covers every shape, on a finer grid
         f = oracles.constant_field(2, 2)
         res = Resolution((3, 3))
-        partial = hyperbolic.signed_r_sum(f, res, shapes=[(2, 0)])
         single = oracles.full_spectrum_shape_sum(
             {(2, 0): hyperbolic.signs_of(f.values[(2, 0)])}, res)
-        assert np.array_equal(partial, single)
+        assert np.array_equal(self._r(f, (2, 0), res.levels), single)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_level_from_r_to_r_plus_2(self, shape):
+        # at level r + 1 and above the full-spectrum synthesis of the
+        # shape's signs; at level r the odd cells of the r + 1 synthesis,
+        # the right half of each interval
+        rng = np.random.default_rng(len(shape))
+        values = rng.integers(-3, 4, size=tuple(1 << r for r in shape))
+        values.flat[0], values.flat[-1] = -1, 0  # both signs, and sgn(0)
+        signs = hyperbolic.signs_of(values)
+        for extra in itertools.product(range(3), repeat=len(shape)):
+            levels = tuple(r + e for r, e in zip(shape, extra))
+            full = oracles.full_spectrum_shape_sum(
+                {shape: signs},
+                Resolution(tuple(max(m, r + 1) for m, r in zip(levels, shape))))
+            expected = full[tuple(slice(1, None, 2) if m == r else slice(None)
+                                  for m, r in zip(levels, shape))]
+            got = hyperbolic.r_function(signs, shape, levels)
+            assert got.dtype == full.dtype, levels
+            assert np.array_equal(got, expected), levels
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_below_its_level_raises(self, shape):
+        signs = np.ones(tuple(1 << r for r in shape), dtype=np.int8)
+        lowered = 0
+        for axis, r in enumerate(shape):
+            if r:
+                levels = tuple(q + 1 for q in shape[:axis]) + (r - 1,) + \
+                    tuple(q + 1 for q in shape[axis + 1:])
+                with pytest.raises(InsufficientResolutionError,
+                                   match=f"axis {axis} level {r - 1} < {r}"):
+                    hyperbolic.r_function(signs, shape, levels)
+                lowered += 1
+        assert lowered
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +209,8 @@ class TestHyperbolicSum:
         res = hyperbolic.field_resolution(f)
         h = hyperbolic.shape_sum_grid(f.values, res)
         for shape in hyperbolic.enumerate_shapes(n, d):
-            rf = hyperbolic.signed_r_sum(f, res, shapes=[shape])
+            rf = hyperbolic.r_function(hyperbolic.signs_of(f.values[shape]),
+                                       shape, res.levels)
             expected = Fraction(
                 int(np.sum(np.abs(f.values[shape].astype(np.int64)))), 1 << n)
             inner = Fraction(int(np.sum(h.astype(np.int64) * rf)), res.cells)

@@ -75,9 +75,14 @@ class TestBlockSums:
         p = riesz.make_params(n, q=2)
         res = hyperbolic.field_resolution(f)
         for block in p.blocks:
-            ft = hyperbolic.signed_r_sum(f, res, shapes=block)
+            ft = oracles.signed_r_sum(f, res, block)
             assert oracles.mean(ft) == 0
             assert oracles.moment(ft, 2) == len(block)
+            # the oracle's block sum is the sum of the block's r-functions
+            assert np.array_equal(ft, sum(
+                hyperbolic.r_function(hyperbolic.signs_of(f.values[s]), s,
+                                      res.levels).astype(np.int64)
+                for s in block))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ def _direct_route(field, params, v_list):
     frac = params.rho_tilde_exact
     n_, d_, q = frac.numerator, frac.denominator, params.q
     scale, cells = d_**q, res.cells
-    fs = [hyperbolic.signed_r_sum(field, res, shapes=block).astype(np.int64)
+    fs = [oracles.signed_r_sum(field, res, block).astype(np.int64)
           for block in params.blocks]
     t = np.ones(res.grid_shape, dtype=object)
     for f in fs:
@@ -544,11 +549,10 @@ class TestShortProductOracle:
 
         sd, nsd, pairs = sp.tuples
         assert nsd[0] == []  # its stream is the empty one
-        shapes = len(hyperbolic.enumerate_shapes(4, 3))
-        # one r-grid per shape, one F_t per block, H, one stream per sign
-        # pattern of each layer and each Gamma_t, and F_1 again for V = (1,)
-        assert opened == (shapes + p.q + 1
-                          + sum(map(patterns, sd + nsd + pairs)) + 1)
+        # one F_t per block, H, one stream per sign pattern of each layer
+        # and each Gamma_t, and F_1 again for V = (1,); the r-functions
+        # are pair expansions, which open none
+        assert opened == (p.q + 1 + sum(map(patterns, sd + nsd + pairs)) + 1)
 
 
 class TestLayerSigns:
@@ -632,10 +636,9 @@ class TestReportPeaks:
     def test_reports_peak_bounded(self):
         # the four reports of the CLI read one fold of axis-0 slab streams,
         # so no grid of the full resolution (2^21 cells at n=6) is held:
-        # with only the r-grids built, they peak under 16 MiB together
+        # they peak under 16 MiB together
         sp = riesz.ShortProduct(CoefficientField.random_signs(6, 3, 0),
                                 riesz.make_params(6, q=3))
-        sp.r_grids  # built before tracing
         tracemalloc.start()
         try:
             riesz.decomposition_report(sp)
