@@ -11,8 +11,9 @@ failed; 2 validation or budget errors (argparse uses the same code);
 Importing this module and building its parser load only the standard
 library, and not ``fractions`` or ``csv``, which the output imports where
 it needs them; each subcommand imports the library modules it runs (numpy
-with them), so ``discrepancy`` never loads ``hyperbolic`` and ``sharpness``
-never loads ``coincidence``, ``riesz`` or ``discrepancy``.
+with them), so ``discrepancy`` never loads ``hyperbolic``, ``sharpness``
+never loads ``coincidence``, ``riesz`` or ``discrepancy``, and only
+``verify`` and ``graphs`` load ``graphs``.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def run_verify(args) -> tuple[int, dict, list]:
     """Exact-identity suites across the library; exit 0 iff all pass."""
     from fractions import Fraction
 
-    from . import coincidence, grid, hyperbolic, riesz
+    from . import coincidence, graphs, grid, hyperbolic, riesz
     from .hyperbolic import CoefficientField
     grid.Resolution.uniform(args.n + 1, 3)  # the short product's, before any suite
     suites = []
@@ -312,7 +313,7 @@ def run_verify(args) -> tuple[int, dict, list]:
     for q in (2, min(3, n + 1)):
         pq = riesz.make_params(n, q=q)
         f3 = CoefficientField.random_signs(n, 3, (args.seed, q))
-        rep = coincidence.inclusion_exclusion_check(
+        rep = graphs.inclusion_exclusion_check(
             range(1, q + 1), f3, pq.blocks, budget=tuple_budget)
         ie_ok &= rep["equal"]
         ie_details.append({"q": q, "graphs": rep["graph_count"],
@@ -322,14 +323,14 @@ def run_verify(args) -> tuple[int, dict, list]:
     q4 = min(4, n + 1)
     pq = riesz.make_params(n, q=q4)
     f3 = CoefficientField.random_signs(n, 3, (args.seed, 4))
-    g = coincidence.AdmissibleGraph.make(
+    g = graphs.AdmissibleGraph.make(
         range(1, q4 + 1),
         [(1, 2)] + ([(3, 4)] if q4 >= 4 else []),
         [],
     )
-    if coincidence.is_admissible(g):
-        rep = coincidence.factorization_check(g, f3, pq.blocks,
-                                              budget=tuple_budget)
+    if graphs.is_admissible(g):
+        rep = graphs.factorization_check(g, f3, pq.blocks,
+                                         budget=tuple_budget)
         record("factorization", rep["equal"], rep)
 
     # Known worst-case exponents per vertex count.  The uniform -1/10 bound
@@ -338,10 +339,10 @@ def run_verify(args) -> tuple[int, dict, list]:
     exp_ok = True
     exp_details = []
     for size, expected in expected_worst.items():
-        graphs = coincidence.enumerate_connected_admissible(range(1, size + 1))
-        worst = max(coincidence.exponent_recursion(gg).exponent for gg in graphs)
+        connected = graphs.enumerate_connected_admissible(range(1, size + 1))
+        worst = max(graphs.exponent_recursion(gg).exponent for gg in connected)
         exp_ok &= worst == expected
-        exp_details.append({"vertices": size, "graphs": len(graphs),
+        exp_details.append({"vertices": size, "graphs": len(connected),
                             "max_exponent": str(worst)})
     record("exponent-recursion", exp_ok, exp_details)
 
@@ -477,11 +478,11 @@ def _cmd_discrepancy(args) -> tuple[int, dict, list]:
 
 
 def _cmd_graphs(args) -> tuple[int, dict, list]:
-    from . import coincidence
+    from . import graphs
     verts = range(1, args.vertices + 1)
     rows = []
-    for i, g in enumerate(coincidence.enumerate_connected_admissible(verts)):
-        rep = coincidence.exponent_recursion(g)
+    for i, g in enumerate(graphs.enumerate_connected_admissible(verts)):
+        rep = graphs.exponent_recursion(g)
         row = {
             "index": i,
             "cliques2": json.dumps(g.cliques2),
@@ -491,7 +492,7 @@ def _cmd_graphs(args) -> tuple[int, dict, list]:
             "v12": json.dumps(rep.v12),
         }
         if args.primes:
-            row["prime"] = coincidence.is_prime(g)
+            row["prime"] = graphs.is_prime(g)
         rows.append(row)
     payload = {"vertices": args.vertices, "count": len(rows), "rows": rows}
     return 0, payload, rows

@@ -60,6 +60,9 @@ no level allocates; the transpose back is C-contiguous and the input is
 never written.  A caller that synthesizes slab after slab passes a
 ``Workspace``, from which ``synthesize`` takes the scratch and every
 output but the last, so only the result is allocated per call.
+A Haar function of level m changes sign inside its interval, so a signed
+axis needs level m + 1 to hold it, while an unsigned axis holds its
+indicator at level m: the leaf step of ``synthesize_axis0``.
 """
 
 from __future__ import annotations
@@ -344,7 +347,7 @@ def float_lp_norm(slabs, ps) -> list[float]:
 
 
 def synthesize_axis0(coef: np.ndarray, signed: bool = True, *,
-                     out: np.ndarray | None = None,
+                     leaf: bool = False, out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
     """Invert the Haar layout along axis 0 with the division-free butterfly.
 
@@ -355,17 +358,29 @@ def synthesize_axis0(coef: np.ndarray, signed: bool = True, *,
     function.  Works for integer, float and object dtypes alike; exact
     whenever the dtype is.
 
+    ``leaf=True``, unsigned only, stops at the 2**(m-1) intervals of the
+    last level that 2**m entries hold: an indicator is constant on its
+    own interval, so that level's coefficients are added in place, and the
+    output has half of ``coef``'s length, with no duplicated child.
+
     The output and one half-size scratch buffer are the only allocations,
-    unless the caller passes them (``out`` of ``coef``'s shape, ``scratch``
-    of its first half's, neither overlapping ``coef``); allocated, both
-    copy ``coef``'s memory layout.  The levels alternate between them so
-    that the last one lands in the output, which is returned and written
-    whole.  ``coef`` is only read.
+    unless the caller passes them (``out`` of the output's shape,
+    ``scratch`` of ``coef``'s first half's, neither overlapping ``coef``);
+    allocated, both copy ``coef``'s memory layout.  The levels alternate
+    between them so that the last one lands in the output, which is
+    returned and written whole.  ``coef`` is only read.
     """
     size = coef.shape[0]
     m = size.bit_length() - 1
     if size != (1 << m):
         raise ValueError("axis length must be a power of two")
+    if leaf:
+        if signed or not m:
+            raise ValueError("a leaf step is unsigned and needs two entries")
+        out = synthesize_axis0(coef[:size >> 1], False, out=out,
+                               scratch=scratch)
+        out += coef[size >> 1:]
+        return out
     if out is None:
         out = np.empty_like(coef)
     if m == 0:
@@ -393,12 +408,14 @@ def apply_along_axis0(fn, arr: np.ndarray, axis: int, *args, **kwargs) -> np.nda
     viewed as ``(pre, size, post)`` and ``fn`` gets the ``(size, pre, post)``
     transpose of that view, so no data moves.  A kernel that allocates with
     ``np.empty_like`` returns the same layout, and the transpose back is
-    C-contiguous, so the final reshape is free.
+    C-contiguous, so the final reshape is free.  The kernel's output may
+    change the length of that axis (a leaf step halves it).
     """
     shape = arr.shape
     post = int(np.prod(shape[axis + 1:], dtype=np.int64))
     view = np.ascontiguousarray(arr).reshape(-1, shape[axis], post).transpose(1, 0, 2)
-    return fn(view, *args, **kwargs).transpose(1, 0, 2).reshape(shape)
+    out = fn(view, *args, **kwargs).transpose(1, 0, 2)
+    return out.reshape(shape[:axis] + (out.shape[1],) + shape[axis + 1:])
 
 
 class Workspace:
@@ -426,12 +443,13 @@ class Workspace:
 
 
 def synthesize(arr: np.ndarray, signed=True, axes=None,
-               workspace: Workspace | None = None) -> np.ndarray:
+               workspace: Workspace | None = None, leaves=()) -> np.ndarray:
     """Synthesize the given axes (default: every axis) of a Haar-layout
     array, in the order given (see ``synthesize_axis0``).  ``signed`` is
-    one flag per axis of ``arr``, or a bool for every axis.  With a
-    ``workspace``, the butterflies' scratch and the outputs of every axis
-    but the last are taken from it.
+    one flag per axis of ``arr``, or a bool for every axis; the axes in
+    ``leaves``, unsigned, end in a leaf step, which halves their length.
+    With a ``workspace``, the butterflies' scratch and the outputs of every
+    axis but the last are taken from it.
 
     Returns a C-contiguous array of the same dtype, new unless ``axes`` is
     empty; ``arr`` is only read.
@@ -440,18 +458,22 @@ def synthesize(arr: np.ndarray, signed=True, axes=None,
         signed = (signed,) * arr.ndim
     axes = list(range(arr.ndim) if axes is None else axes)
     for i, axis in enumerate(axes):
+        leaf = axis in leaves
         buffers = {}
         if workspace is not None:
             # laid out as the (size, pre, post) view of apply_along_axis0
             pre, size = math.prod(arr.shape[:axis]), arr.shape[axis]
             post = math.prod(arr.shape[axis + 1:])
+            # a leaf step's butterfly runs on the first half
             buffers["scratch"] = workspace.take(
-                "scratch", (pre, size >> 1, post), arr.dtype).transpose(1, 0, 2)
+                "scratch", (pre, size >> 1 + leaf, post),
+                arr.dtype).transpose(1, 0, 2)
             if i + 1 < len(axes):
                 buffers["out"] = workspace.take(
-                    ("out", i % 2), (pre, size, post), arr.dtype).transpose(1, 0, 2)
+                    ("out", i % 2), (pre, size >> leaf, post),
+                    arr.dtype).transpose(1, 0, 2)
         arr = apply_along_axis0(synthesize_axis0, arr, axis, signed[axis],
-                                **buffers)
+                                leaf=leaf, **buffers)
     return arr
 
 

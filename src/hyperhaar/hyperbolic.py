@@ -25,6 +25,9 @@ is its one-slab case.  Each axis is signed (Haar functions) or unsigned
 (indicators of the same intervals): the square function is unsigned on
 every axis, and the products of r-functions in ``coincidence`` are Haar
 sums on their join shapes with a pattern of signed and unsigned axes.
+A shape of level r needs grid level r + 1 on axis 0 (walked), on the
+last axis (placed) and on every signed axis; an unsigned middle axis may
+stop at r, and then ends in ``grid``'s leaf step (``_check_resolution``).
 Integer sums place the last axis, one block of shapes at a time (the
 shapes that share their levels on every other axis), and split axis 0 by
 resolution: with 2**c slabs, each slab's base row is the sum of the
@@ -126,11 +129,16 @@ class CoefficientField:
 
     def abs_sum(self):
         """Sum of |alpha(R)| over the exact-volume rectangles: a Python int
-        from ``grid.abs_power_sums`` for ints, a float per shape for floats."""
+        from ``grid.abs_power_sums`` of all their values as one chunk for
+        ints (``object`` where uint64 would meet a signed width in float64),
+        a float per shape for floats."""
         arrays = [self.values[shape] for shape in self.exact_volume_shapes]
         if self.mode == "float":
             return sum(float(np.sum(np.abs(arr))) for arr in arrays)
-        return grid.abs_power_sums(arrays, [1])[0][0]
+        dtype = np.result_type(*arrays)
+        values = np.concatenate([arr.reshape(-1) for arr in arrays],
+                                dtype=dtype if dtype.kind in "iu" else object)
+        return grid.abs_power_sums([values], [1])[0][0]
 
     @classmethod
     def random_signs(cls, n: int, d: int, seed_or_rng) -> "CoefficientField":
@@ -197,13 +205,18 @@ def field_resolution(field: CoefficientField) -> Resolution:
     return minimal_resolution(field.values.keys(), field.d)
 
 
-def _check_resolution(resolution: Resolution, shapes) -> None:
+def _check_resolution(resolution: Resolution, shapes, signed) -> None:
+    """Refuse a grid too coarse for a shape sum: level r + 1 for a shape's
+    r on axis 0, on the last axis and on every signed axis (one flag per
+    axis in ``signed``), and r on an unsigned middle axis."""
+    ends = (0, resolution.d - 1)
     for s in shapes:
         for axis, r in enumerate(s):
-            if resolution.levels[axis] < r + 1:
+            need = r + (signed[axis] or axis in ends)
+            if resolution.levels[axis] < need:
                 raise InsufficientResolutionError(
                     f"insufficient resolution: axis {axis} level "
-                    f"{resolution.levels[axis]} < {r + 1} needed by shape {s}"
+                    f"{resolution.levels[axis]} < {need} needed by shape {s}"
                 )
 
 
@@ -314,6 +327,11 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     flag per axis, or a bool for every axis: an unsigned axis takes each
     coefficient's indicator of its interval in place of its Haar function.
 
+    A middle axis where some shape's level equals the grid's (unsigned,
+    by ``_check_resolution``) holds one level more in the slab's Haar
+    column and is synthesized first, by ``grid``'s leaf step, so the axes
+    after it work on the slab's own cells.
+
     Float coefficients give float64.  Integer ones give ``grid.int_dtype``
     of the sum over shapes of ``max|values|``: every placed or butterfly
     partial sum is a sum of at most one coefficient per shape, so none can
@@ -353,20 +371,25 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     Peak memory: the walk's ``c + 1`` rows (``cells / 2**m0`` cells each)
     and about 3.5 slabs -- the workspace's Haar column, axis-0 output and
     half-size scratch, and the new slab -- plus the previous slab if the
-    caller still holds it.  At n=8, d=3 (levels 9, 9, 9, int8; the whole
-    sum is 128 MiB) that is 8-row slabs of 2 MiB and 7 walk rows of 256
-    KiB: one sharpness trial's traced peak is 8.9 MiB, where 16-row slabs
-    beside a 32-row coarse block of 8 MiB took 22.2 MiB.
+    caller still holds it; a leaf doubles the column and the walk rows.
+    At n=8, d=3 (levels 9, 9, 9, int8; the whole sum is 128 MiB) that is
+    8-row slabs of 2 MiB and 7 walk rows of 256 KiB: one sharpness trial's
+    traced peak is 8.9 MiB, where 16-row slabs beside a 32-row coarse
+    block of 8 MiB took 22.2 MiB.
     """
-    _check_resolution(resolution, shape_values.keys())
     if isinstance(signed, bool):
         signed = (signed,) * resolution.d
+    _check_resolution(resolution, shape_values.keys(), signed)
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
         dtype, axis = np.float64, 0
     else:
         dtype = grid.int_dtype(sum(grid.max_abs(v) for v in shape_values.values()))
         axis = resolution.d - 1
-    m0, rest = resolution.levels[0], resolution.grid_shape[1:]
+    leaves = [b for b in range(1, resolution.d - 1)
+              if any(s[b] == resolution.levels[b] for s in shape_values)]
+    m0 = resolution.levels[0]
+    rest = tuple(size << (b in leaves)
+                 for b, size in enumerate(resolution.grid_shape) if b)
     if rows is None:
         rows = slab_rows(resolution)
     if rows < 1 or rows & (rows - 1) or rows > 1 << m0:
@@ -374,7 +397,8 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     if workspace is None and rows < 1 << m0:
         workspace = grid.Workspace()
     j = rows.bit_length() - 1
-    others = [b for b in range(resolution.d) if b != axis]
+    others = leaves + [b for b in range(resolution.d)
+                       if b != axis and b not in leaves]
 
     def zeros() -> np.ndarray:
         # a slab's Haar column; new when it is the slab itself or when
@@ -392,7 +416,7 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
         for lo in range(0, 1 << m0, rows):
             yield grid.synthesize(_placed(shape_values, resolution, signed[0],
                                           zeros(), lo),
-                                  signed, others, workspace)
+                                  signed, others, workspace, leaves)
         return
     c = m0 - j
     by_level = _last_axis_blocks(shape_values, resolution)
@@ -423,9 +447,9 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
         return col
 
     # each column is passed inline, so that without a workspace
-    # ``synthesize`` holds its only reference and frees it after axis 0
+    # ``synthesize`` holds its only reference and frees it after one axis
     for b in range(1 << c):
-        yield grid.synthesize(column(b), signed, others, workspace)
+        yield grid.synthesize(column(b), signed, others, workspace, leaves)
 
 
 def shape_sum_grid(shape_values: dict[Shape, np.ndarray], resolution: Resolution,

@@ -10,7 +10,9 @@ spread from its spectrum, Parseval sums entry by entry, exact moments from
 the sorted distinct values, block averages, corner counts over the
 point list, the discrepancy scan over the whole corner grid at once, the
 C2 second moment expanded over pairs of pairs, the wedge grade of a
-graph, and the short product's grids built cell by cell in Python ints
+graph, the whole grid of a product sum over tuples (``prod_over``, the
+library's slab stream laid end to end), and the short product's grids
+built cell by cell in Python ints
 from its block sums (one ``signed_r_sum`` per block, a butterfly synthesis
 of the block's signs) and layers (one ``prod_over`` per enumerated tuple
 list), its Gamma_t grids, and its mean from a histogram of the vectors
@@ -32,9 +34,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from hyperhaar import coincidence, grid, hyperbolic, riesz
-from hyperhaar.coincidence import AdmissibleGraph
+from hyperhaar import coincidence, graphs, grid, hyperbolic, riesz
 from hyperhaar.discrepancy import PointSet
+from hyperhaar.graphs import AdmissibleGraph
 from hyperhaar.grid import InsufficientResolutionError, Resolution
 from hyperhaar.hyperbolic import CoefficientField, Shape
 
@@ -378,7 +380,9 @@ def full_spectrum_shape_sum(shape_values, resolution: Resolution,
     dtype."""
     if isinstance(signed, bool):
         signed = (signed,) * resolution.d
-    hyperbolic._check_resolution(resolution, shape_values.keys())
+    # the spectrum's blocks need r + 1 on every axis, whatever the signs
+    hyperbolic._check_resolution(resolution, shape_values.keys(),
+                                 (True,) * resolution.d)
     if any(np.asarray(v).dtype.kind == "f" for v in shape_values.values()):
         dtype = np.float64
     else:
@@ -562,6 +566,26 @@ def mean_zero_predicate(rects) -> bool:
     return False
 
 
+def prod_over(tuples, field: CoefficientField,
+              resolution: Resolution | None = None, *,
+              budget: int = coincidence.MAX_TUPLES) -> np.ndarray:
+    """Sum over the tuples of the products of the alpha-induced r-functions
+    of their shapes, as an integer grid at ``grid.int_dtype`` of the tuple
+    count: the slabs of ``coincidence.product_slabs`` laid end to end, on
+    the minimal grid of the tuples' shapes by default (level 1 on every
+    axis for no tuples), after the library's own checks
+    (``coincidence._checked_resolution``)."""
+    tuples = list(tuples)
+    shapes = {s for tup in tuples for s in tup}
+    if resolution is None:
+        resolution = (hyperbolic.minimal_resolution(shapes, field.d) if shapes
+                      else Resolution((1,) * field.d))
+    resolution = coincidence._checked_resolution(tuples, field.d, resolution,
+                                                 budget=budget)
+    return np.concatenate(list(coincidence.product_slabs(tuples, field,
+                                                         resolution)))
+
+
 def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
                                 t: int = 2) -> dict:
     """Compute ||Prod(C2 across two blocks)||_2**2 twice, exactly.
@@ -577,7 +601,7 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
     params = riesz.make_params(n, q=q)
     cls = coincidence.class_c2_restricted(n, params.blocks, s, t)
     field = CoefficientField.random_signs(n, 3, (seed, n))
-    g = coincidence.prod_over(cls.tuples, field)
+    g = prod_over(cls.tuples, field)
     lhs = moment(g, 2)
 
     total = Fraction(len(cls.tuples))
@@ -612,8 +636,8 @@ def c2_restricted_l2_crosscheck(n: int, seed: int, q: int = 2, s: int = 1,
 def grade(g: AdmissibleGraph, cap: int = 6) -> int:
     """Smallest k with g a wedge of k primes (1 for primes); brute force,
     for small graphs only."""
-    primes = [h for h in coincidence._subgraphs_edgewise(g)
-              if coincidence.is_prime(h)]
+    primes = [h for h in graphs._subgraphs_edgewise(g)
+              if graphs.is_prime(h)]
     if g in primes:
         return 1
     frontier = {h for h in primes}
@@ -621,7 +645,7 @@ def grade(g: AdmissibleGraph, cap: int = 6) -> int:
         nxt = set()
         for h in frontier:
             for p in primes:
-                w = coincidence.wedge(h, p)
+                w = graphs.wedge(h, p)
                 if w == g:
                     return k
                 if w is not None:
@@ -640,10 +664,10 @@ def _pattern_cliques(combo, verts, coord: int) -> tuple[tuple[int, ...], ...]:
 
 
 def exact_pattern_tuples(g: AdmissibleGraph, blocks) -> list:
-    """The tuples of ``coincidence.X_of_graph`` whose realized coincidence
+    """The tuples of ``graphs.X_of_graph`` whose realized coincidence
     pattern equals g's cliques exactly -- no extra agreements."""
     verts = sorted(g.vertices)
-    return [combo for combo in coincidence.X_of_graph(g, blocks)
+    return [combo for combo in graphs.X_of_graph(g, blocks)
             if _pattern_cliques(combo, verts, 1) == g.cliques2
             and _pattern_cliques(combo, verts, 2) == g.cliques3]
 
@@ -734,14 +758,14 @@ def layers(sp: riesz.ShortProduct):
     """(sd, nsd): for u = 1..q, the grid sum of the products of the
     r-functions over the u-tuples with one shape from each of u distinct
     blocks, enumerated here, split by the strongly-distinct predicate and
-    summed by ``coincidence.prod_over``."""
+    summed by ``prod_over``."""
     q = sp.params.q
     sd, nsd = {}, {}
     for u in range(1, q + 1):
         tuples = [tup for subset in itertools.combinations(sp.params.blocks, u)
                   for tup in itertools.product(*subset)]
         for out, keep in ((sd, True), (nsd, False)):
-            out[u] = coincidence.prod_over(
+            out[u] = prod_over(
                 [tup for tup in tuples
                  if coincidence.strongly_distinct(tup) == keep],
                 sp.field, sp.resolution)
@@ -751,10 +775,10 @@ def layers(sp: riesz.ShortProduct):
 def gamma(sp: riesz.ShortProduct, t: int) -> np.ndarray:
     """Gamma_t: the sum over ordered pairs of distinct shapes of block t
     that share the first coordinate of the products of their
-    r-functions, by ``coincidence.prod_over``."""
+    r-functions, by ``prod_over``."""
     pairs = [(a, b) for a, b in itertools.permutations(sp.params.blocks[t - 1], 2)
              if a[0] == b[0]]
-    return coincidence.prod_over(pairs, sp.field, sp.resolution)
+    return prod_over(pairs, sp.field, sp.resolution)
 
 
 def _scaled_t(sp: riesz.ShortProduct) -> np.ndarray:

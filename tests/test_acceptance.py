@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperhaar import coincidence, discrepancy, grid, hyperbolic, riesz
-from hyperhaar.coincidence import AdmissibleGraph
+from hyperhaar import coincidence, discrepancy, graphs, grid, hyperbolic, riesz
+from hyperhaar.graphs import AdmissibleGraph
 from hyperhaar.hyperbolic import CoefficientField
 
 import oracles
@@ -114,7 +114,7 @@ class TestGraphCombinatorics:
             params = riesz.make_params(n, q=q)
             field = CoefficientField.random_signs(n, 3, (n, q, 3))
             for size in range(0, min(3, q) + 1):
-                rep = coincidence.inclusion_exclusion_check(
+                rep = graphs.inclusion_exclusion_check(
                     tuple(range(1, size + 1)), field, params.blocks)
                 assert rep["equal"], (n, q, size)
 
@@ -122,14 +122,14 @@ class TestGraphCombinatorics:
         field = CoefficientField.random_signs(5, 3, 122)
         params = riesz.make_params(5, q=4)
         union = AdmissibleGraph.make((1, 2, 3, 4), [(1, 2)], [(3, 4)])
-        rep = coincidence.factorization_check(union, field, params.blocks)
+        rep = graphs.factorization_check(union, field, params.blocks)
         assert rep["equal"]
         assert rep["components"] == 2
 
         field = CoefficientField.random_signs(4, 3, 123)
         params = riesz.make_params(4, q=2)
         single = AdmissibleGraph.make((1, 2), [], [(1, 2)])
-        rep = coincidence.factorization_check(single, field, params.blocks)
+        rep = graphs.factorization_check(single, field, params.blocks)
         assert rep["equal"]
         assert rep["components"] == 1
 
@@ -139,9 +139,9 @@ class TestGraphCombinatorics:
 
     def test_exponent_recursion_uniform_bound(self):
         for size, expected in self.FROZEN_CONNECTED_COUNTS.items():
-            graphs = coincidence.enumerate_connected_admissible(range(1, size + 1))
-            assert len(graphs) == expected, size
-            worst = max(coincidence.exponent_recursion(g).exponent for g in graphs)
+            family = graphs.enumerate_connected_admissible(range(1, size + 1))
+            assert len(family) == expected, size
+            worst = max(graphs.exponent_recursion(g).exponent for g in family)
             assert worst <= Fraction(-1, 10), (size, worst)
 
 

@@ -654,8 +654,8 @@ class TestOutput:
 
 #: The modules whose loading the start-up tests watch.
 LIBRARY = {"numpy", *(f"hyperhaar.{m}" for m in
-                      ("grid", "hyperbolic", "coincidence", "riesz",
-                       "discrepancy"))}
+                      ("grid", "hyperbolic", "coincidence", "graphs",
+                       "riesz", "discrepancy"))}
 
 #: Standard-library and numpy modules that the parser need not load:
 #: ``fractions`` loads ``decimal``, and ``np.unique`` loads ``numpy.ma``.
@@ -724,8 +724,18 @@ class TestStartup:
          "                     '--n-range', '4..5']) == 0",
          {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic",
           "hyperhaar.coincidence", "fractions", "decimal"}),
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['riesz3d', '--n', '3', '--q', '2']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic",
+          "hyperhaar.coincidence", "hyperhaar.riesz", "fractions",
+          "decimal"}),
+        ("with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert cli.main(['graphs', '--vertices', '2']) == 0",
+         {"numpy", "hyperhaar.grid", "hyperhaar.hyperbolic",
+          "hyperhaar.coincidence", "hyperhaar.graphs", "fractions",
+          "decimal"}),
     ], ids=["parser", "discrepancy", "discrepancy-csv", "sharpness",
-            "beck-gain"])
+            "beck-gain", "riesz3d", "graphs"])
     def test_loads_only_the_modules_it_runs(self, code, loaded):
         assert self._loaded_after(code) == loaded
 

@@ -251,7 +251,7 @@ class TestCoincidenceClasses:
 class TestProdOver:
     def test_empty_class_is_zero_function(self):
         field = CoefficientField.random_signs(2, 3, 110)
-        out = coincidence.prod_over([], field, Resolution((1, 1, 1)))
+        out = oracles.prod_over([], field, Resolution((1, 1, 1)))
         assert not np.any(out != 0)
 
     @pytest.mark.parametrize("rows", [1, 4, None])
@@ -276,7 +276,7 @@ class TestProdOver:
             gr = oracles.signed_r_sum(field, res, [r])
             gs = oracles.signed_r_sum(field, res, [s])
             manual += gr.astype(np.int64) * gs.astype(np.int64)
-        out = coincidence.prod_over(cls.tuples, field, res)
+        out = oracles.prod_over(cls.tuples, field, res)
         assert np.array_equal(out, manual)
 
     @staticmethod
@@ -315,7 +315,7 @@ class TestProdOver:
         if kind == "C2_restricted":
             assert len(joins) == len(cls.tuples)
         field = CoefficientField.random_signs(n, 3, (115, n))
-        out = coincidence.prod_over(cls.tuples, field)
+        out = oracles.prod_over(cls.tuples, field)
         res = hyperbolic.minimal_resolution(
             {s for tup in cls.tuples for s in tup}, 3)
         assert out.shape == res.grid_shape
@@ -330,11 +330,11 @@ class TestProdOver:
         minimal = hyperbolic.minimal_resolution(
             {s for tup in cls.tuples for s in tup}, 3)
         res = Resolution(tuple(m + e for m, e in zip(minimal.levels, (1, 2, 0))))
-        out = coincidence.prod_over(cls.tuples, field, res)
+        out = oracles.prod_over(cls.tuples, field, res)
         assert out.shape == res.grid_shape
         assert np.array_equal(out, self._full_grid_oracle(
             cls.tuples, field, res))
-        coarse = coincidence.prod_over(cls.tuples, field, minimal)
+        coarse = oracles.prod_over(cls.tuples, field, minimal)
         # one and two levels finer on axes 0 and 1: each cell repeated
         assert np.array_equal(np.repeat(np.repeat(coarse, 2, axis=0), 4, axis=1),
                               out)
@@ -344,7 +344,8 @@ class TestProdOver:
         n = 5
         cls = self._class(kind, n)
         field = CoefficientField.random_signs(n, 3, (117, n))
-        res = coincidence._checked_resolution(cls.tuples, 3)
+        res = hyperbolic.minimal_resolution(
+            {s for tup in cls.tuples for s in tup}, 3)
         oracle = self._full_grid_oracle(cls.tuples, field, res)
         top = res.levels[0]
         dtype = grid.int_dtype(len(cls.tuples))
@@ -353,6 +354,75 @@ class TestProdOver:
             assert [len(slab) for slab in slabs] == [rows] * ((1 << top) // rows)
             assert all(slab.dtype == dtype for slab in slabs)
             assert np.array_equal(np.concatenate(slabs), oracle)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("kind", sorted(coincidence.PREDICTED_EXPONENT))
+    def test_class_streams_at_half_the_cells(self, kind, n):
+        # every class pins the middle coordinate, so axis 1 is unsigned in
+        # every pattern and stops at its finest join level: each slab
+        # repeated twice along it is the slab on the shapes' grid, and the
+        # power sums are half the full grid's, the peak the same.  Two
+        # shapes that agree in two coordinates are equal, so a C2-type pair
+        # holds each other max once, and B4's pairs hold theirs twice:
+        # B4's axes 0 and 2 are unsigned too, yet keep their extra level
+        cls = self._class(kind, n)
+        _, odd = coincidence._join_patterns(cls.tuples)
+        assert {tuple(p) for p in odd.tolist()} == (
+            {(False, False, False)} if kind.startswith("B4")
+            else {(True, False, True)})
+        field = CoefficientField.random_signs(n, 3, (119, n))
+        full = hyperbolic.minimal_resolution(
+            {s for tup in cls.tuples for s in tup}, 3)
+        coarse = coincidence._checked_resolution(cls.tuples, 3)
+        assert coarse == coincidence._stream_resolution(cls.tuples, 3)
+        assert coarse.levels == (full.levels[0], full.levels[1] - 1,
+                                 full.levels[2])
+        assert coincidence._checked_resolution(cls.tuples, 3, full) == full
+        rows = hyperbolic.slab_rows(coarse)
+        leaf = list(coincidence.product_slabs(cls.tuples, field, coarse, rows))
+        whole = list(coincidence.product_slabs(cls.tuples, field, full, rows))
+        assert len(leaf) == len(whole)
+        for a, b in zip(leaf, whole):
+            assert a.dtype == b.dtype
+            assert np.array_equal(np.repeat(a, 2, axis=1), b)
+        ps = [1, 2, 3, 4, 6]
+        sums, peak = grid.abs_power_sums(leaf, ps)
+        assert (grid.abs_power_sums(whole, ps)
+                == ([2 * total for total in sums], peak))
+
+    @pytest.mark.parametrize("kind", sorted(coincidence.PREDICTED_EXPONENT))
+    def test_beck_gain_norms_are_the_full_grids(self, kind):
+        n, ps = 5, [1, 2, 4]
+        rep = coincidence.beck_gain_measure(kind, [n], ps, 9, b=1, a=2)
+        field = CoefficientField.random_signs(n, 3, (9, n))
+        out = oracles.prod_over(self._class(kind, n).tuples, field)
+        sums, _ = grid.abs_power_sums([out], ps)
+        assert [row["norm"] for row in rep["rows"]] == [
+            grid.norm_of_power_sum(total, out.size, p)
+            for total, p in zip(sums, ps)]
+
+    @pytest.mark.parametrize("tuples, levels", [
+        ([((2, 1, 0), (0, 1, 2))], (3, 1, 3)),
+        ([((2, 1, 0), (0, 2, 1))], (3, 3, 2)),
+        ([((2, 1, 0), (0, 1, 2)), ((1, 2, 0), (0, 0, 3))], (3, 3, 4)),
+        ([((1, 1, 1), (0, 1, 2), (2, 1, 0))], (3, 2, 3)),
+        ([((1, 1, 1), (1, 1, 1), (0, 1, 2), (2, 1, 0))], (3, 1, 3)),
+    ], ids=["pinned", "signed-middle", "mixed", "held-three-times",
+            "held-four-times"])
+    def test_stream_resolution_follows_the_signs(self, tuples, levels):
+        # the largest join level per axis, one more on axis 0, on axis 2
+        # and on a middle axis where some join is signed
+        assert coincidence._stream_resolution(tuples, 3).levels == levels
+
+    def test_coarser_than_the_joins_refused(self):
+        cls = coincidence.class_c2(4)
+        coarse = coincidence._stream_resolution(cls.tuples, 3)
+        for axis in range(3):
+            levels = list(coarse.levels)
+            levels[axis] -= 1
+            with pytest.raises(grid.InsufficientResolutionError):
+                coincidence._checked_resolution(cls.tuples, 3,
+                                                Resolution(tuple(levels)))
 
     def test_ties_and_every_sign_pattern_match_oracle(self):
         # The nsd_3 tuples of riesz n=5, q=3: on axes 1 and 2 the max level
@@ -373,7 +443,7 @@ class TestProdOver:
                             for b in (True, False)}
         field = CoefficientField.random_signs(n, 3, (118, n))
         res = hyperbolic.field_resolution(field)
-        out = coincidence.prod_over(tuples, field, res)
+        out = oracles.prod_over(tuples, field, res)
         assert out.dtype == grid.int_dtype(len(tuples))
         assert np.array_equal(out, self._full_grid_oracle(tuples, field, res))
 
@@ -381,14 +451,14 @@ class TestProdOver:
         n = 4
         field = CoefficientField.random_signs(n, 3, 113)
         cls = coincidence.class_c2(n)
-        out = coincidence.prod_over(cls.tuples, field)
+        out = oracles.prod_over(cls.tuples, field)
         assert grid.max_abs(out) <= cls.size
 
     def test_budget_guard(self):
         field = CoefficientField.random_signs(3, 3, 114)
         cls = coincidence.class_c2(3)
         with pytest.raises(grid.BudgetExceededError):
-            coincidence.prod_over(cls.tuples, field, budget=1)
+            oracles.prod_over(cls.tuples, field, budget=1)
 
 
 class TestSecondMomentCrossCheck:
@@ -415,10 +485,11 @@ class TestSecondMomentCrossCheck:
         ("C2", range(4, 9), 3, 11),
     ], ids=["C2_restricted-9", "C2-4..8"])
     def test_beck_gain_streams_its_class_sums(self, kind, n_values, seed, mib):
-        # C2_restricted at n=9 sums 2^25 cells (32 MiB of int8); its
-        # join-shape coefficients and one shape-sum stream hold about 4 MiB.
-        # C2 at n=8 sums 2^27 cells in 8-row slabs, about 6 MiB, where
-        # 16-row slabs and a 32-row coarse block took 15 MiB
+        # C2_restricted at n=9 sums 2^24 cells (16 MiB of int8), its
+        # unsigned middle axis at its finest join level; its join-shape
+        # coefficients and one shape-sum stream hold about 4 MiB.  C2 at
+        # n=8 sums 2^25 cells in 8-row slabs, about 4.5 MiB, where 16-row
+        # slabs and a 32-row coarse block took 15 MiB
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

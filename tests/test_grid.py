@@ -319,6 +319,37 @@ class TestSynthesizeOracle:
             assert np.array_equal(out, ref)
             assert np.array_equal(variant, before)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("levels", LEVELS)
+    def test_leaf_is_the_unsigned_synthesis_halved(self, levels, dtype):
+        # both children of the last level's intervals hold the same value,
+        # which a leaf step writes once; first or last, with or without a
+        # workspace, and the input is only read
+        _, spec = self._spectrum(levels, dtype, seed=3)
+        before = spec.copy()
+        full = grid.synthesize(spec, False)
+        ws = grid.Workspace()
+        for axis, m in enumerate(levels):
+            if not m:
+                continue
+            want = np.take(full, np.arange(0, 1 << m, 2), axis=axis)
+            rest = [b for b in range(len(levels)) if b != axis]
+            for order in ([axis, *rest], [*rest, axis]):
+                for workspace in (None, ws):
+                    out = grid.synthesize(spec, False, order, workspace,
+                                          leaves=(axis,))
+                    assert out.flags.c_contiguous and out.dtype == spec.dtype
+                    assert np.array_equal(out, want), (axis, order)
+        assert np.array_equal(spec, before)
+
+    def test_leaf_refused_signed_or_on_one_entry(self):
+        with pytest.raises(ValueError, match="leaf"):
+            grid.synthesize_axis0(np.arange(4), True, leaf=True)
+        with pytest.raises(ValueError, match="leaf"):
+            grid.synthesize_axis0(np.arange(1), False, leaf=True)
+        out = grid.synthesize_axis0(np.arange(2), False, leaf=True)
+        assert out.tolist() == [1]
+
     @pytest.mark.parametrize("signed", [True, False])
     def test_workspace_reused_across_dtypes_and_shapes(self, signed):
         # one workspace for every case in turn, so each call meets buffers

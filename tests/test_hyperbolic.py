@@ -80,6 +80,16 @@ class TestCoefficientField:
         assert f.abs_sum() == count * abs(value)
         assert oracles.square_sum(f) == count * value**2
 
+    def test_abs_sum_of_mixed_widths_is_exact(self):
+        # the values fold as one chunk; uint64 beside a signed width has a
+        # float64 common type, which would round 2^64 - 1
+        vals = {s: np.full(tuple(1 << r for r in s), -3, dtype=np.int8)
+                for s in hyperbolic.enumerate_shapes(2, 2)}
+        vals[(2, 0)] = np.full((4, 1), 2**64 - 1, dtype=np.uint64)
+        vals[(1, 1)] = np.full((2, 2), 200, dtype=np.uint8)
+        f = CoefficientField(2, 2, vals)
+        assert f.abs_sum() == 4 * (3 + 2**64 - 1 + 200)
+
     def test_random_signs_reproducible(self):
         a = CoefficientField.random_signs(3, 2, (1, 2))
         b = CoefficientField.random_signs(3, 2, (1, 2))
@@ -385,6 +395,65 @@ class TestShapeSumSlabs:
         for signed in (True, False):
             assert not np.array_equal(
                 mixed, hyperbolic.shape_sum_grid(vals, res, signed))
+
+    @pytest.mark.parametrize("kind", ["integers", "squares", "coarse", "normal"])
+    def test_unsigned_middle_axis_stops_at_its_finest_level(self, kind):
+        # on a grid one level coarser on an unsigned axis 1, each slab
+        # repeated twice along that axis is the slab of the shapes' grid,
+        # bit for bit (floats included: a leaf adds what the butterfly adds)
+        patterns = [(True, False, True), (False, False, False),
+                    (True, False, False), (False, False, True)]
+        for n, vals in _stream_fields(3, kind):
+            full = hyperbolic.minimal_resolution(vals, 3)
+            m0, m1, m2 = full.levels
+            coarse = Resolution((m0, m1 - 1, m2))
+            for signed in patterns:
+                for rows in sorted({1, 2, 1 << m0}):
+                    got = list(hyperbolic.shape_sum_slabs(vals, coarse, signed,
+                                                          rows))
+                    want = list(hyperbolic.shape_sum_slabs(vals, full, signed,
+                                                           rows))
+                    assert len(got) == len(want) == (1 << m0) // rows
+                    for a, b in zip(got, want):
+                        assert a.shape == (rows, 1 << (m1 - 1), 1 << m2)
+                        assert a.dtype == b.dtype and a.flags.c_contiguous
+                        assert np.repeat(a, 2, axis=1).tobytes() == \
+                            b.tobytes(), (n, signed, rows)
+
+    def test_leaf_axis_is_synthesized_first(self, monkeypatch):
+        # the leaf halves axis 1 before axis 0 runs, so axis 0 works on
+        # half the cells of the slab's Haar column
+        calls = []
+        real = grid.synthesize_axis0
+
+        def spy(coef, *args, leaf=False, **kwargs):
+            calls.append((coef.size, leaf))
+            return real(coef, *args, leaf=leaf, **kwargs)
+
+        monkeypatch.setattr(grid, "synthesize_axis0", spy)
+        vals = {(1, 2, 1): np.ones((2, 4, 2), dtype=np.int64),
+                (2, 1, 1): -np.ones((4, 2, 2), dtype=np.int64)}
+        slabs = list(hyperbolic.shape_sum_slabs(
+            vals, Resolution((3, 2, 2)), (True, False, True), rows=2))
+        column = 2 * 8 * 4  # rows, axis 1 in Haar layout to level 2, axis 2
+        # the leaf, its butterfly on the first half, then axis 0
+        assert calls == [(column, True), (column // 2, False),
+                         (column // 2, False)] * len(slabs)
+
+    @pytest.mark.parametrize("levels, signed", [
+        ((3, 3, 2), (False, True, False)),
+        ((2, 4, 2), (False,) * 3),
+        ((3, 4, 1), (False,) * 3),
+    ], ids=["signed-middle", "axis-0", "last-axis"])
+    def test_leaf_only_on_an_unsigned_middle_axis(self, levels, signed):
+        shape = (2, 3, 1)
+        hyperbolic._check_resolution(Resolution((3, 3, 2)), [shape],
+                                     (True, False, True))
+        with pytest.raises(InsufficientResolutionError, match="level"):
+            hyperbolic._check_resolution(Resolution(levels), [shape], signed)
+        vals = {shape: np.ones((4, 8, 2), dtype=np.int64)}
+        with pytest.raises(InsufficientResolutionError):
+            next(hyperbolic.shape_sum_slabs(vals, Resolution(levels), signed))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_streams_sharing_a_workspace(self, d):
