@@ -36,12 +36,14 @@ walk of those coarse levels that holds one row per level, and each slab
 finishes from its base and the finer levels inside it.  Float sums place axis 0 and take a
 slab as rows of that placement, so every float addition keeps the order
 of a full-spectrum synthesis.  A stream reuses one workspace for its
-per-slab buffers and yields each slab as a new array.  The sharpness
-experiment takes its sup over the slabs, so an n=8, d=3 trial holds
-8-row slabs of 2 MiB and a walk of 7 rows, never the 2**27-cell sum.
+per-slab buffers and yields each slab as a new array.  A sharpness
+trial takes its sup over the slabs of the level-n grid of every shape but
+the d corners n*e_j, plus one per corner (an identity for sign fields, see
+``sharpness_experiment``), so an n=9, d=3 trial holds 8-row slabs of
+2 MiB and a walk of 7 rows, never the 2**30 cells of its sum's own grid.
 ``lp-profile`` folds the slabs of H (twice: exact moments, then Orlicz
 floats) and of S(H)**2 through ``grid``'s diagnostics: ``lp-profile --n 8``
-runs in 4.0 s at 108 MB max RSS (median of four children, 2-core Xeon),
+runs in 1.1-1.3 s at 79 MB max RSS (one child each, 2-core AMD EPYC),
 where the whole grids and their float64 copies took 7.0 s and 2227 MB.
 """
 
@@ -372,10 +374,10 @@ def shape_sum_slabs(shape_values: dict[Shape, np.ndarray], resolution: Resolutio
     and about 3.5 slabs -- the workspace's Haar column, axis-0 output and
     half-size scratch, and the new slab -- plus the previous slab if the
     caller still holds it; a leaf doubles the column and the walk rows.
-    At n=8, d=3 (levels 9, 9, 9, int8; the whole sum is 128 MiB) that is
-    8-row slabs of 2 MiB and 7 walk rows of 256 KiB: one sharpness trial's
-    traced peak is 8.9 MiB, where 16-row slabs beside a 32-row coarse
-    block of 8 MiB took 22.2 MiB.
+    At levels 9, 9, 9 (int8; the whole sum is 128 MiB), the grid of an
+    n=9, d=3 sharpness trial, that is 8-row slabs of 2 MiB and 7 walk rows
+    of 256 KiB: the trial's traced peak is 9.0 MiB, where 16-row slabs
+    beside a 32-row coarse block of 8 MiB took 22.2 MiB at these levels.
     """
     if isinstance(signed, bool):
         signed = (signed,) * resolution.d
@@ -518,23 +520,35 @@ def sharpness_experiment(n_values, d: int, trials: int, seed: int,
     the per-trial coefficient-sum check, and the fitted growth exponent of
     the mean sup norm against n.  Per-trial RNG streams are derived from
     (seed, n, trial), so results do not depend on execution order or the
-    thread count."""
+    thread count.
+
+    A trial streams the level-n grid, not the sum's own level n + 1, by an
+    identity that holds for sign fields: sup |f| = max |x| over the
+    level-n grid + #corners (d for n >= 1), where x sums every shape but
+    the corners n*e_j.  Each other shape has level at most n - 1 on every
+    axis, so x is constant on a level-n cell.  There the corner n*e_j is
+    +-1 times a Haar function of axis j's finest bit (its level-0 factors
+    are constant for n >= 1), and those d bits are independent, so some
+    child of the cell gives every corner the sign of x."""
     if isinstance(n_values, int):
         n_values = [n_values]
     n_values = sorted(n_values)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # every n's grid, so that an oversize n is refused before any trial
-    resolutions = [minimal_resolution(enumerate_shapes(n, d), d) for n in n_values]
+    resolutions = [Resolution.uniform(n, d) for n in n_values]
     per_n = []
     for n, res in zip(n_values, resolutions):
         count = shape_count(n, d)
+        corners = {tuple(n * (a == j) for a in range(d)) for j in range(d)}
 
-        def one_trial(t: int, n=n, res=res, count=count):
+        def one_trial(t: int, n=n, res=res, count=count, corners=corners):
             field = CoefficientField.random_signs(n, d, (seed, n, t))
             ok = Fraction(field.abs_sum(), 1 << n) == count
+            rest = {s: v for s, v in field.values.items() if s not in corners}
             # map holds no slab while the stream builds the next one
-            return max(map(grid.max_abs, shape_sum_slabs(field.values, res))), ok
+            return max(map(grid.max_abs, shape_sum_slabs(rest, res))) \
+                + len(corners), ok
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

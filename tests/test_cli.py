@@ -95,8 +95,8 @@ class TestVerify:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, level", [
-        (["sharpness", "--n-range", "9..9", "--trials", "1", "--d", "3"], 30),
-        (["sharpness", "--n-range", "3..9", "--trials", "4"], 30),
+        (["sharpness", "--n-range", "10..10", "--trials", "1", "--d", "3"], 30),
+        (["sharpness", "--n-range", "3..10", "--trials", "4"], 30),
         (["riesz3d", "--n", "25"], 78),
         (["riesz2d", "--n", "30"], 62),
         (["lp-profile", "--n", "25"], 78),
@@ -105,7 +105,7 @@ class TestVerify:
     def test_grid_limit_exit_code(self, argv, level, capsys, monkeypatch):
         # refused before any field is drawn and before verify's first
         # suite: at n=25 the field of riesz3d alone is about 100 GB, and
-        # sharpness must not run n=3..8 first
+        # sharpness must not run n=3..9 first
         def started(*args):
             raise AssertionError("work started before the refusal")
 

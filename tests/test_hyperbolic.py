@@ -535,12 +535,12 @@ class TestShapeSumSlabs:
         with pytest.raises(ValueError, match="power of two"):
             next(hyperbolic.shape_sum_slabs(vals, Resolution((2, 2)), rows=rows))
 
-    @pytest.mark.parametrize("n, mib", [(7, 8), (8, 18)])
+    @pytest.mark.parametrize("n, mib", [(7, 8), (8, 18), (9, 12)])
     def test_sharpness_trial_peak_bounded(self, n, mib):
-        # one d=3 trial; the whole sum is never held: at n=7 (2^24 cells,
-        # 16 MiB of int8) and at n=8 (128 MiB) the stream holds 8-row slabs
-        # and one walk row per coarse level of axis 0, where 16-row slabs
-        # and a 32-row coarse block took 22 MiB at n=8
+        # one d=3 trial streams the level-n grid of the shapes but the
+        # corners; the whole sum is never held: at n=8 (2^24 cells, 16 MiB
+        # of int8) and at n=9 (128 MiB) the stream holds 8-row slabs and
+        # one walk row per coarse level of axis 0
         tracemalloc.start()
         try:
             rep = hyperbolic.sharpness_experiment([n], 3, 1, 92)
@@ -630,7 +630,7 @@ class TestSharpnessExperiment:
         threaded = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert serial["per_n"] == threaded["per_n"]
         # 2^10-cell slabs fall to the floor of 8 rows, so every n streams
-        # 2 to 16 slabs
+        # 1 to 8 slabs of its level-n grid
         monkeypatch.setattr(grid, "SLAB_CELLS", 1 << 10)
         small = hyperbolic.sharpness_experiment([3, 4, 5, 6], 3, 8, 51, threads=2)
         assert small["per_n"] == serial["per_n"]
@@ -641,6 +641,34 @@ class TestSharpnessExperiment:
             sups = [grid.max_abs(hyperbolic.shape_sum_grid(
                 f.values, hyperbolic.field_resolution(f))) for f in fields]
             assert (row["min_sup"], row["max_sup"]) == (min(sups), max(sups))
+
+
+    @pytest.mark.parametrize("d, n_max", [(2, 10), (3, 7)])
+    def test_sup_is_the_full_grids(self, d, n_max):
+        # the level-n stream plus one per corner is the sup over the
+        # level-(n+1) grid of every shape; at n = 1 only corners remain
+        for n in range(1, n_max + 1):
+            for seed in range(5):
+                rep = hyperbolic.sharpness_experiment([n], d, 1, seed)
+                field = CoefficientField.random_signs(n, d, (seed, n, 0))
+                want = grid.max_abs(hyperbolic.shape_sum_grid(
+                    field.values, hyperbolic.minimal_resolution(field.values, d)))
+                assert rep["per_n"][0]["max_sup"] == want, (n, seed)
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 1), (3, 5)])
+    def test_trial_streams_level_n_without_corners(self, d, n, monkeypatch):
+        streamed = []
+
+        def spy(shape_values, resolution, *args, **kwargs):
+            streamed.append((set(shape_values), resolution))
+            return stream(shape_values, resolution, *args, **kwargs)
+
+        stream = hyperbolic.shape_sum_slabs
+        monkeypatch.setattr(hyperbolic, "shape_sum_slabs", spy)
+        hyperbolic.sharpness_experiment([n], d, 3, 52)
+        corners = {tuple(n * (a == j) for a in range(d)) for j in range(d)}
+        rest = set(hyperbolic.enumerate_shapes(n, d)) - corners
+        assert streamed == [(rest, Resolution.uniform(n, d))] * 3
 
 
 class TestExpIntegrability:
