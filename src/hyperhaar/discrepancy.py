@@ -4,10 +4,12 @@
 Coordinates are integers, ``nums[i, j] / dens[j]`` (over b^m for radical
 inverses, 2^53 for random floats, the lcm of exact denominators for user
 input).  One kernel counts points in the boxes at all corners of a grid,
-in axis-0 slabs: per axis it scales points and corners to the lcm of
-their denominators and places them with ``searchsorted``; per slab it
-scatters with ``bincount`` and takes prefix sums, carrying the last row
-into the next slab.  Integers take ``grid.int_dtype`` of their bound
+in axis-0 slabs, on the volumes' scale: per axis it scales points and
+corners to the lcm of their denominators and places them with
+``searchsorted``, once for the closed and the strict count; per slab each
+occupied line is one ``np.repeat`` of its sorted points, and the lines
+and rows that hold a point are summed, carrying the last row into the
+next slab.  Integers take ``grid.int_dtype`` of their bound
 (that lcm, or N times the corner denominators' product): Python ints only
 past int64.  One fold of the slabs gives the sup: the running max of the
 closed-count value (the limit from above) and min of the strict-count one
@@ -39,18 +41,17 @@ from .grid import BudgetExceededError, GridTooLargeError, Resolution
 EXACT_SUP_CAP = {2: 100, 3: 40}
 
 #: Cells per axis-0 slab of the sup's fold and of the L^p estimate (128 KiB
-#: per int64 array, so a slab's count, volume and value arrays stay in L2);
-#: a slab holds at least one row.  The discrepancy benchmark workload (vdc,
-#: N = 2..16384; medians of 5 alternating runs on a 2-core Xeon, whose
-#: wall_s spread is about 0.1 s), its eight level-10 scans in process (3
-#: runs), and the traced peak of the N=16384 scan:
+#: per int64 array, so a slab's count and volume arrays stay in L2); a slab
+#: holds at least one row.  The discrepancy benchmark workload (vdc,
+#: N = 2..16384; medians of 5 alternating runs on a 2-core Xeon), its
+#: eight level-10 scans in process (min-max of 3 runs after a warm-up) and
+#: the traced peak of the N=16384 scan:
 #:
 #:     cells   wall_s   peak_rss_mb   eight scans      traced peak
-#:     2^16    0.371    33.59         0.123-0.169 s    2.90 MiB
-#:     2^15    0.328    32.34         0.109-0.145 s    1.65 MiB
-#:     2^14    0.337    32.06         0.111-0.149 s    1.03 MiB
-#:     2^13    0.371    32.06         0.137-0.161 s    0.88 MiB
-#:     2^12    0.406    32.06         0.153-0.203 s    0.84 MiB
+#:     2^16    0.241    33.44         0.065-0.085 s    1.81 MiB
+#:     2^15    0.223    32.66         0.067-0.085 s    1.06 MiB
+#:     2^14    0.219    32.41         0.061-0.062 s    0.69 MiB
+#:     2^13    0.284    32.42         0.096-0.113 s    0.53 MiB
 _SLAB_CELLS = 1 << 14
 
 
@@ -197,90 +198,142 @@ def _extremes(a: PointSet, corner_nums, corner_dens):
     """(max, index) of the closed-count values (the limit of D from above)
     and (min, index) of the strict-count ones (D itself) over the corner
     grid of ``_count_slabs``, each at its first index in C order, as
-    Fractions.  Both streams fold slab by slab into D * prod(corner_dens) as
-    integers."""
+    Fractions.  One stream of both counts folds slab by slab into
+    D * prod(corner_dens) as integers, in place."""
     shape = tuple(len(c) for c in corner_nums)
     row_cells = math.prod(shape[1:])
     rows = max(1, _SLAB_CELLS // row_cells)
     den = math.prod(corner_dens)
-    dtype = grid.int_dtype(a.n * den)
-    closed = _count_slabs(a, corner_nums, corner_dens, False, rows)
-    strict = _count_slabs(a, corner_nums, corner_dens, True, rows)
+    counts = _count_slabs(a, corner_nums, corner_dens, (False, True), rows)
+    vols = _volume_slabs(a.n, corner_nums, rows, grid.int_dtype(a.n * den))
     best = [None, None]  # (value, flat index) of the max and of the min
-    for lo, le, lt in zip(range(0, shape[0], rows), closed, strict):
-        vol = _volumes(a.n, [corner_nums[0][lo:lo + rows], *corner_nums[1:]],
-                       dtype)
-        values = np.empty_like(vol)
-        for i, (counts, arg, better) in enumerate((
-                (le, np.argmax, operator.gt), (lt, np.argmin, operator.lt))):
-            np.multiply(counts, den, out=values, dtype=dtype)
-            values -= vol
-            k = int(arg(values))  # the first extreme in C order
+    for lo, vol in zip(range(0, shape[0], rows), vols):
+        for i, (slab, arg, better) in enumerate(zip(
+                next(counts), (np.argmax, np.argmin), (operator.gt, operator.lt))):
+            slab -= vol  # D * den, in place
+            k = int(arg(slab))  # the first extreme in C order
             # a later slab wins only when strictly better
-            if best[i] is None or better(values.flat[k], best[i][0]):
-                best[i] = (int(values.flat[k]), lo * row_cells + k)
-        del values  # before the streams make their next slabs
+            if best[i] is None or better(slab.flat[k], best[i][0]):
+                best[i] = (int(slab.flat[k]), lo * row_cells + k)
+        del slab  # before the stream makes its next slabs
     (sup, i), (inf, j) = best
     return ((Fraction(sup, den), np.unravel_index(i, shape)),
             (Fraction(inf, den), np.unravel_index(j, shape)))
 
 
-def _volumes(n: int, corner_nums, dtype) -> np.ndarray:
-    """N * vol[0, x) * prod(corner_dens) at ``dtype``, at the corners whose
-    axis j holds the numerators ``corner_nums[j]``."""
-    vol = corner_nums[0].astype(dtype) * n
+def _volume_slabs(n: int, corner_nums, rows: int, dtype):
+    """N * vol[0, x) * prod(corner_dens) at ``dtype`` at the corners whose
+    axis j holds the numerators ``corner_nums[j]``, as the axis-0 slabs of
+    ``_count_slabs`` in one reused buffer; the factors are cast once."""
+    head = corner_nums[0].astype(dtype) * n
+    tail = np.ones((), dtype)
     for c in corner_nums[1:]:
-        vol = np.multiply.outer(vol, c.astype(dtype))
-    return vol
+        tail = np.multiply.outer(tail, c.astype(dtype))
+    workspace = grid.Workspace()
+    for lo in range(0, len(head), rows):
+        x = head[lo:lo + rows]
+        vol = workspace.take("vol", x.shape + tail.shape, dtype)
+        yield np.multiply.outer(x, tail, out=vol)
 
 
-def _count_slabs(a: PointSet, corner_nums, corner_dens, strict: bool,
-                 rows: int):
+def _count_slabs(a: PointSet, corner_nums, corner_dens, stricts, rows: int):
     """#points inside the box at every corner of the grid whose axis j holds
-    the sorted corners ``corner_nums[j] / corner_dens[j]``, yielded as
-    successive axis-0 slabs of ``rows`` rows (the last may be shorter):
-    strict uses p_j < corner_j, non-strict p_j <= corner_j (the limit from
-    above).  A point past an axis's last corner is in no box.  Scaled to
-    their lcm, points and corners are at most that lcm, which picks the
-    dtype.  Each slab is one ``bincount`` of its share of the sorted flat
-    indices, prefix-summed within its rows and then down axis 0 from the
-    previous slab's last row."""
+    the sorted corners ``corner_nums[j] / corner_dens[j]``, times
+    prod(corner_dens) at ``grid.int_dtype`` of N times it, as successive
+    axis-0 slabs of ``rows`` rows (the last may be shorter), one per flag of
+    ``stricts`` in each tuple: strict counts p_j < corner_j, non-strict
+    p_j <= corner_j (the limit from above).  A point past an axis's last
+    corner is in no box.  Each axis places the points once for every flag,
+    scaled to the lcm (which picks the dtype); each flag sorts once."""
     shape = tuple(len(c) for c in corner_nums)
-    pos = []
+    den = math.prod(corner_dens)
+    # those of points past a last corner are dropped, but must not wrap
+    flats = [np.zeros(a.n, grid.int_dtype(math.prod(s + 1 for s in shape)))
+             for _ in stricts]
+    inside = [np.ones(a.n, bool) for _ in stricts]
     for j, (cnums, cden) in enumerate(zip(corner_nums, corner_dens)):
         lcm = math.lcm(a.dens[j], cden)
         dtype = grid.int_dtype(lcm)
         pts = a.nums[:, j].astype(dtype) * (lcm // a.dens[j])
         corners = cnums.astype(dtype) * (lcm // cden)
-        pos.append(np.searchsorted(corners, pts,
-                                   side="right" if strict else "left"))
-    inside = np.all([p < size for p, size in zip(pos, shape)], axis=0)
-    flat = np.ravel_multi_index(tuple(p[inside] for p in pos), shape)
-    flat.sort()
-    del pos, inside, pts  # per point: only flat stays with the slabs
+        for flat, ins, strict in zip(flats, inside, stricts):
+            pos = np.searchsorted(corners, pts, side="right" if strict else "left")
+            ins &= pos < shape[j]
+            flat *= shape[j]
+            flat += pos
+        del pts, pos  # per point: only the sorted flat indices stay
+    for k, (flat, ins) in enumerate(zip(flats, inside)):
+        flats[k] = flat[ins]
+        flats[k].sort()
+    del flat, inside
     row_cells = math.prod(shape[1:])
-    carry = None
-    for lo in range(0, shape[0], rows):
+    starts = range(0, shape[0], rows)
+    cuts = [np.searchsorted(flat, [lo * row_cells for lo in starts]
+                            + [shape[0] * row_cells]) for flat in flats]
+    carries = [np.zeros(row_cells, grid.int_dtype(a.n * den))] * len(stricts)
+    for s, lo in enumerate(starts):
         hi = min(lo + rows, shape[0])
-        first, last = np.searchsorted(flat, (lo * row_cells, hi * row_cells))
-        counts = np.bincount(flat[first:last] - lo * row_cells,
-                             minlength=(hi - lo) * row_cells)
-        counts = counts.reshape((hi - lo,) + shape[1:])
-        # in place, and by hyperplanes off the last axis (numpy's is slow
-        # there); the carry is a prefix-summed row, so it joins after them
-        for axis in range(1, a.d - 1):
-            planes = np.moveaxis(counts, axis, 0)
-            for k in range(1, shape[axis]):
-                planes[k] += planes[k - 1]
-        np.cumsum(counts, axis=-1, out=counts)
-        if carry is not None:
-            counts[0] += carry
-        for k in range(1, hi - lo):
-            counts[k] += counts[k - 1]
-        # read-only: the next slab reads this one's last row
-        counts.flags.writeable = False
-        carry = counts[-1]
-        yield counts
+        slabs = []
+        for k, (flat, cut) in enumerate(zip(flats, cuts)):
+            slabs.append(_slab_counts(flat[cut[s]:cut[s + 1]] - lo * row_cells,
+                                      hi - lo, shape, carries[k], den))
+            # a copy: the slab is the caller's to change or free
+            carries[k] = slabs[-1][-1].copy()
+        yield tuple(counts.reshape((hi - lo,) + shape[1:]) for counts in slabs)
+        del slabs  # the consumer's to free before the next are made
+
+
+def _slab_counts(flat: np.ndarray, rows: int, shape, carry,
+                 den: int) -> np.ndarray:
+    """``den`` times the counts of a slab of ``rows`` rows, as (rows, row
+    cells), from its points' sorted flat indices and the row before it,
+    ``carry``.  An occupied line (last axis) is a step function: the
+    running count by one ``np.repeat``, less the count before the line.
+    The middle axis (d=3), from 0 in each row, and the rows, from
+    ``carry``, are summed over occupied lines and rows, an empty one
+    repeating the state before it."""
+    size, mid = shape[-1], math.prod(shape[1:-1])
+    line = flat // size
+    new = np.empty(len(flat), bool)
+    new[:1] = True
+    np.not_equal(line[1:], line[:-1], out=new[1:])
+    starts = np.flatnonzero(new)  # each occupied line's first point
+    row = line[starts]
+    if len(starts) < rows * mid:  # index the occupied lines alone
+        flat = flat - (line - np.cumsum(new) + 1) * size
+    running = np.arange(len(flat) + 1, dtype=carry.dtype) * den
+    counts = np.repeat(running, _runs(flat, len(starts) * size))
+    counts = counts.reshape(len(starts), size)
+    counts -= running[starts][:, None]
+    if mid > 1:
+        row, k = np.divmod(row, mid)
+        first = np.ones(len(row), bool)
+        first[1:] = row[1:] != row[:-1]
+        for i in np.flatnonzero(~first):
+            counts[i] += counts[i - 1]
+        firsts = np.flatnonzero(first)
+        if len(k) < len(firsts) * mid:
+            ends = np.append(k[1:], mid)
+            ends[firsts[1:] - 1] = mid
+            counts = np.repeat(np.insert(counts, firsts, 0, axis=0),
+                               np.insert(ends - k, firsts, k[firsts]), axis=0)
+        row = row[firsts]
+    counts = counts.reshape(len(row), mid * size)
+    state = carry
+    for plane in counts:
+        plane += state
+        state = plane
+    if len(row) < rows:
+        counts = np.repeat(np.concatenate([carry[None], counts]),
+                           _runs(row, rows), axis=0)
+    return counts
+
+
+def _runs(marks: np.ndarray, end: int) -> np.ndarray:
+    """The run lengths from 0 to the sorted ``marks`` and on to ``end``."""
+    bounds = np.empty(len(marks) + 2, np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, marks, end
+    return bounds[1:] - bounds[:-1]
 
 
 def _check_grid_level(grid_level: int, d: int) -> None:
@@ -328,12 +381,11 @@ def _midpoint_slabs(a: PointSet, g: int):
     rows = 1 << (max(1, _SLAB_CELLS // row_cells).bit_length() - 1)
     if rows * row_cells < grid._PAIRWISE_BLOCK:
         rows = g
-    counts = _count_slabs(a, [nums] * a.d, [2 * g] * a.d, True, rows)
-    for lo, slab in zip(range(0, g, rows), counts):
-        values = np.multiply(slab, den, dtype=dtype)
-        values -= _volumes(a.n, [nums[lo:lo + rows], *[nums] * (a.d - 1)],
-                           dtype)
-        values = values / den  # by a power of two: exact below 2^53
+    counts = _count_slabs(a, [nums] * a.d, [2 * g] * a.d, (True,), rows)
+    for (slab,), vol in zip(counts, _volume_slabs(a.n, [nums] * a.d, rows,
+                                                  dtype)):
+        slab -= vol
+        values = slab / den  # by a power of two: exact below 2^53
         yield np.abs(values, out=values)
 
 

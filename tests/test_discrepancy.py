@@ -249,12 +249,13 @@ class TestCountKernel:
         for nums, den in ((np.arange(1, g + 1), g),
                           (2 * np.arange(g) + 1, 2 * g)):
             corners = [[Fraction(int(k), den) for k in nums]] * a.d
-            want = oracles.corner_counts(a, corners, strict)
+            # the kernel counts on the volumes' scale, prod(corner_dens)
+            want = oracles.corner_counts(a, corners, strict) * den ** a.d
             # slab boundaries, including row counts that do not divide g,
             # and the whole grid as one slab
             for rows in (1, 3, 5, g):
-                slabs = list(dis._count_slabs(a, [nums] * a.d, [den] * a.d,
-                                              strict, rows))
+                slabs = [s for s, in dis._count_slabs(
+                    a, [nums] * a.d, [den] * a.d, (strict,), rows)]
                 assert [len(s) for s in slabs[:-1]] == [rows] * (len(slabs) - 1)
                 assert np.array_equal(np.concatenate(slabs), want)
 
@@ -264,10 +265,12 @@ class TestCountKernel:
         cands = candidates(a)
         nums = [np.array([int(c * q) for c in cand], dtype=object)
                 for cand, q in zip(cands, a.dens)]
-        want = oracles.corner_counts(a, cands, strict)
+        want = (oracles.corner_counts(a, cands, strict).astype(object)
+                * math.prod(a.dens))
         for rows in (1, 3, len(cands[0])):
-            slabs = dis._count_slabs(a, nums, a.dens, strict, rows)
-            assert np.array_equal(np.concatenate(list(slabs)), want)
+            slabs = [s for s, in dis._count_slabs(a, nums, a.dens, (strict,),
+                                                  rows)]
+            assert np.array_equal(np.concatenate(slabs), want)
 
     @pytest.mark.parametrize("a", BRUTE_SETS,
                              ids=lambda a: f"{a.provenance}-{a.n}")
@@ -288,6 +291,77 @@ class TestCountKernel:
         got, want = dis._distinct(values), np.unique(values)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+F = Fraction
+# Rows and lines without points around occupied ones, and several points
+# in one cell: at level 2 the first and last rows (corners 1/4 and 1) hold
+# none in d=2, and in d=3 every row's first and last line is empty.
+SPARSE = [
+    dis.PointSet(2, ((F(3, 8), F(1, 2)), (F(3, 8), F(1, 2)),
+                     (F(5, 8), F(1, 8)), (F(5, 8), F(5, 8)))),
+    dis.PointSet(3, ((F(3, 8), F(3, 8), F(1, 8)), (F(3, 8), F(3, 8), F(1, 8)),
+                     (F(5, 8), F(1, 2), F(7, 8)), (F(3, 8), F(5, 8), F(1, 2)),
+                     (F(1, 8), F(3, 8), F(3, 4)))),
+]
+# (set, level, rows): vdC(64) has points on the corner lines k/16, where
+# the closed and strict counts differ
+STREAM_CASES = ([(a, level, rows) for a in SPARSE for level in (2, 3)
+                 for rows in (1, 3, 4)]
+                + [(dis.van_der_corput(64), 4, rows) for rows in (1, 5, 16)]
+                + [(dis.halton(30), 3, rows) for rows in (1, 3, 8)])
+
+
+def assert_stream_counts(a, nums, corners, dens, rows):
+    """Both counts of one ``_count_slabs`` stream against the oracle's,
+    slab by slab, on the volumes' scale."""
+    want = [oracles.corner_counts(a, corners, strict).astype(object)
+            * math.prod(dens) for strict in (False, True)]
+    lo = 0
+    for slabs in dis._count_slabs(a, nums, dens, (False, True), rows):
+        assert len(slabs) == 2
+        for got, full in zip(slabs, want):
+            assert np.array_equal(got, full[lo:lo + rows])
+        lo += len(slabs[0])
+    assert lo == len(nums[0])
+
+
+class TestCountStream:
+    @pytest.mark.parametrize(("a", "level", "rows"), STREAM_CASES,
+                             ids=[f"{a.provenance}-d{a.d}-{a.n}-{level}-{rows}"
+                                  for a, level, rows in STREAM_CASES])
+    def test_both_counts_in_one_stream(self, a, level, rows):
+        g = 1 << level
+        nums = np.arange(1, g + 1)
+        assert_stream_counts(a, [nums] * a.d,
+                             [[Fraction(int(k), g) for k in nums]] * a.d,
+                             [g] * a.d, rows)
+
+    @pytest.mark.parametrize("a", [*SPARSE, OVERFLOW, dis.halton(7)],
+                             ids=lambda a: f"{a.provenance}-d{a.d}-{a.n}")
+    @pytest.mark.parametrize("rows", [1, 2, 100])
+    def test_both_counts_at_exact_corners(self, a, rows):
+        # OVERFLOW takes the object route on both sides
+        cands = candidates(a)
+        nums = [np.array([int(c * q) for c in cand], dtype=object)
+                for cand, q in zip(cands, a.dens)]
+        assert_stream_counts(a, nums, cands, a.dens, rows)
+
+    def test_points_prepared_once(self, monkeypatch):
+        # one stream serves both counts, so each point is placed once per
+        # axis and count, and its flat indices sorted once per count
+        calls = []
+        stream = dis._count_slabs
+
+        def spy(*args):
+            calls.append(args[3])
+            return stream(*args)
+
+        monkeypatch.setattr(dis, "_count_slabs", spy)
+        dis.discrepancy_sup(dis.halton(20))
+        dis.discrepancy_sup(dis.van_der_corput(200), approximate=True,
+                            grid_level=6)
+        assert calls == [(False, True)] * 2
 
 
 class TestSlabFold:
